@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import (Cyc, CyclotomicRing, FFElt, FiniteField,
-                    NotInvertibleError, RingMismatchError)
+from .coeff import CyclotomicRing, FFElt, FiniteField, RingMismatchError
 
 
 class FqField(FiniteField):
@@ -80,6 +79,12 @@ class QpField:
 
     def element(self, x):
         return Fraction(x)
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
 
     def val(self, x):
         """Exact p-adic valuation of a nonzero rational."""

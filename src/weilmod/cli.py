@@ -5,8 +5,8 @@ optional --approx flag appends a clearly-labelled complex embedding."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -230,10 +230,7 @@ def cmd_heisenberg(args):
         raise InputError("group too large to dump; reduce q or m")
     out = []
     elts = field.elements()
-    wvecs = [()]
-    for _ in range(2 * args.m):
-        wvecs = [w + (x,) for w in wvecs for x in elts]
-    for w in wvecs:
+    for w in itertools.product(elts, repeat=2 * args.m):
         for t in elts:
             h = delta(space, w) * central(space, t.i)
             out.append({"w": [str(x) for x in w], "t": str(t),
@@ -251,7 +248,8 @@ def cmd_heisenberg(args):
 
 def cmd_theta(args):
     from .theta import (DualPair, RestrictedWeil, ThetaLift, char_inner,
-                        group_inverses, linear_pm_characters)
+                        group_inverses, labelled_characters,
+                        linear_pm_characters)
     field = parse_field(args.field)
     if field.flavor != "finite":
         raise InputError("theta lifts are finite-field only")
@@ -270,11 +268,8 @@ def cmd_theta(args):
     chars = linear_pm_characters(pair.h1_list, mul)
     inv2 = group_inverses(pair.h2_list, mul)
     rows = []
-    for k, chi in enumerate(sorted(chars, key=lambda c: sorted(
-            str(v) for v in c.values()), reverse=True)):
+    for label, chi in labelled_characters(chars):
         lift = ThetaLift(rw, chi)
-        label = "trivial" if all(v == 1 for v in chi.values()) else \
-            "char%d" % k
         row = {"pi1": label, "dim_theta": lift.dim}
         if isinstance(psi.coeff_ring, CyclotomicRing) and lift.dim:
             ch = lift.character()
@@ -302,10 +297,6 @@ def build_parser():
         prog="weilmod",
         description="exact Weil representations, metaplectic cocycles and "
                     "theta lifts over F_q and Q_p")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("WEILMOD_THREADS", "1")),
-                    help="advisory parallelism degree (rows are always "
-                         "emitted in input order)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, psi=True):
@@ -314,7 +305,6 @@ def build_parser():
                        help="json, csv, or an output file path")
         p.add_argument("--approx", action="store_true",
                        help="append non-authoritative complex embeddings")
-        p.add_argument("--seed", type=int, default=42)
         if psi:
             p.add_argument("--psi", default=None,
                            help="psi:standard | psi:level0 | psi:twist:<c>")

@@ -133,12 +133,6 @@ class CyclotomicRing:
                 "no root of order %d in %r" % (order, self))
         return self.zeta_pow(self.p ** (self.k - j))
 
-    def lift_to(self, other):
-        """Embedding into Z[zeta_{p^k'}] for k' >= k: zeta -> zeta^(p^(k'-k))."""
-        if other.p != self.p or other.k < self.k:
-            raise RingMismatchError("cannot lift %r into %r" % (self, other))
-        return other
-
     def coerce(self, x):
         if isinstance(x, Cyc):
             if x.ring is self:
@@ -352,12 +346,14 @@ class Cyc:
         return NotImplemented if r is NotImplemented else not r
 
     def __hash__(self):
+        # values equal across levels hash equal: hash the smallest-level
+        # representative, and rationals as the Fraction they equal
         if self._hash is None:
             if self.is_rational():
                 self._hash = hash(Fraction(self.coeffs[0], self.den))
             else:
-                self._hash = hash((self.ring.p, self.ring.k, self.coeffs,
-                                   self.den))
+                c = self.compress()
+                self._hash = hash((c.ring.p, c.ring.k, c.coeffs, c.den))
         return self._hash
 
     def __repr__(self):

@@ -5,6 +5,7 @@ coefficient ring, commutant computations and change-of-model intertwiners.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from . import linalg
@@ -67,7 +68,7 @@ class SympSpace:
         return linalg.mat_vec(g, v)
 
     def identity(self):
-        return linalg.identity(_fa(self.field), self.dim)
+        return linalg.identity(self.field, self.dim)
 
     def w_subset(self, subset):
         """w_S: e_i -> f_i, f_i -> -e_i for i in S; identity elsewhere."""
@@ -93,11 +94,10 @@ class SympSpace:
     def parabolic(self, a, b=None):
         """p = [[a, b], [0, a^-T]]; b must satisfy b^T a^-T symmetric."""
         m = self.m
-        fld = _fa(self.field)
         a = linalg.mat(a)
-        ainvt = linalg.transpose(linalg.mat_inv(a, fld))
+        ainvt = linalg.transpose(linalg.mat_inv(a, self.field))
         if b is None:
-            b = linalg.zeros(fld, m, m)
+            b = linalg.zeros(self.field, m, m)
         else:
             b = linalg.mat(b)
         z = self.field.element(0)
@@ -114,9 +114,8 @@ class SympSpace:
     def unipotent_upper(self, s):
         """[[I, S'],[0, I]] from a symmetric parameter: b = s a^-T with a = I
         requires s symmetric under the induced condition."""
-        fld = _fa(self.field)
-        m = self.m
-        return self.parabolic(linalg.identity(fld, m), linalg.mat(s))
+        return self.parabolic(linalg.identity(self.field, self.m),
+                              linalg.mat(s))
 
     def blocks(self, g):
         m = self.m
@@ -140,18 +139,6 @@ class SympSpace:
         if self.field.flavor == "finite":
             return self.field.element(1) / 2
         return Fraction(1, 2)
-
-
-def _fa(field):
-    class _A:
-        @staticmethod
-        def zero():
-            return field.element(0)
-
-        @staticmethod
-        def one():
-            return field.element(1)
-    return _A
 
 
 class HeisenbergElement:
@@ -187,10 +174,6 @@ class HeisenbergElement:
 
     def __repr__(self):
         return "h(%r; %r)" % (self.w, self.t)
-
-
-def h_mul(h1, h2):
-    return h1 * h2
 
 
 def delta(space, w):
@@ -301,28 +284,23 @@ class LagrangianModel:
         self.dim = self.field.q ** m
         self._full = linalg.mat(list(self.a_basis) + list(self.b_basis))
         self._full_inv = linalg.mat_inv(linalg.transpose(self._full),
-                                        _fa(self.field))
-        self._points = list(_point_tuples(self.field, m))
+                                        self.field)
+        self._points = list(itertools.product(self.field.elements(),
+                                              repeat=m))
         self._index = {pt: i for i, pt in enumerate(self._points)}
 
     def point(self, i):
         """The i-th B-coset representative as an ambient vector."""
-        co = self._points[i]
-        return self._combine(self.b_basis, co)
-
-    def _combine(self, basis, coords):
-        acc = list(self.space.zero_vec())
-        for c, vec in zip(coords, basis):
-            for t in range(self.space.dim):
-                acc[t] = acc[t] + c * vec[t]
-        return tuple(acc)
+        return linalg.combine(self._points[i], self.b_basis,
+                              self.space.zero_vec())
 
     def decompose(self, w):
         """w = a + b along A + B; returns (a, b, b-coords)."""
         coords = linalg.mat_vec(self._full_inv, w)
         m = self.space.m
-        a = self._combine(self.a_basis, coords[:m])
-        b = self._combine(self.b_basis, coords[m:])
+        zero = self.space.zero_vec()
+        a = linalg.combine(coords[:m], self.a_basis, zero)
+        b = linalg.combine(coords[m:], self.b_basis, zero)
         return a, b, tuple(coords[m:])
 
     def eval_basis(self, i, h):
@@ -339,24 +317,16 @@ class LagrangianModel:
         n = self.dim
         perm = [0] * n
         phases = [None] * n
-        for i, co in enumerate(self._points):
-            b = self._combine(self.b_basis, co)
+        for i in range(n):
+            b = self.point(i)
             w2 = tuple(x + y for x, y in zip(b, h.w))
             a1, b1, co1 = self.decompose(w2)
             t = h.t + half * sp.pairing(b, h.w) - half * sp.pairing(a1, b1)
             j = self._index[co1]
             # (rho(h) f)~(b) = psi(t) f~(b1): column j feeds row i
             perm[j] = i
-            phases[j] = None
-            # store temporarily; fill after loop
-            if phases[j] is None:
-                phases[j] = self.psi(t)
+            phases[j] = self.psi(t)
         return Monomial(perm, phases)
-
-    def rho_dense(self, h, example_zero=None):
-        zero = example_zero if example_zero is not None else \
-            self.psi(self.field.element(0)) * 0
-        return self.rho(h).to_dense(zero)
 
     def zero_coeff(self):
         one = self.psi(self.field.element(0))
@@ -364,16 +334,6 @@ class LagrangianModel:
 
     def one_coeff(self):
         return self.psi(self.field.element(0))
-
-
-def _point_tuples(field, m):
-    elts = field.elements()
-    if m == 0:
-        yield ()
-        return
-    for head in _point_tuples(field, m - 1):
-        for e in elts:
-            yield head + (e,)
 
 
 class SchrodingerModel(LagrangianModel):
@@ -523,19 +483,18 @@ def intertwiner(model1, model2, mu_point=None, omega_vec=None):
         omega_vec = sp.zero_vec()
     omega_vec = tuple(field.element(x) for x in omega_vec)
     a1, a2 = model1.a_basis, model2.a_basis
-    inter = _intersection(a1, a2, field)
+    inter = linalg.intersection(a1, a2, field)
     for u in inter:
         if model1.psi(sp.pairing(u, omega_vec)) != model1.one_coeff():
             raise ValueError("omega incompatible on the intersection")
-    reps = _coset_reps(inter, a2, field)
+    reps = coset_reps(inter, a2, field)
     if mu_point is None:
         mu_point = model1.one_coeff()
     zero = model1.zero_coeff()
     rows = [[zero] * model1.dim for _ in range(model2.dim)]
     om = delta(sp, omega_vec)
-    for i2, co2 in enumerate(model2._points):
-        b2 = model2._combine(model2.b_basis, co2)
-        h2 = delta(sp, b2)
+    for i2 in range(model2.dim):
+        h2 = delta(sp, model2.point(i2))
         for a in reps:
             h = om * delta(sp, a) * h2
             coeff, j1 = model1.eval_basis(0, h)
@@ -544,41 +503,19 @@ def intertwiner(model1, model2, mu_point=None, omega_vec=None):
     return linalg.mat(rows)
 
 
-def _intersection(basis1, basis2, field):
-    fld = _fa(field)
-    if not basis1 or not basis2:
-        return ()
-    rows = list(basis1) + list(basis2)
-    ns = linalg.nullspace(linalg.transpose(linalg.mat(rows)), fld)
-    out = []
-    for coefs in ns:
-        v = [field.element(0)] * len(basis1[0])
-        for c, vec in zip(coefs[:len(basis1)], basis1):
-            for t in range(len(v)):
-                v[t] = v[t] + c * vec[t]
-        out.append(tuple(v))
-    # independent subset
-    return tuple(linalg.column_space_basis(out))
-
-
-def _coset_reps(subspace, ambient_basis, field):
+def coset_reps(subspace, ambient_basis, field):
     """Points of a complement of `subspace` inside span(ambient_basis)."""
     comp = linalg.extend_basis(list(subspace), list(ambient_basis))
     comp = comp[len(subspace):]
-    out = []
-    for co in _point_tuples(field, len(comp)):
-        v = [field.element(0)] * (len(ambient_basis[0])
-                                  if ambient_basis else 0)
-        for c, vec in zip(co, comp):
-            for t in range(len(v)):
-                v[t] = v[t] + c * vec[t]
-        out.append(tuple(v))
-    return out
+    zero = (field.zero(),) * (len(ambient_basis[0]) if ambient_basis else 0)
+    return [linalg.combine(co, comp, zero)
+            for co in itertools.product(field.elements(), repeat=len(comp))]
 
 
-def hom_space(ops1, ops2, dim1, dim2, zero, one):
-    """Basis of {T : T r1(g) = r2(g) T} for paired operator lists (dense)."""
-    import itertools
+def hom_space(ops1, ops2, dim1, dim2, ring):
+    """Basis of {T : T r1(g) = r2(g) T} for paired operator lists (dense)
+    with entries in `ring`."""
+    zero = ring.zero()
     nvar = dim2 * dim1
     rows = []
     for r1, r2 in zip(ops1, ops2):
@@ -593,15 +530,7 @@ def hom_space(ops1, ops2, dim1, dim2, zero, one):
                 for k in range(dim2):
                     row[k * dim1 + j] = row[k * dim1 + j] - m2[i][k]
                 rows.append(tuple(row))
-    class _R:
-        @staticmethod
-        def zero():
-            return zero
-
-        @staticmethod
-        def one():
-            return one
-    ns = linalg.nullspace(linalg.mat(rows), _R)
+    ns = linalg.nullspace(linalg.mat(rows), ring)
     mats = []
     for v in ns:
         mats.append(linalg.mat([[v[i * dim1 + j] for j in range(dim1)]

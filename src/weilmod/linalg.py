@@ -1,12 +1,14 @@
 """Small exact linear algebra over any scalars with field operator overloads
 (Fraction, FFElt, Cyc).  Matrices are tuples of tuples; vectors are tuples.
 
-Every routine takes `zero`/`one` from a sample scalar via `- x + x` tricks
-being unreliable, so callers pass the ambient field adapter `fld` exposing
-zero(), one(), element coercion is left to the scalars themselves.
+A routine that has to create zeros or ones takes the field or ring itself as
+`fld` (FqField, QpField, FiniteField, CyclotomicRing all expose zero() and
+one()); everything else reads its scalars off the entries.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def mat(rows):
@@ -52,10 +54,6 @@ def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
-def mat_neg(a):
-    return tuple(tuple(-x for x in r) for r in a)
-
-
 def mat_scal(c, a):
     return tuple(tuple(c * x for x in r) for r in a)
 
@@ -67,6 +65,11 @@ def transpose(a):
 def _is_zero(x):
     z = x - x
     return x == z
+
+
+def _recip(x):
+    """1/x, exact also for plain ints (which have no inv())."""
+    return x.inv() if hasattr(x, "inv") else Fraction(1) / x
 
 
 def rref(a):
@@ -86,7 +89,7 @@ def rref(a):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv() if hasattr(rows[r][c], "inv") else 1 / rows[r][c]
+        inv = _recip(rows[r][c])
         rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and not _is_zero(rows[i][c]):
@@ -157,7 +160,7 @@ def det(a):
             sign_flip = not sign_flip
         pv = rows[c][c]
         acc = pv if acc is None else acc * pv
-        inv = pv.inv() if hasattr(pv, "inv") else 1 / pv
+        inv = _recip(pv)
         for i in range(c + 1, n):
             if not _is_zero(rows[i][c]):
                 f = rows[i][c] * inv
@@ -212,7 +215,21 @@ def extend_basis(partial, candidates):
     return out
 
 
-def in_span(vectors, v):
-    if not vectors:
-        return all(_is_zero(x) for x in v)
-    return rank(mat(list(vectors) + [v])) == rank(mat(vectors))
+def combine(coords, basis, zero_vector):
+    """sum_i coords[i] * basis[i], starting from zero_vector."""
+    acc = list(zero_vector)
+    for c, vec in zip(coords, basis):
+        for t in range(len(acc)):
+            acc[t] = acc[t] + c * vec[t]
+    return tuple(acc)
+
+
+def intersection(basis1, basis2, fld):
+    """A basis of span(basis1) cap span(basis2)."""
+    if not basis1 or not basis2:
+        return ()
+    rows = list(basis1) + list(basis2)
+    ns = nullspace(transpose(mat(rows)), fld)
+    zero = (fld.zero(),) * len(basis1[0])
+    return tuple(column_space_basis(
+        [combine(coefs[:len(basis1)], basis1, zero) for coefs in ns]))

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .heisenberg import SchrodingerModel, _fa, _point_tuples, delta
+from .heisenberg import SchrodingerModel, coset_reps, delta
 from .quadratic import QuadraticForm, hilbert, square_class
 from .weilfactor import gauss_sum, omega_ratio
 
@@ -34,23 +34,6 @@ class LerayData(NamedTuple):
 # subspace helpers over an arbitrary base field
 # ---------------------------------------------------------------------------
 
-def _span_intersection(space, basis1, basis2):
-    field = space.field
-    fld = _fa(field)
-    if not basis1 or not basis2:
-        return ()
-    rows = list(basis1) + list(basis2)
-    ns = linalg.nullspace(linalg.transpose(linalg.mat(rows)), fld)
-    out = []
-    for coefs in ns:
-        v = [field.element(0)] * space.dim
-        for c, vec in zip(coefs[:len(basis1)], basis1):
-            for t in range(space.dim):
-                v[t] = v[t] + c * vec[t]
-        out.append(tuple(v))
-    return tuple(linalg.column_space_basis(out))
-
-
 def _x_basis(space):
     return [space.basis_e(i) for i in range(space.m)]
 
@@ -64,7 +47,6 @@ def _solve_in_span(space, span_basis, pair_with, rhs_vals, extra=()):
     """Vector v in span(span_basis) with <u, v> = r for (u, r) pairs and
     <w, v> = 0 for w in extra.  Returns None if infeasible."""
     field = space.field
-    fld = _fa(field)
     rows = []
     rhs = []
     for u, r in zip(pair_with, rhs_vals):
@@ -73,14 +55,10 @@ def _solve_in_span(space, span_basis, pair_with, rhs_vals, extra=()):
     for w in extra:
         rows.append(tuple(space.pairing(w, b) for b in span_basis))
         rhs.append(field.element(0))
-    sol = linalg.solve(linalg.mat(rows), tuple(rhs), fld)
+    sol = linalg.solve(linalg.mat(rows), tuple(rhs), field)
     if sol is None:
         return None
-    v = [field.element(0)] * space.dim
-    for c, b in zip(sol, span_basis):
-        for t in range(space.dim):
-            v[t] = v[t] + c * b[t]
-    return tuple(v)
+    return linalg.combine(sol, span_basis, space.zero_vec())
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +73,7 @@ def bruhat_decompose(space, g):
         raise ValueError("matrix is not symplectic")
     gx = _lagrangian_image(space, g)
     xb = _x_basis(space)
-    inter = _span_intersection(space, gx, xb)
+    inter = linalg.intersection(gx, xb, field)
     j = m - len(inter)
     # u-basis of X: completion indices 0..j-1, intersection at j..m-1
     u = linalg.extend_basis(list(inter), xb)
@@ -122,9 +100,8 @@ def bruhat_decompose(space, g):
     if not space.is_symplectic(p1) or not space.in_parabolic(p1):
         raise RuntimeError("Bruhat: p1 construction failed")
     wj = space.w_subset(set(range(j)))
-    fld = _fa(field)
-    p2 = linalg.mat_mul(linalg.mat_mul(linalg.mat_inv(wj, fld),
-                                       linalg.mat_inv(p1, fld)), g)
+    p2 = linalg.mat_mul(linalg.mat_mul(linalg.mat_inv(wj, field),
+                                       linalg.mat_inv(p1, field)), g)
     if not space.in_parabolic(p2):
         raise RuntimeError("Bruhat: p2 not parabolic")
     if linalg.mat_mul(linalg.mat_mul(p1, wj), p2) != g:
@@ -150,8 +127,7 @@ def mu_g_scalar(space, psi, g, bruhat=None):
     if field.flavor == "finite" or bd.j == 0:
         return base
     # volume of phi_1(image of the standard X-lattice) in mu_{w_j}-coords
-    fld = _fa(field)
-    p1inv = linalg.mat_inv(bd.p1, fld)
+    p1inv = linalg.mat_inv(bd.p1, field)
     m, j = space.m, bd.j
     cols = []
     for k in range(m):
@@ -207,27 +183,18 @@ def sigma(ctx, g):
     field = space.field
     bd = bruhat_decompose(space, g)
     mu_pt = mu_g_scalar(space, psi, g, bd) * ctx._gauss_half_inv ** bd.j
-    fld = _fa(field)
-    ginv = linalg.mat_inv(g, fld)
+    ginv = linalg.mat_inv(g, field)
     # coset representatives of gX cap X \ X
-    gx = _lagrangian_image(space, g)
     xb = _x_basis(space)
-    inter = _span_intersection(space, gx, xb)
-    comp = linalg.extend_basis(list(inter), xb)[len(inter):]
-    reps = []
-    for co in _point_tuples(field, len(comp)):
-        v = [field.element(0)] * space.dim
-        for c, vec in zip(co, comp):
-            for t in range(space.dim):
-                v[t] = v[t] + c * vec[t]
-        reps.append(tuple(v))
+    reps = coset_reps(linalg.intersection(_lagrangian_image(space, g), xb,
+                                          field), xb, field)
     model = ctx.model
     half = space.half()
     n = model.dim
     zero = ctx.zero()
     rows = [[zero] * n for _ in range(n)]
-    for i0, co0 in enumerate(model._points):
-        y0 = model._combine(model.b_basis, co0)
+    for i0 in range(n):
+        y0 = model.point(i0)
         for a in reps:
             wsum = tuple(x + y for x, y in zip(a, y0))
             t = half * space.pairing(a, y0)
@@ -284,22 +251,15 @@ def m_bracket(ctx, g):
     space = ctx.space
     field = space.field
     one_minus = linalg.mat_sub(space.identity(), g)
-    fld = _fa(field)
-    ker = linalg.nullspace(one_minus, fld)
+    ker = linalg.nullspace(one_minus, field)
     std = [space.basis_e(i) for i in range(space.m)] + \
           [space.basis_f(i) for i in range(space.m)]
-    comp = linalg.extend_basis(list(ker), std)[len(ker):]
     model = ctx.model
     half = space.half()
     n = model.dim
     zero = ctx.zero()
     rows = [[zero] * n for _ in range(n)]
-    for co in _point_tuples(field, len(comp)):
-        w = [field.element(0)] * space.dim
-        for c, vec in zip(co, comp):
-            for t in range(space.dim):
-                w[t] = w[t] + c * vec[t]
-        w = tuple(w)
+    for w in coset_reps(ker, std, field):
         phase = ctx.psi(half * space.pairing(w, linalg.mat_vec(g, w)))
         mono = model.rho(delta(space, linalg.mat_vec(one_minus, w)))
         for j in range(n):
@@ -337,17 +297,16 @@ def leray_decompose(space, g1, g2):
     built deterministically from the triple (X, g1^{-1}X, g2 X)."""
     field = space.field
     m = space.m
-    fld = _fa(field)
     zero, one = field.element(0), field.element(1)
-    l1 = _lagrangian_image(space, linalg.mat_inv(g1, fld))
+    l1 = _lagrangian_image(space, linalg.mat_inv(g1, field))
     l2 = _lagrangian_image(space, g2)
     xb = _x_basis(space)
-    j1 = m - len(_span_intersection(space, l1, xb))
-    j2 = m - len(_span_intersection(space, l2, xb))
-    j12 = m - len(_span_intersection(
-        space, _lagrangian_image(space, linalg.mat_mul(g1, g2)), xb))
-    inter12 = _span_intersection(space, l1, l2)
-    a_basis = _span_intersection(space, list(inter12), xb)
+    j1 = m - len(linalg.intersection(l1, xb, field))
+    j2 = m - len(linalg.intersection(l2, xb, field))
+    j12 = m - len(linalg.intersection(
+        _lagrangian_image(space, linalg.mat_mul(g1, g2)), xb, field))
+    inter12 = linalg.intersection(l1, l2, field)
+    a_basis = linalg.intersection(list(inter12), xb, field)
     t = len(a_basis)
     l_ov = m - t - j12
     ns = j1 + j2 + j12 + 2 * t - 2 * m
@@ -366,8 +325,8 @@ def leray_decompose(space, g1, g2):
     e = [None] * m
     for pos, i in enumerate(c_idx):
         e[i] = a_basis[pos]
-    x_l1 = _span_intersection(space, xb, l1)
-    x_l2 = _span_intersection(space, xb, l2)
+    x_l1 = linalg.intersection(xb, l1, field)
+    x_l2 = linalg.intersection(xb, l2, field)
     ext1 = linalg.extend_basis(list(a_basis), list(x_l1))[t:]
     for pos, i in enumerate(p2_idx):
         e[i] = ext1[pos]
@@ -376,7 +335,7 @@ def leray_decompose(space, g1, g2):
     for pos, i in enumerate(p1_idx):
         e[i] = ext2[pos]
     sum12 = linalg.column_space_basis(list(l1) + list(l2))
-    z_basis = _span_intersection(space, xb, list(sum12))
+    z_basis = linalg.intersection(xb, list(sum12), field)
     built = [v for v in e if v is not None]
     extz = linalg.extend_basis(built, list(z_basis))[len(built):]
     for pos, i in enumerate(s_idx):
@@ -393,26 +352,19 @@ def leray_decompose(space, g1, g2):
     bs = []
     for i in s_idx:
         stacked = list(l1) + list(l2)
-        sol = linalg.solve(linalg.transpose(linalg.mat(stacked)), e[i], fld)
+        sol = linalg.solve(linalg.transpose(linalg.mat(stacked)), e[i],
+                           field)
         if sol is None:
             raise RuntimeError("Leray: Z-decomposition failed")
-        b = [zero] * space.dim
-        for c, vec in zip(sol[len(l1):], l2):
-            for tt in range(space.dim):
-                b[tt] = b[tt] + c * vec[tt]
-        bs.append(tuple(b))
+        bs.append(linalg.combine(sol[len(l1):], l2, space.zero_vec()))
     if s_idx:
         d = [[space.pairing(e[j], bs[pos_i]) for pos_i in range(ns)]
              for j in s_idx]
         dm = linalg.mat(d)
-        c_rho = linalg.mat_inv(dm, fld)
+        c_rho = linalg.mat_inv(dm, field)
         for pos_i, i in enumerate(s_idx):
-            v = [zero] * space.dim
-            for pos_k in range(ns):
-                coef = c_rho[pos_k][pos_i]
-                for tt in range(space.dim):
-                    v[tt] = v[tt] + coef * bs[pos_k][tt]
-            f[i] = tuple(v)
+            f[i] = linalg.combine([row[pos_i] for row in c_rho], bs,
+                                  space.zero_vec())
         # symmetry of rho is forced; verify
         for a in range(ns):
             for b in range(ns):
@@ -465,15 +417,15 @@ def leray_decompose(space, g1, g2):
     urho = u_rho_matrix(space, s_idx, c_rho) if s_idx else space.identity()
     w1 = space.w_subset(set(t1))
     w2 = space.w_subset(set(t2))
-    p2 = linalg.mat_mul(linalg.mat_mul(linalg.mat_inv(w2, fld),
-                                       linalg.mat_inv(p, fld)), g2)
+    p2 = linalg.mat_mul(linalg.mat_mul(linalg.mat_inv(w2, field),
+                                       linalg.mat_inv(p, field)), g2)
     p1 = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(
-        g1, p), linalg.mat_inv(urho, fld)), linalg.mat_inv(w1, fld))
+        g1, p), linalg.mat_inv(urho, field)), linalg.mat_inv(w1, field))
     if not (space.in_parabolic(p1) and space.in_parabolic(p2)):
         raise RuntimeError("Leray: parabolic factors failed")
     # exact re-multiplication checks
     lhs1 = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(p1, w1), urho),
-                          linalg.mat_inv(p, fld))
+                          linalg.mat_inv(p, field))
     lhs2 = linalg.mat_mul(linalg.mat_mul(p, w2), p2)
     if lhs1 != g1 or lhs2 != g2:
         raise RuntimeError("Leray: factorization check failed")
@@ -561,7 +513,6 @@ def random_symplectic(space, rng, length=6, scale=3):
     generators with small parameters."""
     field = space.field
     m = space.m
-    fld = _fa(field)
     g = space.identity()
     for _ in range(length):
         kind = rng.randrange(3)
@@ -574,7 +525,7 @@ def random_symplectic(space, rng, length=6, scale=3):
                         break
                 except ZeroDivisionError:
                     continue
-            ainvt = linalg.transpose(linalg.mat_inv(linalg.mat(a), fld))
+            ainvt = linalg.transpose(linalg.mat_inv(linalg.mat(a), field))
             z = field.element(0)
             rows = [tuple(a[i]) + (z,) * m for i in range(m)]
             rows += [(z,) * m + tuple(ainvt[i]) for i in range(m)]

@@ -150,9 +150,6 @@ class QuadraticForm:
     def __repr__(self):
         return "QuadraticForm(%r, dim %d)" % (self.field, self.m)
 
-    def _scalars(self):
-        return _FieldScalars(self.field)
-
     def evaluate(self, x):
         x = tuple(self.field.element(v) for v in x)
         return linalg._dot(x, linalg.mat_vec(self.gram, x))
@@ -166,7 +163,7 @@ class QuadraticForm:
     def radical(self):
         """Basis of rad(Q) = ker(G)."""
         if self._radical is None:
-            self._radical = linalg.nullspace(self.gram, self._scalars())
+            self._radical = linalg.nullspace(self.gram, self.field)
         return self._radical
 
     def is_nondegenerate(self):
@@ -174,17 +171,9 @@ class QuadraticForm:
 
     def nondegenerate_part(self):
         """(complement basis C, induced Gram C^T G C) on X/rad(Q)."""
-        fld = self._scalars()
         rad = self.radical()
-        std = list(linalg.identity(fld, self.m))
-        comp = []
-        cur = [list(v) for v in rad]
-        for e in std:
-            cur.append(list(e))
-            if linalg.rank(linalg.mat(cur)) == len(cur):
-                comp.append(e)
-            else:
-                cur.pop()
+        std = linalg.identity(self.field, self.m)
+        comp = linalg.extend_basis(list(rad), std)[len(rad):]
         c = linalg.transpose(linalg.mat(comp))  # columns are the basis
         gc = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), self.gram), c)
         return linalg.mat(comp), gc
@@ -196,9 +185,8 @@ class QuadraticForm:
         if order is None and self._diag is not None:
             return self._diag
         comp, gc = self.nondegenerate_part()
-        fld = self._scalars()
         r = len(gc)
-        basis = list(linalg.identity(fld, r))
+        basis = list(linalg.identity(self.field, r))
         out_vecs, out_vals = [], []
         remaining = basis
         while remaining:
@@ -215,7 +203,7 @@ class QuadraticForm:
                 idxs = idxs[::-1]
             piv = None
             for i in idxs:
-                if not _zero(qval(remaining[i])):
+                if not linalg._is_zero(qval(remaining[i])):
                     piv = remaining[i]
                     break
             if piv is None:
@@ -223,7 +211,8 @@ class QuadraticForm:
                 found = False
                 for i in range(n):
                     for j in range(i + 1, n):
-                        if not _zero(bval(remaining[i], remaining[j])):
+                        if not linalg._is_zero(bval(remaining[i],
+                                                    remaining[j])):
                             piv = tuple(x + y for x, y in
                                         zip(remaining[i], remaining[j]))
                             found = True
@@ -235,32 +224,20 @@ class QuadraticForm:
             a = qval(piv)
             out_vecs.append(piv)
             out_vals.append(a)
-            inv_a = a.inv() if hasattr(a, "inv") else 1 / a
+            inv_a = linalg._recip(a)
             new_rem = []
             for v in remaining:
                 c = bval(piv, v) * inv_a
                 w = tuple(x - c * y for x, y in zip(v, piv))
                 new_rem.append(w)
             # keep an independent subset
-            new_rem = [w for w in new_rem if not all(_zero(x) for x in w)]
-            indep = []
-            acc = []
-            for w in new_rem:
-                acc.append(list(w))
-                if linalg.rank(linalg.mat(acc)) == len(acc):
-                    indep.append(w)
-                else:
-                    acc.pop()
-            remaining = indep
+            new_rem = [w for w in new_rem
+                       if not all(linalg._is_zero(x) for x in w)]
+            remaining = linalg.column_space_basis(new_rem)
         # pull the quotient vectors back to the ambient space
-        amb = []
-        for v in out_vecs:
-            w = [self.field.element(0)] * self.m
-            for c, row in zip(v, comp):
-                for t in range(self.m):
-                    w[t] = w[t] + c * row[t]
-            amb.append(tuple(w))
-        result = (tuple(amb), tuple(out_vals))
+        zero = (self.field.zero(),) * self.m
+        amb = tuple(linalg.combine(v, comp, zero) for v in out_vecs)
+        result = (amb, tuple(out_vals))
         if order is None:
             self._diag = result
         return result
@@ -280,31 +257,3 @@ class QuadraticForm:
                 s *= hilbert(self.field, vals[i], vals[j])
         return s
 
-
-def _zero(x):
-    return x == x - x
-
-
-class _FieldScalars:
-    """zero()/one() adapter for linalg over a base field."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def zero(self):
-        return self.field.element(0)
-
-    def one(self):
-        return self.field.element(1)
-
-
-def radical(q):
-    return q.radical()
-
-
-def diagonalize(q):
-    return q.diagonalize()
-
-
-def hasse(q):
-    return q.hasse()

@@ -45,20 +45,6 @@ def _center_rep(p, a, n):
     return Fraction(c, p ** k)
 
 
-def _val_den(p, a):
-    v = 0
-    d = Fraction(a).denominator
-    while d % p == 0:
-        d //= p
-        v += 1
-    return -v
-
-
-def _mod_reduce(p, x, e):
-    """Canonical representative of x + p^e Z_p (phases only matter there)."""
-    return _center_rep(p, x, e)
-
-
 class PhaseStepFunction:
     """Finite sum of phase-decorated coset indicators on Q_p^m; m >= 2 only
     as pure products with diagonal data (each term a tuple of 1-dim terms)."""
@@ -95,8 +81,9 @@ class PhaseStepFunction:
             coeff = coeff * self.psi(const)
         else:
             lin = t.lin
-        quad = _mod_reduce(p, t.quad, -2 * t.depth)
-        lin = _mod_reduce(p, lin, -t.depth)
+        # phases only matter modulo p^-2depth Z_p and p^-depth Z_p
+        quad = _center_rep(p, t.quad, -2 * t.depth)
+        lin = _center_rep(p, lin, -t.depth)
         return PhaseTerm(coeff, a, t.depth, quad, lin)
 
     def canonical(self):

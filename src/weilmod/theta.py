@@ -5,15 +5,14 @@ congruence checks at desk scale.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from . import linalg
 from .basefield import AdditiveCharacter
 from .coeff import CyclotomicRing, FiniteField, ReductionMap
-from .heisenberg import Monomial, SympSpace, _fa
+from .heisenberg import Monomial, SympSpace, hom_space
 from .metaplectic import WeilContext, enumerate_sp2, sigma
-from .quadratic import QuadraticForm
-from .weilfactor import omega_ratio
 
 GROUP_ORDER_CAP = 10 ** 4
 MODEL_DIM_CAP = 81
@@ -31,22 +30,10 @@ def enumerate_orthogonal(q_form):
         raise SizeCapError("orthogonal enumeration capped at dim 2")
     gram = q_form.gram
     out = []
-    elts = field.elements()
-
-    def cols(k):
-        if k == 0:
-            yield ()
-            return
-        for head in cols(k - 1):
-            for idx in range(field.q ** n):
-                v = []
-                i = idx
-                for _ in range(n):
-                    i, r = divmod(i, field.q)
-                    v.append(field.element(r))
-                yield head + (tuple(v),)
-
-    for colset in cols(n):
+    # candidate columns with the first coordinate running fastest: this
+    # order fixes the order of h1_list and so the char<k> labels
+    vecs = [v[::-1] for v in itertools.product(field.elements(), repeat=n)]
+    for colset in itertools.product(vecs, repeat=n):
         h = linalg.transpose(linalg.mat(colset))
         ht_g_h = linalg.mat_mul(linalg.mat_mul(linalg.transpose(h), gram), h)
         if ht_g_h == gram:
@@ -76,7 +63,7 @@ class DualPair:
         self.diag_vals = vals        # a_i = Q(v_i)
         self.space = SympSpace(field, self.m)
         self._b = linalg.transpose(linalg.mat(vecs))
-        self._binv = linalg.mat_inv(self._b, _fa(field))
+        self._binv = linalg.mat_inv(self._b, field)
         self.h1_list = enumerate_orthogonal(v_form)
         if mprime != 1:
             raise SizeCapError("only m' = 1 symplectic partners at this scale")
@@ -95,7 +82,7 @@ class DualPair:
         """O(V) acting as h x Id_W': block-diagonal in the rescaled basis."""
         field = self.field
         hb = linalg.mat_mul(linalg.mat_mul(self._binv, h), self._b)
-        hbt = linalg.transpose(linalg.mat_inv(hb, _fa(field)))
+        hbt = linalg.transpose(linalg.mat_inv(hb, field))
         m, n0, mp = self.m, self.n0, self.mprime
         z = field.element(0)
         rows = []
@@ -138,10 +125,6 @@ class DualPair:
         if not self.space.is_symplectic(g):
             raise RuntimeError("symplectic embedding not symplectic")
         return g
-
-
-def build_dual_pair(v_form, mprime):
-    return DualPair(v_form, mprime)
 
 
 class RestrictedWeil:
@@ -207,7 +190,6 @@ def linear_pm_characters(group, mul):
         if g not in closure:
             gens.append(g)
             new = set(closure)
-            frontier = list(closure)
             while True:
                 added = False
                 for a in list(new):
@@ -250,6 +232,18 @@ def linear_pm_characters(group, mul):
     return chars
 
 
+def labelled_characters(chars):
+    """(label, chi) pairs in table order: the trivial character first as
+    "trivial", every other one as char<k> after its position k."""
+    out = []
+    for k, chi in enumerate(sorted(chars, key=lambda c: sorted(
+            str(v) for v in c.values()), reverse=True)):
+        label = "trivial" if all(v == 1 for v in chi.values()) else \
+            "char%d" % k
+        out.append((label, chi))
+    return out
+
+
 class ThetaLift:
     """Theta(pi_1) on Hom_{H1}(pi_1, omega) with its H2-action."""
 
@@ -266,16 +260,7 @@ class ThetaLift:
             for i in range(n):
                 rows.append(tuple(m[i][j] - (one * c if i == j else zero)
                                   for j in range(n)))
-
-        class _R:
-            @staticmethod
-            def zero():
-                return zero
-
-            @staticmethod
-            def one():
-                return one
-        self.basis = linalg.nullspace(linalg.mat(rows), _R)
+        self.basis = linalg.nullspace(linalg.mat(rows), rw.psi.coeff_ring)
         self.dim = len(self.basis)
         self._act_cache = {}
 
@@ -285,24 +270,14 @@ class ThetaLift:
         if a is not None:
             return a
         rw = self.rw
-        zero, one = rw.zero(), rw.one()
         if self.dim == 0:
             return ()
         m = rw.h2_op(h2)
         imgs = [linalg.mat_vec(m, v) for v in self.basis]
         bt = linalg.transpose(linalg.mat(self.basis))
-
-        class _R:
-            @staticmethod
-            def zero():
-                return zero
-
-            @staticmethod
-            def one():
-                return one
         cols = []
         for img in imgs:
-            sol = linalg.solve(bt, img, _R)
+            sol = linalg.solve(bt, img, rw.psi.coeff_ring)
             if sol is None:
                 raise RuntimeError("theta subspace is not H2-stable")
             cols.append(sol)
@@ -313,10 +288,6 @@ class ThetaLift:
     def character(self):
         return {h: linalg.trace(self.act(h)) if self.dim else self.rw.zero()
                 for h in self.rw.pair.h2_list}
-
-
-def theta_lift(rw, chi1):
-    return ThetaLift(rw, chi1)
 
 
 def char_inner(group, chi_a, chi_b, inv):
@@ -392,10 +363,6 @@ class CentralIdempotent:
         return acc
 
 
-def central_idempotent(group, mul, char, dim, one_scalar):
-    return CentralIdempotent(group, mul, char, dim, one_scalar)
-
-
 def product_group(pair):
     """(H1 x H2 element list, multiplication, inverses)."""
     group = [(h1, h2) for h1 in pair.h1_list for h2 in pair.h2_list]
@@ -433,7 +400,8 @@ def congruence_check(v_form, mprime, ell, seed_label="pair"):
     inv2 = group_inverses(h2, mul1)
     chars1 = linear_pm_characters(h1, mul1)
     report = {"lifts": []}
-    for chi in chars1:
+    trivial = None
+    for label, chi in labelled_characters(chars1):
         lift0 = ThetaLift(rw0, chi)
         liftl = ThetaLift(rwl, chi)
         if lift0.dim != liftl.dim:
@@ -448,34 +416,30 @@ def congruence_check(v_form, mprime, ell, seed_label="pair"):
         irr0 = char_inner(h2, ch0, ch0, inv2)
         irr_one = (irr0 == ring0.one())
         # char-l irreducibility via the commutant of the action matrices
-        from .heisenberg import hom_space
         ops = [liftl.act(g) for g in h2]
-        endo = hom_space(ops, ops, liftl.dim, liftl.dim,
-                         rwl.zero(), rwl.one()) if liftl.dim else []
+        endo = hom_space(ops, ops, liftl.dim, liftl.dim, ffl) \
+            if liftl.dim else []
         irr_l = (len(endo) == 1)
         if irr_one and not irr_l:
             raise RuntimeError("irreducibility not preserved by reduction")
         report["lifts"].append({
-            "chi1": "trivial" if all(v == 1 for v in chi.values()) else "sign",
+            "chi1": label,
             "dim": lift0.dim,
             "irreducible_char0": bool(irr_one),
             "irreducible_charl": bool(irr_l),
         })
+        if label == "trivial":
+            trivial = (chi, lift0.dim, ch0, chl)
     # idempotent reduction e_Pi -> e_pi for Pi = chi x Theta(chi) on H1 x H2
+    # (l does not divide |H1 x H2|: the non-banal case was refused above)
+    chi, dim0, ch0, chl = trivial
     group, mul = product_group(pair)
-    if len(group) % ell:
-        chi = chars1[0]
-        lift0 = ThetaLift(rw0, chi)
-        ch0 = lift0.character()
-        char_prod0 = {(a, b): ch0[b] * chi[a] for (a, b) in group}
-        dim0 = lift0.dim
-        e0 = CentralIdempotent(group, mul, char_prod0, dim0, ring0.one())
-        liftl = ThetaLift(rwl, chi)
-        chl = liftl.character()
-        char_prodl = {(a, b): chl[b] * chi[a] for (a, b) in group}
-        el = CentralIdempotent(group, mul, char_prodl, dim0, ffl.one())
-        for g in group:
-            if red(e0.coeffs[g]) != el.coeffs[g]:
-                raise RuntimeError("idempotent reduction mismatch")
-        report["idempotent_reduction"] = True
+    char_prod0 = {(a, b): ch0[b] * chi[a] for (a, b) in group}
+    e0 = CentralIdempotent(group, mul, char_prod0, dim0, ring0.one())
+    char_prodl = {(a, b): chl[b] * chi[a] for (a, b) in group}
+    el = CentralIdempotent(group, mul, char_prodl, dim0, ffl.one())
+    for g in group:
+        if red(e0.coeffs[g]) != el.coeffs[g]:
+            raise RuntimeError("idempotent reduction mismatch")
+    report["idempotent_reduction"] = True
     return report

@@ -6,6 +6,7 @@ psi-normalized Fourier transform and its epsilon constants.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -154,7 +155,7 @@ def _omega_scalar(q_form, mu, psi):
         r = len(gc)
         elts = field.elements()
         acc = None
-        for x in _tuples(elts, r):
+        for x in itertools.product(elts, repeat=r):
             qv = linalg._dot(x, linalg.mat_vec(gc, x)) if r else field.element(0)
             t = psi(qv)
             acc = t if acc is None else acc + t
@@ -167,7 +168,7 @@ def _omega_scalar(q_form, mu, psi):
     # express the diagonalizing vectors in quotient coordinates
     cols = []
     for v in vecs:
-        sol = linalg.solve(linalg.transpose(comp), v, _frac_fld())
+        sol = linalg.solve(linalg.transpose(comp), v, field)
         cols.append(sol)
     pmat = linalg.transpose(linalg.mat(cols))
     d = linalg.det(pmat)
@@ -182,25 +183,6 @@ def _omega_scalar(q_form, mu, psi):
 def _as_coeff(psi, scalar):
     one = psi.coeff_ring.one() if hasattr(psi.coeff_ring, "one") else None
     return one * scalar
-
-
-class _frac_fld:
-    @staticmethod
-    def zero():
-        return Fraction(0)
-
-    @staticmethod
-    def one():
-        return Fraction(1)
-
-
-def _tuples(elts, r):
-    if r == 0:
-        yield ()
-        return
-    for head in _tuples(elts, r - 1):
-        for e in elts:
-            yield head + (e,)
 
 
 def omega_brute_padic(q_form, psi, depth):
@@ -231,7 +213,7 @@ def omega_brute_padic(q_form, psi, depth):
                 raise RuntimeError("level estimate too small")
             crow.append((s.numerator * pow(s.denominator, -1, pl)) % pl)
         cmat.append(crow)
-    for ks in _tuples(tuple(range(count)), r):
+    for ks in itertools.product(range(count), repeat=r):
         acc = 0
         for i in range(r):
             ki = ks[i]
@@ -283,8 +265,7 @@ def omega_diag_product(q_form, mu=None, psi=None):
     one = field.element(1) if field.flavor == "finite" else Fraction(1)
     ratio = omega_ratio(field, psi, detb, one)
     # Q_Id in the basis B: identity Gram expressed back in ambient coordinates
-    binv = linalg.mat_inv(linalg.transpose(linalg.mat(vecs)),
-                          _field_adapter(field))
+    binv = linalg.mat_inv(linalg.transpose(linalg.mat(vecs)), field)
     gid = linalg.mat_mul(linalg.transpose(binv), binv)
     qid = QuadraticForm(field, gid)
     w_id = _omega_scalar(qid, mu, psi)
@@ -294,18 +275,6 @@ def omega_diag_product(q_form, mu=None, psi=None):
     if lhs != rhs:
         raise RuntimeError("Hasse product formula mismatch")
     return lhs
-
-
-def _field_adapter(field):
-    class _A:
-        @staticmethod
-        def zero():
-            return field.element(0)
-
-        @staticmethod
-        def one():
-            return field.element(1)
-    return _A
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +297,7 @@ def fourier_matrix(field, psi, rho_gram):
     om = fourier_normalizer(field, psi, rho_gram)
     om_inv = om.inv()
     elts = field.elements()
-    pts = list(_tuples(elts, m))
+    pts = list(itertools.product(elts, repeat=m))
     rows = []
     for x in pts:
         rx = linalg.mat_vec(gram, x)
@@ -340,7 +309,7 @@ def convolution(field, psi, rho_gram, f, g):
     """f *_{mu_rho} g on functions F_q^m -> R given as dicts point -> value."""
     om_inv = fourier_normalizer(field, psi, rho_gram).inv()
     m = len(rho_gram)
-    pts = list(_tuples(field.elements(), m))
+    pts = list(itertools.product(field.elements(), repeat=m))
     out = {}
     for x in pts:
         acc = None

@@ -14,7 +14,7 @@ from weilmod.basefield import (AdditiveCharacter, FqField, HaarConvention,
                                QpField)
 from weilmod.coeff import CyclotomicRing, FiniteField
 from weilmod.heisenberg import (SchrodingerModel, SympSpace,
-                                commutant_dim_model, central, delta, _fa)
+                                commutant_dim_model, central, delta)
 from weilmod.metaplectic import (WeilContext, cocycle_formula,
                                  cocycle_operator, enumerate_sp2, m_bracket,
                                  random_symplectic, scalar_ratio, sigma,
@@ -135,7 +135,7 @@ def test_acceptance_4_fourier_normalization():
             if fq.q ** m > 81:
                 continue
             # a random symmetric invertible rho plus the identity rho
-            rhos = [linalg.identity(_fa(fq), m)]
+            rhos = [linalg.identity(fq, m)]
             while True:
                 g = [[fq.element(rng.randrange(fq.q)) for _ in range(m)]
                      for _ in range(m)]
@@ -327,17 +327,14 @@ def test_acceptance_8_weil_rep_structure():
         sp = SympSpace(fq, 1)
         ctx = WeilContext(sp, AdditiveCharacter(fq))
         group = enumerate_sp2(sp)
-        fld = _fa(fq)
-        inv = {g: linalg.mat_inv(g, fld) for g in group}
+        inv = {g: linalg.mat_inv(g, fq) for g in group}
         # parity projectors from the split section at -Id
         minus = linalg.mat_scal(fq.element(-1), sp.identity())
         pmat = sigma(ctx, minus)
         n = ctx.model.dim
         one = ctx.one()
         half = one * Fraction(1, 2)
-        ident = linalg.identity(type("A", (), {
-            "zero": staticmethod(ctx.zero), "one": staticmethod(ctx.one)}),
-            n)
+        ident = linalg.identity(ctx.psi.coeff_ring, n)
         eplus = linalg.mat_scal(half, linalg.mat_add(ident, pmat))
         eminus = linalg.mat_scal(half, linalg.mat_sub(ident, pmat))
         chi = {g: linalg.trace(sigma(ctx, g)) for g in group}

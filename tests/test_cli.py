@@ -112,15 +112,15 @@ def test_config_roundtrip():
     from weilmod.cli import build_parser
     ap = build_parser()
     args = ap.parse_args(["omega", "--field", "qp:5", "--form", "diag:2",
-                          "--seed", "7"])
-    assert args.field == "qp:5" and args.seed == 7
+                          "--psi", "psi:twist:2"])
+    assert args.field == "qp:5" and args.psi == "psi:twist:2"
     args2 = ap.parse_args(["omega", "--field", args.field, "--form",
-                           args.form, "--seed", str(args.seed)])
+                           args.form, "--psi", args.psi])
     assert args2 == args
 
 
 def test_theta_table_deterministic():
     args = ["theta", "--field", "fq:3:1", "--V", "diag:1", "--mprime", "1",
-            "--coeff", "cyclo", "--out", "csv", "--seed", "42"]
+            "--coeff", "cyclo", "--out", "csv"]
     a, b = run_cli(*args), run_cli(*args)
     assert a.stdout == b.stdout and a.returncode == 0

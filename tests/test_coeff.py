@@ -158,3 +158,13 @@ def test_conway_polynomials_are_irreducible():
         fld = FiniteField(p, d)
         g = fld.element(max(2, p))
         assert g ** (fld.q - 1) == 1
+
+
+def test_equal_values_across_levels_hash_equal():
+    a = CyclotomicRing(3).zeta()
+    b = CyclotomicRing(3, 2).zeta() ** 3
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    half = CyclotomicRing(3, 2).from_fraction(Fraction(1, 2))
+    assert hash(half) == hash(Fraction(1, 2))

@@ -1,0 +1,58 @@
+"""Golden stdout: sha256 of stdout and the exit code of fixed CLI queries.
+
+The hashes pin the bytes the CLI prints for the README's commands (all but
+``--emit``, which writes a file), the four-row theta table of diag:1,1
+(its ``char1``/``char2``/``char3`` labels follow the order in which the
+characters of O(V) are enumerated) and ``selfcheck --seed 42``.  A change
+that claims to keep the outputs must leave every hash as it is.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+QP_G = ["--g1", "2,0,0,1/2", "--g2", "1,0,5,1"]
+
+GOLDEN = [
+    (["hilbert", "--field", "qp:5", "--a", "5", "--b", "2"], 0,
+     "1dee49a803f0b1d4ce4845bac187c0640935ec03630229113d66d9e19f703bfd"),
+    (["omega", "--field", "qp:5", "--form", "diag:2,3"], 0,
+     "2c320937dedf8f5d4b9cfd63ae240c4faa38f86c61f887e0a42842ffaeff58ca"),
+    (["hasse", "--field", "qp:3", "--form", "diag:3,3"], 0,
+     "da28c033fd99c75818ab7905573455533e5138b749aa0c473bedd1754e63e5f8"),
+    (["bruhat", "--field", "fq:3:1", "--m", "1", "--g", "1,0,1,1"], 0,
+     "b2b71bda7627699d48eb2ec151b20ab16117bed331e5621c7f64c0cc43cd37ea"),
+    (["cocycle", "--field", "fq:3:1", "--m", "1", "--path", "operator",
+      "--exhaustive"], 0,
+     "b4eea04599f1b150f1420a278fa611624ce7b6cf68d52d70cf948952ce03905f"),
+    (["cocycle", "--field", "qp:5", "--m", "1", *QP_G, "--path", "formula"],
+     0, "501eced6e66ad8e0ef3edc42f77b75cbbc8014097ab61f199c825ab3ddb8b3f6"),
+    (["cocycle", "--field", "qp:5", "--m", "1", *QP_G, "--path", "operator"],
+     0, "5b4a8deef39e6cf62ed8532da5ba878dad410094405a298b2b1c37e3538a049d"),
+    (["weilrep", "--field", "fq:3:1", "--m", "1"], 0,
+     "6c5f5608d89e02be29cdce0fb4895f24a544a0f21db6172d76013fb2b5d1b8fb"),
+    (["theta", "--field", "fq:3:1", "--V", "diag:1", "--mprime", "1",
+      "--coeff", "cyclo", "--out", "csv"], 0,
+     "a53fbcce9c7489190f1a780bf75d4ff2e8528fceead82cc11a5b2d124f62e777"),
+    (["theta", "--field", "fq:3:1", "--V", "diag:1,1", "--mprime", "1",
+      "--coeff", "cyclo", "--out", "csv"], 0,
+     "b6ddc4840add8d7c25bf5f4a37ed55c7d3abd5892ec57de2203d2e7be7932178"),
+    (["selfcheck", "--seed", "42"], 0,
+     "2ac65684b8463efa2fd8e5d10cdbcedbdde887c437945e1af8045fb742ea33ff"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_golden_stdout(args, code, digest):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "weilmod.cli", *args],
+                          capture_output=True, env=env)
+    assert proc.returncode == code, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest, proc.stdout

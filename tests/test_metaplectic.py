@@ -6,7 +6,7 @@ import pytest
 from weilmod import linalg
 from weilmod.basefield import AdditiveCharacter, FqField, QpField
 from weilmod.coeff import CyclotomicRing, FiniteField
-from weilmod.heisenberg import (SympSpace, _fa, central, delta,
+from weilmod.heisenberg import (SympSpace, central, delta,
                                 SchrodingerModel)
 from weilmod.metaplectic import (WeilContext, bruhat_decompose,
                                  cocycle_formula, cocycle_operator,
@@ -88,7 +88,7 @@ def test_x_invariant_redecomposition_stability(rng):
     # x(g) and the mu_g normalizer are invariant under changing (p1, p2)
     sp = SympSpace(QpField(3), 2)
     psi = AdditiveCharacter(QpField(3))
-    fld = _fa(sp.field)
+    fld = sp.field
     for _ in range(12):
         g = random_symplectic(sp, rng, length=5, scale=2)
         bd = bruhat_decompose(sp, g)
@@ -114,7 +114,6 @@ def _random_wj_stable_parabolic(sp, j, rng):
     """Random r in P(X) with w_j^{-1} r w_j still in P(X)."""
     field = sp.field
     m = sp.m
-    fld = _fa(field)
     while True:
         a = [[field.element(0)] * m for _ in range(m)]
         for i in range(m):
@@ -132,7 +131,7 @@ def _random_wj_stable_parabolic(sp, j, rng):
                 v = field.element(rng.randrange(-2, 3))
                 s[i][k] = v
                 s[k][i] = v
-        ainvt = linalg.transpose(linalg.mat_inv(linalg.mat(a), fld))
+        ainvt = linalg.transpose(linalg.mat_inv(linalg.mat(a), field))
         b = linalg.mat_mul(linalg.mat(a), linalg.mat(s))
         z = field.element(0)
         rows = [tuple(a[i]) + tuple(b[i]) for i in range(m)]
@@ -141,7 +140,7 @@ def _random_wj_stable_parabolic(sp, j, rng):
         if sp.is_symplectic(r):
             wj = sp.w_subset(set(range(j)))
             conj = linalg.mat_mul(linalg.mat_mul(
-                linalg.mat_inv(wj, fld), r), wj)
+                linalg.mat_inv(wj, field), r), wj)
             if sp.in_parabolic(conj):
                 return r
 
@@ -229,9 +228,8 @@ def test_contragredient_twist_by_traces():
     sp = SympSpace(f3, 1)
     ctx = WeilContext(sp, AdditiveCharacter(f3))
     ctx_inv = WeilContext(sp, AdditiveCharacter(f3).inverse())
-    fld = _fa(f3)
     for g in enumerate_sp2(sp):
-        ginv = linalg.mat_inv(g, fld)
+        ginv = linalg.mat_inv(g, f3)
         lhs = linalg.trace(sigma(ctx, ginv))
         rhs = linalg.trace(sigma(ctx_inv, g))
         assert lhs == rhs
@@ -483,9 +481,8 @@ def test_parabolic_relations(rng):
         g1 = random_symplectic(sp, rng, length=4, scale=2)
         g2 = random_symplectic(sp, rng, length=4, scale=2)
         par = _random_wj_stable_parabolic(sp, 0, rng)
-        fldad = _fa(sp.field)
         lhs = cocycle_formula(
-            sp, linalg.mat_mul(g1, linalg.mat_inv(par, fldad)),
+            sp, linalg.mat_mul(g1, linalg.mat_inv(par, fld)),
             linalg.mat_mul(par, g2))
         xp = x_invariant(sp, par).rep
         x1 = x_invariant(sp, g1).rep

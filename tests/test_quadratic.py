@@ -6,19 +6,19 @@ import pytest
 from conftest import random_form, random_unit
 from weilmod import linalg
 from weilmod.basefield import FqField, QpField
-from weilmod.quadratic import (QuadraticForm, hasse, hilbert, hilbert_oracle,
-                               radical, square_class)
+from weilmod.quadratic import (QuadraticForm, hilbert, hilbert_oracle,
+                               square_class)
 
 
 def test_radical_examples():
     f3 = FqField(3)
-    assert len(radical(QuadraticForm(f3, [[0, 0], [0, 0]]))) == 2
+    assert len(QuadraticForm(f3, [[0, 0], [0, 0]]).radical()) == 2
     q = QuadraticForm(f3, [[1, 0], [0, 0]])
-    rad = radical(q)
+    rad = q.radical()
     assert len(rad) == 1 and rad[0][0].i == 0
     f5 = FqField(5)
     q2 = QuadraticForm(f5, [[1, 1], [1, 1]])
-    rad2 = radical(q2)
+    rad2 = q2.radical()
     assert len(rad2) == 1
     v = rad2[0]
     assert v[0] + v[1] == f5.zero()  # span of (1, -1)
@@ -96,8 +96,8 @@ def test_hilbert_oracle_agreement():
 
 def test_hasse_examples():
     q3 = QpField(3)
-    assert hasse(QuadraticForm(q3, [[1, 0], [0, 1]])) == 1
-    assert hasse(QuadraticForm(q3, [[3, 0], [0, 3]])) == -1
+    assert QuadraticForm(q3, [[1, 0], [0, 1]]).hasse() == 1
+    assert QuadraticForm(q3, [[3, 0], [0, 3]]).hasse() == -1
     f7 = FqField(7)
     rng = random.Random(23)
     for _ in range(10):

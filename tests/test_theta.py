@@ -221,6 +221,15 @@ def test_congruence_check_l7():
         assert r["irreducible_char0"] and r["irreducible_charl"]
 
 
+def test_congruence_check_labels_each_character():
+    # O(x^2 + y^2) over F_3 is dihedral of order 8: four +-1 characters
+    f3 = FqField(3)
+    rep = congruence_check(QuadraticForm(f3, [[1, 0], [0, 1]]), 1, 7)
+    labels = [r["chi1"] for r in rep["lifts"]]
+    assert len(labels) == 4 and len(set(labels)) == 4
+    assert labels.count("trivial") == 1
+
+
 def test_congruence_check_l13():
     # another banal prime for the same pair
     f3 = FqField(3)
