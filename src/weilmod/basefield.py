@@ -42,9 +42,6 @@ class FqField(FiniteField):
                 return FFElt(self, i)
         raise RuntimeError("no nonresidue found")
 
-    def half(self):
-        return self.from_int(1) / 2
-
 
 class QpField:
     """Q_p for odd p; elements are exact rationals."""
@@ -235,18 +232,12 @@ class AdditiveCharacter:
         return ring.root_of_unity(self.field.p ** n) ** a
 
     def inverse(self):
-        """psi^{-1} = psi twisted by -1."""
-        if self.flavor == "finite":
-            return AdditiveCharacter(self.field, self.coeff_ring,
-                                     -self.field.one())
+        """psi^{-1}(x) = psi(-x): the twist negated."""
         return AdditiveCharacter(self.field, self.coeff_ring, -self.twist)
 
     def twisted(self, c):
-        if self.flavor == "finite":
-            return AdditiveCharacter(self.field, self.coeff_ring,
-                                     self.twist * self.field.element(c))
         return AdditiveCharacter(self.field, self.coeff_ring,
-                                 self.twist * Fraction(c))
+                                 self.twist * self.field.element(c))
 
 
 def parse_character(field, desc, coeff_ring=None):

@@ -78,9 +78,12 @@ def _csv_cell(v):
 
 
 def parse_scalar(field, s):
-    if field.flavor == "finite":
-        return field.from_int(int(s))
-    return Fraction(s)
+    try:
+        if field.flavor == "finite":
+            return field.from_int(int(s))
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("bad number %r" % (s,)) from None
 
 
 def parse_form(field, desc, dim=None):
@@ -125,6 +128,8 @@ def cmd_hilbert(args):
     field = parse_field(args.field)
     a = parse_scalar(field, args.a)
     b = parse_scalar(field, args.b)
+    if a == 0 or b == 0:
+        raise InputError("the Hilbert symbol needs nonzero a and b")
     return {"value": hilbert(field, a, b)}
 
 
@@ -175,8 +180,13 @@ def cmd_cocycle(args):
                         return {"trivial": False, "pairs": pairs}
                 pairs += 1
         return {"trivial": True, "pairs": pairs}
+    if args.g1 is None or args.g2 is None:
+        raise InputError("--g1 and --g2 are required without --exhaustive")
     g1 = parse_matrix(field, args.g1, 2 * args.m)
     g2 = parse_matrix(field, args.g2, 2 * args.m)
+    for name, g in (("g1", g1), ("g2", g2)):
+        if not space.is_symplectic(g):
+            raise InputError("%s is not symplectic" % name)
     if args.path == "operator":
         if field.flavor == "finite":
             psi = parse_character(field, args.psi)
@@ -259,14 +269,17 @@ def cmd_theta(args):
         psi = AdditiveCharacter(field, CyclotomicRing(field.p))
     else:
         parts = args.coeff.split(":")
-        if parts[0] != "fl":
+        if len(parts) != 3 or parts[0] != "fl":
             raise InputError("coeff must be cyclo or fl:l:d")
-        ffl = FiniteField(int(parts[1]), int(parts[2]))
-        psi = AdditiveCharacter(field, ffl)
+        ell, d = int(parts[1]), int(parts[2])
+        if d < 1 or (ell ** d - 1) % field.p:
+            raise InputError("%s: F_{l^d} holds no p-th root of unity "
+                             "(p = %d does not divide l^d - 1)"
+                             % (args.coeff, field.p))
+        psi = AdditiveCharacter(field, FiniteField(ell, d))
     rw = RestrictedWeil(pair, psi)
-    mul = linalg.mat_mul
-    chars = linear_pm_characters(pair.h1_list, mul)
-    inv2 = group_inverses(pair.h2_list, mul)
+    chars = linear_pm_characters(pair.h1_list, linalg.mat_mul)
+    inv2 = group_inverses(pair.h2_list, field)
     rows = []
     for label, chi in labelled_characters(chars):
         lift = ThetaLift(rw, chi)

@@ -195,9 +195,6 @@ class Cyc:
     def is_zero(self):
         return all(v == 0 for v in self.coeffs)
 
-    def is_integral(self):
-        return self.den == 1
-
     def is_rational(self):
         return all(v == 0 for v in self.coeffs[1:])
 
@@ -258,36 +255,21 @@ class Cyc:
     __rmul__ = __mul__
 
     def inv(self):
-        """Exact inverse in the fraction field (linear solve over Q)."""
+        """Exact inverse in the fraction field: the product of the other
+        Galois conjugates over the rational norm."""
         if self._inv is not None:
             return self._inv
         if self.is_zero():
             raise NotInvertibleError("zero is not invertible")
         if self.is_rational():
-            q = self.as_fraction()
-            r = self.ring.from_fraction(1 / q)
-            self._inv = r
-            return r
-        ring = self.ring
-        phi = ring.phi
-        # columns of M are self * zeta^j in the power basis
-        cols = []
-        cur = Cyc(ring, list(self.coeffs), 1)
-        z = ring.zeta()
-        for _ in range(phi):
-            cols.append(cur.coeffs)
-            cur = cur * z
-        m = [[Fraction(cols[j][i]) for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(0)] * phi
-        rhs[0] = Fraction(1)
-        sol = _solve_fraction(m, rhs)
-        if sol is None:
-            raise NotInvertibleError("%r is not invertible" % (self,))
-        den = 1
-        for q in sol:
-            den = den * q.denominator // gcd(den, q.denominator)
-        coeffs = [int(q * den) for q in sol]
-        r = Cyc(ring, coeffs, den) * self.den
+            r = self.ring.from_fraction(1 / self.as_fraction())
+        else:
+            ring = self.ring
+            num = ring.one()
+            for t in range(2, ring.n):
+                if t % ring.p:
+                    num = num * self.galois(t)
+            r = num * (1 / (num * self).as_fraction())
         self._inv = r
         return r
 
@@ -397,28 +379,6 @@ class Cyc:
                 best = Cyc(sub, coeffs, self.den)
                 break
         return best
-
-
-def _solve_fraction(m, rhs):
-    """Gaussian elimination over Fraction; returns None if singular."""
-    n = len(m)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +512,7 @@ class FiniteField:
         raise RuntimeError("no irreducible polynomial found")
 
     def _build_tables(self):
-        q, p, f = self.q, self.p, self.f
+        q = self.q
         mul = [0] * (q * q)
         for i in range(q):
             di = self._digits(i)
@@ -561,16 +521,7 @@ class FiniteField:
                 mul[i * q + j] = v
                 mul[j * q + i] = v
         self._mul_table = mul
-        inv = [0] * q
-        for i in range(1, q):
-            if inv[i]:
-                continue
-            for j in range(1, q):
-                if mul[i * q + j] == 1:
-                    inv[i] = j
-                    inv[j] = i
-                    break
-        self._inv_table = inv
+        self._inv_table = [0] + [self.pow_i(i, q - 2) for i in range(1, q)]
 
     # -- element ops on raw indices -------------------------------------------
 

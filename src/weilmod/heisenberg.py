@@ -6,7 +6,6 @@ coefficient ring, commutant computations and change-of-model intertwiners.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import linalg
 from .coeff import RingMismatchError
@@ -42,16 +41,6 @@ class SympSpace:
             acc = acc + u[i] * v[m + i] - u[m + i] * v[i]
         return acc
 
-    def gram_j(self):
-        rows = []
-        for i in range(self.dim):
-            rows.append(tuple(self.pairing(self.basis_e(i) if i < self.m
-                                           else self.basis_f(i - self.m),
-                                           self.basis_e(j) if j < self.m
-                                           else self.basis_f(j - self.m))
-                              for j in range(self.dim)))
-        return linalg.mat(rows)
-
     def is_symplectic(self, g):
         m = self.m
         cols = linalg.transpose(g)
@@ -63,9 +52,6 @@ class SympSpace:
                 if self.pairing(cols[i], cols[j]) != want:
                     return False
         return True
-
-    def apply(self, g, v):
-        return linalg.mat_vec(g, v)
 
     def identity(self):
         return linalg.identity(self.field, self.dim)
@@ -136,9 +122,7 @@ class SympSpace:
         return linalg.det(a)
 
     def half(self):
-        if self.field.flavor == "finite":
-            return self.field.element(1) / 2
-        return Fraction(1, 2)
+        return self.field.element(1) / 2
 
 
 class HeisenbergElement:
@@ -149,8 +133,7 @@ class HeisenbergElement:
     def __init__(self, space, w, t):
         self.space = space
         self.w = tuple(space.field.element(x) for x in w)
-        self.t = space.field.element(t) if space.field.flavor == "finite" \
-            else Fraction(t)
+        self.t = space.field.element(t)
 
     def __mul__(self, other):
         if self.space is not other.space:

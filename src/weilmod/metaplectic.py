@@ -5,6 +5,7 @@ finite F, closed-form path via Leray data over any F), and M[g].
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -122,7 +123,7 @@ def mu_g_scalar(space, psi, g, bruhat=None):
     bd = bruhat or bruhat_decompose(space, g)
     d = space.det_x(bd.p1) * space.det_x(bd.p2)
     field = space.field
-    one = field.element(1) if field.flavor == "finite" else Fraction(1)
+    one = field.element(1)
     base = omega_ratio(field, psi, one, d)
     if field.flavor == "finite" or bd.j == 0:
         return base
@@ -134,7 +135,6 @@ def mu_g_scalar(space, psi, g, bruhat=None):
         v = linalg.mat_vec(p1inv, space.basis_e(k))
         cols.append(tuple(v[:j]))  # projection mod X_{cS_j}
     best = None
-    import itertools
     for subset in itertools.combinations(range(m), j):
         sq = [[cols[c][r] for c in subset] for r in range(j)]
         dv = linalg.det(linalg.mat(sq))
@@ -443,7 +443,7 @@ def cocycle_w_u_rho(space, rho):
         return 1
     q = QuadraticForm(field, rho)
     d = linalg.det(linalg.mat(rho))
-    two = field.element(2) if field.flavor == "finite" else Fraction(2)
+    two = field.element(2)
     return hilbert(field, -two, d) * q.hasse()
 
 
@@ -458,7 +458,7 @@ def cocycle_formula(space, g1, g2, rao=False, leray=None):
     l = len(set(ld.s1) & set(ld.s2))
     val = hilbert(field, x1, x2)
     val *= hilbert(field, x1 * x2, -x12)
-    mone = field.element(-1) if field.flavor == "finite" else Fraction(-1)
+    mone = field.element(-1)
     val *= hilbert(field, mone, mone) ** ((l * (l + 1)) // 2)
     if ld.s:
         detc = linalg.det(linalg.mat(ld.rho))
@@ -466,7 +466,7 @@ def cocycle_formula(space, g1, g2, rao=False, leray=None):
             val *= hilbert(field, mone, detc)
         val *= cocycle_w_u_rho(space, ld.rho)
     if rao:
-        two = field.element(2) if field.flavor == "finite" else Fraction(2)
+        two = field.element(2)
         val *= hilbert(field, two, x1) * hilbert(field, two, x2) * \
             hilbert(field, two, x12)
     return val

@@ -178,7 +178,6 @@ class RestrictedWeil:
 
 def linear_pm_characters(group, mul):
     """All homomorphisms group -> {1, -1} of a small group."""
-    from itertools import product
     ident = None
     for g in group:
         if all(mul(g, h) == h for h in group[:3]):
@@ -204,7 +203,7 @@ def linear_pm_characters(group, mul):
             if len(closure) == len(group):
                 break
     chars = []
-    for signs in product((1, -1), repeat=len(gens)):
+    for signs in itertools.product((1, -1), repeat=len(gens)):
         val = {ident: 1}
         ok = True
         frontier = [ident]
@@ -299,19 +298,9 @@ def char_inner(group, chi_a, chi_b, inv):
     return acc * Fraction(1, len(group))
 
 
-def group_inverses(group, mul):
-    ident = None
-    for g in group:
-        if all(mul(g, h) == h for h in group[:2]):
-            ident = g
-            break
-    inv = {}
-    for g in group:
-        for h in group:
-            if mul(g, h) == ident:
-                inv[g] = h
-                break
-    return inv
+def group_inverses(group, field):
+    """{g: g^{-1}} for a list of invertible matrices over `field`."""
+    return {g: linalg.mat_inv(g, field) for g in group}
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +308,12 @@ def group_inverses(group, mul):
 # ---------------------------------------------------------------------------
 
 class CentralIdempotent:
-    """e_Pi = (dim Pi / |G|) sum_g chi(g^{-1}) g in R[G]."""
+    """e_Pi = (dim Pi / |G|) sum_g chi(g^{-1}) g in R[G], for a group given
+    as an element list with its multiplication `mul` and inverse table
+    `inv`; `one_scalar` is the one of the coefficient ring R.  Over a finite
+    R of characteristic l the group order must be prime to l (banal)."""
 
-    def __init__(self, group, mul, char, dim, one_scalar):
+    def __init__(self, group, mul, inv, char, dim, one_scalar):
         self.group = list(group)
         self.mul = mul
         n = len(self.group)
@@ -330,7 +322,7 @@ class CentralIdempotent:
             if n % ell == 0:
                 raise ValueError(
                     "non-banal characteristic: l divides the group order")
-        self.inv = group_inverses(self.group, mul)
+        self.inv = inv
         scale = one_scalar * Fraction(dim, n)
         self.coeffs = {g: scale * char[self.inv[g]] for g in self.group}
 
@@ -354,22 +346,17 @@ class CentralIdempotent:
                     return False
         return True
 
-    def apply(self, rep_op, zero):
-        """The operator sum_g coeffs[g] rep_op(g)."""
-        acc = None
-        for g, c in self.coeffs.items():
-            m = linalg.mat_scal(c, rep_op(g))
-            acc = m if acc is None else linalg.mat_add(acc, m)
-        return acc
-
 
 def product_group(pair):
     """(H1 x H2 element list, multiplication, inverses)."""
     group = [(h1, h2) for h1 in pair.h1_list for h2 in pair.h2_list]
+    inv1 = group_inverses(pair.h1_list, pair.field)
+    inv2 = group_inverses(pair.h2_list, pair.field)
+    inv = {(a, b): (inv1[a], inv2[b]) for (a, b) in group}
 
     def mul(a, b):
         return (linalg.mat_mul(a[0], b[0]), linalg.mat_mul(a[1], b[1]))
-    return group, mul
+    return group, mul, inv
 
 
 def congruence_check(v_form, mprime, ell, seed_label="pair"):
@@ -394,11 +381,8 @@ def congruence_check(v_form, mprime, ell, seed_label="pair"):
     red = ReductionMap(ring0, ffl)
     psil = AdditiveCharacter(field, ffl)
     rwl = RestrictedWeil(pair, psil)
-
-    def mul1(a, b):
-        return linalg.mat_mul(a, b)
-    inv2 = group_inverses(h2, mul1)
-    chars1 = linear_pm_characters(h1, mul1)
+    inv2 = group_inverses(h2, field)
+    chars1 = linear_pm_characters(h1, linalg.mat_mul)
     report = {"lifts": []}
     trivial = None
     for label, chi in labelled_characters(chars1):
@@ -433,11 +417,11 @@ def congruence_check(v_form, mprime, ell, seed_label="pair"):
     # idempotent reduction e_Pi -> e_pi for Pi = chi x Theta(chi) on H1 x H2
     # (l does not divide |H1 x H2|: the non-banal case was refused above)
     chi, dim0, ch0, chl = trivial
-    group, mul = product_group(pair)
+    group, mul, inv = product_group(pair)
     char_prod0 = {(a, b): ch0[b] * chi[a] for (a, b) in group}
-    e0 = CentralIdempotent(group, mul, char_prod0, dim0, ring0.one())
+    e0 = CentralIdempotent(group, mul, inv, char_prod0, dim0, ring0.one())
     char_prodl = {(a, b): chl[b] * chi[a] for (a, b) in group}
-    el = CentralIdempotent(group, mul, char_prodl, dim0, ffl.one())
+    el = CentralIdempotent(group, mul, inv, char_prodl, dim0, ffl.one())
     for g in group:
         if red(e0.coeffs[g]) != el.coeffs[g]:
             raise RuntimeError("idempotent reduction mismatch")

@@ -52,15 +52,6 @@ def gauss_sum(field, a, psi):
 _PADIC_CACHE = {}
 
 
-def _psi_exponent(x, p, level):
-    """Exponent e with psi(x) = zeta_{p^level}^e for the level-0 character."""
-    from .basefield import frac_part
-    a, n = frac_part(Fraction(x), p)
-    if n > level:
-        raise RuntimeError("psi argument deeper than the chosen level")
-    return a * p ** (level - n)
-
-
 def _omega1_brute(p, a, n):
     """Truncated sum  int_{p^-n Z_p} psi(a x^2) dx  with mu(Z_p) = 1 and the
     level-0 character; exact, sum over p^{-n}Z_p / p^{n'}Z_p."""
@@ -238,8 +229,7 @@ def omega_ratio(field, psi, a, b):
 
 def hilbert_via_omega(field, psi, a, b):
     """(a,b)_F = Omega_1 Omega_{ab} / (Omega_a Omega_b); must be +-1."""
-    num = omega1(field, psi, field.element(1) if field.flavor == "finite"
-                 else 1) * omega1(field, psi, a * b)
+    num = omega1(field, psi, field.element(1)) * omega1(field, psi, a * b)
     den = omega1(field, psi, a) * omega1(field, psi, b)
     r = num * den.inv()
     one = r.ring.one() if isinstance(r, Cyc) else r.field.one()
@@ -262,7 +252,7 @@ def omega_diag_product(q_form, mu=None, psi=None):
     detb = vals[0]
     for a in vals[1:]:
         detb = detb * a
-    one = field.element(1) if field.flavor == "finite" else Fraction(1)
+    one = field.element(1)
     ratio = omega_ratio(field, psi, detb, one)
     # Q_Id in the basis B: identity Gram expressed back in ambient coordinates
     binv = linalg.mat_inv(linalg.transpose(linalg.mat(vecs)), field)
@@ -325,9 +315,9 @@ def epsilon(field, psi, rho_gram):
     """epsilon = Omega_{-1,1}^m (-1, det(Q_{rho/2}))_F with
     epsilon^2 = (-1,-1)_F^m."""
     m = len(rho_gram)
-    one = field.element(1) if field.flavor == "finite" else Fraction(1)
+    one = field.element(1)
     om = omega_ratio(field, psi, -one, one)
-    half = field.element(1) / 2 if field.flavor == "finite" else Fraction(1, 2)
+    half = field.element(1) / 2
     gram = linalg.mat([[field.element(x) * half for x in row]
                        for row in rho_gram])
     d = linalg.det(gram)

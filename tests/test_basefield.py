@@ -55,10 +55,11 @@ def test_psi_homomorphism_padic_randomized():
 
 def test_psi_twists_and_inverse():
     f5 = FqField(5)
-    psi = AdditiveCharacter(f5)
-    psi_inv = psi.inverse()
-    for x in f5.elements():
-        assert psi(x) * psi_inv(x) == psi(f5.zero())
+    for field, twist in ((f5, 1), (f5, 2), (FqField(3, 2), 2)):
+        psi = AdditiveCharacter(field, twist=twist)
+        psi_inv = psi.inverse()
+        for x in field.elements():
+            assert psi(x) * psi_inv(x) == psi(field.zero())
     q3 = QpField(3)
     psi3 = AdditiveCharacter(q3)
     tw = psi3.twisted(Fraction(1, 3))

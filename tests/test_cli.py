@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "weilmod.cli", *args],
@@ -124,3 +126,36 @@ def test_theta_table_deterministic():
             "--coeff", "cyclo", "--out", "csv"]
     a, b = run_cli(*args), run_cli(*args)
     assert a.stdout == b.stdout and a.returncode == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["hilbert", "--field", "qp:5", "--a", "0", "--b", "2"],
+    ["hilbert", "--field", "qp:5", "--a", "1/0", "--b", "2"],
+    ["hilbert", "--field", "fq:3:1", "--a", "x", "--b", "1"],
+    ["theta", "--field", "fq:3:1", "--V", "diag:1", "--coeff", "fl:2:1"],
+    ["theta", "--field", "fq:3:1", "--V", "diag:1", "--coeff", "fl:7"],
+    ["cocycle", "--field", "qp:5", "--m", "1", "--g1", "1,0,0,0",
+     "--g2", "1,0,5,1", "--path", "formula"],
+    ["cocycle", "--field", "qp:5", "--m", "1"],
+])
+def test_invalid_input_exit_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_selfcheck_fails_loudly_under_O():
+    # a broken Hilbert symbol must fail its suite even with asserts stripped
+    code = ("import json, weilmod.selfcheck as s\n"
+            "s.hilbert = lambda field, a, b: 0\n"
+            "print(json.dumps(s.run_all(42)))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report, ok = json.loads(proc.stdout)
+    assert ok is False
+    line = [r for r in report if "hilbert-three-paths" in r][0]
+    assert line.startswith("FAIL") and "got 0, want" in line

@@ -168,3 +168,27 @@ def test_equal_values_across_levels_hash_equal():
     assert len({a, b}) == 1
     half = CyclotomicRing(3, 2).from_fraction(Fraction(1, 2))
     assert hash(half) == hash(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_cyc_inverse_norm_path(p, k):
+    # the Galois-norm inverse against the defining identity x x^-1 = 1, on
+    # seeded elements with denominators and on every root of unity
+    ring = CyclotomicRing(p, k)
+    rng = random.Random(100 * p + k)
+    for _ in range(80):
+        x = ring.element([rng.randrange(-9, 10) for _ in range(ring.phi)],
+                         den=rng.randrange(1, 9))
+        if not x.is_zero():
+            assert x * x.inv() == 1
+    for e in range(ring.n):
+        z = ring.zeta_pow(e)
+        assert z * z.inv() == 1 and z.inv() == ring.zeta_pow(-e)
+
+
+@pytest.mark.parametrize("ell,d", [(3, 5), (2, 9), (7, 2)])
+def test_finite_field_inverse_table(ell, d):
+    fld = FiniteField(ell, d)
+    assert fld._inv_table is not None
+    for i in range(1, fld.q):
+        assert fld.mul_i(i, fld.inv_i(i)) == 1

@@ -105,7 +105,7 @@ def test_theta_dims_and_irreducibility():
     rw = RestrictedWeil(pair, AdditiveCharacter(f3))
     chars = linear_pm_characters(pair.h1_list, linalg.mat_mul)
     assert len(chars) == 2
-    inv2 = group_inverses(pair.h2_list, linalg.mat_mul)
+    inv2 = group_inverses(pair.h2_list, f3)
     by_name = {}
     for chi in chars:
         lift = ThetaLift(rw, chi)
@@ -174,7 +174,9 @@ def test_central_idempotent_properties():
     group = pair.h1_list
     ring = CyclotomicRing(3)
     chars = linear_pm_characters(group, mul)
-    es = [CentralIdempotent(group, mul, chi, 1, ring.one()) for chi in chars]
+    inv = group_inverses(group, f3)
+    es = [CentralIdempotent(group, mul, inv, chi, 1, ring.one())
+          for chi in chars]
     for e in es:
         assert e.is_idempotent()
         assert e.is_central()
@@ -193,9 +195,26 @@ def test_trivial_idempotent_formula():
     group = pair.h1_list
     ring = CyclotomicRing(3)
     chi = {g: 1 for g in group}
-    e = CentralIdempotent(group, linalg.mat_mul, chi, 1, ring.one())
+    inv = group_inverses(group, f3)
+    e = CentralIdempotent(group, linalg.mat_mul, inv, chi, 1, ring.one())
     for g in group:
         assert e.coeffs[g] == ring.from_fraction(Fraction(1, len(group)))
+
+
+@pytest.mark.parametrize("diag", [[1, 1], [1, 2]])
+def test_group_inverse_tables(diag):
+    f3 = FqField(3)
+    n = len(diag)
+    gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    pair = DualPair(QuadraticForm(f3, gram), 1)
+    for lst in (pair.h1_list, pair.h2_list):
+        inv = group_inverses(lst, f3)
+        ident = linalg.identity(f3, len(lst[0]))
+        assert all(linalg.mat_mul(g, inv[g]) == ident for g in lst)
+    group, mul, inv = product_group(pair)
+    ident = (linalg.identity(f3, n), linalg.identity(f3, 2))
+    assert len(inv) == len(group)
+    assert all(mul(g, inv[g]) == ident for g in group)
 
 
 def test_non_banal_refused():
@@ -204,7 +223,8 @@ def test_non_banal_refused():
     ffl2 = FiniteField(2, 2)
     chi = {g: 1 for g in group}
     with pytest.raises(ValueError):
-        CentralIdempotent(group, linalg.mat_mul, chi, 1, ffl2.one())
+        CentralIdempotent(group, linalg.mat_mul, group_inverses(group, f3),
+                          chi, 1, ffl2.one())
     with pytest.raises(ValueError):
         congruence_check(QuadraticForm(f3, [[1]]), 1, 2)
     with pytest.raises(ValueError):
