@@ -31,16 +31,13 @@ class FqField(FiniteField):
         return "finite"
 
     def is_square(self, a):
-        a = self.element(a)
-        if a.i == 0:
-            return True
-        return self.pow_i(a.i, (self.q - 1) // 2) == 1
+        # q is odd: the squares are the units of even discrete log, and 0
+        # (whose `_log` entry is 0)
+        return self._log[self.element(a).i] % 2 == 0
 
     def nonresidue(self):
-        for i in range(2, self.q):
-            if not self.is_square(FFElt(self, i)):
-                return FFElt(self, i)
-        raise RuntimeError("no nonresidue found")
+        return FFElt(self, next(i for i in range(1, self.q)
+                                if self._log[i] % 2))
 
 
 class QpField:

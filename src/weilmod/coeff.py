@@ -10,6 +10,7 @@ together with a positive common denominator.  All arithmetic is exact.
 from __future__ import annotations
 
 import cmath
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -398,11 +399,38 @@ _CONWAY = {
 }
 
 _FF_CACHE = {}
-_TABLE_CAP = 512
+
+
+def _poly_rem(a, b, ell):
+    """Remainder of a modulo the monic b over F_ell (coefficients low ->
+    high, len(a) >= deg b), as deg b coefficients."""
+    r = [v % ell for v in a]
+    n = len(b) - 1
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r[top]
+        if c:
+            for j in range(n + 1):
+                r[top - n + j] = (r[top - n + j] - c * b[j]) % ell
+    return r[:n]
+
+
+def _is_irreducible(poly, ell):
+    """Whether the monic `poly` (low -> high) has no monic factor of degree
+    1 .. deg/2 over F_ell (trial division)."""
+    for k in range(1, (len(poly) - 1) // 2 + 1):
+        for low in itertools.product(range(ell), repeat=k):
+            if not any(_poly_rem(poly, low + (1,), ell)):
+                return False
+    return True
 
 
 class FiniteField:
-    """F_{l^d} with elements encoded as base-l digit integers 0..l^d-1."""
+    """F_{l^d} = F_l[x]/(irred).  An element is encoded as the base-l digit
+    integer i = c_0 + c_1 l + ... + c_{d-1} l^{d-1} of its coefficients over
+    1, x, ..., x^{d-1}, so 0 <= i < q = l^d.  Products, inverses and powers
+    go through discrete logarithms to the first index g that generates F^x:
+    `_exp[k]` is the index of g^k for 0 <= k < 2(q-1), and `_log[i]` is the
+    k < q-1 with g^k = i for every unit i."""
 
     def __new__(cls, ell, d=1, irred=None):
         key = (cls, ell, d, tuple(irred) if irred else None)
@@ -411,24 +439,27 @@ class FiniteField:
             return fld
         if not _is_prime(ell):
             raise ValueError("characteristic must be prime, got %r" % (ell,))
+        if d < 1:
+            raise ValueError("degree must be >= 1, got %r" % (d,))
         fld = object.__new__(cls)
         fld.p = ell
         fld.f = d
         fld.q = ell ** d
         if irred is not None:
             fld.irred = tuple(irred)
-            if not fld._poly_is_irreducible(fld.irred):
-                raise ValueError("supplied polynomial is not irreducible")
+            if (len(fld.irred) != d + 1 or fld.irred[-1] % ell != 1
+                    or not _is_irreducible(fld.irred, ell)):
+                raise ValueError("supplied polynomial is not a monic "
+                                 "irreducible of degree %d" % d)
         elif (ell, d) in _CONWAY:
             fld.irred = _CONWAY[(ell, d)]
         else:
-            fld.irred = fld._smallest_irreducible()
-        fld._mul_table = None
-        fld._inv_table = None
-        fld._root_cache = {}
+            fld.irred = next(
+                poly for poly in (tuple(fld._digits(i)) + (1,)
+                                  for i in range(fld.q))
+                if _is_irreducible(poly, ell))
         fld._trace_cache = None
-        if fld.q <= _TABLE_CAP:
-            fld._build_tables()
+        fld._build_tables()
         _FF_CACHE[key] = fld
         return fld
 
@@ -455,73 +486,24 @@ class FiniteField:
                 for j, y in enumerate(b):
                     if y:
                         out[i + j] = (out[i + j] + x * y) % p
-        # reduce modulo the monic irreducible
-        for idx in range(len(out) - 1, f - 1, -1):
-            v = out[idx]
-            if v:
-                for j in range(f):
-                    out[idx - f + j] = (out[idx - f + j] - v * self.irred[j]) % p
-            out[idx] = 0
-        return out[:f]
-
-    def _poly_is_irreducible(self, poly):
-        # x^(l^d) == x mod poly and gcd-degree checks via x^(l^(d/r)) != x
-        f = self.f
-        save = getattr(self, "irred", None)
-        self.irred = tuple(poly)
-        try:
-            def frob(e_times):
-                # x^(l^e) mod poly
-                cur = [0, 1] + [0] * max(0, f - 2)
-                cur = cur[:f] if f > 1 else [0]
-                if f == 1:
-                    return None
-                for _ in range(e_times):
-                    acc = cur
-                    # raise to l-th power by repeated multiplication
-                    res = [1] + [0] * (f - 1)
-                    e = self.p
-                    base = acc
-                    while e:
-                        if e & 1:
-                            res = self._poly_mul_mod(res, base)
-                        base = self._poly_mul_mod(base, base)
-                        e >>= 1
-                    cur = res
-                return cur
-            if f == 1:
-                return True
-            x = [0, 1] + [0] * (f - 2)
-            if frob(f) != x:
-                return False
-            for r in set(_prime_factors(f)):
-                if frob(f // r) == x:
-                    return False
-            return True
-        finally:
-            if save is not None:
-                self.irred = save
-
-    def _smallest_irreducible(self):
-        f = self.p ** self.f
-        for i in range(self.p ** self.f):
-            poly = self._digits(i) + [1]
-            # degree must be exactly f (leading coeff appended as 1)
-            if self._poly_is_irreducible(tuple(poly)):
-                return tuple(poly)
-        raise RuntimeError("no irreducible polynomial found")
+        return _poly_rem(out, self.irred, p)
 
     def _build_tables(self):
         q = self.q
-        mul = [0] * (q * q)
-        for i in range(q):
-            di = self._digits(i)
-            for j in range(i, q):
-                v = self._undigits(self._poly_mul_mod(di, self._digits(j)))
-                mul[i * q + j] = v
-                mul[j * q + i] = v
-        self._mul_table = mul
-        self._inv_table = [0] + [self.pow_i(i, q - 2) for i in range(1, q)]
+        for g in range(1, q):
+            exp, cur, dg = [1], self._digits(1), self._digits(g)
+            while len(exp) < q - 1:
+                cur = self._poly_mul_mod(cur, dg)
+                v = self._undigits(cur)
+                if v == 1:
+                    break
+                exp.append(v)
+            else:
+                break  # g reached all q - 1 units
+        self._exp = exp + exp
+        self._log = [0] * q
+        for k, v in enumerate(exp):
+            self._log[v] = k
 
     # -- element ops on raw indices -------------------------------------------
 
@@ -537,17 +519,14 @@ class FiniteField:
         return self._undigits([-x for x in self._digits(i)])
 
     def mul_i(self, i, j):
-        if self._mul_table is not None:
-            return self._mul_table[i * self.q + j]
-        return self._undigits(self._poly_mul_mod(self._digits(i),
-                                                 self._digits(j)))
+        if i and j:
+            return self._exp[self._log[i] + self._log[j]]
+        return 0
 
     def inv_i(self, i):
         if i == 0:
             raise NotInvertibleError("zero in %r" % (self,))
-        if self._inv_table is not None:
-            return self._inv_table[i]
-        return self.pow_i(i, self.q - 2)
+        return self._exp[self.q - 1 - self._log[i]]
 
     def pow_i(self, i, e):
         if i == 0:
@@ -556,14 +535,7 @@ class FiniteField:
             if e < 0:
                 raise NotInvertibleError("zero in %r" % (self,))
             return 0
-        e %= self.q - 1
-        acc, base = 1, i
-        while e:
-            if e & 1:
-                acc = self.mul_i(acc, base)
-            base = self.mul_i(base, base)
-            e >>= 1
-        return acc
+        return self._exp[self._log[i] * e % (self.q - 1)]
 
     def trace_i(self, i):
         # absolute trace to F_p
@@ -615,36 +587,14 @@ class FiniteField:
         return [FFElt(self, i) for i in range(1, self.q)]
 
     def root_of_unity(self, order):
-        """Lexicographically smallest element of multiplicative order `order`."""
-        r = self._root_cache.get(order)
-        if r is not None:
-            return r
-        if order < 1 or (self.q - 1) % order != 0:
+        """Smallest index of multiplicative order exactly `order`."""
+        n = self.q - 1
+        if order < 1 or n % order != 0:
             raise NotInvertibleError(
                 "order %d not available in %r (q-1 = %d)"
-                % (order, self, self.q - 1))
-        fac = set(_prime_factors(order))
-        for i in range(1, self.q):
-            if self.pow_i(i, order) != 1:
-                continue
-            if all(self.pow_i(i, order // r) != 1 for r in fac):
-                elt = FFElt(self, i)
-                self._root_cache[order] = elt
-                return elt
-        raise RuntimeError("unreachable: cyclic group has all orders")
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+                % (order, self, n))
+        return FFElt(self, next(i for i in range(1, self.q)
+                                if n // gcd(self._log[i], n) == order))
 
 
 class FFElt:

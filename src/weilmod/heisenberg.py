@@ -262,7 +262,7 @@ class LagrangianModel:
         # transversal: standard vectors completing a_basis
         std = [space.basis_e(i) for i in range(m)] + \
               [space.basis_f(i) for i in range(m)]
-        comp = linalg.extend_basis(list(self.a_basis), std)[m:]
+        comp = linalg.column_space_basis(list(self.a_basis) + std)[m:]
         self.b_basis = linalg.mat(comp)
         self.dim = self.field.q ** m
         self._full = linalg.mat(list(self.a_basis) + list(self.b_basis))
@@ -488,7 +488,7 @@ def intertwiner(model1, model2, mu_point=None, omega_vec=None):
 
 def coset_reps(subspace, ambient_basis, field):
     """Points of a complement of `subspace` inside span(ambient_basis)."""
-    comp = linalg.extend_basis(list(subspace), list(ambient_basis))
+    comp = linalg.column_space_basis(list(subspace) + list(ambient_basis))
     comp = comp[len(subspace):]
     zero = (field.zero(),) * (len(ambient_basis[0]) if ambient_basis else 0)
     return [linalg.combine(co, comp, zero)

@@ -102,10 +102,6 @@ def rref(a):
     return rows, pivots
 
 
-def rank(a):
-    return len(rref(a)[1])
-
-
 def nullspace(a, fld):
     """Basis (tuple of vectors) of the right kernel of a."""
     if not a:
@@ -193,26 +189,11 @@ def trace(a):
 
 
 def column_space_basis(vectors):
-    """Subset of the given vectors forming a basis of their span (as rows)."""
-    chosen = []
-    cur = []
-    for v in vectors:
-        cur.append(list(v))
-        if rank(tuple(tuple(r) for r in cur)) == len(cur):
-            chosen.append(tuple(v))
-        else:
-            cur.pop()
-    return chosen
-
-
-def extend_basis(partial, candidates):
-    """Extend an independent family to a larger one using candidate vectors."""
-    out = list(partial)
-    for v in candidates:
-        trial = out + [v]
-        if rank(mat(trial)) == len(trial):
-            out.append(tuple(v))
-    return out
+    """The greedy subset of the given vectors that is a basis of their span:
+    the pivot columns of the matrix whose columns they are.  Listing an
+    independent family first extends it to a basis."""
+    vectors = [tuple(v) for v in vectors]
+    return [vectors[c] for c in rref(transpose(vectors))[1]]
 
 
 def combine(coords, basis, zero_vector):

@@ -77,7 +77,7 @@ def bruhat_decompose(space, g):
     inter = linalg.intersection(gx, xb, field)
     j = m - len(inter)
     # u-basis of X: completion indices 0..j-1, intersection at j..m-1
-    u = linalg.extend_basis(list(inter), xb)
+    u = linalg.column_space_basis(list(inter) + list(xb))
     u = list(u[len(inter):]) + list(inter)
     # y_i in gX for i < j with <u_k, y_i> = delta
     ys = []
@@ -327,21 +327,21 @@ def leray_decompose(space, g1, g2):
         e[i] = a_basis[pos]
     x_l1 = linalg.intersection(xb, l1, field)
     x_l2 = linalg.intersection(xb, l2, field)
-    ext1 = linalg.extend_basis(list(a_basis), list(x_l1))[t:]
+    ext1 = linalg.column_space_basis(list(a_basis) + list(x_l1))[t:]
     for pos, i in enumerate(p2_idx):
         e[i] = ext1[pos]
-    ext2 = linalg.extend_basis(list(a_basis) + list(ext1),
-                               list(x_l2))[t + len(ext1):]
+    ext2 = linalg.column_space_basis(
+        list(a_basis) + list(ext1) + list(x_l2))[t + len(ext1):]
     for pos, i in enumerate(p1_idx):
         e[i] = ext2[pos]
     sum12 = linalg.column_space_basis(list(l1) + list(l2))
     z_basis = linalg.intersection(xb, list(sum12), field)
     built = [v for v in e if v is not None]
-    extz = linalg.extend_basis(built, list(z_basis))[len(built):]
+    extz = linalg.column_space_basis(built + list(z_basis))[len(built):]
     for pos, i in enumerate(s_idx):
         e[i] = extz[pos]
     built = [v for v in e if v is not None]
-    extx = linalg.extend_basis(built, xb)[len(built):]
+    extx = linalg.column_space_basis(built + list(xb))[len(built):]
     for pos, i in enumerate(p12_idx):
         e[i] = extx[pos]
     if any(v is None for v in e):

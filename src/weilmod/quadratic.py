@@ -173,7 +173,7 @@ class QuadraticForm:
         """(complement basis C, induced Gram C^T G C) on X/rad(Q)."""
         rad = self.radical()
         std = linalg.identity(self.field, self.m)
-        comp = linalg.extend_basis(list(rad), std)[len(rad):]
+        comp = linalg.column_space_basis(list(rad) + list(std))[len(rad):]
         c = linalg.transpose(linalg.mat(comp))  # columns are the basis
         gc = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), self.gram), c)
         return linalg.mat(comp), gc

@@ -347,11 +347,13 @@ class CentralIdempotent:
         return True
 
 
-def product_group(pair):
-    """(H1 x H2 element list, multiplication, inverses)."""
+def product_group(pair, inv2=None):
+    """(H1 x H2 element list, multiplication, inverses); `inv2` is the H2
+    inverse table when the caller already has it."""
     group = [(h1, h2) for h1 in pair.h1_list for h2 in pair.h2_list]
     inv1 = group_inverses(pair.h1_list, pair.field)
-    inv2 = group_inverses(pair.h2_list, pair.field)
+    if inv2 is None:
+        inv2 = group_inverses(pair.h2_list, pair.field)
     inv = {(a, b): (inv1[a], inv2[b]) for (a, b) in group}
 
     def mul(a, b):
@@ -417,7 +419,7 @@ def congruence_check(v_form, mprime, ell, seed_label="pair"):
     # idempotent reduction e_Pi -> e_pi for Pi = chi x Theta(chi) on H1 x H2
     # (l does not divide |H1 x H2|: the non-banal case was refused above)
     chi, dim0, ch0, chl = trivial
-    group, mul, inv = product_group(pair)
+    group, mul, inv = product_group(pair, inv2)
     char_prod0 = {(a, b): ch0[b] * chi[a] for (a, b) in group}
     e0 = CentralIdempotent(group, mul, inv, char_prod0, dim0, ring0.one())
     char_prodl = {(a, b): chl[b] * chi[a] for (a, b) in group}

@@ -128,6 +128,17 @@ def test_theta_table_deterministic():
     assert a.stdout == b.stdout and a.returncode == 0
 
 
+def test_theta_over_f3_6_matches_cyclo():
+    # F_{3^6} has to be a field for its theta dimensions to be those of Z[zeta_7]
+    args = ["theta", "--field", "fq:7:1", "--V", "diag:1"]
+    cyc = run_cli(*args, "--coeff", "cyclo")
+    fl = run_cli(*args, "--coeff", "fl:3:6")
+    assert fl.returncode == 0, fl.stderr
+    dims = [row["dim_theta"] for row in json.loads(fl.stdout)]
+    assert dims == [row["dim_theta"] for row in json.loads(cyc.stdout)]
+    assert dims == [4, 3]
+
+
 @pytest.mark.parametrize("args", [
     ["hilbert", "--field", "qp:5", "--a", "0", "--b", "2"],
     ["hilbert", "--field", "qp:5", "--a", "1/0", "--b", "2"],
@@ -137,6 +148,7 @@ def test_theta_table_deterministic():
     ["cocycle", "--field", "qp:5", "--m", "1", "--g1", "1,0,0,0",
      "--g2", "1,0,5,1", "--path", "formula"],
     ["cocycle", "--field", "qp:5", "--m", "1"],
+    ["omega", "--field", "fq:3:0", "--form", "diag:1"],
 ])
 def test_invalid_input_exit_2(args):
     proc = run_cli(*args)

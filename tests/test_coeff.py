@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from weilmod.coeff import (Cyc, CyclotomicRing, FFElt, FiniteField,
+from weilmod.coeff import (_CONWAY, Cyc, CyclotomicRing, FFElt, FiniteField,
                            NotInvertibleError, ReductionMap,
-                           RingMismatchError, ring_arith, root_of_unity)
+                           RingMismatchError, _is_irreducible, ring_arith,
+                           root_of_unity)
 
 
 def test_minimal_polynomial_relations():
@@ -158,6 +160,8 @@ def test_conway_polynomials_are_irreducible():
         fld = FiniteField(p, d)
         g = fld.element(max(2, p))
         assert g ** (fld.q - 1) == 1
+    for (p, d), poly in _CONWAY.items():
+        assert len(poly) == d + 1 and _is_irreducible(poly, p)
 
 
 def test_equal_values_across_levels_hash_equal():
@@ -189,6 +193,75 @@ def test_cyc_inverse_norm_path(p, k):
 @pytest.mark.parametrize("ell,d", [(3, 5), (2, 9), (7, 2)])
 def test_finite_field_inverse_table(ell, d):
     fld = FiniteField(ell, d)
-    assert fld._inv_table is not None
     for i in range(1, fld.q):
         assert fld.mul_i(i, fld.inv_i(i)) == 1
+
+
+def _poly_product(fld, i, j):
+    return fld._undigits(fld._poly_mul_mod(fld._digits(i), fld._digits(j)))
+
+
+def _poly_power(fld, i, e):
+    acc = 1
+    while e:
+        if e & 1:
+            acc = _poly_product(fld, acc, i)
+        i, e = _poly_product(fld, i, i), e >> 1
+    return acc
+
+
+def test_irreducibility_by_count():
+    # monic irreducibles: 9 of degree 6 over F_2, 18 of degree 4 over F_3,
+    # 40 of degree 3 over F_5 (Gauss's formula (1/d) sum mu(d/k) l^k)
+    for ell, d, count in ((2, 6, 9), (3, 4, 18), (5, 3, 40)):
+        polys = itertools.product(range(ell), repeat=d)
+        assert sum(_is_irreducible(low + (1,), ell) for low in polys) == count
+
+
+def test_reducible_polynomials_refused():
+    # x (x^2 + x + 1) (x^3 + x + 1) over F_2: every factor degree divides 6
+    with pytest.raises(ValueError):
+        FiniteField(2, 6, irred=(0, 1, 0, 0, 0, 1, 1))
+    with pytest.raises(ValueError):
+        FiniteField(2, 3, irred=(1, 1, 1))
+    with pytest.raises(ValueError):
+        FiniteField(3, 0)
+
+
+def test_f3_6_is_a_field():
+    fld = FiniteField(3, 6)
+    assert _is_irreducible(fld.irred, 3)
+    assert fld.mul_i(5, 365) != 0
+    for i in range(1, fld.q):
+        assert _poly_product(fld, i, fld.inv_i(i)) == 1
+    z = fld.root_of_unity(7)
+    assert z ** 7 == 1 and z != 1
+
+
+@pytest.mark.parametrize("ell,d,pairs", [
+    (2, 3, None), (3, 2, None), (5, 2, None), (11, 2, None),
+    (2, 9, 2000), (7, 4, 2000)])
+def test_log_tables_match_polynomial_product(ell, d, pairs):
+    fld = FiniteField(ell, d)
+    if pairs is None:
+        todo = itertools.product(range(fld.q), repeat=2)
+    else:
+        rng = random.Random(ell * 10 + d)
+        todo = [(rng.randrange(fld.q), rng.randrange(fld.q))
+                for _ in range(pairs)]
+    for i, j in todo:
+        assert fld.mul_i(i, j) == _poly_product(fld, i, j)
+
+
+@pytest.mark.parametrize("ell,d", [
+    (2, 2), (2, 3), (7, 1), (5, 2), (11, 2), (13, 2), (7, 4)])
+def test_root_of_unity_is_smallest_of_exact_order(ell, d):
+    fld = FiniteField(ell, d)
+    n = fld.q - 1
+    for o in (o for o in range(1, n + 1) if n % o == 0):
+        primes = [r for r in range(2, o + 1)
+                  if o % r == 0 and all(r % s for s in range(2, r))]
+        want = next(i for i in range(1, fld.q)
+                    if _poly_power(fld, i, o) == 1
+                    and all(_poly_power(fld, i, o // r) != 1 for r in primes))
+        assert fld.root_of_unity(o).i == want
