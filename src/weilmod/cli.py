@@ -272,7 +272,7 @@ def cmd_theta(args):
         if len(parts) != 3 or parts[0] != "fl":
             raise InputError("coeff must be cyclo or fl:l:d")
         ell, d = int(parts[1]), int(parts[2])
-        if d < 1 or (ell ** d - 1) % field.p:
+        if d < 1 or pow(ell, d, field.p) != 1:
             raise InputError("%s: F_{l^d} holds no p-th root of unity "
                              "(p = %d does not divide l^d - 1)"
                              % (args.coeff, field.p))

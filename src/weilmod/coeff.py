@@ -400,6 +400,11 @@ _CONWAY = {
 
 _FF_CACHE = {}
 
+# The largest q built: the discrete-log tables hold 3q entries, and finding
+# a generator costs up to q products per candidate, so a larger q is refused
+# (ValueError) before anything is allocated.
+MAX_Q = 2 ** 16
+
 
 def _poly_rem(a, b, ell):
     """Remainder of a modulo the monic b over F_ell (coefficients low ->
@@ -430,17 +435,20 @@ class FiniteField:
     1, x, ..., x^{d-1}, so 0 <= i < q = l^d.  Products, inverses and powers
     go through discrete logarithms to the first index g that generates F^x:
     `_exp[k]` is the index of g^k for 0 <= k < 2(q-1), and `_log[i]` is the
-    k < q-1 with g^k = i for every unit i."""
+    k < q-1 with g^k = i for every unit i.  q is at most MAX_Q."""
 
     def __new__(cls, ell, d=1, irred=None):
         key = (cls, ell, d, tuple(irred) if irred else None)
         fld = _FF_CACHE.get(key)
         if fld is not None:
             return fld
-        if not _is_prime(ell):
-            raise ValueError("characteristic must be prime, got %r" % (ell,))
         if d < 1:
             raise ValueError("degree must be >= 1, got %r" % (d,))
+        if d > MAX_Q.bit_length() or ell ** d > MAX_Q:
+            raise ValueError("F_{%d^%d} has more than MAX_Q = %d elements"
+                             % (ell, d, MAX_Q))
+        if not _is_prime(ell):
+            raise ValueError("characteristic must be prime, got %r" % (ell,))
         fld = object.__new__(cls)
         fld.p = ell
         fld.f = d

@@ -347,13 +347,11 @@ class CentralIdempotent:
         return True
 
 
-def product_group(pair, inv2=None):
+def product_group(pair, inv2):
     """(H1 x H2 element list, multiplication, inverses); `inv2` is the H2
-    inverse table when the caller already has it."""
+    inverse table from `group_inverses`."""
     group = [(h1, h2) for h1 in pair.h1_list for h2 in pair.h2_list]
     inv1 = group_inverses(pair.h1_list, pair.field)
-    if inv2 is None:
-        inv2 = group_inverses(pair.h2_list, pair.field)
     inv = {(a, b): (inv1[a], inv2[b]) for (a, b) in group}
 
     def mul(a, b):

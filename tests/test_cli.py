@@ -149,6 +149,10 @@ def test_theta_over_f3_6_matches_cyclo():
      "--g2", "1,0,5,1", "--path", "formula"],
     ["cocycle", "--field", "qp:5", "--m", "1"],
     ["omega", "--field", "fq:3:0", "--form", "diag:1"],
+    ["omega", "--field", "fq:3:11", "--form", "diag:1"],
+    ["theta", "--field", "fq:3:1", "--V", "diag:1", "--coeff", "fl:2:24"],
+    ["theta", "--field", "fq:3:1", "--V", "diag:1", "--coeff",
+     "fl:2:1000000000"],
 ])
 def test_invalid_input_exit_2(args):
     proc = run_cli(*args)

@@ -228,6 +228,13 @@ def test_reducible_polynomials_refused():
         FiniteField(3, 0)
 
 
+def test_fields_above_max_q_refused():
+    # refused before any table is built, however large the degree
+    for ell, d in [(2, 17), (65537, 1), (3, 10 ** 9), (10 ** 18 + 9, 1)]:
+        with pytest.raises(ValueError):
+            FiniteField(ell, d)
+
+
 def test_f3_6_is_a_field():
     fld = FiniteField(3, 6)
     assert _is_irreducible(fld.irred, 3)

@@ -211,7 +211,7 @@ def test_group_inverse_tables(diag):
         inv = group_inverses(lst, f3)
         ident = linalg.identity(f3, len(lst[0]))
         assert all(linalg.mat_mul(g, inv[g]) == ident for g in lst)
-    group, mul, inv = product_group(pair)
+    group, mul, inv = product_group(pair, group_inverses(pair.h2_list, f3))
     ident = (linalg.identity(f3, n), linalg.identity(f3, 2))
     assert len(inv) == len(group)
     assert all(mul(g, inv[g]) == ident for g in group)
