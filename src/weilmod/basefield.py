@@ -13,6 +13,10 @@ from fractions import Fraction
 from .coeff import CyclotomicRing, FFElt, FiniteField, RingMismatchError
 
 
+class InputError(ValueError):
+    """A malformed descriptor or argument; the CLI exits 2 on it."""
+
+
 class FqField(FiniteField):
     """Base field F_q, q = p^f with p odd (char F != 2 throughout)."""
 
@@ -128,15 +132,12 @@ class QpField:
 
 
 def parse_field(desc):
-    """Parse "fq:p:f" or "qp:p"."""
-    parts = desc.split(":")
-    if parts[0] == "fq":
-        p = int(parts[1])
-        f = int(parts[2]) if len(parts) > 2 else 1
-        return FqField(p, f)
-    if parts[0] == "qp":
-        return QpField(int(parts[1]))
-    raise ValueError("bad field descriptor %r" % (desc,))
+    """Parse "fq:p:f", "fq:p" or "qp:p"."""
+    kind, *nums = desc.split(":")
+    if len(nums) not in {"fq": (1, 2), "qp": (1,)}.get(kind, ()):
+        raise InputError("bad field descriptor %r (fq:p:f or qp:p)" % (desc,))
+    nums = [int(x) for x in nums]
+    return FqField(*nums) if kind == "fq" else QpField(*nums)
 
 
 def frac_part(x, p):
@@ -242,10 +243,12 @@ def parse_character(field, desc, coeff_ring=None):
         return AdditiveCharacter(field, coeff_ring)
     if desc.startswith("psi:twist:"):
         raw = desc[len("psi:twist:"):]
-        if field.flavor == "finite":
-            return AdditiveCharacter(field, coeff_ring, int(raw))
-        return AdditiveCharacter(field, coeff_ring, Fraction(raw))
-    raise ValueError("bad character descriptor %r" % (desc,))
+        try:
+            c = int(raw) if field.flavor == "finite" else Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise InputError("bad twist %r in %r" % (raw, desc)) from None
+        return AdditiveCharacter(field, coeff_ring, c)
+    raise InputError("bad character descriptor %r" % (desc,))
 
 
 class HaarConvention:

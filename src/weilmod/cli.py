@@ -11,8 +11,8 @@ import sys
 from fractions import Fraction
 
 from . import linalg
-from .basefield import (AdditiveCharacter, HaarConvention, parse_character,
-                        parse_field)
+from .basefield import (AdditiveCharacter, HaarConvention, InputError,
+                        parse_character, parse_field)
 from .coeff import Cyc, CyclotomicRing, FiniteField
 from .heisenberg import SympSpace, SchrodingerModel, delta, central
 from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
@@ -21,10 +21,6 @@ from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
 from .quadratic import QuadraticForm, hilbert, square_class
 from .schwartz import cocycle_operator_padic
 from .weilfactor import omega
-
-
-class InputError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +99,12 @@ def parse_form(field, desc, dim=None):
     raise InputError("form must be diag:... or gram:...")
 
 
+def parse_space(field, m):
+    if m < 1:
+        raise InputError("--m must be at least 1, got %d" % m)
+    return SympSpace(field, m)
+
+
 def parse_matrix(field, desc, size):
     vals = [parse_scalar(field, x) for x in desc.split(",")]
     if len(vals) != size * size:
@@ -150,7 +152,7 @@ def _prod(vals, field):
 
 def cmd_bruhat(args):
     field = parse_field(args.field)
-    space = SympSpace(field, args.m)
+    space = parse_space(field, args.m)
     g = parse_matrix(field, args.g, 2 * args.m)
     bd = bruhat_decompose(space, g)
     return {"j": bd.j,
@@ -161,7 +163,7 @@ def cmd_bruhat(args):
 
 def cmd_cocycle(args):
     field = parse_field(args.field)
-    space = SympSpace(field, args.m)
+    space = parse_space(field, args.m)
     if args.exhaustive:
         if field.flavor != "finite" or args.m != 1:
             raise InputError("--exhaustive needs a finite field and m = 1")
@@ -215,7 +217,7 @@ def cmd_weilrep(args):
     field = parse_field(args.field)
     if field.flavor != "finite":
         raise InputError("weilrep dump is finite-field only")
-    space = SympSpace(field, args.m)
+    space = parse_space(field, args.m)
     psi = parse_character(field, args.psi)
     ctx = WeilContext(space, psi)
     if args.m == 1:
@@ -233,7 +235,7 @@ def cmd_heisenberg(args):
     field = parse_field(args.field)
     if field.flavor != "finite":
         raise InputError("heisenberg dump is finite-field only")
-    space = SympSpace(field, args.m)
+    space = parse_space(field, args.m)
     psi = parse_character(field, args.psi)
     model = SchrodingerModel(space, psi)
     if field.q ** (2 * args.m + 1) > 3000:

@@ -498,7 +498,12 @@ class FiniteField:
 
     def _build_tables(self):
         q = self.q
+        # a power of an element of order < q - 1 has order < q - 1 too, so
+        # every index a failed candidate reached is skipped
+        reached = bytearray(q)
         for g in range(1, q):
+            if reached[g]:
+                continue
             exp, cur, dg = [1], self._digits(1), self._digits(g)
             while len(exp) < q - 1:
                 cur = self._poly_mul_mod(cur, dg)
@@ -508,6 +513,8 @@ class FiniteField:
                 exp.append(v)
             else:
                 break  # g reached all q - 1 units
+            for v in exp:
+                reached[v] = 1
         self._exp = exp + exp
         self._log = [0] * q
         for k, v in enumerate(exp):

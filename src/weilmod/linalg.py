@@ -130,7 +130,6 @@ def solve(a, rhs, fld):
             return None
     z = fld.zero()
     x = [z] * ncols
-    r = 0
     for r, pc in enumerate(pivots):
         if pc == ncols:
             return None

@@ -44,7 +44,7 @@ def enumerate_orthogonal(q_form):
 class DualPair:
     """(O(V), Sp(W')) inside Sp(V x W') with X = V x X'."""
 
-    def __init__(self, v_form, mprime, psi_builder=None):
+    def __init__(self, v_form, mprime):
         field = v_form.field
         if not v_form.is_nondegenerate():
             raise ValueError("the quadratic space must be nondegenerate")
@@ -52,23 +52,19 @@ class DualPair:
         if n0 * 2 * mprime > 4:
             raise SizeCapError("full-operator scale capped at dim V * 2m' <= 4")
         self.field = field
-        self.v_form = v_form
         self.n0 = n0
-        self.mprime = mprime
         self.m = n0 * mprime
         if field.q ** self.m > MODEL_DIM_CAP:
             raise SizeCapError("model dimension exceeds cap")
         vecs, vals = v_form.diagonalize()
-        self.diag_basis = vecs       # orthogonal basis of V
-        self.diag_vals = vals        # a_i = Q(v_i)
+        self.diag_vals = vals        # a_i = Q(v_i) on the orthogonal basis
         self.space = SympSpace(field, self.m)
         self._b = linalg.transpose(linalg.mat(vecs))
         self._binv = linalg.mat_inv(self._b, field)
         self.h1_list = enumerate_orthogonal(v_form)
         if mprime != 1:
             raise SizeCapError("only m' = 1 symplectic partners at this scale")
-        self.sp2 = SympSpace(field, 1)
-        self.h2_list = enumerate_sp2(self.sp2)
+        self.h2_list = enumerate_sp2(SympSpace(field, 1))
         if 2 * len(self.h1_list) * len(self.h2_list) > 2 * GROUP_ORDER_CAP:
             raise SizeCapError("group order cap exceeded")
         for h1 in self.h1_list:
@@ -83,22 +79,8 @@ class DualPair:
         field = self.field
         hb = linalg.mat_mul(linalg.mat_mul(self._binv, h), self._b)
         hbt = linalg.transpose(linalg.mat_inv(hb, field))
-        m, n0, mp = self.m, self.n0, self.mprime
-        z = field.element(0)
-        rows = []
-        for i in range(n0):
-            for j in range(mp):
-                row = [z] * (2 * m)
-                for k in range(n0):
-                    row[k * mp + j] = hb[i][k]
-                rows.append(tuple(row))
-        for i in range(n0):
-            for j in range(mp):
-                row = [z] * (2 * m)
-                for k in range(n0):
-                    row[m + k * mp + j] = hbt[i][k]
-                rows.append(tuple(row))
-        g = linalg.mat(rows)
+        pad = (field.element(0),) * self.n0   # m' = 1: diag(hb, hb^-T)
+        g = tuple(r + pad for r in hb) + tuple(pad + r for r in hbt)
         if not self.space.is_symplectic(g):
             raise RuntimeError("orthogonal embedding not symplectic")
         return g
@@ -130,16 +112,23 @@ class DualPair:
 class RestrictedWeil:
     """The Weil representation pulled back to H1 x H2.
 
-    H1 acts through the natural Levi morphism k -> (k, I_k) (so -Id_V is the
-    plain parity operator); H2 acts through the split section sigma."""
+    H1 acts through the Levi morphism k -> (k, I_k), the permutation
+    f(y) -> f(a^T y): omega(h) e_j = e_{h1_perms[h][j]} (-Id_V is parity).
+    H2 acts through the split section sigma."""
 
     def __init__(self, pair, psi):
         self.pair = pair
         self.psi = psi
         self.ctx = WeilContext(pair.space, psi)
-        self.dim = self.ctx.model.dim
-        self._h1_ops = {}
-        self._h2_ops = {}
+        model = self.ctx.model
+        self.dim = model.dim
+        self.h1_perms = {}
+        for h in pair.h1_list:
+            at = linalg.transpose(pair.space.blocks(pair.embed_h1(h))[0])
+            perm = [0] * self.dim
+            for i, co in enumerate(model._points):
+                perm[model._index[linalg.mat_vec(at, co)]] = i
+            self.h1_perms[h] = tuple(perm)
 
     def zero(self):
         return self.ctx.zero()
@@ -148,29 +137,11 @@ class RestrictedWeil:
         return self.ctx.one()
 
     def h1_op(self, h):
-        op = self._h1_ops.get(h)
-        if op is None:
-            g = self.pair.embed_h1(h)
-            # I_g on the Levi: pure permutation f(y) -> f(a^T y)
-            model = self.ctx.model
-            a_block, _, _, _ = self.pair.space.blocks(g)
-            at = linalg.transpose(a_block)
-            n = model.dim
-            perm = [0] * n
-            one = self.one()
-            for i, co in enumerate(model._points):
-                tgt = linalg.mat_vec(at, co)
-                perm[model._index[tuple(tgt)]] = i
-            op = Monomial(perm, (one,) * n).to_dense(self.zero())
-            self._h1_ops[h] = op
-        return op
+        return Monomial(self.h1_perms[h], (self.one(),) * self.dim) \
+            .to_dense(self.zero())
 
     def h2_op(self, h):
-        op = self._h2_ops.get(h)
-        if op is None:
-            op = sigma(self.ctx, self.pair.embed_h2(h))
-            self._h2_ops[h] = op
-        return op
+        return sigma(self.ctx, self.pair.embed_h2(h))
 
     def op(self, h1, h2):
         return linalg.mat_mul(self.h1_op(h1), self.h2_op(h2))
@@ -244,43 +215,58 @@ def labelled_characters(chars):
 
 
 class ThetaLift:
-    """Theta(pi_1) on Hom_{H1}(pi_1, omega) with its H2-action."""
+    """Theta(pi_1) on Hom_{H1}(pi_1, omega) with its H2-action.
+
+    H1 permutes the Y-points, so the basis is the signed orbit sums
+    b_O = sum_h chi(h) e_{h y_O} (each point of O once), one per H1-orbit O
+    whose stabiliser has chi(s) 1_R = 1_R in the coefficient ring R: over
+    characteristic 2 every orbit.  b_O is 1 at y_O, the first point of O.
+    R may be any ring holding zeta_p, a non-banal F_{l^d} included (only
+    congruence_check refuses those)."""
 
     def __init__(self, rw, chi1):
         self.rw = rw
         self.chi1 = chi1
-        pair = rw.pair
         zero, one = rw.zero(), rw.one()
-        rows = []
-        n = rw.dim
-        for h in pair.h1_list:
-            m = rw.h1_op(h)
-            c = chi1[h]
-            for i in range(n):
-                rows.append(tuple(m[i][j] - (one * c if i == j else zero)
-                                  for j in range(n)))
-        self.basis = linalg.nullspace(linalg.mat(rows), rw.psi.coeff_ring)
-        self.dim = len(self.basis)
+        signed = [(perm, one * chi1[h]) for h, perm in rw.h1_perms.items()]
+        seen = [False] * rw.dim
+        self.orbits, basis = [], []
+        for y in range(rw.dim):
+            if seen[y]:
+                continue
+            vec = [zero] * rw.dim
+            for perm, c in signed:
+                seen[perm[y]] = True
+                vec[perm[y]] = c
+            if all(c == one for perm, c in signed if perm[y] == y):
+                self.orbits.append(sorted({perm[y] for perm, _ in signed}))
+                basis.append(tuple(vec))
+        self.basis = tuple(basis)
+        self.dim = len(basis)
         self._act_cache = {}
 
     def act(self, h2):
-        """Matrix of omega(h2) on the isotypic subspace in self.basis."""
+        """Matrix of omega(h2) on self.basis: the supports (self.orbits)
+        are disjoint, so an image's coordinates are its entries at the
+        y_O."""
         a = self._act_cache.get(h2)
         if a is not None:
             return a
         rw = self.rw
         if self.dim == 0:
             return ()
-        m = rw.h2_op(h2)
-        imgs = [linalg.mat_vec(m, v) for v in self.basis]
-        bt = linalg.transpose(linalg.mat(self.basis))
+        cols_of_m = linalg.transpose(rw.h2_op(h2))
+        zero = (rw.zero(),) * rw.dim
         cols = []
-        for img in imgs:
-            sol = linalg.solve(bt, img, rw.psi.coeff_ring)
-            if sol is None:
-                raise RuntimeError("theta subspace is not H2-stable")
-            cols.append(sol)
-        a = linalg.transpose(linalg.mat(cols))
+        for v, orbit in zip(self.basis, self.orbits):
+            img = linalg.combine([v[z] for z in orbit],
+                                 [cols_of_m[z] for z in orbit], zero)
+            coords = tuple(img[o[0]] for o in self.orbits)
+            if linalg.combine(coords, self.basis, zero) != img:
+                raise RuntimeError("theta subspace is not H2-stable under "
+                                   "h2 = %s" % (h2,))
+            cols.append(coords)
+        a = linalg.transpose(cols)
         self._act_cache[h2] = a
         return a
 
@@ -359,16 +345,18 @@ def product_group(pair, inv2):
     return group, mul, inv
 
 
-def congruence_check(v_form, mprime, ell, seed_label="pair"):
-    """Theta over characteristic 0 vs characteristic l (banal), compared
-    through reduced idempotents and traces; returns a report dict."""
+def congruence_check(v_form, mprime, ell):
+    """Theta over characteristic 0 vs characteristic l, compared through
+    reduced idempotents and traces; returns a report dict.  A non-banal l
+    (one dividing |H1 x H2|) is refused with ValueError."""
     field = v_form.field
     p = field.p
     pair = DualPair(v_form, mprime)
     h1, h2 = pair.h1_list, pair.h2_list
-    n_h1, n_h2 = len(h1), len(h2)
-    if (n_h1 * n_h2) % ell == 0:
-        raise ValueError("non-banal l: refuse (l divides |H1 x H2|)")
+    order = len(h1) * len(h2)
+    if order % ell == 0:
+        raise ValueError("non-banal l = %d divides |H1 x H2| = %d: refused"
+                         % (ell, order))
     # characteristic zero side
     ring0 = CyclotomicRing(p)
     psi0 = AdditiveCharacter(field, ring0)

@@ -139,6 +139,15 @@ def test_theta_over_f3_6_matches_cyclo():
     assert dims == [4, 3]
 
 
+def test_theta_char2_counts_every_orbit():
+    # over F_4 the sign character is trivial: both rows have dimension 2
+    proc = run_cli("theta", "--field", "fq:3:1", "--V", "diag:1",
+                   "--coeff", "fl:2:2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [{"dim_theta": 2, "pi1": "trivial"},
+                                       {"dim_theta": 2, "pi1": "char1"}]
+
+
 @pytest.mark.parametrize("args", [
     ["hilbert", "--field", "qp:5", "--a", "0", "--b", "2"],
     ["hilbert", "--field", "qp:5", "--a", "1/0", "--b", "2"],
@@ -153,6 +162,13 @@ def test_theta_over_f3_6_matches_cyclo():
     ["theta", "--field", "fq:3:1", "--V", "diag:1", "--coeff", "fl:2:24"],
     ["theta", "--field", "fq:3:1", "--V", "diag:1", "--coeff",
      "fl:2:1000000000"],
+    ["hilbert", "--field", "fq", "--a", "1", "--b", "2"],
+    ["omega", "--field", "qp:5", "--form", "diag:1", "--psi",
+     "psi:twist:1/0"],
+    ["bruhat", "--field", "fq:3:1", "--m", "0", "--g", "1"],
+    ["bruhat", "--field", "fq:3:1", "--m", "-1", "--g", "1"],
+    ["hilbert", "--field", "qp:5:1", "--a", "1", "--b", "2"],
+    ["hilbert", "--field", "fq:3:1:1", "--a", "1", "--b", "2"],
 ])
 def test_invalid_input_exit_2(args):
     proc = run_cli(*args)
@@ -161,6 +177,20 @@ def test_invalid_input_exit_2(args):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["bruhat", "--field", "fq:3:1", "--m", "0", "--g", "1"],
+    ["bruhat", "--field", "fq:3:1", "--m", "-1", "--g", "1"],
+    ["bruhat", "--field", "fq:3:1", "--m", "-1", "--g", "1,0,0,1"],
+    ["cocycle", "--field", "fq:3:1", "--m", "0", "--exhaustive"],
+    ["weilrep", "--field", "fq:3:1", "--m", "0"],
+    ["heisenberg", "--field", "fq:3:1", "--m", "0"],
+])
+def test_m_below_one_refused(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: --m must be at least 1, got %s\n" % args[4]
 
 
 def test_selfcheck_fails_loudly_under_O():

@@ -272,3 +272,20 @@ def test_root_of_unity_is_smallest_of_exact_order(ell, d):
                     if _poly_power(fld, i, o) == 1
                     and all(_poly_power(fld, i, o // r) != 1 for r in primes))
         assert fld.root_of_unity(o).i == want
+
+
+def test_generator_search_skips_reached_candidates(monkeypatch):
+    # a candidate reached as a power of a failed one cannot generate; F_{3^8}
+    # needs 12,954 products that way against 40,850 retrying every index
+    fld = FiniteField(3, 8)
+    exp, log = list(fld._exp), list(fld._log)
+    calls = [0]
+    product = fld._poly_mul_mod
+
+    def counted(a, b):
+        calls[0] += 1
+        return product(a, b)
+    monkeypatch.setattr(fld, "_poly_mul_mod", counted)
+    fld._build_tables()
+    assert calls[0] <= 12954
+    assert fld._exp == exp and fld._log == log

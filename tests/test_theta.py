@@ -68,9 +68,7 @@ def test_restricted_weil_is_homomorphism():
         lhs = linalg.mat_mul(rw.op(h1a, h2a), rw.op(h1b, h2b))
         rhs = rw.op(linalg.mat_mul(h1a, h1b), linalg.mat_mul(h2a, h2b))
         assert lhs == rhs
-    ident = rw.op(pair.h1_list[0] if pair.h1_list[0] ==
-                  pair.space and False else _ident_of(pair.h1_list),
-                  _ident_of(pair.h2_list))
+    ident = rw.op(_ident_of(pair.h1_list), _ident_of(pair.h2_list))
     n = rw.dim
     for i in range(n):
         for j in range(n):
@@ -116,6 +114,59 @@ def test_theta_dims_and_irreducibility():
             CyclotomicRing(3).one()
     assert by_name["trivial"].dim == 2
     assert by_name["sign"].dim == 1
+
+
+DIFF_SPACES = {"diag:1": [[1]], "diag:1,2": [[1, 0], [0, 2]],
+               "diag:1,1": [[1, 0], [0, 1]], "gram:0,1,1,0": [[0, 1], [1, 0]]}
+DIFF_RINGS = {"Z[zeta_3]": lambda: CyclotomicRing(3),
+              "F_4": lambda: FiniteField(2, 2), "F_7": lambda: FiniteField(7),
+              "F_25": lambda: FiniteField(5, 2),
+              "F_13": lambda: FiniteField(13)}
+
+
+@pytest.mark.parametrize("ring", list(DIFF_RINGS))
+@pytest.mark.parametrize("space", list(DIFF_SPACES))
+def test_orbit_basis_matches_stacked_nullspace(space, ring):
+    # reference: the kernel of the stacked (omega(h) - chi(h)), h in H1, and
+    # the H2 traces through linalg.solve on its basis
+    f3 = FqField(3)
+    coeff = DIFF_RINGS[ring]()
+    pair = DualPair(QuadraticForm(f3, DIFF_SPACES[space]), 1)
+    rw = RestrictedWeil(pair, AdditiveCharacter(f3, coeff))
+    ident = linalg.identity(coeff, rw.dim)
+    for chi in linear_pm_characters(pair.h1_list, linalg.mat_mul):
+        stacked = []
+        for h in pair.h1_list:
+            stacked.extend(linalg.mat_sub(
+                rw.h1_op(h), linalg.mat_scal(rw.one() * chi[h], ident)))
+        ns = linalg.nullspace(linalg.mat(stacked), coeff)
+        lift = ThetaLift(rw, chi)
+        assert lift.dim == len(ns)
+        for v in lift.basis:
+            assert all(x == rw.zero() for x in linalg.mat_vec(stacked, v))
+        got = lift.character()
+        for h2 in pair.h2_list:
+            m = rw.h2_op(h2)
+            trace = rw.zero()
+            for i, v in enumerate(ns):
+                sol = linalg.solve(linalg.transpose(ns), linalg.mat_vec(m, v),
+                                   coeff)
+                assert sol is not None
+                trace = trace + sol[i]
+            assert got[h2] == trace
+
+
+def test_h2_stability_failure_names_h2():
+    f3 = FqField(3)
+    pair = DualPair(QuadraticForm(f3, [[1]]), 1)
+    rw = RestrictedWeil(pair, AdditiveCharacter(f3))
+    lift = ThetaLift(rw, {h: 1 for h in pair.h1_list})
+    # keep only the orbit {0}: sigma(w) spreads e_0 over every point
+    lift.basis, lift.orbits, lift.dim = lift.basis[:1], lift.orbits[:1], 1
+    w = ((f3.element(0), f3.element(1)), (f3.element(-1), f3.element(0)))
+    with pytest.raises(RuntimeError, match=r"not H2-stable under "
+                       r"h2 = \(\(0, 1\), \(2, 0\)\)"):
+        lift.act(w)
 
 
 def test_theta_action_is_representation():
@@ -225,9 +276,9 @@ def test_non_banal_refused():
     with pytest.raises(ValueError):
         CentralIdempotent(group, linalg.mat_mul, group_inverses(group, f3),
                           chi, 1, ffl2.one())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"l = 2 divides \|H1 x H2\| = 48"):
         congruence_check(QuadraticForm(f3, [[1]]), 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"l = 3 divides \|H1 x H2\| = 48"):
         congruence_check(QuadraticForm(f3, [[1]]), 1, 3)
 
 
