@@ -134,9 +134,13 @@ class QpField:
 def parse_field(desc):
     """Parse "fq:p:f", "fq:p" or "qp:p"."""
     kind, *nums = desc.split(":")
+    bad = InputError("bad field descriptor %r (fq:p:f or qp:p)" % (desc,))
     if len(nums) not in {"fq": (1, 2), "qp": (1,)}.get(kind, ()):
-        raise InputError("bad field descriptor %r (fq:p:f or qp:p)" % (desc,))
-    nums = [int(x) for x in nums]
+        raise bad
+    try:
+        nums = [int(x) for x in nums]
+    except ValueError:
+        raise bad from None
     return FqField(*nums) if kind == "fq" else QpField(*nums)
 
 

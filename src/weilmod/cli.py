@@ -17,7 +17,7 @@ from .coeff import Cyc, CyclotomicRing, FiniteField
 from .heisenberg import SympSpace, SchrodingerModel, delta, central
 from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
                           cocycle_operator, enumerate_sp2, leray_decompose,
-                          sigma, x_invariant)
+                          leray_x_classes, sigma, x_invariant)
 from .quadratic import QuadraticForm, hilbert, square_class
 from .schwartz import cocycle_operator_padic
 from .weilfactor import omega
@@ -205,12 +205,13 @@ def cmd_cocycle(args):
         return {"value": value, "path": "operator"}
     ld = leray_decompose(space, g1, g2)
     val = cocycle_formula(space, g1, g2, rao=args.rao, leray=ld)
+    x1, x2, _ = leray_x_classes(space, ld)
     return {"value": val,
             "path": "formula",
             "leray": {"S": list(ld.s), "S1": list(ld.s1), "S2": list(ld.s2),
                       "rho": [[str(x) for x in row] for row in ld.rho]},
-            "x_g1": x_invariant(space, g1).tag,
-            "x_g2": x_invariant(space, g2).tag}
+            "x_g1": x1.tag,
+            "x_g2": x2.tag}
 
 
 def cmd_weilrep(args):
@@ -218,12 +219,11 @@ def cmd_weilrep(args):
     if field.flavor != "finite":
         raise InputError("weilrep dump is finite-field only")
     space = parse_space(field, args.m)
+    if args.m != 1:
+        raise InputError("full dump provided for m = 1 (use cocycle for m=2)")
     psi = parse_character(field, args.psi)
     ctx = WeilContext(space, psi)
-    if args.m == 1:
-        group = enumerate_sp2(space)
-    else:
-        raise InputError("full dump provided for m = 1 (use cocycle for m=2)")
+    group = enumerate_sp2(space)
     out = []
     for g in group:
         out.append({"g": [[str(x) for x in row] for row in g],
@@ -236,10 +236,11 @@ def cmd_heisenberg(args):
     if field.flavor != "finite":
         raise InputError("heisenberg dump is finite-field only")
     space = parse_space(field, args.m)
+    # q >= 2, so every m >= 6 is too large: the cap keeps the power small
+    if field.q ** (2 * min(args.m, 6) + 1) > 3000:
+        raise InputError("group too large to dump; reduce q or m")
     psi = parse_character(field, args.psi)
     model = SchrodingerModel(space, psi)
-    if field.q ** (2 * args.m + 1) > 3000:
-        raise InputError("group too large to dump; reduce q or m")
     out = []
     elts = field.elements()
     for w in itertools.product(elts, repeat=2 * args.m):

@@ -53,6 +53,16 @@ class SympSpace:
                     return False
         return True
 
+    def inv(self, g):
+        """g^-1 = J^-1 g^T J = [[D^T, -B^T], [-C^T, A^T]] for
+        g = [[A, B], [C, D]].  Only right for symplectic g: the caller
+        must know g is symplectic (a general matrix needs linalg.mat_inv)."""
+        m, n = self.m, self.dim
+        sw = [(k + m) % n for k in range(n)]
+        return tuple(tuple(g[sw[j]][sw[i]] if (i < m) == (j < m)
+                           else -g[sw[j]][sw[i]] for j in range(n))
+                     for i in range(n))
+
     def identity(self):
         return linalg.identity(self.field, self.dim)
 

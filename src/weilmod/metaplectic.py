@@ -101,8 +101,7 @@ def bruhat_decompose(space, g):
     if not space.is_symplectic(p1) or not space.in_parabolic(p1):
         raise RuntimeError("Bruhat: p1 construction failed")
     wj = space.w_subset(set(range(j)))
-    p2 = linalg.mat_mul(linalg.mat_mul(linalg.mat_inv(wj, field),
-                                       linalg.mat_inv(p1, field)), g)
+    p2 = linalg.mat_mul(linalg.mat_mul(space.inv(wj), space.inv(p1)), g)
     if not space.in_parabolic(p2):
         raise RuntimeError("Bruhat: p2 not parabolic")
     if linalg.mat_mul(linalg.mat_mul(p1, wj), p2) != g:
@@ -128,7 +127,7 @@ def mu_g_scalar(space, psi, g, bruhat=None):
     if field.flavor == "finite" or bd.j == 0:
         return base
     # volume of phi_1(image of the standard X-lattice) in mu_{w_j}-coords
-    p1inv = linalg.mat_inv(bd.p1, field)
+    p1inv = space.inv(bd.p1)
     m, j = space.m, bd.j
     cols = []
     for k in range(m):
@@ -183,7 +182,7 @@ def sigma(ctx, g):
     field = space.field
     bd = bruhat_decompose(space, g)
     mu_pt = mu_g_scalar(space, psi, g, bd) * ctx._gauss_half_inv ** bd.j
-    ginv = linalg.mat_inv(g, field)
+    ginv = space.inv(g)
     # coset representatives of gX cap X \ X
     xb = _x_basis(space)
     reps = coset_reps(linalg.intersection(_lagrangian_image(space, g), xb,
@@ -297,14 +296,17 @@ def leray_decompose(space, g1, g2):
     built deterministically from the triple (X, g1^{-1}X, g2 X)."""
     field = space.field
     m = space.m
+    if not (space.is_symplectic(g1) and space.is_symplectic(g2)):
+        raise ValueError("matrix is not symplectic")
     zero, one = field.element(0), field.element(1)
-    l1 = _lagrangian_image(space, linalg.mat_inv(g1, field))
+    l1 = _lagrangian_image(space, space.inv(g1))
     l2 = _lagrangian_image(space, g2)
     xb = _x_basis(space)
-    j1 = m - len(linalg.intersection(l1, xb, field))
-    j2 = m - len(linalg.intersection(l2, xb, field))
-    j12 = m - len(linalg.intersection(
-        _lagrangian_image(space, linalg.mat_mul(g1, g2)), xb, field))
+    # dim(X - gX cap X) = rank C for g = [[A, B], [C, D]] (gX cap X is
+    # A ker C); the C block of g1^-1 is -C1^T, of the same rank
+    c12 = linalg.mat_mul(g1[m:], tuple(row[:m] for row in g2))
+    j1, j2, j12 = (len(linalg.rref(c)[1])
+                   for c in (space.blocks(g1)[2], space.blocks(g2)[2], c12))
     inter12 = linalg.intersection(l1, l2, field)
     a_basis = linalg.intersection(list(inter12), xb, field)
     t = len(a_basis)
@@ -417,15 +419,15 @@ def leray_decompose(space, g1, g2):
     urho = u_rho_matrix(space, s_idx, c_rho) if s_idx else space.identity()
     w1 = space.w_subset(set(t1))
     w2 = space.w_subset(set(t2))
-    p2 = linalg.mat_mul(linalg.mat_mul(linalg.mat_inv(w2, field),
-                                       linalg.mat_inv(p, field)), g2)
+    pinv = space.inv(p)
+    p2 = linalg.mat_mul(linalg.mat_mul(space.inv(w2), pinv), g2)
     p1 = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(
-        g1, p), linalg.mat_inv(urho, field)), linalg.mat_inv(w1, field))
+        g1, p), space.inv(urho)), space.inv(w1))
     if not (space.in_parabolic(p1) and space.in_parabolic(p2)):
         raise RuntimeError("Leray: parabolic factors failed")
     # exact re-multiplication checks
     lhs1 = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(p1, w1), urho),
-                          linalg.mat_inv(p, field))
+                          pinv)
     lhs2 = linalg.mat_mul(linalg.mat_mul(p, w2), p2)
     if lhs1 != g1 or lhs2 != g2:
         raise RuntimeError("Leray: factorization check failed")
@@ -447,14 +449,28 @@ def cocycle_w_u_rho(space, rho):
     return hilbert(field, -two, d) * q.hasse()
 
 
+def leray_x_classes(space, ld):
+    """(x(g1), x(g2), x(g1 g2)) read off the Leray factors: g2 = p w_2 p2
+    and g1 = p1 w_1 (u_rho p^-1) are Bruhat factorizations (u_rho is in
+    P(X)), and g1 g2 = p1 (w_1 u_rho w_2) p2 with x(w_1 u_rho w_2) =
+    (-1)^|S1 cap S2| det rho (det rho = 1 for S empty)."""
+    field = space.field
+    dp, dp1, dp2 = (space.det_x(h) for h in (ld.p, ld.p1, ld.p2))
+    mid = field.element(-1 if len(set(ld.s1) & set(ld.s2)) % 2 else 1)
+    if ld.s:
+        mid = mid * linalg.det(linalg.mat(ld.rho))
+    return (square_class(field, dp1 * dp), square_class(field, dp * dp2),
+            square_class(field, dp1 * dp2 * mid))
+
+
 def cocycle_formula(space, g1, g2, rao=False, leray=None):
     """The general closed form via Leray data; +-1 valued, trivial over
-    finite F."""
+    finite F.  x(g1), x(g2) and x(g1 g2) come from the Leray factors
+    (leray_x_classes), so no Bruhat decomposition is made; a given `leray`
+    must be leray_decompose(space, g1, g2)."""
     field = space.field
     ld = leray or leray_decompose(space, g1, g2)
-    x1 = x_invariant(space, g1).rep
-    x2 = x_invariant(space, g2).rep
-    x12 = x_invariant(space, linalg.mat_mul(g1, g2)).rep
+    x1, x2, x12 = (x.rep for x in leray_x_classes(space, ld))
     l = len(set(ld.s1) & set(ld.s2))
     val = hilbert(field, x1, x2)
     val *= hilbert(field, x1 * x2, -x12)

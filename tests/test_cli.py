@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from weilmod import cli
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "weilmod.cli", *args],
@@ -169,6 +171,8 @@ def test_theta_char2_counts_every_orbit():
     ["bruhat", "--field", "fq:3:1", "--m", "-1", "--g", "1"],
     ["hilbert", "--field", "qp:5:1", "--a", "1", "--b", "2"],
     ["hilbert", "--field", "fq:3:1:1", "--a", "1", "--b", "2"],
+    ["hilbert", "--field", "fq:x:1", "--a", "1", "--b", "2"],
+    ["hilbert", "--field", "qp:five", "--a", "1", "--b", "2"],
 ])
 def test_invalid_input_exit_2(args):
     proc = run_cli(*args)
@@ -191,6 +195,31 @@ def test_m_below_one_refused(args):
     proc = run_cli(*args)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: --m must be at least 1, got %s\n" % args[4]
+
+
+@pytest.mark.parametrize("desc", ["fq:x:1", "qp:five"])
+def test_non_integer_field_descriptor_message(desc):
+    proc = run_cli("hilbert", "--field", desc, "--a", "1", "--b", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == \
+        "error: bad field descriptor '%s' (fq:p:f or qp:p)\n" % desc
+
+
+@pytest.mark.parametrize("args", [
+    ["weilrep", "--field", "fq:3:1", "--m", "2"],
+    ["heisenberg", "--field", "fq:7:1", "--m", "2"],
+    ["heisenberg", "--field", "fq:3:1", "--m", "1000000000"],
+])
+def test_dump_refused_before_building(args, monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("model built before the refusal")
+    monkeypatch.setattr(cli, "WeilContext", refuse)
+    monkeypatch.setattr(cli, "SchrodingerModel", refuse)
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_selfcheck_fails_loudly_under_O():

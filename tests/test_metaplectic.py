@@ -11,8 +11,8 @@ from weilmod.heisenberg import (SympSpace, central, delta,
 from weilmod.metaplectic import (WeilContext, bruhat_decompose,
                                  cocycle_formula, cocycle_operator,
                                  cocycle_w_u_rho, enumerate_sp2,
-                                 leray_decompose, m_bracket, mu_g_scalar,
-                                 random_symplectic, scalar_ratio, sigma,
+                                 leray_decompose, leray_x_classes, m_bracket,
+                                 mu_g_scalar, random_symplectic, scalar_ratio, sigma,
                                  split_checks, u_rho_matrix, x_invariant)
 from weilmod.quadratic import QuadraticForm, hilbert, square_class
 from weilmod.schwartz import cocycle_operator_padic
@@ -360,6 +360,59 @@ def test_u_rho_symplectic_requires_symmetric():
     assert sp.is_symplectic(good)
     with pytest.raises(ValueError):
         u_rho_matrix(sp, [0, 1], qmat([[0, 1], [-1, 0]]))
+
+
+def test_leray_refuses_non_symplectic():
+    sp = SympSpace(QpField(5), 1)
+    bad = qmat([[2, 0], [0, 1]])
+    for g1, g2 in ((bad, sp.identity()), (sp.identity(), bad)):
+        with pytest.raises(ValueError, match="matrix is not symplectic"):
+            leray_decompose(sp, g1, g2)
+        with pytest.raises(ValueError, match="matrix is not symplectic"):
+            cocycle_formula(sp, g1, g2)
+
+
+def test_symp_inv_matches_mat_inv():
+    rng = random.Random(7)
+    cases = []
+    for q in (3, 5):
+        sp = SympSpace(FqField(q), 1)
+        cases += [(sp, g) for g in enumerate_sp2(sp)]
+    sp4 = SympSpace(QpField(5), 2)
+    cases += [(sp4, random_symplectic(sp4, rng, length=6, scale=3))
+              for _ in range(500)]
+    sp6 = SympSpace(FqField(3), 3)
+    cases += [(sp6, random_symplectic(sp6, rng, length=8))
+              for _ in range(200)]
+    for sp, g in cases:
+        assert sp.inv(g) == linalg.mat_inv(g, sp.field)
+
+
+def test_leray_x_classes_match_x_invariant():
+    # x(g1), x(g2), x(g1 g2) from the Leray factors against a Bruhat
+    # decomposition of each; an odd |S1 cap S2| where -1 is not a square,
+    # and a non-square det rho, must both occur, or a factor goes untested
+    rng = random.Random(11)
+    pairs = odd_l = nonsquare_rho = 0
+    for field in (QpField(3), QpField(5), QpField(7),
+                  FqField(3), FqField(5), FqField(7)):
+        minus_one_square = square_class(field, field.element(-1)).tag == "1"
+        for m, count in ((1, 200), (2, 100), (3, 40)):
+            sp = SympSpace(field, m)
+            for _ in range(count):
+                g1 = random_symplectic(sp, rng, length=6, scale=2)
+                g2 = random_symplectic(sp, rng, length=6, scale=2)
+                ld = leray_decompose(sp, g1, g2)
+                got = [x.tag for x in leray_x_classes(sp, ld)]
+                want = [x_invariant(sp, g).tag
+                        for g in (g1, g2, linalg.mat_mul(g1, g2))]
+                assert got == want, (field.p, m, g1, g2)
+                pairs += 1
+                l = len(set(ld.s1) & set(ld.s2))
+                odd_l += l % 2 and not minus_one_square
+                nonsquare_rho += bool(ld.s) and square_class(
+                    field, linalg.det(linalg.mat(ld.rho))).tag != "1"
+    assert pairs >= 2000 and odd_l >= 50 and nonsquare_rho >= 50
 
 
 def test_cocycle_lemma_a_parabolic(rng):
