@@ -158,7 +158,7 @@ def cmd_bruhat(args):
     return {"j": bd.j,
             "p1": [[str(x) for x in row] for row in bd.p1],
             "p2": [[str(x) for x in row] for row in bd.p2],
-            "x_class": x_invariant(space, g).tag}
+            "x_class": x_invariant(space, g, bd).tag}
 
 
 def cmd_cocycle(args):

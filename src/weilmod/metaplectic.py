@@ -6,10 +6,12 @@ finite F, closed-form path via Leray data over any F), and M[g].
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
+from .coeff import Cyc, CyclotomicRing, FFElt
 from .heisenberg import SchrodingerModel, coset_reps, delta
 from .quadratic import QuadraticForm, hilbert, square_class
 from .weilfactor import gauss_sum, omega_ratio
@@ -109,8 +111,10 @@ def bruhat_decompose(space, g):
     return BruhatData(j, p1, p2)
 
 
-def x_invariant(space, g):
-    bd = bruhat_decompose(space, g)
+def x_invariant(space, g, bruhat=None):
+    """x(g) = det_X(p1) det_X(p2) mod squares; a given `bruhat` must be
+    bruhat_decompose(space, g)."""
+    bd = bruhat or bruhat_decompose(space, g)
     d = space.det_x(bd.p1) * space.det_x(bd.p2)
     return square_class(space.field, d)
 
@@ -149,9 +153,20 @@ def mu_g_scalar(space, psi, g, bruhat=None):
 # the section sigma on the Schrödinger model (finite F)
 # ---------------------------------------------------------------------------
 
+# the most sigma(g) count forms one WeilContext keeps; the oldest go first
+SIGMA_CACHE_SIZE = 4096
+
+
 class WeilContext:
     """Finite base field, coefficient ring via psi, Schrödinger model, and
-    caches for sigma matrices."""
+    the cache of sigma(g) in count form (see sigma_counts).
+
+    psi(x) = zeta_p^{Tr(c x)} for the twist c, so every sigma(g) is a scalar
+    times a matrix of sums of p-th roots of unity.  An entry sum_e c_e
+    zeta^e is kept as its counts c_0 .. c_{p-1} packed into one int, slot e
+    at bit B e (Kronecker substitution).  A product entry sums n counts,
+    each a product of two entries of at most q^m terms, so no slot of a
+    product exceeds n q^{2m} < 2^B."""
 
     def __init__(self, space, psi):
         self.space = space
@@ -163,49 +178,151 @@ class WeilContext:
         self._gauss_half = gauss_sum(space.field,
                                      space.field.element(1) / 2, psi)
         self._gauss_half_inv = self._gauss_half.inv()
+        field = space.field
+        # psi(x) = zeta_p^{exp[x]} on raw field indices
+        self._exp = tuple(field.trace_i(field.mul_i(psi.twist.i, i))
+                          for i in range(field.q))
+        # the Y-points as raw coordinates, in basis order
+        self._ypoints = tuple(tuple(x.i for x in pt)
+                              for pt in self.model._points)
+        self._yindex = {pt: i for i, pt in enumerate(self._ypoints)}
+        # 2^B > n q^{2m}, the largest slot a product can reach
+        self._slot_bits = (self.model.dim *
+                           field.q ** (2 * space.m)).bit_length()
+        self._phi = _ring_map(psi, self._slot_bits)
+        self._one = self.model.one_coeff()
+        self._zero = self.model.zero_coeff()
 
     def one(self):
-        return self.model.one_coeff()
+        return self._one
 
     def zero(self):
-        return self.model.zero_coeff()
+        return self._zero
+
+
+def _ring_map(psi, bits):
+    """phi: packed counts -> R, sum_e c_e x^e -> sum_e c_e root^e with
+    root = psi._powers[1], psi's image of zeta_p; one scalar of R each."""
+    mask = (1 << bits) - 1
+    ring = psi.coeff_ring
+    if isinstance(ring, CyclotomicRing):
+        basis = [pw.coeffs for pw in psi._powers]
+
+        def phi(c):
+            vec = [0] * ring.phi
+            for b in basis:
+                v = c & mask
+                if v:
+                    for t, x in enumerate(b):
+                        vec[t] += v * x
+                c >>= bits
+            return Cyc(ring, vec, 1)
+        return phi
+    powers = [pw.i for pw in psi._powers]
+
+    def phi(c):
+        acc = 0
+        for pw in powers:
+            v = (c & mask) % ring.p
+            if v:
+                acc = ring.add_i(acc, ring.mul_i(pw, v))
+            c >>= bits
+        return FFElt(ring, acc)
+    return phi
+
+
+def sigma_counts(ctx, g):
+    """(mu, N) with sigma(g) = mu phi(N): the scalar mu = mu_g normalized
+    by Omega_{1/2}^{-j}, and N the packed count matrix on the Y-point basis
+    (see WeilContext), from the cache when it holds g.
+
+    sigma(g) f (y0) = mu sum_a psi(<a, y0>/2 - <w_X, w_Y>/2) f(w_Y) with
+    w = g^-1 (a + y0), a over a complement of gX cap X in X: the F_q-span
+    of the first j columns of Bruhat's p1.  Since g^-1 (a + y0) = g^-1 a +
+    g^-1 y0, the build makes q^j + q^m products by g^-1, on raw indices."""
+    cache = ctx._sigma_cache
+    entry = cache.get(g)
+    if entry is not None:
+        return entry
+    space = ctx.space
+    field = space.field
+    m, p = space.m, field.p
+    bd = bruhat_decompose(space, g)
+    mu = mu_g_scalar(space, ctx.psi, g, bd) * ctx._gauss_half_inv ** bd.j
+    add, mul, exp = field.add_i, field.mul_i, ctx._exp
+    ginv = [[x.i for x in row] for row in space.inv(g)]
+
+    def image(v):   # g^-1 v for v = (x-part, y-part)
+        out = []
+        for row in ginv:
+            acc = 0
+            for s, t in zip(row, v):
+                acc = add(acc, mul(s, t))
+            out.append(acc)
+        return out
+    comp = [[bd.p1[r][k].i for r in range(m)] for k in range(bd.j)]
+    reps = []
+    for co in itertools.product(range(field.q), repeat=bd.j):
+        a = [0] * m
+        for c, col in zip(co, comp):
+            a = [add(x, mul(c, y)) for x, y in zip(a, col)]
+        reps.append((a, image(a + [0] * m)))
+    shift = [1 << (ctx._slot_bits * e) for e in range(p)]
+    half = (p + 1) // 2     # 1/2 in F_p; Tr(c x/2) = Tr(c x)/2
+    n = ctx.model.dim
+    rows = []
+    for y in ctx._ypoints:
+        vy = image([0] * m + list(y))
+        row = [0] * n
+        for a, va in reps:
+            w = [add(s, t) for s, t in zip(va, vy)]
+            e = 0
+            for k in range(m):
+                e += exp[mul(a[k], y[k])] - exp[mul(w[k], w[m + k])]
+            row[ctx._yindex[tuple(w[m:])]] += shift[e * half % p]
+        rows.append(tuple(row))
+    entry = (mu, tuple(rows))
+    if len(cache) >= SIGMA_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[g] = entry
+    return entry
+
+
+def _count_product(ctx, n1, n2):
+    """N1 N2 for packed count matrices: each entry one packed dot product
+    (a product of packed ints is the product of the count polynomials),
+    folded mod x^p - 1 once."""
+    bits = ctx._slot_bits * ctx.space.field.p
+    low = (1 << bits) - 1
+    cols = tuple(zip(*n2))
+    out = []
+    for row in n1:
+        sums = [sum(map(operator.mul, row, col)) for col in cols]
+        out.append(tuple((s & low) + (s >> bits) for s in sums))
+    return tuple(out)
+
+
+def _products(ctx, g1, g2):
+    """sigma(g1) sigma(g2) and sigma(g1 g2) in count form: (mu1 mu2, N1 N2)
+    and (mu12, N12)."""
+    mu1, n1 = sigma_counts(ctx, g1)
+    mu2, n2 = sigma_counts(ctx, g2)
+    return (mu1 * mu2, _count_product(ctx, n1, n2)), \
+        sigma_counts(ctx, linalg.mat_mul(g1, g2))
+
+
+def _ring_matrix(ctx, counts):
+    """phi(N) as a dense matrix over R."""
+    phi, zero = ctx._phi, ctx.zero()
+    return tuple(tuple(phi(c) if c else zero for c in row) for row in counts)
 
 
 def sigma(ctx, g):
     """sigma(g) = I_{gX,X,mu_g,0} o I_g as a dense matrix on the Y-point
-    basis; the measure normalization makes it multiplicative over finite F."""
-    key = g
-    m = ctx._sigma_cache.get(key)
-    if m is not None:
-        return m
-    space, psi = ctx.space, ctx.psi
-    field = space.field
-    bd = bruhat_decompose(space, g)
-    mu_pt = mu_g_scalar(space, psi, g, bd) * ctx._gauss_half_inv ** bd.j
-    ginv = space.inv(g)
-    # coset representatives of gX cap X \ X
-    xb = _x_basis(space)
-    reps = coset_reps(linalg.intersection(_lagrangian_image(space, g), xb,
-                                          field), xb, field)
-    model = ctx.model
-    half = space.half()
-    n = model.dim
-    zero = ctx.zero()
-    rows = [[zero] * n for _ in range(n)]
-    for i0 in range(n):
-        y0 = model.point(i0)
-        for a in reps:
-            wsum = tuple(x + y for x, y in zip(a, y0))
-            t = half * space.pairing(a, y0)
-            w = linalg.mat_vec(ginv, wsum)
-            wx = w[:space.m] + (field.element(0),) * space.m
-            wy = (field.element(0),) * space.m + w[space.m:]
-            phase = psi(t - half * space.pairing(wx, wy))
-            col = model._index[w[space.m:]]
-            rows[i0][col] = rows[i0][col] + mu_pt * phase
-    mat = linalg.mat(rows)
-    ctx._sigma_cache[key] = mat
-    return mat
+    basis; the measure normalization makes it multiplicative over finite F.
+    Only the count form is cached."""
+    mu, counts = sigma_counts(ctx, g)
+    return linalg.mat_scal(mu, _ring_matrix(ctx, counts))
 
 
 def scalar_ratio(a, b, zero):
@@ -228,15 +345,15 @@ def scalar_ratio(a, b, zero):
 
 
 def cocycle_operator(ctx, g1, g2):
-    """sigma(g1) sigma(g2) sigma(g1 g2)^{-1} must be scalar; returns it."""
-    s1 = sigma(ctx, g1)
-    s2 = sigma(ctx, g2)
-    s12 = sigma(ctx, linalg.mat_mul(g1, g2))
-    prod = linalg.mat_mul(s1, s2)
-    c = scalar_ratio(prod, s12, ctx.zero())
+    """sigma(g1) sigma(g2) sigma(g1 g2)^{-1} must be scalar; returns it.
+    With sigma(g) = mu phi(N), that is mu1 mu2 mu12^-1 c for the scalar c
+    with phi(N1 N2) = c phi(N12), checked on every entry in R."""
+    (mu, prod), (mu12, n12) = _products(ctx, g1, g2)
+    c = scalar_ratio(_ring_matrix(ctx, prod), _ring_matrix(ctx, n12),
+                     ctx.zero())
     if c is None:
         raise RuntimeError("cocycle operator is not scalar")
-    return c
+    return mu * mu12.inv() * c
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +618,9 @@ def split_checks(ctx, pairs=None):
         pairs = [(g1, g2) for g1 in group for g2 in group]
     checked = 0
     for g1, g2 in pairs:
-        prod = linalg.mat_mul(sigma(ctx, g1), sigma(ctx, g2))
-        if prod != sigma(ctx, linalg.mat_mul(g1, g2)):
+        (mu, prod), (mu12, n12) = _products(ctx, g1, g2)
+        if linalg.mat_scal(mu, _ring_matrix(ctx, prod)) != \
+                linalg.mat_scal(mu12, _ring_matrix(ctx, n12)):
             return {"multiplicative": False, "pairs": checked}
         checked += 1
     return {"multiplicative": True, "pairs": checked}

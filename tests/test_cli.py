@@ -234,3 +234,21 @@ def test_selfcheck_fails_loudly_under_O():
     assert ok is False
     line = [r for r in report if "hilbert-three-paths" in r][0]
     assert line.startswith("FAIL") and "got 0, want" in line
+
+
+def test_bruhat_decomposes_once(monkeypatch, capsys):
+    from weilmod import metaplectic
+    calls = []
+    real = metaplectic.bruhat_decompose
+
+    def counted(space, g):
+        calls.append(g)
+        return real(space, g)
+    monkeypatch.setattr(metaplectic, "bruhat_decompose", counted)
+    monkeypatch.setattr(cli, "bruhat_decompose", counted)
+    for field, g in (("fq:3:1", "1,0,1,1"), ("qp:5", "0,-1,1,0")):
+        calls.clear()
+        assert cli.main(["bruhat", "--field", field, "--m", "1",
+                         "--g", g]) == 0
+        assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["j"] == 1

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from weilmod import linalg
+from weilmod import linalg, metaplectic
 from weilmod.basefield import AdditiveCharacter, FqField, QpField
 from weilmod.coeff import CyclotomicRing, FiniteField
-from weilmod.heisenberg import (SympSpace, central, delta,
+from weilmod.heisenberg import (SympSpace, central, coset_reps, delta,
                                 SchrodingerModel)
 from weilmod.metaplectic import (WeilContext, bruhat_decompose,
                                  cocycle_formula, cocycle_operator,
@@ -259,6 +259,133 @@ def test_tensor_compatibility_on_generators():
             small = linalg.kron(sigma(ctx1, g1), sigma(ctx1, g2))
             r = scalar_ratio(big, small, ctx2.zero())
             assert r is not None
+
+
+# ---------------------------------------------------------------------------
+# sigma in count form against the dense reference
+# ---------------------------------------------------------------------------
+
+def dense_sigma_reference(ctx, g):
+    """sigma(g) built entry by entry over R (the dense build the count form
+    replaced): one psi value per (Y-point, coset representative), the
+    representatives taken from a second intersection gX cap X."""
+    space, psi = ctx.space, ctx.psi
+    field = space.field
+    bd = bruhat_decompose(space, g)
+    mu_pt = mu_g_scalar(space, psi, g, bd) * ctx._gauss_half_inv ** bd.j
+    ginv = space.inv(g)
+    xb = [space.basis_e(i) for i in range(space.m)]
+    gx = list(linalg.transpose(g)[:space.m])
+    reps = coset_reps(linalg.intersection(gx, xb, field), xb, field)
+    model, half, zero = ctx.model, space.half(), ctx.zero()
+    n = model.dim
+    rows = [[zero] * n for _ in range(n)]
+    for i0 in range(n):
+        y0 = model.point(i0)
+        for a in reps:
+            t = half * space.pairing(a, y0)
+            w = linalg.mat_vec(ginv, tuple(x + y for x, y in zip(a, y0)))
+            wx = w[:space.m] + (field.element(0),) * space.m
+            wy = (field.element(0),) * space.m + w[space.m:]
+            phase = psi(t - half * space.pairing(wx, wy))
+            col = model._index[w[space.m:]]
+            rows[i0][col] = rows[i0][col] + mu_pt * phase
+    return linalg.mat(rows)
+
+
+def dense_cocycle_reference(ctx, g1, g2, ref):
+    """sigma(g1) sigma(g2) sigma(g1 g2)^-1 from dense products over R;
+    `ref` memoizes dense_sigma_reference."""
+    def sig(g):
+        if g not in ref:
+            ref[g] = dense_sigma_reference(ctx, g)
+        return ref[g]
+    return scalar_ratio(linalg.mat_mul(sig(g1), sig(g2)),
+                        sig(linalg.mat_mul(g1, g2)), ctx.zero())
+
+
+@pytest.mark.parametrize("p,f,coeff", [
+    (3, 1, None), (3, 1, (2, 2)), (5, 1, None), (5, 1, (2, 4)),
+    (3, 2, None)], ids=["F3-cyclo", "F3-F4", "F5-cyclo", "F5-F16",
+                        "F9-cyclo"])
+def test_sigma_counts_match_dense_sp2(p, f, coeff):
+    # F_4 holds no 5th root of unity: over F_5 the char-2 ring is F_16
+    fq = FqField(p, f)
+    sp = SympSpace(fq, 1)
+    ring = FiniteField(*coeff) if coeff else None
+    ctx = WeilContext(sp, AdditiveCharacter(fq, ring))
+    group = enumerate_sp2(sp)
+    if f > 1:
+        group = random.Random(9).sample(group, 100)
+    for g in group:
+        assert sigma(ctx, g) == dense_sigma_reference(ctx, g)
+
+
+def test_sigma_and_cocycle_match_dense_sp4():
+    f3 = FqField(3)
+    sp = SympSpace(f3, 2)
+    rng = random.Random(108)
+    ctx = WeilContext(sp, AdditiveCharacter(f3))
+    elements = [random_symplectic(sp, rng, length=8) for _ in range(1000)]
+    ref = {}
+    for g in elements:
+        ref[g] = dense_sigma_reference(ctx, g)
+        assert sigma(ctx, g) == ref[g]
+    for g1, g2 in zip(elements[::2], elements[1::2]):
+        want = dense_cocycle_reference(ctx, g1, g2, ref)
+        got = cocycle_operator(ctx, g1, g2)
+        assert got == want and repr(got) == repr(want)
+    ctx4 = WeilContext(sp, AdditiveCharacter(f3, FiniteField(2, 2)))
+    ref4 = {}
+    for _ in range(200):
+        g1 = random_symplectic(sp, rng, length=8)
+        g2 = random_symplectic(sp, rng, length=8)
+        want = dense_cocycle_reference(ctx4, g1, g2, ref4)
+        got = cocycle_operator(ctx4, g1, g2)
+        assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("coeff", [None, (2, 2)], ids=["cyclo", "F4"])
+def test_cocycle_operator_checks_every_entry(coeff):
+    # one count entry of sigma(g1 g2) off, anywhere but the entry that
+    # fixes the ratio, must fail the scalar check
+    f3 = FqField(3)
+    sp = SympSpace(f3, 2)
+    ctx = WeilContext(sp, AdditiveCharacter(
+        f3, FiniteField(*coeff) if coeff else None))
+    g1, g2 = sp.w_subset({0, 1}), sp.unipotent_upper(
+        [[f3.element(1), f3.element(0)], [f3.element(0), f3.element(2)]])
+    g12 = linalg.mat_mul(g1, g2)
+    assert cocycle_operator(ctx, g1, g2) == ctx.one()
+    mu, counts = ctx._sigma_cache[g12]
+    dense = sigma(ctx, g12)
+    first = next((i, j) for i, row in enumerate(dense)
+                 for j, x in enumerate(row) if x != ctx.zero())
+    last = max((i, j) for i, row in enumerate(counts)
+               for j, c in enumerate(row) if c)
+    assert last != first
+    bad = [list(row) for row in counts]
+    bad[last[0]][last[1]] += 1      # one more zeta^0 term
+    ctx._sigma_cache[g12] = (mu, linalg.mat(bad))
+    with pytest.raises(RuntimeError, match="cocycle operator is not scalar"):
+        cocycle_operator(ctx, g1, g2)
+
+
+def test_sigma_cache_is_bounded(monkeypatch):
+    # the cap sits above the sp2-reuse working set (all 336 of Sp2(F_7))
+    assert metaplectic.SIGMA_CACHE_SIZE > 336
+    monkeypatch.setattr(metaplectic, "SIGMA_CACHE_SIZE", 10)
+    f3 = FqField(3)
+    sp = SympSpace(f3, 1)
+    ctx = WeilContext(sp, AdditiveCharacter(f3))
+    group = enumerate_sp2(sp)
+    first = sigma(ctx, group[0])
+    for g in group[1:]:
+        sigma(ctx, g)
+        assert len(ctx._sigma_cache) <= 10
+    assert group[0] not in ctx._sigma_cache
+    assert sigma(ctx, group[0]) == first
+    assert list(ctx._sigma_cache)[-1] == group[0]
 
 
 # ---------------------------------------------------------------------------
