@@ -184,6 +184,10 @@ def cmd_cocycle(args):
         return {"trivial": True, "pairs": pairs}
     if args.g1 is None or args.g2 is None:
         raise InputError("--g1 and --g2 are required without --exhaustive")
+    if field.flavor != "finite" and \
+            parse_character(field, args.psi).twist != 1:
+        raise InputError("the Q_p cocycle paths use the level-0 character "
+                         "only, got --psi %s" % args.psi)
     g1 = parse_matrix(field, args.g1, 2 * args.m)
     g2 = parse_matrix(field, args.g2, 2 * args.m)
     for name, g in (("g1", g1), ("g2", g2)):
@@ -272,8 +276,10 @@ def cmd_theta(args):
         psi = AdditiveCharacter(field, CyclotomicRing(field.p))
     else:
         parts = args.coeff.split(":")
-        if len(parts) != 3 or parts[0] != "fl":
-            raise InputError("coeff must be cyclo or fl:l:d")
+        if len(parts) != 3 or parts[0] != "fl" or \
+                not all(x.isdigit() for x in parts[1:]):
+            raise InputError("bad coefficient descriptor %r (cyclo or "
+                             "fl:l:d)" % args.coeff)
         ell, d = int(parts[1]), int(parts[2])
         if d < 1 or pow(ell, d, field.p) != 1:
             raise InputError("%s: F_{l^d} holds no p-th root of unity "

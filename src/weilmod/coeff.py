@@ -435,7 +435,9 @@ class FiniteField:
     1, x, ..., x^{d-1}, so 0 <= i < q = l^d.  Products, inverses and powers
     go through discrete logarithms to the first index g that generates F^x:
     `_exp[k]` is the index of g^k for 0 <= k < 2(q-1), and `_log[i]` is the
-    k < q-1 with g^k = i for every unit i.  q is at most MAX_Q."""
+    k < q-1 with g^k = i for every unit i.  Sums of units go through Zech
+    logarithms, g^a + g^b = g^a (1 + g^(b-a)): `_zech[k]` is the log of
+    g^k + 1, or -1 where g^k = -1.  q is at most MAX_Q."""
 
     def __new__(cls, ell, d=1, irred=None):
         key = (cls, ell, d, tuple(irred) if irred else None)
@@ -519,19 +521,27 @@ class FiniteField:
         self._log = [0] * q
         for k, v in enumerate(exp):
             self._log[v] = k
+        # adding 1 changes only the lowest base-l digit
+        ell = self.p
+        self._zech = [self._log[w] if w else -1
+                      for w in (v - v % ell + (v + 1) % ell for v in exp)]
 
     # -- element ops on raw indices -------------------------------------------
 
     def add_i(self, i, j):
         if self.f == 1:
             return (i + j) % self.p
-        di, dj = self._digits(i), self._digits(j)
-        return self._undigits([x + y for x, y in zip(di, dj)])
+        if not (i and j):
+            return i or j
+        li = self._log[i]
+        z = self._zech[(self._log[j] - li) % (self.q - 1)]
+        return self._exp[li + z] if z >= 0 else 0
 
     def neg_i(self, i):
         if self.f == 1:
             return (-i) % self.p
-        return self._undigits([-x for x in self._digits(i)])
+        # -1 is the index p - 1
+        return self._exp[self._log[i] + self._log[self.p - 1]] if i else 0
 
     def mul_i(self, i, j):
         if i and j:
@@ -711,15 +721,12 @@ class FFElt:
 class ReductionMap:
     """r_l restricted to Z[zeta_{p^k}] (denominators prime to l allowed)."""
 
-    def __init__(self, ring, field, root=None):
+    def __init__(self, ring, field):
         self.ring = ring
         self.field = field
         if field.p == ring.p:
             raise RingMismatchError("reduction requires l != p")
-        if root is None:
-            root = field.root_of_unity(ring.n)
-        else:
-            root = field.element(root)
+        root = field.root_of_unity(ring.n)
         # the image of zeta must have order exactly p^k
         if (root ** ring.n) != 1 or (root ** (ring.n // ring.p)) == 1:
             raise ValueError("designated root has wrong order")
@@ -738,21 +745,3 @@ class ReductionMap:
                 acc = acc + self._powers[i] * v
         return acc * Fraction(1, x.den)
 
-
-# ---------------------------------------------------------------------------
-# Spec-level conveniences
-# ---------------------------------------------------------------------------
-
-def ring_arith(a, b, op):
-    """add | mul | inv on coefficient scalars (inv ignores b)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    raise ValueError("unknown op %r" % (op,))
-
-
-def root_of_unity(ring, order):
-    return ring.root_of_unity(order)

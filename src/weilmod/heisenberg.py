@@ -467,9 +467,10 @@ def commutant_dim_model(model, extra_generators=()):
     return commutant_dim(ops, model.dim)
 
 
-def intertwiner(model1, model2, mu_point=None, omega_vec=None):
-    """I_{A1,A2,mu,omega}: S_{A1} -> S_{A2} as a dense matrix; trivially
-    extended characters, so omega must pair A1 cap A2 into ker psi."""
+def intertwiner(model1, model2, omega_vec=None):
+    """I_{A1,A2,mu,omega}: S_{A1} -> S_{A2} as a dense matrix, mu the
+    counting measure; trivially extended characters, so omega must pair
+    A1 cap A2 into ker psi."""
     sp = model1.space
     field = sp.field
     if omega_vec is None:
@@ -481,8 +482,6 @@ def intertwiner(model1, model2, mu_point=None, omega_vec=None):
         if model1.psi(sp.pairing(u, omega_vec)) != model1.one_coeff():
             raise ValueError("omega incompatible on the intersection")
     reps = coset_reps(inter, a2, field)
-    if mu_point is None:
-        mu_point = model1.one_coeff()
     zero = model1.zero_coeff()
     rows = [[zero] * model1.dim for _ in range(model2.dim)]
     om = delta(sp, omega_vec)
@@ -492,7 +491,7 @@ def intertwiner(model1, model2, mu_point=None, omega_vec=None):
             h = om * delta(sp, a) * h2
             coeff, j1 = model1.eval_basis(0, h)
             # eval_basis gives f(h) = coeff * f~(j1) independently of i
-            rows[i2][j1] = rows[i2][j1] + coeff * mu_point
+            rows[i2][j1] = rows[i2][j1] + coeff
     return linalg.mat(rows)
 
 

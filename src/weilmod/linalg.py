@@ -122,19 +122,27 @@ def nullspace(a, fld):
 
 def solve(a, rhs, fld):
     """One solution x of a x = rhs, or None.  rhs is a vector."""
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(a)]
-    rows, pivots = rref(aug)
+    sols = solve_columns(a, [rhs], fld)
+    return None if sols is None else sols[0]
+
+
+def solve_columns(a, rhs_columns, fld):
+    """For each vector rhs in rhs_columns the solution x of a x = rhs that
+    is zero off the pivots of a, all from one rref of [a | rhs ...]; None
+    if any rhs has no solution."""
     ncols = len(a[0]) if a else 0
-    for r in rows:
-        if all(_is_zero(v) for v in r[:-1]) and not _is_zero(r[-1]):
-            return None
+    rows, pivots = rref([list(r) + [rhs[i] for rhs in rhs_columns]
+                         for i, r in enumerate(a)])
+    if any(pc >= ncols for pc in pivots):
+        return None
     z = fld.zero()
-    x = [z] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = rows[r][-1]
-    return tuple(x)
+    out = []
+    for t in range(len(rhs_columns)):
+        x = [z] * ncols
+        for row, pc in zip(rows, pivots):
+            x[pc] = row[ncols + t]
+        out.append(tuple(x))
+    return out
 
 
 def det(a):

@@ -46,22 +46,18 @@ def _lagrangian_image(space, g):
     return list(cols[:space.m])
 
 
-def _solve_in_span(space, span_basis, pair_with, rhs_vals, extra=()):
-    """Vector v in span(span_basis) with <u, v> = r for (u, r) pairs and
-    <w, v> = 0 for w in extra.  Returns None if infeasible."""
-    field = space.field
-    rows = []
-    rhs = []
-    for u, r in zip(pair_with, rhs_vals):
-        rows.append(tuple(space.pairing(u, b) for b in span_basis))
-        rhs.append(r)
-    for w in extra:
-        rows.append(tuple(space.pairing(w, b) for b in span_basis))
-        rhs.append(field.element(0))
-    sol = linalg.solve(linalg.mat(rows), tuple(rhs), field)
-    if sol is None:
+def _solve_in_span(space, span_basis, pair_with, rhs_rows, extra=()):
+    """For each right-hand side r, the vector v in span(span_basis) with
+    <u_k, v> = r[k] for the k-th u in pair_with and <w, v> = 0 for w in
+    extra, all from one rref.  Returns None if any is infeasible."""
+    zero = space.field.element(0)
+    rows = [tuple(space.pairing(u, b) for b in span_basis)
+            for u in list(pair_with) + list(extra)]
+    rhs = [tuple(r) + (zero,) * len(extra) for r in rhs_rows]
+    sols = linalg.solve_columns(linalg.mat(rows), rhs, space.field)
+    if sols is None:
         return None
-    return linalg.combine(sol, span_basis, space.zero_vec())
+    return [linalg.combine(s, span_basis, space.zero_vec()) for s in sols]
 
 
 # ---------------------------------------------------------------------------
@@ -69,37 +65,46 @@ def _solve_in_span(space, span_basis, pair_with, rhs_vals, extra=()):
 # ---------------------------------------------------------------------------
 
 def bruhat_decompose(space, g):
-    """g = p1 w_j p2, verified by re-multiplication."""
+    """g = p1 w_j p2, verified by re-multiplication.
+
+    For g = [[A, B], [C, D]], j = rank C and gX cap X = A ker C (Rao).
+    p1 = [[U, U S], [0, U^-T]]: U is e_i for i in N, then minus the basis
+    of A ker C in reduced echelon form read from the last coordinate, N
+    being the j indices that are not its pivots; S is symmetric with
+    S[:, :j] = U^-1 A K for C[N] K = I_j, and S[j:, j:] = 0."""
     field = space.field
     m = space.m
     if not space.is_symplectic(g):
         raise ValueError("matrix is not symplectic")
-    gx = _lagrangian_image(space, g)
-    xb = _x_basis(space)
-    inter = linalg.intersection(gx, xb, field)
-    j = m - len(inter)
-    # u-basis of X: completion indices 0..j-1, intersection at j..m-1
-    u = linalg.column_space_basis(list(inter) + list(xb))
-    u = list(u[len(inter):]) + list(inter)
-    # y_i in gX for i < j with <u_k, y_i> = delta
-    ys = []
-    one, zero = field.element(1), field.element(0)
-    for i in range(j):
-        rhs = [one if k == i else zero for k in range(m)]
-        v = _solve_in_span(space, gx, u, rhs)
-        if v is None:
-            raise RuntimeError("Bruhat: dual vector solve failed")
-        ys.append(v)
-    # complete the symplectic basis
-    full = [space.basis_e(i) for i in range(m)] + \
-           [space.basis_f(i) for i in range(m)]
-    for i in range(j, m):
-        rhs = [one if k == i else zero for k in range(m)]
-        v = _solve_in_span(space, full, u, rhs, extra=ys)
-        if v is None:
-            raise RuntimeError("Bruhat: completion solve failed")
-        ys.append(v)
-    p1 = linalg.transpose(linalg.mat(u + ys))
+    a, _, c, _ = space.blocks(g)
+    zero, one = field.element(0), field.element(1)
+    # rref of the reversed vectors: b_f is 1 at its last nonzero coordinate
+    # f and 0 at the other pivots
+    rows, piv = linalg.rref([linalg.mat_vec(a, k)[::-1]
+                             for k in linalg.nullspace(c, field)])
+    echelon = {m - 1 - pc: row[::-1] for row, pc in zip(rows, piv)}
+    n_idx = [i for i in range(m) if i not in echelon]
+    j = len(n_idx)
+    # K from one rref of [C[N] | I_j], zero off its pivots: y_i = g (k_i, 0)
+    rows, piv = linalg.rref([c[r] + tuple(one if t == i else zero
+                                          for t in range(j))
+                             for i, r in enumerate(n_idx)])
+    if any(pc >= m for pc in piv):
+        raise RuntimeError("Bruhat: p1 construction failed")
+    gcols = linalg.transpose(g)
+    us = [space.basis_e(i) for i in n_idx]
+    ys = [linalg.combine([row[m + i] for row in rows],
+                         [gcols[pc] for pc in piv], space.zero_vec())
+          for i in range(j)]
+    # the column of -b_f: (U S, U^-T) e_f = (-sum_i (A k_i)_f e_{N_i}, -f_f)
+    for f in sorted(echelon):
+        us.append(tuple(-x for x in echelon[f]) + (zero,) * m)
+        y = [zero] * (2 * m)
+        for i, r in enumerate(n_idx):
+            y[r] = -ys[i][f]
+        y[m + f] = -one
+        ys.append(tuple(y))
+    p1 = linalg.transpose(linalg.mat(us + ys))
     if not space.is_symplectic(p1) or not space.in_parabolic(p1):
         raise RuntimeError("Bruhat: p1 construction failed")
     wj = space.w_subset(set(range(j)))
@@ -465,18 +470,16 @@ def leray_decompose(space, g1, g2):
         e[i] = extx[pos]
     if any(v is None for v in e):
         raise RuntimeError("Leray: e-basis construction failed")
-    # f' vectors
+    # f' vectors, one rref per block (but the C block, whose `extra` grows)
     f = [None] * m
-    # S block: decompose e_i = a_i + b_i with a in L1, b in L2
-    bs = []
-    for i in s_idx:
-        stacked = list(l1) + list(l2)
-        sol = linalg.solve(linalg.transpose(linalg.mat(stacked)), e[i],
-                           field)
-        if sol is None:
-            raise RuntimeError("Leray: Z-decomposition failed")
-        bs.append(linalg.combine(sol[len(l1):], l2, space.zero_vec()))
     if s_idx:
+        # S block: decompose e_i = a_i + b_i with a in L1, b in L2
+        sols = linalg.solve_columns(linalg.transpose(linalg.mat(l1 + l2)),
+                                    [e[i] for i in s_idx], field)
+        if sols is None:
+            raise RuntimeError("Leray: Z-decomposition failed")
+        bs = [linalg.combine(sol[len(l1):], l2, space.zero_vec())
+              for sol in sols]
         d = [[space.pairing(e[j], bs[pos_i]) for pos_i in range(ns)]
              for j in s_idx]
         dm = linalg.mat(d)
@@ -493,41 +496,37 @@ def leray_decompose(space, g1, g2):
         # L1 cap L2 (pairings with every other e' vanish automatically and
         # both memberships survive)
         if p12_idx:
-            for i in s_idx:
-                rhs = [-space.pairing(e[j], f[i]) for j in p12_idx]
-                u = _solve_in_span(space, list(inter12),
-                                   [e[j] for j in p12_idx], rhs)
-                if u is None:
-                    raise RuntimeError("Leray: S-block correction failed")
+            us = _solve_in_span(
+                space, list(inter12), [e[j] for j in p12_idx],
+                [[-space.pairing(e[j], f[i]) for j in p12_idx]
+                 for i in s_idx])
+            if us is None:
+                raise RuntimeError("Leray: S-block correction failed")
+            for i, u in zip(s_idx, us):
                 f[i] = tuple(x + y for x, y in zip(f[i], u))
     else:
         c_rho = ()
-    delta_rhs = lambda i: [one if k == i else zero for k in range(m)]
-    for i in p12_idx:
-        v = _solve_in_span(space, list(inter12), e, delta_rhs(i))
-        if v is None:
-            raise RuntimeError("Leray: P12 solve failed")
-        f[i] = v
-    for i in p1_idx:
-        v = _solve_in_span(space, list(l1), e, delta_rhs(i),
-                           extra=[f[k] for k in s_idx])
-        if v is None:
-            raise RuntimeError("Leray: P1 solve failed")
-        f[i] = v
-    for i in p2_idx:
-        v = _solve_in_span(space, list(l2), e, delta_rhs(i),
-                           extra=[f[k] for k in p1_idx])
-        if v is None:
-            raise RuntimeError("Leray: P2 solve failed")
-        f[i] = v
+
+    def solve_block(idx, span, extra, failure):
+        # f_i in span with <e_k, f_i> = delta_ki and <w, f_i> = 0, w in extra
+        if not idx:
+            return
+        rhs = [[one if k == i else zero for k in range(m)] for i in idx]
+        vs = _solve_in_span(space, span, e, rhs, extra)
+        if vs is None:
+            raise RuntimeError(failure)
+        for i, v in zip(idx, vs):
+            f[i] = v
+    solve_block(p12_idx, list(inter12), (), "Leray: P12 solve failed")
+    solve_block(p1_idx, list(l1), [f[k] for k in s_idx],
+                "Leray: P1 solve failed")
+    solve_block(p2_idx, list(l2), [f[k] for k in p1_idx],
+                "Leray: P2 solve failed")
     full = [space.basis_e(i) for i in range(m)] + \
            [space.basis_f(i) for i in range(m)]
     for i in c_idx:
-        built_f = [f[k] for k in range(m) if f[k] is not None]
-        v = _solve_in_span(space, full, e, delta_rhs(i), extra=built_f)
-        if v is None:
-            raise RuntimeError("Leray: C solve failed")
-        f[i] = v
+        solve_block([i], full, [v for v in f if v is not None],
+                    "Leray: C solve failed")
     p = linalg.transpose(linalg.mat(e + f))
     if not space.is_symplectic(p) or not space.in_parabolic(p):
         raise RuntimeError("Leray: p is not in P(X)")

@@ -154,12 +154,6 @@ class QuadraticForm:
         x = tuple(self.field.element(v) for v in x)
         return linalg._dot(x, linalg.mat_vec(self.gram, x))
 
-    def bilinear(self, x, y):
-        """B(x,y) = Q(x+y) - Q(x) - Q(y) = 2 x^T G y."""
-        x = tuple(self.field.element(v) for v in x)
-        y = tuple(self.field.element(v) for v in y)
-        return 2 * linalg._dot(x, linalg.mat_vec(self.gram, y))
-
     def radical(self):
         """Basis of rad(Q) = ker(G)."""
         if self._radical is None:

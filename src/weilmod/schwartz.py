@@ -260,16 +260,17 @@ class PhaseStepFunction:
                 d = max(d, -fld.val(t.lin))
         return d
 
-    def value_table(self, depth, cap=200000):
+    def value_table(self, depth):
         """dict sub-ball-center -> constant value at refinement `depth`;
-        requires depth >= self._needed_depth()."""
+        requires depth >= self._needed_depth() and at most 200,000
+        sub-balls over all terms."""
         p = self.p
         table = {}
         for t in self.terms:
             k = depth - t.depth
             if k < 0:
                 raise UnsupportedInputError("refinement coarser than support")
-            if p ** k * len(self.terms) > cap:
+            if p ** k * len(self.terms) > 200000:
                 raise UnsupportedInputError("refinement too large")
             step = Fraction(p) ** t.depth
             for i in range(p ** k):
@@ -381,9 +382,10 @@ def sigma_padic_matrix(p, g):
     return act
 
 
-def cocycle_operator_padic(p, g1, g2, probes=None):
+def cocycle_operator_padic(p, g1, g2):
     """Operator-path cocycle over Q_p at m = 1: the scalar c with
-    sigma(g1) sigma(g2) = c sigma(g1 g2), verified on probe functions."""
+    sigma(g1) sigma(g2) = c sigma(g1 g2), verified on two probe functions,
+    the indicators of Z_p and of 1 + pZ_p."""
     from . import linalg
     s1 = sigma_padic_matrix(p, g1)
     s2 = sigma_padic_matrix(p, g2)
@@ -391,12 +393,9 @@ def cocycle_operator_padic(p, g1, g2, probes=None):
         tuple(tuple(Fraction(x) for x in row) for row in g1),
         tuple(tuple(Fraction(x) for x in row) for row in g2))
     s12 = sigma_padic_matrix(p, g12)
-    if probes is None:
-        probes = [PhaseStepFunction.indicator(p),
-                  PhaseStepFunction.indicator(p, center=1, depth=1)]
-    ring = CyclotomicRing(p)
     c = None
-    for f in probes:
+    for f in (PhaseStepFunction.indicator(p),
+              PhaseStepFunction.indicator(p, center=1, depth=1)):
         lhs = s1(s2(f)).canonical()
         rhs = s12(f).canonical()
         y = rhs.nonzero_point()

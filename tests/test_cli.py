@@ -7,6 +7,9 @@ import pytest
 from weilmod import cli
 
 
+QP_G = ["--g1", "2,0,0,1/2", "--g2", "1,0,5,1"]
+
+
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "weilmod.cli", *args],
                           capture_output=True, text=True)
@@ -173,6 +176,9 @@ def test_theta_char2_counts_every_orbit():
     ["hilbert", "--field", "fq:3:1:1", "--a", "1", "--b", "2"],
     ["hilbert", "--field", "fq:x:1", "--a", "1", "--b", "2"],
     ["hilbert", "--field", "qp:five", "--a", "1", "--b", "2"],
+    ["theta", "--field", "fq:3:1", "--V", "diag:1", "--coeff", "fl:x:1"],
+    ["cocycle", "--field", "qp:5", "--m", "1", *QP_G, "--psi",
+     "psi:twist:5"],
 ])
 def test_invalid_input_exit_2(args):
     proc = run_cli(*args)
@@ -203,6 +209,28 @@ def test_non_integer_field_descriptor_message(desc):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == \
         "error: bad field descriptor '%s' (fq:p:f or qp:p)\n" % desc
+
+
+def test_non_integer_coeff_descriptor_message():
+    proc = run_cli("theta", "--field", "fq:3:1", "--V", "diag:1",
+                   "--coeff", "fl:x:1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == \
+        "error: bad coefficient descriptor 'fl:x:1' (cyclo or fl:l:d)\n"
+
+
+def test_padic_cocycle_twist_refused():
+    # both Q_p paths use the level-0 character; a twist equal to 1 is it
+    for path in ("formula", "operator"):
+        args = ["cocycle", "--field", "qp:5", "--m", "1", *QP_G,
+                "--path", path, "--psi"]
+        proc = run_cli(*args, "psi:twist:5")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: the Q_p cocycle paths use the level-0 "
+                               "character only, got --psi psi:twist:5\n")
+        level0 = run_cli(*args[:-1])
+        assert level0.returncode == 0
+        assert run_cli(*args, "psi:twist:1").stdout == level0.stdout
 
 
 @pytest.mark.parametrize("args", [

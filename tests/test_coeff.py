@@ -6,8 +6,7 @@ import pytest
 
 from weilmod.coeff import (_CONWAY, Cyc, CyclotomicRing, FFElt, FiniteField,
                            NotInvertibleError, ReductionMap,
-                           RingMismatchError, _is_irreducible, ring_arith,
-                           root_of_unity)
+                           RingMismatchError, _is_irreducible)
 
 
 def test_minimal_polynomial_relations():
@@ -40,7 +39,7 @@ def test_root_of_unity_choices():
         FiniteField(5).root_of_unity(3)
     assert FiniteField(5, 2).root_of_unity(3) ** 3 == 1
     r3 = CyclotomicRing(3)
-    assert root_of_unity(r3, 3) == r3.zeta()
+    assert r3.root_of_unity(3) == r3.zeta()
 
 
 def test_root_orders():
@@ -100,16 +99,6 @@ def test_fraction_field_roundtrip():
         if b.is_zero():
             continue
         assert (a / b) * b == a
-
-
-def test_ring_arith_dispatch():
-    r3 = CyclotomicRing(3)
-    a = r3.zeta()
-    assert ring_arith(a, a, "add") == 2 * a
-    assert ring_arith(a, a, "mul") == a * a
-    assert ring_arith(a, None, "inv") * a == r3.one()
-    with pytest.raises(ValueError):
-        ring_arith(a, a, "sub")
 
 
 def test_ring_mismatch():
@@ -258,6 +247,25 @@ def test_log_tables_match_polynomial_product(ell, d, pairs):
                 for _ in range(pairs)]
     for i, j in todo:
         assert fld.mul_i(i, j) == _poly_product(fld, i, j)
+
+
+@pytest.mark.parametrize("ell,d,pairs", [
+    (2, 2, None), (2, 3, None), (3, 2, None), (5, 2, None), (3, 3, None),
+    (11, 2, None), (2, 9, 20000), (7, 3, 20000), (2, 16, 20000)])
+def test_zech_sums_match_digit_sums(ell, d, pairs):
+    # add_i and neg_i by Zech logarithms against coefficientwise sums
+    fld = FiniteField(ell, d)
+    if pairs is None:
+        todo = itertools.product(range(fld.q), repeat=2)
+    else:
+        rng = random.Random(ell * 100 + d)
+        todo = [(rng.randrange(fld.q), rng.randrange(fld.q))
+                for _ in range(pairs)]
+    for i, j in todo:
+        di, dj = fld._digits(i), fld._digits(j)
+        assert fld.add_i(i, j) == fld._undigits(
+            [x + y for x, y in zip(di, dj)])
+        assert fld.neg_i(i) == fld._undigits([-x for x in di])
 
 
 @pytest.mark.parametrize("ell,d", [

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -143,6 +145,79 @@ def _random_wj_stable_parabolic(sp, j, rng):
                 linalg.mat_inv(wj, field), r), wj)
             if sp.in_parabolic(conj):
                 return r
+
+
+def bruhat_reference(space, g):
+    """(j, p1, p2) as Bruhat built them by subspace algebra (the path the
+    closed form replaced): gX cap X by intersection, the X-basis by
+    column-space selection, then one solve per Y-vector of p1."""
+    field, m = space.field, space.m
+    zero, one = field.element(0), field.element(1)
+
+    def dual_vector(span, pair_with, rhs, extra=()):
+        rows = [tuple(space.pairing(u, b) for b in span)
+                for u in list(pair_with) + list(extra)]
+        sol = linalg.solve(linalg.mat(rows),
+                           tuple(rhs) + (zero,) * len(extra), field)
+        assert sol is not None
+        return linalg.combine(sol, span, space.zero_vec())
+    gx = list(linalg.transpose(g)[:m])
+    xb = [space.basis_e(i) for i in range(m)]
+    inter = linalg.intersection(gx, xb, field)
+    j = m - len(inter)
+    u = linalg.column_space_basis(list(inter) + xb)
+    u = list(u[len(inter):]) + list(inter)
+    delta = [[one if k == i else zero for k in range(m)] for i in range(m)]
+    ys = [dual_vector(gx, u, delta[i]) for i in range(j)]
+    full = xb + [space.basis_f(i) for i in range(m)]
+    for i in range(j, m):
+        ys.append(dual_vector(full, u, delta[i], ys))
+    p1 = linalg.transpose(linalg.mat(u + ys))
+    wj = space.w_subset(set(range(j)))
+    p2 = linalg.mat_mul(linalg.mat_mul(space.inv(wj), space.inv(p1)), g)
+    return j, p1, p2
+
+
+def test_bruhat_matches_reference():
+    rng = random.Random(31)
+    cases = []
+    for q, f in ((3, 1), (5, 1), (3, 2)):
+        sp = SympSpace(FqField(q, f), 1)
+        cases += [(sp, g) for g in enumerate_sp2(sp)]
+    for field, m, count in ((FqField(3), 2, 1000), (QpField(5), 2, 500),
+                            (FqField(3), 3, 200)):
+        sp = SympSpace(field, m)
+        cases += [(sp, random_symplectic(sp, rng, length=8, scale=3))
+                  for _ in range(count)]
+    for field in (FqField(5), QpField(3)):
+        for m in (1, 2, 3):
+            sp = SympSpace(field, m)
+            cases += [(sp, sp.w_subset(set(s))) for k in range(m + 1)
+                      for s in itertools.combinations(range(m), k)]
+            cases += [(sp, _random_wj_stable_parabolic(sp, 0, rng))
+                      for _ in range(50 if m == 2 else 0)]
+    js = set()
+    for sp, g in cases:
+        got = bruhat_decompose(sp, g)
+        assert tuple(got) == bruhat_reference(sp, g), (sp.field, g)
+        js.add((sp.m, got.j))
+    assert js == {(m, j) for m in (1, 2, 3) for j in range(m + 1)}
+
+
+def test_bruhat_makes_no_solve_or_intersection(monkeypatch):
+    def refuse(*_args, **_kw):
+        raise AssertionError("Bruhat used a solve or a subspace selection")
+    for name in ("solve", "solve_columns", "intersection",
+                 "column_space_basis"):
+        monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(metaplectic, "_solve_in_span", refuse)
+    rng = random.Random(4)
+    for field in (FqField(3), QpField(5)):
+        sp = SympSpace(field, 2)
+        for s in ((), (0,), (0, 1)):
+            bruhat_decompose(sp, sp.w_subset(set(s)))
+        for _ in range(20):
+            bruhat_decompose(sp, random_symplectic(sp, rng, length=6))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +554,50 @@ def test_leray_random_sp4_sp6(rng):
                 rho = linalg.mat(ld.rho)
                 assert rho == linalg.transpose(rho)
                 assert linalg.det(rho) != 0
+
+
+def _leray_pairs(rng, counts=((1, 160), (2, 80), (3, 40))):
+    for field in (QpField(3), QpField(5), QpField(7), FqField(3),
+                  FqField(5)):
+        for m, count in counts:
+            sp = SympSpace(field, m)
+            for _ in range(count):
+                yield sp, random_symplectic(sp, rng, length=6, scale=2), \
+                    random_symplectic(sp, rng, length=6, scale=2)
+
+
+def test_leray_digest():
+    # the repr of every LerayData on 1,400 seeded pairs, as the per-vector
+    # solves gave them before the solves were batched per block
+    h = hashlib.sha256()
+    for sp, g1, g2 in _leray_pairs(random.Random(14)):
+        h.update(repr(leray_decompose(sp, g1, g2)).encode() + b"\n")
+    assert h.hexdigest() == \
+        "b1691d04c6b1f6f178abf0557f3278ea632f90d295b6ff3756cef3dc8878de65"
+
+
+def test_leray_one_solve_per_block(monkeypatch):
+    # one rref for each nonempty block among the S decomposition, the S
+    # correction, P12, P1 and P2, and one per vector of the C block
+    calls = []
+    real = linalg.solve_columns
+
+    def counted(a, rhs_columns, fld):
+        calls.append(len(rhs_columns))
+        return real(a, rhs_columns, fld)
+    monkeypatch.setattr(linalg, "solve_columns", counted)
+    batched = 0
+    for sp, g1, g2 in _leray_pairs(random.Random(15), ((2, 16), (3, 16))):
+        calls.clear()
+        ld = leray_decompose(sp, g1, g2)
+        s, s1, s2 = set(ld.s), set(ld.s1), set(ld.s2)
+        blocks = [s, s and s1 & s2, s1 & s2, s1 - s2, s2 - s1]
+        c_block = sp.m - len(s | s1 | s2)
+        assert len(calls) == sum(map(bool, blocks)) + c_block
+        assert sum(calls) == len(s) * (2 if s1 & s2 else 1) + \
+            len(s1 | s2) + c_block
+        batched += max(calls, default=0) > 1
+    assert batched >= 50
 
 
 def test_u_rho_symplectic_requires_symmetric():
