@@ -175,11 +175,17 @@ def cmd_cocycle(args):
             for g2 in group:
                 if args.path == "operator":
                     c = cocycle_operator(ctx, g1, g2)
-                    if c != ctx.one():
-                        return {"trivial": False, "pairs": pairs}
+                    trivial = c == ctx.one()
+                    value = None if trivial else scalar_json(c, args.approx)
                 else:
-                    if cocycle_formula(space, g1, g2) != 1:
-                        return {"trivial": False, "pairs": pairs}
+                    value = cocycle_formula(space, g1, g2)
+                    trivial = value == 1
+                if not trivial:
+                    # the first offending pair is the witness
+                    return {"trivial": False, "pairs": pairs,
+                            "g1": [[str(x) for x in row] for row in g1],
+                            "g2": [[str(x) for x in row] for row in g2],
+                            "value": value}, 1
                 pairs += 1
         return {"trivial": True, "pairs": pairs}
     if args.g1 is None or args.g2 is None:

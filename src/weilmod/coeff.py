@@ -194,7 +194,10 @@ class Cyc:
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self):
-        return all(v == 0 for v in self.coeffs)
+        return not any(self.coeffs)
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def is_rational(self):
         return all(v == 0 for v in self.coeffs[1:])
@@ -694,6 +697,9 @@ class FFElt:
 
     def is_zero(self):
         return self.i == 0
+
+    def __bool__(self):
+        return self.i != 0
 
     def trace(self):
         return self.field.trace_i(self.i)

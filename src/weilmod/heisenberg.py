@@ -87,6 +87,34 @@ class SympSpace:
             cols.append(v)
         return linalg.transpose(linalg.mat(cols))
 
+    # w_S is a signed permutation, so products by it only move entries:
+    # w_S e_i = f_i, w_S f_i = -e_i and w_S^-1 = w_S^T for i in S
+
+    def mul_w(self, g, subset):
+        """g w_S: columns i and m+i become g f_i and -g e_i for i in S."""
+        m = self.m
+        return tuple(tuple(r[m + k] if k in subset else r[k]
+                           for k in range(m)) +
+                     tuple(-r[k] if k in subset else r[m + k]
+                           for k in range(m)) for r in g)
+
+    def mul_w_inv(self, g, subset):
+        """g w_S^-1: columns i and m+i become -g f_i and g e_i for i in S."""
+        m = self.m
+        return tuple(tuple(-r[m + k] if k in subset else r[k]
+                           for k in range(m)) +
+                     tuple(r[k] if k in subset else r[m + k]
+                           for k in range(m)) for r in g)
+
+    def w_inv_mul(self, subset, g):
+        """w_S^-1 g: rows i and m+i become row m+i and minus row i of g
+        for i in S."""
+        m = self.m
+        top = [g[m + k] if k in subset else g[k] for k in range(m)]
+        bottom = [tuple(-x for x in g[k]) if k in subset else g[m + k]
+                  for k in range(m)]
+        return tuple(top + bottom)
+
     def parabolic(self, a, b=None):
         """p = [[a, b], [0, a^-T]]; b must satisfy b^T a^-T symmetric."""
         m = self.m

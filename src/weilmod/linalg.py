@@ -4,6 +4,11 @@
 A routine that has to create zeros or ones takes the field or ring itself as
 `fld` (FqField, QpField, FiniteField, CyclotomicRing all expose zero() and
 one()); everything else reads its scalars off the entries.
+
+Zero contract: every scalar is falsy exactly when it is zero (int, Fraction,
+FFElt, Cyc), so `not x` is the zero test.  Dot products skip zero terms after
+the first, and a row operation leaves an entry alone where the pivot row is
+zero; neither changes a value.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ def _dot(u, v):
     x, y = next(it)
     acc = x * y
     for x, y in it:
-        acc = acc + x * y
+        if x and y:
+            acc = acc + x * y
     return acc
 
 
@@ -62,14 +68,14 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def _is_zero(x):
-    z = x - x
-    return x == z
-
-
 def _recip(x):
     """1/x, exact also for plain ints (which have no inv())."""
     return x.inv() if hasattr(x, "inv") else Fraction(1) / x
+
+
+def _eliminate(row, f, pivot_row):
+    """row - f pivot_row, leaving row alone where pivot_row is zero."""
+    return [x - f * y if y else x for x, y in zip(row, pivot_row)]
 
 
 def rref(a):
@@ -83,7 +89,7 @@ def rref(a):
     for c in range(ncols):
         piv = None
         for i in range(r, len(rows)):
-            if not _is_zero(rows[i][c]):
+            if rows[i][c]:
                 piv = i
                 break
         if piv is None:
@@ -92,9 +98,8 @@ def rref(a):
         inv = _recip(rows[r][c])
         rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and not _is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], rows[i][c], rows[r])
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -153,7 +158,7 @@ def det(a):
     for c in range(n):
         piv = None
         for i in range(c, n):
-            if not _is_zero(rows[i][c]):
+            if rows[i][c]:
                 piv = i
                 break
         if piv is None:
@@ -165,9 +170,8 @@ def det(a):
         acc = pv if acc is None else acc * pv
         inv = _recip(pv)
         for i in range(c + 1, n):
-            if not _is_zero(rows[i][c]):
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+            if rows[i][c]:
+                rows[i] = _eliminate(rows[i], rows[i][c] * inv, rows[c])
     return -acc if sign_flip else acc
 
 

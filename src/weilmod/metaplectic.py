@@ -107,11 +107,11 @@ def bruhat_decompose(space, g):
     p1 = linalg.transpose(linalg.mat(us + ys))
     if not space.is_symplectic(p1) or not space.in_parabolic(p1):
         raise RuntimeError("Bruhat: p1 construction failed")
-    wj = space.w_subset(set(range(j)))
-    p2 = linalg.mat_mul(linalg.mat_mul(space.inv(wj), space.inv(p1)), g)
+    sj = set(range(j))
+    p2 = space.w_inv_mul(sj, linalg.mat_mul(space.inv(p1), g))
     if not space.in_parabolic(p2):
         raise RuntimeError("Bruhat: p2 not parabolic")
-    if linalg.mat_mul(linalg.mat_mul(p1, wj), p2) != g:
+    if linalg.mat_mul(space.mul_w(p1, sj), p2) != g:
         raise RuntimeError("Bruhat: product check failed")
     return BruhatData(j, p1, p2)
 
@@ -413,6 +413,22 @@ def u_rho_matrix(space, s_indices, rho):
     return g
 
 
+def _mul_u_rho(space, g, s_indices, rho, inverse=False):
+    """g u_rho, or g u_rho^-1 = g u_{-rho}: column m+j of g gains (or
+    loses) sum_k rho[k][j] (column k) for j in S; the other columns stay."""
+    m = space.m
+    rho_cols = linalg.transpose(rho)
+    out = []
+    for r in g:
+        row = list(r)
+        xs = [r[k] for k in s_indices]
+        for j, col in zip(s_indices, rho_cols):
+            shift = linalg._dot(col, xs)
+            row[m + j] = row[m + j] - shift if inverse else row[m + j] + shift
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def leray_decompose(space, g1, g2):
     """Leray data: g1 = p1 w_{S u S1} u_rho p^{-1}, g2 = p w_{S u S2} p2,
     built deterministically from the triple (X, g1^{-1}X, g2 X)."""
@@ -518,8 +534,9 @@ def leray_decompose(space, g1, g2):
         for i, v in zip(idx, vs):
             f[i] = v
     solve_block(p12_idx, list(inter12), (), "Leray: P12 solve failed")
-    solve_block(p1_idx, list(l1), [f[k] for k in s_idx],
-                "Leray: P1 solve failed")
+    # <f_s, v> = sum_k c_rho[k][s] <e_k, v> on L1, so the e' rows already
+    # make the S-block f' vectors orthogonal to the P1 solutions
+    solve_block(p1_idx, list(l1), (), "Leray: P1 solve failed")
     solve_block(p2_idx, list(l2), [f[k] for k in p1_idx],
                 "Leray: P2 solve failed")
     full = [space.basis_e(i) for i in range(m)] + \
@@ -530,21 +547,18 @@ def leray_decompose(space, g1, g2):
     p = linalg.transpose(linalg.mat(e + f))
     if not space.is_symplectic(p) or not space.in_parabolic(p):
         raise RuntimeError("Leray: p is not in P(X)")
-    t1 = tuple(sorted(s_idx + list(s1)))
-    t2 = tuple(sorted(s_idx + list(s2)))
-    urho = u_rho_matrix(space, s_idx, c_rho) if s_idx else space.identity()
-    w1 = space.w_subset(set(t1))
-    w2 = space.w_subset(set(t2))
+    t1 = set(s_idx) | set(s1)
+    t2 = set(s_idx) | set(s2)
     pinv = space.inv(p)
-    p2 = linalg.mat_mul(linalg.mat_mul(space.inv(w2), pinv), g2)
-    p1 = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(
-        g1, p), space.inv(urho)), space.inv(w1))
+    p2 = space.w_inv_mul(t2, linalg.mat_mul(pinv, g2))
+    p1 = space.mul_w_inv(_mul_u_rho(space, linalg.mat_mul(g1, p), s_idx,
+                                    c_rho, inverse=True), t1)
     if not (space.in_parabolic(p1) and space.in_parabolic(p2)):
         raise RuntimeError("Leray: parabolic factors failed")
     # exact re-multiplication checks
-    lhs1 = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(p1, w1), urho),
-                          pinv)
-    lhs2 = linalg.mat_mul(linalg.mat_mul(p, w2), p2)
+    lhs1 = linalg.mat_mul(_mul_u_rho(space, space.mul_w(p1, t1), s_idx,
+                                     c_rho), pinv)
+    lhs2 = linalg.mat_mul(space.mul_w(p, t2), p2)
     if lhs1 != g1 or lhs2 != g2:
         raise RuntimeError("Leray: factorization check failed")
     return LerayData(tuple(s_idx), s1, s2, c_rho, p, p1, p2)

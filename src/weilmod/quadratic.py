@@ -197,7 +197,7 @@ class QuadraticForm:
                 idxs = idxs[::-1]
             piv = None
             for i in idxs:
-                if not linalg._is_zero(qval(remaining[i])):
+                if qval(remaining[i]):
                     piv = remaining[i]
                     break
             if piv is None:
@@ -205,8 +205,7 @@ class QuadraticForm:
                 found = False
                 for i in range(n):
                     for j in range(i + 1, n):
-                        if not linalg._is_zero(bval(remaining[i],
-                                                    remaining[j])):
+                        if bval(remaining[i], remaining[j]):
                             piv = tuple(x + y for x, y in
                                         zip(remaining[i], remaining[j]))
                             found = True
@@ -225,8 +224,7 @@ class QuadraticForm:
                 w = tuple(x - c * y for x, y in zip(v, piv))
                 new_rem.append(w)
             # keep an independent subset
-            new_rem = [w for w in new_rem
-                       if not all(linalg._is_zero(x) for x in w)]
+            new_rem = [w for w in new_rem if any(w)]
             remaining = linalg.column_space_basis(new_rem)
         # pull the quotient vectors back to the ambient space
         zero = (self.field.zero(),) * self.m

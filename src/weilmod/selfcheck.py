@@ -27,7 +27,7 @@ def run_all(seed):
             fn(rng)
             report.append("PASS %s" % name)
         except Exception as ex:  # pragma: no cover - failure path
-            report.append("FAIL %s: %s" % (name, ex))
+            report.append("FAIL %s (seed %d): %s" % (name, seed, ex))
             ok = False
     return report, ok
 

@@ -280,3 +280,44 @@ def test_bruhat_decomposes_once(monkeypatch, capsys):
                          "--g", g]) == 0
         assert len(calls) == 1
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["j"] == 1
+
+
+@pytest.mark.parametrize("path", ["operator", "formula"])
+def test_cocycle_exhaustive_reports_first_witness(monkeypatch, capsys, path):
+    # a cocycle that is nontrivial from the fourth pair on: the report names
+    # that pair and its value, and the command exits 1
+    seen = []
+
+    def fake(first, *args, **kw):
+        seen.append(args[:2])
+        if len(seen) < 4:
+            return first.one() if path == "operator" else 1
+        return -first.one() if path == "operator" else -1
+    monkeypatch.setattr(cli, "cocycle_operator" if path == "operator"
+                        else "cocycle_formula", fake)
+    assert cli.main(["cocycle", "--field", "fq:3:1", "--m", "1", "--path",
+                     path, "--exhaustive"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    g1, g2 = seen[3]
+    assert report["trivial"] is False and report["pairs"] == 3
+    assert report["g1"] == [[str(x) for x in row] for row in g1]
+    assert report["g2"] == [[str(x) for x in row] for row in g2]
+    if path == "operator":
+        assert report["value"] == {"ring": "Z[zeta_3]",
+                                   "coeffs": ["-1", "0"]}
+    else:
+        assert report["value"] == -1
+
+
+def test_selfcheck_failure_names_the_seed(monkeypatch, capsys):
+    from weilmod import selfcheck
+
+    def broken(rng):
+        raise RuntimeError("broken on purpose")
+    monkeypatch.setattr(selfcheck, "SUITES",
+                        selfcheck.SUITES[:1] + [("broken-suite", broken)])
+    assert cli.main(["selfcheck", "--seed", "7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "PASS coeff-ring-laws"
+    assert lines[1] == "FAIL broken-suite (seed 7): broken on purpose"
+    assert json.loads(lines[2]) == {"ok": False, "seed": 7, "suites": 2}

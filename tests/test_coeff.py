@@ -297,3 +297,22 @@ def test_generator_search_skips_reached_candidates(monkeypatch):
     fld._build_tables()
     assert calls[0] <= 12954
     assert fld._exp == exp and fld._log == log
+
+
+def test_every_scalar_is_falsy_exactly_at_zero():
+    # the zero contract linalg relies on: `not x` is the zero test
+    assert [bool(x) for x in (0, 3, -1)] == [False, True, True]
+    assert [bool(x) for x in (Fraction(0), Fraction(1, 3),
+                              Fraction(-2, 5))] == [False, True, True]
+    for fld in (FiniteField(7), FiniteField(3, 2), FiniteField(2, 3)):
+        elts = fld.elements()
+        assert [bool(x) for x in elts] == [x != fld.zero() for x in elts]
+        assert not fld.zero() and fld.one() and not fld.one() - fld.one()
+        assert sum(map(bool, elts)) == fld.q - 1
+    for ring in (CyclotomicRing(3), CyclotomicRing(3, 2), CyclotomicRing(5)):
+        z = ring.zeta()
+        third = ring.element([1] + [2] * (ring.phi - 1), 3)
+        assert third.den == 3
+        values = (ring.zero(), z - z, third - third, (z - ring.one()) * 0,
+                  ring.one(), z, third, -third, third * third.inv())
+        assert [bool(x) for x in values] == [False] * 4 + [True] * 5

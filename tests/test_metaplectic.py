@@ -600,6 +600,76 @@ def test_leray_one_solve_per_block(monkeypatch):
     assert batched >= 50
 
 
+def _product_cases(rng):
+    # every S for m = 1..3 over F_5, F_9 and Q_5, on a symplectic g and on a
+    # general matrix
+    for field in (FqField(5), FqField(3, 2), QpField(5)):
+        for m in (1, 2, 3):
+            sp = SympSpace(field, m)
+            general = linalg.mat(
+                [[field.element(rng.randrange(-4, 5)) for _ in range(sp.dim)]
+                 for _ in range(sp.dim)])
+            for g in (random_symplectic(sp, rng, length=6, scale=3), general):
+                for k in range(m + 1):
+                    for s in itertools.combinations(range(m), k):
+                        yield sp, g, s
+
+
+def test_weyl_products_match_dense():
+    done = 0
+    for sp, g, s in _product_cases(random.Random(10)):
+        w = sp.w_subset(set(s))
+        winv = linalg.mat_inv(w, sp.field)
+        assert sp.mul_w(g, set(s)) == linalg.mat_mul(g, w)
+        assert sp.mul_w_inv(g, set(s)) == linalg.mat_mul(g, winv)
+        assert sp.w_inv_mul(set(s), g) == linalg.mat_mul(winv, g)
+        done += 1
+    assert done == 3 * 2 * (2 + 4 + 8)
+
+
+def test_u_rho_product_matches_dense():
+    rng = random.Random(11)
+    done = 0
+    for sp, g, s in _product_cases(rng):
+        field = sp.field
+        rho = [[None] * len(s) for _ in s]
+        for a in range(len(s)):
+            for b in range(a, len(s)):
+                rho[a][b] = rho[b][a] = field.element(rng.randrange(-4, 5))
+        rho = linalg.mat(rho)
+        u = u_rho_matrix(sp, list(s), rho)
+        assert metaplectic._mul_u_rho(sp, g, list(s), rho) == \
+            linalg.mat_mul(g, u)
+        assert metaplectic._mul_u_rho(sp, g, list(s), rho, inverse=True) == \
+            linalg.mat_mul(g, linalg.mat_inv(u, field))
+        done += bool(s)
+    assert done == 3 * 2 * (1 + 3 + 7)
+
+
+def test_decompositions_make_no_dense_weyl_products(monkeypatch):
+    # Bruhat: p1^-1 g and the check (p1 w_j) p2; Leray: the C block of
+    # g1 g2, p^-1 g2, g1 p and the two checks.  Products by w_S and u_rho
+    # are signed permutations and column updates, not mat_mul
+    calls = []
+    real = linalg.mat_mul
+
+    def counted(a, b):
+        calls.append(len(a))
+        return real(a, b)
+    rng = random.Random(16)
+    pairs = list(_leray_pairs(rng, ((1, 10), (2, 10), (3, 6))))
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    js, with_s = set(), 0
+    for sp, g1, g2 in pairs:
+        calls.clear()
+        js.add(bruhat_decompose(sp, g1).j)
+        assert len(calls) == 2
+        calls.clear()
+        with_s += bool(leray_decompose(sp, g1, g2).s)
+        assert len(calls) == 5
+    assert js == {0, 1, 2, 3} and with_s >= 10
+
+
 def test_u_rho_symplectic_requires_symmetric():
     sp = SympSpace(QpField(3), 2)
     good = u_rho_matrix(sp, [0, 1], qmat([[1, 2], [2, 1]]))
