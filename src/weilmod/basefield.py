@@ -213,8 +213,8 @@ class AdditiveCharacter:
     @property
     def descriptor(self):
         if self.flavor == "finite":
-            return "psi:twist:%d" % self.twist.i if self.twist != 1 \
-                else "psi:standard"
+            return "psi:standard" if self.twist == self.field.one() \
+                else "psi:twist:%d" % self.twist.i
         return "psi:level0" if self.twist == 1 else "psi:twist:%s" % self.twist
 
     def level(self):

@@ -13,12 +13,12 @@ from fractions import Fraction
 from . import linalg
 from .basefield import (AdditiveCharacter, HaarConvention, InputError,
                         parse_character, parse_field)
-from .coeff import Cyc, CyclotomicRing, FiniteField
+from .coeff import Cyc, CyclotomicRing, FFElt, FiniteField
 from .heisenberg import SympSpace, SchrodingerModel, delta, central
 from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
                           cocycle_operator, enumerate_sp2, leray_decompose,
                           leray_x_classes, sigma, x_invariant)
-from .quadratic import QuadraticForm, hilbert, square_class
+from .quadratic import QuadraticForm, hilbert
 from .schwartz import cocycle_operator_padic
 from .weilfactor import omega
 
@@ -39,7 +39,7 @@ def scalar_json(v, approx=False):
             z = v.approx()
             out["approx_nonauthoritative"] = [z.real, z.imag]
         return out
-    if hasattr(v, "field"):  # finite-field coefficient
+    if isinstance(v, FFElt):
         return {"ring": repr(v.field), "value": v.i}
     return str(v)
 
@@ -130,7 +130,7 @@ def cmd_hilbert(args):
     field = parse_field(args.field)
     a = parse_scalar(field, args.a)
     b = parse_scalar(field, args.b)
-    if a == 0 or b == 0:
+    if not a or not b:
         raise InputError("the Hilbert symbol needs nonzero a and b")
     return {"value": hilbert(field, a, b)}
 
@@ -138,16 +138,7 @@ def cmd_hilbert(args):
 def cmd_hasse(args):
     field = parse_field(args.field)
     q = parse_form(field, args.form)
-    return {"value": q.hasse(),
-            "det_class": square_class(
-                field, _prod(q.diagonalize()[1], field)).tag}
-
-
-def _prod(vals, field):
-    acc = field.element(1)
-    for v in vals:
-        acc = acc * v
-    return acc
+    return {"value": q.hasse(), "det_class": q.det_square_class().tag}
 
 
 def cmd_bruhat(args):
@@ -258,7 +249,7 @@ def cmd_heisenberg(args):
             h = delta(space, w) * central(space, t.i)
             out.append({"w": [str(x) for x in w], "t": str(t),
                         "matrix": matrix_json(
-                            model.rho(h).to_dense(model.zero_coeff()),
+                            model.rho(h).to_dense(psi.coeff_ring.zero()),
                             args.approx)})
     payload = {"field": args.field, "m": args.m, "count": len(out),
                "operators": out}
@@ -409,16 +400,16 @@ def main(argv=None):
         fmt = "csv" if out.endswith(".csv") else "json"
     try:
         result = args.func(args)
-    except (InputError, ValueError, KeyError) as ex:
+        code = 0
+        if isinstance(result, tuple):
+            result, code = result
+        emit(result, fmt, path)
+    except (InputError, ValueError, KeyError, OSError) as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2
     except RuntimeError as ex:
         sys.stderr.write("check failure: %s\n" % ex)
         return 1
-    code = 0
-    if isinstance(result, tuple):
-        result, code = result
-    emit(result, fmt, path)
     return code
 
 

@@ -705,11 +705,11 @@ class FFElt:
         return self.field.trace_i(self.i)
 
     def __eq__(self, other):
-        j = self._j(other) if not isinstance(other, FFElt) else (
-            other.i if other.field is self.field else None)
-        if j is None and not isinstance(other, (int, Fraction)):
+        # only elements of the same field: equality with ints would be mod
+        # l (1 == 4 in F_3), neither transitive nor consistent with hash
+        if not isinstance(other, FFElt):
             return NotImplemented
-        return self.i == j
+        return self.field is other.field and self.i == other.i
 
     def __hash__(self):
         return hash((id(self.field), self.i))
@@ -734,10 +734,11 @@ class ReductionMap:
             raise RingMismatchError("reduction requires l != p")
         root = field.root_of_unity(ring.n)
         # the image of zeta must have order exactly p^k
-        if (root ** ring.n) != 1 or (root ** (ring.n // ring.p)) == 1:
+        one = field.one()
+        if root ** ring.n != one or root ** (ring.n // ring.p) == one:
             raise ValueError("designated root has wrong order")
         self.root = root
-        self._powers = [field.one()]
+        self._powers = [one]
         for _ in range(ring.phi - 1):
             self._powers.append(self._powers[-1] * root)
 

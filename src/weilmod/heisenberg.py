@@ -349,13 +349,6 @@ class LagrangianModel:
             phases[j] = self.psi(t)
         return Monomial(perm, phases)
 
-    def zero_coeff(self):
-        one = self.psi(self.field.element(0))
-        return one - one
-
-    def one_coeff(self):
-        return self.psi(self.field.element(0))
-
 
 class SchrodingerModel(LagrangianModel):
     """The X-model: functions on Y with the standard action formula."""
@@ -443,15 +436,13 @@ def model_generators(space):
     return gens
 
 
-def commutant_dim(operators, dim):
-    """Dimension of {M : M r = r M for all r}, r monomial, via weighted
-    union-find on the d^2 entry slots."""
+def commutant_dim(operators, dim, ring):
+    """Dimension of {M : M r = r M for all r}, r monomial with phases in
+    `ring`, via weighted union-find on the d^2 entry slots."""
     parent = list(range(dim * dim))
-    weight = [None] * (dim * dim)  # M[slot] = weight[slot] * M[root]
+    one = ring.one()
+    weight = [one] * (dim * dim)  # M[slot] = weight[slot] * M[root]
     dead = [False] * (dim * dim)
-    one = operators[0].phases[0] * operators[0].phases[0].inv()
-    for i in range(dim * dim):
-        weight[i] = one
 
     def find(x):
         if parent[x] == x:
@@ -488,11 +479,9 @@ def commutant_dim(operators, dim):
     return sum(1 for r in roots if not dead[r])
 
 
-def commutant_dim_model(model, extra_generators=()):
-    gens = model_generators(model.space)
-    ops = [model.rho(h) for h in gens]
-    ops.extend(extra_generators)
-    return commutant_dim(ops, model.dim)
+def commutant_dim_model(model):
+    ops = [model.rho(h) for h in model_generators(model.space)]
+    return commutant_dim(ops, model.dim, model.psi.coeff_ring)
 
 
 def intertwiner(model1, model2, omega_vec=None):
@@ -505,12 +494,13 @@ def intertwiner(model1, model2, omega_vec=None):
         omega_vec = sp.zero_vec()
     omega_vec = tuple(field.element(x) for x in omega_vec)
     a1, a2 = model1.a_basis, model2.a_basis
+    ring = model1.psi.coeff_ring
     inter = linalg.intersection(a1, a2, field)
     for u in inter:
-        if model1.psi(sp.pairing(u, omega_vec)) != model1.one_coeff():
+        if model1.psi(sp.pairing(u, omega_vec)) != ring.one():
             raise ValueError("omega incompatible on the intersection")
     reps = coset_reps(inter, a2, field)
-    zero = model1.zero_coeff()
+    zero = ring.zero()
     rows = [[zero] * model1.dim for _ in range(model2.dim)]
     om = delta(sp, omega_vec)
     for i2 in range(model2.dim):

@@ -195,14 +195,12 @@ class WeilContext:
         self._slot_bits = (self.model.dim *
                            field.q ** (2 * space.m)).bit_length()
         self._phi = _ring_map(psi, self._slot_bits)
-        self._one = self.model.one_coeff()
-        self._zero = self.model.zero_coeff()
 
     def one(self):
-        return self._one
+        return self.psi.coeff_ring.one()
 
     def zero(self):
-        return self._zero
+        return self.psi.coeff_ring.zero()
 
 
 def _ring_map(psi, bits):

@@ -19,7 +19,8 @@ from .weilfactor import omega1_padic, omega_ratio
 
 
 class UnsupportedInputError(ValueError):
-    """Input outside the supported (diagonal, m = 1 per factor) class."""
+    """Input the one-dimensional phase-step model cannot represent or
+    refine."""
 
 
 class PhaseTerm(NamedTuple):
@@ -46,28 +47,17 @@ def _center_rep(p, a, n):
 
 
 class PhaseStepFunction:
-    """Finite sum of phase-decorated coset indicators on Q_p^m; m >= 2 only
-    as pure products with diagonal data (each term a tuple of 1-dim terms)."""
+    """Finite sum of phase-decorated coset indicators on Q_p."""
 
-    def __init__(self, p, terms, m=1):
+    def __init__(self, p, terms):
         self.p = p
-        self.m = m
         self.psi = AdditiveCharacter(QpField(p))
-        if m == 1:
-            self.terms = tuple(self._canon_term(t) for t in terms
-                               if not _is_zero_coeff(t.coeff))
-        else:
-            self.terms = tuple(terms)
+        self.terms = tuple(self._canon_term(t) for t in terms if t.coeff)
 
     @classmethod
-    def indicator(cls, p, center=0, depth=0, m=1):
-        one = CyclotomicRing(p).one()
-        if m == 1:
-            return cls(p, [PhaseTerm(one, Fraction(center), depth,
-                                     Fraction(0), Fraction(0))])
-        t = tuple(PhaseTerm(one, Fraction(center), depth, Fraction(0),
-                            Fraction(0)) for _ in range(m))
-        return cls(p, [t], m=m)
+    def indicator(cls, p, center=0, depth=0):
+        return cls(p, [PhaseTerm(CyclotomicRing(p).one(), Fraction(center),
+                                 depth, Fraction(0), Fraction(0))])
 
     def _canon_term(self, t):
         p = self.p
@@ -87,8 +77,6 @@ class PhaseStepFunction:
         return PhaseTerm(coeff, a, t.depth, quad, lin)
 
     def canonical(self):
-        if self.m != 1:
-            return self
         merged = {}
         for t in self.terms:
             key = (t.center, t.depth, t.quad, t.lin)
@@ -101,12 +89,10 @@ class PhaseStepFunction:
                                     key=lambda kv: (kv[0][1], str(kv[0][0]),
                                                     str(kv[0][2]),
                                                     str(kv[0][3])))
-                 if not _is_zero_coeff(c)]
+                 if c]
         return PhaseStepFunction(self.p, terms)
 
     def eval(self, y):
-        if self.m != 1:
-            return self._eval_product(y)
         y = Fraction(y)
         acc = None
         p = self.p
@@ -120,47 +106,22 @@ class PhaseStepFunction:
             return CyclotomicRing(p).zero()
         return acc
 
-    def _eval_product(self, ys):
-        acc = None
-        for term in self.terms:
-            prod = None
-            dead = False
-            for t, y in zip(term, ys):
-                f1 = PhaseStepFunction(self.p, [t])
-                v = f1.eval(y)
-                if v.is_zero():
-                    dead = True
-                    break
-                prod = v if prod is None else prod * v
-            if dead:
-                continue
-            acc = prod if acc is None else acc + prod
-        if acc is None:
-            return CyclotomicRing(self.p).zero()
-        return acc
-
     def scaled(self, c):
-        if self.m != 1:
-            return PhaseStepFunction(
-                self.p, [(t[0]._replace(coeff=c * t[0].coeff),) + t[1:]
-                         for t in self.terms], m=self.m)
         return PhaseStepFunction(
             self.p, [t._replace(coeff=c * t.coeff) for t in self.terms])
 
     def __add__(self, other):
-        if self.p != other.p or self.m != other.m:
+        if self.p != other.p:
             raise UnsupportedInputError("mismatched function spaces")
-        return PhaseStepFunction(self.p, self.terms + other.terms, m=self.m)
+        return PhaseStepFunction(self.p, self.terms + other.terms)
 
     def __repr__(self):
         return "PhaseStep(p=%d, %d terms)" % (self.p, len(self.terms))
 
-    # -- group actions (m = 1) ------------------------------------------------
+    # -- group actions --------------------------------------------------------
 
     def act_heisenberg(self, u, v, t):
         """rho((u e + v f, t)): y -> psi(-u y - u v/2 + t) f(y + v)."""
-        if self.m != 1:
-            return self._act_heisenberg_product(u, v, t)
         p = self.p
         u, v, t = Fraction(u), Fraction(v), Fraction(t)
         out = []
@@ -170,29 +131,8 @@ class PhaseStepFunction:
             out.append(PhaseTerm(coeff, a1, tm.depth, tm.quad, tm.lin - u))
         return PhaseStepFunction(p, out)
 
-    def _act_heisenberg_product(self, us, vs, t):
-        terms = []
-        psi = self.psi
-        for term in self.terms:
-            parts = []
-            scalar = psi(Fraction(t))
-            for tm, u, v in zip(term, us, vs):
-                f1 = PhaseStepFunction(self.p, [tm]).act_heisenberg(u, v, 0)
-                if not f1.terms:
-                    parts = None
-                    break
-                parts.append(f1.terms[0])
-            if parts is None:
-                continue
-            parts[0] = parts[0]._replace(coeff=scalar * parts[0].coeff)
-            terms.append(tuple(parts))
-        return PhaseStepFunction(self.p, terms, m=self.m)
-
     def act_parabolic(self, a, b):
         """I_p for p = [[a, b],[0, 1/a]]: y -> psi((a b/2) y^2) f(a y)."""
-        if self.m != 1:
-            raise UnsupportedInputError(
-                "general parabolic action only at m = 1; use diagonal tensor")
         p = self.p
         a, b = Fraction(a), Fraction(b)
         if a == 0:
@@ -213,36 +153,6 @@ class PhaseStepFunction:
             out.append(PhaseTerm(tm.coeff * self.psi(const), c1, d1,
                                  quad2, lin2))
         return PhaseStepFunction(p, out)
-
-    def act_fourier(self):
-        """sigma(w) for w = [[0,-1],[1,0]] (m = 1) or the per-coordinate
-        Fourier on a product function via act_fourier_subset."""
-        if self.m != 1:
-            return self.act_fourier_subset(tuple(range(self.m)))
-        return sigma_padic_matrix(self.p, ((Fraction(0), Fraction(-1)),
-                                           (Fraction(1), Fraction(0))))(self)
-
-    def act_fourier_subset(self, subset):
-        if self.m == 1:
-            if tuple(subset) != (0,):
-                raise UnsupportedInputError("bad subset for m = 1")
-            return self.act_fourier()
-        terms = []
-        w = sigma_padic_matrix(self.p, ((Fraction(0), Fraction(-1)),
-                                        (Fraction(1), Fraction(0))))
-        for term in self.terms:
-            parts = []
-            scalar = None
-            for i, tm in enumerate(term):
-                f1 = PhaseStepFunction(self.p, [tm])
-                if i in subset:
-                    f1 = w(f1)
-                if len(f1.terms) != 1:
-                    raise UnsupportedInputError(
-                        "non-product output in tensor Fourier")
-                parts.append(f1.terms[0])
-            terms.append(tuple(parts))
-        return PhaseStepFunction(self.p, terms, m=self.m)
 
     # -- exact equality by refinement -----------------------------------------
 
@@ -278,11 +188,9 @@ class PhaseStepFunction:
                 d = c - t.center
                 v = t.coeff * self.psi(t.quad * d * d + t.lin * d)
                 table[c] = table.get(c, CyclotomicRing(p).zero()) + v
-        return {c: v for c, v in table.items() if not v.is_zero()}
+        return {c: v for c, v in table.items() if v}
 
     def equals(self, other):
-        if self.m != 1 or other.m != 1:
-            raise UnsupportedInputError("refinement equality only at m = 1")
         a = self.canonical()
         b = other.canonical()
         if a.terms == b.terms:
@@ -295,17 +203,13 @@ class PhaseStepFunction:
         if not self.terms:
             return None
         for t in self.terms:
-            if not self.eval(t.center).is_zero():
+            if self.eval(t.center):
                 return t.center
         d = self._needed_depth()
         tab = self.value_table(d)
         for c in sorted(tab, key=str):
             return c
         return None
-
-
-def _is_zero_coeff(c):
-    return hasattr(c, "is_zero") and c.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +244,6 @@ def sigma_padic_matrix(p, g):
     vga = fld.val(ga)
 
     def act(f):
-        if f.m != 1:
-            raise UnsupportedInputError("operator path is m = 1 only")
         out = []
         for tm in f.terms:
             na = tm.depth - vga

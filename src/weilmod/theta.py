@@ -130,15 +130,10 @@ class RestrictedWeil:
                 perm[model._index[linalg.mat_vec(at, co)]] = i
             self.h1_perms[h] = tuple(perm)
 
-    def zero(self):
-        return self.ctx.zero()
-
-    def one(self):
-        return self.ctx.one()
-
     def h1_op(self, h):
-        return Monomial(self.h1_perms[h], (self.one(),) * self.dim) \
-            .to_dense(self.zero())
+        ring = self.psi.coeff_ring
+        return Monomial(self.h1_perms[h], (ring.one(),) * self.dim) \
+            .to_dense(ring.zero())
 
     def h2_op(self, h):
         return sigma(self.ctx, self.pair.embed_h2(h))
@@ -227,7 +222,7 @@ class ThetaLift:
     def __init__(self, rw, chi1):
         self.rw = rw
         self.chi1 = chi1
-        zero, one = rw.zero(), rw.one()
+        zero, one = rw.psi.coeff_ring.zero(), rw.psi.coeff_ring.one()
         signed = [(perm, one * chi1[h]) for h, perm in rw.h1_perms.items()]
         seen = [False] * rw.dim
         self.orbits, basis = [], []
@@ -256,7 +251,7 @@ class ThetaLift:
         if self.dim == 0:
             return ()
         cols_of_m = linalg.transpose(rw.h2_op(h2))
-        zero = (rw.zero(),) * rw.dim
+        zero = (rw.psi.coeff_ring.zero(),) * rw.dim
         cols = []
         for v, orbit in zip(self.basis, self.orbits):
             img = linalg.combine([v[z] for z in orbit],
@@ -271,7 +266,8 @@ class ThetaLift:
         return a
 
     def character(self):
-        return {h: linalg.trace(self.act(h)) if self.dim else self.rw.zero()
+        zero = self.rw.psi.coeff_ring.zero()
+        return {h: linalg.trace(self.act(h)) if self.dim else zero
                 for h in self.rw.pair.h2_list}
 
 
@@ -296,20 +292,18 @@ def group_inverses(group, field):
 class CentralIdempotent:
     """e_Pi = (dim Pi / |G|) sum_g chi(g^{-1}) g in R[G], for a group given
     as an element list with its multiplication `mul` and inverse table
-    `inv`; `one_scalar` is the one of the coefficient ring R.  Over a finite
-    R of characteristic l the group order must be prime to l (banal)."""
+    `inv`, over the coefficient ring `ring` = R.  Over a finite R of
+    characteristic l the group order must be prime to l (banal)."""
 
-    def __init__(self, group, mul, inv, char, dim, one_scalar):
+    def __init__(self, group, mul, inv, char, dim, ring):
         self.group = list(group)
         self.mul = mul
         n = len(self.group)
-        if hasattr(one_scalar, "field"):
-            ell = one_scalar.field.p
-            if n % ell == 0:
-                raise ValueError(
-                    "non-banal characteristic: l divides the group order")
+        if isinstance(ring, FiniteField) and n % ring.p == 0:
+            raise ValueError(
+                "non-banal characteristic: l divides the group order")
         self.inv = inv
-        scale = one_scalar * Fraction(dim, n)
+        scale = ring.one() * Fraction(dim, n)
         self.coeffs = {g: scale * char[self.inv[g]] for g in self.group}
 
     def convolve(self, other):
@@ -407,9 +401,9 @@ def congruence_check(v_form, mprime, ell):
     chi, dim0, ch0, chl = trivial
     group, mul, inv = product_group(pair, inv2)
     char_prod0 = {(a, b): ch0[b] * chi[a] for (a, b) in group}
-    e0 = CentralIdempotent(group, mul, inv, char_prod0, dim0, ring0.one())
+    e0 = CentralIdempotent(group, mul, inv, char_prod0, dim0, ring0)
     char_prodl = {(a, b): chl[b] * chi[a] for (a, b) in group}
-    el = CentralIdempotent(group, mul, inv, char_prodl, dim0, ffl.one())
+    el = CentralIdempotent(group, mul, inv, char_prodl, dim0, ffl)
     for g in group:
         if red(e0.coeffs[g]) != el.coeffs[g]:
             raise RuntimeError("idempotent reduction mismatch")

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .basefield import HaarConvention, QpField
-from .coeff import Cyc, CyclotomicRing
+from .coeff import CyclotomicRing
 from .quadratic import QuadraticForm, hilbert
 
 
@@ -119,7 +119,7 @@ def omega1(field, psi, a):
 
 
 def _untwisted(psi):
-    if psi.flavor == "finite" and psi.twist != 1:
+    if psi.flavor == "finite" and psi.twist != psi.field.one():
         from .basefield import AdditiveCharacter
         return AdditiveCharacter(psi.field, psi.coeff_ring, 1)
     return psi
@@ -154,7 +154,7 @@ def _omega_scalar(q_form, mu, psi):
     # p-adic: diagonalize the nondegenerate part and use multiplicativity
     vecs, vals = q_form.diagonalize()
     if not vals:
-        return _as_coeff(psi, mu.scale)
+        return psi.coeff_ring.one() * mu.scale
     comp, gc = q_form.nondegenerate_part()
     # express the diagonalizing vectors in quotient coordinates
     cols = []
@@ -169,11 +169,6 @@ def _omega_scalar(q_form, mu, psi):
         w = omega1(field, psi, a)
         acc = w if acc is None else acc * w
     return acc * (mu.scale * detscale)
-
-
-def _as_coeff(psi, scalar):
-    one = psi.coeff_ring.one() if hasattr(psi.coeff_ring, "one") else None
-    return one * scalar
 
 
 def omega_brute_padic(q_form, psi, depth):
@@ -232,7 +227,7 @@ def hilbert_via_omega(field, psi, a, b):
     num = omega1(field, psi, field.element(1)) * omega1(field, psi, a * b)
     den = omega1(field, psi, a) * omega1(field, psi, b)
     r = num * den.inv()
-    one = r.ring.one() if isinstance(r, Cyc) else r.field.one()
+    one = psi.coeff_ring.one()
     if r == one:
         return 1
     if r == -one:

@@ -1,14 +1,19 @@
 """Schema of the committed BENCH_*.json files: each holds, for every
 workload and end-to-end metric that BENCHMARK.json declares, the medians of
-the parent and of the change, with the host and both commits."""
+the parent and of the change, with the host and both commits.  Also the
+guards the benchmark relies on: every name its tracer wraps still exists,
+and the package has no `assert` that `python -O` would strip."""
 
+import ast
 import glob
+import importlib
 import json
 import os
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "weilmod")
 BENCH_FILES = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
 
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
@@ -46,3 +51,38 @@ def test_bench_file_schema(path):
                     stats = cell[side]
                     assert _number(stats["median"]), (name, metric, side)
                     assert stats["q1"] <= stats["median"] <= stats["q3"]
+
+
+def _tracer_targets():
+    """TIMED and COUNTED of perfbench/layers.py, read as data (the module
+    is not imported)."""
+    with open(os.path.join(ROOT, "perfbench", "layers.py")) as fh:
+        tree = ast.parse(fh.read())
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                getattr(node.targets[0], "id", None) in ("TIMED", "COUNTED"):
+            out.update(ast.literal_eval(node.value))
+    return out
+
+
+def test_traced_names_resolve():
+    targets = _tracer_targets()
+    assert len(targets) > 20
+    for span, (modname, path) in sorted(targets.items()):
+        owner = importlib.import_module("weilmod." + modname)
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        # the tracer swaps owner.__dict__[attr], so it must be defined there
+        assert callable(vars(owner).get(attr)), (span, modname, path)
+
+
+def test_package_has_no_assert():
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -179,11 +179,27 @@ def test_theta_char2_counts_every_orbit():
     ["theta", "--field", "fq:3:1", "--V", "diag:1", "--coeff", "fl:x:1"],
     ["cocycle", "--field", "qp:5", "--m", "1", *QP_G, "--psi",
      "psi:twist:5"],
+    ["hilbert", "--field", "fq:3:1", "--a", "3", "--b", "1"],
 ])
 def test_invalid_input_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["hilbert", "--field", "qp:5", "--a", "5", "--b", "2",
+     "--out", "{tmp}/missing/x.json"],
+    ["weilrep", "--field", "fq:3:1", "--m", "1", "--out", "{tmp}"],
+    ["heisenberg", "--field", "fq:3:1", "--m", "1",
+     "--emit", "{tmp}/missing/x"],
+])
+def test_unwritable_output_exit_2(args, tmp_path):
+    proc = run_cli(*[a.format(tmp=tmp_path) for a in args])
+    assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from weilmod.basefield import FqField
 from weilmod.coeff import (_CONWAY, Cyc, CyclotomicRing, FFElt, FiniteField,
                            NotInvertibleError, ReductionMap,
                            RingMismatchError, _is_irreducible)
@@ -37,7 +38,8 @@ def test_root_of_unity_choices():
     assert FiniteField(7).root_of_unity(3).i == 2
     with pytest.raises(NotInvertibleError):
         FiniteField(5).root_of_unity(3)
-    assert FiniteField(5, 2).root_of_unity(3) ** 3 == 1
+    f25 = FiniteField(5, 2)
+    assert f25.root_of_unity(3) ** 3 == f25.one()
     r3 = CyclotomicRing(3)
     assert r3.root_of_unity(3) == r3.zeta()
 
@@ -53,7 +55,7 @@ def test_root_orders():
             if (fld.q - 1) % order:
                 continue
             z = fld.root_of_unity(order)
-            assert z ** order == 1 and z ** (order // order) == z
+            assert z ** order == fld.one() and z ** (order // order) == z
 
 
 def test_reduction_examples():
@@ -76,7 +78,7 @@ def test_reduction_hom_randomized():
         b = r3.element([rng.randrange(-50, 51) for _ in range(2)])
         assert red(a * b) == red(a) * red(b)
         assert red(a + b) == red(a) + red(b)
-    assert red(r3.one()) == 1
+    assert red(r3.one()) == red.field.one()
 
 
 def test_reduction_denominators():
@@ -148,7 +150,7 @@ def test_conway_polynomials_are_irreducible():
     for (p, d) in ((3, 2), (5, 2), (7, 2), (2, 2), (2, 3), (2, 4)):
         fld = FiniteField(p, d)
         g = fld.element(max(2, p))
-        assert g ** (fld.q - 1) == 1
+        assert g ** (fld.q - 1) == fld.one()
     for (p, d), poly in _CONWAY.items():
         assert len(poly) == d + 1 and _is_irreducible(poly, p)
 
@@ -161,6 +163,43 @@ def test_equal_values_across_levels_hash_equal():
     assert len({a, b}) == 1
     half = CyclotomicRing(3, 2).from_fraction(Fraction(1, 2))
     assert hash(half) == hash(Fraction(1, 2))
+
+
+def test_equal_scalars_hash_equal():
+    # a == b implies hash(a) == hash(b) over every scalar kind; an FFElt
+    # equals only FFElts of its own field (1 == 4 in F_3, so equality with
+    # ints could not be transitive)
+    rng = random.Random(11)
+    ints = [rng.randrange(-12, 13) for _ in range(30)] + [0, 1, -1]
+    fracs = [Fraction(rng.randrange(-12, 13), rng.randrange(1, 7))
+             for _ in range(30)]
+    ffs = []
+    for fld in (FqField(3), FqField(3, 2), FiniteField(2, 3)):
+        ffs += [fld.element(rng.randrange(-50, 50)) for _ in range(20)]
+        ffs += [fld.from_int(v) for v in ints[:10]] + fld.elements()
+    cycs = []
+    for k in (1, 2):
+        ring = CyclotomicRing(3, k)
+        for den in (1, rng.randrange(2, 7)):
+            cycs += [ring.element([rng.randrange(-3, 4)
+                                   for _ in range(ring.phi)], den)
+                     for _ in range(15)]
+        cycs += [ring.coerce(v) for v in ints[:10] + fracs[:10]]
+    cycs += [CyclotomicRing(3, 2).coerce(c) for c in cycs[:40]]
+    values = ints + fracs + ffs + cycs
+    equal_pairs = 0
+    for a in values:
+        for b in values:
+            if a == b:
+                equal_pairs += 1
+                assert hash(a) == hash(b), (a, b)
+    assert equal_pairs > 2 * len(values)
+    for x in ffs:
+        for v in ints + fracs:
+            assert not x == v and not v == x and x != v, (x, v)
+    x = FqField(3).element(1)
+    assert (x == 1) is False and x == FqField(3).one()
+    assert len({x, 1, FqField(3).element(4)}) == 2
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
@@ -231,7 +270,7 @@ def test_f3_6_is_a_field():
     for i in range(1, fld.q):
         assert _poly_product(fld, i, fld.inv_i(i)) == 1
     z = fld.root_of_unity(7)
-    assert z ** 7 == 1 and z != 1
+    assert z ** 7 == fld.one() and z != fld.one()
 
 
 @pytest.mark.parametrize("ell,d,pairs", [

@@ -92,7 +92,7 @@ def test_monomial_example_translation_and_phase():
     model = SchrodingerModel(sp, AdditiveCharacter(f3))
     # h = delta(f_1) translates f(y) -> f(y + 1); pure permutation
     mono = model.rho(delta(sp, (0, 1)))
-    one = model.one_coeff()
+    one = model.psi.coeff_ring.one()
     assert all(ph == one for ph in mono.phases)
     assert sorted(mono.perm) == [0, 1, 2]
     # h = delta(e_1) acts diagonally
@@ -146,7 +146,7 @@ def test_intertwiner_x_to_y():
     xmodel = SchrodingerModel(sp, psi)
     ymodel = LagrangianModel(sp, psi, [sp.basis_f(0)])
     im = intertwiner(xmodel, ymodel)
-    zero = xmodel.zero_coeff()
+    zero = xmodel.psi.coeff_ring.zero()
     # intertwining relation on every group element
     for h in all_h(sp):
         lhs = linalg.mat_mul(im, xmodel.rho(h).to_dense(zero))
@@ -165,7 +165,7 @@ def test_intertwiner_roundtrip_scalar():
     ixy = intertwiner(xmodel, ymodel)
     iyx = intertwiner(ymodel, xmodel)
     prod = linalg.mat_mul(iyx, ixy)
-    zero = xmodel.zero_coeff()
+    zero = xmodel.psi.coeff_ring.zero()
     n = xmodel.dim
     diag = prod[0][0]
     assert not diag.is_zero()
@@ -182,7 +182,7 @@ def test_intertwiner_same_model_is_scalar():
     psi = AdditiveCharacter(f3)
     xmodel = SchrodingerModel(sp, psi)
     im = intertwiner(xmodel, xmodel)
-    zero = xmodel.zero_coeff()
+    zero = xmodel.psi.coeff_ring.zero()
     for i in range(xmodel.dim):
         for j in range(xmodel.dim):
             if i != j:
@@ -198,7 +198,7 @@ def test_intertwiner_omega_compatibility():
     ymodel = LagrangianModel(sp, psi, [sp.basis_f(0)])
     # trivial intersection: any omega is allowed, and omega = e_1 shifts
     im = intertwiner(xmodel, ymodel, omega_vec=sp.basis_e(0))
-    zero = xmodel.zero_coeff()
+    zero = xmodel.psi.coeff_ring.zero()
     for h in all_h(sp)[:12]:
         lhs = linalg.mat_mul(im, xmodel.rho(h).to_dense(zero))
         rhs = linalg.mat_mul(ymodel.rho(h).to_dense(zero), im)
@@ -216,7 +216,7 @@ def test_contragredient_is_psi_inverse_model():
     gens = model_generators(sp)
     ops_dual = [dual.rho(h) for h in gens]
     ops_inv = [inv_model.rho(h) for h in gens]
-    zero = model.zero_coeff()
+    zero = model.psi.coeff_ring.zero()
     homs = hom_space(ops_dual, ops_inv, model.dim, model.dim,
                      psi.coeff_ring)
     assert len(homs) == 1

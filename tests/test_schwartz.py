@@ -1,14 +1,11 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from weilmod import linalg
 from weilmod.basefield import AdditiveCharacter, QpField
 from weilmod.coeff import CyclotomicRing
 from weilmod.schwartz import (PhaseStepFunction, PhaseTerm,
-                              UnsupportedInputError, cocycle_operator_padic,
-                              sigma_padic_matrix)
+                              cocycle_operator_padic, sigma_padic_matrix)
 
 
 def F(x, y=1):
@@ -243,29 +240,6 @@ def test_phase_reduction_respects_values():
                 expected = t.coeff * AdditiveCharacter(QpField(p))(
                     t.quad * d * d + t.lin * d)
             assert f.eval(y) == expected
-
-
-def test_m2_diagonal_products():
-    p = 3
-    f = PhaseStepFunction.indicator(p, m=2)
-    r = CyclotomicRing(3)
-    assert f.eval((F(1), F(2))) == r.one()
-    assert f.eval((F(1, 3), F(0))).is_zero()
-    g = f.act_heisenberg((F(1), F(0)), (F(0), F(1, 3)), F(1, 3))
-    assert not g.eval((F(0), F(-1, 3))).is_zero()
-    h = f.act_fourier_subset((0, 1))
-    assert h.eval((F(0), F(0))) == r.one()
-    h1 = f.act_fourier_subset((0,))
-    assert h1.eval((F(1), F(1))) == r.one()
-
-
-def test_m2_unsupported_inputs():
-    p = 3
-    f = PhaseStepFunction.indicator(p, m=2)
-    with pytest.raises(UnsupportedInputError):
-        f.act_parabolic(F(2), F(1))
-    with pytest.raises(UnsupportedInputError):
-        f.equals(f)
 
 
 def test_cocycle_operator_sign_case():

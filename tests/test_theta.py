@@ -72,7 +72,7 @@ def test_restricted_weil_is_homomorphism():
     n = rw.dim
     for i in range(n):
         for j in range(n):
-            assert ident[i][j] == (rw.one() if i == j else rw.zero())
+            assert ident[i][j] == (rw.ctx.one() if i == j else rw.ctx.zero())
 
 
 def _ident_of(group):
@@ -93,7 +93,8 @@ def test_minus_one_acts_as_parity():
     n = rw.dim
     for i, co in enumerate(model._points):
         for j, co2 in enumerate(model._points):
-            expect = rw.one() if tuple(-x for x in co) == co2 else rw.zero()
+            expect = rw.ctx.one() if tuple(-x for x in co) == co2 \
+                else rw.ctx.zero()
             assert op[i][j] == expect
 
 
@@ -138,16 +139,16 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
         stacked = []
         for h in pair.h1_list:
             stacked.extend(linalg.mat_sub(
-                rw.h1_op(h), linalg.mat_scal(rw.one() * chi[h], ident)))
+                rw.h1_op(h), linalg.mat_scal(rw.ctx.one() * chi[h], ident)))
         ns = linalg.nullspace(linalg.mat(stacked), coeff)
         lift = ThetaLift(rw, chi)
         assert lift.dim == len(ns)
         for v in lift.basis:
-            assert all(x == rw.zero() for x in linalg.mat_vec(stacked, v))
+            assert all(x == rw.ctx.zero() for x in linalg.mat_vec(stacked, v))
         got = lift.character()
         for h2 in pair.h2_list:
             m = rw.h2_op(h2)
-            trace = rw.zero()
+            trace = rw.ctx.zero()
             for i, v in enumerate(ns):
                 sol = linalg.solve(linalg.transpose(ns), linalg.mat_vec(m, v),
                                    coeff)
@@ -211,7 +212,7 @@ def test_isotypic_characters_factor():
                 acc = None
                 for h in pair.h1_list:
                     t = linalg.mat_scal(
-                        rw.one() * Fraction(chi[h], len(pair.h1_list)),
+                        rw.ctx.one() * Fraction(chi[h], len(pair.h1_list)),
                         linalg.mat_mul(rw.h1_op(h), m))
                     acc = t if acc is None else linalg.mat_add(acc, t)
                 got = linalg.trace(acc)
@@ -226,7 +227,7 @@ def test_central_idempotent_properties():
     ring = CyclotomicRing(3)
     chars = linear_pm_characters(group, mul)
     inv = group_inverses(group, f3)
-    es = [CentralIdempotent(group, mul, inv, chi, 1, ring.one())
+    es = [CentralIdempotent(group, mul, inv, chi, 1, ring)
           for chi in chars]
     for e in es:
         assert e.is_idempotent()
@@ -247,7 +248,7 @@ def test_trivial_idempotent_formula():
     ring = CyclotomicRing(3)
     chi = {g: 1 for g in group}
     inv = group_inverses(group, f3)
-    e = CentralIdempotent(group, linalg.mat_mul, inv, chi, 1, ring.one())
+    e = CentralIdempotent(group, linalg.mat_mul, inv, chi, 1, ring)
     for g in group:
         assert e.coeffs[g] == ring.from_fraction(Fraction(1, len(group)))
 
@@ -275,7 +276,7 @@ def test_non_banal_refused():
     chi = {g: 1 for g in group}
     with pytest.raises(ValueError):
         CentralIdempotent(group, linalg.mat_mul, group_inverses(group, f3),
-                          chi, 1, ffl2.one())
+                          chi, 1, ffl2)
     with pytest.raises(ValueError, match=r"l = 2 divides \|H1 x H2\| = 48"):
         congruence_check(QuadraticForm(f3, [[1]]), 1, 2)
     with pytest.raises(ValueError, match=r"l = 3 divides \|H1 x H2\| = 48"):
