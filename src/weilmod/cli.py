@@ -155,10 +155,10 @@ def cmd_bruhat(args):
 def cmd_cocycle(args):
     field = parse_field(args.field)
     space = parse_space(field, args.m)
+    psi = parse_character(field, args.psi)
     if args.exhaustive:
         if field.flavor != "finite" or args.m != 1:
             raise InputError("--exhaustive needs a finite field and m = 1")
-        psi = parse_character(field, args.psi)
         ctx = WeilContext(space, psi)
         group = enumerate_sp2(space)
         pairs = 0
@@ -181,8 +181,7 @@ def cmd_cocycle(args):
         return {"trivial": True, "pairs": pairs}
     if args.g1 is None or args.g2 is None:
         raise InputError("--g1 and --g2 are required without --exhaustive")
-    if field.flavor != "finite" and \
-            parse_character(field, args.psi).twist != 1:
+    if field.flavor != "finite" and psi.twist != 1:
         raise InputError("the Q_p cocycle paths use the level-0 character "
                          "only, got --psi %s" % args.psi)
     g1 = parse_matrix(field, args.g1, 2 * args.m)
@@ -192,7 +191,6 @@ def cmd_cocycle(args):
             raise InputError("%s is not symplectic" % name)
     if args.path == "operator":
         if field.flavor == "finite":
-            psi = parse_character(field, args.psi)
             ctx = WeilContext(space, psi)
             c = cocycle_operator(ctx, g1, g2)
             value = scalar_json(c, args.approx)
@@ -311,47 +309,55 @@ def cmd_selfcheck(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end, like every invalid input, with one line and exit
+    2; add_subparsers gives each subcommand parser this class too."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="weilmod",
         description="exact Weil representations, metaplectic cocycles and "
                     "theta lifts over F_q and Q_p")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, psi=True):
+    def common(p, ring_scalars=False):
         p.add_argument("--field", required=True, help="fq:p:f or qp:p")
         p.add_argument("--out", default="json",
                        help="json, csv, or an output file path")
-        p.add_argument("--approx", action="store_true",
-                       help="append non-authoritative complex embeddings")
-        if psi:
+        if ring_scalars:
             p.add_argument("--psi", default=None,
                            help="psi:standard | psi:level0 | psi:twist:<c>")
+            p.add_argument("--approx", action="store_true",
+                           help="append non-authoritative complex embeddings")
 
     p = sub.add_parser("omega", help="non-normalised Weil factor")
-    common(p)
+    common(p, ring_scalars=True)
     p.add_argument("--form", required=True, help="diag:a,b,... or gram:...")
     p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("hilbert", help="quadratic Hilbert symbol")
-    common(p, psi=False)
+    common(p)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("hasse", help="Hasse invariant of a quadratic form")
-    common(p, psi=False)
+    common(p)
     p.add_argument("--form", required=True)
     p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("bruhat", help="Bruhat decomposition and x(g)")
-    common(p, psi=False)
+    common(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--g", required=True, help="row-major 2m x 2m entries")
     p.set_defaults(func=cmd_bruhat)
 
     p = sub.add_parser("cocycle", help="metaplectic 2-cocycle")
-    common(p)
+    common(p, ring_scalars=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--g1")
     p.add_argument("--g2")
@@ -363,12 +369,12 @@ def build_parser():
     p.set_defaults(func=cmd_cocycle)
 
     p = sub.add_parser("weilrep", help="dump sigma operator matrices")
-    common(p)
+    common(p, ring_scalars=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_weilrep)
 
     p = sub.add_parser("heisenberg", help="dump Heisenberg model operators")
-    common(p)
+    common(p, ring_scalars=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--emit", help="write JSON to this path")
     p.set_defaults(func=cmd_heisenberg)
@@ -383,7 +389,6 @@ def build_parser():
     p = sub.add_parser("selfcheck", help="run the invariant suite")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="json")
-    p.add_argument("--approx", action="store_true")
     p.set_defaults(func=cmd_selfcheck)
     return ap
 

@@ -151,9 +151,8 @@ class SympSpace:
         return a, b, c, d
 
     def in_parabolic(self, g):
-        _, _, c, _ = self.blocks(g)
-        z = self.field.element(0)
-        return all(x == z for row in c for x in row)
+        """The C block of g is zero."""
+        return not any(x for row in g[self.m:] for x in row[:self.m])
 
     def det_x(self, p):
         a, _, _, _ = self.blocks(p)
@@ -486,21 +485,20 @@ def commutant_dim_model(model):
 
 def intertwiner(model1, model2, omega_vec=None):
     """I_{A1,A2,mu,omega}: S_{A1} -> S_{A2} as a dense matrix, mu the
-    counting measure; trivially extended characters, so omega must pair
-    A1 cap A2 into ker psi."""
+    counting measure; trivially extended characters, so psi must be trivial
+    on <A1 cap A2, omega>, an F_q-subspace of F_q: omega must pair A1 cap A2
+    to zero, since psi is trivial on no nonzero F_q-subspace."""
     sp = model1.space
     field = sp.field
     if omega_vec is None:
         omega_vec = sp.zero_vec()
     omega_vec = tuple(field.element(x) for x in omega_vec)
     a1, a2 = model1.a_basis, model2.a_basis
-    ring = model1.psi.coeff_ring
     inter = linalg.intersection(a1, a2, field)
-    for u in inter:
-        if model1.psi(sp.pairing(u, omega_vec)) != ring.one():
-            raise ValueError("omega incompatible on the intersection")
+    if any(sp.pairing(u, omega_vec) for u in inter):
+        raise ValueError("omega incompatible on the intersection")
     reps = coset_reps(inter, a2, field)
-    zero = ring.zero()
+    zero = model1.psi.coeff_ring.zero()
     rows = [[zero] * model1.dim for _ in range(model2.dim)]
     om = delta(sp, omega_vec)
     for i2 in range(model2.dim):

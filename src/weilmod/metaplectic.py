@@ -37,13 +37,25 @@ class LerayData(NamedTuple):
 # subspace helpers over an arbitrary base field
 # ---------------------------------------------------------------------------
 
-def _x_basis(space):
-    return [space.basis_e(i) for i in range(space.m)]
+def _echelon_kernel_image(a, c, field):
+    """A ker C as {f: b_f}, its basis in reduced echelon form read from the
+    last coordinate: b_f is 1 at its last nonzero coordinate f and 0 at the
+    other keys (one nullspace of C, one rref of the reversed vectors A k)."""
+    m = len(a)
+    rows, piv = linalg.rref([linalg.mat_vec(a, k)[::-1]
+                             for k in linalg.nullspace(c, field)])
+    return {m - 1 - pc: row[::-1] for row, pc in zip(rows, piv)}
 
 
-def _lagrangian_image(space, g):
-    cols = linalg.transpose(g)
-    return list(cols[:space.m])
+def _x_meet(space, vectors):
+    """X cap span(vectors) for independent vectors (v_X; v_Y): -V_X k, with
+    Y = 0, for each k in the nullspace basis of V_Y."""
+    m = space.m
+    vx = linalg.transpose([v[:m] for v in vectors])
+    vy = linalg.transpose([v[m:] for v in vectors])
+    pad = (space.field.element(0),) * m
+    return [tuple(-x for x in linalg.mat_vec(vx, k)) + pad
+            for k in linalg.nullspace(vy, space.field)]
 
 
 def _solve_in_span(space, span_basis, pair_with, rhs_rows, extra=()):
@@ -78,11 +90,7 @@ def bruhat_decompose(space, g):
         raise ValueError("matrix is not symplectic")
     a, _, c, _ = space.blocks(g)
     zero, one = field.element(0), field.element(1)
-    # rref of the reversed vectors: b_f is 1 at its last nonzero coordinate
-    # f and 0 at the other pivots
-    rows, piv = linalg.rref([linalg.mat_vec(a, k)[::-1]
-                             for k in linalg.nullspace(c, field)])
-    echelon = {m - 1 - pc: row[::-1] for row, pc in zip(rows, piv)}
+    echelon = _echelon_kernel_image(a, c, field)
     n_idx = [i for i in range(m) if i not in echelon]
     j = len(n_idx)
     # K from one rref of [C[N] | I_j], zero off its pivots: y_i = g (k_i, 0)
@@ -435,16 +443,26 @@ def leray_decompose(space, g1, g2):
     if not (space.is_symplectic(g1) and space.is_symplectic(g2)):
         raise ValueError("matrix is not symplectic")
     zero, one = field.element(0), field.element(1)
-    l1 = _lagrangian_image(space, space.inv(g1))
-    l2 = _lagrangian_image(space, g2)
-    xb = _x_basis(space)
-    # dim(X - gX cap X) = rank C for g = [[A, B], [C, D]] (gX cap X is
-    # A ker C); the C block of g1^-1 is -C1^T, of the same rank
-    c12 = linalg.mat_mul(g1[m:], tuple(row[:m] for row in g2))
-    j1, j2, j12 = (len(linalg.rref(c)[1])
-                   for c in (space.blocks(g1)[2], space.blocks(g2)[2], c12))
-    inter12 = linalg.intersection(l1, l2, field)
-    a_basis = linalg.intersection(list(inter12), xb, field)
+    # L1 = g1^-1 X is spanned by the columns (D1^T; -C1^T), L2 = g2 X by
+    # (A2; C2), and <g1^-1 e_i, g2 e_j> is entry ij of C12, the C block of
+    # g1 g2; every subspace below is read off these blocks
+    xb = [space.basis_e(i) for i in range(m)]
+    l1 = [r[m:] + tuple(-x for x in r[:m]) for r in g1[m:]]
+    g2x = tuple(row[:m] for row in g2)
+    l2 = list(linalg.transpose(g2x))
+    c12 = linalg.mat_mul(g1[m:], g2x)
+    # L1 cap L2 = -g2 (ker C12; 0), and its part in X is A2 ker [C12; C2]
+    inter12 = [tuple(-x for x in linalg.mat_vec(g2x, k))
+               for k in linalg.nullspace(c12, field)]
+    echelon = _echelon_kernel_image(g2x[:m], c12 + g2x[m:], field)
+    a_basis = [tuple(-x for x in echelon[f]) + (zero,) * m
+               for f in sorted(echelon)]
+    x_l1 = _x_meet(space, l1)
+    x_l2 = _x_meet(space, l2)
+    # L1 + L2 has the basis L1 and the columns of L2 at the pivots of C12
+    z_basis = _x_meet(space, l1 + [l2[k] for k in linalg.rref(c12)[1]])
+    # dim(X - gX cap X) = rank C for g = [[A, B], [C, D]]
+    j1, j2, j12 = m - len(x_l1), m - len(x_l2), m - len(inter12)
     t = len(a_basis)
     l_ov = m - t - j12
     ns = j1 + j2 + j12 + 2 * t - 2 * m
@@ -459,31 +477,21 @@ def leray_decompose(space, g1, g2):
     c_idx = list(range(ns + n1 + n2 - l_ov, m))
     s1 = tuple(sorted(p12_idx + p1_idx))
     s2 = tuple(sorted(p12_idx + p2_idx))
-    # e' vectors
+    # e' vectors: one greedy pass over the groups in this order, each
+    # vector kept when it is not in the span of those before it
+    groups = ((c_idx, a_basis), (p2_idx, x_l1), (p1_idx, x_l2),
+              (s_idx, z_basis), (p12_idx, xb))
+    vecs = [v for _, vs in groups for v in vs]
+    piv = linalg.rref(linalg.transpose([v[:m] for v in vecs]))[1]
     e = [None] * m
-    for pos, i in enumerate(c_idx):
-        e[i] = a_basis[pos]
-    x_l1 = linalg.intersection(xb, l1, field)
-    x_l2 = linalg.intersection(xb, l2, field)
-    ext1 = linalg.column_space_basis(list(a_basis) + list(x_l1))[t:]
-    for pos, i in enumerate(p2_idx):
-        e[i] = ext1[pos]
-    ext2 = linalg.column_space_basis(
-        list(a_basis) + list(ext1) + list(x_l2))[t + len(ext1):]
-    for pos, i in enumerate(p1_idx):
-        e[i] = ext2[pos]
-    sum12 = linalg.column_space_basis(list(l1) + list(l2))
-    z_basis = linalg.intersection(xb, list(sum12), field)
-    built = [v for v in e if v is not None]
-    extz = linalg.column_space_basis(built + list(z_basis))[len(built):]
-    for pos, i in enumerate(s_idx):
-        e[i] = extz[pos]
-    built = [v for v in e if v is not None]
-    extx = linalg.column_space_basis(built + list(xb))[len(built):]
-    for pos, i in enumerate(p12_idx):
-        e[i] = extx[pos]
-    if any(v is None for v in e):
-        raise RuntimeError("Leray: e-basis construction failed")
+    start = 0
+    for idx, vs in groups:
+        kept = [vecs[c] for c in piv if start <= c < start + len(vs)]
+        if len(kept) != len(idx):
+            raise RuntimeError("Leray: e-basis construction failed")
+        for i, v in zip(idx, kept):
+            e[i] = v
+        start += len(vs)
     # f' vectors, one rref per block (but the C block, whose `extra` grows)
     f = [None] * m
     if s_idx:
@@ -537,8 +545,7 @@ def leray_decompose(space, g1, g2):
     solve_block(p1_idx, list(l1), (), "Leray: P1 solve failed")
     solve_block(p2_idx, list(l2), [f[k] for k in p1_idx],
                 "Leray: P2 solve failed")
-    full = [space.basis_e(i) for i in range(m)] + \
-           [space.basis_f(i) for i in range(m)]
+    full = xb + [space.basis_f(i) for i in range(m)]
     for i in c_idx:
         solve_block([i], full, [v for v in f if v is not None],
                     "Leray: C solve failed")

@@ -129,9 +129,9 @@ def _untwisted(psi):
 # the non-normalised Weil factor
 # ---------------------------------------------------------------------------
 
-def omega(q_form, mu=None, psi=None):
+def omega(q_form, mu, psi):
     """Omega_mu(psi o Q).  Degenerate forms pass through the radical
-    quotient; mu is a measure on X_Q."""
+    quotient; mu is a measure on X_Q (None: the field's default)."""
     field = q_form.field
     if mu is None:
         mu = HaarConvention.default_for(field)
@@ -235,7 +235,7 @@ def hilbert_via_omega(field, psi, a, b):
     raise RuntimeError("Omega Hilbert identity did not land in {+-1}")
 
 
-def omega_diag_product(q_form, mu=None, psi=None):
+def omega_diag_product(q_form, mu, psi):
     """Omega_{det_B(Q),1} * Omega_mu(psi o Q_Id_B) * h_F(Q), asserted equal to
     the directly computed Omega_mu(psi o Q)."""
     field = q_form.field

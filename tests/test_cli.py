@@ -180,6 +180,20 @@ def test_theta_char2_counts_every_orbit():
     ["cocycle", "--field", "qp:5", "--m", "1", *QP_G, "--psi",
      "psi:twist:5"],
     ["hilbert", "--field", "fq:3:1", "--a", "3", "--b", "1"],
+    ["cocycle", "--field", "fq:3:1", "--m", "1", "--g1", "1,0,0,1",
+     "--g2", "1,0,0,1", "--psi", "bogus"],
+    ["cocycle", "--field", "fq:3:1", "--m", "1", "--g1", "1,0,0,1",
+     "--g2", "1,0,0,1", "--psi", "psi:twist:3"],
+    ["theta", "--field", "fq:3:1", "--V", "diag:1", "--psi", "psi:twist:2"],
+    ["hilbert", "--field", "qp:5", "--a", "5", "--b", "2", "--approx"],
+    ["hasse", "--field", "qp:5", "--form", "diag:1", "--approx"],
+    ["bruhat", "--field", "fq:3:1", "--m", "1", "--g", "1,0,0,1",
+     "--approx"],
+    ["selfcheck", "--approx"],
+    ["hilbert", "--field", "qp:5", "--a", "5"],
+    ["bruhat", "--field", "fq:3:1", "--m", "x", "--g", "1,0,0,1"],
+    ["cocycle", "--field", "fq:3:1", "--m", "1", "--path", "dense"],
+    [],
 ])
 def test_invalid_input_exit_2(args):
     proc = run_cli(*args)

@@ -205,6 +205,22 @@ def test_intertwiner_omega_compatibility():
         assert lhs == rhs
 
 
+def test_intertwiner_refuses_omega_with_trace_zero_pairing():
+    # over F_9 with A1 = A2 = X and omega = c f_1, Tr c = 0, c != 0:
+    # psi(<e_1, omega>) = psi(c) = 1, but psi(<x e_1, omega>) = psi(x c) is
+    # not 1 for every x.  A test of psi on the basis vector e_1 alone
+    # accepts this omega, and the matrix then built fails to intertwine
+    # one of the model generators
+    f9 = FqField(3, 2)
+    sp = SympSpace(f9, 1)
+    psi = AdditiveCharacter(f9)
+    c = next(x for x in f9.elements() if x and not f9.trace_i(x.i))
+    assert psi(c) == psi.coeff_ring.one()
+    xmodel = SchrodingerModel(sp, psi)
+    with pytest.raises(ValueError, match="omega incompatible"):
+        intertwiner(xmodel, xmodel, omega_vec=(f9.element(0), c))
+
+
 def test_contragredient_is_psi_inverse_model():
     f3 = FqField(3)
     sp = SympSpace(f3, 1)

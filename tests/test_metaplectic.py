@@ -576,6 +576,42 @@ def test_leray_digest():
         "b1691d04c6b1f6f178abf0557f3278ea632f90d295b6ff3756cef3dc8878de65"
 
 
+def _leray_pairs_extension_fields(rng):
+    # F_9, F_25, F_7 and Q_11 at m = 1..3, each with g1 = g2 = I and
+    # g1 = g2 = w_{all} first
+    for field in (FqField(3, 2), FqField(5, 2), FqField(7), QpField(11)):
+        for m, count in ((1, 50), (2, 40), (3, 25)):
+            sp = SympSpace(field, m)
+            w = sp.w_subset(set(range(m)))
+            yield sp, sp.identity(), sp.identity()
+            yield sp, w, w
+            for _ in range(count):
+                yield sp, random_symplectic(sp, rng, length=6, scale=2), \
+                    random_symplectic(sp, rng, length=6, scale=2)
+
+
+def test_leray_digest_extension_fields():
+    # the repr of every LerayData on 484 pairs, as the e' basis built from
+    # subspace intersections and column-space selections gave them
+    h = hashlib.sha256()
+    for sp, g1, g2 in _leray_pairs_extension_fields(random.Random(12)):
+        h.update(repr(leray_decompose(sp, g1, g2)).encode() + b"\n")
+    assert h.hexdigest() == \
+        "61a0239d1a8eb551358d75f5c00ab967245ac84634306c05932024d56cfdabe5"
+
+
+def test_leray_makes_no_intersection(monkeypatch):
+    # every subspace comes from the blocks of g1, g2 and g1 g2
+    def refuse(*_args, **_kw):
+        raise AssertionError("Leray used a subspace intersection or "
+                             "selection")
+    for name in ("intersection", "column_space_basis"):
+        monkeypatch.setattr(linalg, name, refuse)
+    for sp, g1, g2 in _leray_pairs(random.Random(17),
+                                   ((1, 4), (2, 4), (3, 2))):
+        leray_decompose(sp, g1, g2)
+
+
 def test_leray_one_solve_per_block(monkeypatch):
     # one rref for each nonempty block among the S decomposition, the S
     # correction, P12, P1 and P2, and one per vector of the C block

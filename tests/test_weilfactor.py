@@ -310,3 +310,15 @@ def test_omega_value_record():
     w = omega(q, HaarConvention.counting(), _psi(f3))
     assert w.diag and w.measure.flavor == "finite"
     assert not w.value.is_zero()
+
+
+@pytest.mark.parametrize("field", [QpField(5), FqField(3)])
+def test_omega_requires_psi(field):
+    # there is no default character: a call without psi is a TypeError
+    # naming psi, over Q_p as over F_q
+    q = QuadraticForm(field, [[field.element(1)]])
+    for fn in (omega, omega_diag_product):
+        with pytest.raises(TypeError, match="psi"):
+            fn(q)
+        with pytest.raises(TypeError, match="psi"):
+            fn(q, None)
