@@ -47,6 +47,7 @@ class FqField(FiniteField):
 class QpField:
     """Q_p for odd p; elements are exact rationals."""
 
+    # one field per prime p asked for, each two attributes
     _cache = {}
 
     def __new__(cls, p):
@@ -196,10 +197,11 @@ class AdditiveCharacter:
             self._powers = [self.coeff_ring.one()]
             for _ in range(field.p - 1):
                 self._powers.append(self._powers[-1] * zeta)
+            # psi(x) = zeta_p^{_exp[i]} on the raw field index i of x
             t = self.twist.i
-            self._table = tuple(
-                self._powers[field.trace_i(field.mul_i(t, i))]
-                for i in range(field.q))
+            self._exp = tuple(field.trace_i(field.mul_i(t, i))
+                              for i in range(field.q))
+            self._table = tuple(self._powers[e] for e in self._exp)
         else:
             if coeff_ring is not None and not isinstance(coeff_ring,
                                                          CyclotomicRing):

@@ -40,6 +40,8 @@ def _is_prime(n):
 # Cyclotomic rings
 # ---------------------------------------------------------------------------
 
+# one ring per (p, k) asked for, each four ints: it grows only with the
+# distinct primes and levels a run uses
 _CYC_CACHE = {}
 
 
@@ -401,11 +403,13 @@ _CONWAY = {
     (11, 1): (9, 1), (13, 1): (11, 1),
 }
 
+# one field per (class, l, d, polynomial) asked for, each holding its
+# tables (about 4q entries, q <= MAX_Q)
 _FF_CACHE = {}
 
-# The largest q built: the discrete-log tables hold 3q entries, and finding
-# a generator costs up to q products per candidate, so a larger q is refused
-# (ValueError) before anything is allocated.
+# The largest q built: the discrete-log tables hold about 4q entries, and
+# finding a generator costs up to q products per candidate, so a larger q is
+# refused (ValueError) before anything is allocated.
 MAX_Q = 2 ** 16
 
 
@@ -471,7 +475,6 @@ class FiniteField:
                 poly for poly in (tuple(fld._digits(i)) + (1,)
                                   for i in range(fld.q))
                 if _is_irreducible(poly, ell))
-        fld._trace_cache = None
         fld._build_tables()
         _FF_CACHE[key] = fld
         return fld
@@ -567,17 +570,11 @@ class FiniteField:
 
     def trace_i(self, i):
         # absolute trace to F_p
-        if self._trace_cache is None:
-            self._trace_cache = {}
-        t = self._trace_cache.get(i)
-        if t is None:
-            acc, cur = 0, i
-            for _ in range(self.f):
-                acc = self.add_i(acc, cur)
-                cur = self.pow_i(cur, self.p)
-            t = acc % self.p
-            self._trace_cache[i] = t
-        return t
+        acc, cur = 0, i
+        for _ in range(self.f):
+            acc = self.add_i(acc, cur)
+            cur = self.pow_i(cur, self.p)
+        return acc % self.p
 
     # -- public wrapped interface ----------------------------------------------
 
@@ -700,9 +697,6 @@ class FFElt:
 
     def __bool__(self):
         return self.i != 0
-
-    def trace(self):
-        return self.field.trace_i(self.i)
 
     def __eq__(self, other):
         # only elements of the same field: equality with ints would be mod

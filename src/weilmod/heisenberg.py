@@ -227,13 +227,8 @@ class Monomial:
         return Monomial(self.perm, tuple(c * x for x in self.phases))
 
     def inv(self):
-        n = self.dim
-        perm = [0] * n
-        phases = [None] * n
-        for j in range(n):
-            perm[self.perm[j]] = j
-            phases[self.perm[j]] = self.phases[j].inv()
-        return Monomial(perm, phases)
+        t = self.transpose()
+        return Monomial(t.perm, tuple(x.inv() for x in t.phases))
 
     def transpose(self):
         n = self.dim
@@ -280,15 +275,13 @@ class LagrangianModel:
     """S_A = ind_{A_H}^H psi_A for a Lagrangian A with psi_A trivial on A,
     realized on a linear transversal B: basis indexed by points of B."""
 
-    def __init__(self, space, psi, a_basis=None):
+    def __init__(self, space, psi, a_basis):
         self.space = space
         self.psi = psi
         self.field = space.field
         if self.field.flavor != "finite":
             raise ValueError("matrix models exist for finite F only")
         m = space.m
-        if a_basis is None:
-            a_basis = [space.basis_e(i) for i in range(m)]
         self.a_basis = linalg.mat(a_basis)
         if len(self.a_basis) != m:
             raise ValueError("self-dual subgroups here are Lagrangians")
@@ -323,29 +316,35 @@ class LagrangianModel:
         b = linalg.combine(coords[m:], self.b_basis, zero)
         return a, b, tuple(coords[m:])
 
-    def eval_basis(self, i, h):
-        """Value at h of the delta function concentrated on B-point i: returns
-        (coefficient, basis index) with f(h) = coeff * f~(index)."""
+    def eval_basis(self, h):
+        """Value at h of any f in the model: (coefficient, basis index)
+        with f(h) = coeff * f~(index)."""
         a, b, co = self.decompose(h.w)
         t = h.t - self.space.half() * self.space.pairing(a, b)
         return self.psi(t), self._index[co]
 
     def rho(self, h):
-        """Right-translation action; monomial in the B-point basis."""
+        """Right-translation action; monomial in the B-point basis.
+
+        With h = (w, t) and w = a_w + b_w along A + B, the B-point b (coords
+        c) goes to b + b_w (coords c + co_w), since b + w = a_w + (b + b_w),
+        with phase psi(t - <a_w, b_w>/2 + <b, w + a_w>/2): one decomposition
+        per operator, linear in c through lam_k = <b_k, w + a_w>/2."""
         sp = self.space
         half = sp.half()
+        a_w, b_w, co_w = self.decompose(h.w)
+        t0 = h.t - half * sp.pairing(a_w, b_w)
+        w_a = tuple(x + y for x, y in zip(h.w, a_w))
+        lam = [half * sp.pairing(b, w_a) for b in self.b_basis]
         n = self.dim
         perm = [0] * n
         phases = [None] * n
-        for i in range(n):
-            b = self.point(i)
-            w2 = tuple(x + y for x, y in zip(b, h.w))
-            a1, b1, co1 = self.decompose(w2)
-            t = h.t + half * sp.pairing(b, h.w) - half * sp.pairing(a1, b1)
-            j = self._index[co1]
-            # (rho(h) f)~(b) = psi(t) f~(b1): column j feeds row i
+        for i, c in enumerate(self._points):
+            j = self._index[tuple(x + y for x, y in zip(c, co_w))]
+            # (rho(h) f)~(b) = psi(t0 + c.lam) f~(b + b_w): column j feeds
+            # row i
             perm[j] = i
-            phases[j] = self.psi(t)
+            phases[j] = self.psi(t0 + linalg._dot(c, lam))
         return Monomial(perm, phases)
 
 
@@ -505,8 +504,7 @@ def intertwiner(model1, model2, omega_vec=None):
         h2 = delta(sp, model2.point(i2))
         for a in reps:
             h = om * delta(sp, a) * h2
-            coeff, j1 = model1.eval_basis(0, h)
-            # eval_basis gives f(h) = coeff * f~(j1) independently of i
+            coeff, j1 = model1.eval_basis(h)
             rows[i2][j1] = rows[i2][j1] + coeff
     return linalg.mat(rows)
 

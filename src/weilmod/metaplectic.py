@@ -192,9 +192,6 @@ class WeilContext:
                                      space.field.element(1) / 2, psi)
         self._gauss_half_inv = self._gauss_half.inv()
         field = space.field
-        # psi(x) = zeta_p^{exp[x]} on raw field indices
-        self._exp = tuple(field.trace_i(field.mul_i(psi.twist.i, i))
-                          for i in range(field.q))
         # the Y-points as raw coordinates, in basis order
         self._ypoints = tuple(tuple(x.i for x in pt)
                               for pt in self.model._points)
@@ -260,7 +257,7 @@ def sigma_counts(ctx, g):
     m, p = space.m, field.p
     bd = bruhat_decompose(space, g)
     mu = mu_g_scalar(space, ctx.psi, g, bd) * ctx._gauss_half_inv ** bd.j
-    add, mul, exp = field.add_i, field.mul_i, ctx._exp
+    add, mul, exp = field.add_i, field.mul_i, ctx.psi._exp
     ginv = [[x.i for x in row] for row in space.inv(g)]
 
     def image(v):   # g^-1 v for v = (x-part, y-part)
@@ -452,15 +449,17 @@ def leray_decompose(space, g1, g2):
     l2 = list(linalg.transpose(g2x))
     c12 = linalg.mat_mul(g1[m:], g2x)
     # L1 cap L2 = -g2 (ker C12; 0), and its part in X is A2 ker [C12; C2]
-    inter12 = [tuple(-x for x in linalg.mat_vec(g2x, k))
-               for k in linalg.nullspace(c12, field)]
+    ker12 = linalg.nullspace(c12, field)
+    inter12 = [tuple(-x for x in linalg.mat_vec(g2x, k)) for k in ker12]
     echelon = _echelon_kernel_image(g2x[:m], c12 + g2x[m:], field)
     a_basis = [tuple(-x for x in echelon[f]) + (zero,) * m
                for f in sorted(echelon)]
     x_l1 = _x_meet(space, l1)
     x_l2 = _x_meet(space, l2)
-    # L1 + L2 has the basis L1 and the columns of L2 at the pivots of C12
-    z_basis = _x_meet(space, l1 + [l2[k] for k in linalg.rref(c12)[1]])
+    # L1 + L2 has the basis L1 and the columns of L2 at the pivots of C12:
+    # the last nonzero coordinate of each kernel vector is a free column
+    free = {max(k for k, x in enumerate(v) if x) for v in ker12}
+    z_basis = _x_meet(space, l1 + [l2[k] for k in range(m) if k not in free])
     # dim(X - gX cap X) = rank C for g = [[A, B], [C, D]]
     j1, j2, j12 = m - len(x_l1), m - len(x_l2), m - len(inter12)
     t = len(a_basis)
@@ -672,16 +671,9 @@ def random_symplectic(space, rng, length=6, scale=3):
             while True:
                 a = [[field.element(rng.randrange(-scale, scale + 1))
                       for _ in range(m)] for _ in range(m)]
-                try:
-                    if linalg.det(linalg.mat(a)) != field.element(0):
-                        break
-                except ZeroDivisionError:
-                    continue
-            ainvt = linalg.transpose(linalg.mat_inv(linalg.mat(a), field))
-            z = field.element(0)
-            rows = [tuple(a[i]) + (z,) * m for i in range(m)]
-            rows += [(z,) * m + tuple(ainvt[i]) for i in range(m)]
-            step = linalg.mat(rows)
+                if linalg.det(a):
+                    break
+            step = space.parabolic(a)
         elif kind == 1:
             s = [[field.element(0)] * m for _ in range(m)]
             for i in range(m):

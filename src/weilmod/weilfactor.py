@@ -26,6 +26,8 @@ class OmegaValue(NamedTuple):
 # finite-field Gauss sums
 # ---------------------------------------------------------------------------
 
+# one sum per (field, a, twist, coefficient ring): at most q (q - 1) per
+# field and ring (fields are never freed, so their ids are not reused)
 _GAUSS_CACHE = {}
 
 
@@ -49,6 +51,8 @@ def gauss_sum(field, a, psi):
 # coefficient since psi_c(a x^2) = psi(c a x^2))
 # ---------------------------------------------------------------------------
 
+# one (value, representative) per (p, val(a) mod 2, square class of the
+# unit part): at most 4 per prime p
 _PADIC_CACHE = {}
 
 
@@ -111,18 +115,11 @@ def omega1_padic(p, a):
 
 
 def omega1(field, psi, a):
-    """One-dimensional factor for either flavor (effective coefficient
-    includes the character twist)."""
+    """One-dimensional factor for either flavor.  Over F_q it is the Gauss
+    sum of psi itself; over Q_p the twist folds into the coefficient."""
     if field.flavor == "finite":
-        return gauss_sum(field, psi.twist * field.element(a), _untwisted(psi))
+        return gauss_sum(field, a, psi)
     return omega1_padic(field.p, psi.twist * Fraction(a))
-
-
-def _untwisted(psi):
-    if psi.flavor == "finite" and psi.twist != psi.field.one():
-        from .basefield import AdditiveCharacter
-        return AdditiveCharacter(psi.field, psi.coeff_ring, 1)
-    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from weilmod import linalg
 from weilmod.basefield import AdditiveCharacter, FqField
 from weilmod.coeff import CyclotomicRing, FiniteField, ReductionMap
 from weilmod.heisenberg import (DirectSumModel, DualModel, HeisenbergElement,
-                                LagrangianModel, SchrodingerModel, SympSpace,
-                                TensorModel, central, commutant_dim_model,
-                                delta, hom_space, intertwiner,
-                                model_generators)
+                                LagrangianModel, Monomial, SchrodingerModel,
+                                SympSpace, TensorModel, central,
+                                commutant_dim_model, delta, hom_space,
+                                intertwiner, model_generators)
 
 
 def all_h(space):
@@ -73,6 +73,78 @@ def test_rho_homomorphism_random_bigger():
             h1 = HeisenbergElement(sp, w1, rng.randrange(fq.q))
             h2 = HeisenbergElement(sp, w2, rng.randrange(fq.q))
             assert model.rho(h1) * model.rho(h2) == model.rho(h1 * h2)
+
+
+def rho_reference(model, h):
+    """rho(h) point by point (the build the one-decomposition rho replaced):
+    each B-point b is decomposed again as b + w = a1 + b1."""
+    sp = model.space
+    half = sp.half()
+    perm = [0] * model.dim
+    phases = [None] * model.dim
+    for i in range(model.dim):
+        b = model.point(i)
+        w2 = tuple(x + y for x, y in zip(b, h.w))
+        a1, b1, co1 = model.decompose(w2)
+        t = h.t + half * sp.pairing(b, h.w) - half * sp.pairing(a1, b1)
+        j = model._index[co1]
+        perm[j] = i
+        phases[j] = model.psi(t)
+    return Monomial(perm, phases)
+
+
+def _lagrangian_cases():
+    # X, Y and mixed Lagrangians (e_1 + 2 f_1 at m = 1, e_1 + f_2 and
+    # e_2 + f_1 at m = 2) over F_3, F_5, F_7 and F_9
+    def lagrangians(m):
+        x = [tuple(int(k == i) for k in range(2 * m)) for i in range(m)]
+        y = [tuple(int(k == m + i) for k in range(2 * m)) for i in range(m)]
+        mixed = [(1, 2)] if m == 1 else [(1, 0, 0, 1), (0, 1, 1, 0)]
+        return {"X": x, "Y": y, "mixed": mixed}
+    for p, f, m, kind in ((3, 1, 1, "X"), (3, 1, 1, "Y"), (3, 1, 1, "mixed"),
+                          (5, 1, 1, "mixed"), (7, 1, 1, "mixed"),
+                          (3, 2, 1, "mixed"), (3, 1, 2, "X"), (3, 1, 2, "Y"),
+                          (3, 1, 2, "mixed"), (5, 1, 2, "mixed"),
+                          (3, 2, 2, "mixed")):
+        fq = FqField(p, f)
+        sp = SympSpace(fq, m)
+        a_basis = [tuple(fq.element(x) for x in v)
+                   for v in lagrangians(m)[kind]]
+        yield LagrangianModel(sp, AdditiveCharacter(fq), a_basis)
+
+
+def test_rho_matches_reference():
+    # 11 models, 150 seeded h each: 1,650 operators
+    rng = random.Random(13)
+    for model in _lagrangian_cases():
+        fq, sp = model.field, model.space
+        for _ in range(150):
+            w = tuple(fq.element(rng.randrange(fq.q)) for _ in range(sp.dim))
+            h = HeisenbergElement(sp, w, rng.randrange(fq.q))
+            assert model.rho(h) == rho_reference(model, h)
+
+
+def test_rho_decomposes_once(monkeypatch):
+    # one decomposition per operator, not one per basis point
+    calls = []
+    real = LagrangianModel.decompose
+
+    def counted(self, w):
+        calls.append(w)
+        return real(self, w)
+
+    def refuse(self, i):
+        raise AssertionError("rho built a B-point vector")
+    monkeypatch.setattr(LagrangianModel, "decompose", counted)
+    monkeypatch.setattr(LagrangianModel, "point", refuse)
+    rng = random.Random(6)
+    for model in _lagrangian_cases():
+        fq, sp = model.field, model.space
+        for _ in range(5):
+            w = tuple(fq.element(rng.randrange(fq.q)) for _ in range(sp.dim))
+            calls.clear()
+            model.rho(HeisenbergElement(sp, w, rng.randrange(fq.q)))
+            assert calls == [w]
 
 
 def test_central_character():

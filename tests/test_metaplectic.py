@@ -396,6 +396,21 @@ def test_sigma_counts_match_dense_sp2(p, f, coeff):
         assert sigma(ctx, g) == dense_sigma_reference(ctx, g)
 
 
+@pytest.mark.parametrize("p,f,twist,sample", [
+    (5, 1, 2, None), (3, 2, 3, 100)], ids=["F5-twist2", "F9-twist-x"])
+def test_sigma_counts_match_dense_twisted(p, f, twist, sample):
+    # the count form reads psi's exponent table: a twisted psi (over F_9
+    # the twist x, index 3) gives the same sigma as the dense build
+    fq = FqField(p, f)
+    sp = SympSpace(fq, 1)
+    ctx = WeilContext(sp, AdditiveCharacter(fq, twist=twist))
+    group = enumerate_sp2(sp)
+    if sample:
+        group = random.Random(10).sample(group, sample)
+    for g in group:
+        assert sigma(ctx, g) == dense_sigma_reference(ctx, g)
+
+
 def test_sigma_and_cocycle_match_dense_sp4():
     f3 = FqField(3)
     sp = SympSpace(f3, 2)
@@ -610,6 +625,35 @@ def test_leray_makes_no_intersection(monkeypatch):
     for sp, g1, g2 in _leray_pairs(random.Random(17),
                                    ((1, 4), (2, 4), (3, 2))):
         leray_decompose(sp, g1, g2)
+
+
+def test_leray_reduces_c12_once(monkeypatch):
+    # C12, the C block of g1 g2 and Leray's first product, reaches rref once
+    # (through its nullspace): the pivots that pick the L2 part of L1 + L2
+    # are read off that kernel
+    products, reduced = [], []
+    real_mul, real_rref = linalg.mat_mul, linalg.rref
+
+    def counted_mul(a, b):
+        products.append(real_mul(a, b))
+        return products[-1]
+
+    def counted_rref(a):
+        reduced.append(a)
+        return real_rref(a)
+    monkeypatch.setattr(linalg, "mat_mul", counted_mul)
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    rng = random.Random(16)
+    sp = SympSpace(QpField(5), 2)
+    for _ in range(100):
+        g1 = random_symplectic(sp, rng)
+        g2 = random_symplectic(sp, rng)
+        products.clear()
+        reduced.clear()
+        leray_decompose(sp, g1, g2)
+        c12 = products[0]
+        assert c12 == tuple(row[:2] for row in real_mul(g1, g2)[2:])
+        assert sum(a is c12 for a in reduced) == 1
 
 
 def test_leray_one_solve_per_block(monkeypatch):

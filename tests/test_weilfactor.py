@@ -12,7 +12,7 @@ from weilmod.quadratic import QuadraticForm, hilbert
 from weilmod.weilfactor import (classical_weil_factor, convolution, epsilon,
                                 fourier_matrix, fourier_normalizer,
                                 gauss_sum, hilbert_via_omega, omega,
-                                omega1_padic, omega_brute_padic,
+                                omega1, omega1_padic, omega_brute_padic,
                                 omega_diag_product, omega_ratio,
                                 _omega_scalar)
 
@@ -96,6 +96,19 @@ def test_omega_isometry_transport(rng):
         w1 = omega(q, HaarConvention.counting(), psi).value
         w2 = omega(q2, HaarConvention.counting(), psi).value
         assert w1 == w2
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (3, 2)], ids=["F5", "F9"])
+def test_omega1_twisted_is_gauss_sum_of_twist(p, f):
+    # sum_x psi_c(a x^2) = sum_x psi_1(c a x^2) term by term
+    fq = FqField(p, f)
+    psi1 = AdditiveCharacter(fq)
+    for c in fq.elements():
+        if not c:
+            continue
+        psi_c = AdditiveCharacter(fq, twist=c)
+        for a in fq.elements():
+            assert omega1(fq, psi_c, a) == gauss_sum(fq, c * a, psi1)
 
 
 def test_omega_padic_square_extraction():
