@@ -138,6 +138,9 @@ def cmd_hilbert(args):
 def cmd_hasse(args):
     field = parse_field(args.field)
     q = parse_form(field, args.form)
+    if len(q.diagonalize()[1]) < q.m:
+        raise InputError("hasse takes a nondegenerate form; %r is "
+                         "degenerate over %r" % (args.form, field))
     return {"value": q.hasse(), "det_class": q.det_square_class().tag}
 
 

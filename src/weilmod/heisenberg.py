@@ -35,20 +35,29 @@ class SympSpace:
         return tuple(v)
 
     def pairing(self, u, v):
+        """<u, v> = sum_i u_i v_{m+i} - u_{m+i} v_i, skipping the terms with
+        a zero factor (`not x` is the zero test)."""
         m = self.m
-        acc = self.field.element(0)
+        acc = self.field.zero()
         for i in range(m):
-            acc = acc + u[i] * v[m + i] - u[m + i] * v[i]
+            a, b = u[i], u[m + i]
+            if a:
+                y = v[m + i]
+                if y:
+                    acc = acc + a * y
+            if b:
+                x = v[i]
+                if x:
+                    acc = acc - b * x
         return acc
 
     def is_symplectic(self, g):
         m = self.m
+        zero, one = self.field.zero(), self.field.one()
         cols = linalg.transpose(g)
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                want = self.field.element(0)
-                if j == i + m and i < m:
-                    want = self.field.element(1)
+                want = one if j == i + m and i < m else zero
                 if self.pairing(cols[i], cols[j]) != want:
                     return False
         return True

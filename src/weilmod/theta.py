@@ -12,7 +12,7 @@ from . import linalg
 from .basefield import AdditiveCharacter
 from .coeff import CyclotomicRing, FiniteField, ReductionMap
 from .heisenberg import Monomial, SympSpace, hom_space
-from .metaplectic import WeilContext, enumerate_sp2, sigma
+from .metaplectic import WeilContext, enumerate_sp2, sigma, sigma_counts
 
 GROUP_ORDER_CAP = 10 ** 4
 MODEL_DIM_CAP = 81
@@ -67,10 +67,11 @@ class DualPair:
         self.h2_list = enumerate_sp2(SympSpace(field, 1))
         if 2 * len(self.h1_list) * len(self.h2_list) > 2 * GROUP_ORDER_CAP:
             raise SizeCapError("group order cap exceeded")
+        self.h2_images = {h: self.embed_h2(h) for h in self.h2_list}
         for h1 in self.h1_list:
             e1 = self.embed_h1(h1)
             for h2 in self.h2_list[:6]:
-                e2 = self.embed_h2(h2)
+                e2 = self.h2_images[h2]
                 if linalg.mat_mul(e1, e2) != linalg.mat_mul(e2, e1):
                     raise RuntimeError("dual pair images fail to commute")
 
@@ -142,8 +143,9 @@ class RestrictedWeil:
         return linalg.mat_mul(self.h1_op(h1), self.h2_op(h2))
 
 
-def linear_pm_characters(group, mul):
-    """All homomorphisms group -> {1, -1} of a small group."""
+def _generators(group, mul):
+    """(identity, generators) of a small group: each element, in list order,
+    that the closure of the generators so far misses."""
     ident = None
     for g in group:
         if all(mul(g, h) == h for h in group[:3]):
@@ -168,6 +170,12 @@ def linear_pm_characters(group, mul):
             closure = new
             if len(closure) == len(group):
                 break
+    return ident, gens
+
+
+def linear_pm_characters(group, mul):
+    """All homomorphisms group -> {1, -1} of a small group."""
+    ident, gens = _generators(group, mul)
     chars = []
     for signs in itertools.product((1, -1), repeat=len(gens)):
         val = {ident: 1}
@@ -238,26 +246,48 @@ class ThetaLift:
                 basis.append(tuple(vec))
         self.basis = tuple(basis)
         self.dim = len(basis)
+        # keyed by elements of pair.h2_images: at most |H2| entries
         self._act_cache = {}
 
     def act(self, h2):
-        """Matrix of omega(h2) on self.basis: the supports (self.orbits)
-        are disjoint, so an image's coordinates are its entries at the
-        y_O."""
+        """Matrix of omega(h2) on self.basis, from sigma's count form
+        (mu, N) of pair.h2_images[h2].  b_O = sum_{z in O} b_O[z] e_z maps
+        to mu (phi(P) - phi(M)), with P and M the packed column sums of N
+        over the z where b_O[z] is 1 and where it is -1 (in characteristic
+        2, every z): n ring maps per basis vector.  A row of N totals at
+        most q^m and a sum takes at most n columns, so no slot overflows
+        its bound n q^{2m}.  The supports (self.orbits) are disjoint: the
+        image's coordinates are its entries at the y_O, and it lies in the
+        span exactly when it is coords[k] b_k[z] at each z of orbit k and
+        zero outside the kept orbits."""
         a = self._act_cache.get(h2)
         if a is not None:
             return a
-        rw = self.rw
         if self.dim == 0:
             return ()
-        cols_of_m = linalg.transpose(rw.h2_op(h2))
-        zero = (rw.psi.coeff_ring.zero(),) * rw.dim
+        rw = self.rw
+        ring = rw.psi.coeff_ring
+        zero, one = ring.zero(), ring.one()
+        phi = rw.ctx._phi
+        mu, counts = sigma_counts(rw.ctx, rw.pair.h2_images[h2])
+        outside = set(range(rw.dim)).difference(*self.orbits)
         cols = []
         for v, orbit in zip(self.basis, self.orbits):
-            img = linalg.combine([v[z] for z in orbit],
-                                 [cols_of_m[z] for z in orbit], zero)
+            plus = [z for z in orbit if v[z] == one]
+            minus = [z for z in orbit if v[z] != one]
+            img = []
+            for row in counts:
+                c = sum(row[z] for z in plus)
+                x = phi(c) if c else zero
+                c = sum(row[z] for z in minus)
+                if c:
+                    x = x - phi(c)
+                img.append(mu * x if x else zero)
             coords = tuple(img[o[0]] for o in self.orbits)
-            if linalg.combine(coords, self.basis, zero) != img:
+            if any(img[z] for z in outside) or any(
+                    img[z] != c * b[z]
+                    for c, b, o in zip(coords, self.basis, self.orbits)
+                    for z in o):
                 raise RuntimeError("theta subspace is not H2-stable under "
                                    "h2 = %s" % (h2,))
             cols.append(coords)
@@ -340,9 +370,18 @@ def product_group(pair, inv2):
 
 
 def congruence_check(v_form, mprime, ell):
-    """Theta over characteristic 0 vs characteristic l, compared through
-    reduced idempotents and traces; returns a report dict.  A non-banal l
-    (one dividing |H1 x H2|) is refused with ValueError."""
+    """Theta over characteristic 0 vs characteristic l; returns a report
+    dict.  A non-banal l (one dividing |H1 x H2|) is refused with
+    ValueError.
+
+    The integral lift is checked entry by entry: for every lift and every
+    h in H2, red(act_0(h)) = act_l(h), which implies that the reduced
+    traces agree.  Both sides take their counts from the same sigma_counts,
+    so they differ only in mu and the ring map phi; the counts themselves
+    are checked against dense sigma in the tests.  Irreducibility in
+    characteristic l is the commutant of the action of a generating set of
+    H2, and the idempotent of the trivial lift must reduce to its
+    characteristic-l counterpart."""
     field = v_form.field
     p = field.p
     pair = DualPair(v_form, mprime)
@@ -364,6 +403,7 @@ def congruence_check(v_form, mprime, ell):
     psil = AdditiveCharacter(field, ffl)
     rwl = RestrictedWeil(pair, psil)
     inv2 = group_inverses(h2, field)
+    gens2 = _generators(h2, linalg.mat_mul)[1]
     chars1 = linear_pm_characters(h1, linalg.mat_mul)
     report = {"lifts": []}
     trivial = None
@@ -372,17 +412,18 @@ def congruence_check(v_form, mprime, ell):
         liftl = ThetaLift(rwl, chi)
         if lift0.dim != liftl.dim:
             raise RuntimeError("theta dimensions differ across reduction")
+        for g in h2:
+            if any(red(x) != y for r0, rl in zip(lift0.act(g), liftl.act(g))
+                   for x, y in zip(r0, rl)):
+                raise RuntimeError("integral lift does not reduce entrywise")
         ch0 = lift0.character()
         chl = liftl.character()
-        # Brauer-style comparison: reduced ordinary trace = char-l trace
-        for g in h2:
-            if red(ch0[g]) != chl[g]:
-                raise RuntimeError("semisimplified reductions differ")
         # idempotent congruence on H1 x H2 (via the H1 character x theta)
         irr0 = char_inner(h2, ch0, ch0, inv2)
         irr_one = (irr0 == ring0.one())
-        # char-l irreducibility via the commutant of the action matrices
-        ops = [liftl.act(g) for g in h2]
+        # char-l irreducibility: T commutes with every act(g) exactly when
+        # it commutes with act(s) for each generator s
+        ops = [liftl.act(g) for g in gens2]
         endo = hom_space(ops, ops, liftl.dim, liftl.dim, ffl) \
             if liftl.dim else []
         irr_l = (len(endo) == 1)

@@ -194,6 +194,8 @@ def test_theta_char2_counts_every_orbit():
     ["bruhat", "--field", "fq:3:1", "--m", "x", "--g", "1,0,0,1"],
     ["cocycle", "--field", "fq:3:1", "--m", "1", "--path", "dense"],
     [],
+    ["hasse", "--field", "qp:3", "--form", "diag:2,0"],
+    ["hasse", "--field", "fq:3:2", "--form", "diag:3"],
 ])
 def test_invalid_input_exit_2(args):
     proc = run_cli(*args)

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from weilmod import linalg
-from weilmod.basefield import AdditiveCharacter, FqField
+from weilmod.basefield import AdditiveCharacter, FqField, QpField
 from weilmod.coeff import CyclotomicRing, FiniteField, ReductionMap
 from weilmod.heisenberg import (DirectSumModel, DualModel, HeisenbergElement,
                                 LagrangianModel, Monomial, SchrodingerModel,
                                 SympSpace, TensorModel, central,
                                 commutant_dim_model, delta, hom_space,
                                 intertwiner, model_generators)
+from weilmod.metaplectic import bruhat_decompose, random_symplectic
 
 
 def all_h(space):
@@ -366,3 +367,40 @@ def test_intertwiner_incompatible_omega_rejected():
     xmodel = SchrodingerModel(sp, psi)
     with pytest.raises(ValueError):
         intertwiner(xmodel, xmodel, omega_vec=sp.basis_f(0))
+
+
+def is_symplectic_reference(space, g):
+    """The symplectic test as it was before the pairing skipped zeros:
+    every pair of columns, every term of each pairing multiplied out."""
+    m, field = space.m, space.field
+    cols = linalg.transpose(g)
+    for i in range(space.dim):
+        for j in range(i + 1, space.dim):
+            want = field.element(1 if j == i + m and i < m else 0)
+            acc = field.element(0)
+            for k in range(m):
+                acc = acc + cols[i][k] * cols[j][m + k] \
+                    - cols[i][m + k] * cols[j][k]
+            if acc != want:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("field", [FqField(3), QpField(5)], ids=str)
+def test_is_symplectic_matches_reference(field):
+    # random Sp4 elements, their Bruhat p1 (mostly zeros) and matrices with
+    # one entry perturbed: the same verdict from both tests on each
+    sp = SympSpace(field, 2)
+    rng = random.Random(30)
+    gs = [random_symplectic(sp, rng) for _ in range(300)]
+    p1s = [bruhat_decompose(sp, g).p1 for g in gs]
+    bent = []
+    for g in gs[:50]:
+        rows = [list(r) for r in g]
+        i, j = rng.randrange(4), rng.randrange(4)
+        rows[i][j] = rows[i][j] + field.element(rng.randrange(1, 3))
+        bent.append(linalg.mat(rows))
+    cases = gs + p1s + bent
+    verdicts = [sp.is_symplectic(g) for g in cases]
+    assert verdicts == [is_symplectic_reference(sp, g) for g in cases]
+    assert verdicts.count(False) >= 40

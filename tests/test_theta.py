@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from weilmod import linalg
+from weilmod import linalg, metaplectic, theta
 from weilmod.basefield import AdditiveCharacter, FqField
 from weilmod.coeff import CyclotomicRing, FiniteField
 from weilmod.heisenberg import hom_space
 from weilmod.quadratic import QuadraticForm
 from weilmod.theta import (CentralIdempotent, DualPair, RestrictedWeil,
-                           SizeCapError, ThetaLift, char_inner,
+                           SizeCapError, ThetaLift, _generators, char_inner,
                            congruence_check, enumerate_orthogonal,
                            group_inverses, linear_pm_characters,
                            product_group)
@@ -155,6 +155,101 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
                 assert sol is not None
                 trace = trace + sol[i]
             assert got[h2] == trace
+
+
+def act_reference(lift, h2):
+    """Matrix of omega(h2) on lift.basis as ThetaLift.act built it before
+    it read sigma's count form: the dense sigma(h2), each basis vector's
+    image by linalg.combine, and the span check on the recombined image."""
+    rw = lift.rw
+    if lift.dim == 0:
+        return ()
+    cols_of_m = linalg.transpose(rw.h2_op(h2))
+    zero = (rw.psi.coeff_ring.zero(),) * rw.dim
+    cols = []
+    for v, orbit in zip(lift.basis, lift.orbits):
+        img = linalg.combine([v[z] for z in orbit],
+                             [cols_of_m[z] for z in orbit], zero)
+        coords = tuple(img[o[0]] for o in lift.orbits)
+        assert linalg.combine(coords, lift.basis, zero) == img
+        cols.append(coords)
+    return linalg.transpose(cols)
+
+
+def _diff_lifts(space, ring):
+    f3 = FqField(3)
+    pair = DualPair(QuadraticForm(f3, DIFF_SPACES[space]), 1)
+    rw = RestrictedWeil(pair, AdditiveCharacter(f3, DIFF_RINGS[ring]()))
+    return pair, [ThetaLift(rw, chi) for chi in
+                  linear_pm_characters(pair.h1_list, linalg.mat_mul)]
+
+
+@pytest.mark.parametrize("ring", list(DIFF_RINGS))
+@pytest.mark.parametrize("space", list(DIFF_SPACES))
+def test_act_matches_reference(space, ring):
+    # F_4 is characteristic 2, where every orbit sum is unsigned
+    pair, lifts = _diff_lifts(space, ring)
+    for lift in lifts:
+        for h2 in pair.h2_list:
+            assert lift.act(h2) == act_reference(lift, h2)
+
+
+@pytest.mark.parametrize("ring", list(DIFF_RINGS))
+@pytest.mark.parametrize("space", list(DIFF_SPACES))
+def test_commutant_on_generators(space, ring):
+    # T commutes with omega(H2) exactly when it commutes with omega of each
+    # generator, so both commutants have the same dimension
+    pair, lifts = _diff_lifts(space, ring)
+    gens = _generators(pair.h2_list, linalg.mat_mul)[1]
+    assert len(gens) == 2
+    coeff = lifts[0].rw.psi.coeff_ring
+    for lift in (x for x in lifts if x.dim):
+        full = [lift.act(g) for g in pair.h2_list]
+        on_gens = [lift.act(g) for g in gens]
+        assert len(hom_space(on_gens, on_gens, lift.dim, lift.dim, coeff)) \
+            == len(hom_space(full, full, lift.dim, lift.dim, coeff))
+
+
+def test_congruence_check_makes_no_dense_sigma(monkeypatch):
+    # the lifts act through sigma's count form, and the char-l commutant
+    # sees one operator per generator of H2
+    def refuse(*_args, **_kw):
+        raise AssertionError("congruence_check built a dense sigma")
+    seen = []
+    real = theta.hom_space
+
+    def counted(ops1, ops2, dim1, dim2, ring):
+        seen.append(len(ops1))
+        return real(ops1, ops2, dim1, dim2, ring)
+    monkeypatch.setattr(theta, "sigma", refuse)
+    monkeypatch.setattr(metaplectic, "sigma", refuse)
+    monkeypatch.setattr(metaplectic, "_ring_matrix", refuse)
+    monkeypatch.setattr(theta, "hom_space", counted)
+    f3 = FqField(3)
+    for diag in ([[1]], [[1, 0], [0, 1]]):
+        seen.clear()
+        rep = congruence_check(QuadraticForm(f3, diag), 1, 7)
+        pair = DualPair(QuadraticForm(f3, diag), 1)
+        gens = _generators(pair.h2_list, linalg.mat_mul)[1]
+        assert seen == [len(gens)] * sum(1 for r in rep["lifts"] if r["dim"])
+
+
+@pytest.mark.parametrize("diag,ell", [([1], 7), ([1], 11), ([1, 2], 5),
+                                      ([1, 2], 13), ([1, 1], 7),
+                                      ([1, 1], 13)])
+def test_congruence_check_catches_wrong_root(monkeypatch, diag, ell):
+    # a mutant whose characteristic-l psi is twisted by 2 (zeta_p -> its
+    # inverse) has the same theta dimensions, but its lifts are not the
+    # reductions of the characteristic-zero ones
+    real = theta.AdditiveCharacter
+
+    def mutant(field, ring):
+        return real(field, ring, 2 if isinstance(ring, FiniteField) else 1)
+    monkeypatch.setattr(theta, "AdditiveCharacter", mutant)
+    n = len(diag)
+    gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    with pytest.raises(RuntimeError, match="does not reduce entrywise"):
+        congruence_check(QuadraticForm(FqField(3), gram), 1, ell)
 
 
 def test_h2_stability_failure_names_h2():
