@@ -223,6 +223,10 @@ def cmd_weilrep(args):
     space = parse_space(field, args.m)
     if args.m != 1:
         raise InputError("full dump provided for m = 1 (use cocycle for m=2)")
+    # |SL2(F_q)| matrices of size q x q are q^3 (q^2 - 1) ring entries: the
+    # cap admits F_11 (159,720 entries) and refuses F_13 and F_25
+    if field.q ** 3 * (field.q ** 2 - 1) > 200_000:
+        raise InputError("group too large to dump; reduce q")
     psi = parse_character(field, args.psi)
     ctx = WeilContext(space, psi)
     group = enumerate_sp2(space)

@@ -329,10 +329,6 @@ class Cyc:
             return False
         return a.coeffs == b.coeffs and a.den == b.den
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     def __hash__(self):
         # values equal across levels hash equal: hash the smallest-level
         # representative, and rationals as the Fraction they equal

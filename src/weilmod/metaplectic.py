@@ -58,20 +58,6 @@ def _x_meet(space, vectors):
             for k in linalg.nullspace(vy, space.field)]
 
 
-def _solve_in_span(space, span_basis, pair_with, rhs_rows, extra=()):
-    """For each right-hand side r, the vector v in span(span_basis) with
-    <u_k, v> = r[k] for the k-th u in pair_with and <w, v> = 0 for w in
-    extra, all from one rref.  Returns None if any is infeasible."""
-    zero = space.field.element(0)
-    rows = [tuple(space.pairing(u, b) for b in span_basis)
-            for u in list(pair_with) + list(extra)]
-    rhs = [tuple(r) + (zero,) * len(extra) for r in rhs_rows]
-    sols = linalg.solve_columns(linalg.mat(rows), rhs, space.field)
-    if sols is None:
-        return None
-    return [linalg.combine(s, span_basis, space.zero_vec()) for s in sols]
-
-
 # ---------------------------------------------------------------------------
 # Bruhat decomposition and x(g)
 # ---------------------------------------------------------------------------
@@ -188,9 +174,9 @@ class WeilContext:
         self._sigma_cache = {}
         # mu_{w_j} normalizer: Omega(psi o Q_j) with Q_j(x) = x^2/2 per
         # coordinate (the sign that makes sigma multiplicative over finite F)
-        self._gauss_half = gauss_sum(space.field,
-                                     space.field.element(1) / 2, psi)
-        self._gauss_half_inv = self._gauss_half.inv()
+        self._gauss_half_inv = gauss_sum(space.field,
+                                         space.field.element(1) / 2,
+                                         psi).inv()
         field = space.field
         # the Y-points as raw coordinates, in basis order
         self._ypoints = tuple(tuple(x.i for x in pt)
@@ -493,55 +479,42 @@ def leray_decompose(space, g1, g2):
         start += len(vs)
     # f' vectors, one rref per block (but the C block, whose `extra` grows)
     f = [None] * m
+
+    def solve_block(idx, span, extra, failure):
+        # f_i in span with <e_k, f_i> = delta_ki and <w, f_i> = 0 for w in
+        # extra, the solution zero off the pivots; returns its coordinates
+        if not idx:
+            return []
+        rows = [tuple(space.pairing(u, b) for b in span) for u in e + extra]
+        rhs = [[one if k == i else zero for k in range(m)] +
+               [zero] * len(extra) for i in idx]
+        sols = linalg.solve_columns(linalg.mat(rows), rhs, field)
+        if sols is None:
+            raise RuntimeError(failure)
+        for i, sol in zip(idx, sols):
+            f[i] = linalg.combine(sol, span, space.zero_vec())
+        return sols
+    bs = []
     if s_idx:
-        # S block: decompose e_i = a_i + b_i with a in L1, b in L2
+        # e_i = a_i + b_i with a_i in L1 and b_i in L2, for i in S
         sols = linalg.solve_columns(linalg.transpose(linalg.mat(l1 + l2)),
                                     [e[i] for i in s_idx], field)
         if sols is None:
             raise RuntimeError("Leray: Z-decomposition failed")
         bs = [linalg.combine(sol[len(l1):], l2, space.zero_vec())
               for sol in sols]
-        d = [[space.pairing(e[j], bs[pos_i]) for pos_i in range(ns)]
-             for j in s_idx]
-        dm = linalg.mat(d)
-        c_rho = linalg.mat_inv(dm, field)
-        for pos_i, i in enumerate(s_idx):
-            f[i] = linalg.combine([row[pos_i] for row in c_rho], bs,
-                                  space.zero_vec())
-        # symmetry of rho is forced; verify
-        for a in range(ns):
-            for b in range(ns):
-                if c_rho[a][b] != c_rho[b][a]:
-                    raise RuntimeError("Leray: rho not symmetric")
-        # kill the pairings against the P12 e-vectors: corrections live in
-        # L1 cap L2 (pairings with every other e' vanish automatically and
-        # both memberships survive)
-        if p12_idx:
-            us = _solve_in_span(
-                space, list(inter12), [e[j] for j in p12_idx],
-                [[-space.pairing(e[j], f[i]) for j in p12_idx]
-                 for i in s_idx])
-            if us is None:
-                raise RuntimeError("Leray: S-block correction failed")
-            for i, u in zip(s_idx, us):
-                f[i] = tuple(x + y for x, y in zip(f[i], u))
-    else:
-        c_rho = ()
-
-    def solve_block(idx, span, extra, failure):
-        # f_i in span with <e_k, f_i> = delta_ki and <w, f_i> = 0, w in extra
-        if not idx:
-            return
-        rhs = [[one if k == i else zero for k in range(m)] for i in idx]
-        vs = _solve_in_span(space, span, e, rhs, extra)
-        if vs is None:
-            raise RuntimeError(failure)
-        for i, v in zip(idx, vs):
-            f[i] = v
-    solve_block(p12_idx, list(inter12), (), "Leray: P12 solve failed")
-    # <f_s, v> = sum_k c_rho[k][s] <e_k, v> on L1, so the e' rows already
-    # make the S-block f' vectors orthogonal to the P1 solutions
-    solve_block(p1_idx, list(l1), (), "Leray: P1 solve failed")
+    # S u P12 in span(b) + L1 cap L2: L1 cap L2 pairs to zero with every e'
+    # outside P12, so rho is read off the b-coordinates of the S solutions
+    coords = solve_block(s_idx + p12_idx, bs + list(inter12), [],
+                         "Leray: S and P12 solve failed")
+    c_rho = linalg.transpose([c[:ns] for c in coords[:ns]])
+    # symmetry of rho is forced; verify
+    if c_rho != linalg.transpose(c_rho):
+        raise RuntimeError("Leray: rho not symmetric")
+    # on L1, <f_s, v> = sum_k rho[k][s] <e_k, v> for s in S (a_k and the
+    # L1 cap L2 part pair to zero with L1), so the e' rows already make
+    # the S-block f' vectors orthogonal to the P1 solutions
+    solve_block(p1_idx, list(l1), [], "Leray: P1 solve failed")
     solve_block(p2_idx, list(l2), [f[k] for k in p1_idx],
                 "Leray: P2 solve failed")
     full = xb + [space.basis_f(i) for i in range(m)]

@@ -282,6 +282,19 @@ def test_dump_refused_before_building(args, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_weilrep_refuses_dump_too_large(monkeypatch, capsys):
+    # fq:5:2 would be 9,750,000 ring entries; the cap refuses it before the
+    # group is listed
+    def refuse(*_):
+        raise AssertionError("group listed before the refusal")
+    monkeypatch.setattr(cli, "enumerate_sp2", refuse)
+    monkeypatch.setattr(cli, "WeilContext", refuse)
+    assert cli.main(["weilrep", "--field", "fq:5:2", "--m", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: group too large to dump; reduce q\n"
+
+
 def test_selfcheck_fails_loudly_under_O():
     # a broken Hilbert symbol must fail its suite even with asserts stripped
     code = ("import json, weilmod.selfcheck as s\n"

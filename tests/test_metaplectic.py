@@ -210,7 +210,6 @@ def test_bruhat_makes_no_solve_or_intersection(monkeypatch):
     for name in ("solve", "solve_columns", "intersection",
                  "column_space_basis"):
         monkeypatch.setattr(linalg, name, refuse)
-    monkeypatch.setattr(metaplectic, "_solve_in_span", refuse)
     rng = random.Random(4)
     for field in (FqField(3), QpField(5)):
         sp = SympSpace(field, 2)
@@ -615,6 +614,64 @@ def test_leray_digest_extension_fields():
         "61a0239d1a8eb551358d75f5c00ab967245ac84634306c05932024d56cfdabe5"
 
 
+def _random_parabolic(sp, rng):
+    # parabolic(a) unipotent_upper(s) with small random a and symmetric s
+    field, m = sp.field, sp.m
+    while True:
+        a = [[field.element(rng.randrange(-2, 3)) for _ in range(m)]
+             for _ in range(m)]
+        if linalg.det(a):
+            break
+    s = [[field.element(0)] * m for _ in range(m)]
+    for i in range(m):
+        for k in range(i, m):
+            s[i][k] = s[k][i] = field.element(rng.randrange(-2, 3))
+    return linalg.mat_mul(sp.parabolic(a), sp.unipotent_upper(s))
+
+
+def _leray_pairs_s_and_p12(rng):
+    # g1 = p1 w_{S u S1} u_rho p^-1 and g2 = p w_{S u S2} p2 with S and
+    # S1 cap S2 both nonempty, as (sp, g1, g2, |S|, |S1 cap S2|); the
+    # shapes (m, |S|, |P1|, |P2|) each have |P12| = 1
+    for field in (QpField(3), QpField(5), FqField(5), FqField(3, 2)):
+        for m, ns, n1, n2 in ((2, 1, 0, 0), (3, 1, 1, 0), (3, 1, 0, 1),
+                              (3, 2, 0, 0)):
+            sp = SympSpace(field, m)
+            for _ in range(15):
+                idx = list(range(m))
+                rng.shuffle(idx)
+                s, p12 = idx[:ns], idx[ns:ns + 1]
+                p1 = idx[ns + 1:ns + 1 + n1]
+                p2 = idx[ns + 1 + n1:ns + 1 + n1 + n2]
+                while True:
+                    rho = [[None] * ns for _ in range(ns)]
+                    for a in range(ns):
+                        for b in range(a, ns):
+                            rho[a][b] = rho[b][a] = \
+                                field.element(rng.randrange(-3, 4))
+                    if linalg.det(rho):
+                        break
+                p, p1m, p2m = (_random_parabolic(sp, rng) for _ in range(3))
+                u = u_rho_matrix(sp, s, linalg.mat(rho))
+                g1 = linalg.mat_mul(linalg.mat_mul(
+                    sp.mul_w(p1m, set(s + p12 + p1)), u), sp.inv(p))
+                g2 = linalg.mat_mul(sp.mul_w(p, set(s + p12 + p2)), p2m)
+                yield sp, g1, g2, ns, 1
+
+
+def test_leray_digest_s_and_p12():
+    # the repr of every LerayData on 240 pairs whose S and S1 cap S2 are
+    # both nonempty, as the S block's pairing-matrix inverse and its
+    # correction in L1 cap L2 gave them
+    h = hashlib.sha256()
+    for sp, g1, g2, ns, n12 in _leray_pairs_s_and_p12(random.Random(18)):
+        ld = leray_decompose(sp, g1, g2)
+        assert (len(ld.s), len(set(ld.s1) & set(ld.s2))) == (ns, n12)
+        h.update(repr(ld).encode() + b"\n")
+    assert h.hexdigest() == \
+        "f8206dd62c14f066acfa72b66b6c42a5995b90055aa050a3890e403fd5703066"
+
+
 def test_leray_makes_no_intersection(monkeypatch):
     # every subspace comes from the blocks of g1, g2 and g1 g2
     def refuse(*_args, **_kw):
@@ -657,27 +714,33 @@ def test_leray_reduces_c12_once(monkeypatch):
 
 
 def test_leray_one_solve_per_block(monkeypatch):
-    # one rref for each nonempty block among the S decomposition, the S
-    # correction, P12, P1 and P2, and one per vector of the C block
+    # one rref for each nonempty block among the S decomposition, S u P12,
+    # P1 and P2, and one per vector of the C block; rho comes from the
+    # S u P12 solve, not from a matrix inverse
     calls = []
     real = linalg.solve_columns
 
     def counted(a, rhs_columns, fld):
         calls.append(len(rhs_columns))
         return real(a, rhs_columns, fld)
+
+    def refuse(*_args, **_kw):
+        raise AssertionError("Leray inverted a matrix")
+    pairs = list(_leray_pairs(random.Random(15), ((2, 16), (3, 16))))
     monkeypatch.setattr(linalg, "solve_columns", counted)
-    batched = 0
-    for sp, g1, g2 in _leray_pairs(random.Random(15), ((2, 16), (3, 16))):
+    monkeypatch.setattr(linalg, "mat_inv", refuse)
+    batched = with_s = 0
+    for sp, g1, g2 in pairs:
         calls.clear()
         ld = leray_decompose(sp, g1, g2)
         s, s1, s2 = set(ld.s), set(ld.s1), set(ld.s2)
-        blocks = [s, s and s1 & s2, s1 & s2, s1 - s2, s2 - s1]
+        blocks = [s, s | (s1 & s2), s1 - s2, s2 - s1]
         c_block = sp.m - len(s | s1 | s2)
         assert len(calls) == sum(map(bool, blocks)) + c_block
-        assert sum(calls) == len(s) * (2 if s1 & s2 else 1) + \
-            len(s1 | s2) + c_block
+        assert sum(calls) == sum(map(len, blocks)) + c_block
         batched += max(calls, default=0) > 1
-    assert batched >= 50
+        with_s += bool(s)
+    assert batched >= 50 and with_s >= 10
 
 
 def _product_cases(rng):
