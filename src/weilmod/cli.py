@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -318,7 +319,14 @@ def cmd_selfcheck(args):
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors end, like every invalid input, with one line and exit
-    2; add_subparsers gives each subcommand parser this class too."""
+    2; add_subparsers gives each subcommand parser this class too.  An
+    argument that starts with "-" and a digit, such as the matrix
+    "-1,0,0,-1" or the fraction "-1/2", is a value as a plain "-1" is:
+    no option of weilmod looks like that."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(2, "error: %s\n" % message)
@@ -416,7 +424,7 @@ def main(argv=None):
         if isinstance(result, tuple):
             result, code = result
         emit(result, fmt, path)
-    except (InputError, ValueError, KeyError, OSError) as ex:
+    except (InputError, ValueError, OSError) as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2
     except RuntimeError as ex:

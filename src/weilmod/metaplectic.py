@@ -296,15 +296,6 @@ def _count_product(ctx, n1, n2):
     return tuple(out)
 
 
-def _products(ctx, g1, g2):
-    """sigma(g1) sigma(g2) and sigma(g1 g2) in count form: (mu1 mu2, N1 N2)
-    and (mu12, N12)."""
-    mu1, n1 = sigma_counts(ctx, g1)
-    mu2, n2 = sigma_counts(ctx, g2)
-    return (mu1 * mu2, _count_product(ctx, n1, n2)), \
-        sigma_counts(ctx, linalg.mat_mul(g1, g2))
-
-
 def _ring_matrix(ctx, counts):
     """phi(N) as a dense matrix over R."""
     phi, zero = ctx._phi, ctx.zero()
@@ -342,12 +333,14 @@ def cocycle_operator(ctx, g1, g2):
     """sigma(g1) sigma(g2) sigma(g1 g2)^{-1} must be scalar; returns it.
     With sigma(g) = mu phi(N), that is mu1 mu2 mu12^-1 c for the scalar c
     with phi(N1 N2) = c phi(N12), checked on every entry in R."""
-    (mu, prod), (mu12, n12) = _products(ctx, g1, g2)
-    c = scalar_ratio(_ring_matrix(ctx, prod), _ring_matrix(ctx, n12),
-                     ctx.zero())
+    mu1, n1 = sigma_counts(ctx, g1)
+    mu2, n2 = sigma_counts(ctx, g2)
+    mu12, n12 = sigma_counts(ctx, linalg.mat_mul(g1, g2))
+    c = scalar_ratio(_ring_matrix(ctx, _count_product(ctx, n1, n2)),
+                     _ring_matrix(ctx, n12), ctx.zero())
     if c is None:
         raise RuntimeError("cocycle operator is not scalar")
-    return mu * mu12.inv() * c
+    return mu1 * mu2 * mu12.inv() * c
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +594,15 @@ def cocycle_formula(space, g1, g2, rao=False, leray=None):
 
 def split_checks(ctx, pairs=None):
     """Multiplicativity of sigma on the given pairs (default: exhaustive over
-    Sp_2 when m = 1); returns a report dict."""
+    Sp_2 when m = 1): each pair's cocycle_operator must be 1.  Returns a
+    report dict; a cocycle that is not scalar raises RuntimeError."""
     space = ctx.space
     if pairs is None:
         group = enumerate_sp2(space)
         pairs = [(g1, g2) for g1 in group for g2 in group]
     checked = 0
     for g1, g2 in pairs:
-        (mu, prod), (mu12, n12) = _products(ctx, g1, g2)
-        if linalg.mat_scal(mu, _ring_matrix(ctx, prod)) != \
-                linalg.mat_scal(mu12, _ring_matrix(ctx, n12)):
+        if cocycle_operator(ctx, g1, g2) != ctx.one():
             return {"multiplicative": False, "pairs": checked}
         checked += 1
     return {"multiplicative": True, "pairs": checked}

@@ -1,7 +1,9 @@
-"""The non-normalised Weil factor Omega_mu(psi o Q): a scaled Gauss sum over
-finite F, a stabilized lattice sum over Q_p.  Also the ratio factors
-Omega_{a,b}, the Hilbert-symbol identity, the Hasse product formula, the
-psi-normalized Fourier transform and its epsilon constants.
+"""The non-normalised Weil factor Omega_mu(psi o Q), over F_q and Q_p alike
+the product of the one-dimensional factors of a diagonalization (Gauss sums
+over F_q, stabilized lattice sums over Q_p) times the modulus of the change
+of coordinates.  Also the ratio factors Omega_{a,b}, the Hilbert-symbol
+identity, the Hasse product formula, the psi-normalized Fourier transform
+and its epsilon constants.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .basefield import HaarConvention, QpField
+from .basefield import HaarConvention, QpField, modulus
 from .coeff import CyclotomicRing
 from .quadratic import QuadraticForm, hilbert
 
@@ -27,14 +29,16 @@ class OmegaValue(NamedTuple):
 # ---------------------------------------------------------------------------
 
 # one sum per (field, a, twist, coefficient ring): at most q (q - 1) per
-# field and ring (fields are never freed, so their ids are not reused)
+# field and ring.  The key holds the field and ring objects themselves:
+# two coefficient fields F_{l^d} built apart (with another polynomial, or
+# the same one) share a descriptor but are different rings.
 _GAUSS_CACHE = {}
 
 
 def gauss_sum(field, a, psi):
     """sum over x in F_q of psi(a x^2)."""
     a = field.element(a)
-    key = (id(field), a.i, psi.twist.i, psi.coeff_ring.descriptor)
+    key = (field, a.i, psi.twist.i, psi.coeff_ring)
     v = _GAUSS_CACHE.get(key)
     if v is None:
         acc = None
@@ -54,31 +58,6 @@ def gauss_sum(field, a, psi):
 # one (value, representative) per (p, val(a) mod 2, square class of the
 # unit part): at most 4 per prime p
 _PADIC_CACHE = {}
-
-
-def _omega1_brute(p, a, n):
-    """Truncated sum  int_{p^-n Z_p} psi(a x^2) dx  with mu(Z_p) = 1 and the
-    level-0 character; exact, sum over p^{-n}Z_p / p^{n'}Z_p."""
-    fld = QpField(p)
-    a = Fraction(a)
-    v = fld.val(a)
-    nprime = max(n - v, (-v + 1) // 2, 0)
-    count = p ** (n + nprime)
-    level = max(1, 2 * n - v)
-    ring = CyclotomicRing(p, level)
-    pl = p ** level
-    counts = [0] * pl
-    # exponent of zeta_{p^level} at x = k/p^n is  a k^2 p^{level - 2n} mod p^level
-    scaled = a * p ** (level - 2 * n) if level >= 2 * n \
-        else a / p ** (2 * n - level)
-    num, den = scaled.numerator, scaled.denominator
-    if den % p == 0:
-        raise RuntimeError("level estimate too small")
-    c = (num * pow(den, -1, pl)) % pl
-    for k in range(count):
-        counts[(c * k * k) % pl] += 1
-    val = ring.element(counts)
-    return (val * Fraction(1, p ** nprime)).compress()
 
 
 def omega1_padic(p, a):
@@ -101,8 +80,9 @@ def omega1_padic(p, a):
         u = 1 if res == 1 else fld.nonresidue()
         rep = Fraction(u * p ** r)
         n0 = (0 - r + 1) // 2 + 1  # ceil((cond - v)/2) + 1 at cond = 0
-        w1 = _omega1_brute(p, rep, n0)
-        w2 = _omega1_brute(p, rep, n0 + 1)
+        q_rep = QuadraticForm(fld, [[rep]])
+        w1 = omega_brute_padic(q_rep, n0)
+        w2 = omega_brute_padic(q_rep, n0 + 1)
         if w1 != w2:
             raise RuntimeError("p-adic Weil factor failed to stabilize")
         core = (w1, rep)
@@ -137,40 +117,27 @@ def omega(q_form, mu, psi):
 
 
 def _omega_scalar(q_form, mu, psi):
+    """Omega is multiplicative under orthogonal sums: the product of
+    omega1 over the diagonal entries a_i = Q(b_i), times mu's mass and
+    |det P|, P the b_i in quotient coordinates (1 over F_q)."""
     field = q_form.field
-    if field.flavor == "finite":
-        comp, gc = q_form.nondegenerate_part()
-        r = len(gc)
-        elts = field.elements()
-        acc = None
-        for x in itertools.product(elts, repeat=r):
-            qv = linalg._dot(x, linalg.mat_vec(gc, x)) if r else field.element(0)
-            t = psi(qv)
-            acc = t if acc is None else acc + t
-        return acc * mu.scale
-    # p-adic: diagonalize the nondegenerate part and use multiplicativity
     vecs, vals = q_form.diagonalize()
+    acc = psi.coeff_ring.one()
     if not vals:
-        return psi.coeff_ring.one() * mu.scale
-    comp, gc = q_form.nondegenerate_part()
-    # express the diagonalizing vectors in quotient coordinates
-    cols = []
-    for v in vecs:
-        sol = linalg.solve(linalg.transpose(comp), v, field)
-        cols.append(sol)
-    pmat = linalg.transpose(linalg.mat(cols))
-    d = linalg.det(pmat)
-    detscale = Fraction(field.p) ** (-field.val(d))
-    acc = None
+        return acc * mu.scale
+    # the rows of P^T: each b_i in the complement's coordinates
+    comp, _ = q_form.nondegenerate_part()
+    pt = linalg.solve_columns(linalg.transpose(comp), vecs, field)
     for a in vals:
-        w = omega1(field, psi, a)
-        acc = w if acc is None else acc * w
-    return acc * (mu.scale * detscale)
+        acc = acc * omega1(field, psi, a)
+    return acc * (mu.scale * modulus(field, linalg.det(pt)))
 
 
-def omega_brute_padic(q_form, psi, depth):
-    """Independent p-adic oracle: direct multi-dimensional truncated lattice
-    sum over (p^-depth Z_p)^r at refinement making psi(Q(x)) constant."""
+def omega_brute_padic(q_form, depth):
+    """Truncated lattice sum  int_{(p^-depth Z_p)^r} psi(Q(x)) dx  for the
+    level-0 psi and mu(Z_p^r) = 1, exact over (p^-depth Z_p / p^n' Z_p)^r
+    at a refinement n' making psi(Q(x)) constant.  In dimension 1 it is the
+    kernel of omega1_padic; in higher dimension an independent oracle."""
     field = q_form.field
     p = field.p
     comp, gc = q_form.nondegenerate_part()
@@ -264,11 +231,12 @@ def omega_diag_product(q_form, mu, psi):
 # ---------------------------------------------------------------------------
 
 def fourier_normalizer(field, psi, rho_gram):
-    """Omega_mu(psi o Q_{rho/2}) for counting mu: the scalar that normalizes
-    the Fourier transform."""
+    """Omega_mu(psi o Q_{rho/2}) for the field's default mu (counting over
+    F_q, mu(Z_p^m) = 1 over Q_p): the scalar that normalizes the Fourier
+    transform."""
     half = field.element(1) / 2
     q = QuadraticForm(field, [[half * x for x in row] for row in rho_gram])
-    return _omega_scalar(q, HaarConvention.counting(), psi)
+    return _omega_scalar(q, HaarConvention.default_for(field), psi)
 
 
 def fourier_matrix(field, psi, rho_gram):
@@ -320,16 +288,10 @@ def epsilon(field, psi, rho_gram):
 def classical_weil_factor(field, psi, rho_gram, sqrt_q):
     """omega(psi o Q_{rho/2}) = Omega / |rho|_mu^{1/2}; sqrt_q is supplied by
     the caller (the coefficient ring does not canonicalize it)."""
-    om = fourier_normalizer(field, psi, rho_gram) if field.flavor == "finite" \
-        else _omega_scalar(
-            QuadraticForm(field, [[Fraction(x) / 2 for x in row]
-                                  for row in rho_gram]),
-            HaarConvention.standard_padic(), psi)
+    om = fourier_normalizer(field, psi, rho_gram)
     if field.flavor == "finite":
-        k = len(rho_gram) * field.f  # |rho|_mu = q^m = p^{f m}
-        sq = sqrt_q ** len(rho_gram)
+        sq = sqrt_q ** len(rho_gram)  # |rho|_mu = q^m
     else:
         gram = linalg.mat([[Fraction(x) for x in row] for row in rho_gram])
-        k = field.val(linalg.det(gram))
-        sq = sqrt_q ** k
+        sq = sqrt_q ** field.val(linalg.det(gram))
     return om * sq.inv()

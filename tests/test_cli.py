@@ -366,3 +366,36 @@ def test_selfcheck_failure_names_the_seed(monkeypatch, capsys):
     assert lines[0] == "PASS coeff-ring-laws"
     assert lines[1] == "FAIL broken-suite (seed 7): broken on purpose"
     assert json.loads(lines[2]) == {"ok": False, "seed": 7, "suites": 2}
+
+
+@pytest.mark.parametrize("args", [
+    ["bruhat", "--field", "fq:3:1", "--m", "1", "--g", "-1,0,0,-1"],
+    ["cocycle", "--field", "qp:5", "--m", "1", "--g1", "-1,0,0,-1",
+     "--g2", "1,0,5,1", "--path", "formula"],
+    ["hilbert", "--field", "qp:5", "--a", "-1/2", "--b", "3"],
+])
+def test_value_starting_with_minus(args, capsys):
+    # "--g -1,0,0,-1" answers as "--g=-1,0,0,-1" does
+    i = next(i for i, a in enumerate(args) if a.startswith("-") and
+             not a.startswith("--"))
+    joined = args[:i - 1] + ["%s=%s" % (args[i - 1], args[i])] + args[i + 1:]
+    assert cli.main(joined) == 0
+    want = capsys.readouterr()
+    assert cli.main(args) == 0
+    assert capsys.readouterr() == want
+
+
+def test_missing_value_still_refused():
+    proc = run_cli("hilbert", "--field", "qp:5", "--a", "--b", "3")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: argument --a: expected one argument\n"
+
+
+def test_key_error_is_not_invalid_input(monkeypatch):
+    # a KeyError inside the mathematics is a bug: it propagates instead of
+    # ending as an input error with exit 2
+    def broken(_args):
+        raise KeyError("lost")
+    monkeypatch.setattr(cli, "cmd_hilbert", broken)
+    with pytest.raises(KeyError, match="lost"):
+        cli.main(["hilbert", "--field", "qp:5", "--a", "1", "--b", "2"])

@@ -295,6 +295,22 @@ def test_split_checks_char2_coefficients():
     assert rep["multiplicative"] is True
 
 
+def test_split_checks_reports_the_first_failing_pair():
+    # sigma(g1 g2) with its scalar negated: sigma(g1) sigma(g2) is then
+    # -sigma(g1 g2), so the first pair is not multiplicative
+    f3 = FqField(3)
+    sp = SympSpace(f3, 1)
+    ctx = WeilContext(sp, AdditiveCharacter(f3))
+    g1, g2 = sp.w_subset({0}), sp.unipotent_upper([[f3.element(1)]])
+    g12 = linalg.mat_mul(g1, g2)
+    assert split_checks(ctx, [(g1, g2)]) == {"multiplicative": True,
+                                             "pairs": 1}
+    mu, counts = ctx._sigma_cache[g12]
+    ctx._sigma_cache[g12] = (-mu, counts)
+    assert split_checks(ctx, [(g1, g2), (g2, g1)]) == {
+        "multiplicative": False, "pairs": 0}
+
+
 def test_contragredient_twist_by_traces():
     # (omega_psi)^v = omega_{psi^{-1}} x chi^2 as split-group representations:
     # with the split section chi^2 = 1 on the image, so traces must agree

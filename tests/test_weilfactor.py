@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from conftest import random_form, random_unit
 from weilmod import linalg
 from weilmod.basefield import AdditiveCharacter, FqField, HaarConvention, \
     QpField
-from weilmod.coeff import CyclotomicRing, FiniteField
+from weilmod.coeff import Cyc, CyclotomicRing, FiniteField
 from weilmod.quadratic import QuadraticForm, hilbert
 from weilmod.weilfactor import (classical_weil_factor, convolution, epsilon,
                                 fourier_matrix, fourier_normalizer,
@@ -126,14 +128,14 @@ def test_omega_padic_square_extraction():
 
 
 def test_omega_padic_stabilization():
-    from weilmod.weilfactor import _omega1_brute
     for p in (3, 5):
         for a in (Fraction(1), Fraction(2), Fraction(p), Fraction(1, p)):
             v = QpField(p).val(a)
             n0 = (-v + 1) // 2 + 1
-            w1 = _omega1_brute(p, a, n0)
-            w2 = _omega1_brute(p, a, n0 + 1)
-            w3 = _omega1_brute(p, a, n0 + 2)
+            q = QuadraticForm(QpField(p), [[a]])
+            w1 = omega_brute_padic(q, n0)
+            w2 = omega_brute_padic(q, n0 + 1)
+            w3 = omega_brute_padic(q, n0 + 2)
             assert w1 == w2 == w3
 
 
@@ -197,8 +199,8 @@ def test_omega_brute_oracle_2dim():
             if not q.is_nondegenerate():
                 continue
             fast = _omega_scalar(q, HaarConvention.standard_padic(), psi)
-            assert fast == omega_brute_padic(q, psi, depth)
-            assert fast == omega_brute_padic(q, psi, depth + 1)
+            assert fast == omega_brute_padic(q, depth)
+            assert fast == omega_brute_padic(q, depth + 1)
             done += 1
 
 
@@ -335,3 +337,82 @@ def test_omega_requires_psi(field):
             fn(q)
         with pytest.raises(TypeError, match="psi"):
             fn(q, None)
+
+
+def _exact(v):
+    # the ring and the stored representation, not just the printed value
+    if isinstance(v, Cyc):
+        return "%r %r/%d" % (v.ring, v.coeffs, v.den)
+    return "%r %d" % (v.field, v.i)
+
+
+def _finite_omega_cases():
+    # (form, psi) over F_3, F_5 and F_9 with Z[zeta_p] and F_{l^d}
+    # coefficients and twists 1 and 2; eight seeded forms of each dimension
+    # 1..3, degenerate ones kept
+    rng = random.Random(16)
+    for field, rings in ((FqField(3), (CyclotomicRing(3), FiniteField(7))),
+                         (FqField(5), (CyclotomicRing(5), FiniteField(11))),
+                         (FqField(3, 2), (CyclotomicRing(3),
+                                          FiniteField(2, 2)))):
+        for ring in rings:
+            for twist in (1, 2):
+                psi = AdditiveCharacter(field, ring, twist)
+                for dim in (1, 2, 3):
+                    for _ in range(8):
+                        yield random_form(field, rng, dim), psi
+
+
+def _padic_omega_cases():
+    # seeded forms over Q_3, Q_5 and Q_7 whose entries have denominators
+    # 1, 2 and 3, level-0 psi and its twist by 2
+    rng = random.Random(17)
+    for p in (3, 5, 7):
+        fld = QpField(p)
+        for twist in (1, 2):
+            psi = AdditiveCharacter(fld, twist=twist)
+            for dim in (1, 2, 3):
+                for _ in range(8):
+                    yield random_form(fld, rng, dim), psi
+
+
+def test_omega_is_the_character_sum():
+    # the definition over F_q: sum over F_q^n of psi(Q(x)) is
+    # q^{dim rad Q} Omega(psi o Q) for the counting measure
+    degenerate = 0
+    for q, psi in _finite_omega_cases():
+        field = q.field
+        acc = psi.coeff_ring.zero()
+        for x in itertools.product(field.elements(), repeat=q.m):
+            acc = acc + psi(q.evaluate(x))
+        rad = len(q.radical())
+        degenerate += rad > 0
+        w = omega(q, HaarConvention.counting(), psi).value
+        assert acc == w * field.q ** rad, (q.gram, psi.descriptor)
+    assert degenerate
+
+
+def test_omega_digest():
+    # every Omega value of the two case lists, ring and representation
+    # included, as the brute-force sum over F_q^r and the separate 1-d
+    # lattice sum gave them
+    h = hashlib.sha256()
+    for q, psi in itertools.chain(_finite_omega_cases(),
+                                  _padic_omega_cases()):
+        w = omega(q, None, psi)
+        h.update(_exact(w.value).encode() + b"\n")
+    assert h.hexdigest() == \
+        "87ab88504446379904aedde58baca8816163d8b383810b6dd760ae18e96a52db"
+
+
+def test_gauss_sum_cache_tells_coefficient_fields_apart():
+    # F_4 from two polynomials: the same descriptor, different fields
+    f3 = FqField(3)
+    f4 = FiniteField(2, 2)
+    f4b = FiniteField(2, 2, irred=(1, 1, 1))
+    assert f4b is not f4
+    for ring in (f4, f4b):
+        g = gauss_sum(f3, 1, AdditiveCharacter(f3, ring))
+        assert g.field is ring
+        assert g == sum((AdditiveCharacter(f3, ring)(x * x)
+                         for x in f3.elements()), ring.zero())
