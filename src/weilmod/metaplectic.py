@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -152,40 +153,181 @@ def mu_g_scalar(space, psi, g, bruhat=None):
 # the section sigma on the Schrödinger model (finite F)
 # ---------------------------------------------------------------------------
 
-# the most sigma(g) count forms one WeilContext keeps; the oldest go first
+# the most sigma(g) count forms one CountModel keeps; the oldest go first
 SIGMA_CACHE_SIZE = 4096
+
+# {space: {psi's exponent table: CountModel}}: a model lives exactly as
+# long as its space, and the contexts on one space and twist share it
+_COUNT_MODELS = weakref.WeakKeyDictionary()
+
+
+class CountModel:
+    """The ring-free half of sigma over F_q, for one space and one
+    exponent table exp (psi(x) = zeta_p^{exp[x]} on raw field indices).
+
+    sigma(g) = mu phi(N): the count matrix N depends only on g, exp and
+    the Y-points, while mu and the ring map phi belong to the coefficient
+    ring, so every WeilContext on the space and twist shares this model.
+    An entry sum_e c_e zeta_p^e of N is kept as its counts c_0 .. c_{p-1}
+    packed into one int, slot e at bit W e (Kronecker substitution).  An
+    entry of N totals at most q^m, an entry of N1 N2 at most n q^{2m} and
+    a product of one such entry with one of N at most n q^{3m} < 2^{W-1}:
+    no slot of the check's products carries, and their difference, offset
+    by 2^{W-1} in each slot, borrows from none.
+
+    The cache maps g to ((j, x(g) class), N) (mu depends on g only through
+    that key), at most SIGMA_CACHE_SIZE entries, read at each insertion;
+    `witness` keeps one (g, Bruhat data) per key for the contexts' mu."""
+
+    def __init__(self, space, exp):
+        field = space.field
+        self.q, self.p, self.m = field.q, field.p, space.m
+        self.exp = exp
+        # the Y-points as raw coordinates, in the Schrödinger basis order
+        self.ypoints = tuple(itertools.product(range(field.q), repeat=space.m))
+        self.yindex = {pt: i for i, pt in enumerate(self.ypoints)}
+        n = len(self.ypoints)
+        self.slot_bits = (n * field.q ** (3 * space.m)).bit_length() + 1
+        self._ones = sum(1 << (self.slot_bits * e) for e in range(self.p))
+        self.cache = {}
+        self.witness = {}
+
+    def entry(self, space, g):
+        """((j, x(g) class), N) for g in Sp(space), from the cache when it
+        holds g.
+
+        sigma(g) f (y0) = mu sum_a psi(<a, y0>/2 - <w_X, w_Y>/2) f(w_Y) with
+        w = g^-1 (a + y0), a over a complement of gX cap X in X: the F_q-span
+        of the first j columns of Bruhat's p1.  Since g^-1 (a + y0) = g^-1 a
+        + g^-1 y0, the build makes q^j + q^m products by g^-1, on raw
+        indices."""
+        cache = self.cache
+        entry = cache.get(g)
+        if entry is not None:
+            return entry
+        field = space.field
+        m, p = self.m, self.p
+        bd = bruhat_decompose(space, g)
+        key = (bd.j, x_invariant(space, g, bd).tag)
+        add, mul, exp = field.add_i, field.mul_i, self.exp
+        ginv = [[x.i for x in row] for row in space.inv(g)]
+
+        def image(v):   # g^-1 v for v = (x-part, y-part)
+            out = []
+            for row in ginv:
+                acc = 0
+                for s, t in zip(row, v):
+                    acc = add(acc, mul(s, t))
+                out.append(acc)
+            return out
+        comp = [[bd.p1[r][k].i for r in range(m)] for k in range(bd.j)]
+        reps = []
+        for co in itertools.product(range(self.q), repeat=bd.j):
+            a = [0] * m
+            for c, col in zip(co, comp):
+                a = [add(x, mul(c, y)) for x, y in zip(a, col)]
+            reps.append((a, image(a + [0] * m)))
+        shift = [1 << (self.slot_bits * e) for e in range(p)]
+        half = (p + 1) // 2     # 1/2 in F_p; Tr(c x/2) = Tr(c x)/2
+        yindex = self.yindex
+        n = len(self.ypoints)
+        rows = []
+        for y in self.ypoints:
+            vy = image([0] * m + list(y))
+            row = [0] * n
+            for a, va in reps:
+                w = [add(s, t) for s, t in zip(va, vy)]
+                e = 0
+                for k in range(m):
+                    e += exp[mul(a[k], y[k])] - exp[mul(w[k], w[m + k])]
+                row[yindex[tuple(w[m:])]] += shift[e * half % p]
+            rows.append(tuple(row))
+        entry = (key, tuple(rows))
+        if len(cache) >= SIGMA_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[g] = entry
+        self.witness.setdefault(key, (g, bd))
+        return entry
+
+    def product(self, n1, n2):
+        """N1 N2 for packed count matrices: each entry one packed dot
+        product (a product of packed ints is the product of the count
+        polynomials), folded mod x^p - 1 once."""
+        bits = self.slot_bits * self.p
+        low = (1 << bits) - 1
+        cols = tuple(zip(*n2))
+        out = []
+        for row in n1:
+            sums = [sum(map(operator.mul, row, col)) for col in cols]
+            out.append(tuple((s & low) + (s >> bits) for s in sums))
+        return tuple(out)
+
+    def check(self, n1, n2, n12, g1, g2):
+        """Checks P = c N in Z[zeta_p] on every entry, for P = N1 N2, N =
+        N12 and some scalar c, and returns the pairs (P[e], N[e]) from e0
+        on, in row-major order.
+
+        e0 is the first entry whose slots are not all equal, that is with
+        N[e0] nonzero in Z[zeta_p].  For prime p the kernel of Z[x]/(x^p -
+        1) -> Z[zeta_p] is Z (1 + x + ... + x^{p-1}), so P[e] N[e0] = P[e0]
+        N[e] in Z[zeta_p] exactly when fold(P[e] N[e0]) - fold(P[e0] N[e])
+        has equal slots; with Z[zeta_p] a domain, that on every e is P = c N.
+        A failing entry raises RuntimeError naming g1, g2 and its (row,
+        col)."""
+        w, ones = self.slot_bits, self._ones
+        mask = (1 << w) - 1
+        bits = w * self.p
+        low = (1 << bits) - 1
+        offset = ones << (w - 1)
+        n = len(n12)
+        flat_p = [x for row in self.product(n1, n2) for x in row]
+        flat_n = [x for row in n12 for x in row]
+        e0 = next((e for e, x in enumerate(flat_n) if x != (x & mask) * ones),
+                  None)
+        if e0 is None:
+            raise RuntimeError("cocycle operator is not scalar: g1 = %s, "
+                               "g2 = %s, sigma(g1 g2) is zero" % (g1, g2))
+        p0, c0 = flat_p[e0], flat_n[e0]
+        for e, (pe, ce) in enumerate(zip(flat_p, flat_n)):
+            if not (pe or ce):
+                continue
+            a = pe * c0
+            b = p0 * ce
+            t = (a & low) + (a >> bits) - (b & low) - (b >> bits) + offset
+            if t != (t & mask) * ones:
+                raise RuntimeError(
+                    "cocycle operator is not scalar: g1 = %s, g2 = %s, "
+                    "entry (%d, %d)" % (g1, g2, e // n, e % n))
+        return zip(flat_p[e0:], flat_n[e0:])
 
 
 class WeilContext:
-    """Finite base field, coefficient ring via psi, Schrödinger model, and
-    the cache of sigma(g) in count form (see sigma_counts).
-
-    psi(x) = zeta_p^{Tr(c x)} for the twist c, so every sigma(g) is a scalar
-    times a matrix of sums of p-th roots of unity.  An entry sum_e c_e
-    zeta^e is kept as its counts c_0 .. c_{p-1} packed into one int, slot e
-    at bit B e (Kronecker substitution).  A product entry sums n counts,
-    each a product of two entries of at most q^m terms, so no slot of a
-    product exceeds n q^{2m} < 2^B."""
+    """Finite base field, coefficient ring via psi, Schrödinger model, the
+    shared CountModel of the space and psi's exponent table (it holds the
+    Y-points, the slot width W and the sigma(g) count forms), the ring map
+    phi on W-bit slots, and mu by (j, x(g) class): at most 2(m + 1)
+    scalars, since over F_q mu_g Omega_{1/2}^{-j} depends on g only through
+    j and the square class of det_X(p1) det_X(p2)."""
 
     def __init__(self, space, psi):
         self.space = space
         self.psi = psi
         self.model = SchrodingerModel(space, psi)
-        self._sigma_cache = {}
+        models = _COUNT_MODELS.setdefault(space, {})
+        counts = models.get(psi._exp)
+        if counts is None:
+            counts = models[psi._exp] = CountModel(space, psi._exp)
+        self.counts = counts
+        # the shared dict itself: perfbench/layers.py reads `g in
+        # ctx._sigma_cache` to tell a sigma build from a hit
+        self._sigma_cache = counts.cache
         # mu_{w_j} normalizer: Omega(psi o Q_j) with Q_j(x) = x^2/2 per
         # coordinate (the sign that makes sigma multiplicative over finite F)
         self._gauss_half_inv = gauss_sum(space.field,
                                          space.field.element(1) / 2,
                                          psi).inv()
-        field = space.field
-        # the Y-points as raw coordinates, in basis order
-        self._ypoints = tuple(tuple(x.i for x in pt)
-                              for pt in self.model._points)
-        self._yindex = {pt: i for i, pt in enumerate(self._ypoints)}
-        # 2^B > n q^{2m}, the largest slot a product can reach
-        self._slot_bits = (self.model.dim *
-                           field.q ** (2 * space.m)).bit_length()
-        self._phi = _ring_map(psi, self._slot_bits)
+        self._mu = {}
+        self._phi = _ring_map(psi, counts.slot_bits)
 
     def one(self):
         return self.psi.coeff_ring.one()
@@ -227,73 +369,16 @@ def _ring_map(psi, bits):
 
 def sigma_counts(ctx, g):
     """(mu, N) with sigma(g) = mu phi(N): the scalar mu = mu_g normalized
-    by Omega_{1/2}^{-j}, and N the packed count matrix on the Y-point basis
-    (see WeilContext), from the cache when it holds g.
-
-    sigma(g) f (y0) = mu sum_a psi(<a, y0>/2 - <w_X, w_Y>/2) f(w_Y) with
-    w = g^-1 (a + y0), a over a complement of gX cap X in X: the F_q-span
-    of the first j columns of Bruhat's p1.  Since g^-1 (a + y0) = g^-1 a +
-    g^-1 y0, the build makes q^j + q^m products by g^-1, on raw indices."""
-    cache = ctx._sigma_cache
-    entry = cache.get(g)
-    if entry is not None:
-        return entry
-    space = ctx.space
-    field = space.field
-    m, p = space.m, field.p
-    bd = bruhat_decompose(space, g)
-    mu = mu_g_scalar(space, ctx.psi, g, bd) * ctx._gauss_half_inv ** bd.j
-    add, mul, exp = field.add_i, field.mul_i, ctx.psi._exp
-    ginv = [[x.i for x in row] for row in space.inv(g)]
-
-    def image(v):   # g^-1 v for v = (x-part, y-part)
-        out = []
-        for row in ginv:
-            acc = 0
-            for s, t in zip(row, v):
-                acc = add(acc, mul(s, t))
-            out.append(acc)
-        return out
-    comp = [[bd.p1[r][k].i for r in range(m)] for k in range(bd.j)]
-    reps = []
-    for co in itertools.product(range(field.q), repeat=bd.j):
-        a = [0] * m
-        for c, col in zip(co, comp):
-            a = [add(x, mul(c, y)) for x, y in zip(a, col)]
-        reps.append((a, image(a + [0] * m)))
-    shift = [1 << (ctx._slot_bits * e) for e in range(p)]
-    half = (p + 1) // 2     # 1/2 in F_p; Tr(c x/2) = Tr(c x)/2
-    n = ctx.model.dim
-    rows = []
-    for y in ctx._ypoints:
-        vy = image([0] * m + list(y))
-        row = [0] * n
-        for a, va in reps:
-            w = [add(s, t) for s, t in zip(va, vy)]
-            e = 0
-            for k in range(m):
-                e += exp[mul(a[k], y[k])] - exp[mul(w[k], w[m + k])]
-            row[ctx._yindex[tuple(w[m:])]] += shift[e * half % p]
-        rows.append(tuple(row))
-    entry = (mu, tuple(rows))
-    if len(cache) >= SIGMA_CACHE_SIZE:
-        del cache[next(iter(cache))]
-    cache[g] = entry
-    return entry
-
-
-def _count_product(ctx, n1, n2):
-    """N1 N2 for packed count matrices: each entry one packed dot product
-    (a product of packed ints is the product of the count polynomials),
-    folded mod x^p - 1 once."""
-    bits = ctx._slot_bits * ctx.space.field.p
-    low = (1 << bits) - 1
-    cols = tuple(zip(*n2))
-    out = []
-    for row in n1:
-        sums = [sum(map(operator.mul, row, col)) for col in cols]
-        out.append(tuple((s & low) + (s >> bits) for s in sums))
-    return tuple(out)
+    by Omega_{1/2}^{-j}, from ctx's table by (j, x(g) class), and N the
+    packed count matrix on the Y-point basis (CountModel.entry)."""
+    key, counts = ctx.counts.entry(ctx.space, g)
+    mu = ctx._mu.get(key)
+    if mu is None:
+        wg, bd = ctx.counts.witness[key]
+        mu = mu_g_scalar(ctx.space, ctx.psi, wg, bd) * \
+            ctx._gauss_half_inv ** bd.j
+        ctx._mu[key] = mu
+    return mu, counts
 
 
 def _ring_matrix(ctx, counts):
@@ -331,16 +416,24 @@ def scalar_ratio(a, b, zero):
 
 def cocycle_operator(ctx, g1, g2):
     """sigma(g1) sigma(g2) sigma(g1 g2)^{-1} must be scalar; returns it.
+
     With sigma(g) = mu phi(N), that is mu1 mu2 mu12^-1 c for the scalar c
-    with phi(N1 N2) = c phi(N12), checked on every entry in R."""
+    with phi(N1 N2) = c phi(N12).  CountModel.check proves N1 N2 = c' N12
+    in Z[zeta_p] on every entry, and phi, a ring homomorphism, carries
+    that to R; so only c = phi(P[e]) / phi(N12[e]) is mapped, at the first
+    entry e with phi(N12[e]) nonzero in R.  Over Z[zeta_{p^k}] phi is
+    injective and this is the entrywise check in R; over F_{l^d} it is
+    stronger, since it also refuses counts proportional only mod l."""
     mu1, n1 = sigma_counts(ctx, g1)
     mu2, n2 = sigma_counts(ctx, g2)
     mu12, n12 = sigma_counts(ctx, linalg.mat_mul(g1, g2))
-    c = scalar_ratio(_ring_matrix(ctx, _count_product(ctx, n1, n2)),
-                     _ring_matrix(ctx, n12), ctx.zero())
-    if c is None:
-        raise RuntimeError("cocycle operator is not scalar")
-    return mu1 * mu2 * mu12.inv() * c
+    phi, zero = ctx._phi, ctx.zero()
+    for pe, ce in ctx.counts.check(n1, n2, n12, g1, g2):
+        y = phi(ce)
+        if y != zero:
+            return mu1 * mu2 * mu12.inv() * (phi(pe) * y.inv())
+    raise RuntimeError("cocycle operator is not scalar: g1 = %s, g2 = %s, "
+                       "sigma(g1 g2) is zero in R" % (g1, g2))
 
 
 # ---------------------------------------------------------------------------

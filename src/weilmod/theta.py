@@ -255,11 +255,11 @@ class ThetaLift:
         to mu (phi(P) - phi(M)), with P and M the packed column sums of N
         over the z where b_O[z] is 1 and where it is -1 (in characteristic
         2, every z): n ring maps per basis vector.  A row of N totals at
-        most q^m and a sum takes at most n columns, so no slot overflows
-        its bound n q^{2m}.  The supports (self.orbits) are disjoint: the
-        image's coordinates are its entries at the y_O, and it lies in the
-        span exactly when it is coords[k] b_k[z] at each z of orbit k and
-        zero outside the kept orbits."""
+        most q^m, so a column sum stays far below the count model's slot
+        bound 2^{W-1} > n q^{3m} (see CountModel).  The supports
+        (self.orbits) are disjoint: the image's coordinates are its entries
+        at the y_O, and it lies in the span exactly when it is coords[k]
+        b_k[z] at each z of orbit k and zero outside the kept orbits."""
         a = self._act_cache.get(h2)
         if a is not None:
             return a
@@ -376,9 +376,11 @@ def congruence_check(v_form, mprime, ell):
 
     The integral lift is checked entry by entry: for every lift and every
     h in H2, red(act_0(h)) = act_l(h), which implies that the reduced
-    traces agree.  Both sides take their counts from the same sigma_counts,
-    so they differ only in mu and the ring map phi; the counts themselves
-    are checked against dense sigma in the tests.  Irreducibility in
+    traces agree.  Both RestrictedWeils live on pair.space with the same
+    psi exponent table, so they share one CountModel: each H2 image's
+    counts are built once for both rings, and the sides differ only in mu
+    and the ring map phi; the counts themselves are checked against dense
+    sigma in the tests.  Irreducibility in
     characteristic l is the commutant of the action of a generating set of
     H2, and the idempotent of the trivial lift must reduce to its
     characteristic-l counterpart."""

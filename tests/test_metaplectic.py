@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -295,9 +297,11 @@ def test_split_checks_char2_coefficients():
     assert rep["multiplicative"] is True
 
 
-def test_split_checks_reports_the_first_failing_pair():
+def test_split_checks_reports_the_first_failing_pair(monkeypatch):
     # sigma(g1 g2) with its scalar negated: sigma(g1) sigma(g2) is then
-    # -sigma(g1 g2), so the first pair is not multiplicative
+    # -sigma(g1 g2), so the first pair is not multiplicative.  mu lives in
+    # a table by (j, x(g) class) that g1 shares, so sigma_counts is
+    # negated for g1 g2 alone
     f3 = FqField(3)
     sp = SympSpace(f3, 1)
     ctx = WeilContext(sp, AdditiveCharacter(f3))
@@ -305,8 +309,12 @@ def test_split_checks_reports_the_first_failing_pair():
     g12 = linalg.mat_mul(g1, g2)
     assert split_checks(ctx, [(g1, g2)]) == {"multiplicative": True,
                                              "pairs": 1}
-    mu, counts = ctx._sigma_cache[g12]
-    ctx._sigma_cache[g12] = (-mu, counts)
+    real = metaplectic.sigma_counts
+
+    def negated(c, g):
+        mu, counts = real(c, g)
+        return (-mu, counts) if g == g12 else (mu, counts)
+    monkeypatch.setattr(metaplectic, "sigma_counts", negated)
     assert split_checks(ctx, [(g1, g2), (g2, g1)]) == {
         "multiplicative": False, "pairs": 0}
 
@@ -491,6 +499,134 @@ def test_sigma_cache_is_bounded(monkeypatch):
     assert group[0] not in ctx._sigma_cache
     assert sigma(ctx, group[0]) == first
     assert list(ctx._sigma_cache)[-1] == group[0]
+
+
+# ---------------------------------------------------------------------------
+# the shared count model and the cocycle check on packed Z[zeta_p] counts
+# ---------------------------------------------------------------------------
+
+def _check_cases():
+    """(space, contexts, pairs) on the spaces the packed check is sized
+    for: Sp4(F_3) over Z[zeta_3] and F_4, Sp2(F_7) over Z[zeta_7] and F_8,
+    and Sp2(F_9) under psi twists 1 and 2; seeded pairs."""
+    rng = random.Random(1717)
+    f3, f7, f9 = FqField(3), FqField(7), FqField(3, 2)
+    sp4, sp2, sp9 = SympSpace(f3, 2), SympSpace(f7, 1), SympSpace(f9, 1)
+    words = [random_symplectic(sp4, rng, length=8) for _ in range(80)]
+    g7, g9 = enumerate_sp2(sp2), enumerate_sp2(sp9)
+    return [
+        (sp4, [WeilContext(sp4, AdditiveCharacter(f3)),
+               WeilContext(sp4, AdditiveCharacter(f3, FiniteField(2, 2)))],
+         list(zip(words[::2], words[1::2]))),
+        (sp2, [WeilContext(sp2, AdditiveCharacter(f7)),
+               WeilContext(sp2, AdditiveCharacter(f7, FiniteField(2, 3)))],
+         [(rng.choice(g7), rng.choice(g7)) for _ in range(60)]),
+        (sp9, [WeilContext(sp9, AdditiveCharacter(f9)),
+               WeilContext(sp9, AdditiveCharacter(f9, twist=2))],
+         [(rng.choice(g9), rng.choice(g9)) for _ in range(60)]),
+    ]
+
+
+def test_cocycle_operator_matches_dense_ratio():
+    # the packed Z[zeta_p] check against the entrywise one in R it
+    # replaced: mu1 mu2 mu12^-1 times the scalar_ratio of the dense
+    # phi(N1) phi(N2) and phi(N12)
+    for space, ctxs, pairs in _check_cases():
+        for ctx in ctxs:
+            for g1, g2 in pairs:
+                mu1, n1 = metaplectic.sigma_counts(ctx, g1)
+                mu2, n2 = metaplectic.sigma_counts(ctx, g2)
+                mu12, n12 = metaplectic.sigma_counts(
+                    ctx, linalg.mat_mul(g1, g2))
+                dense = [metaplectic._ring_matrix(ctx, n)
+                         for n in (n1, n2, n12)]
+                c = scalar_ratio(linalg.mat_mul(dense[0], dense[1]),
+                                 dense[2], ctx.zero())
+                want = mu1 * mu2 * mu12.inv() * c
+                got = cocycle_operator(ctx, g1, g2)
+                assert got == want and repr(got) == repr(want)
+            # mu by (j, x(g) class): at most 2(m + 1) scalars
+            assert len(ctx._mu) <= 2 * (space.m + 1)
+
+
+def _slots(x, bits, p):
+    return [(x >> (bits * e)) & ((1 << bits) - 1) for e in range(p)]
+
+
+def test_cocycle_check_refuses_each_corrupted_entry():
+    # one slot more at any nonzero entry of N12 must be refused, with the
+    # pair and the entry named; g1, g2 and g1 g2 are distinct, so N12 is
+    # not also N1's or N2's cache entry
+    rng = random.Random(2718)
+    for space, ctxs, pairs in _check_cases()[:2]:
+        model = ctxs[0].counts
+        w, p = model.slot_bits, space.field.p
+        done = 0
+        for g1, g2 in pairs:
+            g12 = linalg.mat_mul(g1, g2)
+            if len({g1, g2, g12}) < 3:
+                continue
+            key, counts = model.entry(space, g12)
+            metaplectic.sigma_counts(ctxs[0], g1)
+            metaplectic.sigma_counts(ctxs[0], g2)
+            n = len(counts)
+            flat = [x for row in counts for x in row]
+            e0 = next(e for e, x in enumerate(flat)
+                      if len(set(_slots(x, w, p))) > 1)
+            for e, x in enumerate(flat):
+                if not x:
+                    continue
+                bad = [list(row) for row in counts]
+                bad[e // n][e % n] += 1 << (w * rng.randrange(p))
+                model.cache[g12] = (key, linalg.mat(bad))
+                for ctx in ctxs:
+                    with pytest.raises(RuntimeError) as err:
+                        cocycle_operator(ctx, g1, g2)
+                    msg = str(err.value)
+                    assert msg.startswith(
+                        "cocycle operator is not scalar: g1 = %s, g2 = %s, "
+                        % (g1, g2))
+                    if e > e0:
+                        assert msg.endswith("entry (%d, %d)"
+                                            % (e // n, e % n))
+            model.cache[g12] = (key, counts)
+            for ctx in ctxs:
+                assert cocycle_operator(ctx, g1, g2) == ctx.one()
+            done += 1
+            if done == 6:
+                break
+        assert done == 6
+
+
+def test_contexts_share_one_count_model_per_twist():
+    f5 = FqField(5)
+    sp = SympSpace(f5, 1)
+    ctx1 = WeilContext(sp, AdditiveCharacter(f5))
+    ctx16 = WeilContext(sp, AdditiveCharacter(f5, FiniteField(2, 4)))
+    ctx2 = WeilContext(sp, AdditiveCharacter(f5, twist=2))
+    again = WeilContext(sp, AdditiveCharacter(f5))
+    assert ctx1.counts is ctx16.counts is again.counts
+    assert ctx2.counts is not ctx1.counts
+    assert ctx1._sigma_cache is ctx1.counts.cache
+    # interleaved builds: each twist's dense sigma matches its own psi
+    for g in random.Random(11).sample(enumerate_sp2(sp), 30):
+        for ctx in (ctx2, ctx1, ctx16):
+            assert sigma(ctx, g) == dense_sigma_reference(ctx, g)
+    # a second space, equal in field and m, gets its own model
+    other = WeilContext(SympSpace(f5, 1), AdditiveCharacter(f5))
+    assert other.counts is not ctx1.counts
+
+
+def test_count_model_is_freed_with_its_space():
+    f3 = FqField(3)
+    sp = SympSpace(f3, 1)
+    ctx = WeilContext(sp, AdditiveCharacter(f3))
+    for g in enumerate_sp2(sp)[:5]:
+        sigma(ctx, g)
+    gone = weakref.ref(ctx.counts)
+    del ctx, sp
+    gc.collect()
+    assert gone() is None
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,26 @@ def test_congruence_check_makes_no_dense_sigma(monkeypatch):
         assert seen == [len(gens)] * sum(1 for r in rep["lifts"] if r["dim"])
 
 
+def test_congruence_check_builds_counts_once_for_both_rings(monkeypatch):
+    # both RestrictedWeils sit on pair.space with psi's standard exponent
+    # table, so they share one count model: one Bruhat decomposition (one
+    # count build) per H2 image, not one per image and ring
+    seen = []
+    real = metaplectic.bruhat_decompose
+
+    def counted(space, g):
+        seen.append(g)
+        return real(space, g)
+    monkeypatch.setattr(metaplectic, "bruhat_decompose", counted)
+    f3 = FqField(3)
+    for diag in ([[1]], [[1, 0], [0, 1]]):
+        seen.clear()
+        congruence_check(QuadraticForm(f3, diag), 1, 7)
+        pair = DualPair(QuadraticForm(f3, diag), 1)
+        assert len(seen) == len(set(seen)) == len(pair.h2_list)
+        assert set(seen) == set(pair.h2_images.values())
+
+
 @pytest.mark.parametrize("diag,ell", [([1], 7), ([1], 11), ([1, 2], 5),
                                       ([1, 2], 13), ([1, 1], 7),
                                       ([1, 1], 13)])
