@@ -1,6 +1,7 @@
 """The base field F in both flavors: F_q with q = p^f odd, and Q_p (p odd)
-through exact rational representatives.  Additive characters, Haar
-conventions and the modulus character live here.
+through exact rational representatives.  F_q carries the trivial valuation,
+so the Q_p formulas hold over it at val = 0.  Additive characters, Haar
+conventions, the modulus character and residues mod p^n Z_p live here.
 
 p-adic scalars are plain Fractions; every quantity the package computes from
 them depends on finitely many digits, so exact rationals lose nothing.
@@ -33,6 +34,12 @@ class FqField(FiniteField):
     @property
     def flavor(self):
         return "finite"
+
+    def val(self, x):
+        """The trivial valuation: 0 on every unit, so |x|_F = 1."""
+        if not self.element(x):
+            raise ZeroDivisionError("valuation of zero")
+        return 0
 
     def is_square(self, a):
         # q is odd: the squares are the units of even discrete log, and 0
@@ -145,35 +152,33 @@ def parse_field(desc):
     return FqField(*nums) if kind == "fq" else QpField(*nums)
 
 
-def frac_part(x, p):
-    """(a, n) with x = a/p^n mod Z_p, 0 <= a < p^n and n minimal."""
-    x = Fraction(x)
-    den = x.denominator
-    n = 0
+def residue_rep(p, a, n):
+    """The canonical representative of a + p^n Z_p: c / p^k with
+    k = max(0, -val(a)) and 0 <= c < p^(n+k) (0 when n + k <= 0)."""
+    a = Fraction(a)
+    # a = u / p^k with u's denominator prime to p
+    den, k = a.denominator, 0
     while den % p == 0:
         den //= p
+        k += 1
+    if n + k <= 0:
+        return Fraction(0)
+    mod = p ** (n + k)
+    return Fraction((a.numerator * pow(den, -1, mod)) % mod, p ** k)
+
+
+def frac_part(x, p):
+    """(a, n) with x = a/p^n mod Z_p, 0 <= a < p^n and n minimal."""
+    r = residue_rep(p, x, 0)
+    den, n = r.denominator, 0
+    while den > 1:
+        den //= p
         n += 1
-    if n == 0:
-        return 0, 0
-    pn = p ** n
-    a = (x.numerator * pow(den, -1, pn)) % pn
-    # strip p from a if present (keeps n minimal for a = 0 mod p cases)
-    while n > 0 and a % p == 0:
-        a //= p
-        pn //= p
-        n -= 1
-    return a, n
+    return r.numerator, n
 
 
 def modulus(field, x):
-    """|x|_F as an exact rational: 1 for finite F, p^{-val(x)} for Q_p."""
-    if getattr(field, "flavor", None) == "finite":
-        if field.element(x).i == 0:
-            raise ZeroDivisionError("modulus of zero")
-        return Fraction(1)
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroDivisionError("modulus of zero")
+    """|x|_F = p^{-val(x)} as an exact rational (1 over F_q)."""
     return Fraction(field.p) ** (-field.val(x))
 
 
@@ -274,7 +279,8 @@ class HaarConvention:
 
     @classmethod
     def default_for(cls, field):
-        return cls.counting() if field.flavor == "finite" \
+        """Scale 1: the counting measure over F_q, mu(Z_p^m) = 1 over Q_p."""
+        return cls.counting() if isinstance(field, FqField) \
             else cls.standard_padic()
 
     def scaled(self, c):

@@ -160,9 +160,14 @@ def cmd_cocycle(args):
     field = parse_field(args.field)
     space = parse_space(field, args.m)
     psi = parse_character(field, args.psi)
+    if args.rao and args.path == "operator":
+        raise InputError("--rao applies to --path formula only")
     if args.exhaustive:
         if field.flavor != "finite" or args.m != 1:
             raise InputError("--exhaustive needs a finite field and m = 1")
+        if args.g1 is not None or args.g2 is not None:
+            raise InputError("--exhaustive runs over all pairs: drop "
+                             "--g1 and --g2")
         ctx = WeilContext(space, psi)
         group = enumerate_sp2(space)
         pairs = 0
@@ -173,7 +178,7 @@ def cmd_cocycle(args):
                     trivial = c == ctx.one()
                     value = None if trivial else scalar_json(c, args.approx)
                 else:
-                    value = cocycle_formula(space, g1, g2)
+                    value = cocycle_formula(space, g1, g2, rao=args.rao)
                     trivial = value == 1
                 if not trivial:
                     # the first offending pair is the witness

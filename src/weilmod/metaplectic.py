@@ -121,14 +121,15 @@ def x_invariant(space, g, bruhat=None):
 
 def mu_g_scalar(space, psi, g, bruhat=None):
     """The decomposition-invariant mass of mu_g relative to mu_{w_j}: the
-    normalization Omega_{1, det_X(p1 p2)} times, over Q_p, the volume of the
-    transported reference lattice (finite F: a point, so the bare Omega)."""
+    normalization Omega_{1, det_X(p1 p2)} times the volume of the
+    transported reference lattice, p^(-min val) over the j x j minors of
+    its projection (1 over F_q, whose valuation is trivial)."""
     bd = bruhat or bruhat_decompose(space, g)
     d = space.det_x(bd.p1) * space.det_x(bd.p2)
     field = space.field
     one = field.element(1)
     base = omega_ratio(field, psi, one, d)
-    if field.flavor == "finite" or bd.j == 0:
+    if bd.j == 0:
         return base
     # volume of phi_1(image of the standard X-lattice) in mu_{w_j}-coords
     p1inv = space.inv(bd.p1)
@@ -141,7 +142,7 @@ def mu_g_scalar(space, psi, g, bruhat=None):
     for subset in itertools.combinations(range(m), j):
         sq = [[cols[c][r] for c in subset] for r in range(j)]
         dv = linalg.det(linalg.mat(sq))
-        if dv != 0:
+        if dv:
             val = field.val(dv)
             best = val if best is None else min(best, val)
     if best is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .basefield import AdditiveCharacter, QpField
+from .basefield import AdditiveCharacter, QpField, residue_rep
 from .coeff import CyclotomicRing
 from .weilfactor import omega1_padic, omega_ratio
 
@@ -31,21 +31,6 @@ class PhaseTerm(NamedTuple):
     lin: Fraction
 
 
-def _center_rep(p, a, n):
-    """Canonical representative of a + p^n Z_p."""
-    a = Fraction(a)
-    if a == 0:
-        return a
-    k = max(0, -QpField(p).val(a))
-    if n + k <= 0:
-        return Fraction(0)
-    mod = p ** (n + k)
-    # write a = u / p^k with u having denominator prime to p
-    u = a * p ** k
-    c = (u.numerator * pow(u.denominator, -1, mod)) % mod
-    return Fraction(c, p ** k)
-
-
 class PhaseStepFunction:
     """Finite sum of phase-decorated coset indicators on Q_p."""
 
@@ -61,7 +46,7 @@ class PhaseStepFunction:
 
     def _canon_term(self, t):
         p = self.p
-        a = _center_rep(p, t.center, t.depth)
+        a = residue_rep(p, t.center, t.depth)
         coeff = t.coeff
         if a != t.center:
             d = a - t.center
@@ -72,8 +57,8 @@ class PhaseStepFunction:
         else:
             lin = t.lin
         # phases only matter modulo p^-2depth Z_p and p^-depth Z_p
-        quad = _center_rep(p, t.quad, -2 * t.depth)
-        lin = _center_rep(p, lin, -t.depth)
+        quad = residue_rep(p, t.quad, -2 * t.depth)
+        lin = residue_rep(p, lin, -t.depth)
         return PhaseTerm(coeff, a, t.depth, quad, lin)
 
     def canonical(self):
@@ -184,7 +169,7 @@ class PhaseStepFunction:
                 raise UnsupportedInputError("refinement too large")
             step = Fraction(p) ** t.depth
             for i in range(p ** k):
-                c = _center_rep(p, t.center + i * step, depth)
+                c = residue_rep(p, t.center + i * step, depth)
                 d = c - t.center
                 v = t.coeff * self.psi(t.quad * d * d + t.lin * d)
                 table[c] = table.get(c, CyclotomicRing(p).zero()) + v
@@ -215,14 +200,6 @@ class PhaseStepFunction:
 # ---------------------------------------------------------------------------
 # the section sigma on SL_2(Q) subset Sp_2(Q_p), operator level
 # ---------------------------------------------------------------------------
-
-def _gamma0(p, alpha):
-    """int_{Z_p} psi(alpha v^2) dv for val(alpha) < 0, via the stabilized
-    Omega machine: p^{-s} Omega(Q_{p^{2s} alpha}), s = ceil(-val/2)."""
-    v = QpField(p).val(alpha)
-    s = (-v + 1) // 2
-    return omega1_padic(p, alpha * p ** (2 * s)) * Fraction(1, p ** s)
-
 
 def sigma_padic_matrix(p, g):
     """sigma(g) as an operator on PhaseStepFunctions over Q_p, for
@@ -264,7 +241,8 @@ def sigma_padic_matrix(p, g):
                 gaussian = None
             else:
                 theta = fld.val(at)
-                gaussian = _gamma0(p, at)
+                # int_{Z_p} psi(at v^2) dv, the 1-d Weil factor of at
+                gaussian = omega1_padic(p, at)
                 # extra phase -beta~(y)^2 / (4 at), beta~ = (b0 + y) p^na
                 k = -(Fraction(p) ** (2 * na)) / (4 * at)
                 p2 = p2 + k

@@ -11,8 +11,8 @@ from fractions import Fraction
 from . import linalg
 from .basefield import AdditiveCharacter
 from .coeff import CyclotomicRing, FiniteField, ReductionMap
-from .heisenberg import Monomial, SympSpace, hom_space
-from .metaplectic import WeilContext, enumerate_sp2, sigma, sigma_counts
+from .heisenberg import SympSpace, hom_space
+from .metaplectic import WeilContext, enumerate_sp2, sigma_counts
 
 GROUP_ORDER_CAP = 10 ** 4
 MODEL_DIM_CAP = 81
@@ -130,17 +130,6 @@ class RestrictedWeil:
             for i, co in enumerate(model._points):
                 perm[model._index[linalg.mat_vec(at, co)]] = i
             self.h1_perms[h] = tuple(perm)
-
-    def h1_op(self, h):
-        ring = self.psi.coeff_ring
-        return Monomial(self.h1_perms[h], (ring.one(),) * self.dim) \
-            .to_dense(ring.zero())
-
-    def h2_op(self, h):
-        return sigma(self.ctx, self.pair.embed_h2(h))
-
-    def op(self, h1, h2):
-        return linalg.mat_mul(self.h1_op(h1), self.h2_op(h2))
 
 
 def _generators(group, mul):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from . import linalg
 from .basefield import HaarConvention, QpField, modulus
 from .coeff import CyclotomicRing
-from .quadratic import QuadraticForm, hilbert
+from .quadratic import QuadraticForm, hilbert, square_class
 
 
 class OmegaValue(NamedTuple):
@@ -55,43 +55,30 @@ def gauss_sum(field, a, psi):
 # coefficient since psi_c(a x^2) = psi(c a x^2))
 # ---------------------------------------------------------------------------
 
-# one (value, representative) per (p, val(a) mod 2, square class of the
-# unit part): at most 4 per prime p
+# one value per (p, square class tag): at most 4 per prime p
 _PADIC_CACHE = {}
 
 
 def omega1_padic(p, a):
     """Omega_mu(psi o Q_a) over Q_p, level-0 psi, mu(Z_p) = 1.
 
-    Valuation is first reduced by square extraction (the s^2-identity); the
-    residual class representative is evaluated by a stabilized lattice sum,
-    checked at two consecutive depths."""
-    a = Fraction(a)
-    if a == 0:
-        raise ZeroDivisionError("Omega of Q_0 in dimension 1 is the 0-form")
+    a = s^2 u rep with rep the representative of a's square class, u a
+    unit square and val(s) = val(a) // 2, so Omega(Q_a) = |s|^-1 Omega(Q_rep)
+    (the s^2-identity); Omega(Q_rep) is a stabilized lattice sum, checked at
+    two consecutive depths."""
     fld = QpField(p)
-    v = fld.val(a)
-    r = v % 2
-    s = (v - r) // 2
-    res = fld.legendre(fld.unit_residue(a))
-    key = (p, r, res)
-    core = _PADIC_CACHE.get(key)
-    if core is None:
-        u = 1 if res == 1 else fld.nonresidue()
-        rep = Fraction(u * p ** r)
+    cls = square_class(fld, a)
+    key = (p, cls.tag)
+    w = _PADIC_CACHE.get(key)
+    if w is None:
+        r = fld.val(cls.rep)
         n0 = (0 - r + 1) // 2 + 1  # ceil((cond - v)/2) + 1 at cond = 0
-        q_rep = QuadraticForm(fld, [[rep]])
-        w1 = omega_brute_padic(q_rep, n0)
-        w2 = omega_brute_padic(q_rep, n0 + 1)
-        if w1 != w2:
+        q_rep = QuadraticForm(fld, [[cls.rep]])
+        w = omega_brute_padic(q_rep, n0)
+        if w != omega_brute_padic(q_rep, n0 + 1):
             raise RuntimeError("p-adic Weil factor failed to stabilize")
-        core = (w1, rep)
-        _PADIC_CACHE[key] = core
-    w, rep = core
-    # a = (a/rep) * rep with a/rep = square * unit-square-class-1 element
-    scale = Fraction(p) ** s
-    # remaining unit square factor has modulus 1: Omega(Q_{w^2 u}) = Omega(Q_u)
-    return w * scale
+        _PADIC_CACHE[key] = w
+    return w * Fraction(p) ** (fld.val(a) // 2)
 
 
 def omega1(field, psi, a):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,8 +6,13 @@ import pytest
 
 from weilmod.basefield import (AdditiveCharacter, FqField, HaarConvention,
                                QpField, frac_part, modulus, parse_character,
-                               parse_field)
-from weilmod.coeff import CyclotomicRing, FiniteField
+                               parse_field, residue_rep)
+from weilmod.coeff import CyclotomicRing, Cyc, FFElt, FiniteField
+from weilmod.heisenberg import SympSpace
+from weilmod.metaplectic import (bruhat_decompose, mu_g_scalar,
+                                 random_symplectic)
+from weilmod.quadratic import hilbert, square_class
+from weilmod.weilfactor import omega1_padic
 
 
 def test_frac_part_examples():
@@ -115,3 +121,87 @@ def test_haar_conventions():
     mu2 = mu.scaled(Fraction(3, 2))
     assert mu2.scale == Fraction(3, 2)
     assert HaarConvention.default_for(QpField(3)).flavor == "padic"
+
+
+def _exact(v):
+    # the ring and the stored representation, not just the printed value
+    if isinstance(v, Cyc):
+        return "%r %r/%d" % (v.ring, v.coeffs, v.den)
+    if isinstance(v, FFElt):
+        return "%r %d" % (v.field, v.i)
+    return repr(v)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+
+
+def _seeded_rational(rng, p):
+    # a unit times p^v with v in -3..3
+    while True:
+        x = Fraction(rng.randrange(-40, 41), rng.randrange(1, 40))
+        if x:
+            return x * Fraction(p) ** rng.randrange(-3, 4)
+
+
+def _base_field_records():
+    finite = (FqField(3), FqField(5), FqField(3, 2))
+    for fld in finite:
+        elts = fld.elements()
+        for a in elts:
+            yield "mod", fld, a, _outcome(modulus, fld, a)
+            for b in elts:
+                yield "hilbert", fld, a, b, _outcome(hilbert, fld, a, b)
+    rng = random.Random(18)
+    for p in (3, 5, 7):
+        fld = QpField(p)
+        for _ in range(500):
+            a, b = _seeded_rational(rng, p), _seeded_rational(rng, p)
+            yield "mod", fld, a, modulus(fld, a)
+            yield "hilbert", fld, a, b, hilbert(fld, a, b)
+        yield "mod", fld, 0, _outcome(modulus, fld, Fraction(0))
+        yield "hilbert", fld, 0, _outcome(hilbert, fld, Fraction(0), 1)
+        for _ in range(200):
+            a = _seeded_rational(rng, p)
+            cls = square_class(fld, a)
+            yield "class", fld, a, cls.tag, cls.rep
+            yield "omega1", p, a, _exact(omega1_padic(p, a))
+    for space, psis, count in (
+            (SympSpace(FqField(3), 2), (AdditiveCharacter(FqField(3)),
+                                       AdditiveCharacter(FqField(3),
+                                                         FiniteField(2, 2))),
+             200),
+            (SympSpace(FqField(3, 2), 1), (AdditiveCharacter(FqField(3, 2)),),
+             200),
+            (SympSpace(QpField(3), 2), (AdditiveCharacter(QpField(3)),), 200)):
+        for _ in range(count):
+            g = random_symplectic(space, rng, length=6, scale=2)
+            bd = bruhat_decompose(space, g)
+            for psi in psis:
+                yield "mu", space.field, bd.j, \
+                    _exact(mu_g_scalar(space, psi, g, bd))
+    for p in (3, 5, 7):
+        for _ in range(500):
+            x = _seeded_rational(rng, p)
+            yield "frac", p, x, frac_part(x, p)
+            for n in range(-3, 4):
+                yield "rep", p, x, n, residue_rep(p, x, n)
+
+
+def test_base_field_digest():
+    # the moduli, Hilbert symbols, square classes, 1-d p-adic Weil factors,
+    # mu_g masses and residues above, as the flavor-forked routines gave
+    # them before F_q carried its trivial valuation
+    h = hashlib.sha256()
+    counts = {}
+    for rec in _base_field_records():
+        counts[rec[0]] = counts.get(rec[0], 0) + 1
+        h.update(repr(rec).encode() + b"\n")
+    assert counts["mu"] == 800 and counts["rep"] == 10500
+    assert h.hexdigest() == \
+        "65cb18b9a4e10b10ccd8b5b2f4670c1700dc6e43c64eb1f0fa7f549abea0e35e"
+    with pytest.raises(ZeroDivisionError):
+        FqField(3).val(0)

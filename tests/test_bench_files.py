@@ -86,3 +86,45 @@ def test_package_has_no_assert():
         found += ["%s:%d" % (os.path.basename(path), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _module_tree(name):
+    with open(os.path.join(PACKAGE, name + ".py")) as fh:
+        return ast.parse(fh.read())
+
+
+def _function(tree, path):
+    node = tree
+    for part in path.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == part)
+    return node
+
+
+def test_base_field_routines_do_not_fork_on_flavor():
+    # F_q is the trivially valued case of the Q_p formulas: these read the
+    # valuation, never the field's flavor
+    for module, path in (("basefield", "modulus"),
+                         ("quadratic", "hilbert"),
+                         ("metaplectic", "mu_g_scalar"),
+                         ("basefield", "HaarConvention.default_for")):
+        fn = _function(_module_tree(module), path)
+        reads = [node.lineno for node in ast.walk(fn)
+                 if (isinstance(node, ast.Attribute) and node.attr == "flavor")
+                 or (isinstance(node, ast.Constant) and node.value == "flavor")]
+        assert reads == [], (module, path, reads)
+
+
+def test_schwartz_has_no_residue_or_gaussian_of_its_own():
+    # residues mod p^n Z_p come from basefield.residue_rep and the p-adic
+    # Gaussian from weilfactor.omega1_padic: schwartz has no module-level
+    # helper and no modular inverse of its own
+    tree = _module_tree("schwartz")
+    helpers = [n.name for n in tree.body
+               if isinstance(n, ast.FunctionDef) and n.name.startswith("_")]
+    inverses = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "pow"
+                and len(node.args) == 3]
+    assert helpers == [] and inverses == []

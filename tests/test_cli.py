@@ -399,3 +399,61 @@ def test_key_error_is_not_invalid_input(monkeypatch):
     monkeypatch.setattr(cli, "cmd_hilbert", broken)
     with pytest.raises(KeyError, match="lost"):
         cli.main(["hilbert", "--field", "qp:5", "--a", "1", "--b", "2"])
+
+
+RAO_G = ["--g1=-1,0,2,-1", "--g2=4,-1/2,2,0"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["cocycle", "--field", "qp:3", "--m", "1", *RAO_G, "--path", "operator",
+      "--rao"], "error: --rao applies to --path formula only\n"),
+    (["cocycle", "--field", "fq:3:1", "--m", "1", "--path", "operator",
+      "--exhaustive", "--rao"],
+     "error: --rao applies to --path formula only\n"),
+    (["cocycle", "--field", "fq:3:1", "--m", "1", "--path", "formula",
+      "--exhaustive", "--g1", "1,0,0,1"],
+     "error: --exhaustive runs over all pairs: drop --g1 and --g2\n"),
+    (["cocycle", "--field", "fq:3:1", "--m", "1", "--path", "operator",
+      "--exhaustive", "--g2=1,0,0,1"],
+     "error: --exhaustive runs over all pairs: drop --g1 and --g2\n"),
+])
+def test_cocycle_option_out_of_scope_refused(args, message, monkeypatch,
+                                             capsys):
+    # an option the chosen path does not read is refused before any
+    # cocycle is computed, not silently dropped
+    def refuse(*_args, **_kw):
+        raise AssertionError("cocycle computed despite the refusal")
+    for name in ("cocycle_operator", "cocycle_operator_padic",
+                 "cocycle_formula"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == message
+
+
+def test_rao_changes_the_padic_formula_answer(capsys):
+    # the pair the refused operator query above asked about: --rao matters
+    base = ["cocycle", "--field", "qp:3", "--m", "1", *RAO_G, "--path",
+            "formula"]
+    assert cli.main(base) == 0
+    assert cli.main(base + ["--rao"]) == 0
+    plain, rao = (json.loads(x)["value"]
+                  for x in capsys.readouterr().out.splitlines())
+    assert (plain, rao) == (1, -1)
+
+
+def test_exhaustive_formula_passes_rao(monkeypatch, capsys):
+    seen = []
+
+    def recorded(space, g1, g2, rao=False, leray=None):
+        seen.append(rao)
+        return 1
+    monkeypatch.setattr(cli, "cocycle_formula", recorded)
+    for rao in (False, True):
+        seen.clear()
+        assert cli.main(["cocycle", "--field", "fq:3:1", "--m", "1",
+                         "--path", "formula", "--exhaustive"]
+                        + ["--rao"] * rao) == 0
+        assert json.loads(capsys.readouterr().out) == {"pairs": 576,
+                                                       "trivial": True}
+        assert seen == [rao] * 576

@@ -6,13 +6,29 @@ import pytest
 from weilmod import linalg, metaplectic, theta
 from weilmod.basefield import AdditiveCharacter, FqField
 from weilmod.coeff import CyclotomicRing, FiniteField
-from weilmod.heisenberg import hom_space
+from weilmod.heisenberg import Monomial, hom_space
 from weilmod.quadratic import QuadraticForm
 from weilmod.theta import (CentralIdempotent, DualPair, RestrictedWeil,
                            SizeCapError, ThetaLift, _generators, char_inner,
                            congruence_check, enumerate_orthogonal,
                            group_inverses, linear_pm_characters,
                            product_group)
+
+
+def h1_op(rw, h):
+    """Dense omega(h) for h in H1: the permutation of the Y-points."""
+    ring = rw.psi.coeff_ring
+    return Monomial(rw.h1_perms[h], (ring.one(),) * rw.dim) \
+        .to_dense(ring.zero())
+
+
+def h2_op(rw, h):
+    """Dense omega(h) for h in H2: sigma of its image in Sp(W)."""
+    return metaplectic.sigma(rw.ctx, rw.pair.embed_h2(h))
+
+
+def pair_op(rw, h1, h2):
+    return linalg.mat_mul(h1_op(rw, h1), h2_op(rw, h2))
 
 
 def test_enumerate_orthogonal_o1():
@@ -65,10 +81,10 @@ def test_restricted_weil_is_homomorphism():
         h1b = pair.h1_list[rng.randrange(2)]
         h2a = pair.h2_list[rng.randrange(24)]
         h2b = pair.h2_list[rng.randrange(24)]
-        lhs = linalg.mat_mul(rw.op(h1a, h2a), rw.op(h1b, h2b))
-        rhs = rw.op(linalg.mat_mul(h1a, h1b), linalg.mat_mul(h2a, h2b))
+        lhs = linalg.mat_mul(pair_op(rw, h1a, h2a), pair_op(rw, h1b, h2b))
+        rhs = pair_op(rw, linalg.mat_mul(h1a, h1b), linalg.mat_mul(h2a, h2b))
         assert lhs == rhs
-    ident = rw.op(_ident_of(pair.h1_list), _ident_of(pair.h2_list))
+    ident = pair_op(rw, _ident_of(pair.h1_list), _ident_of(pair.h2_list))
     n = rw.dim
     for i in range(n):
         for j in range(n):
@@ -87,7 +103,7 @@ def test_minus_one_acts_as_parity():
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
     rw = RestrictedWeil(pair, AdditiveCharacter(f3))
     minus = [h for h in pair.h1_list if h != _ident_of(pair.h1_list)][0]
-    op = rw.h1_op(minus)
+    op = h1_op(rw, minus)
     model = rw.ctx.model
     # op f(y) = f(-y): permutation matrix swapping 1 <-> 2 over F_3
     n = rw.dim
@@ -139,7 +155,7 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
         stacked = []
         for h in pair.h1_list:
             stacked.extend(linalg.mat_sub(
-                rw.h1_op(h), linalg.mat_scal(rw.ctx.one() * chi[h], ident)))
+                h1_op(rw, h), linalg.mat_scal(rw.ctx.one() * chi[h], ident)))
         ns = linalg.nullspace(linalg.mat(stacked), coeff)
         lift = ThetaLift(rw, chi)
         assert lift.dim == len(ns)
@@ -147,7 +163,7 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
             assert all(x == rw.ctx.zero() for x in linalg.mat_vec(stacked, v))
         got = lift.character()
         for h2 in pair.h2_list:
-            m = rw.h2_op(h2)
+            m = h2_op(rw, h2)
             trace = rw.ctx.zero()
             for i, v in enumerate(ns):
                 sol = linalg.solve(linalg.transpose(ns), linalg.mat_vec(m, v),
@@ -164,7 +180,7 @@ def act_reference(lift, h2):
     rw = lift.rw
     if lift.dim == 0:
         return ()
-    cols_of_m = linalg.transpose(rw.h2_op(h2))
+    cols_of_m = linalg.transpose(h2_op(rw, h2))
     zero = (rw.psi.coeff_ring.zero(),) * rw.dim
     cols = []
     for v, orbit in zip(lift.basis, lift.orbits):
@@ -221,7 +237,6 @@ def test_congruence_check_makes_no_dense_sigma(monkeypatch):
     def counted(ops1, ops2, dim1, dim2, ring):
         seen.append(len(ops1))
         return real(ops1, ops2, dim1, dim2, ring)
-    monkeypatch.setattr(theta, "sigma", refuse)
     monkeypatch.setattr(metaplectic, "sigma", refuse)
     monkeypatch.setattr(metaplectic, "_ring_matrix", refuse)
     monkeypatch.setattr(theta, "hom_space", counted)
@@ -323,12 +338,12 @@ def test_isotypic_characters_factor():
         n = rw.dim
         for h2 in pair.h2_list[:6]:
             for h1 in pair.h1_list:
-                m = rw.op(h1, h2)
+                m = pair_op(rw, h1, h2)
                 acc = None
                 for h in pair.h1_list:
                     t = linalg.mat_scal(
                         rw.ctx.one() * Fraction(chi[h], len(pair.h1_list)),
-                        linalg.mat_mul(rw.h1_op(h), m))
+                        linalg.mat_mul(h1_op(rw, h), m))
                     acc = t if acc is None else linalg.mat_add(acc, t)
                 got = linalg.trace(acc)
                 assert got == ch2[h2] * chi[h1]
