@@ -36,6 +36,19 @@ def _is_prime(n):
     return True
 
 
+def _prime_factors(n):
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic rings
 # ---------------------------------------------------------------------------
@@ -404,8 +417,8 @@ _CONWAY = {
 _FF_CACHE = {}
 
 # The largest q built: the discrete-log tables hold about 4q entries, and
-# finding a generator costs up to q products per candidate, so a larger q is
-# refused (ValueError) before anything is allocated.
+# filling them costs q - 2 products, so a larger q is refused (ValueError)
+# before anything is allocated.
 MAX_Q = 2 ** 16
 
 
@@ -500,25 +513,28 @@ class FiniteField:
                         out[i + j] = (out[i + j] + x * y) % p
         return _poly_rem(out, self.irred, p)
 
+    def _poly_pow(self, a, e):
+        # square and multiply
+        out = self._digits(1)
+        while e:
+            if e & 1:
+                out = self._poly_mul_mod(out, a)
+            a = self._poly_mul_mod(a, a)
+            e >>= 1
+        return out
+
     def _build_tables(self):
         q = self.q
-        # a power of an element of order < q - 1 has order < q - 1 too, so
-        # every index a failed candidate reached is skipped
-        reached = bytearray(q)
-        for g in range(1, q):
-            if reached[g]:
-                continue
-            exp, cur, dg = [1], self._digits(1), self._digits(g)
-            while len(exp) < q - 1:
-                cur = self._poly_mul_mod(cur, dg)
-                v = self._undigits(cur)
-                if v == 1:
-                    break
-                exp.append(v)
-            else:
-                break  # g reached all q - 1 units
-            for v in exp:
-                reached[v] = 1
+        # g generates the q - 1 units exactly when g^((q-1)/r) != 1 for
+        # every prime r | q - 1; its powers then fill the table once
+        one = self._digits(1)
+        exps = [(q - 1) // r for r in _prime_factors(q - 1)]
+        dg = next(d for d in map(self._digits, range(1, q))
+                  if all(self._poly_pow(d, e) != one for e in exps))
+        exp, cur = [1], one
+        for _ in range(q - 2):
+            cur = self._poly_mul_mod(cur, dg)
+            exp.append(self._undigits(cur))
         self._exp = exp + exp
         self._log = [0] * q
         for k, v in enumerate(exp):

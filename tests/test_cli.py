@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -457,3 +458,142 @@ def test_exhaustive_formula_passes_rao(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out) == {"pairs": 576,
                                                        "trivial": True}
         assert seen == [rao] * 576
+
+
+def _query(argv, capsys):
+    """(exit, stdout, stderr) of one in-process cli.main call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as ex:
+        code = ex.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+MIXED = [
+    ["hilbert", "--field", "qp:5", "--a", "5", "--b", "2"],
+    ["omega", "--field", "fq:3:1", "--form", "diag:1,2", "--approx"],
+    ["hasse", "--field", "qp:3", "--form", "diag:3,3", "--out", "csv"],
+    ["bruhat", "--field", "fq:3:1", "--m", "1", "--g", "1,0,1,1"],
+    ["cocycle", "--field", "qp:5", "--m", "1", *QP_G],
+    ["theta", "--field", "fq:3:1", "--V", "diag:1", "--coeff", "fl:7:1"],
+    ["hilbert", "--field", "qp:5", "--a", "1"],
+    ["omega", "--field", "fq:3:0", "--form", "diag:1"],
+]
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    # one tree is ten _Parser instances (the top level and nine
+    # subcommands); main builds it on its first call and reuses it
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kw):
+        built.append(kw.get("prog"))
+        init(self, *args, **kw)
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+    codes = [_query(MIXED[k % len(MIXED)], capsys)[0] for k in range(20)]
+    assert codes[:len(MIXED)] == [0, 0, 0, 0, 0, 0, 2, 2]
+    assert len(built) <= 10
+
+
+# malformed (and a few valid) values by the kind of option they fill
+FUZZ_VALUES = {
+    "field": ["qp:-3", "fq:3:-1", "fq:3:0", "fq:3:11", "fq:4:1", "fq:2:1",
+              "qp:2", "qp:1", "qp:5:1", "fq:3", "fq:x:1", "qp:five", "",
+              ":", "zz:3", "qp:5/2", "fq:3:1.0", "fq:5:1", "qp:3"],
+    "form": ["diag:", "diag:1,", "diag:x", "diag:1/0", "diag:1/3", "diag:0",
+             "diag:-1", "diag:1,1,1", "gram:1,2,3", "gram:1,2,3,4", "gram:",
+             "gram:0,1,1,0", "lin:1", ""],
+    "matrix": ["1,2,3", "", "1,0,0,1,0", "x,0,0,1", "1/0,0,0,1", "1,1,1,1",
+               "0,0,0,0", "-1,0,0,-1", "1,,0,1", "1.5,0,0,1", "0,-1,1,0"],
+    "character": ["psi:twist:0", "psi:twist:x", "psi:twist:", "psi:twist:1/0",
+                  "psi:twist:2", "psi:twist:3", "psi", "bogus",
+                  "psi:level0", "psi:standard", ""],
+    "coeff": ["fl:0:1", "fl:4:1", "fl:7:0", "fl:2:1", "fl:7", "fl:x:1",
+              "fl:-7:1", "fl:2:24", "fl:2:1000000000", "fl:2:2", "fl:7:1",
+              "cyclo", ""],
+    "int": ["0", "-1", "x", "1.5", "", "2"],
+    "scalar": ["0", "1/0", "x", "", "-1/2", "25", "1.5"],
+    "path": ["dense", "", "formula", "operator"],
+    "out": ["csv", "json", "", "{tmp}", "{tmp}/missing/x.json",
+            "{tmp}/o.csv", "{tmp}/o.json"],
+    "emit": ["", "{tmp}", "{tmp}/missing/x", "{tmp}/h.json"],
+}
+
+# each subcommand's valid base query and the kind of each option it takes
+FUZZ_BASE = {
+    "omega": ({"--field": "fq:3:1", "--form": "diag:1,2"},
+              {"--field": "field", "--form": "form", "--psi": "character",
+               "--out": "out"}),
+    "hilbert": ({"--field": "qp:5", "--a": "5", "--b": "2"},
+                {"--field": "field", "--a": "scalar", "--b": "scalar",
+                 "--out": "out"}),
+    "hasse": ({"--field": "qp:3", "--form": "diag:3,3"},
+              {"--field": "field", "--form": "form", "--out": "out"}),
+    "bruhat": ({"--field": "fq:3:1", "--m": "1", "--g": "1,0,1,1"},
+               {"--field": "field", "--m": "int", "--g": "matrix",
+                "--out": "out"}),
+    "cocycle": ({"--field": "qp:5", "--m": "1", "--g1": "2,0,0,1/2",
+                 "--g2": "1,0,5,1"},
+                {"--field": "field", "--m": "int", "--g1": "matrix",
+                 "--g2": "matrix", "--psi": "character", "--path": "path",
+                 "--out": "out"}),
+    "weilrep": ({"--field": "fq:3:1", "--m": "1"},
+                {"--field": "field", "--m": "int", "--psi": "character",
+                 "--out": "out"}),
+    "heisenberg": ({"--field": "fq:3:1", "--m": "1"},
+                   {"--field": "field", "--m": "int", "--psi": "character",
+                    "--emit": "emit", "--out": "out"}),
+    "theta": ({"--field": "fq:3:1", "--V": "diag:1"},
+              {"--field": "field", "--V": "form", "--mprime": "int",
+               "--coeff": "coeff", "--out": "out"}),
+    "selfcheck": ({"--seed": "42"}, {"--seed": "int"}),
+}
+
+FUZZ_EXTRA = [
+    [], ["frobnicate", "--field", "fq:3:1"], ["hilbert", "--field", "qp:5"],
+    ["omega", "--field", "fq:3:1", "--form", "diag:1", "--approx"],
+    ["cocycle", "--field", "qp:5", "--m", "1", *QP_G, "--exhaustive"],
+    ["cocycle", "--field", "qp:5", "--m", "1", *QP_G, "--rao"],
+    ["cocycle", "--field", "qp:5", "--m", "1", *QP_G, "--path", "operator",
+     "--rao"],
+    ["cocycle", "--field", "qp:5", "--m", "2", "--g1",
+     ",".join(["1"] + ["0"] * 15), "--g2", ",".join(["1"] + ["0"] * 15),
+     "--path", "operator"],
+    ["cocycle", "--field", "fq:3:1", "--m", "1", "--path", "operator",
+     "--exhaustive", "--approx"],
+    ["hilbert", "--field", "qp:5", "--a", "5", "--b", "2", "--approx"],
+    ["selfcheck", "--approx"],
+]
+
+
+def _fuzz_table(tmp):
+    table = []
+    for command, (base, kinds) in FUZZ_BASE.items():
+        for option, kind in kinds.items():
+            for value in FUZZ_VALUES[kind]:
+                args = dict(base, **{option: value.format(tmp=tmp)})
+                table.append([command] + [x for kv in args.items()
+                                          for x in kv])
+    return table + FUZZ_EXTRA
+
+
+def test_cli_fuzz_table(tmp_path, capsys):
+    # every probe ends with exit 0, 1 or 2 and, unless 0, one stderr line;
+    # replayed in a seeded shuffled order on the same (shared) parser, each
+    # gives the same exit, stdout and stderr
+    table = _fuzz_table(tmp_path)
+    first = {}
+    for argv in table:
+        code, out, err = first[tuple(argv)] = _query(argv, capsys)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code:
+            assert len(err.splitlines()) == 1, (argv, err)
+    assert {c for c, _, _ in first.values()} >= {0, 2}
+    order = list(first)
+    random.Random(19).shuffle(order)
+    for argv in order:
+        assert _query(list(argv), capsys) == first[argv], argv

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -336,6 +337,31 @@ def test_generator_search_skips_reached_candidates(monkeypatch):
     fld._build_tables()
     assert calls[0] <= 12954
     assert fld._exp == exp and fld._log == log
+
+
+def test_generator_found_by_its_order(monkeypatch):
+    # g generates F^x iff g^((q-1)/r) != 1 for every prime r | q - 1: a few
+    # square-and-multiply products per candidate, then q - 2 to fill _exp.
+    # Walking each failed candidate's powers took 103,820 for F_{3^10}
+    fld = FiniteField(3, 10)
+    tables = (list(fld._exp), list(fld._log), list(fld._zech))
+    calls = [0]
+    product = fld._poly_mul_mod
+
+    def counted(a, b):
+        calls[0] += 1
+        return product(a, b)
+    monkeypatch.setattr(fld, "_poly_mul_mod", counted)
+    fld._build_tables()
+    assert calls[0] <= fld.q + 2000
+    assert (fld._exp, fld._log, fld._zech) == tables
+    # g's powers are the q - 1 units, and g is the smallest index of
+    # order q - 1
+    n = fld.q - 1
+    assert sorted(fld._exp[:n]) == list(range(1, fld.q))
+    g = fld._exp[1]
+    assert gcd(fld._log[g], n) == 1
+    assert all(gcd(fld._log[i], n) > 1 for i in range(1, g))
 
 
 def test_every_scalar_is_falsy_exactly_at_zero():

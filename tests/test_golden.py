@@ -14,6 +14,8 @@ import sys
 
 import pytest
 
+from weilmod import cli
+
 QP_G = ["--g1", "2,0,0,1/2", "--g2", "1,0,5,1"]
 
 GOLDEN = [
@@ -56,3 +58,18 @@ def test_golden_stdout(args, code, digest):
                           capture_output=True, env=env)
     assert proc.returncode == code, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == digest, proc.stdout
+
+
+def test_golden_stdout_in_process(capsys):
+    # one process answers every row, in table order and then reversed: the
+    # parser main builds once carries nothing (--approx, --exhaustive, a
+    # default) from one query into the next
+    for rows in (GOLDEN, GOLDEN[::-1]):
+        for args, code, digest in rows:
+            try:
+                got = cli.main(list(args))
+            except SystemExit as ex:
+                got = ex.code
+            out = capsys.readouterr().out
+            assert got == code, args
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, args
