@@ -1,7 +1,8 @@
 """The base field F in both flavors: F_q with q = p^f odd, and Q_p (p odd)
 through exact rational representatives.  F_q carries the trivial valuation,
-so the Q_p formulas hold over it at val = 0.  Additive characters, Haar
-conventions, the modulus character and residues mod p^n Z_p live here.
+so the Q_p formulas hold over it at val = 0.  Additive characters, the
+modulus character and residues mod p^n Z_p live here; a Haar measure enters
+only through its mass (see weilfactor.omega).
 
 p-adic scalars are plain Fractions; every quantity the package computes from
 them depends on finitely many digits, so exact rationals lose nothing.
@@ -261,27 +262,3 @@ def parse_character(field, desc, coeff_ring=None):
         return AdditiveCharacter(field, coeff_ring, c)
     raise InputError("bad character descriptor %r" % (desc,))
 
-
-class HaarConvention:
-    """Finite: mass of a point.  p-adic: mass of Z_p^m in quotient coords."""
-
-    def __init__(self, flavor, scale=Fraction(1)):
-        self.flavor = flavor
-        self.scale = scale
-
-    @classmethod
-    def counting(cls):
-        return cls("finite", Fraction(1))
-
-    @classmethod
-    def standard_padic(cls):
-        return cls("padic", Fraction(1))
-
-    @classmethod
-    def default_for(cls, field):
-        """Scale 1: the counting measure over F_q, mu(Z_p^m) = 1 over Q_p."""
-        return cls.counting() if isinstance(field, FqField) \
-            else cls.standard_padic()
-
-    def scaled(self, c):
-        return HaarConvention(self.flavor, self.scale * c)

@@ -12,8 +12,8 @@ import sys
 from fractions import Fraction
 
 from . import linalg
-from .basefield import (AdditiveCharacter, HaarConvention, InputError,
-                        parse_character, parse_field)
+from .basefield import (AdditiveCharacter, InputError, parse_character,
+                        parse_field)
 from .coeff import Cyc, CyclotomicRing, FFElt, FiniteField
 from .heisenberg import SympSpace, SchrodingerModel, delta, central
 from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
@@ -83,7 +83,7 @@ def parse_scalar(field, s):
         raise InputError("bad number %r" % (s,)) from None
 
 
-def parse_form(field, desc, dim=None):
+def parse_form(field, desc):
     if desc.startswith("diag:"):
         entries = [parse_scalar(field, x) for x in desc[5:].split(",")]
         z = field.element(0)
@@ -121,10 +121,9 @@ def cmd_omega(args):
     field = parse_field(args.field)
     q = parse_form(field, args.form)
     psi = parse_character(field, args.psi)
-    w = omega(q, HaarConvention.default_for(field), psi)
-    return {"value": scalar_json(w.value, args.approx),
-            "ring": repr(w.value.ring) if isinstance(w.value, Cyc)
-            else repr(w.value.field)}
+    w = omega(q, psi)
+    return {"value": scalar_json(w, args.approx),
+            "ring": repr(w.ring) if isinstance(w, Cyc) else repr(w.field)}
 
 
 def cmd_hilbert(args):
@@ -248,8 +247,11 @@ def cmd_heisenberg(args):
     if field.flavor != "finite":
         raise InputError("heisenberg dump is finite-field only")
     space = parse_space(field, args.m)
-    # q >= 2, so every m >= 6 is too large: the cap keeps the power small
-    if field.q ** (2 * min(args.m, 6) + 1) > 3000:
+    # q^(2m+1) operators of size q^m x q^m are q^(4m+1) ring entries, the
+    # cap weilrep has: it admits F_11 at m = 1 and F_3 at m = 2, and refuses
+    # F_13 at m = 1 and F_3 at m = 3.  q >= 3, so every m >= 4 is too large:
+    # min keeps the power small
+    if field.q ** (4 * min(args.m, 4) + 1) > 200_000:
         raise InputError("group too large to dump; reduce q or m")
     psi = parse_character(field, args.psi)
     model = SchrodingerModel(space, psi)
@@ -272,9 +274,8 @@ def cmd_heisenberg(args):
 
 
 def cmd_theta(args):
-    from .theta import (DualPair, RestrictedWeil, ThetaLift, char_inner,
-                        group_inverses, labelled_characters,
-                        linear_pm_characters)
+    from .theta import (DualPair, ThetaLift, char_inner, group_inverses,
+                        labelled_characters, linear_pm_characters)
     field = parse_field(args.field)
     if field.flavor != "finite":
         raise InputError("theta lifts are finite-field only")
@@ -294,12 +295,12 @@ def cmd_theta(args):
                              "(p = %d does not divide l^d - 1)"
                              % (args.coeff, field.p))
         psi = AdditiveCharacter(field, FiniteField(ell, d))
-    rw = RestrictedWeil(pair, psi)
+    ctx = WeilContext(pair.space, psi)
     chars = linear_pm_characters(pair.h1_list, linalg.mat_mul)
     inv2 = group_inverses(pair.h2_list, field)
     rows = []
     for label, chi in labelled_characters(chars):
-        lift = ThetaLift(rw, chi)
+        lift = ThetaLift(pair, ctx, chi)
         row = {"pi1": label, "dim_theta": lift.dim}
         if isinstance(psi.coeff_ring, CyclotomicRing) and lift.dim:
             ch = lift.character()
@@ -408,14 +409,20 @@ _PARSER = None
 
 
 def main(argv=None):
-    """Run one query; main may be called any number of times in one
-    process.  The parser is built on the first call and holds no function:
-    each call looks its subcommand up by name, so a cmd_* rebound since
-    (a test's monkeypatch, a tracer's wrapper) is the one that runs."""
+    """Run one query and return its exit code: 0, 1 when a check fails, 2
+    on invalid input, a usage error included (argparse's SystemExit is
+    caught, so an in-process caller sees every code as a return value).
+    main may be called any number of times in one process.  The parser is
+    built on the first call and holds no function: each call looks its
+    subcommand up by name, so a cmd_* rebound since (a test's monkeypatch,
+    a tracer's wrapper) is the one that runs."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as ex:
+        return ex.code
     fmt, path = "json", None
     out = getattr(args, "out", "json")
     if out in ("json", "csv"):

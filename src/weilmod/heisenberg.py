@@ -235,10 +235,6 @@ class Monomial:
     def scaled(self, c):
         return Monomial(self.perm, tuple(c * x for x in self.phases))
 
-    def inv(self):
-        t = self.transpose()
-        return Monomial(t.perm, tuple(x.inv() for x in t.phases))
-
     def transpose(self):
         n = self.dim
         perm = [0] * n
@@ -262,13 +258,6 @@ class Monomial:
         for j in range(n):
             rows[self.perm[j]][j] = self.phases[j]
         return linalg.mat(rows)
-
-    def trace(self, zero):
-        acc = zero
-        for j in range(self.dim):
-            if self.perm[j] == j:
-                acc = acc + self.phases[j]
-        return acc
 
     def kron(self, other):
         n2 = other.dim

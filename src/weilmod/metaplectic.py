@@ -650,7 +650,7 @@ def leray_x_classes(space, ld):
     (-1)^|S1 cap S2| det rho (det rho = 1 for S empty)."""
     field = space.field
     dp, dp1, dp2 = (space.det_x(h) for h in (ld.p, ld.p1, ld.p2))
-    mid = field.element(-1 if len(set(ld.s1) & set(ld.s2)) % 2 else 1)
+    mid = -field.one() if len(set(ld.s1) & set(ld.s2)) % 2 else field.one()
     if ld.s:
         mid = mid * linalg.det(linalg.mat(ld.rho))
     return (square_class(field, dp1 * dp), square_class(field, dp * dp2),
@@ -668,7 +668,7 @@ def cocycle_formula(space, g1, g2, rao=False, leray=None):
     l = len(set(ld.s1) & set(ld.s2))
     val = hilbert(field, x1, x2)
     val *= hilbert(field, x1 * x2, -x12)
-    mone = field.element(-1)
+    mone = -field.one()
     val *= hilbert(field, mone, mone) ** ((l * (l + 1)) // 2)
     if ld.s:
         detc = linalg.det(linalg.mat(ld.rho))

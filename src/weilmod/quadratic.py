@@ -165,11 +165,10 @@ class QuadraticForm:
         gc = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), self.gram), c)
         return linalg.mat(comp), gc
 
-    def diagonalize(self, order=None):
+    def diagonalize(self):
         """(basis vectors b_1..b_r, entries a_i = Q(b_i)) of the
-        nondegenerate part.  `order="reverse"` flips the pivot preference,
-        giving an independent diagonalization for invariance tests."""
-        if order is None and self._diag is not None:
+        nondegenerate part."""
+        if self._diag is not None:
             return self._diag
         comp, gc = self.nondegenerate_part()
         r = len(gc)
@@ -185,11 +184,8 @@ class QuadraticForm:
             def bval(u, v):
                 return linalg._dot(u, linalg.mat_vec(gc, v))
 
-            idxs = list(range(n))
-            if order == "reverse":
-                idxs = idxs[::-1]
             piv = None
-            for i in idxs:
+            for i in range(n):
                 if qval(remaining[i]):
                     piv = remaining[i]
                     break
@@ -222,10 +218,8 @@ class QuadraticForm:
         # pull the quotient vectors back to the ambient space
         zero = (self.field.zero(),) * self.m
         amb = tuple(linalg.combine(v, comp, zero) for v in out_vecs)
-        result = (amb, tuple(out_vals))
-        if order is None:
-            self._diag = result
-        return result
+        self._diag = (amb, tuple(out_vals))
+        return self._diag
 
     def det_square_class(self):
         _, vals = self.diagonalize()
@@ -234,8 +228,8 @@ class QuadraticForm:
             prod = prod * a
         return square_class(self.field, prod)
 
-    def hasse(self, order=None):
-        _, vals = self.diagonalize(order)
+    def hasse(self):
+        _, vals = self.diagonalize()
         s = 1
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):

@@ -1,6 +1,6 @@
-"""Finite type-I dual pairs, the restricted Weil representation, isotypic
-theta lifts, central idempotents from formal degrees, and reduction-mod-l
-congruence checks at desk scale.
+"""Finite type-I dual pairs with the Weil representation restricted to
+them, isotypic theta lifts, central idempotents from formal degrees, and
+reduction-mod-l congruence checks at desk scale.
 """
 
 from __future__ import annotations
@@ -42,7 +42,13 @@ def enumerate_orthogonal(q_form):
 
 
 class DualPair:
-    """(O(V), Sp(W')) inside Sp(V x W') with X = V x X'."""
+    """(O(V), Sp(W')) inside Sp(V x W') with X = V x X'.
+
+    On the Schrödinger model, H1 = O(V) acts through the Levi morphism
+    k -> (k, I_k), the permutation f(y) -> f(a^T y) of the Y-points, whatever
+    the coefficient ring: omega(h) e_j = e_{h1_perms[h][j]}, in the
+    Schrödinger basis order (-Id_V is parity).  H2 = Sp(W') acts through
+    the split section sigma of its images h2_images."""
 
     def __init__(self, v_form, mprime):
         field = v_form.field
@@ -68,12 +74,20 @@ class DualPair:
         if 2 * len(self.h1_list) * len(self.h2_list) > 2 * GROUP_ORDER_CAP:
             raise SizeCapError("group order cap exceeded")
         self.h2_images = {h: self.embed_h2(h) for h in self.h2_list}
+        points = list(itertools.product(field.elements(), repeat=self.m))
+        index = {pt: i for i, pt in enumerate(points)}
+        self.h1_perms = {}
         for h1 in self.h1_list:
             e1 = self.embed_h1(h1)
             for h2 in self.h2_list[:6]:
                 e2 = self.h2_images[h2]
                 if linalg.mat_mul(e1, e2) != linalg.mat_mul(e2, e1):
                     raise RuntimeError("dual pair images fail to commute")
+            at = linalg.transpose(self.space.blocks(e1)[0])
+            perm = [0] * len(points)
+            for i, co in enumerate(points):
+                perm[index[linalg.mat_vec(at, co)]] = i
+            self.h1_perms[h1] = tuple(perm)
 
     def embed_h1(self, h):
         """O(V) acting as h x Id_W': block-diagonal in the rescaled basis."""
@@ -108,28 +122,6 @@ class DualPair:
         if not self.space.is_symplectic(g):
             raise RuntimeError("symplectic embedding not symplectic")
         return g
-
-
-class RestrictedWeil:
-    """The Weil representation pulled back to H1 x H2.
-
-    H1 acts through the Levi morphism k -> (k, I_k), the permutation
-    f(y) -> f(a^T y): omega(h) e_j = e_{h1_perms[h][j]} (-Id_V is parity).
-    H2 acts through the split section sigma."""
-
-    def __init__(self, pair, psi):
-        self.pair = pair
-        self.psi = psi
-        self.ctx = WeilContext(pair.space, psi)
-        model = self.ctx.model
-        self.dim = model.dim
-        self.h1_perms = {}
-        for h in pair.h1_list:
-            at = linalg.transpose(pair.space.blocks(pair.embed_h1(h))[0])
-            perm = [0] * self.dim
-            for i, co in enumerate(model._points):
-                perm[model._index[linalg.mat_vec(at, co)]] = i
-            self.h1_perms[h] = tuple(perm)
 
 
 def _generators(group, mul):
@@ -213,20 +205,23 @@ class ThetaLift:
     b_O = sum_h chi(h) e_{h y_O} (each point of O once), one per H1-orbit O
     whose stabiliser has chi(s) 1_R = 1_R in the coefficient ring R: over
     characteristic 2 every orbit.  b_O is 1 at y_O, the first point of O.
-    R may be any ring holding zeta_p, a non-banal F_{l^d} included (only
+    R is the coefficient ring of ctx, a WeilContext on pair.space; it may
+    be any ring holding zeta_p, a non-banal F_{l^d} included (only
     congruence_check refuses those)."""
 
-    def __init__(self, rw, chi1):
-        self.rw = rw
+    def __init__(self, pair, ctx, chi1):
+        self.pair = pair
+        self.ctx = ctx
         self.chi1 = chi1
-        zero, one = rw.psi.coeff_ring.zero(), rw.psi.coeff_ring.one()
-        signed = [(perm, one * chi1[h]) for h, perm in rw.h1_perms.items()]
-        seen = [False] * rw.dim
+        zero, one = ctx.zero(), ctx.one()
+        signed = [(perm, one * chi1[h]) for h, perm in pair.h1_perms.items()]
+        n = ctx.model.dim
+        seen = [False] * n
         self.orbits, basis = [], []
-        for y in range(rw.dim):
+        for y in range(n):
             if seen[y]:
                 continue
-            vec = [zero] * rw.dim
+            vec = [zero] * n
             for perm, c in signed:
                 seen[perm[y]] = True
                 vec[perm[y]] = c
@@ -254,12 +249,11 @@ class ThetaLift:
             return a
         if self.dim == 0:
             return ()
-        rw = self.rw
-        ring = rw.psi.coeff_ring
-        zero, one = ring.zero(), ring.one()
-        phi = rw.ctx._phi
-        mu, counts = sigma_counts(rw.ctx, rw.pair.h2_images[h2])
-        outside = set(range(rw.dim)).difference(*self.orbits)
+        ctx = self.ctx
+        zero, one = ctx.zero(), ctx.one()
+        phi = ctx._phi
+        mu, counts = sigma_counts(ctx, self.pair.h2_images[h2])
+        outside = set(range(len(counts))).difference(*self.orbits)
         cols = []
         for v, orbit in zip(self.basis, self.orbits):
             plus = [z for z in orbit if v[z] == one]
@@ -285,9 +279,9 @@ class ThetaLift:
         return a
 
     def character(self):
-        zero = self.rw.psi.coeff_ring.zero()
+        zero = self.ctx.zero()
         return {h: linalg.trace(self.act(h)) if self.dim else zero
-                for h in self.rw.pair.h2_list}
+                for h in self.pair.h2_list}
 
 
 def char_inner(group, chi_a, chi_b, inv):
@@ -365,8 +359,8 @@ def congruence_check(v_form, mprime, ell):
 
     The integral lift is checked entry by entry: for every lift and every
     h in H2, red(act_0(h)) = act_l(h), which implies that the reduced
-    traces agree.  Both RestrictedWeils live on pair.space with the same
-    psi exponent table, so they share one CountModel: each H2 image's
+    traces agree.  Both WeilContexts live on pair.space with the same psi
+    exponent table, so they share one CountModel: each H2 image's
     counts are built once for both rings, and the sides differ only in mu
     and the ring map phi; the counts themselves are checked against dense
     sigma in the tests.  Irreducibility in
@@ -383,24 +377,22 @@ def congruence_check(v_form, mprime, ell):
                          % (ell, order))
     # characteristic zero side
     ring0 = CyclotomicRing(p)
-    psi0 = AdditiveCharacter(field, ring0)
-    rw0 = RestrictedWeil(pair, psi0)
+    ctx0 = WeilContext(pair.space, AdditiveCharacter(field, ring0))
     # characteristic l side: F_{l^d} containing zeta_p
     d = 1
     while (ell ** d - 1) % p != 0:
         d += 1
     ffl = FiniteField(ell, d)
     red = ReductionMap(ring0, ffl)
-    psil = AdditiveCharacter(field, ffl)
-    rwl = RestrictedWeil(pair, psil)
+    ctxl = WeilContext(pair.space, AdditiveCharacter(field, ffl))
     inv2 = group_inverses(h2, field)
     gens2 = _generators(h2, linalg.mat_mul)[1]
     chars1 = linear_pm_characters(h1, linalg.mat_mul)
     report = {"lifts": []}
     trivial = None
     for label, chi in labelled_characters(chars1):
-        lift0 = ThetaLift(rw0, chi)
-        liftl = ThetaLift(rwl, chi)
+        lift0 = ThetaLift(pair, ctx0, chi)
+        liftl = ThetaLift(pair, ctxl, chi)
         if lift0.dim != liftl.dim:
             raise RuntimeError("theta dimensions differ across reduction")
         for g in h2:

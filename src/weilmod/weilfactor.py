@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import linalg
-from .basefield import HaarConvention, QpField, modulus
+from .basefield import QpField, modulus
 from .coeff import CyclotomicRing
 from .quadratic import QuadraticForm, hilbert, square_class
-
-
-class OmegaValue(NamedTuple):
-    value: object          # unit of the coefficient ring
-    measure: object        # HaarConvention it was computed against
-    diag: tuple            # diagonal entries of the nondegenerate part
 
 
 # ---------------------------------------------------------------------------
@@ -93,31 +86,27 @@ def omega1(field, psi, a):
 # the non-normalised Weil factor
 # ---------------------------------------------------------------------------
 
-def omega(q_form, mu, psi):
-    """Omega_mu(psi o Q).  Degenerate forms pass through the radical
-    quotient; mu is a measure on X_Q (None: the field's default)."""
-    field = q_form.field
-    if mu is None:
-        mu = HaarConvention.default_for(field)
-    val = _omega_scalar(q_form, mu, psi)
-    return OmegaValue(val, mu, q_form.diagonalize()[1])
+def omega(q_form, psi, mass=1):
+    """Omega_mu(psi o Q), a scalar of psi's coefficient ring.  A Haar
+    measure mu on X_Q enters only through its mass relative to the
+    reference measure (counting over F_q, mu(Z_p^r) = 1 over Q_p), so
+    Omega_{lambda mu} = lambda Omega_mu.  Degenerate forms pass through the
+    radical quotient.
 
-
-def _omega_scalar(q_form, mu, psi):
-    """Omega is multiplicative under orthogonal sums: the product of
-    omega1 over the diagonal entries a_i = Q(b_i), times mu's mass and
-    |det P|, P the b_i in quotient coordinates (1 over F_q)."""
+    Omega is multiplicative under orthogonal sums: the product of omega1
+    over the diagonal entries a_i = Q(b_i), times the mass and |det P|, P
+    the b_i in quotient coordinates (1 over F_q)."""
     field = q_form.field
     vecs, vals = q_form.diagonalize()
     acc = psi.coeff_ring.one()
     if not vals:
-        return acc * mu.scale
+        return acc * mass
     # the rows of P^T: each b_i in the complement's coordinates
     comp, _ = q_form.nondegenerate_part()
     pt = linalg.solve_columns(linalg.transpose(comp), vecs, field)
     for a in vals:
         acc = acc * omega1(field, psi, a)
-    return acc * (mu.scale * modulus(field, linalg.det(pt)))
+    return acc * (mass * modulus(field, linalg.det(pt)))
 
 
 def omega_brute_padic(q_form, depth):
@@ -186,12 +175,10 @@ def hilbert_via_omega(field, psi, a, b):
     raise RuntimeError("Omega Hilbert identity did not land in {+-1}")
 
 
-def omega_diag_product(q_form, mu, psi):
+def omega_diag_product(q_form, psi, mass=1):
     """Omega_{det_B(Q),1} * Omega_mu(psi o Q_Id_B) * h_F(Q), asserted equal to
-    the directly computed Omega_mu(psi o Q)."""
+    the directly computed Omega_mu(psi o Q); mu has the given mass."""
     field = q_form.field
-    if mu is None:
-        mu = HaarConvention.default_for(field)
     if not q_form.is_nondegenerate():
         raise ValueError("product formula needs a nondegenerate form")
     vecs, vals = q_form.diagonalize()
@@ -204,10 +191,10 @@ def omega_diag_product(q_form, mu, psi):
     binv = linalg.mat_inv(linalg.transpose(linalg.mat(vecs)), field)
     gid = linalg.mat_mul(linalg.transpose(binv), binv)
     qid = QuadraticForm(field, gid)
-    w_id = _omega_scalar(qid, mu, psi)
+    w_id = omega(qid, psi, mass)
     h = q_form.hasse()
     lhs = ratio * w_id * h
-    rhs = _omega_scalar(q_form, mu, psi)
+    rhs = omega(q_form, psi, mass)
     if lhs != rhs:
         raise RuntimeError("Hasse product formula mismatch")
     return lhs
@@ -218,12 +205,12 @@ def omega_diag_product(q_form, mu, psi):
 # ---------------------------------------------------------------------------
 
 def fourier_normalizer(field, psi, rho_gram):
-    """Omega_mu(psi o Q_{rho/2}) for the field's default mu (counting over
-    F_q, mu(Z_p^m) = 1 over Q_p): the scalar that normalizes the Fourier
-    transform."""
+    """Omega_mu(psi o Q_{rho/2}) for the reference measure mu (counting
+    over F_q, mu(Z_p^m) = 1 over Q_p): the scalar that normalizes the
+    Fourier transform."""
     half = field.element(1) / 2
     q = QuadraticForm(field, [[half * x for x in row] for row in rho_gram])
-    return _omega_scalar(q, HaarConvention.default_for(field), psi)
+    return omega(q, psi)
 
 
 def fourier_matrix(field, psi, rho_gram):

@@ -10,8 +10,7 @@ from fractions import Fraction
 import pytest
 
 from weilmod import linalg
-from weilmod.basefield import (AdditiveCharacter, FqField, HaarConvention,
-                               QpField)
+from weilmod.basefield import AdditiveCharacter, FqField, QpField
 from weilmod.coeff import CyclotomicRing, FiniteField
 from weilmod.heisenberg import (SchrodingerModel, SympSpace,
                                 commutant_dim_model, central, delta)
@@ -21,7 +20,7 @@ from weilmod.metaplectic import (WeilContext, cocycle_formula,
                                  split_checks, u_rho_matrix, x_invariant)
 from weilmod.quadratic import QuadraticForm, hilbert
 from weilmod.schwartz import cocycle_operator_padic
-from weilmod.theta import (DualPair, RestrictedWeil, ThetaLift, char_inner,
+from weilmod.theta import (DualPair, ThetaLift, char_inner,
                            congruence_check, group_inverses,
                            linear_pm_characters)
 from weilmod.weilfactor import (epsilon, fourier_matrix, gauss_sum,
@@ -80,18 +79,16 @@ def test_acceptance_2_weil_factor_identities():
                 assert hilbert_via_omega(fq, psi, a, b) == 1
         # scaling, transport, orthogonal sums (sampled)
         q = random_form(fq, rng, 2, nondegenerate=True)
-        base = omega(q, HaarConvention.counting(), psi).value
+        base = omega(q, psi)
         for _ in range(20):
             lam = Fraction(rng.randrange(1, 30), rng.randrange(1, 9))
-            assert omega(q, HaarConvention.counting().scaled(lam),
-                         psi).value == base * lam
+            assert omega(q, psi, lam) == base * lam
         q1 = random_form(fq, rng, 1, nondegenerate=True)
         z = fq.element(0)
         big = [[q1.gram[0][0], z, z],
                [z, q.gram[0][0], q.gram[0][1]],
                [z, q.gram[1][0], q.gram[1][1]]]
-        assert omega(QuadraticForm(fq, big), None, psi).value == \
-            omega(q1, None, psi).value * base
+        assert omega(QuadraticForm(fq, big), psi) == omega(q1, psi) * base
     # p-adic Hilbert identity, >= 50 random pairs per p
     for p in (3, 5, 7, 13):
         fld = QpField(p)
@@ -119,7 +116,7 @@ def test_acceptance_3_hasse_product_formula():
         psi = AdditiveCharacter(field)
         dim = rng.randrange(1, 5)
         q = random_form(field, rng, dim, nondegenerate=True)
-        omega_diag_product(q, HaarConvention.default_for(field), psi)
+        omega_diag_product(q, psi)
         count += 1
     _report(3, "Hasse-invariant product formula: two independent paths agree "
                "on %d random forms of dim <= 4" % count)
@@ -362,12 +359,12 @@ def test_acceptance_9_theta_desk_scale():
     f3 = FqField(3)
     v = QuadraticForm(f3, [[1]])
     pair = DualPair(v, 1)
-    rw = RestrictedWeil(pair, AdditiveCharacter(f3))
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3))
     chars = linear_pm_characters(pair.h1_list, linalg.mat_mul)
     dims = {}
     for chi in chars:
         name = "trivial" if all(s == 1 for s in chi.values()) else "sign"
-        dims[name] = ThetaLift(rw, chi).dim
+        dims[name] = ThetaLift(pair, ctx, chi).dim
     assert dims == {"trivial": 2, "sign": 1}
     rep = congruence_check(v, 1, 7)
     assert rep["idempotent_reduction"] is True

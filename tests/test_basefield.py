@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from weilmod.basefield import (AdditiveCharacter, FqField, HaarConvention,
-                               QpField, frac_part, modulus, parse_character,
+from weilmod.basefield import (AdditiveCharacter, FqField, QpField,
+                               frac_part, modulus, parse_character,
                                parse_field, residue_rep)
 from weilmod.coeff import CyclotomicRing, Cyc, FFElt, FiniteField
 from weilmod.heisenberg import SympSpace
@@ -113,14 +113,6 @@ def test_char_l_coefficient_targets():
     psi = AdditiveCharacter(f3, FiniteField(4 // 2, 2))
     vals = {psi(x).i for x in f3.elements()}
     assert len(vals) == 3  # nontrivial with values the cube roots of 1 in F_4
-
-
-def test_haar_conventions():
-    mu = HaarConvention.default_for(FqField(3))
-    assert mu.flavor == "finite" and mu.scale == 1
-    mu2 = mu.scaled(Fraction(3, 2))
-    assert mu2.scale == Fraction(3, 2)
-    assert HaarConvention.default_for(QpField(3)).flavor == "padic"
 
 
 def _exact(v):

@@ -107,8 +107,7 @@ def test_base_field_routines_do_not_fork_on_flavor():
     # valuation, never the field's flavor
     for module, path in (("basefield", "modulus"),
                          ("quadratic", "hilbert"),
-                         ("metaplectic", "mu_g_scalar"),
-                         ("basefield", "HaarConvention.default_for")):
+                         ("metaplectic", "mu_g_scalar")):
         fn = _function(_module_tree(module), path)
         reads = [node.lineno for node in ast.walk(fn)
                  if (isinstance(node, ast.Attribute) and node.attr == "flavor")

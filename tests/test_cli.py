@@ -270,6 +270,9 @@ def test_padic_cocycle_twist_refused():
     ["weilrep", "--field", "fq:3:1", "--m", "2"],
     ["heisenberg", "--field", "fq:7:1", "--m", "2"],
     ["heisenberg", "--field", "fq:3:1", "--m", "1000000000"],
+    # 3^13 and 13^5 ring entries, past the 200,000 that weilrep admits
+    ["heisenberg", "--field", "fq:3:1", "--m", "3"],
+    ["heisenberg", "--field", "fq:13:1", "--m", "1"],
 ])
 def test_dump_refused_before_building(args, monkeypatch, capsys):
     def refuse(*_):
@@ -462,10 +465,7 @@ def test_exhaustive_formula_passes_rao(monkeypatch, capsys):
 
 def _query(argv, capsys):
     """(exit, stdout, stderr) of one in-process cli.main call."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as ex:
-        code = ex.code
+    code = cli.main(argv)
     out, err = capsys.readouterr()
     return code, out, err
 

@@ -66,10 +66,7 @@ def test_golden_stdout_in_process(capsys):
     # default) from one query into the next
     for rows in (GOLDEN, GOLDEN[::-1]):
         for args, code, digest in rows:
-            try:
-                got = cli.main(list(args))
-            except SystemExit as ex:
-                got = ex.code
+            got = cli.main(list(args))
             out = capsys.readouterr().out
             assert got == code, args
             assert hashlib.sha256(out.encode()).hexdigest() == digest, args

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from weilmod import linalg
-from weilmod.basefield import AdditiveCharacter, QpField
+from weilmod.basefield import AdditiveCharacter, QpField, residue_rep
 from weilmod.coeff import CyclotomicRing
 from weilmod.schwartz import (PhaseStepFunction, PhaseTerm,
                               cocycle_operator_padic, sigma_padic_matrix)
@@ -218,6 +218,30 @@ def test_canonical_idempotent_and_linearity():
     assert c1.eval(F(1, 3)) == f.eval(F(1, 3))
     g = f + f.scaled(r.from_int(-2))
     assert g.canonical().eval(F(1, 3)) == f.eval(F(1, 3)) * (-1)
+
+
+def _z3_minus_3z3():
+    # 1_{Z_3} - 1_{3Z_3}: both terms are centred at 0, where it is 0
+    return PhaseStepFunction.indicator(3) + \
+        PhaseStepFunction.indicator(3, depth=1).scaled(-1)
+
+
+def test_nonzero_point_refines_past_zero_centres():
+    f = _z3_minus_3z3()
+    assert f.terms and all(f.eval(t.center).is_zero() for t in f.terms)
+    y = f.nonzero_point()
+    assert residue_rep(3, y, 1) == 1
+    assert f.eval(y) == CyclotomicRing(3).one()
+
+
+def test_equals_refines_past_canonical_terms():
+    # the same function as 1_{1+3Z_3} + 1_{2+3Z_3}, with other terms
+    f = _z3_minus_3z3()
+    g = PhaseStepFunction.indicator(3, 1, 1) + \
+        PhaseStepFunction.indicator(3, 2, 1)
+    assert f.canonical().terms != g.canonical().terms
+    assert f.equals(g) and g.equals(f)
+    assert not f.equals(PhaseStepFunction.indicator(3))
 
 
 def test_phase_reduction_respects_values():

@@ -7,28 +7,28 @@ from weilmod import linalg, metaplectic, theta
 from weilmod.basefield import AdditiveCharacter, FqField
 from weilmod.coeff import CyclotomicRing, FiniteField
 from weilmod.heisenberg import Monomial, hom_space
+from weilmod.metaplectic import WeilContext
 from weilmod.quadratic import QuadraticForm
-from weilmod.theta import (CentralIdempotent, DualPair, RestrictedWeil,
-                           SizeCapError, ThetaLift, _generators, char_inner,
+from weilmod.theta import (CentralIdempotent, DualPair, SizeCapError,
+                           ThetaLift, _generators, char_inner,
                            congruence_check, enumerate_orthogonal,
                            group_inverses, linear_pm_characters,
                            product_group)
 
 
-def h1_op(rw, h):
+def h1_op(pair, ctx, h):
     """Dense omega(h) for h in H1: the permutation of the Y-points."""
-    ring = rw.psi.coeff_ring
-    return Monomial(rw.h1_perms[h], (ring.one(),) * rw.dim) \
-        .to_dense(ring.zero())
+    return Monomial(pair.h1_perms[h], (ctx.one(),) * ctx.model.dim) \
+        .to_dense(ctx.zero())
 
 
-def h2_op(rw, h):
+def h2_op(pair, ctx, h):
     """Dense omega(h) for h in H2: sigma of its image in Sp(W)."""
-    return metaplectic.sigma(rw.ctx, rw.pair.embed_h2(h))
+    return metaplectic.sigma(ctx, pair.embed_h2(h))
 
 
-def pair_op(rw, h1, h2):
-    return linalg.mat_mul(h1_op(rw, h1), h2_op(rw, h2))
+def pair_op(pair, ctx, h1, h2):
+    return linalg.mat_mul(h1_op(pair, ctx, h1), h2_op(pair, ctx, h2))
 
 
 def test_enumerate_orthogonal_o1():
@@ -74,21 +74,24 @@ def test_dual_pair_hyperbolic_in_sp4():
 def test_restricted_weil_is_homomorphism():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
-    rw = RestrictedWeil(pair, AdditiveCharacter(f3))
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3))
     rng = random.Random(3)
     for _ in range(30):
         h1a = pair.h1_list[rng.randrange(2)]
         h1b = pair.h1_list[rng.randrange(2)]
         h2a = pair.h2_list[rng.randrange(24)]
         h2b = pair.h2_list[rng.randrange(24)]
-        lhs = linalg.mat_mul(pair_op(rw, h1a, h2a), pair_op(rw, h1b, h2b))
-        rhs = pair_op(rw, linalg.mat_mul(h1a, h1b), linalg.mat_mul(h2a, h2b))
+        lhs = linalg.mat_mul(pair_op(pair, ctx, h1a, h2a),
+                             pair_op(pair, ctx, h1b, h2b))
+        rhs = pair_op(pair, ctx, linalg.mat_mul(h1a, h1b),
+                      linalg.mat_mul(h2a, h2b))
         assert lhs == rhs
-    ident = pair_op(rw, _ident_of(pair.h1_list), _ident_of(pair.h2_list))
-    n = rw.dim
+    ident = pair_op(pair, ctx, _ident_of(pair.h1_list),
+                    _ident_of(pair.h2_list))
+    n = ctx.model.dim
     for i in range(n):
         for j in range(n):
-            assert ident[i][j] == (rw.ctx.one() if i == j else rw.ctx.zero())
+            assert ident[i][j] == (ctx.one() if i == j else ctx.zero())
 
 
 def _ident_of(group):
@@ -101,29 +104,28 @@ def _ident_of(group):
 def test_minus_one_acts_as_parity():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
-    rw = RestrictedWeil(pair, AdditiveCharacter(f3))
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3))
     minus = [h for h in pair.h1_list if h != _ident_of(pair.h1_list)][0]
-    op = h1_op(rw, minus)
-    model = rw.ctx.model
+    op = h1_op(pair, ctx, minus)
+    model = ctx.model
     # op f(y) = f(-y): permutation matrix swapping 1 <-> 2 over F_3
-    n = rw.dim
     for i, co in enumerate(model._points):
         for j, co2 in enumerate(model._points):
-            expect = rw.ctx.one() if tuple(-x for x in co) == co2 \
-                else rw.ctx.zero()
+            expect = ctx.one() if tuple(-x for x in co) == co2 \
+                else ctx.zero()
             assert op[i][j] == expect
 
 
 def test_theta_dims_and_irreducibility():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
-    rw = RestrictedWeil(pair, AdditiveCharacter(f3))
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3))
     chars = linear_pm_characters(pair.h1_list, linalg.mat_mul)
     assert len(chars) == 2
     inv2 = group_inverses(pair.h2_list, f3)
     by_name = {}
     for chi in chars:
-        lift = ThetaLift(rw, chi)
+        lift = ThetaLift(pair, ctx, chi)
         name = "trivial" if all(v == 1 for v in chi.values()) else "sign"
         by_name[name] = lift
         ch = lift.character()
@@ -149,22 +151,23 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
     f3 = FqField(3)
     coeff = DIFF_RINGS[ring]()
     pair = DualPair(QuadraticForm(f3, DIFF_SPACES[space]), 1)
-    rw = RestrictedWeil(pair, AdditiveCharacter(f3, coeff))
-    ident = linalg.identity(coeff, rw.dim)
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3, coeff))
+    ident = linalg.identity(coeff, ctx.model.dim)
     for chi in linear_pm_characters(pair.h1_list, linalg.mat_mul):
         stacked = []
         for h in pair.h1_list:
             stacked.extend(linalg.mat_sub(
-                h1_op(rw, h), linalg.mat_scal(rw.ctx.one() * chi[h], ident)))
+                h1_op(pair, ctx, h), linalg.mat_scal(ctx.one() * chi[h],
+                                                     ident)))
         ns = linalg.nullspace(linalg.mat(stacked), coeff)
-        lift = ThetaLift(rw, chi)
+        lift = ThetaLift(pair, ctx, chi)
         assert lift.dim == len(ns)
         for v in lift.basis:
-            assert all(x == rw.ctx.zero() for x in linalg.mat_vec(stacked, v))
+            assert all(x == ctx.zero() for x in linalg.mat_vec(stacked, v))
         got = lift.character()
         for h2 in pair.h2_list:
-            m = h2_op(rw, h2)
-            trace = rw.ctx.zero()
+            m = h2_op(pair, ctx, h2)
+            trace = ctx.zero()
             for i, v in enumerate(ns):
                 sol = linalg.solve(linalg.transpose(ns), linalg.mat_vec(m, v),
                                    coeff)
@@ -177,11 +180,11 @@ def act_reference(lift, h2):
     """Matrix of omega(h2) on lift.basis as ThetaLift.act built it before
     it read sigma's count form: the dense sigma(h2), each basis vector's
     image by linalg.combine, and the span check on the recombined image."""
-    rw = lift.rw
+    ctx = lift.ctx
     if lift.dim == 0:
         return ()
-    cols_of_m = linalg.transpose(h2_op(rw, h2))
-    zero = (rw.psi.coeff_ring.zero(),) * rw.dim
+    cols_of_m = linalg.transpose(h2_op(lift.pair, ctx, h2))
+    zero = (ctx.zero(),) * ctx.model.dim
     cols = []
     for v, orbit in zip(lift.basis, lift.orbits):
         img = linalg.combine([v[z] for z in orbit],
@@ -195,8 +198,8 @@ def act_reference(lift, h2):
 def _diff_lifts(space, ring):
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, DIFF_SPACES[space]), 1)
-    rw = RestrictedWeil(pair, AdditiveCharacter(f3, DIFF_RINGS[ring]()))
-    return pair, [ThetaLift(rw, chi) for chi in
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3, DIFF_RINGS[ring]()))
+    return pair, [ThetaLift(pair, ctx, chi) for chi in
                   linear_pm_characters(pair.h1_list, linalg.mat_mul)]
 
 
@@ -218,7 +221,7 @@ def test_commutant_on_generators(space, ring):
     pair, lifts = _diff_lifts(space, ring)
     gens = _generators(pair.h2_list, linalg.mat_mul)[1]
     assert len(gens) == 2
-    coeff = lifts[0].rw.psi.coeff_ring
+    coeff = lifts[0].ctx.psi.coeff_ring
     for lift in (x for x in lifts if x.dim):
         full = [lift.act(g) for g in pair.h2_list]
         on_gens = [lift.act(g) for g in gens]
@@ -250,7 +253,7 @@ def test_congruence_check_makes_no_dense_sigma(monkeypatch):
 
 
 def test_congruence_check_builds_counts_once_for_both_rings(monkeypatch):
-    # both RestrictedWeils sit on pair.space with psi's standard exponent
+    # both WeilContexts sit on pair.space with psi's standard exponent
     # table, so they share one count model: one Bruhat decomposition (one
     # count build) per H2 image, not one per image and ring
     seen = []
@@ -290,8 +293,8 @@ def test_congruence_check_catches_wrong_root(monkeypatch, diag, ell):
 def test_h2_stability_failure_names_h2():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
-    rw = RestrictedWeil(pair, AdditiveCharacter(f3))
-    lift = ThetaLift(rw, {h: 1 for h in pair.h1_list})
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3))
+    lift = ThetaLift(pair, ctx, {h: 1 for h in pair.h1_list})
     # keep only the orbit {0}: sigma(w) spreads e_0 over every point
     lift.basis, lift.orbits, lift.dim = lift.basis[:1], lift.orbits[:1], 1
     w = ((f3.element(0), f3.element(1)), (f3.element(-1), f3.element(0)))
@@ -303,9 +306,9 @@ def test_h2_stability_failure_names_h2():
 def test_theta_action_is_representation():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
-    rw = RestrictedWeil(pair, AdditiveCharacter(f3))
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3))
     chi = linear_pm_characters(pair.h1_list, linalg.mat_mul)[0]
-    lift = ThetaLift(rw, chi)
+    lift = ThetaLift(pair, ctx, chi)
     rng = random.Random(7)
     for _ in range(25):
         a = pair.h2_list[rng.randrange(24)]
@@ -318,32 +321,31 @@ def test_dimension_bookkeeping():
     # dim omega = sum over irreducibles of H1 of dim pi1 * dim Theta(pi1)
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
-    rw = RestrictedWeil(pair, AdditiveCharacter(f3))
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3))
     total = 0
     for chi in linear_pm_characters(pair.h1_list, linalg.mat_mul):
-        total += 1 * ThetaLift(rw, chi).dim
-    assert total == rw.dim == 3
+        total += 1 * ThetaLift(pair, ctx, chi).dim
+    assert total == ctx.model.dim == 3
 
 
 def test_isotypic_characters_factor():
     # character of e_{pi1} omega equals chi_{pi1} x chi_{Theta(pi1)}
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
-    rw = RestrictedWeil(pair, AdditiveCharacter(f3))
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3))
     chars = linear_pm_characters(pair.h1_list, linalg.mat_mul)
     for chi in chars:
-        lift = ThetaLift(rw, chi)
+        lift = ThetaLift(pair, ctx, chi)
         ch2 = lift.character()
         # isotypic projector P = (1/|H1|) sum chi(h)^{-1} h
-        n = rw.dim
         for h2 in pair.h2_list[:6]:
             for h1 in pair.h1_list:
-                m = pair_op(rw, h1, h2)
+                m = pair_op(pair, ctx, h1, h2)
                 acc = None
                 for h in pair.h1_list:
                     t = linalg.mat_scal(
-                        rw.ctx.one() * Fraction(chi[h], len(pair.h1_list)),
-                        linalg.mat_mul(h1_op(rw, h), m))
+                        ctx.one() * Fraction(chi[h], len(pair.h1_list)),
+                        linalg.mat_mul(h1_op(pair, ctx, h), m))
                     acc = t if acc is None else linalg.mat_add(acc, t)
                 got = linalg.trace(acc)
                 assert got == ch2[h2] * chi[h1]
@@ -447,11 +449,11 @@ def test_charl_theta_matches_reduction_entrywise():
     ffl = FiniteField(7)
     from weilmod.coeff import ReductionMap
     red = ReductionMap(ring, ffl)
-    rw0 = RestrictedWeil(pair, AdditiveCharacter(f3, ring))
-    rwl = RestrictedWeil(pair, AdditiveCharacter(f3, ffl))
+    ctx0 = WeilContext(pair.space, AdditiveCharacter(f3, ring))
+    ctxl = WeilContext(pair.space, AdditiveCharacter(f3, ffl))
     for chi in linear_pm_characters(pair.h1_list, linalg.mat_mul):
-        l0 = ThetaLift(rw0, chi)
-        ll = ThetaLift(rwl, chi)
+        l0 = ThetaLift(pair, ctx0, chi)
+        ll = ThetaLift(pair, ctxl, chi)
         ch0, chl = l0.character(), ll.character()
         for g in pair.h2_list:
             assert red(ch0[g]) == chl[g]
@@ -461,7 +463,7 @@ def test_sigma_entries_reduce_entrywise():
     # the characteristic-l Weil operators are the entrywise r_l-image of the
     # cyclotomic ones (the sigma entries live in Z[zeta_p][1/p], l != p)
     from weilmod.heisenberg import SympSpace
-    from weilmod.metaplectic import WeilContext, enumerate_sp2, sigma
+    from weilmod.metaplectic import enumerate_sp2, sigma
     from weilmod.coeff import ReductionMap
     f3 = FqField(3)
     sp = SympSpace(f3, 1)
