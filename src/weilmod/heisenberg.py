@@ -11,6 +11,13 @@ from . import linalg
 from .coeff import RingMismatchError
 
 
+def point_order(field, m):
+    """(points, index): the coordinate tuples of F^m in model-basis order,
+    the last coordinate running fastest, and each tuple's position."""
+    points = list(itertools.product(field.elements(), repeat=m))
+    return points, {pt: i for i, pt in enumerate(points)}
+
+
 class SympSpace:
     """W = X + Y with bases e_1..e_m of X, f_1..f_m of Y, <e_i, f_j> = d_ij.
     Vectors are coordinate tuples (x-part then y-part)."""
@@ -296,9 +303,7 @@ class LagrangianModel:
         self._full = linalg.mat(list(self.a_basis) + list(self.b_basis))
         self._full_inv = linalg.mat_inv(linalg.transpose(self._full),
                                         self.field)
-        self._points = list(itertools.product(self.field.elements(),
-                                              repeat=m))
-        self._index = {pt: i for i, pt in enumerate(self._points)}
+        self._points, self._index = point_order(self.field, m)
 
     def point(self, i):
         """The i-th B-coset representative as an ambient vector."""

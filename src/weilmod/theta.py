@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import linalg
 from .basefield import AdditiveCharacter
 from .coeff import CyclotomicRing, FiniteField, ReductionMap
-from .heisenberg import SympSpace, hom_space
+from .heisenberg import SympSpace, hom_space, point_order
 from .metaplectic import WeilContext, enumerate_sp2, sigma_counts
 
 GROUP_ORDER_CAP = 10 ** 4
@@ -74,8 +74,7 @@ class DualPair:
         if 2 * len(self.h1_list) * len(self.h2_list) > 2 * GROUP_ORDER_CAP:
             raise SizeCapError("group order cap exceeded")
         self.h2_images = {h: self.embed_h2(h) for h in self.h2_list}
-        points = list(itertools.product(field.elements(), repeat=self.m))
-        index = {pt: i for i, pt in enumerate(points)}
+        points, index = point_order(field, self.m)
         self.h1_perms = {}
         for h1 in self.h1_list:
             e1 = self.embed_h1(h1)
@@ -210,6 +209,8 @@ class ThetaLift:
     congruence_check refuses those)."""
 
     def __init__(self, pair, ctx, chi1):
+        if ctx.space is not pair.space:
+            raise ValueError("ctx must be a WeilContext on pair.space")
         self.pair = pair
         self.ctx = ctx
         self.chi1 = chi1

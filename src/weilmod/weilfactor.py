@@ -175,9 +175,9 @@ def hilbert_via_omega(field, psi, a, b):
     raise RuntimeError("Omega Hilbert identity did not land in {+-1}")
 
 
-def omega_diag_product(q_form, psi, mass=1):
+def omega_diag_product(q_form, psi):
     """Omega_{det_B(Q),1} * Omega_mu(psi o Q_Id_B) * h_F(Q), asserted equal to
-    the directly computed Omega_mu(psi o Q); mu has the given mass."""
+    the directly computed Omega_mu(psi o Q)."""
     field = q_form.field
     if not q_form.is_nondegenerate():
         raise ValueError("product formula needs a nondegenerate form")
@@ -191,10 +191,10 @@ def omega_diag_product(q_form, psi, mass=1):
     binv = linalg.mat_inv(linalg.transpose(linalg.mat(vecs)), field)
     gid = linalg.mat_mul(linalg.transpose(binv), binv)
     qid = QuadraticForm(field, gid)
-    w_id = omega(qid, psi, mass)
+    w_id = omega(qid, psi)
     h = q_form.hasse()
     lhs = ratio * w_id * h
-    rhs = omega(q_form, psi, mass)
+    rhs = omega(q_form, psi)
     if lhs != rhs:
         raise RuntimeError("Hasse product formula mismatch")
     return lhs

@@ -6,7 +6,7 @@ import pytest
 from weilmod import linalg, metaplectic, theta
 from weilmod.basefield import AdditiveCharacter, FqField
 from weilmod.coeff import CyclotomicRing, FiniteField
-from weilmod.heisenberg import Monomial, hom_space
+from weilmod.heisenberg import Monomial, SympSpace, hom_space
 from weilmod.metaplectic import WeilContext
 from weilmod.quadratic import QuadraticForm
 from weilmod.theta import (CentralIdempotent, DualPair, SizeCapError,
@@ -114,6 +114,26 @@ def test_minus_one_acts_as_parity():
             expect = ctx.one() if tuple(-x for x in co) == co2 \
                 else ctx.zero()
             assert op[i][j] == expect
+
+
+def test_theta_lift_refuses_context_on_another_space():
+    f3 = FqField(3)
+    pair = DualPair(QuadraticForm(f3, [[1]]), 1)
+    chi = {h: 1 for h in pair.h1_list}
+    # same field and dimension: the lift would read the wrong sigma images
+    for space in (SympSpace(f3, pair.m), SympSpace(f3, pair.m + 1)):
+        with pytest.raises(ValueError, match="pair.space"):
+            ThetaLift(pair, WeilContext(space, AdditiveCharacter(f3)), chi)
+
+
+def test_h1_perms_follow_the_schrodinger_point_order():
+    f3 = FqField(3)
+    pair = DualPair(QuadraticForm(f3, [[1, 0], [0, 1]]), 1)
+    model = WeilContext(pair.space, AdditiveCharacter(f3)).model
+    for h, perm in pair.h1_perms.items():
+        at = linalg.transpose(pair.space.blocks(pair.embed_h1(h))[0])
+        for i, co in enumerate(model._points):
+            assert perm[model._index[linalg.mat_vec(at, co)]] == i
 
 
 def test_theta_dims_and_irreducibility():
