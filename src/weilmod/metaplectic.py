@@ -6,7 +6,6 @@ finite F, closed-form path via Leray data over any F), and M[g].
 from __future__ import annotations
 
 import itertools
-import operator
 import weakref
 from fractions import Fraction
 from typing import NamedTuple
@@ -170,15 +169,25 @@ class CountModel:
     the Y-points, while mu and the ring map phi belong to the coefficient
     ring, so every WeilContext on the space and twist shares this model.
     An entry sum_e c_e zeta_p^e of N is kept as its counts c_0 .. c_{p-1}
-    packed into one int, slot e at bit W e (Kronecker substitution).  An
-    entry of N totals at most q^m, an entry of N1 N2 at most n q^{2m} and
-    a product of one such entry with one of N at most n q^{3m} < 2^{W-1}:
-    no slot of the check's products carries, and their difference, offset
-    by 2^{W-1} in each slot, borrows from none.
+    packed into one int, slot e at bit W e (Kronecker substitution), and a
+    row of N as one int of such entries, entry j at bit C j with stride
+    C = (2p - 1) W.  An entry times a row is then the row of the entrywise
+    products, each a polynomial of degree at most 2p - 2 whose 2p - 1
+    slots fit in its C bits.  Folding mod x^p - 1 adds slots p .. 2p - 2
+    onto slots 0 .. p - 2 of the same entry with two masks: fold(R) =
+    (R & lo) + ((R >> p W) & hi), lo holding the low p slots of each entry
+    and hi the low p - 1.
 
-    The cache maps g to ((j, x(g) class), N) (mu depends on g only through
-    that key), at most SIGMA_CACHE_SIZE entries, read at each insertion;
-    `witness` keeps one (g, Bruhat data) per key for the contexts' mu."""
+    An entry of N totals at most q^m, an entry of N1 N2 at most n q^{2m}
+    and a product of one such entry with one of N at most n q^{3m} <
+    2^{W-1}, before the fold and after it.  So no slot of the check's
+    products carries into the next slot or entry, and their difference,
+    offset by 2^{W-1} in each slot, borrows from none.
+
+    The cache maps g to ((j, x(g) class), N) with N the tuple of its
+    packed rows (mu depends on g only through that key), at most
+    SIGMA_CACHE_SIZE entries, read at each insertion; `witness` keeps one
+    (g, Bruhat data) per key for the contexts' mu."""
 
     def __init__(self, space, exp):
         field = space.field
@@ -188,10 +197,40 @@ class CountModel:
         self.ypoints = tuple(itertools.product(range(field.q), repeat=space.m))
         self.yindex = {pt: i for i, pt in enumerate(self.ypoints)}
         n = len(self.ypoints)
-        self.slot_bits = (n * field.q ** (3 * space.m)).bit_length() + 1
-        self._ones = sum(1 << (self.slot_bits * e) for e in range(self.p))
+        w = self.slot_bits = (n * field.q ** (3 * space.m)).bit_length() + 1
+        c = self.stride = (2 * self.p - 1) * w
+        self._shifts = tuple(c * j for j in range(n))
+        self._entry_mask = (1 << c) - 1
+        self._ones = sum(1 << (w * e) for e in range(self.p))
+
+        def each_entry(x):      # x at every entry of a row
+            return sum(x << s for s in self._shifts)
+        self._lo = each_entry((1 << (w * self.p)) - 1)
+        self._hi = each_entry((1 << (w * (self.p - 1))) - 1)
+        self._slot0 = each_entry((1 << w) - 1)
+        self._offset = each_entry(self._ones << (w - 1))
         self.cache = {}
         self.witness = {}
+
+    def pack(self, entries):
+        """One packed row of n packed entries."""
+        row = 0
+        for x, s in zip(entries, self._shifts):
+            if x:
+                row |= x << s
+        return row
+
+    def unpack(self, row, start=0):
+        """The packed entries of a packed row, from column `start` on."""
+        mask = self._entry_mask
+        return [(row >> s) & mask for s in self._shifts[start:]]
+
+    def _unequal(self, row):
+        """The column of the first entry whose slots are not all equal, in
+        a packed row that has one: the lowest bit where the row differs
+        from each entry's slot 0 copied to all its slots."""
+        d = row ^ (row & self._slot0) * self._ones
+        return ((d & -d).bit_length() - 1) // self.stride
 
     def entry(self, space, g):
         """((j, x(g) class), N) for g in Sp(space), from the cache when it
@@ -242,7 +281,7 @@ class CountModel:
                 for k in range(m):
                     e += exp[mul(a[k], y[k])] - exp[mul(w[k], w[m + k])]
                 row[yindex[tuple(w[m:])]] += shift[e * half % p]
-            rows.append(tuple(row))
+            rows.append(self.pack(row))
         entry = (key, tuple(rows))
         if len(cache) >= SIGMA_CACHE_SIZE:
             del cache[next(iter(cache))]
@@ -250,56 +289,63 @@ class CountModel:
         self.witness.setdefault(key, (g, bd))
         return entry
 
-    def product(self, n1, n2):
-        """N1 N2 for packed count matrices: each entry one packed dot
-        product (a product of packed ints is the product of the count
-        polynomials), folded mod x^p - 1 once."""
-        bits = self.slot_bits * self.p
-        low = (1 << bits) - 1
-        cols = tuple(zip(*n2))
-        out = []
-        for row in n1:
-            sums = [sum(map(operator.mul, row, col)) for col in cols]
-            out.append(tuple((s & low) + (s >> bits) for s in sums))
-        return tuple(out)
-
     def check(self, n1, n2, n12, g1, g2):
         """Checks P = c N in Z[zeta_p] on every entry, for P = N1 N2, N =
-        N12 and some scalar c, and returns the pairs (P[e], N[e]) from e0
-        on, in row-major order.
+        N12 (packed rows) and some scalar c, and returns the pairs (P[e],
+        N[e]) from e0 on, in row-major order, a row unpacked only when the
+        caller reaches it.
 
         e0 is the first entry whose slots are not all equal, that is with
         N[e0] nonzero in Z[zeta_p].  For prime p the kernel of Z[x]/(x^p -
         1) -> Z[zeta_p] is Z (1 + x + ... + x^{p-1}), so P[e] N[e0] = P[e0]
         N[e] in Z[zeta_p] exactly when fold(P[e] N[e0]) - fold(P[e0] N[e])
         has equal slots; with Z[zeta_p] a domain, that on every e is P = c N.
-        A failing entry raises RuntimeError naming g1, g2 and its (row,
-        col)."""
-        w, ones = self.slot_bits, self._ones
-        mask = (1 << w) - 1
-        bits = w * self.p
-        low = (1 << bits) - 1
-        offset = ones << (w - 1)
-        n = len(n12)
-        flat_p = [x for row in self.product(n1, n2) for x in row]
-        flat_n = [x for row in n12 for x in row]
-        e0 = next((e for e, x in enumerate(flat_n) if x != (x & mask) * ones),
+        Row i of P is sum_k N1[i][k] R_k over the nonzero N1[i][k], with R_k
+        row k of N2: n^2 products of an entry and a row.  Each row is then
+        one comparison: t = fold(P_i N[e0]) - fold(N_i P[e0]) + offset must
+        carry each entry's slot 0 in all its slots.  A failing row raises
+        RuntimeError naming g1, g2 and the (row, col) of its first failing
+        entry."""
+        c, pw = self.stride, self.slot_bits * self.p
+        lo, hi, slot0, ones = self._lo, self._hi, self._slot0, self._ones
+        mask = self._entry_mask
+        prods = []
+        for r1 in n1:
+            acc = 0
+            for r2 in n2:
+                if not r1:      # the rest of the row is zero
+                    break
+                x = r1 & mask
+                if x:
+                    acc += x * r2
+                r1 >>= c
+            prods.append((acc & lo) + ((acc >> pw) & hi))
+        i0 = next((i for i, r in enumerate(n12) if r != (r & slot0) * ones),
                   None)
-        if e0 is None:
+        if i0 is None:
             raise RuntimeError("cocycle operator is not scalar: g1 = %s, "
                                "g2 = %s, sigma(g1 g2) is zero" % (g1, g2))
-        p0, c0 = flat_p[e0], flat_n[e0]
-        for e, (pe, ce) in enumerate(zip(flat_p, flat_n)):
-            if not (pe or ce):
-                continue
-            a = pe * c0
-            b = p0 * ce
-            t = (a & low) + (a >> bits) - (b & low) - (b >> bits) + offset
-            if t != (t & mask) * ones:
+        j0 = self._unequal(n12[i0])
+        p0 = (prods[i0] >> (c * j0)) & mask
+        c0 = (n12[i0] >> (c * j0)) & mask
+        offset = self._offset
+        for i, (pr, r12) in enumerate(zip(prods, n12)):
+            a = pr * c0
+            b = r12 * p0
+            t = (a & lo) + ((a >> pw) & hi) - (b & lo) - ((b >> pw) & hi) + \
+                offset
+            if t != (t & slot0) * ones:
                 raise RuntimeError(
                     "cocycle operator is not scalar: g1 = %s, g2 = %s, "
-                    "entry (%d, %d)" % (g1, g2, e // n, e % n))
-        return zip(flat_p[e0:], flat_n[e0:])
+                    "entry (%d, %d)" % (g1, g2, i, self._unequal(t)))
+        return self._entries_from(prods, n12, i0, j0)
+
+    def _entries_from(self, prods, n12, i0, j0):
+        """(P[e], N[e]) from e0 = (i0, j0) on, a row unpacked at a time."""
+        for i in range(i0, len(n12)):
+            start = j0 if i == i0 else 0
+            yield from zip(self.unpack(prods[i], start),
+                           self.unpack(n12[i], start))
 
 
 class WeilContext:
@@ -308,7 +354,8 @@ class WeilContext:
     Y-points, the slot width W and the sigma(g) count forms), the ring map
     phi on W-bit slots, and mu by (j, x(g) class): at most 2(m + 1)
     scalars, since over F_q mu_g Omega_{1/2}^{-j} depends on g only through
-    j and the square class of det_X(p1) det_X(p2)."""
+    j and the square class of det_X(p1) det_X(p2); and the cocycle's
+    mu1 mu2 mu12^-1 by its three mu (see cocycle_operator)."""
 
     def __init__(self, space, psi):
         self.space = space
@@ -328,6 +375,7 @@ class WeilContext:
                                          space.field.element(1) / 2,
                                          psi).inv()
         self._mu = {}
+        self._mu_ratio = {}     # {(mu1, mu2, mu12): mu1 mu2 mu12^-1}
         self._phi = _ring_map(psi, counts.slot_bits)
 
     def one(self):
@@ -383,9 +431,10 @@ def sigma_counts(ctx, g):
 
 
 def _ring_matrix(ctx, counts):
-    """phi(N) as a dense matrix over R."""
-    phi, zero = ctx._phi, ctx.zero()
-    return tuple(tuple(phi(c) if c else zero for c in row) for row in counts)
+    """phi(N) as a dense matrix over R, N given by its packed rows."""
+    phi, zero, unpack = ctx._phi, ctx.zero(), ctx.counts.unpack
+    return tuple(tuple(phi(c) if c else zero for c in unpack(row))
+                 for row in counts)
 
 
 def sigma(ctx, g):
@@ -424,7 +473,12 @@ def cocycle_operator(ctx, g1, g2):
     that to R; so only c = phi(P[e]) / phi(N12[e]) is mapped, at the first
     entry e with phi(N12[e]) nonzero in R.  Over Z[zeta_{p^k}] phi is
     injective and this is the entrywise check in R; over F_{l^d} it is
-    stronger, since it also refuses counts proportional only mod l."""
+    stronger, since it also refuses counts proportional only mod l.
+
+    mu1 mu2 mu12^-1 comes from ctx's table by the triple (mu1, mu2, mu12):
+    each mu is one of ctx's at most 2(m + 1) values by (j, x(g) class), so
+    the table holds at most (2(m + 1))^3 products, and a pair costs one
+    ring-map pair and one inverse."""
     mu1, n1 = sigma_counts(ctx, g1)
     mu2, n2 = sigma_counts(ctx, g2)
     mu12, n12 = sigma_counts(ctx, linalg.mat_mul(g1, g2))
@@ -432,7 +486,11 @@ def cocycle_operator(ctx, g1, g2):
     for pe, ce in ctx.counts.check(n1, n2, n12, g1, g2):
         y = phi(ce)
         if y != zero:
-            return mu1 * mu2 * mu12.inv() * (phi(pe) * y.inv())
+            mus = (mu1, mu2, mu12)
+            scale = ctx._mu_ratio.get(mus)
+            if scale is None:
+                scale = ctx._mu_ratio[mus] = mu1 * mu2 * mu12.inv()
+            return scale * (phi(pe) * y.inv())
     raise RuntimeError("cocycle operator is not scalar: g1 = %s, g2 = %s, "
                        "sigma(g1 g2) is zero in R" % (g1, g2))
 

@@ -236,15 +236,16 @@ class ThetaLift:
 
     def act(self, h2):
         """Matrix of omega(h2) on self.basis, from sigma's count form
-        (mu, N) of pair.h2_images[h2].  b_O = sum_{z in O} b_O[z] e_z maps
-        to mu (phi(P) - phi(M)), with P and M the packed column sums of N
-        over the z where b_O[z] is 1 and where it is -1 (in characteristic
-        2, every z): n ring maps per basis vector.  A row of N totals at
-        most q^m, so a column sum stays far below the count model's slot
-        bound 2^{W-1} > n q^{3m} (see CountModel).  The supports
-        (self.orbits) are disjoint: the image's coordinates are its entries
-        at the y_O, and it lies in the span exactly when it is coords[k]
-        b_k[z] at each z of orbit k and zero outside the kept orbits."""
+        (mu, N) of pair.h2_images[h2], each packed row of N unpacked once.
+        b_O = sum_{z in O} b_O[z] e_z maps to mu (phi(P) - phi(M)), with P
+        and M the packed column sums of N over the z where b_O[z] is 1 and
+        where it is -1 (in characteristic 2, every z): n ring maps per
+        basis vector.  A row of N totals at most q^m, so a column sum stays
+        far below the count model's slot bound 2^{W-1} > n q^{3m} (see
+        CountModel).  The supports (self.orbits) are disjoint: the image's
+        coordinates are its entries at the y_O, and it lies in the span
+        exactly when it is coords[k] b_k[z] at each z of orbit k and zero
+        outside the kept orbits."""
         a = self._act_cache.get(h2)
         if a is not None:
             return a
@@ -254,6 +255,7 @@ class ThetaLift:
         zero, one = ctx.zero(), ctx.one()
         phi = ctx._phi
         mu, counts = sigma_counts(ctx, self.pair.h2_images[h2])
+        counts = [ctx.counts.unpack(row) for row in counts]
         outside = set(range(len(counts))).difference(*self.orbits)
         cols = []
         for v, orbit in zip(self.basis, self.orbits):

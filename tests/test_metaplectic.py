@@ -470,7 +470,8 @@ def test_cocycle_operator_checks_every_entry(coeff):
         [[f3.element(1), f3.element(0)], [f3.element(0), f3.element(2)]])
     g12 = linalg.mat_mul(g1, g2)
     assert cocycle_operator(ctx, g1, g2) == ctx.one()
-    mu, counts = ctx._sigma_cache[g12]
+    mu, packed = ctx._sigma_cache[g12]
+    counts = [ctx.counts.unpack(row) for row in packed]
     dense = sigma(ctx, g12)
     first = next((i, j) for i, row in enumerate(dense)
                  for j, x in enumerate(row) if x != ctx.zero())
@@ -479,7 +480,7 @@ def test_cocycle_operator_checks_every_entry(coeff):
     assert last != first
     bad = [list(row) for row in counts]
     bad[last[0]][last[1]] += 1      # one more zeta^0 term
-    ctx._sigma_cache[g12] = (mu, linalg.mat(bad))
+    ctx._sigma_cache[g12] = (mu, tuple(map(ctx.counts.pack, bad)))
     with pytest.raises(RuntimeError, match="cocycle operator is not scalar"):
         cocycle_operator(ctx, g1, g2)
 
@@ -553,6 +554,121 @@ def _slots(x, bits, p):
     return [(x >> (bits * e)) & ((1 << bits) - 1) for e in range(p)]
 
 
+def reference_product(model, n1, n2):
+    """N1 N2 for count matrices given as rows of packed entries: each
+    entry one packed dot product (a product of packed ints is the product
+    of the count polynomials), folded mod x^p - 1 once."""
+    bits = model.slot_bits * model.p
+    low = (1 << bits) - 1
+    cols = tuple(zip(*n2))
+    out = []
+    for row in n1:
+        sums = [sum(x * y for x, y in zip(row, col)) for col in cols]
+        out.append(tuple((s & low) + (s >> bits) for s in sums))
+    return tuple(out)
+
+
+def reference_check(model, n1, n2, n12, g1, g2):
+    """CountModel.check entry by entry on rows of packed entries: the
+    list of (P[e], N[e]) from e0 on, or the RuntimeError it raises."""
+    w, ones = model.slot_bits, model._ones
+    mask = (1 << w) - 1
+    bits = w * model.p
+    low = (1 << bits) - 1
+    offset = ones << (w - 1)
+    n = len(n12)
+    flat_p = [x for row in reference_product(model, n1, n2) for x in row]
+    flat_n = [x for row in n12 for x in row]
+    e0 = next((e for e, x in enumerate(flat_n) if x != (x & mask) * ones),
+              None)
+    if e0 is None:
+        raise RuntimeError("cocycle operator is not scalar: g1 = %s, "
+                           "g2 = %s, sigma(g1 g2) is zero" % (g1, g2))
+    p0, c0 = flat_p[e0], flat_n[e0]
+    for e, (pe, ce) in enumerate(zip(flat_p, flat_n)):
+        if not (pe or ce):
+            continue
+        a = pe * c0
+        b = p0 * ce
+        t = (a & low) + (a >> bits) - (b & low) - (b >> bits) + offset
+        if t != (t & mask) * ones:
+            raise RuntimeError(
+                "cocycle operator is not scalar: g1 = %s, g2 = %s, "
+                "entry (%d, %d)" % (g1, g2, e // n, e % n))
+    return list(zip(flat_p[e0:], flat_n[e0:]))
+
+
+def _unpacked(model, packed):
+    return tuple(tuple(model.unpack(row)) for row in packed)
+
+
+def test_packed_check_matches_reference():
+    # the row-packed check against the entrywise one it replaced: the same
+    # (P[e], N[e]) from e0 on, and the same scalar, built as before from
+    # mu1 mu2 mu12^-1 and the first entry that phi maps to a nonzero
+    for space, ctxs, pairs in _check_cases():
+        for ctx in ctxs:
+            model = ctx.counts
+            for g1, g2 in pairs:
+                sig = [metaplectic.sigma_counts(ctx, g)
+                       for g in (g1, g2, linalg.mat_mul(g1, g2))]
+                (mu1, n1), (mu2, n2), (mu12, n12) = sig
+                want = reference_check(model, *(_unpacked(model, n)
+                                                for n in (n1, n2, n12)),
+                                       g1, g2)
+                assert list(model.check(n1, n2, n12, g1, g2)) == want
+                phi = ctx._phi
+                pe, ce = next((pe, ce) for pe, ce in want
+                              if phi(ce) != ctx.zero())
+                scalar = mu1 * mu2 * mu12.inv() * (phi(pe) * phi(ce).inv())
+                got = cocycle_operator(ctx, g1, g2)
+                assert got == scalar and repr(got) == repr(scalar)
+            # mu1 mu2 mu12^-1 by its three mu: at most (2(m + 1))^3
+            assert 0 < len(ctx._mu_ratio) <= (2 * (space.m + 1)) ** 3
+
+
+def test_cocycle_check_refuses_each_corrupted_entry_of_n2():
+    # one slot more at any nonzero entry of N2, which feeds the packed row
+    # product, must be refused as the entrywise reference refuses it: the
+    # same pair, and the same entry when one is named
+    rng = random.Random(3141)
+    for space, ctxs, pairs in _check_cases()[:2]:
+        model = ctxs[0].counts
+        w, p = model.slot_bits, space.field.p
+        done = 0
+        for g1, g2 in pairs:
+            g12 = linalg.mat_mul(g1, g2)
+            if len({g1, g2, g12}) < 3:
+                continue
+            key, packed = model.entry(space, g2)
+            counts = [model.unpack(row) for row in packed]
+            n1 = _unpacked(model, metaplectic.sigma_counts(ctxs[0], g1)[1])
+            n12 = _unpacked(model, metaplectic.sigma_counts(ctxs[0], g12)[1])
+            n = len(counts)
+            for e in range(n * n):
+                if not counts[e // n][e % n]:
+                    continue
+                bad = [list(row) for row in counts]
+                bad[e // n][e % n] += 1 << (w * rng.randrange(p))
+                with pytest.raises(RuntimeError) as ref:
+                    reference_check(model, n1, bad, n12, g1, g2)
+                model.cache[g2] = (key, tuple(map(model.pack, bad)))
+                for ctx in ctxs:
+                    with pytest.raises(RuntimeError) as err:
+                        cocycle_operator(ctx, g1, g2)
+                    assert str(err.value).startswith(
+                        "cocycle operator is not scalar: g1 = %s, g2 = %s, "
+                        % (g1, g2))
+                    assert str(err.value) == str(ref.value)
+            model.cache[g2] = (key, packed)
+            for ctx in ctxs:
+                assert cocycle_operator(ctx, g1, g2) == ctx.one()
+            done += 1
+            if done == 6:
+                break
+        assert done == 6
+
+
 def test_cocycle_check_refuses_each_corrupted_entry():
     # one slot more at any nonzero entry of N12 must be refused, with the
     # pair and the entry named; g1, g2 and g1 g2 are distinct, so N12 is
@@ -566,7 +682,8 @@ def test_cocycle_check_refuses_each_corrupted_entry():
             g12 = linalg.mat_mul(g1, g2)
             if len({g1, g2, g12}) < 3:
                 continue
-            key, counts = model.entry(space, g12)
+            key, packed = model.entry(space, g12)
+            counts = [model.unpack(row) for row in packed]
             metaplectic.sigma_counts(ctxs[0], g1)
             metaplectic.sigma_counts(ctxs[0], g2)
             n = len(counts)
@@ -578,7 +695,7 @@ def test_cocycle_check_refuses_each_corrupted_entry():
                     continue
                 bad = [list(row) for row in counts]
                 bad[e // n][e % n] += 1 << (w * rng.randrange(p))
-                model.cache[g12] = (key, linalg.mat(bad))
+                model.cache[g12] = (key, tuple(map(model.pack, bad)))
                 for ctx in ctxs:
                     with pytest.raises(RuntimeError) as err:
                         cocycle_operator(ctx, g1, g2)
@@ -589,7 +706,7 @@ def test_cocycle_check_refuses_each_corrupted_entry():
                     if e > e0:
                         assert msg.endswith("entry (%d, %d)"
                                             % (e // n, e % n))
-            model.cache[g12] = (key, counts)
+            model.cache[g12] = (key, packed)
             for ctx in ctxs:
                 assert cocycle_operator(ctx, g1, g2) == ctx.one()
             done += 1

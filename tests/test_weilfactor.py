@@ -293,6 +293,8 @@ def test_normalizer_independent_of_measure():
     lam = Fraction(7, 3)
     w2 = omega(QuadraticForm(f5, [[f5.element(1)]]), psi, lam)
     assert w2 == omega(q, psi) * lam
+    # rho = 2: Q_{rho/2} = <1> is q, so the normalized masses agree
+    assert lam * w2.inv() == w1.inv()
 
 
 def test_classical_weil_factor_optional_path():
