@@ -10,6 +10,7 @@ them depends on finitely many digits, so exact rationals lose nothing.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .coeff import CyclotomicRing, FFElt, FiniteField, RingMismatchError
@@ -50,6 +51,13 @@ class FqField(FiniteField):
     def nonresidue(self):
         return FFElt(self, next(i for i in range(1, self.q)
                                 if self._log[i] % 2))
+
+
+def points(field, k):
+    """The points of F_q^k as coordinate tuples, the last coordinate running
+    fastest: the one order of every enumeration of F_q^k in the package,
+    the Schrödinger basis included."""
+    return list(itertools.product(field.elements(), repeat=k))
 
 
 class QpField:
@@ -250,15 +258,15 @@ class AdditiveCharacter:
                                  self.twist * self.field.element(c))
 
 
-def parse_character(field, desc, coeff_ring=None):
+def parse_character(field, desc):
     if desc in (None, "psi:standard", "psi:level0"):
-        return AdditiveCharacter(field, coeff_ring)
+        return AdditiveCharacter(field)
     if desc.startswith("psi:twist:"):
         raw = desc[len("psi:twist:"):]
         try:
             c = int(raw) if field.flavor == "finite" else Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise InputError("bad twist %r in %r" % (raw, desc)) from None
-        return AdditiveCharacter(field, coeff_ring, c)
+        return AdditiveCharacter(field, twist=c)
     raise InputError("bad character descriptor %r" % (desc,))
 

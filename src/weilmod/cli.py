@@ -5,19 +5,20 @@ optional --approx flag appends a clearly-labelled complex embedding."""
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .basefield import (AdditiveCharacter, InputError, parse_character,
-                        parse_field)
+                        parse_field, points)
 from .coeff import Cyc, CyclotomicRing, FFElt, FiniteField
 from .heisenberg import SympSpace, SchrodingerModel, delta, central
 from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
-                          cocycle_operator, enumerate_sp2, leray_decompose,
+                          cocycle_operator, enumerate_sp2,
+                          first_nontrivial_pair, leray_decompose,
                           leray_x_classes, sigma, x_invariant)
 from .quadratic import QuadraticForm, hilbert
 from .schwartz import cocycle_operator_padic
@@ -86,7 +87,7 @@ def parse_scalar(field, s):
 def parse_form(field, desc):
     if desc.startswith("diag:"):
         entries = [parse_scalar(field, x) for x in desc[5:].split(",")]
-        z = field.element(0)
+        z = field.zero()
         gram = [[entries[i] if i == j else z for j in range(len(entries))]
                 for i in range(len(entries))]
         return QuadraticForm(field, gram)
@@ -167,26 +168,21 @@ def cmd_cocycle(args):
         if args.g1 is not None or args.g2 is not None:
             raise InputError("--exhaustive runs over all pairs: drop "
                              "--g1 and --g2")
-        ctx = WeilContext(space, psi)
-        group = enumerate_sp2(space)
-        pairs = 0
-        for g1 in group:
-            for g2 in group:
-                if args.path == "operator":
-                    c = cocycle_operator(ctx, g1, g2)
-                    trivial = c == ctx.one()
-                    value = None if trivial else scalar_json(c, args.approx)
-                else:
-                    value = cocycle_formula(space, g1, g2, rao=args.rao)
-                    trivial = value == 1
-                if not trivial:
-                    # the first offending pair is the witness
-                    return {"trivial": False, "pairs": pairs,
-                            "g1": [[str(x) for x in row] for row in g1],
-                            "g2": [[str(x) for x in row] for row in g2],
-                            "value": value}, 1
-                pairs += 1
-        return {"trivial": True, "pairs": pairs}
+        if args.path == "operator":
+            ctx = WeilContext(space, psi)
+            cocycle, one = partial(cocycle_operator, ctx), ctx.one()
+        else:
+            cocycle, one = partial(cocycle_formula, space, rao=args.rao), 1
+        pairs, witness = first_nontrivial_pair(space, cocycle, one)
+        if witness is None:
+            return {"trivial": True, "pairs": pairs}
+        g1, g2, value = witness
+        if args.path == "operator":
+            value = scalar_json(value, args.approx)
+        return {"trivial": False, "pairs": pairs,
+                "g1": [[str(x) for x in row] for row in g1],
+                "g2": [[str(x) for x in row] for row in g2],
+                "value": value}, 1
     if args.g1 is None or args.g2 is None:
         raise InputError("--g1 and --g2 are required without --exhaustive")
     if field.flavor != "finite" and psi.twist != 1:
@@ -256,14 +252,12 @@ def cmd_heisenberg(args):
     psi = parse_character(field, args.psi)
     model = SchrodingerModel(space, psi)
     out = []
-    elts = field.elements()
-    for w in itertools.product(elts, repeat=2 * args.m):
-        for t in elts:
-            h = delta(space, w) * central(space, t.i)
-            out.append({"w": [str(x) for x in w], "t": str(t),
-                        "matrix": matrix_json(
-                            model.rho(h).to_dense(psi.coeff_ring.zero()),
-                            args.approx)})
+    for *w, t in points(field, 2 * args.m + 1):
+        h = delta(space, w) * central(space, t.i)
+        out.append({"w": [str(x) for x in w], "t": str(t),
+                    "matrix": matrix_json(
+                        model.rho(h).to_dense(psi.coeff_ring.zero()),
+                        args.approx)})
     payload = {"field": args.field, "m": args.m, "count": len(out),
                "operators": out}
     if args.emit:

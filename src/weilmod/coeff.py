@@ -83,10 +83,6 @@ class CyclotomicRing:
             return "Z[zeta_%d]" % self.p
         return "Z[zeta_%d^%d]" % (self.p, self.k)
 
-    @property
-    def descriptor(self):
-        return "cyclo:%d:%d" % (self.p, self.k)
-
     def _reduce(self, coeffs):
         # fold powers >= phi with zeta^phi = -(1 + zeta^m + ... + zeta^{(p-2)m}),
         # m = p^{k-1}
@@ -592,10 +588,6 @@ class FiniteField:
 
     def __repr__(self):
         return "F_%d" % self.q if self.f > 1 else "F_%d" % self.p
-
-    @property
-    def descriptor(self):
-        return "fl:%d:%d" % (self.p, self.f)
 
     def element(self, i):
         if isinstance(i, FFElt):

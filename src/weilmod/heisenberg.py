@@ -5,17 +5,9 @@ coefficient ring, commutant computations and change-of-model intertwiners.
 
 from __future__ import annotations
 
-import itertools
-
 from . import linalg
+from .basefield import points
 from .coeff import RingMismatchError
-
-
-def point_order(field, m):
-    """(points, index): the coordinate tuples of F^m in model-basis order,
-    the last coordinate running fastest, and each tuple's position."""
-    points = list(itertools.product(field.elements(), repeat=m))
-    return points, {pt: i for i, pt in enumerate(points)}
 
 
 class SympSpace:
@@ -28,17 +20,17 @@ class SympSpace:
         self.dim = 2 * m
 
     def zero_vec(self):
-        z = self.field.element(0)
+        z = self.field.zero()
         return (z,) * self.dim
 
     def basis_e(self, i):
-        v = [self.field.element(0)] * self.dim
-        v[i] = self.field.element(1)
+        v = [self.field.zero()] * self.dim
+        v[i] = self.field.one()
         return tuple(v)
 
     def basis_f(self, i):
-        v = [self.field.element(0)] * self.dim
-        v[self.m + i] = self.field.element(1)
+        v = [self.field.zero()] * self.dim
+        v[self.m + i] = self.field.one()
         return tuple(v)
 
     def pairing(self, u, v):
@@ -85,7 +77,7 @@ class SympSpace:
     def w_subset(self, subset):
         """w_S: e_i -> f_i, f_i -> -e_i for i in S; identity elsewhere."""
         m = self.m
-        z, o = self.field.element(0), self.field.element(1)
+        z, o = self.field.zero(), self.field.one()
         cols = []
         for i in range(m):
             v = [z] * self.dim
@@ -140,7 +132,7 @@ class SympSpace:
             b = linalg.zeros(self.field, m, m)
         else:
             b = linalg.mat(b)
-        z = self.field.element(0)
+        z = self.field.zero()
         rows = []
         for i in range(m):
             rows.append(tuple(a[i]) + tuple(b[i]))
@@ -175,7 +167,7 @@ class SympSpace:
         return linalg.det(a)
 
     def half(self):
-        return self.field.element(1) / 2
+        return self.field.one() / 2
 
 
 class HeisenbergElement:
@@ -292,7 +284,7 @@ class LagrangianModel:
             raise ValueError("self-dual subgroups here are Lagrangians")
         for u in self.a_basis:
             for v in self.a_basis:
-                if space.pairing(u, v) != self.field.element(0):
+                if space.pairing(u, v) != self.field.zero():
                     raise ValueError("subspace is not isotropic")
         # transversal: standard vectors completing a_basis
         std = [space.basis_e(i) for i in range(m)] + \
@@ -303,7 +295,8 @@ class LagrangianModel:
         self._full = linalg.mat(list(self.a_basis) + list(self.b_basis))
         self._full_inv = linalg.mat_inv(linalg.transpose(self._full),
                                         self.field)
-        self._points, self._index = point_order(self.field, m)
+        self._points = points(self.field, m)
+        self._index = {pt: i for i, pt in enumerate(self._points)}
 
     def point(self, i):
         """The i-th B-coset representative as an ambient vector."""
@@ -518,7 +511,7 @@ def coset_reps(subspace, ambient_basis, field):
     comp = comp[len(subspace):]
     zero = (field.zero(),) * (len(ambient_basis[0]) if ambient_basis else 0)
     return [linalg.combine(co, comp, zero)
-            for co in itertools.product(field.elements(), repeat=len(comp))]
+            for co in points(field, len(comp))]
 
 
 def hom_space(ops1, ops2, dim1, dim2, ring):

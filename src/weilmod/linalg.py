@@ -177,7 +177,7 @@ def det(a):
 
 def mat_inv(a, fld):
     n = len(a)
-    aug = [list(r) + list(identity(fld, n)[i]) for i, r in enumerate(a)]
+    aug = [list(r) + list(e) for r, e in zip(a, identity(fld, n))]
     rows, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix not invertible")

@@ -8,9 +8,11 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from . import linalg
+from .basefield import points
 from .coeff import Cyc, CyclotomicRing, FFElt
 from .heisenberg import SchrodingerModel, coset_reps, delta
 from .quadratic import QuadraticForm, hilbert, square_class
@@ -53,7 +55,7 @@ def _x_meet(space, vectors):
     m = space.m
     vx = linalg.transpose([v[:m] for v in vectors])
     vy = linalg.transpose([v[m:] for v in vectors])
-    pad = (space.field.element(0),) * m
+    pad = (space.field.zero(),) * m
     return [tuple(-x for x in linalg.mat_vec(vx, k)) + pad
             for k in linalg.nullspace(vy, space.field)]
 
@@ -75,7 +77,7 @@ def bruhat_decompose(space, g):
     if not space.is_symplectic(g):
         raise ValueError("matrix is not symplectic")
     a, _, c, _ = space.blocks(g)
-    zero, one = field.element(0), field.element(1)
+    zero, one = field.zero(), field.one()
     echelon = _echelon_kernel_image(a, c, field)
     n_idx = [i for i in range(m) if i not in echelon]
     j = len(n_idx)
@@ -126,7 +128,7 @@ def mu_g_scalar(space, psi, g, bruhat=None):
     bd = bruhat or bruhat_decompose(space, g)
     d = space.det_x(bd.p1) * space.det_x(bd.p2)
     field = space.field
-    one = field.element(1)
+    one = field.one()
     base = omega_ratio(field, psi, one, d)
     if bd.j == 0:
         return base
@@ -191,10 +193,11 @@ class CountModel:
 
     def __init__(self, space, exp):
         field = space.field
-        self.q, self.p, self.m = field.q, field.p, space.m
+        self.p, self.m = field.p, space.m
         self.exp = exp
-        # the Y-points as raw coordinates, in the Schrödinger basis order
-        self.ypoints = tuple(itertools.product(range(field.q), repeat=space.m))
+        # the Y-points as raw indices, in the Schrödinger basis order
+        self.ypoints = tuple(tuple(x.i for x in pt)
+                             for pt in points(field, space.m))
         self.yindex = {pt: i for i, pt in enumerate(self.ypoints)}
         n = len(self.ypoints)
         w = self.slot_bits = (n * field.q ** (3 * space.m)).bit_length() + 1
@@ -262,10 +265,10 @@ class CountModel:
             return out
         comp = [[bd.p1[r][k].i for r in range(m)] for k in range(bd.j)]
         reps = []
-        for co in itertools.product(range(self.q), repeat=bd.j):
+        for co in points(field, bd.j):
             a = [0] * m
             for c, col in zip(co, comp):
-                a = [add(x, mul(c, y)) for x, y in zip(a, col)]
+                a = [add(x, mul(c.i, y)) for x, y in zip(a, col)]
             reps.append((a, image(a + [0] * m)))
         shift = [1 << (self.slot_bits * e) for e in range(p)]
         half = (p + 1) // 2     # 1/2 in F_p; Tr(c x/2) = Tr(c x)/2
@@ -372,7 +375,7 @@ class WeilContext:
         # mu_{w_j} normalizer: Omega(psi o Q_j) with Q_j(x) = x^2/2 per
         # coordinate (the sign that makes sigma multiplicative over finite F)
         self._gauss_half_inv = gauss_sum(space.field,
-                                         space.field.element(1) / 2,
+                                         space.field.one() / 2,
                                          psi).inv()
         self._mu = {}
         self._mu_ratio = {}     # {(mu1, mu2, mu12): mu1 mu2 mu12^-1}
@@ -430,19 +433,37 @@ def sigma_counts(ctx, g):
     return mu, counts
 
 
-def _ring_matrix(ctx, counts):
-    """phi(N) as a dense matrix over R, N given by its packed rows."""
-    phi, zero, unpack = ctx._phi, ctx.zero(), ctx.counts.unpack
-    return tuple(tuple(phi(c) if c else zero for c in unpack(row))
-                 for row in counts)
-
-
 def sigma(ctx, g):
     """sigma(g) = I_{gX,X,mu_g,0} o I_g as a dense matrix on the Y-point
     basis; the measure normalization makes it multiplicative over finite F.
     Only the count form is cached."""
     mu, counts = sigma_counts(ctx, g)
-    return linalg.mat_scal(mu, _ring_matrix(ctx, counts))
+    phi, zero = ctx._phi, ctx.zero()
+    return tuple(tuple(mu * phi(c) if c else zero
+                       for c in ctx.counts.unpack(row)) for row in counts)
+
+
+def sigma_images(ctx, g, signed):
+    """sigma(g) (e_P - e_M) for each (P, M) in `signed`, P and M disjoint
+    lists of Y-point indices, each image a list of n scalars: entry i is mu
+    (phi(c_P) - phi(c_M)) for the sums c_P and c_M of row i of N over P and
+    over M, each packed row unpacked once per call.  A row of N totals at
+    most q^m, far below the slot bound 2^{W-1} > n q^{3m} (CountModel)."""
+    mu, counts = sigma_counts(ctx, g)
+    phi, zero = ctx._phi, ctx.zero()
+    rows = [ctx.counts.unpack(row) for row in counts]
+    images = []
+    for plus, minus in signed:
+        img = []
+        for row in rows:
+            c = sum(row[z] for z in plus)
+            x = phi(c) if c else zero
+            c = sum(row[z] for z in minus)
+            if c:
+                x = x - phi(c)
+            img.append(mu * x if x else zero)
+        images.append(img)
+    return images
 
 
 def scalar_ratio(a, b, zero):
@@ -570,7 +591,7 @@ def leray_decompose(space, g1, g2):
     m = space.m
     if not (space.is_symplectic(g1) and space.is_symplectic(g2)):
         raise ValueError("matrix is not symplectic")
-    zero, one = field.element(0), field.element(1)
+    zero, one = field.zero(), field.one()
     # L1 = g1^-1 X is spanned by the columns (D1^T; -C1^T), L2 = g2 X by
     # (A2; C2), and <g1^-1 e_i, g2 e_j> is entry ij of C12, the C block of
     # g1 g2; every subspace below is read off these blocks
@@ -744,20 +765,30 @@ def cocycle_formula(space, g1, g2, rao=False, leray=None):
 # splitting reports (finite F / char-2 coefficients)
 # ---------------------------------------------------------------------------
 
+def first_nontrivial_pair(space, cocycle, one, pairs=None):
+    """(n, witness) for the pairs in order, by default every pair of Sp_2
+    with g1 running slowest: n counts the pairs whose cocycle(g1, g2) is
+    `one` before the first that is not, and witness is that pair's (g1,
+    g2, value), or None when there is none."""
+    if pairs is None:
+        group = enumerate_sp2(space)
+        pairs = ((g1, g2) for g1 in group for g2 in group)
+    n = 0
+    for g1, g2 in pairs:
+        value = cocycle(g1, g2)
+        if value != one:
+            return n, (g1, g2, value)
+        n += 1
+    return n, None
+
+
 def split_checks(ctx, pairs=None):
     """Multiplicativity of sigma on the given pairs (default: exhaustive over
     Sp_2 when m = 1): each pair's cocycle_operator must be 1.  Returns a
     report dict; a cocycle that is not scalar raises RuntimeError."""
-    space = ctx.space
-    if pairs is None:
-        group = enumerate_sp2(space)
-        pairs = [(g1, g2) for g1 in group for g2 in group]
-    checked = 0
-    for g1, g2 in pairs:
-        if cocycle_operator(ctx, g1, g2) != ctx.one():
-            return {"multiplicative": False, "pairs": checked}
-        checked += 1
-    return {"multiplicative": True, "pairs": checked}
+    n, witness = first_nontrivial_pair(
+        ctx.space, partial(cocycle_operator, ctx), ctx.one(), pairs)
+    return {"multiplicative": witness is None, "pairs": n}
 
 
 def enumerate_sp2(space):
@@ -765,15 +796,9 @@ def enumerate_sp2(space):
     field = space.field
     if space.m != 1:
         raise ValueError("enumerate_sp2 needs m = 1")
-    out = []
-    elts = field.elements()
-    for a in elts:
-        for b in elts:
-            for c in elts:
-                for d in elts:
-                    if a * d - b * c == field.element(1):
-                        out.append(linalg.mat([[a, b], [c, d]]))
-    return out
+    one = field.one()
+    return [linalg.mat([[a, b], [c, d]])
+            for a, b, c, d in points(field, 4) if a * d - b * c == one]
 
 
 def random_symplectic(space, rng, length=6, scale=3):
@@ -792,7 +817,7 @@ def random_symplectic(space, rng, length=6, scale=3):
                     break
             step = space.parabolic(a)
         elif kind == 1:
-            s = [[field.element(0)] * m for _ in range(m)]
+            s = [[field.zero()] * m for _ in range(m)]
             for i in range(m):
                 for jj in range(i, m):
                     v = field.element(rng.randrange(-scale, scale + 1))

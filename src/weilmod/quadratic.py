@@ -223,7 +223,7 @@ class QuadraticForm:
 
     def det_square_class(self):
         _, vals = self.diagonalize()
-        prod = self.field.element(1)
+        prod = self.field.one()
         for a in vals:
             prod = prod * a
         return square_class(self.field, prod)

@@ -75,7 +75,7 @@ def _hilbert_suite(rng):
 def _omega_scaling(rng):
     f5 = FqField(5)
     psi = AdditiveCharacter(f5)
-    one = f5.element(1)
+    one = f5.one()
     for _ in range(10):
         a = f5.element(rng.randrange(1, 5))
         b = f5.element(rng.randrange(1, 5))
@@ -137,7 +137,7 @@ def _stone_von_neumann(rng):
 def _theta_instance(rng):
     from .theta import DualPair, ThetaLift, linear_pm_characters
     f3 = FqField(3)
-    v = QuadraticForm(f3, [[f3.element(1)]])
+    v = QuadraticForm(f3, [[f3.one()]])
     pair = DualPair(v, 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3))
     dims = sorted(ThetaLift(pair, ctx, chi).dim for chi in

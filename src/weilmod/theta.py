@@ -9,10 +9,10 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .basefield import AdditiveCharacter
+from .basefield import AdditiveCharacter, points
 from .coeff import CyclotomicRing, FiniteField, ReductionMap
-from .heisenberg import SympSpace, hom_space, point_order
-from .metaplectic import WeilContext, enumerate_sp2, sigma_counts
+from .heisenberg import SympSpace, hom_space
+from .metaplectic import WeilContext, enumerate_sp2, sigma_images
 
 GROUP_ORDER_CAP = 10 ** 4
 MODEL_DIM_CAP = 81
@@ -32,7 +32,7 @@ def enumerate_orthogonal(q_form):
     out = []
     # candidate columns with the first coordinate running fastest: this
     # order fixes the order of h1_list and so the char<k> labels
-    vecs = [v[::-1] for v in itertools.product(field.elements(), repeat=n)]
+    vecs = [v[::-1] for v in points(field, n)]
     for colset in itertools.product(vecs, repeat=n):
         h = linalg.transpose(linalg.mat(colset))
         ht_g_h = linalg.mat_mul(linalg.mat_mul(linalg.transpose(h), gram), h)
@@ -71,10 +71,11 @@ class DualPair:
         if mprime != 1:
             raise SizeCapError("only m' = 1 symplectic partners at this scale")
         self.h2_list = enumerate_sp2(SympSpace(field, 1))
-        if 2 * len(self.h1_list) * len(self.h2_list) > 2 * GROUP_ORDER_CAP:
+        if len(self.h1_list) * len(self.h2_list) > GROUP_ORDER_CAP:
             raise SizeCapError("group order cap exceeded")
         self.h2_images = {h: self.embed_h2(h) for h in self.h2_list}
-        points, index = point_order(field, self.m)
+        pts = points(field, self.m)
+        index = {pt: i for i, pt in enumerate(pts)}
         self.h1_perms = {}
         for h1 in self.h1_list:
             e1 = self.embed_h1(h1)
@@ -83,8 +84,8 @@ class DualPair:
                 if linalg.mat_mul(e1, e2) != linalg.mat_mul(e2, e1):
                     raise RuntimeError("dual pair images fail to commute")
             at = linalg.transpose(self.space.blocks(e1)[0])
-            perm = [0] * len(points)
-            for i, co in enumerate(points):
+            perm = [0] * len(pts)
+            for i, co in enumerate(pts):
                 perm[index[linalg.mat_vec(at, co)]] = i
             self.h1_perms[h1] = tuple(perm)
 
@@ -93,7 +94,7 @@ class DualPair:
         field = self.field
         hb = linalg.mat_mul(linalg.mat_mul(self._binv, h), self._b)
         hbt = linalg.transpose(linalg.mat_inv(hb, field))
-        pad = (field.element(0),) * self.n0   # m' = 1: diag(hb, hb^-T)
+        pad = (field.zero(),) * self.n0   # m' = 1: diag(hb, hb^-T)
         g = tuple(r + pad for r in hb) + tuple(pad + r for r in hbt)
         if not self.space.is_symplectic(g):
             raise RuntimeError("orthogonal embedding not symplectic")
@@ -105,7 +106,7 @@ class DualPair:
         m, n0 = self.m, self.n0
         al, be = h[0][0], h[0][1]
         ga, de = h[1][0], h[1][1]
-        z = field.element(0)
+        z = field.zero()
         rows = []
         for i in range(n0):
             row = [z] * (2 * m)
@@ -235,40 +236,26 @@ class ThetaLift:
         self._act_cache = {}
 
     def act(self, h2):
-        """Matrix of omega(h2) on self.basis, from sigma's count form
-        (mu, N) of pair.h2_images[h2], each packed row of N unpacked once.
-        b_O = sum_{z in O} b_O[z] e_z maps to mu (phi(P) - phi(M)), with P
-        and M the packed column sums of N over the z where b_O[z] is 1 and
-        where it is -1 (in characteristic 2, every z): n ring maps per
-        basis vector.  A row of N totals at most q^m, so a column sum stays
-        far below the count model's slot bound 2^{W-1} > n q^{3m} (see
-        CountModel).  The supports (self.orbits) are disjoint: the image's
-        coordinates are its entries at the y_O, and it lies in the span
-        exactly when it is coords[k] b_k[z] at each z of orbit k and zero
-        outside the kept orbits."""
+        """Matrix of omega(h2) on self.basis, from the images of the b_O
+        under sigma of pair.h2_images[h2] (metaplectic.sigma_images).  The
+        supports (self.orbits) are disjoint: an image's coordinates are its
+        entries at the y_O, and it lies in the span exactly when it is
+        coords[k] b_k[z] at each z of orbit k and zero outside the kept
+        orbits."""
         a = self._act_cache.get(h2)
         if a is not None:
             return a
         if self.dim == 0:
             return ()
-        ctx = self.ctx
-        zero, one = ctx.zero(), ctx.one()
-        phi = ctx._phi
-        mu, counts = sigma_counts(ctx, self.pair.h2_images[h2])
-        counts = [ctx.counts.unpack(row) for row in counts]
-        outside = set(range(len(counts))).difference(*self.orbits)
+        # b_O = e_P - e_M: P and M the z of O where b_O[z] is 1 and where
+        # it is -1 (in characteristic 2, every z is in P)
+        one = self.ctx.one()
+        signed = [([z for z in o if v[z] == one],
+                   [z for z in o if v[z] != one])
+                  for v, o in zip(self.basis, self.orbits)]
+        outside = set(range(self.ctx.model.dim)).difference(*self.orbits)
         cols = []
-        for v, orbit in zip(self.basis, self.orbits):
-            plus = [z for z in orbit if v[z] == one]
-            minus = [z for z in orbit if v[z] != one]
-            img = []
-            for row in counts:
-                c = sum(row[z] for z in plus)
-                x = phi(c) if c else zero
-                c = sum(row[z] for z in minus)
-                if c:
-                    x = x - phi(c)
-                img.append(mu * x if x else zero)
+        for img in sigma_images(self.ctx, self.pair.h2_images[h2], signed):
             coords = tuple(img[o[0]] for o in self.orbits)
             if any(img[z] for z in outside) or any(
                     img[z] != c * b[z]

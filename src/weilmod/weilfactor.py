@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .basefield import QpField, modulus
+from .basefield import QpField, modulus, points
 from .coeff import CyclotomicRing
 from .quadratic import QuadraticForm, hilbert, square_class
 
@@ -24,7 +24,7 @@ from .quadratic import QuadraticForm, hilbert, square_class
 # one sum per (field, a, twist, coefficient ring): at most q (q - 1) per
 # field and ring.  The key holds the field and ring objects themselves:
 # two coefficient fields F_{l^d} built apart (with another polynomial, or
-# the same one) share a descriptor but are different rings.
+# the same one) print alike but are different rings.
 _GAUSS_CACHE = {}
 
 
@@ -164,7 +164,7 @@ def omega_ratio(field, psi, a, b):
 
 def hilbert_via_omega(field, psi, a, b):
     """(a,b)_F = Omega_1 Omega_{ab} / (Omega_a Omega_b); must be +-1."""
-    num = omega1(field, psi, field.element(1)) * omega1(field, psi, a * b)
+    num = omega1(field, psi, field.one()) * omega1(field, psi, a * b)
     den = omega1(field, psi, a) * omega1(field, psi, b)
     r = num * den.inv()
     one = psi.coeff_ring.one()
@@ -185,7 +185,7 @@ def omega_diag_product(q_form, psi):
     detb = vals[0]
     for a in vals[1:]:
         detb = detb * a
-    one = field.element(1)
+    one = field.one()
     ratio = omega_ratio(field, psi, detb, one)
     # Q_Id in the basis B: identity Gram expressed back in ambient coordinates
     binv = linalg.mat_inv(linalg.transpose(linalg.mat(vecs)), field)
@@ -208,20 +208,19 @@ def fourier_normalizer(field, psi, rho_gram):
     """Omega_mu(psi o Q_{rho/2}) for the reference measure mu (counting
     over F_q, mu(Z_p^m) = 1 over Q_p): the scalar that normalizes the
     Fourier transform."""
-    half = field.element(1) / 2
+    half = field.one() / 2
     q = QuadraticForm(field, [[half * x for x in row] for row in rho_gram])
     return omega(q, psi)
 
 
 def fourier_matrix(field, psi, rho_gram):
     """F_{mu_rho} on functions on F_q^m: entry (x, u) is
-    Omega^{-1} psi(x^T R u).  Basis indexed by lexicographic tuples."""
+    Omega^{-1} psi(x^T R u), the basis in `points` order."""
     m = len(rho_gram)
     gram = linalg.mat([[field.element(x) for x in row] for row in rho_gram])
     om = fourier_normalizer(field, psi, rho_gram)
     om_inv = om.inv()
-    elts = field.elements()
-    pts = list(itertools.product(elts, repeat=m))
+    pts = points(field, m)
     rows = []
     for x in pts:
         rx = linalg.mat_vec(gram, x)
@@ -233,7 +232,7 @@ def convolution(field, psi, rho_gram, f, g):
     """f *_{mu_rho} g on functions F_q^m -> R given as dicts point -> value."""
     om_inv = fourier_normalizer(field, psi, rho_gram).inv()
     m = len(rho_gram)
-    pts = list(itertools.product(field.elements(), repeat=m))
+    pts = points(field, m)
     out = {}
     for x in pts:
         acc = None
@@ -249,9 +248,9 @@ def epsilon(field, psi, rho_gram):
     """epsilon = Omega_{-1,1}^m (-1, det(Q_{rho/2}))_F with
     epsilon^2 = (-1,-1)_F^m."""
     m = len(rho_gram)
-    one = field.element(1)
+    one = field.one()
     om = omega_ratio(field, psi, -one, one)
-    half = field.element(1) / 2
+    half = field.one() / 2
     gram = linalg.mat([[field.element(x) * half for x in row]
                        for row in rho_gram])
     d = linalg.det(gram)

@@ -358,6 +358,49 @@ def test_cocycle_exhaustive_reports_first_witness(monkeypatch, capsys, path):
         assert report["value"] == -1
 
 
+def test_exhaustive_formula_builds_no_weil_context(monkeypatch, capsys):
+    def refuse(*_args, **_kw):
+        raise AssertionError("the formula path built a WeilContext")
+    monkeypatch.setattr(cli, "WeilContext", refuse)
+    assert cli.main(["cocycle", "--field", "fq:3:1", "--m", "1", "--path",
+                     "formula", "--exhaustive"]) == 0
+    assert capsys.readouterr().out == '{"pairs":576,"trivial":true}\n'
+
+
+def test_exhaustive_operator_witness_matches_split_checks(monkeypatch,
+                                                         capsys):
+    # mu negated for one element t: the first pair with an odd number of t
+    # among g1, g2 and g1 g2 is the first whose cocycle is -1, and
+    # split_checks stops at the same pair
+    from weilmod import linalg, metaplectic
+    from weilmod.basefield import AdditiveCharacter, FqField
+    from weilmod.heisenberg import SympSpace
+    f3 = FqField(3)
+    space = SympSpace(f3, 1)
+    group = metaplectic.enumerate_sp2(space)
+    t = group[5]
+    real = metaplectic.sigma_counts
+
+    def negated(ctx, g):
+        mu, counts = real(ctx, g)
+        return (-mu, counts) if g == t else (mu, counts)
+    monkeypatch.setattr(metaplectic, "sigma_counts", negated)
+    pairs = [(g1, g2) for g1 in group for g2 in group]
+    first = next(k for k, (g1, g2) in enumerate(pairs)
+                 if [g1, g2, linalg.mat_mul(g1, g2)].count(t) % 2)
+    ctx = metaplectic.WeilContext(space, AdditiveCharacter(f3))
+    assert metaplectic.split_checks(ctx) == {"multiplicative": False,
+                                             "pairs": first}
+    assert cli.main(["cocycle", "--field", "fq:3:1", "--m", "1", "--path",
+                     "operator", "--exhaustive"]) == 1
+    g1, g2 = pairs[first]
+    assert json.loads(capsys.readouterr().out) == {
+        "trivial": False, "pairs": first,
+        "g1": [[str(x) for x in row] for row in g1],
+        "g2": [[str(x) for x in row] for row in g2],
+        "value": {"ring": "Z[zeta_3]", "coeffs": ["-1", "0"]}}
+
+
 def test_selfcheck_failure_names_the_seed(monkeypatch, capsys):
     from weilmod import selfcheck
 

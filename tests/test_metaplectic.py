@@ -17,7 +17,8 @@ from weilmod.metaplectic import (WeilContext, bruhat_decompose,
                                  cocycle_w_u_rho, enumerate_sp2,
                                  leray_decompose, leray_x_classes, m_bracket,
                                  mu_g_scalar, random_symplectic, scalar_ratio, sigma,
-                                 split_checks, u_rho_matrix, x_invariant)
+                                 sigma_images, split_checks, u_rho_matrix,
+                                 x_invariant)
 from weilmod.quadratic import QuadraticForm, hilbert, square_class
 from weilmod.schwartz import cocycle_operator_padic
 from weilmod.weilfactor import fourier_matrix
@@ -434,6 +435,32 @@ def test_sigma_counts_match_dense_twisted(p, f, twist, sample):
         assert sigma(ctx, g) == dense_sigma_reference(ctx, g)
 
 
+@pytest.mark.parametrize("coeff", [None, (7, 1), (2, 2)],
+                         ids=["cyclo", "F7", "F4"])
+def test_sigma_images_match_dense_sigma(coeff):
+    # sigma(g) (e_P - e_M) from the packed counts against the dense sigma
+    # applied to the +-1 vector; over F_4 (characteristic 2) -1 is 1
+    f3 = FqField(3)
+    rng = random.Random(22)
+    ring = FiniteField(*coeff) if coeff else None
+    for m in (1, 2):
+        sp = SympSpace(f3, m)
+        ctx = WeilContext(sp, AdditiveCharacter(f3, ring))
+        one, zero, n = ctx.one(), ctx.zero(), ctx.model.dim
+        group = enumerate_sp2(sp) if m == 1 else \
+            [random_symplectic(sp, rng, length=8) for _ in range(12)]
+        for g in group:
+            signs = [[rng.choice((-1, 0, 1)) for _ in range(n)]
+                     for _ in range(3)]
+            signed = [([z for z in range(n) if s[z] == 1],
+                       [z for z in range(n) if s[z] == -1]) for s in signs]
+            dense = dense_sigma_reference(ctx, g)
+            want = [list(linalg.mat_vec(dense, [one * c if c else zero
+                                                for c in s]))
+                    for s in signs]
+            assert sigma_images(ctx, g, signed) == want
+
+
 def test_sigma_and_cocycle_match_dense_sp4():
     f3 = FqField(3)
     sp = SympSpace(f3, 2)
@@ -528,6 +555,13 @@ def _check_cases():
     ]
 
 
+def _ring_matrix(ctx, counts):
+    """phi(N) as a dense matrix over R, N given by its packed rows."""
+    phi, zero = ctx._phi, ctx.zero()
+    return tuple(tuple(phi(c) if c else zero for c in ctx.counts.unpack(row))
+                 for row in counts)
+
+
 def test_cocycle_operator_matches_dense_ratio():
     # the packed Z[zeta_p] check against the entrywise one in R it
     # replaced: mu1 mu2 mu12^-1 times the scalar_ratio of the dense
@@ -539,8 +573,7 @@ def test_cocycle_operator_matches_dense_ratio():
                 mu2, n2 = metaplectic.sigma_counts(ctx, g2)
                 mu12, n12 = metaplectic.sigma_counts(
                     ctx, linalg.mat_mul(g1, g2))
-                dense = [metaplectic._ring_matrix(ctx, n)
-                         for n in (n1, n2, n12)]
+                dense = [_ring_matrix(ctx, n) for n in (n1, n2, n12)]
                 c = scalar_ratio(linalg.mat_mul(dense[0], dense[1]),
                                  dense[2], ctx.zero())
                 want = mu1 * mu2 * mu12.inv() * c

@@ -1,0 +1,197 @@
+"""basefield.points is the one order of F_q^k: each enumeration that reads
+it is compared with the expression it replaced, kept here as the
+reference.  A guard over the package source keeps the order, and the
+internals of a WeilContext, behind one module each."""
+
+import ast
+import itertools
+import json
+import pathlib
+
+import pytest
+
+import weilmod
+from weilmod import cli, linalg
+from weilmod.basefield import AdditiveCharacter, parse_field, points
+from weilmod.heisenberg import SchrodingerModel, SympSpace, coset_reps
+from weilmod.metaplectic import WeilContext, enumerate_sp2
+from weilmod.quadratic import QuadraticForm
+from weilmod.theta import enumerate_orthogonal
+from weilmod.weilfactor import convolution, fourier_matrix, \
+    fourier_normalizer
+
+FIELDS = ["fq:3:1", "fq:5:1", "fq:3:2"]
+
+
+def product_reference(field, k):
+    """F_q^k as heisenberg.point_order listed it."""
+    return list(itertools.product(field.elements(), repeat=k))
+
+
+@pytest.mark.parametrize("desc", FIELDS)
+def test_points_and_the_models_follow_the_reference(desc):
+    field = parse_field(desc)
+    for k in (0, 1, 2, 3):
+        assert points(field, k) == product_reference(field, k)
+    for m in (1, 2):
+        space = SympSpace(field, m)
+        model = SchrodingerModel(space, AdditiveCharacter(field))
+        ref = product_reference(field, m)
+        assert model._points == ref
+        assert model._index == {pt: i for i, pt in enumerate(ref)}
+        # the count model keeps raw indices, in the range(q) order it
+        # spelled out before
+        counts = WeilContext(space, AdditiveCharacter(field)).counts
+        assert counts.ypoints == tuple(
+            itertools.product(range(field.q), repeat=m))
+
+
+@pytest.mark.parametrize("desc", FIELDS)
+def test_enumerate_sp2_follows_the_nested_loops(desc):
+    field = parse_field(desc)
+    elts = field.elements()
+    ref = [linalg.mat([[a, b], [c, d]])
+           for a in elts for b in elts for c in elts for d in elts
+           if a * d - b * c == field.one()]
+    assert enumerate_sp2(SympSpace(field, 1)) == ref
+
+
+@pytest.mark.parametrize("desc", FIELDS)
+def test_enumerate_orthogonal_follows_the_reversed_product(desc):
+    field = parse_field(desc)
+    for diag in ([1], [1, 1], [1, 2]):
+        n = len(diag)
+        gram = [[diag[i] if i == j else 0 for j in range(n)]
+                for i in range(n)]
+        form = QuadraticForm(field, gram)
+        vecs = [v[::-1] for v in product_reference(field, n)]
+        ref = []
+        for colset in itertools.product(vecs, repeat=n):
+            h = linalg.transpose(linalg.mat(colset))
+            if linalg.mat_mul(linalg.mat_mul(linalg.transpose(h),
+                                             form.gram), h) == form.gram:
+                ref.append(h)
+        assert enumerate_orthogonal(form) == ref
+
+
+@pytest.mark.parametrize("desc", FIELDS)
+def test_coset_reps_follow_the_reference(desc):
+    field = parse_field(desc)
+    space = SympSpace(field, 2)
+    ambient = [space.basis_e(0), space.basis_e(1), space.basis_f(0)]
+    for sub in ([], [space.basis_e(0)],
+                [tuple(x + y for x, y in zip(space.basis_e(1),
+                                             space.basis_f(0)))]):
+        comp = linalg.column_space_basis(sub + ambient)[len(sub):]
+        ref = [linalg.combine(co, comp, space.zero_vec())
+               for co in product_reference(field, len(comp))]
+        assert coset_reps(sub, ambient, field) == ref
+
+
+@pytest.mark.parametrize("desc", FIELDS)
+def test_fourier_matrix_and_convolution_follow_the_reference(desc):
+    field = parse_field(desc)
+    psi = AdditiveCharacter(field)
+    for rho in ([[2]], [[2, 0], [0, 1]]):
+        m = len(rho)
+        pts = product_reference(field, m)
+        gram = linalg.mat([[field.element(x) for x in row] for row in rho])
+        om_inv = fourier_normalizer(field, psi, rho).inv()
+        assert fourier_matrix(field, psi, rho) == tuple(
+            tuple(om_inv * psi(linalg._dot(linalg.mat_vec(gram, x), u))
+                  for u in pts) for x in pts)
+    f = {x: psi(x[0]) for x in product_reference(field, 1)}
+    g = {x: psi(x[0] * x[0]) for x in f}
+    conv = convolution(field, psi, [[2]], f, g)
+    om_inv = fourier_normalizer(field, psi, [[2]]).inv()
+    assert list(conv) == list(f)
+    for x in f:
+        acc = None
+        for u in f:
+            t = f[u] * g[tuple(a - b for a, b in zip(x, u))]
+            acc = t if acc is None else acc + t
+        assert conv[x] == acc * om_inv
+
+
+@pytest.mark.parametrize("desc", FIELDS)
+def test_heisenberg_dump_follows_the_nested_loops(desc, capsys):
+    field = parse_field(desc)
+    assert cli.main(["heisenberg", "--field", desc, "--m", "1"]) == 0
+    ops = json.loads(capsys.readouterr().out)["operators"]
+    elts = field.elements()
+    ref = [([str(x) for x in w], str(t))
+           for w in itertools.product(elts, repeat=2) for t in elts]
+    assert [(op["w"], op["t"]) for op in ops] == ref
+
+
+# ---------------------------------------------------------------------------
+# one module per format decision
+# ---------------------------------------------------------------------------
+
+PACKAGE = pathlib.Path(weilmod.__file__).parent
+
+# a WeilContext's count model, ring map and mu tables: metaplectic's alone
+CONTEXT_INTERNALS = {"_phi", "counts", "_mu", "_mu_ratio", "_gauss_half_inv"}
+
+
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
+def _calls_elements(node):
+    return isinstance(node, ast.Call) and isinstance(
+        node.func, ast.Attribute) and node.func.attr == "elements"
+
+
+def _enumerates_a_field(call, element_names):
+    """itertools.product over a field's elements: an argument that calls
+    .elements(), names a variable assigned from such a call, or is
+    range(<...>.q)."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "product"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "itertools"):
+        return False
+    for node in (n for a in call.args for n in ast.walk(a)):
+        if _calls_elements(node) or (isinstance(node, ast.Name)
+                                     and node.id in element_names):
+            return True
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "range" and any(
+                    isinstance(a, ast.Attribute) and a.attr == "q"
+                    for a in node.args):
+            return True
+    return False
+
+
+def _field_enumerations(tree):
+    """(line, innermost enclosing function) of each itertools.product over
+    a field's elements in a module."""
+    element_names = {t.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Assign)
+                     and _calls_elements(node.value)
+                     for t in node.targets if isinstance(t, ast.Name)}
+    funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _enumerates_a_field(
+                node, element_names):
+            inner = min((f for f in funcs
+                         if f.lineno <= node.lineno <= f.end_lineno),
+                        key=lambda f: f.end_lineno - f.lineno, default=None)
+            yield node.lineno, inner and inner.name
+
+
+def test_one_function_enumerates_a_field():
+    found = [(name, func) for name, tree in _modules()
+             for _, func in _field_enumerations(tree)]
+    assert found == [("basefield", "points")]
+
+
+def test_only_metaplectic_reads_context_internals():
+    found = [(name, node.attr, node.lineno)
+             for name, tree in _modules() if name != "metaplectic"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in CONTEXT_INTERNALS]
+    assert found == []

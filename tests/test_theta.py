@@ -261,7 +261,6 @@ def test_congruence_check_makes_no_dense_sigma(monkeypatch):
         seen.append(len(ops1))
         return real(ops1, ops2, dim1, dim2, ring)
     monkeypatch.setattr(metaplectic, "sigma", refuse)
-    monkeypatch.setattr(metaplectic, "_ring_matrix", refuse)
     monkeypatch.setattr(theta, "hom_space", counted)
     f3 = FqField(3)
     for diag in ([[1]], [[1, 0], [0, 1]]):
