@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .coeff import CyclotomicRing, FFElt, FiniteField, RingMismatchError
+from .coeff import CyclotomicRing, FiniteField, RingMismatchError
 
 
 class InputError(ValueError):
@@ -23,11 +23,10 @@ class InputError(ValueError):
 class FqField(FiniteField):
     """Base field F_q, q = p^f with p odd (char F != 2 throughout)."""
 
-    def __new__(cls, p, f=1, irred=None):
+    def __new__(cls, p, f=1):
         if p == 2:
             raise ValueError("base fields of characteristic 2 are excluded")
-        fld = super().__new__(cls, p, f, irred)
-        return fld
+        return super().__new__(cls, p, f)
 
     @property
     def descriptor(self):
@@ -49,8 +48,8 @@ class FqField(FiniteField):
         return self._log[self.element(a).i] % 2 == 0
 
     def nonresidue(self):
-        return FFElt(self, next(i for i in range(1, self.q)
-                                if self._log[i] % 2))
+        return self.element(next(i for i in range(1, self.q)
+                                 if self._log[i] % 2))
 
 
 def points(field, k):

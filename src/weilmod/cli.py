@@ -50,6 +50,10 @@ def matrix_json(m, approx=False):
     return [[scalar_json(x, approx) for x in row] for row in m]
 
 
+def matrix_str(m):
+    return [[str(x) for x in row] for row in m]
+
+
 def emit(payload, fmt, path):
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -118,6 +122,10 @@ def parse_matrix(field, desc, size):
 # subcommands
 # ---------------------------------------------------------------------------
 
+# the most ring entries a weilrep or heisenberg dump may hold
+DUMP_CAP = 200_000
+
+
 def cmd_omega(args):
     field = parse_field(args.field)
     q = parse_form(field, args.form)
@@ -139,7 +147,7 @@ def cmd_hilbert(args):
 def cmd_hasse(args):
     field = parse_field(args.field)
     q = parse_form(field, args.form)
-    if len(q.diagonalize()[1]) < q.m:
+    if not q.is_nondegenerate():
         raise InputError("hasse takes a nondegenerate form; %r is "
                          "degenerate over %r" % (args.form, field))
     return {"value": q.hasse(), "det_class": q.det_square_class().tag}
@@ -151,8 +159,8 @@ def cmd_bruhat(args):
     g = parse_matrix(field, args.g, 2 * args.m)
     bd = bruhat_decompose(space, g)
     return {"j": bd.j,
-            "p1": [[str(x) for x in row] for row in bd.p1],
-            "p2": [[str(x) for x in row] for row in bd.p2],
+            "p1": matrix_str(bd.p1),
+            "p2": matrix_str(bd.p2),
             "x_class": x_invariant(space, g, bd).tag}
 
 
@@ -162,6 +170,15 @@ def cmd_cocycle(args):
     psi = parse_character(field, args.psi)
     if args.rao and args.path == "operator":
         raise InputError("--rao applies to --path formula only")
+    # only the finite operator path reads psi; over F_q the twist is an
+    # FFElt, which never equals the int 1
+    if psi.twist != field.one():
+        if field.flavor != "finite":
+            raise InputError("the Q_p cocycle paths use the level-0 "
+                             "character only, got --psi %s" % args.psi)
+        if args.path == "formula":
+            raise InputError("--psi applies to --path operator only, got "
+                             "--psi %s" % args.psi)
     if args.exhaustive:
         if field.flavor != "finite" or args.m != 1:
             raise InputError("--exhaustive needs a finite field and m = 1")
@@ -180,14 +197,11 @@ def cmd_cocycle(args):
         if args.path == "operator":
             value = scalar_json(value, args.approx)
         return {"trivial": False, "pairs": pairs,
-                "g1": [[str(x) for x in row] for row in g1],
-                "g2": [[str(x) for x in row] for row in g2],
+                "g1": matrix_str(g1),
+                "g2": matrix_str(g2),
                 "value": value}, 1
     if args.g1 is None or args.g2 is None:
         raise InputError("--g1 and --g2 are required without --exhaustive")
-    if field.flavor != "finite" and psi.twist != 1:
-        raise InputError("the Q_p cocycle paths use the level-0 character "
-                         "only, got --psi %s" % args.psi)
     g1 = parse_matrix(field, args.g1, 2 * args.m)
     g2 = parse_matrix(field, args.g2, 2 * args.m)
     for name, g in (("g1", g1), ("g2", g2)):
@@ -212,7 +226,7 @@ def cmd_cocycle(args):
     return {"value": val,
             "path": "formula",
             "leray": {"S": list(ld.s), "S1": list(ld.s1), "S2": list(ld.s2),
-                      "rho": [[str(x) for x in row] for row in ld.rho]},
+                      "rho": matrix_str(ld.rho)},
             "x_g1": x1.tag,
             "x_g2": x2.tag}
 
@@ -226,14 +240,14 @@ def cmd_weilrep(args):
         raise InputError("full dump provided for m = 1 (use cocycle for m=2)")
     # |SL2(F_q)| matrices of size q x q are q^3 (q^2 - 1) ring entries: the
     # cap admits F_11 (159,720 entries) and refuses F_13 and F_25
-    if field.q ** 3 * (field.q ** 2 - 1) > 200_000:
+    if field.q ** 3 * (field.q ** 2 - 1) > DUMP_CAP:
         raise InputError("group too large to dump; reduce q")
     psi = parse_character(field, args.psi)
     ctx = WeilContext(space, psi)
     group = enumerate_sp2(space)
     out = []
     for g in group:
-        out.append({"g": [[str(x) for x in row] for row in g],
+        out.append({"g": matrix_str(g),
                     "matrix": matrix_json(sigma(ctx, g), args.approx)})
     return {"field": args.field, "count": len(out), "operators": out}
 
@@ -247,7 +261,7 @@ def cmd_heisenberg(args):
     # cap weilrep has: it admits F_11 at m = 1 and F_3 at m = 2, and refuses
     # F_13 at m = 1 and F_3 at m = 3.  q >= 3, so every m >= 4 is too large:
     # min keeps the power small
-    if field.q ** (4 * min(args.m, 4) + 1) > 200_000:
+    if field.q ** (4 * min(args.m, 4) + 1) > DUMP_CAP:
         raise InputError("group too large to dump; reduce q or m")
     psi = parse_character(field, args.psi)
     model = SchrodingerModel(space, psi)
@@ -268,8 +282,7 @@ def cmd_heisenberg(args):
 
 
 def cmd_theta(args):
-    from .theta import (DualPair, ThetaLift, char_inner, group_inverses,
-                        labelled_characters, linear_pm_characters)
+    from .theta import DualPair, ThetaLift, char_inner
     field = parse_field(args.field)
     if field.flavor != "finite":
         raise InputError("theta lifts are finite-field only")
@@ -290,16 +303,15 @@ def cmd_theta(args):
                              % (args.coeff, field.p))
         psi = AdditiveCharacter(field, FiniteField(ell, d))
     ctx = WeilContext(pair.space, psi)
-    chars = linear_pm_characters(pair.h1_list, linalg.mat_mul)
-    inv2 = group_inverses(pair.h2_list, field)
     rows = []
-    for label, chi in labelled_characters(chars):
+    for label, chi in pair.characters:
         lift = ThetaLift(pair, ctx, chi)
         row = {"pi1": label, "dim_theta": lift.dim}
         if isinstance(psi.coeff_ring, CyclotomicRing) and lift.dim:
             ch = lift.character()
             row["irreducible"] = bool(
-                char_inner(pair.h2_list, ch, ch, inv2) == psi.coeff_ring.one())
+                char_inner(pair.h2_list, ch, ch, pair.h2_inverses)
+                == psi.coeff_ring.one())
         rows.append(row)
     return rows
 

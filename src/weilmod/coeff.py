@@ -145,6 +145,23 @@ class CyclotomicRing:
                 "no root of order %d in %r" % (order, self))
         return self.zeta_pow(self.p ** (self.k - j))
 
+    def count_map(self, powers, bits):
+        """phi: sum_e c_e x^e -> sum_e c_e powers[e] in this ring, for the
+        counts c_e packed in `bits`-bit slots from slot 0 up."""
+        mask = (1 << bits) - 1
+        basis = [pw.coeffs for pw in powers]
+
+        def phi(c):
+            vec = [0] * self.phi
+            for b in basis:
+                v = c & mask
+                if v:
+                    for t, x in enumerate(b):
+                        vec[t] += v * x
+                c >>= bits
+            return Cyc(self, vec, 1)
+        return phi
+
     def coerce(self, x):
         if isinstance(x, Cyc):
             if x.ring is self:
@@ -408,8 +425,8 @@ _CONWAY = {
     (11, 1): (9, 1), (13, 1): (11, 1),
 }
 
-# one field per (class, l, d, polynomial) asked for, each holding its
-# tables (about 4q entries, q <= MAX_Q)
+# one field per (class, l, d) asked for, each holding its tables (about
+# 4q entries, q <= MAX_Q)
 _FF_CACHE = {}
 
 # The largest q built: the discrete-log tables hold about 4q entries, and
@@ -451,8 +468,8 @@ class FiniteField:
     logarithms, g^a + g^b = g^a (1 + g^(b-a)): `_zech[k]` is the log of
     g^k + 1, or -1 where g^k = -1.  q is at most MAX_Q."""
 
-    def __new__(cls, ell, d=1, irred=None):
-        key = (cls, ell, d, tuple(irred) if irred else None)
+    def __new__(cls, ell, d=1):
+        key = (cls, ell, d)
         fld = _FF_CACHE.get(key)
         if fld is not None:
             return fld
@@ -467,13 +484,7 @@ class FiniteField:
         fld.p = ell
         fld.f = d
         fld.q = ell ** d
-        if irred is not None:
-            fld.irred = tuple(irred)
-            if (len(fld.irred) != d + 1 or fld.irred[-1] % ell != 1
-                    or not _is_irreducible(fld.irred, ell)):
-                raise ValueError("supplied polynomial is not a monic "
-                                 "irreducible of degree %d" % d)
-        elif (ell, d) in _CONWAY:
+        if (ell, d) in _CONWAY:
             fld.irred = _CONWAY[(ell, d)]
         else:
             fld.irred = next(
@@ -614,6 +625,22 @@ class FiniteField:
 
     def units(self):
         return [FFElt(self, i) for i in range(1, self.q)]
+
+    def count_map(self, powers, bits):
+        """phi: sum_e c_e x^e -> sum_e c_e powers[e] in this field, for the
+        counts c_e packed in `bits`-bit slots from slot 0 up."""
+        mask = (1 << bits) - 1
+        powers = [pw.i for pw in powers]
+
+        def phi(c):
+            acc = 0
+            for pw in powers:
+                v = (c & mask) % self.p
+                if v:
+                    acc = self.add_i(acc, self.mul_i(pw, v))
+                c >>= bits
+            return FFElt(self, acc)
+        return phi
 
     def root_of_unity(self, order):
         """Smallest index of multiplicative order exactly `order`."""

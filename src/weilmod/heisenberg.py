@@ -287,9 +287,8 @@ class LagrangianModel:
                 if space.pairing(u, v) != self.field.zero():
                     raise ValueError("subspace is not isotropic")
         # transversal: standard vectors completing a_basis
-        std = [space.basis_e(i) for i in range(m)] + \
-              [space.basis_f(i) for i in range(m)]
-        comp = linalg.column_space_basis(list(self.a_basis) + std)[m:]
+        comp = linalg.column_space_basis(list(self.a_basis) +
+                                         list(space.identity()))[m:]
         self.b_basis = linalg.mat(comp)
         self.dim = self.field.q ** m
         self._full = linalg.mat(list(self.a_basis) + list(self.b_basis))

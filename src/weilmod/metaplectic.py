@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 from . import linalg
 from .basefield import points
-from .coeff import Cyc, CyclotomicRing, FFElt
 from .heisenberg import SchrodingerModel, coset_reps, delta
 from .quadratic import QuadraticForm, hilbert, square_class
 from .weilfactor import gauss_sum, omega_ratio
@@ -379,44 +378,14 @@ class WeilContext:
                                          psi).inv()
         self._mu = {}
         self._mu_ratio = {}     # {(mu1, mu2, mu12): mu1 mu2 mu12^-1}
-        self._phi = _ring_map(psi, counts.slot_bits)
+        # phi: packed counts -> R, zeta_p to psi's image psi._powers[1]
+        self._phi = psi.coeff_ring.count_map(psi._powers, counts.slot_bits)
 
     def one(self):
         return self.psi.coeff_ring.one()
 
     def zero(self):
         return self.psi.coeff_ring.zero()
-
-
-def _ring_map(psi, bits):
-    """phi: packed counts -> R, sum_e c_e x^e -> sum_e c_e root^e with
-    root = psi._powers[1], psi's image of zeta_p; one scalar of R each."""
-    mask = (1 << bits) - 1
-    ring = psi.coeff_ring
-    if isinstance(ring, CyclotomicRing):
-        basis = [pw.coeffs for pw in psi._powers]
-
-        def phi(c):
-            vec = [0] * ring.phi
-            for b in basis:
-                v = c & mask
-                if v:
-                    for t, x in enumerate(b):
-                        vec[t] += v * x
-                c >>= bits
-            return Cyc(ring, vec, 1)
-        return phi
-    powers = [pw.i for pw in psi._powers]
-
-    def phi(c):
-        acc = 0
-        for pw in powers:
-            v = (c & mask) % ring.p
-            if v:
-                acc = ring.add_i(acc, ring.mul_i(pw, v))
-            c >>= bits
-        return FFElt(ring, acc)
-    return phi
 
 
 def sigma_counts(ctx, g):
@@ -528,14 +497,12 @@ def m_bracket(ctx, g):
     field = space.field
     one_minus = linalg.mat_sub(space.identity(), g)
     ker = linalg.nullspace(one_minus, field)
-    std = [space.basis_e(i) for i in range(space.m)] + \
-          [space.basis_f(i) for i in range(space.m)]
     model = ctx.model
     half = space.half()
     n = model.dim
     zero = ctx.zero()
     rows = [[zero] * n for _ in range(n)]
-    for w in coset_reps(ker, std, field):
+    for w in coset_reps(ker, space.identity(), field):
         phase = ctx.psi(half * space.pairing(w, linalg.mat_vec(g, w)))
         mono = model.rho(delta(space, linalg.mat_vec(one_minus, w)))
         for j in range(n):
@@ -595,7 +562,8 @@ def leray_decompose(space, g1, g2):
     # L1 = g1^-1 X is spanned by the columns (D1^T; -C1^T), L2 = g2 X by
     # (A2; C2), and <g1^-1 e_i, g2 e_j> is entry ij of C12, the C block of
     # g1 g2; every subspace below is read off these blocks
-    xb = [space.basis_e(i) for i in range(m)]
+    full = space.identity()     # e_1 .. e_m, f_1 .. f_m
+    xb = full[:m]
     l1 = [r[m:] + tuple(-x for x in r[:m]) for r in g1[m:]]
     g2x = tuple(row[:m] for row in g2)
     l2 = list(linalg.transpose(g2x))
@@ -683,7 +651,6 @@ def leray_decompose(space, g1, g2):
     solve_block(p1_idx, list(l1), [], "Leray: P1 solve failed")
     solve_block(p2_idx, list(l2), [f[k] for k in p1_idx],
                 "Leray: P2 solve failed")
-    full = xb + [space.basis_f(i) for i in range(m)]
     for i in c_idx:
         solve_block([i], full, [v for v in f if v is not None],
                     "Leray: C solve failed")

@@ -13,14 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .basefield import AdditiveCharacter, QpField, residue_rep
+from .basefield import AdditiveCharacter, InputError, QpField, residue_rep
 from .coeff import CyclotomicRing
 from .weilfactor import omega1_padic, omega_ratio
-
-
-class UnsupportedInputError(ValueError):
-    """Input the one-dimensional phase-step model cannot represent or
-    refine."""
 
 
 class PhaseTerm(NamedTuple):
@@ -97,7 +92,7 @@ class PhaseStepFunction:
 
     def __add__(self, other):
         if self.p != other.p:
-            raise UnsupportedInputError("mismatched function spaces")
+            raise InputError("mismatched function spaces")
         return PhaseStepFunction(self.p, self.terms + other.terms)
 
     def __repr__(self):
@@ -121,7 +116,7 @@ class PhaseStepFunction:
         p = self.p
         a, b = Fraction(a), Fraction(b)
         if a == 0:
-            raise UnsupportedInputError("parabolic block must be invertible")
+            raise InputError("parabolic block must be invertible")
         va = QpField(p).val(a)
         out = []
         for tm in self.terms:
@@ -164,9 +159,9 @@ class PhaseStepFunction:
         for t in self.terms:
             k = depth - t.depth
             if k < 0:
-                raise UnsupportedInputError("refinement coarser than support")
+                raise InputError("refinement coarser than support")
             if p ** k * len(self.terms) > 200000:
-                raise UnsupportedInputError("refinement too large")
+                raise InputError("refinement too large")
             step = Fraction(p) ** t.depth
             for i in range(p ** k):
                 c = residue_rep(p, t.center + i * step, depth)

@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .basefield import AdditiveCharacter, points
+from .basefield import AdditiveCharacter, InputError, points
 from .coeff import CyclotomicRing, FiniteField, ReductionMap
 from .heisenberg import SympSpace, hom_space
 from .metaplectic import WeilContext, enumerate_sp2, sigma_images
@@ -18,16 +18,12 @@ GROUP_ORDER_CAP = 10 ** 4
 MODEL_DIM_CAP = 81
 
 
-class SizeCapError(ValueError):
-    pass
-
-
 def enumerate_orthogonal(q_form):
     """All h in GL(V) with h^T G h = G; brute force, dim V <= 2."""
     field = q_form.field
     n = q_form.m
     if n > 2:
-        raise SizeCapError("orthogonal enumeration capped at dim 2")
+        raise InputError("orthogonal enumeration capped at dim 2")
     gram = q_form.gram
     out = []
     # candidate columns with the first coordinate running fastest: this
@@ -48,7 +44,9 @@ class DualPair:
     k -> (k, I_k), the permutation f(y) -> f(a^T y) of the Y-points, whatever
     the coefficient ring: omega(h) e_j = e_{h1_perms[h][j]}, in the
     Schrödinger basis order (-Id_V is parity).  H2 = Sp(W') acts through
-    the split section sigma of its images h2_images."""
+    the split section sigma of its images h2_images.  `characters` holds
+    H1's +-1 characters as (label, chi) pairs in table order
+    (labelled_characters), and `h2_inverses` H2's inverse table."""
 
     def __init__(self, v_form, mprime):
         field = v_form.field
@@ -56,12 +54,12 @@ class DualPair:
             raise ValueError("the quadratic space must be nondegenerate")
         n0 = v_form.m
         if n0 * 2 * mprime > 4:
-            raise SizeCapError("full-operator scale capped at dim V * 2m' <= 4")
+            raise InputError("full-operator scale capped at dim V * 2m' <= 4")
         self.field = field
         self.n0 = n0
         self.m = n0 * mprime
         if field.q ** self.m > MODEL_DIM_CAP:
-            raise SizeCapError("model dimension exceeds cap")
+            raise InputError("model dimension exceeds cap")
         vecs, vals = v_form.diagonalize()
         self.diag_vals = vals        # a_i = Q(v_i) on the orthogonal basis
         self.space = SympSpace(field, self.m)
@@ -69,10 +67,10 @@ class DualPair:
         self._binv = linalg.mat_inv(self._b, field)
         self.h1_list = enumerate_orthogonal(v_form)
         if mprime != 1:
-            raise SizeCapError("only m' = 1 symplectic partners at this scale")
+            raise InputError("only m' = 1 symplectic partners at this scale")
         self.h2_list = enumerate_sp2(SympSpace(field, 1))
         if len(self.h1_list) * len(self.h2_list) > GROUP_ORDER_CAP:
-            raise SizeCapError("group order cap exceeded")
+            raise InputError("group order cap exceeded")
         self.h2_images = {h: self.embed_h2(h) for h in self.h2_list}
         pts = points(field, self.m)
         index = {pt: i for i, pt in enumerate(pts)}
@@ -88,6 +86,9 @@ class DualPair:
             for i, co in enumerate(pts):
                 perm[index[linalg.mat_vec(at, co)]] = i
             self.h1_perms[h1] = tuple(perm)
+        self.characters = labelled_characters(
+            linear_pm_characters(self.h1_list, linalg.mat_mul))
+        self.h2_inverses = group_inverses(self.h2_list, field)
 
     def embed_h1(self, h):
         """O(V) acting as h x Id_W': block-diagonal in the rescaled basis."""
@@ -330,12 +331,11 @@ class CentralIdempotent:
         return True
 
 
-def product_group(pair, inv2):
-    """(H1 x H2 element list, multiplication, inverses); `inv2` is the H2
-    inverse table from `group_inverses`."""
+def product_group(pair):
+    """(H1 x H2 element list, multiplication, inverses)."""
     group = [(h1, h2) for h1 in pair.h1_list for h2 in pair.h2_list]
     inv1 = group_inverses(pair.h1_list, pair.field)
-    inv = {(a, b): (inv1[a], inv2[b]) for (a, b) in group}
+    inv = {(a, b): (inv1[a], pair.h2_inverses[b]) for (a, b) in group}
 
     def mul(a, b):
         return (linalg.mat_mul(a[0], b[0]), linalg.mat_mul(a[1], b[1]))
@@ -375,12 +375,10 @@ def congruence_check(v_form, mprime, ell):
     ffl = FiniteField(ell, d)
     red = ReductionMap(ring0, ffl)
     ctxl = WeilContext(pair.space, AdditiveCharacter(field, ffl))
-    inv2 = group_inverses(h2, field)
     gens2 = _generators(h2, linalg.mat_mul)[1]
-    chars1 = linear_pm_characters(h1, linalg.mat_mul)
     report = {"lifts": []}
     trivial = None
-    for label, chi in labelled_characters(chars1):
+    for label, chi in pair.characters:
         lift0 = ThetaLift(pair, ctx0, chi)
         liftl = ThetaLift(pair, ctxl, chi)
         if lift0.dim != liftl.dim:
@@ -392,7 +390,7 @@ def congruence_check(v_form, mprime, ell):
         ch0 = lift0.character()
         chl = liftl.character()
         # idempotent congruence on H1 x H2 (via the H1 character x theta)
-        irr0 = char_inner(h2, ch0, ch0, inv2)
+        irr0 = char_inner(h2, ch0, ch0, pair.h2_inverses)
         irr_one = (irr0 == ring0.one())
         # char-l irreducibility: T commutes with every act(g) exactly when
         # it commutes with act(s) for each generator s
@@ -413,7 +411,7 @@ def congruence_check(v_form, mprime, ell):
     # idempotent reduction e_Pi -> e_pi for Pi = chi x Theta(chi) on H1 x H2
     # (l does not divide |H1 x H2|: the non-banal case was refused above)
     chi, dim0, ch0, chl = trivial
-    group, mul, inv = product_group(pair, inv2)
+    group, mul, inv = product_group(pair)
     char_prod0 = {(a, b): ch0[b] * chi[a] for (a, b) in group}
     e0 = CentralIdempotent(group, mul, inv, char_prod0, dim0, ring0)
     char_prodl = {(a, b): chl[b] * chi[a] for (a, b) in group}

@@ -23,8 +23,8 @@ from .quadratic import QuadraticForm, hilbert, square_class
 
 # one sum per (field, a, twist, coefficient ring): at most q (q - 1) per
 # field and ring.  The key holds the field and ring objects themselves:
-# two coefficient fields F_{l^d} built apart (with another polynomial, or
-# the same one) print alike but are different rings.
+# two coefficient fields of one size, a FiniteField and an FqField, print
+# alike but are different rings.
 _GAUSS_CACHE = {}
 
 

@@ -463,6 +463,14 @@ RAO_G = ["--g1=-1,0,2,-1", "--g2=4,-1/2,2,0"]
     (["cocycle", "--field", "fq:3:1", "--m", "1", "--path", "operator",
       "--exhaustive", "--g2=1,0,0,1"],
      "error: --exhaustive runs over all pairs: drop --g1 and --g2\n"),
+    (["cocycle", "--field", "fq:3:1", "--m", "1", "--path", "formula",
+      "--exhaustive", "--psi", "psi:twist:2"],
+     "error: --psi applies to --path operator only, got --psi "
+     "psi:twist:2\n"),
+    (["cocycle", "--field", "fq:3:1", "--m", "1", "--path", "formula",
+      "--g1", "1,0,0,1", "--g2", "1,0,0,1", "--psi", "psi:twist:2"],
+     "error: --psi applies to --path operator only, got --psi "
+     "psi:twist:2\n"),
 ])
 def test_cocycle_option_out_of_scope_refused(args, message, monkeypatch,
                                              capsys):
@@ -476,6 +484,20 @@ def test_cocycle_option_out_of_scope_refused(args, message, monkeypatch,
     assert cli.main(args) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == message
+
+
+@pytest.mark.parametrize("path, psi", [
+    ("formula", "psi:twist:1"), ("formula", "psi:twist:4"),
+    ("operator", "psi:twist:2")])
+def test_finite_cocycle_psi_accepted(path, psi, capsys):
+    # the operator path reads a twist; the formula path takes twist 1 (4 = 1
+    # in F_3), though over F_q the twist is an element, never the int 1
+    base = ["cocycle", "--field", "fq:3:1", "--m", "1", "--path", path,
+            "--g1", "1,0,0,1", "--g2", "0,-1,1,0"]
+    assert cli.main(base) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(base + ["--psi", psi]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_rao_changes_the_padic_formula_answer(capsys):

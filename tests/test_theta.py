@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 
 from weilmod import linalg, metaplectic, theta
-from weilmod.basefield import AdditiveCharacter, FqField
+from weilmod.basefield import AdditiveCharacter, FqField, InputError
 from weilmod.coeff import CyclotomicRing, FiniteField
 from weilmod.heisenberg import Monomial, SympSpace, hom_space
 from weilmod.metaplectic import WeilContext
 from weilmod.quadratic import QuadraticForm
-from weilmod.theta import (CentralIdempotent, DualPair, SizeCapError,
-                           ThetaLift, _generators, char_inner,
-                           congruence_check, enumerate_orthogonal,
-                           group_inverses, linear_pm_characters,
+from weilmod.theta import (CentralIdempotent, DualPair, ThetaLift,
+                           _generators, char_inner, congruence_check,
+                           enumerate_orthogonal, group_inverses,
+                           labelled_characters, linear_pm_characters,
                            product_group)
 
 
@@ -55,7 +55,7 @@ def test_dual_pair_commutes_and_caps():
             assert linalg.mat_mul(e1, e2) == linalg.mat_mul(e2, e1)
     with pytest.raises(ValueError):
         DualPair(QuadraticForm(f3, [[1, 0], [0, 0]]), 1)
-    with pytest.raises(SizeCapError):
+    with pytest.raises(InputError):
         DualPair(QuadraticForm(f3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 1)
 
 
@@ -414,10 +414,25 @@ def test_group_inverse_tables(diag):
         inv = group_inverses(lst, f3)
         ident = linalg.identity(f3, len(lst[0]))
         assert all(linalg.mat_mul(g, inv[g]) == ident for g in lst)
-    group, mul, inv = product_group(pair, group_inverses(pair.h2_list, f3))
+    group, mul, inv = product_group(pair)
     ident = (linalg.identity(f3, n), linalg.identity(f3, 2))
     assert len(inv) == len(group)
     assert all(mul(g, inv[g]) == ident for g in group)
+
+
+@pytest.mark.parametrize("diag", [[1], [1, 1], [1, 2]])
+def test_pair_character_table_follows_the_reference(diag):
+    # the pair's labelled characters and H2 inverse table equal the
+    # expressions the CLI, congruence_check and selfcheck each spelled out
+    f3 = FqField(3)
+    n = len(diag)
+    gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    pair = DualPair(QuadraticForm(f3, gram), 1)
+    ref = labelled_characters(linear_pm_characters(pair.h1_list,
+                                                   linalg.mat_mul))
+    assert pair.characters == ref
+    assert [label for label, _ in ref][0] == "trivial"
+    assert pair.h2_inverses == group_inverses(pair.h2_list, f3)
 
 
 def test_non_banal_refused():

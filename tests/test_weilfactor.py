@@ -399,12 +399,13 @@ def test_omega_digest():
 
 
 def test_gauss_sum_cache_tells_coefficient_fields_apart():
-    # F_4 from two polynomials: the same descriptor, different fields
+    # F_7 as a FiniteField and as an FqField: the same descriptor,
+    # different fields, both holding zeta_3
     f3 = FqField(3)
-    f4 = FiniteField(2, 2)
-    f4b = FiniteField(2, 2, irred=(1, 1, 1))
-    assert f4b is not f4
-    for ring in (f4, f4b):
+    f7 = FiniteField(7)
+    f7b = FqField(7)
+    assert f7b is not f7 and repr(f7) == repr(f7b) == "F_7"
+    for ring in (f7, f7b):
         g = gauss_sum(f3, 1, AdditiveCharacter(f3, ring))
         assert g.field is ring
         assert g == sum((AdditiveCharacter(f3, ring)(x * x)
