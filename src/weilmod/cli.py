@@ -157,6 +157,8 @@ def cmd_bruhat(args):
     field = parse_field(args.field)
     space = parse_space(field, args.m)
     g = parse_matrix(field, args.g, 2 * args.m)
+    if not space.is_symplectic(g):
+        raise InputError("matrix is not symplectic")
     bd = bruhat_decompose(space, g)
     return {"j": bd.j,
             "p1": matrix_str(bd.p1),

@@ -14,6 +14,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+from .linalg import Ops
+
 
 class RingMismatchError(TypeError):
     """Operands live in different coefficient rings."""
@@ -58,7 +60,7 @@ def _prime_factors(n):
 _CYC_CACHE = {}
 
 
-class CyclotomicRing:
+class CyclotomicRing(Ops):
     """Z[zeta_{p^k}] and its fraction field, p an odd prime, k >= 1."""
 
     def __new__(cls, p, k=1):
@@ -458,7 +460,7 @@ def _is_irreducible(poly, ell):
     return True
 
 
-class FiniteField:
+class FiniteField(Ops):
     """F_{l^d} = F_l[x]/(irred).  An element is encoded as the base-l digit
     integer i = c_0 + c_1 l + ... + c_{d-1} l^{d-1} of its coefficients over
     1, x, ..., x^{d-1}, so 0 <= i < q = l^d.  Products, inverses and powers

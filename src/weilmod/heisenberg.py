@@ -12,7 +12,10 @@ from .coeff import RingMismatchError
 
 class SympSpace:
     """W = X + Y with bases e_1..e_m of X, f_1..f_m of Y, <e_i, f_j> = d_ij.
-    Vectors are coordinate tuples (x-part then y-part)."""
+    Vectors are coordinate tuples (x-part then y-part).  The arithmetic
+    comes from `field`: a base field with FFElt or Fraction scalars, or an
+    F_q field's index view (basefield.FqIndices), whose scalars are raw
+    field indices."""
 
     def __init__(self, field, m):
         self.field = field
@@ -33,31 +36,24 @@ class SympSpace:
         v[self.m + i] = self.field.one()
         return tuple(v)
 
-    def pairing(self, u, v):
-        """<u, v> = sum_i u_i v_{m+i} - u_{m+i} v_i, skipping the terms with
-        a zero factor (`not x` is the zero test)."""
+    def _j(self, v):
+        """J v = (v_Y, -v_X), so that <u, v> = u . J v."""
         m = self.m
-        acc = self.field.zero()
-        for i in range(m):
-            a, b = u[i], u[m + i]
-            if a:
-                y = v[m + i]
-                if y:
-                    acc = acc + a * y
-            if b:
-                x = v[i]
-                if x:
-                    acc = acc - b * x
-        return acc
+        return tuple(v[m:]) + self.field.neg(v[:m])
+
+    def pairing(self, u, v):
+        """<u, v> = sum_i u_i v_{m+i} - u_{m+i} v_i: one dot product."""
+        return self.field.dot(u, self._j(v))
 
     def is_symplectic(self, g):
-        m = self.m
+        m, dot = self.m, self.field.dot
         zero, one = self.field.zero(), self.field.one()
         cols = linalg.transpose(g)
+        jcols = [self._j(c) for c in cols]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 want = one if j == i + m and i < m else zero
-                if self.pairing(cols[i], cols[j]) != want:
+                if dot(cols[i], jcols[j]) != want:
                     return False
         return True
 
@@ -65,61 +61,52 @@ class SympSpace:
         """g^-1 = J^-1 g^T J = [[D^T, -B^T], [-C^T, A^T]] for
         g = [[A, B], [C, D]].  Only right for symplectic g: the caller
         must know g is symplectic (a general matrix needs linalg.mat_inv)."""
-        m, n = self.m, self.dim
-        sw = [(k + m) % n for k in range(n)]
-        return tuple(tuple(g[sw[j]][sw[i]] if (i < m) == (j < m)
-                           else -g[sw[j]][sw[i]] for j in range(n))
-                     for i in range(n))
+        m, neg = self.m, self.field.neg
+        cols = linalg.transpose(g)
+        return tuple([cols[m + i][m:] + neg(cols[m + i][:m])
+                      for i in range(m)] +
+                     [neg(cols[i][m:]) + cols[i][:m] for i in range(m)])
 
     def identity(self):
         return linalg.identity(self.field, self.dim)
 
     def w_subset(self, subset):
         """w_S: e_i -> f_i, f_i -> -e_i for i in S; identity elsewhere."""
-        m = self.m
-        z, o = self.field.zero(), self.field.one()
-        cols = []
-        for i in range(m):
-            v = [z] * self.dim
-            if i in subset:
-                v[m + i] = o
-            else:
-                v[i] = o
-            cols.append(v)
-        for i in range(m):
-            v = [z] * self.dim
-            if i in subset:
-                v[i] = -o
-            else:
-                v[m + i] = o
-            cols.append(v)
-        return linalg.transpose(linalg.mat(cols))
+        return self.mul_w(self.identity(), subset)
 
     # w_S is a signed permutation, so products by it only move entries:
     # w_S e_i = f_i, w_S f_i = -e_i and w_S^-1 = w_S^T for i in S
 
     def mul_w(self, g, subset):
         """g w_S: columns i and m+i become g f_i and -g e_i for i in S."""
-        m = self.m
-        return tuple(tuple(r[m + k] if k in subset else r[k]
-                           for k in range(m)) +
-                     tuple(-r[k] if k in subset else r[m + k]
-                           for k in range(m)) for r in g)
+        m, neg = self.m, self.field.neg
+        out = []
+        for r in g:
+            nx = neg(r[:m])
+            out.append(tuple(r[m + k] if k in subset else r[k]
+                             for k in range(m)) +
+                       tuple(nx[k] if k in subset else r[m + k]
+                             for k in range(m)))
+        return tuple(out)
 
     def mul_w_inv(self, g, subset):
         """g w_S^-1: columns i and m+i become -g f_i and g e_i for i in S."""
-        m = self.m
-        return tuple(tuple(-r[m + k] if k in subset else r[k]
-                           for k in range(m)) +
-                     tuple(r[k] if k in subset else r[m + k]
-                           for k in range(m)) for r in g)
+        m, neg = self.m, self.field.neg
+        out = []
+        for r in g:
+            ny = neg(r[m:])
+            out.append(tuple(ny[k] if k in subset else r[k]
+                             for k in range(m)) +
+                       tuple(r[k] if k in subset else r[m + k]
+                             for k in range(m)))
+        return tuple(out)
 
     def w_inv_mul(self, subset, g):
         """w_S^-1 g: rows i and m+i become row m+i and minus row i of g
         for i in S."""
         m = self.m
         top = [g[m + k] if k in subset else g[k] for k in range(m)]
-        bottom = [tuple(-x for x in g[k]) if k in subset else g[m + k]
+        bottom = [self.field.neg(g[k]) if k in subset else g[m + k]
                   for k in range(m)]
         return tuple(top + bottom)
 
@@ -151,20 +138,18 @@ class SympSpace:
 
     def blocks(self, g):
         m = self.m
-        a = tuple(tuple(g[i][j] for j in range(m)) for i in range(m))
-        b = tuple(tuple(g[i][j] for j in range(m, 2 * m)) for i in range(m))
-        c = tuple(tuple(g[i][j] for j in range(m)) for i in range(m, 2 * m))
-        d = tuple(tuple(g[i][j] for j in range(m, 2 * m))
-                  for i in range(m, 2 * m))
-        return a, b, c, d
+        top, bottom = g[:m], g[m:]
+        return (tuple(tuple(r[:m]) for r in top),
+                tuple(tuple(r[m:]) for r in top),
+                tuple(tuple(r[:m]) for r in bottom),
+                tuple(tuple(r[m:]) for r in bottom))
 
     def in_parabolic(self, g):
         """The C block of g is zero."""
         return not any(x for row in g[self.m:] for x in row[:self.m])
 
     def det_x(self, p):
-        a, _, _, _ = self.blocks(p)
-        return linalg.det(a)
+        return linalg.det([r[:self.m] for r in p[:self.m]], self.field)
 
     def half(self):
         return self.field.one() / 2
@@ -339,7 +324,7 @@ class LagrangianModel:
             # (rho(h) f)~(b) = psi(t0 + c.lam) f~(b + b_w): column j feeds
             # row i
             perm[j] = i
-            phases[j] = self.psi(t0 + linalg._dot(c, lam))
+            phases[j] = self.psi(t0 + sp.field.dot(c, lam))
         return Monomial(perm, phases)
 
 

@@ -1,19 +1,64 @@
-"""Small exact linear algebra over any scalars with field operator overloads
-(Fraction, FFElt, Cyc).  Matrices are tuples of tuples; vectors are tuples.
+"""Small exact linear algebra.  Matrices are tuples of tuples; vectors are
+tuples.
 
-A routine that has to create zeros or ones takes the field or ring itself as
-`fld` (FqField, QpField, FiniteField, CyclotomicRing all expose zero() and
-one()); everything else reads its scalars off the entries.
+Every routine takes its arithmetic from `fld`: zero() and one() where it
+creates zeros or ones, and otherwise a dot product, the whole-row
+operations and the reciprocal of `Ops`.  `Ops` reads them off the scalars'
+own operators (Fraction, FFElt, Cyc) and is the default; QpField,
+FiniteField (FqField among them) and CyclotomicRing extend it with their
+zero() and one().  An F_q field's index view (basefield.FqIndices)
+supplies the same arithmetic on raw field indices, one row or one dot
+product per call.
 
 Zero contract: every scalar is falsy exactly when it is zero (int, Fraction,
-FFElt, Cyc), so `not x` is the zero test.  Dot products skip zero terms after
-the first, and a row operation leaves an entry alone where the pivot row is
-zero; neither changes a value.
+FFElt, Cyc, a raw field index), so `not x` is the zero test.  Dot products
+skip zero terms after the first, and a row operation leaves an entry alone
+where the pivot row is zero; neither changes a value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+class Ops:
+    """The arithmetic of scalars with field operator overloads.  Row
+    operations return lists (rref's working rows), neg a tuple."""
+
+    @staticmethod
+    def dot(u, v):
+        it = iter(zip(u, v))
+        x, y = next(it)
+        acc = x * y
+        for x, y in it:
+            if x and y:
+                acc = acc + x * y
+        return acc
+
+    @staticmethod
+    def mul(x, y):
+        return x * y
+
+    @staticmethod
+    def recip(x):
+        """1/x, exact also for plain ints (which have no inv())."""
+        return x.inv() if hasattr(x, "inv") else Fraction(1) / x
+
+    @staticmethod
+    def eliminate(row, f, pivot_row):
+        """row - f pivot_row, leaving row alone where pivot_row is zero."""
+        return [x - f * y if y else x for x, y in zip(row, pivot_row)]
+
+    @staticmethod
+    def scale(row, c):
+        return [v * c for v in row]
+
+    @staticmethod
+    def neg(row):
+        return tuple(-x for x in row)
+
+
+OPS = Ops()
 
 
 def mat(rows):
@@ -30,26 +75,15 @@ def zeros(fld, n, m):
     return tuple(tuple(z for _ in range(m)) for _ in range(n))
 
 
-def mat_mul(a, b):
+def mat_mul(a, b, fld=OPS):
+    dot = fld.dot
     bt = tuple(zip(*b))
-    out = []
-    for row in a:
-        out.append(tuple(_dot(row, col) for col in bt))
-    return tuple(out)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def _dot(u, v):
-    it = iter(zip(u, v))
-    x, y = next(it)
-    acc = x * y
-    for x, y in it:
-        if x and y:
-            acc = acc + x * y
-    return acc
-
-
-def mat_vec(a, v):
-    return tuple(_dot(row, v) for row in a)
+def mat_vec(a, v, fld=OPS):
+    dot = fld.dot
+    return tuple(dot(row, v) for row in a)
 
 
 def mat_add(a, b):
@@ -68,21 +102,12 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def _recip(x):
-    """1/x, exact also for plain ints (which have no inv())."""
-    return x.inv() if hasattr(x, "inv") else Fraction(1) / x
-
-
-def _eliminate(row, f, pivot_row):
-    """row - f pivot_row, leaving row alone where pivot_row is zero."""
-    return [x - f * y if y else x for x, y in zip(row, pivot_row)]
-
-
-def rref(a):
+def rref(a, fld=OPS):
     """Reduced row echelon form; returns (rref rows as lists, pivot cols)."""
     rows = [list(r) for r in a]
     if not rows:
         return rows, []
+    eliminate = fld.eliminate
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -95,11 +120,10 @@ def rref(a):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = _recip(rows[r][c])
-        rows[r] = [v * inv for v in rows[r]]
+        rows[r] = fld.scale(rows[r], fld.recip(rows[r][c]))
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                rows[i] = _eliminate(rows[i], rows[i][c], rows[r])
+                rows[i] = eliminate(rows[i], rows[i][c], rows[r])
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -111,7 +135,7 @@ def nullspace(a, fld):
     """Basis (tuple of vectors) of the right kernel of a."""
     if not a:
         return ()
-    rows, pivots = rref(a)
+    rows, pivots = rref(a, fld)
     ncols = len(a[0])
     free = [c for c in range(ncols) if c not in pivots]
     z, o = fld.zero(), fld.one()
@@ -119,8 +143,8 @@ def nullspace(a, fld):
     for fc in free:
         v = [z] * ncols
         v[fc] = o
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for pc, x in zip(pivots, fld.neg([row[fc] for row in rows])):
+            v[pc] = x
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -137,7 +161,7 @@ def solve_columns(a, rhs_columns, fld):
     if any rhs has no solution."""
     ncols = len(a[0]) if a else 0
     rows, pivots = rref([list(r) + [rhs[i] for rhs in rhs_columns]
-                         for i, r in enumerate(a)])
+                         for i, r in enumerate(a)], fld)
     if any(pc >= ncols for pc in pivots):
         return None
     z = fld.zero()
@@ -150,10 +174,11 @@ def solve_columns(a, rhs_columns, fld):
     return out
 
 
-def det(a):
+def det(a, fld=OPS):
+    """The determinant by elimination; a row swap negates the row moved
+    down, which keeps the determinant."""
     n = len(a)
     rows = [list(r) for r in a]
-    sign_flip = False
     acc = None
     for c in range(n):
         piv = None
@@ -164,21 +189,21 @@ def det(a):
         if piv is None:
             return rows[0][0] - rows[0][0]
         if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign_flip = not sign_flip
+            rows[c], rows[piv] = rows[piv], fld.neg(rows[c])
         pv = rows[c][c]
-        acc = pv if acc is None else acc * pv
-        inv = _recip(pv)
+        acc = pv if acc is None else fld.mul(acc, pv)
+        inv = fld.recip(pv)
         for i in range(c + 1, n):
             if rows[i][c]:
-                rows[i] = _eliminate(rows[i], rows[i][c] * inv, rows[c])
-    return -acc if sign_flip else acc
+                rows[i] = fld.eliminate(rows[i], fld.mul(rows[i][c], inv),
+                                        rows[c])
+    return acc
 
 
 def mat_inv(a, fld):
     n = len(a)
     aug = [list(r) + list(e) for r, e in zip(a, identity(fld, n))]
-    rows, pivots = rref(aug)
+    rows, pivots = rref(aug, fld)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix not invertible")
     return tuple(tuple(rows[i][n:]) for i in range(n))

@@ -145,7 +145,7 @@ class QuadraticForm:
 
     def evaluate(self, x):
         x = tuple(self.field.element(v) for v in x)
-        return linalg._dot(x, linalg.mat_vec(self.gram, x))
+        return self.field.dot(x, linalg.mat_vec(self.gram, x))
 
     def radical(self):
         """Basis of rad(Q) = ker(G)."""
@@ -179,10 +179,10 @@ class QuadraticForm:
             n = len(remaining)
 
             def qval(v):
-                return linalg._dot(v, linalg.mat_vec(gc, v))
+                return self.field.dot(v, linalg.mat_vec(gc, v))
 
             def bval(u, v):
-                return linalg._dot(u, linalg.mat_vec(gc, v))
+                return self.field.dot(u, linalg.mat_vec(gc, v))
 
             piv = None
             for i in range(n):
@@ -206,7 +206,7 @@ class QuadraticForm:
             a = qval(piv)
             out_vecs.append(piv)
             out_vals.append(a)
-            inv_a = linalg._recip(a)
+            inv_a = self.field.recip(a)
             new_rem = []
             for v in remaining:
                 c = bval(piv, v) * inv_a

@@ -224,7 +224,7 @@ def fourier_matrix(field, psi, rho_gram):
     rows = []
     for x in pts:
         rx = linalg.mat_vec(gram, x)
-        rows.append(tuple(om_inv * psi(linalg._dot(rx, u)) for u in pts))
+        rows.append(tuple(om_inv * psi(field.dot(rx, u)) for u in pts))
     return linalg.mat(rows)
 
 

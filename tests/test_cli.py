@@ -381,9 +381,9 @@ def test_exhaustive_operator_witness_matches_split_checks(monkeypatch,
     t = group[5]
     real = metaplectic.sigma_counts
 
-    def negated(ctx, g):
+    def negated(ctx, g):    # g on raw field indices
         mu, counts = real(ctx, g)
-        return (-mu, counts) if g == t else (mu, counts)
+        return (-mu, counts) if g == f3.indices.lower(t) else (mu, counts)
     monkeypatch.setattr(metaplectic, "sigma_counts", negated)
     pairs = [(g1, g2) for g1 in group for g2 in group]
     first = next(k for k, (g1, g2) in enumerate(pairs)

@@ -1,7 +1,12 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from weilmod import linalg
 from weilmod.basefield import FqField, QpField
+from weilmod.heisenberg import SympSpace
+from weilmod.metaplectic import random_symplectic
 
 
 def test_mat_inv_integer_entries_stays_exact():
@@ -37,3 +42,64 @@ def test_combine_and_intersection():
     assert v[2] == 0 and v != zero
     assert linalg.intersection(plane, (), q5) == ()
     assert len(linalg.intersection(plane, (e2, e1), q5)) == 2
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3),
+                                 (7, 2)], ids=lambda x: str(x))
+def test_index_view_matches_ffelt_operators(p, f):
+    # F_q's index view (raw indices, % p or log/Zech tables) against the
+    # FFElt operators on seeded rows and matrices: each scalar and row
+    # operation, rref, nullspace, det, mat_mul, mat_inv and the symplectic
+    # inverse, read back through lower
+    field = FqField(p, f)
+    ix = field.indices
+    rng = random.Random(100 * p + f)
+
+    def row(n):
+        return tuple(rng.randrange(field.q) if rng.random() < 0.8 else 0
+                     for _ in range(n))
+
+    def low(v):
+        return tuple(x.i for x in v)
+
+    def lift(v):
+        return tuple(map(field.element, v))
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        u, v, c = row(n), row(n), rng.randrange(field.q)
+        uu, vv, cc = lift(u), lift(v), field.element(c)
+        assert ix.dot(u, v) == field.dot(uu, vv).i
+        assert ix.add(u, v) == low(x + y for x, y in zip(uu, vv))
+        assert ix.neg(u) == low(field.neg(uu))
+        assert ix.eliminate(u, c, v) == list(low(field.eliminate(uu, cc, vv)))
+        assert ix.scale(u, c) == list(low(field.scale(uu, cc)))
+        assert ix.mul(u[0], c) == field.mul(uu[0], cc).i
+        if c:
+            assert ix.recip(c) == field.recip(cc).i
+    for _ in range(80):
+        r, k = rng.randrange(1, 5), rng.randrange(1, 5)
+        a = tuple(row(k) for _ in range(r))
+        b = tuple(row(rng.randrange(1, 5)) for _ in range(k))
+        aa, bb = ix.lift(a), ix.lift(b)
+        rows, piv = linalg.rref(a, ix)
+        want_rows, want_piv = linalg.rref(aa, field)
+        assert piv == want_piv
+        assert [tuple(x) for x in rows] == [low(x) for x in want_rows]
+        assert linalg.nullspace(a, ix) == tuple(
+            low(x) for x in linalg.nullspace(aa, field))
+        assert linalg.mat_mul(a, b, ix) == ix.lower(linalg.mat_mul(aa, bb))
+        x = row(k)
+        assert linalg.mat_vec(a, x, ix) == low(linalg.mat_vec(aa, lift(x)))
+        sq = tuple(row(r) for _ in range(r))
+        d = linalg.det(ix.lift(sq))
+        assert linalg.det(sq, ix) == d.i
+        if d:
+            assert linalg.mat_inv(sq, ix) == ix.lower(
+                linalg.mat_inv(ix.lift(sq), field))
+    for m in (1, 2):
+        sp, spi = SympSpace(field, m), SympSpace(ix, m)
+        for _ in range(10):
+            g = random_symplectic(sp, rng)
+            assert spi.is_symplectic(ix.lower(g))
+            assert spi.inv(ix.lower(g)) == ix.lower(linalg.mat_inv(g, field))
+            assert spi.det_x(ix.lower(g)) == sp.det_x(g).i

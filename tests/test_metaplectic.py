@@ -9,7 +9,7 @@ import pytest
 
 from weilmod import linalg, metaplectic
 from weilmod.basefield import AdditiveCharacter, FqField, QpField
-from weilmod.coeff import CyclotomicRing, FiniteField
+from weilmod.coeff import CyclotomicRing, FFElt, FiniteField
 from weilmod.heisenberg import (SympSpace, central, coset_reps, delta,
                                 SchrodingerModel)
 from weilmod.metaplectic import (WeilContext, bruhat_decompose,
@@ -34,6 +34,11 @@ def qmat(rows):
 
 def fmat(field, rows):
     return linalg.mat([[field.element(x) for x in r] for r in rows])
+
+
+def lower(g):
+    """An F_q matrix on raw field indices, as the sigma cache keys it."""
+    return g[0][0].field.indices.lower(g)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +193,7 @@ def test_bruhat_matches_reference():
         sp = SympSpace(FqField(q, f), 1)
         cases += [(sp, g) for g in enumerate_sp2(sp)]
     for field, m, count in ((FqField(3), 2, 1000), (QpField(5), 2, 500),
+                            (FqField(3, 2), 2, 150), (FqField(5, 2), 2, 150),
                             (FqField(3), 3, 200)):
         sp = SympSpace(field, m)
         cases += [(sp, random_symplectic(sp, rng, length=8, scale=3))
@@ -205,6 +211,16 @@ def test_bruhat_matches_reference():
         assert tuple(got) == bruhat_reference(sp, g), (sp.field, g)
         js.add((sp.m, got.j))
     assert js == {(m, j) for m in (1, 2, 3) for j in range(m + 1)}
+
+
+def test_bruhat_refuses_non_symplectic_as_a_check():
+    # the guard now meets only products the library formed, such as
+    # g1 g2: a failed check (RuntimeError naming g), not a bad input
+    for field in (FqField(3), FqField(3, 2), QpField(5)):
+        sp = SympSpace(field, 1)
+        bad = fmat(field, [[1, 1], [1, 1]])
+        with pytest.raises(RuntimeError, match="is not symplectic"):
+            bruhat_decompose(sp, bad)
 
 
 def test_bruhat_makes_no_solve_or_intersection(monkeypatch):
@@ -312,9 +328,9 @@ def test_split_checks_reports_the_first_failing_pair(monkeypatch):
                                              "pairs": 1}
     real = metaplectic.sigma_counts
 
-    def negated(c, g):
+    def negated(c, g):      # g on raw field indices
         mu, counts = real(c, g)
-        return (-mu, counts) if g == g12 else (mu, counts)
+        return (-mu, counts) if g == lower(g12) else (mu, counts)
     monkeypatch.setattr(metaplectic, "sigma_counts", negated)
     assert split_checks(ctx, [(g1, g2), (g2, g1)]) == {
         "multiplicative": False, "pairs": 0}
@@ -497,7 +513,7 @@ def test_cocycle_operator_checks_every_entry(coeff):
         [[f3.element(1), f3.element(0)], [f3.element(0), f3.element(2)]])
     g12 = linalg.mat_mul(g1, g2)
     assert cocycle_operator(ctx, g1, g2) == ctx.one()
-    mu, packed = ctx._sigma_cache[g12]
+    mu, packed = ctx._sigma_cache[lower(g12)]
     counts = [ctx.counts.unpack(row) for row in packed]
     dense = sigma(ctx, g12)
     first = next((i, j) for i, row in enumerate(dense)
@@ -507,7 +523,7 @@ def test_cocycle_operator_checks_every_entry(coeff):
     assert last != first
     bad = [list(row) for row in counts]
     bad[last[0]][last[1]] += 1      # one more zeta^0 term
-    ctx._sigma_cache[g12] = (mu, tuple(map(ctx.counts.pack, bad)))
+    ctx._sigma_cache[lower(g12)] = (mu, tuple(map(ctx.counts.pack, bad)))
     with pytest.raises(RuntimeError, match="cocycle operator is not scalar"):
         cocycle_operator(ctx, g1, g2)
 
@@ -524,9 +540,9 @@ def test_sigma_cache_is_bounded(monkeypatch):
     for g in group[1:]:
         sigma(ctx, g)
         assert len(ctx._sigma_cache) <= 10
-    assert group[0] not in ctx._sigma_cache
+    assert lower(group[0]) not in ctx._sigma_cache
     assert sigma(ctx, group[0]) == first
-    assert list(ctx._sigma_cache)[-1] == group[0]
+    assert list(ctx._sigma_cache)[-1] == lower(group[0])
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +585,10 @@ def test_cocycle_operator_matches_dense_ratio():
     for space, ctxs, pairs in _check_cases():
         for ctx in ctxs:
             for g1, g2 in pairs:
-                mu1, n1 = metaplectic.sigma_counts(ctx, g1)
-                mu2, n2 = metaplectic.sigma_counts(ctx, g2)
+                mu1, n1 = metaplectic.sigma_counts(ctx, lower(g1))
+                mu2, n2 = metaplectic.sigma_counts(ctx, lower(g2))
                 mu12, n12 = metaplectic.sigma_counts(
-                    ctx, linalg.mat_mul(g1, g2))
+                    ctx, lower(linalg.mat_mul(g1, g2)))
                 dense = [_ring_matrix(ctx, n) for n in (n1, n2, n12)]
                 c = scalar_ratio(linalg.mat_mul(dense[0], dense[1]),
                                  dense[2], ctx.zero())
@@ -643,7 +659,7 @@ def test_packed_check_matches_reference():
         for ctx in ctxs:
             model = ctx.counts
             for g1, g2 in pairs:
-                sig = [metaplectic.sigma_counts(ctx, g)
+                sig = [metaplectic.sigma_counts(ctx, lower(g))
                        for g in (g1, g2, linalg.mat_mul(g1, g2))]
                 (mu1, n1), (mu2, n2), (mu12, n12) = sig
                 want = reference_check(model, *(_unpacked(model, n)
@@ -673,10 +689,12 @@ def test_cocycle_check_refuses_each_corrupted_entry_of_n2():
             g12 = linalg.mat_mul(g1, g2)
             if len({g1, g2, g12}) < 3:
                 continue
-            key, packed = model.entry(space, g2)
+            key, packed = model.entry(lower(g2))
             counts = [model.unpack(row) for row in packed]
-            n1 = _unpacked(model, metaplectic.sigma_counts(ctxs[0], g1)[1])
-            n12 = _unpacked(model, metaplectic.sigma_counts(ctxs[0], g12)[1])
+            n1 = _unpacked(model,
+                           metaplectic.sigma_counts(ctxs[0], lower(g1))[1])
+            n12 = _unpacked(model,
+                            metaplectic.sigma_counts(ctxs[0], lower(g12))[1])
             n = len(counts)
             for e in range(n * n):
                 if not counts[e // n][e % n]:
@@ -685,7 +703,7 @@ def test_cocycle_check_refuses_each_corrupted_entry_of_n2():
                 bad[e // n][e % n] += 1 << (w * rng.randrange(p))
                 with pytest.raises(RuntimeError) as ref:
                     reference_check(model, n1, bad, n12, g1, g2)
-                model.cache[g2] = (key, tuple(map(model.pack, bad)))
+                model.cache[lower(g2)] = (key, tuple(map(model.pack, bad)))
                 for ctx in ctxs:
                     with pytest.raises(RuntimeError) as err:
                         cocycle_operator(ctx, g1, g2)
@@ -693,7 +711,7 @@ def test_cocycle_check_refuses_each_corrupted_entry_of_n2():
                         "cocycle operator is not scalar: g1 = %s, g2 = %s, "
                         % (g1, g2))
                     assert str(err.value) == str(ref.value)
-            model.cache[g2] = (key, packed)
+            model.cache[lower(g2)] = (key, packed)
             for ctx in ctxs:
                 assert cocycle_operator(ctx, g1, g2) == ctx.one()
             done += 1
@@ -715,10 +733,10 @@ def test_cocycle_check_refuses_each_corrupted_entry():
             g12 = linalg.mat_mul(g1, g2)
             if len({g1, g2, g12}) < 3:
                 continue
-            key, packed = model.entry(space, g12)
+            key, packed = model.entry(lower(g12))
             counts = [model.unpack(row) for row in packed]
-            metaplectic.sigma_counts(ctxs[0], g1)
-            metaplectic.sigma_counts(ctxs[0], g2)
+            metaplectic.sigma_counts(ctxs[0], lower(g1))
+            metaplectic.sigma_counts(ctxs[0], lower(g2))
             n = len(counts)
             flat = [x for row in counts for x in row]
             e0 = next(e for e, x in enumerate(flat)
@@ -728,7 +746,8 @@ def test_cocycle_check_refuses_each_corrupted_entry():
                     continue
                 bad = [list(row) for row in counts]
                 bad[e // n][e % n] += 1 << (w * rng.randrange(p))
-                model.cache[g12] = (key, tuple(map(model.pack, bad)))
+                model.cache[lower(g12)] = (key,
+                                           tuple(map(model.pack, bad)))
                 for ctx in ctxs:
                     with pytest.raises(RuntimeError) as err:
                         cocycle_operator(ctx, g1, g2)
@@ -739,13 +758,71 @@ def test_cocycle_check_refuses_each_corrupted_entry():
                     if e > e0:
                         assert msg.endswith("entry (%d, %d)"
                                             % (e // n, e % n))
-            model.cache[g12] = (key, packed)
+            model.cache[lower(g12)] = (key, packed)
             for ctx in ctxs:
                 assert cocycle_operator(ctx, g1, g2) == ctx.one()
             done += 1
             if done == 6:
                 break
         assert done == 6
+
+
+def test_fresh_cocycles_make_no_ffelt(monkeypatch):
+    # past one operation per (j, x(g) class) key, a fresh Sp4(F_3) pair
+    # runs on raw field indices end to end: Bruhat, g^-1, g1 g2 and the
+    # cache keys make no FFElt, and the count model is keyed by int tuples
+    f3 = FqField(3)
+    sp = SympSpace(f3, 2)
+    ctx = WeilContext(sp, AdditiveCharacter(f3))
+    rng = random.Random(2424)
+    words = [random_symplectic(sp, rng, length=8) for _ in range(600)]
+    for g1, g2 in zip(words[:200:2], words[1:200:2]):
+        cocycle_operator(ctx, g1, g2)
+    assert len(ctx._mu) == 2 * (sp.m + 1)
+    made = []
+    init = FFElt.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+    monkeypatch.setattr(FFElt, "__init__", counted)
+    fresh = list(zip(words[200::2], words[201::2]))
+    assert len(fresh) == 200
+    for g1, g2 in fresh:
+        assert cocycle_operator(ctx, g1, g2) == ctx.one()
+    assert made == []
+    assert all(type(x) is int for g in ctx._sigma_cache for row in g
+               for x in row)
+
+
+def test_shared_model_forms_row_products_once_per_pair(monkeypatch):
+    # sp2-reuse's two contexts, over Z[zeta_7] and F_8, share one count
+    # model: the second check of a pair reuses the row products of the
+    # first, and both scalars equal the ones checked afresh
+    f7 = FqField(7)
+    sp = SympSpace(f7, 1)
+    ctxs = [WeilContext(sp, AdditiveCharacter(f7)),
+            WeilContext(sp, AdditiveCharacter(f7, FiniteField(2, 3)))]
+    model = ctxs[0].counts
+    assert ctxs[1].counts is model
+    group = enumerate_sp2(sp)
+    rng = random.Random(77)
+    pairs = [(rng.choice(group), rng.choice(group)) for _ in range(60)]
+    fresh = []
+    for g1, g2 in pairs:
+        for ctx in ctxs:
+            model._last = None
+            fresh.append(cocycle_operator(ctx, g1, g2))
+    formed = []
+    real = metaplectic.CountModel._products
+
+    def counted(self, n1, n2):
+        formed.append(n1)
+        return real(self, n1, n2)
+    monkeypatch.setattr(metaplectic.CountModel, "_products", counted)
+    got = [cocycle_operator(ctx, g1, g2) for g1, g2 in pairs for ctx in ctxs]
+    assert got == fresh and list(map(repr, got)) == list(map(repr, fresh))
+    assert len(formed) == len(pairs)
 
 
 def test_contexts_share_one_count_model_per_twist():
@@ -993,13 +1070,13 @@ def test_leray_reduces_c12_once(monkeypatch):
     products, reduced = [], []
     real_mul, real_rref = linalg.mat_mul, linalg.rref
 
-    def counted_mul(a, b):
-        products.append(real_mul(a, b))
+    def counted_mul(a, b, *fld):
+        products.append(real_mul(a, b, *fld))
         return products[-1]
 
-    def counted_rref(a):
+    def counted_rref(a, *fld):
         reduced.append(a)
-        return real_rref(a)
+        return real_rref(a, *fld)
     monkeypatch.setattr(linalg, "mat_mul", counted_mul)
     monkeypatch.setattr(linalg, "rref", counted_rref)
     rng = random.Random(16)
@@ -1098,9 +1175,9 @@ def test_decompositions_make_no_dense_weyl_products(monkeypatch):
     calls = []
     real = linalg.mat_mul
 
-    def counted(a, b):
+    def counted(a, b, *fld):
         calls.append(len(a))
-        return real(a, b)
+        return real(a, b, *fld)
     rng = random.Random(16)
     pairs = list(_leray_pairs(rng, ((1, 10), (2, 10), (3, 6))))
     monkeypatch.setattr(linalg, "mat_mul", counted)

@@ -99,7 +99,7 @@ def test_fourier_matrix_and_convolution_follow_the_reference(desc):
         gram = linalg.mat([[field.element(x) for x in row] for row in rho])
         om_inv = fourier_normalizer(field, psi, rho).inv()
         assert fourier_matrix(field, psi, rho) == tuple(
-            tuple(om_inv * psi(linalg._dot(linalg.mat_vec(gram, x), u))
+            tuple(om_inv * psi(field.dot(linalg.mat_vec(gram, x), u))
                   for u in pts) for x in pts)
     f = {x: psi(x[0]) for x in product_reference(field, 1)}
     g = {x: psi(x[0] * x[0]) for x in f}

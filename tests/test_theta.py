@@ -276,19 +276,20 @@ def test_congruence_check_builds_counts_once_for_both_rings(monkeypatch):
     # table, so they share one count model: one Bruhat decomposition (one
     # count build) per H2 image, not one per image and ring
     seen = []
-    real = metaplectic.bruhat_decompose
+    real = metaplectic._bruhat
 
-    def counted(space, g):
+    def counted(space, g):  # the count build's Bruhat, on raw indices
         seen.append(g)
         return real(space, g)
-    monkeypatch.setattr(metaplectic, "bruhat_decompose", counted)
+    monkeypatch.setattr(metaplectic, "_bruhat", counted)
     f3 = FqField(3)
     for diag in ([[1]], [[1, 0], [0, 1]]):
         seen.clear()
         congruence_check(QuadraticForm(f3, diag), 1, 7)
         pair = DualPair(QuadraticForm(f3, diag), 1)
         assert len(seen) == len(set(seen)) == len(pair.h2_list)
-        assert set(seen) == set(pair.h2_images.values())
+        assert set(seen) == {f3.indices.lower(g)
+                             for g in pair.h2_images.values()}
 
 
 @pytest.mark.parametrize("diag,ell", [([1], 7), ([1], 11), ([1, 2], 5),
