@@ -99,7 +99,7 @@ class FqIndices:
         return self.field.inv_i(x)
 
     def mul(self, x, y):
-        return self._exp[self._log[x] + self._log[y]] if x and y else 0
+        return self.field.mul_i(x, y)
 
     def _add_log(self, x, t):
         """x + g^t for an index x and a log t < 2(q - 1)."""

@@ -1,14 +1,14 @@
 """Small exact linear algebra.  Matrices are tuples of tuples; vectors are
 tuples.
 
-Every routine takes its arithmetic from `fld`: zero() and one() where it
-creates zeros or ones, and otherwise a dot product, the whole-row
-operations and the reciprocal of `Ops`.  `Ops` reads them off the scalars'
-own operators (Fraction, FFElt, Cyc) and is the default; QpField,
-FiniteField (FqField among them) and CyclotomicRing extend it with their
-zero() and one().  An F_q field's index view (basefield.FqIndices)
-supplies the same arithmetic on raw field indices, one row or one dot
-product per call.
+mat_mul, mat_vec, rref, nullspace, solve, det and mat_inv take their
+arithmetic from `fld`: zero() and one() where they create zeros or ones,
+and the dot product, whole-row operations and reciprocal of `Ops`.  `Ops`,
+the default, reads these off the scalars' own operators (Fraction, FFElt,
+Cyc); QpField, FiniteField (FqField among them) and CyclotomicRing extend
+it with zero() and one().  An F_q field's index view (basefield.FqIndices)
+supplies them on raw field indices, one row or one dot product per call.
+The other routines use the scalars' operators.
 
 Zero contract: every scalar is falsy exactly when it is zero (int, Fraction,
 FFElt, Cyc, a raw field index), so `not x` is the zero test.  Dot products

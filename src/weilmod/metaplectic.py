@@ -66,8 +66,9 @@ def _x_meet(space, vectors):
 def bruhat_decompose(space, g):
     """g = p1 w_j p2, verified by re-multiplication.  Over F_q the
     decomposition runs on raw field indices (_bruhat on the space over the
-    field's index view) and p1, p2 come back as FFElt matrices.  g must be
-    symplectic: the check that it is raises RuntimeError."""
+    field's index view) and p1, p2 come back as FFElt matrices.  A g that
+    is not symplectic fails a check (RuntimeError naming g): a caller
+    with outside input tests it first, as the CLI does."""
     if space.field.flavor != "finite":
         return _bruhat(space, g)
     ix = space.field.indices
@@ -408,10 +409,9 @@ class WeilContext:
         if counts is None:
             counts = models[psi._exp] = CountModel(space, psi._exp)
         self.counts = counts
-        # the shared dict itself, keyed by raw-index matrices: the
-        # benchmark's tracer reads `g in ctx._sigma_cache` for an FFElt g,
-        # which no longer matches, so every traced dense sigma reads as a
-        # build
+        # the shared dict itself: perfbench/layers.py reads `g in
+        # ctx._sigma_cache` to tell a sigma build from a hit, but the keys
+        # are raw-index matrices, so an FFElt g there reads as a build
         self._sigma_cache = counts.cache
         # mu_{w_j} normalizer: Omega(psi o Q_j) with Q_j(x) = x^2/2 per
         # coordinate (the sign that makes sigma multiplicative over finite F)
