@@ -83,7 +83,11 @@ class FqIndices:
         return range(self.q)
 
     def lower(self, a):
-        """A matrix of FFElts as a tuple of index tuples."""
+        """A matrix of this field's FFElts as a tuple of index tuples."""
+        field = self.field
+        if any(x.field is not field for row in a for x in row):
+            raise RingMismatchError("matrix over another field than %r"
+                                    % (field,))
         return tuple(tuple(x.i for x in row) for row in a)
 
     def lift(self, a):

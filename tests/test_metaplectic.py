@@ -9,7 +9,8 @@ import pytest
 
 from weilmod import linalg, metaplectic
 from weilmod.basefield import AdditiveCharacter, FqField, QpField
-from weilmod.coeff import CyclotomicRing, FFElt, FiniteField
+from weilmod.coeff import (CyclotomicRing, FFElt, FiniteField,
+                           RingMismatchError)
 from weilmod.heisenberg import (SympSpace, central, coset_reps, delta,
                                 SchrodingerModel)
 from weilmod.metaplectic import (WeilContext, bruhat_decompose,
@@ -793,6 +794,20 @@ def test_fresh_cocycles_make_no_ffelt(monkeypatch):
     assert made == []
     assert all(type(x) is int for g in ctx._sigma_cache for row in g
                for x in row)
+
+
+def test_sigma_refuses_a_matrix_over_another_field():
+    # raw indices carry no field, so the boundary checks each entry's
+    f3, f9 = FqField(3), FqField(3, 2)
+    sp = SympSpace(f3, 1)
+    ctx = WeilContext(sp, AdditiveCharacter(f3))
+    g9 = SympSpace(f9, 1).w_subset({0})
+    with pytest.raises(RingMismatchError):
+        cocycle_operator(ctx, g9, g9)
+    with pytest.raises(RingMismatchError):
+        sigma(ctx, g9)
+    with pytest.raises(RingMismatchError):
+        bruhat_decompose(sp, g9)
 
 
 def test_shared_model_forms_row_products_once_per_pair(monkeypatch):
