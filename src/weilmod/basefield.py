@@ -125,6 +125,12 @@ class FqIndices:
         return tuple(self._add_log(x, log[y]) if y else x
                      for x, y in zip(u, v))
 
+    def pairing(self, u, v, m):
+        """u_X . v_Y - u_Y . v_X."""
+        t = self.dot(u[m:], v[:m])
+        s = self.dot(u[:m], v[m:])
+        return self._add_log(s, self._log[t] + self._lneg) if t else s
+
     def eliminate(self, row, f, pivot_row):
         """row - f pivot_row."""
         if not f:
@@ -158,6 +164,10 @@ class FpIndices(FqIndices):
     def add(self, u, v):
         p = self.p
         return tuple((x + y) % p for x, y in zip(u, v))
+
+    def pairing(self, u, v, m):
+        return (sum(map(mul, u[:m], v[m:])) -
+                sum(map(mul, u[m:], v[:m]))) % self.p
 
     def eliminate(self, row, f, pivot_row):
         p = self.p

@@ -36,24 +36,18 @@ class SympSpace:
         v[self.m + i] = self.field.one()
         return tuple(v)
 
-    def _j(self, v):
-        """J v = (v_Y, -v_X), so that <u, v> = u . J v."""
-        m = self.m
-        return tuple(v[m:]) + self.field.neg(v[:m])
-
     def pairing(self, u, v):
-        """<u, v> = sum_i u_i v_{m+i} - u_{m+i} v_i: one dot product."""
-        return self.field.dot(u, self._j(v))
+        """<u, v> = sum_i u_i v_{m+i} - u_{m+i} v_i."""
+        return self.field.pairing(u, v, self.m)
 
     def is_symplectic(self, g):
-        m, dot = self.m, self.field.dot
+        m = self.m
         zero, one = self.field.zero(), self.field.one()
         cols = linalg.transpose(g)
-        jcols = [self._j(c) for c in cols]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 want = one if j == i + m and i < m else zero
-                if dot(cols[i], jcols[j]) != want:
+                if self.pairing(cols[i], cols[j]) != want:
                     return False
         return True
 

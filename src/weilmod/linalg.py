@@ -3,7 +3,8 @@ tuples.
 
 mat_mul, mat_vec, rref, nullspace, solve, det and mat_inv take their
 arithmetic from `fld`: zero() and one() where they create zeros or ones,
-and the dot product, whole-row operations and reciprocal of `Ops`.  `Ops`,
+and the dot product, whole-row operations and reciprocal of `Ops` (which
+also holds the symplectic pairing SympSpace reads).  `Ops`,
 the default, reads these off the scalars' own operators (Fraction, FFElt,
 Cyc); QpField, FiniteField (FqField among them) and CyclotomicRing extend
 it with zero() and one().  An F_q field's index view (basefield.FqIndices)
@@ -56,6 +57,23 @@ class Ops:
     @staticmethod
     def neg(row):
         return tuple(-x for x in row)
+
+    def pairing(self, u, v, m):
+        """The symplectic pairing sum_i u_i v_{m+i} - u_{m+i} v_i of two
+        2m-vectors, skipping the terms with a zero factor (a field's
+        zero() starts the sum)."""
+        acc = self.zero()
+        for i in range(m):
+            a, b = u[i], u[m + i]
+            if a:
+                y = v[m + i]
+                if y:
+                    acc = acc + a * y
+            if b:
+                x = v[i]
+                if x:
+                    acc = acc - b * x
+        return acc
 
 
 OPS = Ops()

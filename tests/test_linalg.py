@@ -49,8 +49,8 @@ def test_combine_and_intersection():
 def test_index_view_matches_ffelt_operators(p, f):
     # F_q's index view (raw indices, % p or log/Zech tables) against the
     # FFElt operators on seeded rows and matrices: each scalar and row
-    # operation, rref, nullspace, det, mat_mul, mat_inv and the symplectic
-    # inverse, read back through lower
+    # operation, rref, nullspace, det, mat_mul, mat_inv, the symplectic
+    # pairing and inverse, read back through lower
     field = FqField(p, f)
     ix = field.indices
     rng = random.Random(100 * p + f)
@@ -101,5 +101,8 @@ def test_index_view_matches_ffelt_operators(p, f):
         for _ in range(10):
             g = random_symplectic(sp, rng)
             assert spi.is_symplectic(ix.lower(g))
+            assert [spi.pairing(u, v) for u in ix.lower(g)
+                    for v in ix.lower(g)] == [sp.pairing(u, v).i
+                                              for u in g for v in g]
             assert spi.inv(ix.lower(g)) == ix.lower(linalg.mat_inv(g, field))
             assert spi.det_x(ix.lower(g)) == sp.det_x(g).i
