@@ -4,8 +4,8 @@ tuples.
 mat_mul, mat_vec, rref, nullspace, solve, det and mat_inv take their
 arithmetic from `fld`: zero() and one() where they create zeros or ones,
 and the dot product, whole-row operations and reciprocal of `Ops` (which
-also holds the symplectic pairing SympSpace reads).  `Ops`,
-the default, reads these off the scalars' own operators (Fraction, FFElt,
+also holds the symplectic pairing that SympSpace reads).  `Ops`, the
+default, reads these off the scalars' own operators (Fraction, FFElt,
 Cyc); QpField, FiniteField (FqField among them) and CyclotomicRing extend
 it with zero() and one().  An F_q field's index view (basefield.FqIndices)
 supplies them on raw field indices, one row or one dot product per call.
