@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
 
 from .coeff import CyclotomicRing, FiniteField, RingMismatchError
 from .linalg import Ops
@@ -50,136 +48,7 @@ class FqField(FiniteField):
 
     def nonresidue(self):
         return self.element(next(i for i in range(1, self.q)
-                                 if self._log[i] % 2))
-
-    @cached_property
-    def indices(self):
-        """The index view: this field's arithmetic on raw indices."""
-        return (FpIndices if self.f == 1 else FqIndices)(self)
-
-
-class FqIndices:
-    """F_q on raw field indices (the encoding of coeff.FiniteField, an int
-    0 <= i < q): zero 0 and one 1, the points of F_q as range(q), and the
-    arithmetic linalg takes from `fld`, a whole row or one dot product per
-    call.  Over F_{p^f} a product is one `_exp[_log[x] + _log[y]]` and a
-    sum one Zech logarithm (FiniteField); F_p overrides the row operations
-    with `% p` comprehensions.  An F_q matrix becomes index tuples at
-    `lower` and FFElts again at `lift`."""
-
-    def __init__(self, field):
-        self.field = field
-        self.p, self.q = field.p, field.q
-        self._log, self._exp, self._zech = field._log, field._exp, field._zech
-        self._lneg = field._log[field.p - 1]    # -1 is the index p - 1
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def elements(self):
-        return range(self.q)
-
-    def lower(self, a):
-        """A matrix of this field's FFElts as a tuple of index tuples."""
-        field = self.field
-        if any(x.field is not field for row in a for x in row):
-            raise RingMismatchError("matrix over another field than %r"
-                                    % (field,))
-        return tuple(tuple(x.i for x in row) for row in a)
-
-    def lift(self, a):
-        """A matrix of indices as a tuple of FFElt tuples."""
-        return tuple(tuple(map(self.field.element, row)) for row in a)
-
-    def is_square(self, i):
-        # q is odd: the squares are the units of even discrete log, and 0
-        # (whose `_log` entry is 0)
-        return self._log[i] % 2 == 0
-
-    def recip(self, x):
-        return self.field.inv_i(x)
-
-    def mul(self, x, y):
-        return self.field.mul_i(x, y)
-
-    def _add_log(self, x, t):
-        """x + g^t for an index x and a log t < 2(q - 1)."""
-        if not x:
-            return self._exp[t]
-        lx = self._log[x]
-        z = self._zech[(t - lx) % (self.q - 1)]
-        return self._exp[lx + z] if z >= 0 else 0
-
-    def dot(self, u, v):
-        log, acc = self._log, 0
-        for x, y in zip(u, v):
-            if x and y:
-                acc = self._add_log(acc, log[x] + log[y])
-        return acc
-
-    def add(self, u, v):
-        log = self._log
-        return tuple(self._add_log(x, log[y]) if y else x
-                     for x, y in zip(u, v))
-
-    def pairing(self, u, v, m):
-        """u_X . v_Y - u_Y . v_X."""
-        t = self.dot(u[m:], v[:m])
-        s = self.dot(u[:m], v[m:])
-        return self._add_log(s, self._log[t] + self._lneg) if t else s
-
-    def eliminate(self, row, f, pivot_row):
-        """row - f pivot_row."""
-        if not f:
-            return list(row)
-        log = self._log
-        t = (log[f] + self._lneg) % (self.q - 1)    # the log of -f
-        return [self._add_log(x, t + log[y]) if y else x
-                for x, y in zip(row, pivot_row)]
-
-    def scale(self, row, c):
-        log, exp = self._log, self._exp
-        if not c:
-            return [0] * len(row)
-        t = log[c]
-        return [exp[t + log[x]] if x else 0 for x in row]
-
-    def neg(self, row):
-        log, exp, t = self._log, self._exp, self._lneg
-        return tuple(exp[t + log[x]] if x else 0 for x in row)
-
-
-class FpIndices(FqIndices):
-    """F_p on its residues 0 .. p - 1: every operation one `% p`."""
-
-    def mul(self, x, y):
-        return x * y % self.p
-
-    def dot(self, u, v):
-        return sum(map(mul, u, v)) % self.p
-
-    def add(self, u, v):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(u, v))
-
-    def pairing(self, u, v, m):
-        return (sum(map(mul, u[:m], v[m:])) -
-                sum(map(mul, u[m:], v[:m]))) % self.p
-
-    def eliminate(self, row, f, pivot_row):
-        p = self.p
-        return [(x - f * y) % p for x, y in zip(row, pivot_row)]
-
-    def scale(self, row, c):
-        p = self.p
-        return [x * c % p for x in row]
-
-    def neg(self, row):
-        p = self.p
-        return tuple(-x % p for x in row)
+                                 if not self.indices.is_square(i)))
 
 
 def points(field, k):

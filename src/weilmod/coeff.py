@@ -12,7 +12,9 @@ from __future__ import annotations
 import cmath
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .linalg import Ops
 
@@ -552,6 +554,7 @@ class FiniteField(Ops):
         ell = self.p
         self._zech = [self._log[w] if w else -1
                       for w in (v - v % ell + (v + 1) % ell for v in exp)]
+        self._lneg = self._log[ell - 1]     # -1 is the index l - 1
 
     # -- element ops on raw indices -------------------------------------------
 
@@ -567,8 +570,7 @@ class FiniteField(Ops):
     def neg_i(self, i):
         if self.f == 1:
             return (-i) % self.p
-        # -1 is the index p - 1
-        return self._exp[self._log[i] + self._log[self.p - 1]] if i else 0
+        return self._exp[self._log[i] + self._lneg] if i else 0
 
     def mul_i(self, i, j):
         if i and j:
@@ -643,6 +645,11 @@ class FiniteField(Ops):
                 c >>= bits
             return FFElt(self, acc)
         return phi
+
+    @cached_property
+    def indices(self):
+        """The index view: this field's arithmetic on raw indices."""
+        return (PrimeIndices if self.f == 1 else FieldIndices)(self)
 
     def root_of_unity(self, order):
         """Smallest index of multiplicative order exactly `order`."""
@@ -745,6 +752,119 @@ class FFElt:
         if self.field.f == 1:
             return "%d" % self.i
         return "ff(%d;%s)" % (self.i, self.field)
+
+
+class FieldIndices:
+    """A FiniteField on raw indices (its encoding, an int 0 <= i < q): zero
+    0 and one 1, the points as range(q), and the arithmetic linalg takes
+    from `fld`, a whole row or one dot product per call.  A product is one
+    `_exp[_log[x] + _log[y]]` and a sum one `FiniteField.add_i`;
+    PrimeIndices overrides the row operations over F_p.  A matrix becomes
+    index tuples at `lower` and FFElts again at `lift`."""
+
+    def __init__(self, field):
+        self.field = field
+        self.p, self.q = field.p, field.q
+        self._log, self._exp, self._lneg = field._log, field._exp, field._lneg
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def elements(self):
+        return range(self.q)
+
+    def lower(self, a):
+        """A matrix of this field's FFElts as a tuple of index tuples."""
+        field = self.field
+        if any(x.field is not field for row in a for x in row):
+            raise RingMismatchError("matrix over another field than %r"
+                                    % (field,))
+        return tuple(tuple(x.i for x in row) for row in a)
+
+    def lift(self, a):
+        """A matrix of indices as a tuple of FFElt tuples."""
+        field = self.field
+        return tuple(tuple(FFElt(field, i) for i in row) for row in a)
+
+    def is_square(self, i):
+        # q odd: the squares are the units of even discrete log, and 0
+        # (whose `_log` entry is 0)
+        return self._log[i] % 2 == 0
+
+    def recip(self, x):
+        return self.field.inv_i(x)
+
+    def mul(self, x, y):
+        return self.field.mul_i(x, y)
+
+    def dot(self, u, v):
+        log, exp, add, acc = self._log, self._exp, self.field.add_i, 0
+        for x, y in zip(u, v):
+            if x and y:
+                acc = add(acc, exp[log[x] + log[y]])
+        return acc
+
+    def add(self, u, v):
+        return tuple(map(self.field.add_i, u, v))
+
+    def pairing(self, u, v, m):
+        """u_X . v_Y - u_Y . v_X."""
+        field = self.field
+        return field.add_i(self.dot(u[:m], v[m:]),
+                           field.neg_i(self.dot(u[m:], v[:m])))
+
+    def eliminate(self, row, f, pivot_row):
+        """row - f pivot_row."""
+        if not f:
+            return list(row)
+        log, exp, add = self._log, self._exp, self.field.add_i
+        t = (log[f] + self._lneg) % (self.q - 1)    # the log of -f
+        return [add(x, exp[t + log[y]]) if y else x
+                for x, y in zip(row, pivot_row)]
+
+    def scale(self, row, c):
+        log, exp = self._log, self._exp
+        if not c:
+            return [0] * len(row)
+        t = log[c]
+        return [exp[t + log[x]] if x else 0 for x in row]
+
+    def neg(self, row):
+        log, exp, t = self._log, self._exp, self._lneg
+        return tuple(exp[t + log[x]] if x else 0 for x in row)
+
+
+class PrimeIndices(FieldIndices):
+    """F_p on its residues 0 .. p - 1: every operation one `% p`."""
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def dot(self, u, v):
+        return sum(map(mul, u, v)) % self.p
+
+    def add(self, u, v):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(u, v))
+
+    def pairing(self, u, v, m):
+        return (sum(map(mul, u[:m], v[m:])) -
+                sum(map(mul, u[m:], v[:m]))) % self.p
+
+    def eliminate(self, row, f, pivot_row):
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(row, pivot_row)]
+
+    def scale(self, row, c):
+        p = self.p
+        return [x * c % p for x in row]
+
+    def neg(self, row):
+        p = self.p
+        return tuple(-x % p for x in row)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ class SympSpace:
     """W = X + Y with bases e_1..e_m of X, f_1..f_m of Y, <e_i, f_j> = d_ij.
     Vectors are coordinate tuples (x-part then y-part).  The arithmetic
     comes from `field`: a base field with FFElt or Fraction scalars, or an
-    F_q field's index view (basefield.FqIndices), whose scalars are raw
+    F_q field's index view (coeff.FieldIndices), whose scalars are raw
     field indices."""
 
     def __init__(self, field, m):
@@ -74,26 +74,18 @@ class SympSpace:
     def mul_w(self, g, subset):
         """g w_S: columns i and m+i become g f_i and -g e_i for i in S."""
         m, neg = self.m, self.field.neg
-        out = []
-        for r in g:
-            nx = neg(r[:m])
-            out.append(tuple(r[m + k] if k in subset else r[k]
-                             for k in range(m)) +
-                       tuple(nx[k] if k in subset else r[m + k]
-                             for k in range(m)))
-        return tuple(out)
+        cols = list(zip(*g))
+        for k in subset:
+            cols[k], cols[m + k] = cols[m + k], neg(cols[k])
+        return tuple(zip(*cols))
 
     def mul_w_inv(self, g, subset):
         """g w_S^-1: columns i and m+i become -g f_i and g e_i for i in S."""
         m, neg = self.m, self.field.neg
-        out = []
-        for r in g:
-            ny = neg(r[m:])
-            out.append(tuple(ny[k] if k in subset else r[k]
-                             for k in range(m)) +
-                       tuple(r[k] if k in subset else r[m + k]
-                             for k in range(m)))
-        return tuple(out)
+        cols = list(zip(*g))
+        for k in subset:
+            cols[k], cols[m + k] = neg(cols[m + k]), cols[k]
+        return tuple(zip(*cols))
 
     def w_inv_mul(self, subset, g):
         """w_S^-1 g: rows i and m+i become row m+i and minus row i of g

@@ -7,9 +7,10 @@ and the dot product, whole-row operations and reciprocal of `Ops` (which
 also holds the symplectic pairing that SympSpace reads).  `Ops`, the
 default, reads these off the scalars' own operators (Fraction, FFElt,
 Cyc); QpField, FiniteField (FqField among them) and CyclotomicRing extend
-it with zero() and one().  An F_q field's index view (basefield.FqIndices)
-supplies them on raw field indices, one row or one dot product per call.
-The other routines use the scalars' operators.
+it with zero() and one().  A finite field's index view
+(coeff.FiniteField.indices) supplies them on raw field indices, one row
+or one dot product per call.  The other routines use the scalars'
+operators.
 
 Zero contract: every scalar is falsy exactly when it is zero (int, Fraction,
 FFElt, Cyc, a raw field index), so `not x` is the zero test.  Dot products
@@ -193,10 +194,10 @@ def solve_columns(a, rhs_columns, fld):
 
 
 def det(a, fld=OPS):
-    """The determinant by elimination; a row swap negates the row moved
-    down, which keeps the determinant."""
+    """The determinant by elimination; each row swap flips its sign."""
     n = len(a)
     rows = [list(r) for r in a]
+    flip = False
     acc = None
     for c in range(n):
         piv = None
@@ -207,7 +208,8 @@ def det(a, fld=OPS):
         if piv is None:
             return rows[0][0] - rows[0][0]
         if piv != c:
-            rows[c], rows[piv] = rows[piv], fld.neg(rows[c])
+            rows[c], rows[piv] = rows[piv], rows[c]
+            flip = not flip
         pv = rows[c][c]
         acc = pv if acc is None else fld.mul(acc, pv)
         inv = fld.recip(pv)
@@ -215,7 +217,7 @@ def det(a, fld=OPS):
             if rows[i][c]:
                 rows[i] = fld.eliminate(rows[i], fld.mul(rows[i][c], inv),
                                         rows[c])
-    return acc
+    return fld.neg((acc,))[0] if flip else acc
 
 
 def mat_inv(a, fld):

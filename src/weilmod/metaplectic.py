@@ -127,12 +127,18 @@ def _bruhat(space, g):
     return BruhatData(j, p1, p2)
 
 
+def _det_x_product(space, bd):
+    """det_X(p1) det_X(p2) for Bruhat data bd, in the scalars of
+    space.field (FFElts, Fractions or raw indices): x(g) is its square
+    class."""
+    return space.field.mul(space.det_x(bd.p1), space.det_x(bd.p2))
+
+
 def x_invariant(space, g, bruhat=None):
     """x(g) = det_X(p1) det_X(p2) mod squares; a given `bruhat` must be
     bruhat_decompose(space, g)."""
     bd = bruhat or bruhat_decompose(space, g)
-    d = space.det_x(bd.p1) * space.det_x(bd.p2)
-    return square_class(space.field, d)
+    return square_class(space.field, _det_x_product(space, bd))
 
 
 def mu_g_scalar(space, psi, g, bruhat=None):
@@ -141,7 +147,7 @@ def mu_g_scalar(space, psi, g, bruhat=None):
     transported reference lattice, p^(-min val) over the j x j minors of
     its projection (1 over F_q, whose valuation is trivial)."""
     bd = bruhat or bruhat_decompose(space, g)
-    d = space.det_x(bd.p1) * space.det_x(bd.p2)
+    d = _det_x_product(space, bd)
     field = space.field
     one = field.one()
     base = omega_ratio(field, psi, one, d)
@@ -201,11 +207,12 @@ class CountModel:
     products carries into the next slot or entry, and their difference,
     offset by 2^{W-1} in each slot, borrows from none.
 
-    g is a matrix of raw field indices (FqIndices.lower), and the model
-    works over `space`, the symplectic space over the field's index view.
-    The cache maps g to ((j, x(g) class), N) with N the tuple of its
-    packed rows (mu depends on g only through that key; the class is
-    whether det_X(p1) det_X(p2) is a square), at most SIGMA_CACHE_SIZE
+    g is a matrix of raw field indices (FiniteField.indices.lower), and
+    the model works over `space`, the symplectic space over the field's
+    index view.  The cache maps g to ((j, x(g) class), N) with N the tuple
+    of its packed rows (mu depends on g only through that key; over F_q
+    the class is whether det_X(p1) det_X(p2) is a square, the test
+    square_class makes), at most SIGMA_CACHE_SIZE
     entries, read at each insertion; `witness` keeps one (g, Bruhat data)
     per key, on indices, for the contexts' mu.  `check` keeps its last
     successful pair (_last)."""
@@ -280,8 +287,7 @@ class CountModel:
         ix = space.field
         m, p = self.m, self.p
         bd = _bruhat(space, g)
-        d = ix.mul(space.det_x(bd.p1), space.det_x(bd.p2))
-        key = (bd.j, ix.is_square(d))
+        key = (bd.j, ix.is_square(_det_x_product(space, bd)))
         dot, exp, yindex = ix.dot, self.exp, self.yindex
         ginv = space.inv(g)
         gx = [row[:m] for row in ginv]      # g^-1 (a, 0) = gx a
@@ -432,9 +438,9 @@ class WeilContext:
 
 def sigma_counts(ctx, g):
     """(mu, N) with sigma(g) = mu phi(N) for g given on raw field indices
-    (FqIndices.lower): the scalar mu = mu_g normalized by Omega_{1/2}^{-j},
-    from ctx's table by (j, x(g) class), and N the packed count matrix on
-    the Y-point basis (CountModel.entry).  A key's first mu is computed on
+    (FiniteField.indices.lower): the scalar mu = mu_g normalized by
+    Omega_{1/2}^{-j}, from ctx's table by (j, x(g) class), and N the
+    packed count matrix on the Y-point basis (CountModel.entry).  A key's first mu is computed on
     its witness, lifted to FFElts."""
     key, counts = ctx.counts.entry(g)
     mu = ctx._mu.get(key)
