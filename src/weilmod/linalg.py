@@ -5,12 +5,14 @@ mat_mul, mat_vec, rref, nullspace, solve, det and mat_inv take their
 arithmetic from `fld`: zero() and one() where they create zeros or ones,
 and the dot product, whole-row operations and reciprocal of `Ops` (which
 also holds the symplectic pairing that SympSpace reads).  `Ops`, the
-default, reads these off the scalars' own operators (Fraction, FFElt,
-Cyc); QpField, FiniteField (FqField among them) and CyclotomicRing extend
-it with zero() and one().  A finite field's index view
-(coeff.FiniteField.indices) supplies them on raw field indices, one row
-or one dot product per call.  The other routines use the scalars'
-operators.
+default, reads these off the scalars' own operators (FFElt, Cyc, and
+Fractions outside a field); FiniteField (FqField among them) and
+CyclotomicRing extend it with zero() and one().  Two fields supply their
+own arithmetic instead: QpField works on the integer numerators and
+denominators of its Fractions, one normalized Fraction per dot product,
+pairing or row entry, and a finite field's index view
+(coeff.FiniteField.indices) works on raw field indices, one row or one dot
+product per call.  The other routines use the scalars' operators.
 
 Zero contract: every scalar is falsy exactly when it is zero (int, Fraction,
 FFElt, Cyc, a raw field index), so `not x` is the zero test.  Dot products
@@ -194,7 +196,9 @@ def solve_columns(a, rhs_columns, fld):
 
 
 def det(a, fld=OPS):
-    """The determinant by elimination; each row swap flips its sign."""
+    """The determinant: the product of the pivots of an elimination, each
+    row swap flipping its sign.  Every factor is a scalar the field made:
+    the first pivot as 1/(1/pivot), a singular a as a zero entry squared."""
     n = len(a)
     rows = [list(r) for r in a]
     flip = False
@@ -206,13 +210,13 @@ def det(a, fld=OPS):
                 piv = i
                 break
         if piv is None:
-            return rows[0][0] - rows[0][0]
+            return fld.mul(rows[c][c], rows[c][c])
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
             flip = not flip
         pv = rows[c][c]
-        acc = pv if acc is None else fld.mul(acc, pv)
         inv = fld.recip(pv)
+        acc = fld.mul(acc, pv) if c else fld.recip(inv)
         for i in range(c + 1, n):
             if rows[i][c]:
                 rows[i] = fld.eliminate(rows[i], fld.mul(rows[i][c], inv),

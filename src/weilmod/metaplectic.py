@@ -38,25 +38,28 @@ class LerayData(NamedTuple):
 # subspace helpers over an arbitrary base field
 # ---------------------------------------------------------------------------
 
-def _echelon_kernel_image(a, c, field):
-    """A ker C as {f: b_f}, its basis in reduced echelon form read from the
-    last coordinate: b_f is 1 at its last nonzero coordinate f and 0 at the
-    other keys (one nullspace of C, one rref of the reversed vectors A k)."""
+def _echelon_kernel_image(a, kernel, field):
+    """A K as {f: b_f} for K spanned by the vectors `kernel`, its basis in
+    reduced echelon form read from the last coordinate: b_f is 1 at its
+    last nonzero coordinate f and 0 at the other keys (one rref of the
+    reversed vectors A k; none when `kernel` is empty)."""
+    if not kernel:
+        return {}
     m = len(a)
     rows, piv = linalg.rref([linalg.mat_vec(a, k, field)[::-1]
-                             for k in linalg.nullspace(c, field)], field)
+                             for k in kernel], field)
     return {m - 1 - pc: row[::-1] for row, pc in zip(rows, piv)}
 
 
 def _x_meet(space, vectors):
     """X cap span(vectors) for independent vectors (v_X; v_Y): -V_X k, with
     Y = 0, for each k in the nullspace basis of V_Y."""
-    m = space.m
+    m, field = space.m, space.field
     vx = linalg.transpose([v[:m] for v in vectors])
     vy = linalg.transpose([v[m:] for v in vectors])
-    pad = (space.field.zero(),) * m
-    return [tuple(-x for x in linalg.mat_vec(vx, k)) + pad
-            for k in linalg.nullspace(vy, space.field)]
+    pad = (field.zero(),) * m
+    return [field.neg(linalg.mat_vec(vx, k, field)) + pad
+            for k in linalg.nullspace(vy, field)]
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +94,8 @@ def _bruhat(space, g):
         raise RuntimeError("Bruhat: g = %s is not symplectic" % (g,))
     a, _, c, _ = space.blocks(g)
     zero, one = field.zero(), field.one()
-    echelon = _echelon_kernel_image(a, c, field)
+    echelon = _echelon_kernel_image(a, linalg.nullspace(c, field),
+                                    field)
     n_idx = [i for i in range(m) if i not in echelon]
     j = len(n_idx)
     # K from one rref of [C[N] | I_j], zero off its pivots: y_i = g (k_i, 0)
@@ -158,12 +162,12 @@ def mu_g_scalar(space, psi, g, bruhat=None):
     m, j = space.m, bd.j
     cols = []
     for k in range(m):
-        v = linalg.mat_vec(p1inv, space.basis_e(k))
+        v = linalg.mat_vec(p1inv, space.basis_e(k), field)
         cols.append(tuple(v[:j]))  # projection mod X_{cS_j}
     best = None
     for subset in itertools.combinations(range(m), j):
         sq = [[cols[c][r] for c in subset] for r in range(j)]
-        dv = linalg.det(linalg.mat(sq))
+        dv = linalg.det(linalg.mat(sq), field)
         if dv:
             val = field.val(dv)
             best = val if best is None else min(best, val)
@@ -592,43 +596,69 @@ def u_rho_matrix(space, s_indices, rho):
 
 def _mul_u_rho(space, g, s_indices, rho, inverse=False):
     """g u_rho, or g u_rho^-1 = g u_{-rho}: column m+j of g gains (or
-    loses) sum_k rho[k][j] (column k) for j in S; the other columns stay."""
-    m = space.m
-    rho_cols = linalg.transpose(rho)
+    loses) sum_k rho[k][j] (column k) for j in S, one dot product per
+    entry; the other columns stay."""
+    field, m = space.field, space.m
+    one = (field.one(),)
+    cols = [one + (field.neg(c) if inverse else c)
+            for c in linalg.transpose(rho)]
     out = []
     for r in g:
         row = list(r)
-        xs = [r[k] for k in s_indices]
-        for j, col in zip(s_indices, rho_cols):
-            shift = space.field.dot(col, xs)
-            row[m + j] = row[m + j] - shift if inverse else row[m + j] + shift
+        xs = tuple(r[k] for k in s_indices)
+        for j, col in zip(s_indices, cols):
+            row[m + j] = field.dot((r[m + j],) + xs, col)
         out.append(tuple(row))
     return tuple(out)
 
 
 def leray_decompose(space, g1, g2):
     """Leray data: g1 = p1 w_{S u S1} u_rho p^{-1}, g2 = p w_{S u S2} p2,
-    built deterministically from the triple (X, g1^{-1}X, g2 X)."""
+    built deterministically from the triple (X, g1^{-1}X, g2 X).  Over F_q
+    the decomposition runs on raw field indices (_leray on the space over
+    the field's index view) and rho, p, p1, p2 come back as FFElt
+    matrices.  A g1 or g2 that is not symplectic fails a check
+    (RuntimeError naming both): a caller with outside input tests them
+    first, as the CLI does."""
+    if space.field.flavor != "finite":
+        return _leray(space, g1, g2)
+    ix = space.field.indices
+    ld = _leray(SympSpace(ix, space.m), ix.lower(g1), ix.lower(g2))
+    return ld._replace(rho=ix.lift(ld.rho), p=ix.lift(ld.p),
+                       p1=ix.lift(ld.p1), p2=ix.lift(ld.p2))
+
+
+def _leray(space, g1, g2):
+    """Leray data in the scalars of space.field, every product, sum and
+    negation taken from the field; the factorization is verified by exact
+    re-multiplication."""
     field = space.field
     m = space.m
     if not (space.is_symplectic(g1) and space.is_symplectic(g2)):
-        raise ValueError("matrix is not symplectic")
+        raise RuntimeError("Leray: g1 = %s or g2 = %s is not symplectic"
+                           % (g1, g2))
     zero, one = field.zero(), field.one()
     # L1 = g1^-1 X is spanned by the columns (D1^T; -C1^T), L2 = g2 X by
     # (A2; C2), and <g1^-1 e_i, g2 e_j> is entry ij of C12, the C block of
     # g1 g2; every subspace below is read off these blocks
     full = space.identity()     # e_1 .. e_m, f_1 .. f_m
     xb = full[:m]
-    l1 = [r[m:] + tuple(-x for x in r[:m]) for r in g1[m:]]
+    l1 = [r[m:] + field.neg(r[:m]) for r in g1[m:]]
     g2x = tuple(row[:m] for row in g2)
     l2 = list(linalg.transpose(g2x))
-    c12 = linalg.mat_mul(g1[m:], g2x)
-    # L1 cap L2 = -g2 (ker C12; 0), and its part in X is A2 ker [C12; C2]
+    c12 = linalg.mat_mul(g1[m:], g2x, field)
+    # L1 cap L2 = -g2 (ker C12; 0), and its part in X is A2 ker [C12; C2]:
+    # A2 K k for the k in ker C2 K, K the basis of ker C12 (none if it is 0)
     ker12 = linalg.nullspace(c12, field)
-    inter12 = [tuple(-x for x in linalg.mat_vec(g2x, k)) for k in ker12]
-    echelon = _echelon_kernel_image(g2x[:m], c12 + g2x[m:], field)
-    a_basis = [tuple(-x for x in echelon[f]) + (zero,) * m
-               for f in sorted(echelon)]
+    inter12 = [field.neg(linalg.mat_vec(g2x, k, field)) for k in ker12]
+    kernel = ()
+    if ker12:
+        c2k = linalg.transpose([linalg.mat_vec(g2x[m:], k, field)
+                                for k in ker12])
+        kernel = [linalg.mat_vec(linalg.transpose(ker12), k, field)
+                  for k in linalg.nullspace(c2k, field)]
+    echelon = _echelon_kernel_image(g2x[:m], kernel, field)
+    a_basis = [field.neg(echelon[f]) + (zero,) * m for f in sorted(echelon)]
     x_l1 = _x_meet(space, l1)
     x_l2 = _x_meet(space, l2)
     # L1 + L2 has the basis L1 and the columns of L2 at the pivots of C12:
@@ -656,7 +686,7 @@ def leray_decompose(space, g1, g2):
     groups = ((c_idx, a_basis), (p2_idx, x_l1), (p1_idx, x_l2),
               (s_idx, z_basis), (p12_idx, xb))
     vecs = [v for _, vs in groups for v in vs]
-    piv = linalg.rref(linalg.transpose([v[:m] for v in vecs]))[1]
+    piv = linalg.rref(linalg.transpose([v[:m] for v in vecs]), field)[1]
     e = [None] * m
     start = 0
     for idx, vs in groups:
@@ -680,8 +710,9 @@ def leray_decompose(space, g1, g2):
         sols = linalg.solve_columns(linalg.mat(rows), rhs, field)
         if sols is None:
             raise RuntimeError(failure)
+        span_t = linalg.transpose(span)
         for i, sol in zip(idx, sols):
-            f[i] = linalg.combine(sol, span, space.zero_vec())
+            f[i] = linalg.mat_vec(span_t, sol, field)
         return sols
     bs = []
     if s_idx:
@@ -690,8 +721,7 @@ def leray_decompose(space, g1, g2):
                                     [e[i] for i in s_idx], field)
         if sols is None:
             raise RuntimeError("Leray: Z-decomposition failed")
-        bs = [linalg.combine(sol[len(l1):], l2, space.zero_vec())
-              for sol in sols]
+        bs = [linalg.mat_vec(g2x, sol[len(l1):], field) for sol in sols]
     # S u P12 in span(b) + L1 cap L2: L1 cap L2 pairs to zero with every e'
     # outside P12, so rho is read off the b-coordinates of the S solutions
     coords = solve_block(s_idx + p12_idx, bs + list(inter12), [],
@@ -715,15 +745,15 @@ def leray_decompose(space, g1, g2):
     t1 = set(s_idx) | set(s1)
     t2 = set(s_idx) | set(s2)
     pinv = space.inv(p)
-    p2 = space.w_inv_mul(t2, linalg.mat_mul(pinv, g2))
-    p1 = space.mul_w_inv(_mul_u_rho(space, linalg.mat_mul(g1, p), s_idx,
-                                    c_rho, inverse=True), t1)
+    p2 = space.w_inv_mul(t2, linalg.mat_mul(pinv, g2, field))
+    p1 = space.mul_w_inv(_mul_u_rho(space, linalg.mat_mul(g1, p, field),
+                                    s_idx, c_rho, inverse=True), t1)
     if not (space.in_parabolic(p1) and space.in_parabolic(p2)):
         raise RuntimeError("Leray: parabolic factors failed")
     # exact re-multiplication checks
     lhs1 = linalg.mat_mul(_mul_u_rho(space, space.mul_w(p1, t1), s_idx,
-                                     c_rho), pinv)
-    lhs2 = linalg.mat_mul(space.mul_w(p, t2), p2)
+                                     c_rho), pinv, field)
+    lhs2 = linalg.mat_mul(space.mul_w(p, t2), p2, field)
     if lhs1 != g1 or lhs2 != g2:
         raise RuntimeError("Leray: factorization check failed")
     return LerayData(tuple(s_idx), s1, s2, c_rho, p, p1, p2)
@@ -739,7 +769,7 @@ def cocycle_w_u_rho(space, rho):
     if not rho:
         return 1
     q = QuadraticForm(field, rho)
-    d = linalg.det(linalg.mat(rho))
+    d = linalg.det(linalg.mat(rho), field)
     two = field.element(2)
     return hilbert(field, -two, d) * q.hasse()
 
@@ -753,7 +783,7 @@ def leray_x_classes(space, ld):
     dp, dp1, dp2 = (space.det_x(h) for h in (ld.p, ld.p1, ld.p2))
     mid = -field.one() if len(set(ld.s1) & set(ld.s2)) % 2 else field.one()
     if ld.s:
-        mid = mid * linalg.det(linalg.mat(ld.rho))
+        mid = mid * linalg.det(linalg.mat(ld.rho), field)
     return (square_class(field, dp1 * dp), square_class(field, dp * dp2),
             square_class(field, dp1 * dp2 * mid))
 
@@ -772,7 +802,7 @@ def cocycle_formula(space, g1, g2, rao=False, leray=None):
     mone = -field.one()
     val *= hilbert(field, mone, mone) ** ((l * (l + 1)) // 2)
     if ld.s:
-        detc = linalg.det(linalg.mat(ld.rho))
+        detc = linalg.det(linalg.mat(ld.rho), field)
         if l % 2:
             val *= hilbert(field, mone, detc)
         val *= cocycle_w_u_rho(space, ld.rho)

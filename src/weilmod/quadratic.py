@@ -145,7 +145,7 @@ class QuadraticForm:
 
     def evaluate(self, x):
         x = tuple(self.field.element(v) for v in x)
-        return self.field.dot(x, linalg.mat_vec(self.gram, x))
+        return self.field.dot(x, linalg.mat_vec(self.gram, x, self.field))
 
     def radical(self):
         """Basis of rad(Q) = ker(G)."""
@@ -162,7 +162,9 @@ class QuadraticForm:
         std = linalg.identity(self.field, self.m)
         comp = linalg.column_space_basis(list(rad) + list(std))[len(rad):]
         c = linalg.transpose(linalg.mat(comp))  # columns are the basis
-        gc = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), self.gram), c)
+        fld = self.field
+        cg = linalg.mat_mul(linalg.transpose(c), self.gram, fld)
+        gc = linalg.mat_mul(cg, c, fld)
         return linalg.mat(comp), gc
 
     def diagonalize(self):
@@ -179,10 +181,10 @@ class QuadraticForm:
             n = len(remaining)
 
             def qval(v):
-                return self.field.dot(v, linalg.mat_vec(gc, v))
+                return self.field.dot(v, linalg.mat_vec(gc, v, self.field))
 
             def bval(u, v):
-                return self.field.dot(u, linalg.mat_vec(gc, v))
+                return self.field.dot(u, linalg.mat_vec(gc, v, self.field))
 
             piv = None
             for i in range(n):
