@@ -96,31 +96,40 @@ class SympSpace:
                   for k in range(m)]
         return tuple(top + bottom)
 
-    def parabolic(self, a, b=None):
-        """p = [[a, b], [0, a^-T]]; b must satisfy b^T a^-T symmetric."""
-        m = self.m
-        a = linalg.mat(a)
-        ainvt = linalg.transpose(linalg.mat_inv(a, self.field))
-        if b is None:
-            b = linalg.zeros(self.field, m, m)
-        else:
-            b = linalg.mat(b)
-        z = self.field.zero()
-        rows = []
-        for i in range(m):
-            rows.append(tuple(a[i]) + tuple(b[i]))
-        for i in range(m):
-            rows.append((z,) * m + tuple(ainvt[i]))
-        g = linalg.mat(rows)
-        if not self.is_symplectic(g):
-            raise ValueError("parabolic block data is not symplectic")
-        return g
+    # the generators of the Siegel parabolic P(X) act on columns too: the
+    # torus diag(a, a^-T) mixes the X and the Y columns among themselves,
+    # and the unipotent [[I, s], [0, I]] adds X columns to Y columns
 
-    def unipotent_upper(self, s):
-        """[[I, S'],[0, I]] from a symmetric parameter: b = s a^-T with a = I
-        requires s symmetric under the induced condition."""
-        return self.parabolic(linalg.identity(self.field, self.m),
-                              linalg.mat(s))
+    def mul_torus(self, g, a):
+        """g diag(a, a^-T): the X columns become g_X a and the Y columns
+        g_Y a^-T.  A singular a raises ZeroDivisionError (linalg.mat_inv)."""
+        m, dot = self.m, self.field.dot
+        ainv = linalg.mat_inv(a, self.field)
+        acols = tuple(zip(*a))
+        return tuple(tuple(dot(r[:m], c) for c in acols) +
+                     tuple(dot(r[m:], c) for c in ainv) for r in g)
+
+    def mul_unipotent(self, g, s):
+        """g [[I, s], [0, I]] for symmetric s: column m+j gains g_X s_j,
+        one dot product per entry; a zero column of s leaves its column
+        alone.  A non-symmetric s raises ValueError, as the product would
+        not be symplectic."""
+        s = linalg.mat(s)
+        if s != linalg.transpose(s):
+            raise ValueError("unipotent parameter s is not symmetric")
+        m, dot = self.m, self.field.dot
+        one = (self.field.one(),)
+        cols = [(j, one + c) for j, c in enumerate(s) if any(c)]  # s = s^T
+        if not cols:
+            return g
+        out = []
+        for r in g:
+            row = list(r)
+            xs = r[:m]
+            for j, c in cols:
+                row[m + j] = dot((r[m + j],) + xs, c)
+            out.append(tuple(row))
+        return tuple(out)
 
     def blocks(self, g):
         m = self.m

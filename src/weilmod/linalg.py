@@ -91,11 +91,6 @@ def identity(fld, n):
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
 
-def zeros(fld, n, m):
-    z = fld.zero()
-    return tuple(tuple(z for _ in range(m)) for _ in range(n))
-
-
 def mat_mul(a, b, fld=OPS):
     dot = fld.dot
     bt = tuple(zip(*b))

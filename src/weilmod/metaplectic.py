@@ -574,44 +574,6 @@ def m_bracket(ctx, g):
 # Leray decomposition
 # ---------------------------------------------------------------------------
 
-def u_rho_matrix(space, s_indices, rho):
-    """u_rho: identity on X + Y_{cS}; f_j -> f_j + sum_k rho[k][j] e_k."""
-    field = space.field
-    m = space.m
-    cols = []
-    for i in range(m):
-        cols.append(space.basis_e(i))
-    for i in range(m):
-        v = list(space.basis_f(i))
-        if i in s_indices:
-            pos = s_indices.index(i)
-            for kpos, k in enumerate(s_indices):
-                v[k] = v[k] + rho[kpos][pos]
-        cols.append(tuple(v))
-    g = linalg.transpose(linalg.mat(cols))
-    if not space.is_symplectic(g):
-        raise ValueError("rho matrix must be symmetric (u_rho symplectic)")
-    return g
-
-
-def _mul_u_rho(space, g, s_indices, rho, inverse=False):
-    """g u_rho, or g u_rho^-1 = g u_{-rho}: column m+j of g gains (or
-    loses) sum_k rho[k][j] (column k) for j in S, one dot product per
-    entry; the other columns stay."""
-    field, m = space.field, space.m
-    one = (field.one(),)
-    cols = [one + (field.neg(c) if inverse else c)
-            for c in linalg.transpose(rho)]
-    out = []
-    for r in g:
-        row = list(r)
-        xs = tuple(r[k] for k in s_indices)
-        for j, col in zip(s_indices, cols):
-            row[m + j] = field.dot((r[m + j],) + xs, col)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def leray_decompose(space, g1, g2):
     """Leray data: g1 = p1 w_{S u S1} u_rho p^{-1}, g2 = p w_{S u S2} p2,
     built deterministically from the triple (X, g1^{-1}X, g2 X).  Over F_q
@@ -745,14 +707,17 @@ def _leray(space, g1, g2):
     t1 = set(s_idx) | set(s1)
     t2 = set(s_idx) | set(s2)
     pinv = space.inv(p)
+    # u_rho = [[I, r], [0, I]] with rho on S x S of r, and u_rho^-1 = u_{-rho}
+    pad = (zero,) * (m - ns)
+    r = [row + pad for row in c_rho] + [(zero,) * m] * (m - ns)
     p2 = space.w_inv_mul(t2, linalg.mat_mul(pinv, g2, field))
-    p1 = space.mul_w_inv(_mul_u_rho(space, linalg.mat_mul(g1, p, field),
-                                    s_idx, c_rho, inverse=True), t1)
+    p1 = space.mul_w_inv(space.mul_unipotent(
+        linalg.mat_mul(g1, p, field), [field.neg(row) for row in r]), t1)
     if not (space.in_parabolic(p1) and space.in_parabolic(p2)):
         raise RuntimeError("Leray: parabolic factors failed")
     # exact re-multiplication checks
-    lhs1 = linalg.mat_mul(_mul_u_rho(space, space.mul_w(p1, t1), s_idx,
-                                     c_rho), pinv, field)
+    lhs1 = linalg.mat_mul(space.mul_unipotent(space.mul_w(p1, t1), r),
+                          pinv, field)
     lhs2 = linalg.mat_mul(space.mul_w(p, t2), p2, field)
     if lhs1 != g1 or lhs2 != g2:
         raise RuntimeError("Leray: factorization check failed")
@@ -855,19 +820,22 @@ def enumerate_sp2(space):
 
 def random_symplectic(space, rng, length=6, scale=3):
     """Seeded random element of Sp(W): a word in torus, unipotent and w_S
-    generators with small parameters."""
+    generators with small parameters, each step a column update of g.  The
+    finished word is checked once (RuntimeError naming the word)."""
     field = space.field
     m = space.m
     g = space.identity()
+    word = []
     for _ in range(length):
         kind = rng.randrange(3)
         if kind == 0:
             while True:
                 a = [[field.element(rng.randrange(-scale, scale + 1))
                       for _ in range(m)] for _ in range(m)]
-                if linalg.det(a):
+                if linalg.det(a, field):
                     break
-            step = space.parabolic(a)
+            g = space.mul_torus(g, a)
+            word.append(("torus", a))
         elif kind == 1:
             s = [[field.zero()] * m for _ in range(m)]
             for i in range(m):
@@ -875,9 +843,13 @@ def random_symplectic(space, rng, length=6, scale=3):
                     v = field.element(rng.randrange(-scale, scale + 1))
                     s[i][jj] = v
                     s[jj][i] = v
-            step = space.unipotent_upper(s)
+            g = space.mul_unipotent(g, s)
+            word.append(("unipotent", s))
         else:
             subset = {i for i in range(m) if rng.randrange(2)}
-            step = space.w_subset(subset)
-        g = linalg.mat_mul(g, step)
+            g = space.mul_w(g, subset)
+            word.append(("w", subset))
+    if not space.is_symplectic(g):
+        raise RuntimeError("random_symplectic: the word %s gave %s, which "
+                           "is not symplectic" % (word, g))
     return g

@@ -17,7 +17,7 @@ from weilmod.heisenberg import (SchrodingerModel, SympSpace,
 from weilmod.metaplectic import (WeilContext, cocycle_formula,
                                  cocycle_operator, enumerate_sp2, m_bracket,
                                  random_symplectic, scalar_ratio, sigma,
-                                 split_checks, u_rho_matrix, x_invariant)
+                                 split_checks, x_invariant)
 from weilmod.quadratic import QuadraticForm, hilbert
 from weilmod.schwartz import cocycle_operator_padic
 from weilmod.theta import (DualPair, ThetaLift, char_inner,
@@ -243,9 +243,9 @@ def test_acceptance_6_padic_cocycle():
             g = random_symplectic(sp, rng, length=5, scale=2)
             par = random_symplectic(sp, rng, length=3, scale=2)
             if not sp.in_parabolic(par):
-                par = sp.unipotent_upper(
-                    [[fld.element(1), fld.element(0)],
-                     [fld.element(0), fld.element(1)]])
+                par = sp.mul_unipotent(sp.identity(),
+                                       [[fld.element(1), fld.element(0)],
+                                        [fld.element(0), fld.element(1)]])
             sym = hilbert(fld, x_invariant(sp, par).rep,
                           x_invariant(sp, g).rep)
             assert cocycle_formula(sp, par, g) == sym
@@ -262,7 +262,7 @@ def test_acceptance_6_padic_cocycle():
                 except ZeroDivisionError:
                     continue
             rho = linalg.mat(c)
-            g1 = linalg.mat_mul(w, u_rho_matrix(sp, [0, 1], rho))
+            g1 = sp.mul_unipotent(w, rho)
             expect = hilbert(fld, Fraction(-2), linalg.det(rho)) * \
                 QuadraticForm(fld, rho).hasse()
             assert cocycle_formula(sp, g1, w) == expect

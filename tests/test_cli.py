@@ -415,6 +415,19 @@ def test_selfcheck_failure_names_the_seed(monkeypatch, capsys):
     assert json.loads(lines[2]) == {"ok": False, "seed": 7, "suites": 2}
 
 
+def test_selfcheck_lets_a_bug_through(monkeypatch):
+    # a FAIL line reports a failed check (RuntimeError); a TypeError from a
+    # bug propagates out of run_all instead of reading as one
+    from weilmod import selfcheck
+
+    def buggy(rng):
+        raise TypeError("buggy on purpose")
+    monkeypatch.setattr(selfcheck, "SUITES",
+                        selfcheck.SUITES[:1] + [("buggy-suite", buggy)])
+    with pytest.raises(TypeError, match="buggy on purpose"):
+        selfcheck.run_all(7)
+
+
 @pytest.mark.parametrize("args", [
     ["bruhat", "--field", "fq:3:1", "--m", "1", "--g", "-1,0,0,-1"],
     ["cocycle", "--field", "qp:5", "--m", "1", "--g1", "-1,0,0,-1",

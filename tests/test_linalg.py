@@ -20,7 +20,7 @@ def test_mat_inv_integer_entries_stays_exact():
 def test_fields_are_their_own_scalars():
     q5 = QpField(5)
     assert linalg.identity(q5, 2) == ((1, 0), (0, 1))
-    assert all(isinstance(x, Fraction) for row in linalg.zeros(q5, 2, 3)
+    assert all(isinstance(x, Fraction) for row in linalg.identity(q5, 2)
                for x in row)
     f3 = FqField(3)
     assert linalg.identity(f3, 2) == ((f3.one(), f3.zero()),

@@ -18,8 +18,7 @@ from weilmod.metaplectic import (WeilContext, bruhat_decompose,
                                  cocycle_w_u_rho, enumerate_sp2,
                                  leray_decompose, leray_x_classes, m_bracket,
                                  mu_g_scalar, random_symplectic, scalar_ratio, sigma,
-                                 sigma_images, split_checks, u_rho_matrix,
-                                 x_invariant)
+                                 sigma_images, split_checks, x_invariant)
 from weilmod.quadratic import QuadraticForm, hilbert, square_class
 from weilmod.schwartz import cocycle_operator_padic
 from weilmod.weilfactor import fourier_matrix
@@ -131,10 +130,7 @@ def _random_wj_stable_parabolic(sp, j, rng):
             for k in range(m):
                 if (i < j) == (k < j):  # block-diagonal over the j-split
                     a[i][k] = field.element(rng.randrange(-2, 3))
-        try:
-            if linalg.det(linalg.mat(a)) == field.element(0):
-                continue
-        except ZeroDivisionError:
+        if not linalg.det(a, field):
             continue
         s = [[field.element(0)] * m for _ in range(m)]
         for i in range(j, m):
@@ -142,18 +138,12 @@ def _random_wj_stable_parabolic(sp, j, rng):
                 v = field.element(rng.randrange(-2, 3))
                 s[i][k] = v
                 s[k][i] = v
-        ainvt = linalg.transpose(linalg.mat_inv(linalg.mat(a), field))
-        b = linalg.mat_mul(linalg.mat(a), linalg.mat(s))
-        z = field.element(0)
-        rows = [tuple(a[i]) + tuple(b[i]) for i in range(m)]
-        rows += [(z,) * m + tuple(ainvt[i]) for i in range(m)]
-        r = linalg.mat(rows)
-        if sp.is_symplectic(r):
-            wj = sp.w_subset(set(range(j)))
-            conj = linalg.mat_mul(linalg.mat_mul(
-                linalg.mat_inv(wj, field), r), wj)
-            if sp.in_parabolic(conj):
-                return r
+        r = sp.mul_unipotent(sp.mul_torus(sp.identity(), a), s)
+        wj = sp.w_subset(set(range(j)))
+        conj = linalg.mat_mul(linalg.mat_mul(
+            linalg.mat_inv(wj, field), r), wj)
+        if sp.in_parabolic(conj):
+            return r
 
 
 def bruhat_reference(space, g):
@@ -323,7 +313,8 @@ def test_split_checks_reports_the_first_failing_pair(monkeypatch):
     f3 = FqField(3)
     sp = SympSpace(f3, 1)
     ctx = WeilContext(sp, AdditiveCharacter(f3))
-    g1, g2 = sp.w_subset({0}), sp.unipotent_upper([[f3.element(1)]])
+    g1, g2 = sp.w_subset({0}), sp.mul_unipotent(sp.identity(),
+                                                [[f3.element(1)]])
     g12 = linalg.mat_mul(g1, g2)
     assert split_checks(ctx, [(g1, g2)]) == {"multiplicative": True,
                                              "pairs": 1}
@@ -510,8 +501,8 @@ def test_cocycle_operator_checks_every_entry(coeff):
     sp = SympSpace(f3, 2)
     ctx = WeilContext(sp, AdditiveCharacter(
         f3, FiniteField(*coeff) if coeff else None))
-    g1, g2 = sp.w_subset({0, 1}), sp.unipotent_upper(
-        [[f3.element(1), f3.element(0)], [f3.element(0), f3.element(2)]])
+    g1, g2 = sp.w_subset({0, 1}), sp.mul_unipotent(sp.identity(), fmat(
+        f3, [[1, 0], [0, 2]]))
     g12 = linalg.mat_mul(g1, g2)
     assert cocycle_operator(ctx, g1, g2) == ctx.one()
     mu, packed = ctx._sigma_cache[lower(g12)]
@@ -1009,7 +1000,7 @@ def test_leray_digest_extension_fields():
 
 
 def _random_parabolic(sp, rng):
-    # parabolic(a) unipotent_upper(s) with small random a and symmetric s
+    # diag(a, a^-T) [[I, s], [0, I]] with small random a and symmetric s
     field, m = sp.field, sp.m
     while True:
         a = [[field.element(rng.randrange(-2, 3)) for _ in range(m)]
@@ -1020,7 +1011,17 @@ def _random_parabolic(sp, rng):
     for i in range(m):
         for k in range(i, m):
             s[i][k] = s[k][i] = field.element(rng.randrange(-2, 3))
-    return linalg.mat_mul(sp.parabolic(a), sp.unipotent_upper(s))
+    return sp.mul_unipotent(sp.mul_torus(sp.identity(), a), s)
+
+
+def rho_on_s(sp, s, rho):
+    """The r of u_rho = [[I, r], [0, I]]: rho placed on S x S of an m x m
+    zero matrix, its rows and columns in the order of s."""
+    r = [[sp.field.zero()] * sp.m for _ in range(sp.m)]
+    for a, i in enumerate(s):
+        for b, k in enumerate(s):
+            r[i][k] = rho[a][b]
+    return r
 
 
 def _leray_pairs_s_and_p12(rng):
@@ -1046,9 +1047,9 @@ def _leray_pairs_s_and_p12(rng):
                     if linalg.det(rho):
                         break
                 p, p1m, p2m = (_random_parabolic(sp, rng) for _ in range(3))
-                u = u_rho_matrix(sp, s, linalg.mat(rho))
-                g1 = linalg.mat_mul(linalg.mat_mul(
-                    sp.mul_w(p1m, set(s + p12 + p1)), u), sp.inv(p))
+                g1 = linalg.mat_mul(sp.mul_unipotent(
+                    sp.mul_w(p1m, set(s + p12 + p1)), rho_on_s(sp, s, rho)),
+                    sp.inv(p))
                 g2 = linalg.mat_mul(sp.mul_w(p, set(s + p12 + p2)), p2m)
                 yield sp, g1, g2, ns, 1
 
@@ -1190,19 +1191,170 @@ def test_u_rho_product_matches_dense():
     rng = random.Random(11)
     done = 0
     for sp, g, s in _product_cases(rng):
-        field = sp.field
+        field, m = sp.field, sp.m
         rho = [[None] * len(s) for _ in s]
         for a in range(len(s)):
             for b in range(a, len(s)):
                 rho[a][b] = rho[b][a] = field.element(rng.randrange(-4, 5))
-        rho = linalg.mat(rho)
-        u = u_rho_matrix(sp, list(s), rho)
-        assert metaplectic._mul_u_rho(sp, g, list(s), rho) == \
-            linalg.mat_mul(g, u)
-        assert metaplectic._mul_u_rho(sp, g, list(s), rho, inverse=True) == \
+        r = rho_on_s(sp, s, rho)
+        z, o = field.zero(), field.one()
+        u = linalg.mat([[o if k == i else z for k in range(m)] + r[i]
+                        for i in range(m)] +
+                       [[z] * m + [o if k == i else z for k in range(m)]
+                        for i in range(m)])
+        assert sp.mul_unipotent(g, r) == linalg.mat_mul(g, u)
+        assert sp.mul_unipotent(g, [field.neg(row) for row in r]) == \
             linalg.mat_mul(g, linalg.mat_inv(u, field))
         done += bool(s)
     assert done == 3 * 2 * (1 + 3 + 7)
+
+
+def test_generator_products_match_dense():
+    # g diag(a, a^-T) and g [[I, s], [0, I]] as column updates against the
+    # dense products, on a symplectic g and a general matrix, s with zero
+    # columns and the all-zero s among them; over F_q the index view too
+    rng = random.Random(21)
+    zero_cols = 0
+    for field in (FqField(3), FqField(3, 2), QpField(5)):
+        z = field.zero()
+        for m in (1, 2, 3):
+            sp = SympSpace(field, m)
+            eye = linalg.identity(field, m)
+            general = linalg.mat(
+                [[field.element(rng.randrange(-4, 5)) for _ in range(sp.dim)]
+                 for _ in range(sp.dim)])
+            for g in (random_symplectic(sp, rng, length=6), general):
+                for _ in range(4):
+                    while True:
+                        a = fmat(field, [[rng.randrange(-3, 4)
+                                          for _ in range(m)]
+                                         for _ in range(m)])
+                        if linalg.det(a, field):
+                            break
+                    ainvt = linalg.transpose(linalg.mat_inv(a, field))
+                    torus = linalg.mat([a[i] + (z,) * m for i in range(m)] +
+                                       [(z,) * m + ainvt[i]
+                                        for i in range(m)])
+                    keep = [rng.randrange(2) for _ in range(m)]
+                    s = [[z] * m for _ in range(m)]
+                    for i in range(m):
+                        for k in range(i, m):
+                            if keep[i] and keep[k]:
+                                s[i][k] = s[k][i] = field.element(
+                                    rng.randrange(-3, 4))
+                    zero_cols += not all(keep)
+                    got = [sp.mul_torus(g, a)]
+                    assert got[0] == linalg.mat_mul(g, torus, field)
+                    for par in (s, [[z] * m] * m):
+                        unip = linalg.mat([eye[i] + tuple(par[i])
+                                           for i in range(m)] +
+                                          [(z,) * m + eye[i]
+                                           for i in range(m)])
+                        got.append(sp.mul_unipotent(g, par))
+                        assert got[-1] == linalg.mat_mul(g, unip, field)
+                    if field.flavor == "padic":
+                        assert all(type(x) is Fraction
+                                   for h in got for row in h for x in row)
+                    else:
+                        ix = field.indices
+                        spi = SympSpace(ix, m)
+                        assert spi.mul_torus(ix.lower(g), ix.lower(a)) == \
+                            ix.lower(got[0])
+                        assert spi.mul_unipotent(ix.lower(g), ix.lower(s)) \
+                            == ix.lower(got[1])
+    assert zero_cols >= 20
+
+
+def test_generator_products_refuse_bad_parameters():
+    for field in (FqField(3), FqField(3, 2), QpField(5)):
+        sp = SympSpace(field, 2)
+        with pytest.raises(ValueError, match="not symmetric"):
+            sp.mul_unipotent(sp.identity(), fmat(field, [[0, 1], [2, 0]]))
+        with pytest.raises(ZeroDivisionError):
+            sp.mul_torus(sp.identity(), fmat(field, [[1, 2], [1, 2]]))
+
+
+def parabolic_reference(space, a, b=None):
+    """[[a, b], [0, a^-T]], checked symplectic: each torus and unipotent
+    generator as random_symplectic built it densely before its steps
+    became column updates."""
+    field, m = space.field, space.m
+    ainvt = linalg.transpose(linalg.mat_inv(linalg.mat(a), field))
+    if b is None:
+        b = [[field.zero()] * m for _ in range(m)]
+    g = linalg.mat([tuple(a[i]) + tuple(b[i]) for i in range(m)] +
+                   [(field.zero(),) * m + ainvt[i] for i in range(m)])
+    assert space.is_symplectic(g)
+    return g
+
+
+def random_symplectic_reference(space, rng, length=6, scale=3):
+    """random_symplectic by dense products of checked generators, the same
+    rng draws in the same order: the reference for the column steps."""
+    field, m = space.field, space.m
+    g = space.identity()
+    for _ in range(length):
+        kind = rng.randrange(3)
+        if kind == 0:
+            while True:
+                a = [[field.element(rng.randrange(-scale, scale + 1))
+                      for _ in range(m)] for _ in range(m)]
+                if linalg.det(a):
+                    break
+            step = parabolic_reference(space, a)
+        elif kind == 1:
+            s = [[field.zero()] * m for _ in range(m)]
+            for i in range(m):
+                for jj in range(i, m):
+                    v = field.element(rng.randrange(-scale, scale + 1))
+                    s[i][jj] = v
+                    s[jj][i] = v
+            step = parabolic_reference(space, linalg.identity(field, m), s)
+        else:
+            step = space.w_subset({i for i in range(m) if rng.randrange(2)})
+        g = linalg.mat_mul(g, step)
+    return g
+
+
+@pytest.mark.parametrize("seed", [105, 106])
+def test_random_symplectic_matches_reference(seed):
+    for field in (FqField(3), FqField(3, 2), QpField(3), QpField(5),
+                  QpField(7)):
+        for m in (1, 2):
+            sp = SympSpace(field, m)
+            rng, ref = random.Random(seed), random.Random(seed)
+            for length, scale in ((8, 3), (5, 2)) * 30:
+                assert random_symplectic(sp, rng, length, scale) == \
+                    random_symplectic_reference(sp, ref, length, scale)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_random_symplectic_checks_each_word_once(monkeypatch):
+    # every step is symplectic by construction: one is_symplectic per
+    # word, and no dense product by a 2m x 2m generator
+    checks, dense = [], []
+    real_check, real_mul = SympSpace.is_symplectic, linalg.mat_mul
+
+    def counted_check(self, g):
+        checks.append(len(g))
+        return real_check(self, g)
+
+    def counted_mul(a, b, *fld):
+        if len(a) == 4 or len(b) == 4:
+            dense.append((len(a), len(b)))
+        return real_mul(a, b, *fld)
+    monkeypatch.setattr(SympSpace, "is_symplectic", counted_check)
+    monkeypatch.setattr(linalg, "mat_mul", counted_mul)
+    for field in (FqField(3), QpField(5)):
+        sp = SympSpace(field, 2)
+        rng = random.Random(105)
+        checks.clear()
+        for _ in range(200):
+            random_symplectic(sp, rng, length=8)
+        assert checks == [4] * 200 and dense == []
+    monkeypatch.setattr(SympSpace, "is_symplectic", lambda self, g: False)
+    with pytest.raises(RuntimeError, match="random_symplectic: the word"):
+        random_symplectic(sp, rng)
 
 
 def test_decompositions_make_no_dense_weyl_products(monkeypatch):
@@ -1231,10 +1383,10 @@ def test_decompositions_make_no_dense_weyl_products(monkeypatch):
 
 def test_u_rho_symplectic_requires_symmetric():
     sp = SympSpace(QpField(3), 2)
-    good = u_rho_matrix(sp, [0, 1], qmat([[1, 2], [2, 1]]))
+    good = sp.mul_unipotent(sp.identity(), qmat([[1, 2], [2, 1]]))
     assert sp.is_symplectic(good)
     with pytest.raises(ValueError):
-        u_rho_matrix(sp, [0, 1], qmat([[0, 1], [-1, 0]]))
+        sp.mul_unipotent(sp.identity(), qmat([[0, 1], [-1, 0]]))
 
 
 def test_leray_refuses_non_symplectic_as_a_check():
@@ -1366,8 +1518,7 @@ def test_cocycle_w_u_rho_lemma(rng):
                 except ZeroDivisionError:
                     continue
             rho = linalg.mat(c)
-            urho = u_rho_matrix(sp, [0, 1], rho)
-            g1 = linalg.mat_mul(w, urho)
+            g1 = sp.mul_unipotent(w, rho)
             got = cocycle_formula(sp, g1, w)
             q = QuadraticForm(fld, rho)
             expect = hilbert(fld, F(-2), linalg.det(rho)) * q.hasse()

@@ -1,8 +1,9 @@
 """basefield.points is the one order of F_q^k: each enumeration that reads
 it is compared with the expression it replaced, kept here as the
 reference.  A guard over the package source keeps the order, the
-internals of a WeilContext, the construction of coefficient scalars and
-the refused-input exception behind one owner each."""
+internals of a WeilContext, the construction of coefficient scalars,
+the refused-input exception and the products by the Siegel parabolic's
+generators behind one owner each."""
 
 import ast
 import itertools
@@ -219,3 +220,35 @@ def test_one_refused_input_class():
              and any(isinstance(b, ast.Name) and b.id == "ValueError"
                      for b in node.bases)]
     assert found == [("basefield", "InputError")]
+
+
+def _functions(module=None):
+    for name, tree in _modules():
+        if module in (None, name):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    yield name, node
+
+
+def test_random_symplectic_checks_the_finished_word_once():
+    # each step is a column update by a generator, symplectic by
+    # construction: the one check is on the word, after the loop
+    func = next(f for _, f in _functions("metaplectic")
+                if f.name == "random_symplectic")
+    checks = [n for n in ast.walk(func) if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Attribute)
+              and n.func.attr == "is_symplectic"]
+    in_loops = {id(n) for loop in ast.walk(func)
+                if isinstance(loop, (ast.For, ast.While))
+                for n in ast.walk(loop)}
+    assert len(checks) == 1 and id(checks[0]) not in in_loops
+
+
+def test_one_function_per_parabolic_generator():
+    # heisenberg multiplies by the unipotents [[I, s], [0, I]] (u_rho among
+    # them); dense builders of the generators live in the tests
+    found = sorted("%s.%s" % (name, f.name) for name, f in _functions()
+                   if any(w in f.name
+                          for w in ("parabolic", "unipotent", "u_rho")))
+    assert found == ["heisenberg.in_parabolic", "heisenberg.mul_unipotent",
+                     "metaplectic.cocycle_w_u_rho", "schwartz.act_parabolic"]
