@@ -268,8 +268,12 @@ class LagrangianModel:
                     raise ValueError("subspace is not isotropic")
         # transversal: standard vectors completing a_basis
         comp = linalg.column_space_basis(list(self.a_basis) +
-                                         list(space.identity()))[m:]
+                                         list(space.identity()),
+                                         self.field)[m:]
         self.b_basis = linalg.mat(comp)
+        # the bases as columns: coordinates to ambient vectors by mat_vec
+        self._a_cols = linalg.transpose(self.a_basis)
+        self._b_cols = linalg.transpose(self.b_basis)
         self.dim = self.field.q ** m
         self._full = linalg.mat(list(self.a_basis) + list(self.b_basis))
         self._full_inv = linalg.mat_inv(linalg.transpose(self._full),
@@ -279,16 +283,14 @@ class LagrangianModel:
 
     def point(self, i):
         """The i-th B-coset representative as an ambient vector."""
-        return linalg.combine(self._points[i], self.b_basis,
-                              self.space.zero_vec())
+        return linalg.mat_vec(self._b_cols, self._points[i], self.field)
 
     def decompose(self, w):
         """w = a + b along A + B; returns (a, b, b-coords)."""
-        coords = linalg.mat_vec(self._full_inv, w)
+        coords = linalg.mat_vec(self._full_inv, w, self.field)
         m = self.space.m
-        zero = self.space.zero_vec()
-        a = linalg.combine(coords[:m], self.a_basis, zero)
-        b = linalg.combine(coords[m:], self.b_basis, zero)
+        a = linalg.mat_vec(self._a_cols, coords[:m], self.field)
+        b = linalg.mat_vec(self._b_cols, coords[m:], self.field)
         return a, b, tuple(coords[m:])
 
     def eval_basis(self, h):
@@ -485,11 +487,15 @@ def intertwiner(model1, model2, omega_vec=None):
 
 
 def coset_reps(subspace, ambient_basis, field):
-    """Points of a complement of `subspace` inside span(ambient_basis)."""
-    comp = linalg.column_space_basis(list(subspace) + list(ambient_basis))
-    comp = comp[len(subspace):]
-    zero = (field.zero(),) * (len(ambient_basis[0]) if ambient_basis else 0)
-    return [linalg.combine(co, comp, zero)
+    """Points of a complement of `subspace` inside span(ambient_basis); the
+    one zero vector when the complement is {0}."""
+    comp = linalg.column_space_basis(list(subspace) + list(ambient_basis),
+                                     field)[len(subspace):]
+    if not comp:
+        return [(field.zero(),) *
+                (len(ambient_basis[0]) if ambient_basis else 0)]
+    cols = linalg.transpose(comp)
+    return [linalg.mat_vec(cols, co, field)
             for co in points(field, len(comp))]
 
 

@@ -1,18 +1,20 @@
 """Small exact linear algebra.  Matrices are tuples of tuples; vectors are
 tuples.
 
-mat_mul, mat_vec, rref, nullspace, solve, det and mat_inv take their
-arithmetic from `fld`: zero() and one() where they create zeros or ones,
-and the dot product, whole-row operations and reciprocal of `Ops` (which
-also holds the symplectic pairing that SympSpace reads).  `Ops`, the
-default, reads these off the scalars' own operators (FFElt, Cyc, and
-Fractions outside a field); FiniteField (FqField among them) and
-CyclotomicRing extend it with zero() and one().  Two fields supply their
-own arithmetic instead: QpField works on the integer numerators and
+mat_mul, mat_vec, rref, nullspace, solve, det, mat_inv, column_space_basis
+and intersection take their arithmetic from `fld`, the field or ring the
+scalars live in: zero() and one() where they create zeros or ones, and the
+dot product, whole-row operations and reciprocal of `Ops` (which also
+holds the symplectic pairing that SympSpace reads).  `Ops` reads these off
+the scalars' own operators (FFElt, Cyc); FiniteField (FqField among them)
+and CyclotomicRing extend it with zero() and one().  Two fields supply
+their own arithmetic instead: QpField works on the integer numerators and
 denominators of its Fractions, one normalized Fraction per dot product,
 pairing or row entry, and a finite field's index view
 (coeff.FiniteField.indices) works on raw field indices, one row or one dot
-product per call.  The other routines use the scalars' operators.
+product per call.  The other routines use the scalars' operators.  Every
+call in the package names its field, so Q_p has one path, QpField's;
+mat_mul's default, OPS, exists only for callers outside the package.
 
 Zero contract: every scalar is falsy exactly when it is zero (int, Fraction,
 FFElt, Cyc, a raw field index), so `not x` is the zero test.  Dot products
@@ -21,8 +23,6 @@ where the pivot row is zero; neither changes a value.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class Ops:
@@ -45,8 +45,7 @@ class Ops:
 
     @staticmethod
     def recip(x):
-        """1/x, exact also for plain ints (which have no inv())."""
-        return x.inv() if hasattr(x, "inv") else Fraction(1) / x
+        return x.inv()
 
     @staticmethod
     def eliminate(row, f, pivot_row):
@@ -92,12 +91,14 @@ def identity(fld, n):
 
 
 def mat_mul(a, b, fld=OPS):
+    """a b.  The package always passes `fld`; the default serves callers
+    outside it, such as a benchmark timing mat_mul(a, b) on dense sigmas."""
     dot = fld.dot
     bt = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def mat_vec(a, v, fld=OPS):
+def mat_vec(a, v, fld):
     dot = fld.dot
     return tuple(dot(row, v) for row in a)
 
@@ -118,7 +119,7 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def rref(a, fld=OPS):
+def rref(a, fld):
     """Reduced row echelon form; returns (rref rows as lists, pivot cols)."""
     rows = [list(r) for r in a]
     if not rows:
@@ -190,7 +191,7 @@ def solve_columns(a, rhs_columns, fld):
     return out
 
 
-def det(a, fld=OPS):
+def det(a, fld):
     """The determinant: the product of the pivots of an elimination, each
     row swap flipping its sign.  Every factor is a scalar the field made:
     the first pivot as 1/(1/pivot), a singular a as a zero entry squared."""
@@ -243,21 +244,12 @@ def trace(a):
     return acc
 
 
-def column_space_basis(vectors):
+def column_space_basis(vectors, fld):
     """The greedy subset of the given vectors that is a basis of their span:
     the pivot columns of the matrix whose columns they are.  Listing an
     independent family first extends it to a basis."""
     vectors = [tuple(v) for v in vectors]
-    return [vectors[c] for c in rref(transpose(vectors))[1]]
-
-
-def combine(coords, basis, zero_vector):
-    """sum_i coords[i] * basis[i], starting from zero_vector."""
-    acc = list(zero_vector)
-    for c, vec in zip(coords, basis):
-        for t in range(len(acc)):
-            acc[t] = acc[t] + c * vec[t]
-    return tuple(acc)
+    return [vectors[c] for c in rref(transpose(vectors), fld)[1]]
 
 
 def intersection(basis1, basis2, fld):
@@ -266,6 +258,6 @@ def intersection(basis1, basis2, fld):
         return ()
     rows = list(basis1) + list(basis2)
     ns = nullspace(transpose(mat(rows)), fld)
-    zero = (fld.zero(),) * len(basis1[0])
+    cols = transpose(basis1)
     return tuple(column_space_basis(
-        [combine(coefs[:len(basis1)], basis1, zero) for coefs in ns]))
+        [mat_vec(cols, coefs[:len(basis1)], fld) for coefs in ns], fld))

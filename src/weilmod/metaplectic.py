@@ -216,10 +216,8 @@ class CountModel:
     index view.  The cache maps g to ((j, x(g) class), N) with N the tuple
     of its packed rows (mu depends on g only through that key; over F_q
     the class is whether det_X(p1) det_X(p2) is a square, the test
-    square_class makes), at most SIGMA_CACHE_SIZE
-    entries, read at each insertion; `witness` keeps one (g, Bruhat data)
-    per key, on indices, for the contexts' mu.  `check` keeps its last
-    successful pair (_last)."""
+    square_class makes), at most SIGMA_CACHE_SIZE entries, read at each
+    insertion.  `check` keeps its last successful pair (_last)."""
 
     def __init__(self, space, exp):
         field = space.field
@@ -248,7 +246,6 @@ class CountModel:
         self._slot0 = each_entry((1 << w) - 1)
         self._offset = each_entry(self._ones << (w - 1))
         self.cache = {}
-        self.witness = {}
         self._last = None
 
     def pack(self, entries):
@@ -321,7 +318,6 @@ class CountModel:
         if len(cache) >= SIGMA_CACHE_SIZE:
             del cache[next(iter(cache))]
         cache[g] = entry
-        self.witness.setdefault(key, (g, bd))
         return entry
 
     def check(self, n1, n2, n12, g1, g2):
@@ -444,17 +440,17 @@ def sigma_counts(ctx, g):
     """(mu, N) with sigma(g) = mu phi(N) for g given on raw field indices
     (FiniteField.indices.lower): the scalar mu = mu_g normalized by
     Omega_{1/2}^{-j}, from ctx's table by (j, x(g) class), and N the
-    packed count matrix on the Y-point basis (CountModel.entry).  A key's first mu is computed on
-    its witness, lifted to FFElts."""
+    packed count matrix on the Y-point basis (CountModel.entry).  Over F_q
+    mu_g is Omega_{1,d}, d = det_X(p1) det_X(p2) (mu_g_scalar), which
+    depends on d only through its square class: 1 or a nonresidue."""
     key, counts = ctx.counts.entry(g)
     mu = ctx._mu.get(key)
     if mu is None:
-        wg, bd = ctx.counts.witness[key]
-        lift = ctx.space.field.indices.lift
-        bd = BruhatData(bd.j, lift(bd.p1), lift(bd.p2))
-        mu = mu_g_scalar(ctx.space, ctx.psi, lift(wg), bd) * \
-            ctx._gauss_half_inv ** bd.j
-        ctx._mu[key] = mu
+        j, square = key
+        field = ctx.space.field
+        rep = field.one() if square else field.nonresidue()
+        mu = ctx._mu[key] = omega_ratio(field, ctx.psi, field.one(), rep) * \
+            ctx._gauss_half_inv ** j
     return mu, counts
 
 
@@ -562,8 +558,8 @@ def m_bracket(ctx, g):
     zero = ctx.zero()
     rows = [[zero] * n for _ in range(n)]
     for w in coset_reps(ker, space.identity(), field):
-        phase = ctx.psi(half * space.pairing(w, linalg.mat_vec(g, w)))
-        mono = model.rho(delta(space, linalg.mat_vec(one_minus, w)))
+        phase = ctx.psi(half * space.pairing(w, linalg.mat_vec(g, w, field)))
+        mono = model.rho(delta(space, linalg.mat_vec(one_minus, w, field)))
         for j in range(n):
             rows[mono.perm[j]][j] = rows[mono.perm[j]][j] + \
                 phase * mono.phases[j]

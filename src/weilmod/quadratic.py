@@ -160,9 +160,9 @@ class QuadraticForm:
         """(complement basis C, induced Gram C^T G C) on X/rad(Q)."""
         rad = self.radical()
         std = linalg.identity(self.field, self.m)
-        comp = linalg.column_space_basis(list(rad) + list(std))[len(rad):]
-        c = linalg.transpose(linalg.mat(comp))  # columns are the basis
         fld = self.field
+        comp = linalg.column_space_basis(list(rad) + list(std), fld)[len(rad):]
+        c = linalg.transpose(linalg.mat(comp))  # columns are the basis
         cg = linalg.mat_mul(linalg.transpose(c), self.gram, fld)
         gc = linalg.mat_mul(cg, c, fld)
         return linalg.mat(comp), gc
@@ -216,10 +216,10 @@ class QuadraticForm:
                 new_rem.append(w)
             # keep an independent subset
             new_rem = [w for w in new_rem if any(w)]
-            remaining = linalg.column_space_basis(new_rem)
+            remaining = linalg.column_space_basis(new_rem, self.field)
         # pull the quotient vectors back to the ambient space
-        zero = (self.field.zero(),) * self.m
-        amb = tuple(linalg.combine(v, comp, zero) for v in out_vecs)
+        cols = linalg.transpose(comp)
+        amb = tuple(linalg.mat_vec(cols, v, self.field) for v in out_vecs)
         self._diag = (amb, tuple(out_vals))
         return self._diag
 

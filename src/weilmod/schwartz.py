@@ -264,9 +264,7 @@ def cocycle_operator_padic(p, g1, g2):
     from . import linalg
     s1 = sigma_padic_matrix(p, g1)
     s2 = sigma_padic_matrix(p, g2)
-    g12 = linalg.mat_mul(
-        tuple(tuple(Fraction(x) for x in row) for row in g1),
-        tuple(tuple(Fraction(x) for x in row) for row in g2))
+    g12 = linalg.mat_mul(g1, g2, QpField(p))
     s12 = sigma_padic_matrix(p, g12)
     c = None
     for f in (PhaseStepFunction.indicator(p),

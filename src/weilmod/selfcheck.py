@@ -104,8 +104,8 @@ def _padic_cocycle(rng):
         g2 = random_symplectic(sp, rng, length=4, scale=2)
         g3 = random_symplectic(sp, rng, length=4, scale=2)
         lhs = cocycle_formula(sp, g1, g2) * \
-            cocycle_formula(sp, linalg.mat_mul(g1, g2), g3)
-        rhs = cocycle_formula(sp, g1, linalg.mat_mul(g2, g3)) * \
+            cocycle_formula(sp, linalg.mat_mul(g1, g2, sp.field), g3)
+        rhs = cocycle_formula(sp, g1, linalg.mat_mul(g2, g3, sp.field)) * \
             cocycle_formula(sp, g2, g3)
         what = "cocycle identity at %r, %r, %r" % (g1, g2, g3)
         _expect(what, lhs, rhs)

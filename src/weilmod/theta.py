@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .basefield import AdditiveCharacter, InputError, points
@@ -31,7 +32,8 @@ def enumerate_orthogonal(q_form):
     vecs = [v[::-1] for v in points(field, n)]
     for colset in itertools.product(vecs, repeat=n):
         h = linalg.transpose(linalg.mat(colset))
-        ht_g_h = linalg.mat_mul(linalg.mat_mul(linalg.transpose(h), gram), h)
+        ht_g_h = linalg.mat_mul(
+            linalg.mat_mul(linalg.transpose(h), gram, field), h, field)
         if ht_g_h == gram:
             out.append(h)
     return out
@@ -72,6 +74,7 @@ class DualPair:
         if len(self.h1_list) * len(self.h2_list) > GROUP_ORDER_CAP:
             raise InputError("group order cap exceeded")
         self.h2_images = {h: self.embed_h2(h) for h in self.h2_list}
+        mul = partial(linalg.mat_mul, fld=field)
         pts = points(field, self.m)
         index = {pt: i for i, pt in enumerate(pts)}
         self.h1_perms = {}
@@ -79,21 +82,22 @@ class DualPair:
             e1 = self.embed_h1(h1)
             for h2 in self.h2_list[:6]:
                 e2 = self.h2_images[h2]
-                if linalg.mat_mul(e1, e2) != linalg.mat_mul(e2, e1):
+                if mul(e1, e2) != mul(e2, e1):
                     raise RuntimeError("dual pair images fail to commute")
             at = linalg.transpose(self.space.blocks(e1)[0])
             perm = [0] * len(pts)
             for i, co in enumerate(pts):
-                perm[index[linalg.mat_vec(at, co)]] = i
+                perm[index[linalg.mat_vec(at, co, field)]] = i
             self.h1_perms[h1] = tuple(perm)
         self.characters = labelled_characters(
-            linear_pm_characters(self.h1_list, linalg.mat_mul))
+            linear_pm_characters(self.h1_list, mul))
         self.h2_inverses = group_inverses(self.h2_list, field)
 
     def embed_h1(self, h):
         """O(V) acting as h x Id_W': block-diagonal in the rescaled basis."""
         field = self.field
-        hb = linalg.mat_mul(linalg.mat_mul(self._binv, h), self._b)
+        hb = linalg.mat_mul(linalg.mat_mul(self._binv, h, field), self._b,
+                            field)
         hbt = linalg.transpose(linalg.mat_inv(hb, field))
         pad = (field.zero(),) * self.n0   # m' = 1: diag(hb, hb^-T)
         g = tuple(r + pad for r in hb) + tuple(pad + r for r in hbt)
@@ -338,7 +342,8 @@ def product_group(pair):
     inv = {(a, b): (inv1[a], pair.h2_inverses[b]) for (a, b) in group}
 
     def mul(a, b):
-        return (linalg.mat_mul(a[0], b[0]), linalg.mat_mul(a[1], b[1]))
+        return (linalg.mat_mul(a[0], b[0], pair.field),
+                linalg.mat_mul(a[1], b[1], pair.field))
     return group, mul, inv
 
 
@@ -375,7 +380,7 @@ def congruence_check(v_form, mprime, ell):
     ffl = FiniteField(ell, d)
     red = ReductionMap(ring0, ffl)
     ctxl = WeilContext(pair.space, AdditiveCharacter(field, ffl))
-    gens2 = _generators(h2, linalg.mat_mul)[1]
+    gens2 = _generators(h2, partial(linalg.mat_mul, fld=field))[1]
     report = {"lifts": []}
     trivial = None
     for label, chi in pair.characters:

@@ -106,7 +106,7 @@ def omega(q_form, psi, mass=1):
     pt = linalg.solve_columns(linalg.transpose(comp), vecs, field)
     for a in vals:
         acc = acc * omega1(field, psi, a)
-    return acc * (mass * modulus(field, linalg.det(pt)))
+    return acc * (mass * modulus(field, linalg.det(pt, field)))
 
 
 def omega_brute_padic(q_form, depth):
@@ -189,7 +189,7 @@ def omega_diag_product(q_form, psi):
     ratio = omega_ratio(field, psi, detb, one)
     # Q_Id in the basis B: identity Gram expressed back in ambient coordinates
     binv = linalg.mat_inv(linalg.transpose(linalg.mat(vecs)), field)
-    gid = linalg.mat_mul(linalg.transpose(binv), binv)
+    gid = linalg.mat_mul(linalg.transpose(binv), binv, field)
     qid = QuadraticForm(field, gid)
     w_id = omega(qid, psi)
     h = q_form.hasse()
@@ -223,7 +223,7 @@ def fourier_matrix(field, psi, rho_gram):
     pts = points(field, m)
     rows = []
     for x in pts:
-        rx = linalg.mat_vec(gram, x)
+        rx = linalg.mat_vec(gram, x, field)
         rows.append(tuple(om_inv * psi(field.dot(rx, u)) for u in pts))
     return linalg.mat(rows)
 
@@ -253,7 +253,7 @@ def epsilon(field, psi, rho_gram):
     half = field.one() / 2
     gram = linalg.mat([[field.element(x) * half for x in row]
                        for row in rho_gram])
-    d = linalg.det(gram)
+    d = linalg.det(gram, field)
     sym = hilbert(field, -one, d)
     return om ** m * sym
 
@@ -266,5 +266,5 @@ def classical_weil_factor(field, psi, rho_gram, sqrt_q):
         sq = sqrt_q ** len(rho_gram)  # |rho|_mu = q^m
     else:
         gram = linalg.mat([[Fraction(x) for x in row] for row in rho_gram])
-        sq = sqrt_q ** field.val(linalg.det(gram))
+        sq = sqrt_q ** field.val(linalg.det(gram, field))
     return om * sq.inv()

@@ -13,8 +13,8 @@ def test_mat_inv_integer_entries_stays_exact():
     inv = linalg.mat_inv(((2, 0), (0, 1)), QpField(5))
     assert inv == ((Fraction(1, 2), 0), (0, 1))
     assert not any(isinstance(x, float) for row in inv for x in row)
-    assert linalg.det(((2, 1), (1, 1))) == 1
-    assert not isinstance(linalg.det(((2, 1), (1, 1))), float)
+    assert linalg.det(((2, 1), (1, 1)), QpField(5)) == 1
+    assert not isinstance(linalg.det(((2, 1), (1, 1)), QpField(5)), float)
 
 
 def test_fields_are_their_own_scalars():
@@ -31,9 +31,9 @@ def test_combine_and_intersection():
     q5 = QpField(5)
     e1, e2, e3 = linalg.identity(q5, 3)
     zero = (q5.zero(),) * 3
-    assert linalg.combine((2, Fraction(1, 3)), (e1, e3), zero) == \
-        (2, 0, Fraction(1, 3))
-    assert linalg.combine((), (), zero) == zero
+    # a combination of basis vectors is mat_vec over the basis as columns
+    assert linalg.mat_vec(linalg.transpose((e1, e3)), (2, Fraction(1, 3)),
+                          q5) == (2, 0, Fraction(1, 3))
     plane = (e1, e2)
     line = ((1, 1, 1), (0, 1, 1))
     inter = linalg.intersection(plane, line, q5)
@@ -89,9 +89,10 @@ def test_index_view_matches_ffelt_operators(p, f):
             low(x) for x in linalg.nullspace(aa, field))
         assert linalg.mat_mul(a, b, ix) == ix.lower(linalg.mat_mul(aa, bb))
         x = row(k)
-        assert linalg.mat_vec(a, x, ix) == low(linalg.mat_vec(aa, lift(x)))
+        assert linalg.mat_vec(a, x, ix) == low(
+            linalg.mat_vec(aa, lift(x), field))
         sq = tuple(row(r) for _ in range(r))
-        d = linalg.det(ix.lift(sq))
+        d = linalg.det(ix.lift(sq), field)
         assert linalg.det(sq, ix) == d.i
         if d:
             assert linalg.mat_inv(sq, ix) == ix.lower(
@@ -110,7 +111,12 @@ def test_index_view_matches_ffelt_operators(p, f):
 
 class _FractionOps(linalg.Ops):
     """The Fraction operators, with the zero and one nullspace and mat_inv
-    need: the reference QpField's own arithmetic replaces."""
+    need and a reciprocal that also takes plain ints: the reference
+    QpField's own arithmetic replaces."""
+
+    @staticmethod
+    def recip(x):
+        return Fraction(1) / x
 
     def zero(self):
         return Fraction(0)
@@ -170,10 +176,10 @@ def test_qp_arithmetic_matches_fraction_operators(p):
         ns = linalg.nullspace(a, field)
         assert ns == linalg.nullspace(a, ref)
         prod = linalg.mat_mul(a, b, field)
-        assert prod == linalg.mat_mul(a, b)
+        assert prod == linalg.mat_mul(a, b, ref)
         x = vec(k)
         img = linalg.mat_vec(a, x, field)
-        assert img == linalg.mat_vec(a, x)
+        assert img == linalg.mat_vec(a, x, ref)
         assert all(fractions(row) for row in ns + prod + (img,))
         sq = tuple(vec(r) for _ in range(r))
         d = linalg.det(sq, field)

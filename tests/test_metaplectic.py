@@ -9,8 +9,8 @@ import pytest
 
 from weilmod import linalg, metaplectic
 from weilmod.basefield import AdditiveCharacter, FqField, QpField
-from weilmod.coeff import (CyclotomicRing, FFElt, FiniteField,
-                           RingMismatchError)
+from weilmod.coeff import (CyclotomicRing, FFElt, FieldIndices,
+                           FiniteField, RingMismatchError)
 from weilmod.heisenberg import (SympSpace, central, coset_reps, delta,
                                 SchrodingerModel)
 from weilmod.metaplectic import (WeilContext, bruhat_decompose,
@@ -21,7 +21,7 @@ from weilmod.metaplectic import (WeilContext, bruhat_decompose,
                                  sigma_images, split_checks, x_invariant)
 from weilmod.quadratic import QuadraticForm, hilbert, square_class
 from weilmod.schwartz import cocycle_operator_padic
-from weilmod.weilfactor import fourier_matrix
+from weilmod.weilfactor import fourier_matrix, omega
 
 
 def F(x, y=1):
@@ -159,12 +159,12 @@ def bruhat_reference(space, g):
         sol = linalg.solve(linalg.mat(rows),
                            tuple(rhs) + (zero,) * len(extra), field)
         assert sol is not None
-        return linalg.combine(sol, span, space.zero_vec())
+        return linalg.mat_vec(linalg.transpose(span), sol, field)
     gx = list(linalg.transpose(g)[:m])
     xb = [space.basis_e(i) for i in range(m)]
     inter = linalg.intersection(gx, xb, field)
     j = m - len(inter)
-    u = linalg.column_space_basis(list(inter) + xb)
+    u = linalg.column_space_basis(list(inter) + xb, field)
     u = list(u[len(inter):]) + list(inter)
     delta = [[one if k == i else zero for k in range(m)] for i in range(m)]
     ys = [dual_vector(gx, u, delta[i]) for i in range(j)]
@@ -250,7 +250,7 @@ def test_sigma_identity_and_intertwining():
         for hv in ((1, 0), (0, 1), (2, 1)):
             h = delta(sp, tuple(f3.element(x) for x in hv))
             lhs = linalg.mat_mul(sg, model.rho(h).to_dense(ctx.zero()))
-            hg = delta(sp, linalg.mat_vec(g, h.w))
+            hg = delta(sp, linalg.mat_vec(g, h.w, f3))
             rhs = linalg.mat_mul(model.rho(hg).to_dense(ctx.zero()), sg)
             assert lhs == rhs
 
@@ -391,7 +391,8 @@ def dense_sigma_reference(ctx, g):
         y0 = model.point(i0)
         for a in reps:
             t = half * space.pairing(a, y0)
-            w = linalg.mat_vec(ginv, tuple(x + y for x, y in zip(a, y0)))
+            w = linalg.mat_vec(ginv, tuple(x + y for x, y in zip(a, y0)),
+                              field)
             wx = w[:space.m] + (field.element(0),) * space.m
             wy = (field.element(0),) * space.m + w[space.m:]
             phase = psi(t - half * space.pairing(wx, wy))
@@ -399,6 +400,32 @@ def dense_sigma_reference(ctx, g):
             rows[i0][col] = rows[i0][col] + mu_pt * phase
     return linalg.mat(rows)
 
+
+
+@pytest.mark.parametrize("p,f,m", [(3, 2, 1), (3, 1, 2)],
+                         ids=["F9", "Sp4-F3"])
+def test_sigma_lifts_no_index_matrix(monkeypatch, p, f, m):
+    # sigma and the operator cocycle stay on raw field indices: each mu is
+    # read from its (j, x-class) key, so with FieldIndices.lift refused
+    # both still run, against the dense reference and the trivial cocycle
+    field = FqField(p, f)
+    sp = SympSpace(field, m)
+    rng = random.Random(27)
+    elems = [sp.identity(), sp.w_subset(set(range(m)))] + \
+        [random_symplectic(sp, rng, length=6) for _ in range(10)]
+    want = [dense_sigma_reference(WeilContext(sp, AdditiveCharacter(field)),
+                                  g) for g in elems]
+
+    def refuse(*_args):
+        raise AssertionError("index matrix lifted on the sigma path")
+    monkeypatch.setattr(FieldIndices, "lift", refuse)
+    for twist in (1, 2):
+        ctx = WeilContext(sp, AdditiveCharacter(field, twist=twist))
+        got = [sigma(ctx, g) for g in elems]
+        if twist == 1:
+            assert got == want
+        for g1, g2 in zip(elems, elems[1:]):
+            assert cocycle_operator(ctx, g1, g2) == ctx.one()
 
 def dense_cocycle_reference(ctx, g1, g2, ref):
     """sigma(g1) sigma(g2) sigma(g1 g2)^-1 from dense products over R;
@@ -464,7 +491,8 @@ def test_sigma_images_match_dense_sigma(coeff):
                        [z for z in range(n) if s[z] == -1]) for s in signs]
             dense = dense_sigma_reference(ctx, g)
             want = [list(linalg.mat_vec(dense, [one * c if c else zero
-                                                for c in s]))
+                                                for c in s],
+                                        ctx.psi.coeff_ring))
                     for s in signs]
             assert sigma_images(ctx, g, signed) == want
 
@@ -893,7 +921,7 @@ def test_m_bracket_intertwining_and_schur(rng):
             for hv in ((1, 0), (0, 1)):
                 h = delta(sp, tuple(fq.element(x) for x in hv))
                 lhs = linalg.mat_mul(m, model.rho(h).to_dense(ctx.zero()))
-                hg = delta(sp, linalg.mat_vec(g, h.w))
+                hg = delta(sp, linalg.mat_vec(g, h.w, fq))
                 rhs = linalg.mat_mul(model.rho(hg).to_dense(ctx.zero()), m)
                 assert lhs == rhs
             r = scalar_ratio(m, sigma(ctx, g), ctx.zero())
@@ -952,7 +980,7 @@ def test_leray_random_sp4_sp6(rng):
             if ld.s:
                 rho = linalg.mat(ld.rho)
                 assert rho == linalg.transpose(rho)
-                assert linalg.det(rho) != 0
+                assert linalg.det(rho, sp.field) != 0
 
 
 def _leray_pairs(rng, counts=((1, 160), (2, 80), (3, 40))):
@@ -1005,7 +1033,7 @@ def _random_parabolic(sp, rng):
     while True:
         a = [[field.element(rng.randrange(-2, 3)) for _ in range(m)]
              for _ in range(m)]
-        if linalg.det(a):
+        if linalg.det(a, field):
             break
     s = [[field.element(0)] * m for _ in range(m)]
     for i in range(m):
@@ -1044,7 +1072,7 @@ def _leray_pairs_s_and_p12(rng):
                         for b in range(a, ns):
                             rho[a][b] = rho[b][a] = \
                                 field.element(rng.randrange(-3, 4))
-                    if linalg.det(rho):
+                    if linalg.det(rho, field):
                         break
                 p, p1m, p2m = (_random_parabolic(sp, rng) for _ in range(3))
                 g1 = linalg.mat_mul(sp.mul_unipotent(
@@ -1299,7 +1327,7 @@ def random_symplectic_reference(space, rng, length=6, scale=3):
             while True:
                 a = [[field.element(rng.randrange(-scale, scale + 1))
                       for _ in range(m)] for _ in range(m)]
-                if linalg.det(a):
+                if linalg.det(a, field):
                     break
             step = parabolic_reference(space, a)
         elif kind == 1:
@@ -1443,7 +1471,7 @@ def test_leray_x_classes_match_x_invariant():
                 l = len(set(ld.s1) & set(ld.s2))
                 odd_l += l % 2 and not minus_one_square
                 nonsquare_rho += bool(ld.s) and square_class(
-                    field, linalg.det(linalg.mat(ld.rho))).tag != "1"
+                    field, linalg.det(linalg.mat(ld.rho), field)).tag != "1"
     assert pairs >= 2000 and odd_l >= 50 and nonsquare_rho >= 50
 
 
@@ -1513,7 +1541,7 @@ def test_cocycle_w_u_rho_lemma(rng):
                      for _ in range(2)]
                 c[0][1] = c[1][0]
                 try:
-                    if linalg.det(linalg.mat(c)) != 0:
+                    if linalg.det(linalg.mat(c), fld) != 0:
                         break
                 except ZeroDivisionError:
                     continue
@@ -1521,7 +1549,7 @@ def test_cocycle_w_u_rho_lemma(rng):
             g1 = sp.mul_unipotent(w, rho)
             got = cocycle_formula(sp, g1, w)
             q = QuadraticForm(fld, rho)
-            expect = hilbert(fld, F(-2), linalg.det(rho)) * q.hasse()
+            expect = hilbert(fld, F(-2), linalg.det(rho, fld)) * q.hasse()
             assert got == expect
             assert cocycle_w_u_rho(sp, ld_rho(rho)) == expect
 
@@ -1617,18 +1645,43 @@ def test_mu_g_scalar_examples():
 
 
 def test_qp_cocycle_takes_no_operator_dot(monkeypatch):
-    # every product of the Q_p formula path comes from QpField: with the
-    # default operators' dot refused, cocycle_formula still runs at m = 1
-    # and m = 2 and gives the same values
+    # every product and row operation of the Q_p paths comes from QpField:
+    # with the default operators' dot, eliminate and scale refused,
+    # cocycle_formula at m = 1 and m = 2, cocycle_operator_padic, a form's
+    # Hasse invariant and diagonalization, and omega over Q_5 still run
+    # and give the same values
     rng = random.Random(25)
+    fld = QpField(5)
+    runs = []
     for m in (1, 2):
-        sp = SympSpace(QpField(5), m)
+        sp = SympSpace(fld, m)
         pairs = [(random_symplectic(sp, rng), random_symplectic(sp, rng))
                  for _ in range(20)]
-        want = [cocycle_formula(sp, g1, g2) for g1, g2 in pairs]
+        runs.append(lambda sp=sp, pairs=pairs: [
+            cocycle_formula(sp, g1, g2) for g1, g2 in pairs])
+    sp1 = SympSpace(fld, 1)
+    op_pairs = [(random_symplectic(sp1, rng, length=4, scale=2),
+                 random_symplectic(sp1, rng, length=4, scale=2))
+                for _ in range(4)]
+    runs.append(lambda: [cocycle_operator_padic(5, g1, g2)
+                         for g1, g2 in op_pairs])
+    psi = AdditiveCharacter(fld)
+    grams = ([[1, 2], [2, 5]], [[F(1, 5), 0, 1], [0, 25, 0], [1, 0, 0]],
+             [[1, 1], [1, 1]], [[0, 3], [3, 0]])
 
-        def refuse(*_args):
-            raise AssertionError("operator dot on the Q_p path")
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg.OPS, "dot", refuse)
-            assert [cocycle_formula(sp, g1, g2) for g1, g2 in pairs] == want
+    def forms():
+        out = []
+        for gram in grams:     # fresh forms: diagonalize caches
+            out.append(QuadraticForm(fld, gram).hasse())
+            out.append(QuadraticForm(fld, gram).diagonalize())
+            out.append(omega(QuadraticForm(fld, gram), psi))
+        return out
+    runs.append(forms)
+    want = [run() for run in runs]
+
+    def refuse(*_args):
+        raise AssertionError("operator arithmetic on the Q_p path")
+    with monkeypatch.context() as patch:
+        for name in ("dot", "eliminate", "scale"):
+            patch.setattr(linalg.OPS, name, refuse)
+        assert [run() for run in runs] == want

@@ -3,7 +3,8 @@ it is compared with the expression it replaced, kept here as the
 reference.  A guard over the package source keeps the order, the
 internals of a WeilContext, the construction of coefficient scalars,
 the refused-input exception and the products by the Siegel parabolic's
-generators behind one owner each."""
+generators behind one owner each, and every linalg call in the package
+names the field its scalars live in."""
 
 import ast
 import itertools
@@ -84,8 +85,9 @@ def test_coset_reps_follow_the_reference(desc):
     for sub in ([], [space.basis_e(0)],
                 [tuple(x + y for x, y in zip(space.basis_e(1),
                                              space.basis_f(0)))]):
-        comp = linalg.column_space_basis(sub + ambient)[len(sub):]
-        ref = [linalg.combine(co, comp, space.zero_vec())
+        comp = linalg.column_space_basis(sub + ambient, field)[len(sub):]
+        ref = [linalg.mat_vec(linalg.transpose(comp), co, field) if comp
+               else space.zero_vec()
                for co in product_reference(field, len(comp))]
         assert coset_reps(sub, ambient, field) == ref
 
@@ -100,7 +102,7 @@ def test_fourier_matrix_and_convolution_follow_the_reference(desc):
         gram = linalg.mat([[field.element(x) for x in row] for row in rho])
         om_inv = fourier_normalizer(field, psi, rho).inv()
         assert fourier_matrix(field, psi, rho) == tuple(
-            tuple(om_inv * psi(field.dot(linalg.mat_vec(gram, x), u))
+            tuple(om_inv * psi(field.dot(linalg.mat_vec(gram, x, field), u))
                   for u in pts) for x in pts)
     f = {x: psi(x[0]) for x in product_reference(field, 1)}
     g = {x: psi(x[0] * x[0]) for x in f}
@@ -252,3 +254,64 @@ def test_one_function_per_parabolic_generator():
                           for w in ("parabolic", "unipotent", "u_rho")))
     assert found == ["heisenberg.in_parabolic", "heisenberg.mul_unipotent",
                      "metaplectic.cocycle_w_u_rho", "schwartz.act_parabolic"]
+
+
+# each linalg routine that takes a field, by the number of its arguments
+# with the field included
+FIELD_ARITY = {"mat_mul": 3, "mat_vec": 3, "rref": 2, "det": 2,
+               "column_space_basis": 2, "intersection": 3, "nullspace": 2,
+               "solve": 3, "solve_columns": 3, "mat_inv": 2}
+
+
+def _linalg_routine(module, node):
+    """The linalg routine `node` names: `linalg.<name>`, or a bare name
+    inside linalg itself."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "linalg":
+        return node.attr
+    if module == "linalg" and isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _names_field(call, arity):
+    return len(call.args) >= arity or any(k.arg == "fld"
+                                          for k in call.keywords)
+
+
+def test_every_linalg_call_names_its_field():
+    # Q_p has one arithmetic path, QpField's: no call falls back to
+    # mat_mul's default operators
+    found = [(name, fn, node.lineno)
+             for name, tree in _modules()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             for fn in [_linalg_routine(name, node.func)]
+             if fn in FIELD_ARITY and not _names_field(node, FIELD_ARITY[fn])]
+    assert found == []
+
+
+def test_linalg_routines_pass_as_values_with_their_field():
+    # a routine handed on as a value is partial(linalg.<name>, fld=...)
+    found = []
+    for name, tree in _modules():
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        allowed = {id(n.func) for n in calls} | {
+            id(n.args[0]) for n in calls
+            if isinstance(n.func, ast.Name) and n.func.id == "partial"
+            and n.args and any(k.arg == "fld" for k in n.keywords)}
+        found += [(name, node.lineno) for node in ast.walk(tree)
+                  if _linalg_routine(name, node) in FIELD_ARITY
+                  and isinstance(node.ctx, ast.Load)
+                  and id(node) not in allowed]
+    assert found == []
+
+
+def test_no_combine():
+    # a combination of basis vectors is mat_vec over the basis as columns
+    found = [(name, node.lineno) for name, tree in _modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "combine"
+             or isinstance(node, ast.Call) and "combine" in (
+                 getattr(node.func, "attr", None),
+                 getattr(node.func, "id", None))]
+    assert found == []

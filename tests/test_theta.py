@@ -133,7 +133,7 @@ def test_h1_perms_follow_the_schrodinger_point_order():
     for h, perm in pair.h1_perms.items():
         at = linalg.transpose(pair.space.blocks(pair.embed_h1(h))[0])
         for i, co in enumerate(model._points):
-            assert perm[model._index[linalg.mat_vec(at, co)]] == i
+            assert perm[model._index[linalg.mat_vec(at, co, f3)]] == i
 
 
 def test_theta_dims_and_irreducibility():
@@ -183,13 +183,14 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
         lift = ThetaLift(pair, ctx, chi)
         assert lift.dim == len(ns)
         for v in lift.basis:
-            assert all(x == ctx.zero() for x in linalg.mat_vec(stacked, v))
+            assert all(x == ctx.zero()
+                       for x in linalg.mat_vec(stacked, v, coeff))
         got = lift.character()
         for h2 in pair.h2_list:
             m = h2_op(pair, ctx, h2)
             trace = ctx.zero()
             for i, v in enumerate(ns):
-                sol = linalg.solve(linalg.transpose(ns), linalg.mat_vec(m, v),
+                sol = linalg.solve(linalg.transpose(ns), linalg.mat_vec(m, v, coeff),
                                    coeff)
                 assert sol is not None
                 trace = trace + sol[i]
@@ -199,18 +200,20 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
 def act_reference(lift, h2):
     """Matrix of omega(h2) on lift.basis as ThetaLift.act built it before
     it read sigma's count form: the dense sigma(h2), each basis vector's
-    image by linalg.combine, and the span check on the recombined image."""
+    image as a combination of its columns, and the span check on the
+    recombined image."""
     ctx = lift.ctx
     if lift.dim == 0:
         return ()
+    ring = ctx.psi.coeff_ring
     cols_of_m = linalg.transpose(h2_op(lift.pair, ctx, h2))
-    zero = (ctx.zero(),) * ctx.model.dim
+    basis_cols = linalg.transpose(lift.basis)
     cols = []
     for v, orbit in zip(lift.basis, lift.orbits):
-        img = linalg.combine([v[z] for z in orbit],
-                             [cols_of_m[z] for z in orbit], zero)
+        img = linalg.mat_vec(linalg.transpose([cols_of_m[z] for z in orbit]),
+                             [v[z] for z in orbit], ring)
         coords = tuple(img[o[0]] for o in lift.orbits)
-        assert linalg.combine(coords, lift.basis, zero) == img
+        assert linalg.mat_vec(basis_cols, coords, ring) == img
         cols.append(coords)
     return linalg.transpose(cols)
 
