@@ -244,7 +244,9 @@ class CountModel:
         self._lo = each_entry((1 << (w * self.p)) - 1)
         self._hi = each_entry((1 << (w * (self.p - 1))) - 1)
         self._slot0 = each_entry((1 << w) - 1)
-        self._offset = each_entry(self._ones << (w - 1))
+        # 2^{W-1} in each slot of one entry, and of every entry of a row
+        self._entry_offset = self._ones << (w - 1)
+        self._offset = each_entry(self._entry_offset)
         self.cache = {}
         self._last = None
 
@@ -372,6 +374,45 @@ class CountModel:
         self._last = (n1, n2, n12, prods, i0, j0)
         return self._entries_from(prods, n12, i0, j0)
 
+    def restrict(self, rows, signed):
+        """The matrix of N on the span of the vectors b_k = e_{P_k} -
+        e_{M_k} over Z[zeta_p], as its columns, or None when N does not
+        keep that span.  N is given by its packed rows, the (P_k, M_k) in
+        `signed` are disjoint lists of Y-point indices, and y_k = P_k[0].
+        Column k holds the entries A_k[y_k'] over k' of A_k = N b_k, each
+        with 2^{W-1} added to every slot.
+
+        The columns of N are packed over the rows as a row is over the
+        columns, so A_k is a sum and difference of packed columns, with
+        2^{W-1} added to every slot of every entry.  A_k lies in the span
+        exactly when A_k - sum_k' A_k[y_k'] b_k' is zero, that is when each
+        of its entries has equal slots: the test `check` makes.  A slot of
+        A_k is at most q^m in size and a slot of the difference at most
+        2 q^m, below 2^{W-1} (see the class), so no slot borrows."""
+        c, mask = self.stride, self._entry_mask
+        cols = [0] * len(rows)
+        for z, row in enumerate(rows):
+            s = c * z
+            for x, e in enumerate(self.unpack(row)):
+                if e:
+                    cols[x] |= e << s
+        heads = [plus[0] for plus, _ in signed]
+        # b_k packed as a column: 1 at each z of P_k, -1 at each z of M_k
+        vecs = [sum(1 << (c * z) for z in plus) -
+                sum(1 << (c * z) for z in minus) for plus, minus in signed]
+        offset, entry_offset = self._offset, self._entry_offset
+        slot0, ones = self._slot0, self._ones
+        out = []
+        for plus, minus in signed:
+            a = offset + sum(cols[x] for x in plus) - \
+                sum(cols[x] for x in minus)
+            col = [(a >> (c * y)) & mask for y in heads]
+            t = a - sum((e - entry_offset) * v for e, v in zip(col, vecs))
+            if t != (t & slot0) * ones:
+                return None
+            out.append(col)
+        return out
+
     def _products(self, n1, n2):
         """The packed rows of N1 N2, folded mod x^p - 1."""
         c, pw = self.stride, self.slot_bits * self.p
@@ -465,26 +506,25 @@ def sigma(ctx, g):
 
 
 def sigma_images(ctx, g, signed):
-    """sigma(g) (e_P - e_M) for each (P, M) in `signed`, P and M disjoint
-    lists of Y-point indices, each image a list of n scalars: entry i is mu
-    (phi(c_P) - phi(c_M)) for the sums c_P and c_M of row i of N over P and
-    over M, each packed row unpacked once per call.  A row of N totals at
-    most q^m, far below the slot bound 2^{W-1} > n q^{3m} (CountModel)."""
-    mu, counts = sigma_counts(ctx, ctx.space.field.indices.lower(g))
-    phi, zero = ctx._phi, ctx.zero()
-    rows = [ctx.counts.unpack(row) for row in counts]
-    images = []
-    for plus, minus in signed:
-        img = []
-        for row in rows:
-            c = sum(row[z] for z in plus)
-            x = phi(c) if c else zero
-            c = sum(row[z] for z in minus)
-            if c:
-                x = x - phi(c)
-            img.append(mu * x if x else zero)
-        images.append(img)
-    return images
+    """The matrix of sigma(g) on the span of the vectors b_k = e_{P_k} -
+    e_{M_k} for (P_k, M_k) in `signed`, as its columns, or None when
+    sigma(g) does not keep that span.  g is given on raw field indices
+    (FiniteField.indices.lower); P_k and M_k are disjoint lists of Y-point
+    indices, the supports of different k are disjoint, and y_k = P_k[0]
+    is where b_k is 1.
+
+    sigma(g) = mu phi(N), and CountModel.restrict decides on the packed
+    counts whether N keeps the span in Z[zeta_p]; phi, a ring map,
+    carries that to R.  Column k is then mu phi(A_k[y_k']) over k', for
+    A_k = N b_k: phi runs on those entries alone, after every check, and
+    maps the 2^{W-1} that restrict adds to each slot to 2^{W-1} (1 + zeta
+    + ... + zeta^{p-1}) = 0."""
+    mu, counts = sigma_counts(ctx, g)
+    cols = ctx.counts.restrict(counts, signed)
+    if cols is None:
+        return None
+    phi = ctx._phi
+    return [tuple(mu * phi(x) for x in col) for col in cols]
 
 
 def scalar_ratio(a, b, zero):
@@ -805,13 +845,15 @@ def split_checks(ctx, pairs=None):
 
 
 def enumerate_sp2(space):
-    """All of Sp_2(F_q) = SL_2(F_q) as matrices in the (e_1; f_1) basis."""
+    """All of Sp_2(F_q) = SL_2(F_q) as matrices in the (e_1; f_1) basis,
+    in the arithmetic of space.field: FFElts, or raw indices over a field's
+    index view.  [[a, b], [c, d]] is kept when its columns pair to 1."""
     field = space.field
     if space.m != 1:
         raise ValueError("enumerate_sp2 needs m = 1")
-    one = field.one()
-    return [linalg.mat([[a, b], [c, d]])
-            for a, b, c, d in points(field, 4) if a * d - b * c == one]
+    one, pairing = field.one(), field.pairing
+    return [((a, b), (c, d)) for a, b, c, d in points(field, 4)
+            if pairing((a, c), (b, d), 1) == one]
 
 
 def random_symplectic(space, rng, length=6, scale=3):

@@ -172,20 +172,21 @@ class QuadraticForm:
         nondegenerate part."""
         if self._diag is not None:
             return self._diag
+        fld = self.field
         comp, gc = self.nondegenerate_part()
         r = len(gc)
-        basis = list(linalg.identity(self.field, r))
+        basis = list(linalg.identity(fld, r))
         out_vecs, out_vals = [], []
         remaining = basis
+
+        def bval(u, v):
+            return fld.dot(u, linalg.mat_vec(gc, v, fld))
+
+        def qval(v):
+            return bval(v, v)
+
         while remaining:
             n = len(remaining)
-
-            def qval(v):
-                return self.field.dot(v, linalg.mat_vec(gc, v, self.field))
-
-            def bval(u, v):
-                return self.field.dot(u, linalg.mat_vec(gc, v, self.field))
-
             piv = None
             for i in range(n):
                 if qval(remaining[i]):
@@ -208,18 +209,15 @@ class QuadraticForm:
             a = qval(piv)
             out_vecs.append(piv)
             out_vals.append(a)
-            inv_a = self.field.recip(a)
-            new_rem = []
-            for v in remaining:
-                c = bval(piv, v) * inv_a
-                w = tuple(x - c * y for x, y in zip(v, piv))
-                new_rem.append(w)
-            # keep an independent subset
+            inv_a = fld.recip(a)
+            # v - (piv^T G v / piv^T G piv) piv, then an independent subset
+            new_rem = [tuple(fld.eliminate(v, fld.mul(bval(piv, v), inv_a),
+                                           piv)) for v in remaining]
             new_rem = [w for w in new_rem if any(w)]
-            remaining = linalg.column_space_basis(new_rem, self.field)
+            remaining = linalg.column_space_basis(new_rem, fld)
         # pull the quotient vectors back to the ambient space
         cols = linalg.transpose(comp)
-        amb = tuple(linalg.mat_vec(cols, v, self.field) for v in out_vecs)
+        amb = tuple(linalg.mat_vec(cols, v, fld) for v in out_vecs)
         self._diag = (amb, tuple(out_vals))
         return self._diag
 

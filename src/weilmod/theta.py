@@ -20,21 +20,21 @@ MODEL_DIM_CAP = 81
 
 
 def enumerate_orthogonal(q_form):
-    """All h in GL(V) with h^T G h = G; brute force, dim V <= 2."""
-    field = q_form.field
+    """All h in GL(V) with h^T G h = G, as matrices of raw field indices
+    (FiniteField.indices); brute force, dim V <= 2."""
+    ix = q_form.field.indices
     n = q_form.m
     if n > 2:
         raise InputError("orthogonal enumeration capped at dim 2")
-    gram = q_form.gram
+    mul = partial(linalg.mat_mul, fld=ix)
+    gram = tuple(tuple(x.i for x in row) for row in q_form.gram)
     out = []
     # candidate columns with the first coordinate running fastest: this
     # order fixes the order of h1_list and so the char<k> labels
-    vecs = [v[::-1] for v in points(field, n)]
+    vecs = [v[::-1] for v in points(ix, n)]
     for colset in itertools.product(vecs, repeat=n):
-        h = linalg.transpose(linalg.mat(colset))
-        ht_g_h = linalg.mat_mul(
-            linalg.mat_mul(linalg.transpose(h), gram, field), h, field)
-        if ht_g_h == gram:
+        h = linalg.transpose(colset)
+        if mul(mul(colset, gram), h) == gram:
             out.append(h)
     return out
 
@@ -42,7 +42,11 @@ def enumerate_orthogonal(q_form):
 class DualPair:
     """(O(V), Sp(W')) inside Sp(V x W') with X = V x X'.
 
-    On the Schrödinger model, H1 = O(V) acts through the Levi morphism
+    H1, H2 and their images in Sp(W) are matrices of raw field indices
+    (FiniteField.indices), and so are the keys of h1_perms, h2_images,
+    h2_inverses and the character dicts; `space` is the symplectic space
+    over the field itself, the one a WeilContext takes.  On the
+    Schrödinger model, H1 = O(V) acts through the Levi morphism
     k -> (k, I_k), the permutation f(y) -> f(a^T y) of the Y-points, whatever
     the coefficient ring: omega(h) e_j = e_{h1_perms[h][j]}, in the
     Schrödinger basis order (-Id_V is parity).  H2 = Sp(W') acts through
@@ -62,20 +66,24 @@ class DualPair:
         self.m = n0 * mprime
         if field.q ** self.m > MODEL_DIM_CAP:
             raise InputError("model dimension exceeds cap")
+        ix = field.indices
         vecs, vals = v_form.diagonalize()
-        self.diag_vals = vals        # a_i = Q(v_i) on the orthogonal basis
+        # a_i = Q(v_i) on the orthogonal basis, and 1/a_i
+        self.diag_vals = tuple(a.i for a in vals)
+        self._inv_vals = tuple(ix.recip(a) for a in self.diag_vals)
         self.space = SympSpace(field, self.m)
-        self._b = linalg.transpose(linalg.mat(vecs))
-        self._binv = linalg.mat_inv(self._b, field)
+        self._ix_space = SympSpace(ix, self.m)
+        self._b = linalg.transpose([[x.i for x in v] for v in vecs])
+        self._binv = linalg.mat_inv(self._b, ix)
         self.h1_list = enumerate_orthogonal(v_form)
         if mprime != 1:
             raise InputError("only m' = 1 symplectic partners at this scale")
-        self.h2_list = enumerate_sp2(SympSpace(field, 1))
+        self.h2_list = enumerate_sp2(SympSpace(ix, 1))
         if len(self.h1_list) * len(self.h2_list) > GROUP_ORDER_CAP:
             raise InputError("group order cap exceeded")
         self.h2_images = {h: self.embed_h2(h) for h in self.h2_list}
-        mul = partial(linalg.mat_mul, fld=field)
-        pts = points(field, self.m)
+        mul = partial(linalg.mat_mul, fld=ix)
+        pts = points(ix, self.m)
         index = {pt: i for i, pt in enumerate(pts)}
         self.h1_perms = {}
         for h1 in self.h1_list:
@@ -84,47 +92,44 @@ class DualPair:
                 e2 = self.h2_images[h2]
                 if mul(e1, e2) != mul(e2, e1):
                     raise RuntimeError("dual pair images fail to commute")
-            at = linalg.transpose(self.space.blocks(e1)[0])
+            at = linalg.transpose(self._ix_space.blocks(e1)[0])
             perm = [0] * len(pts)
             for i, co in enumerate(pts):
-                perm[index[linalg.mat_vec(at, co, field)]] = i
+                perm[index[linalg.mat_vec(at, co, ix)]] = i
             self.h1_perms[h1] = tuple(perm)
         self.characters = labelled_characters(
             linear_pm_characters(self.h1_list, mul))
-        self.h2_inverses = group_inverses(self.h2_list, field)
+        self.h2_inverses = group_inverses(self.h2_list, ix)
 
     def embed_h1(self, h):
         """O(V) acting as h x Id_W': block-diagonal in the rescaled basis."""
-        field = self.field
-        hb = linalg.mat_mul(linalg.mat_mul(self._binv, h, field), self._b,
-                            field)
-        hbt = linalg.transpose(linalg.mat_inv(hb, field))
-        pad = (field.zero(),) * self.n0   # m' = 1: diag(hb, hb^-T)
+        ix = self.field.indices
+        hb = linalg.mat_mul(linalg.mat_mul(self._binv, h, ix), self._b, ix)
+        hbt = linalg.transpose(linalg.mat_inv(hb, ix))
+        pad = (0,) * self.n0   # m' = 1: diag(hb, hb^-T)
         g = tuple(r + pad for r in hb) + tuple(pad + r for r in hbt)
-        if not self.space.is_symplectic(g):
+        if not self._ix_space.is_symplectic(g):
             raise RuntimeError("orthogonal embedding not symplectic")
         return g
 
     def embed_h2(self, h):
         """Sp(W') acting as Id_V x h, twisted by the a_i weights."""
-        field = self.field
+        mul = self.field.indices.mul
         m, n0 = self.m, self.n0
-        al, be = h[0][0], h[0][1]
-        ga, de = h[1][0], h[1][1]
-        z = field.zero()
+        (al, be), (ga, de) = h
         rows = []
         for i in range(n0):
-            row = [z] * (2 * m)
+            row = [0] * (2 * m)
             row[i] = al
-            row[m + i] = be / self.diag_vals[i]
+            row[m + i] = mul(be, self._inv_vals[i])
             rows.append(tuple(row))
         for i in range(n0):
-            row = [z] * (2 * m)
-            row[i] = ga * self.diag_vals[i]
+            row = [0] * (2 * m)
+            row[i] = mul(ga, self.diag_vals[i])
             row[m + i] = de
             rows.append(tuple(row))
-        g = linalg.mat(rows)
-        if not self.space.is_symplectic(g):
+        g = tuple(rows)
+        if not self._ix_space.is_symplectic(g):
             raise RuntimeError("symplectic embedding not symplectic")
         return g
 
@@ -225,6 +230,9 @@ class ThetaLift:
         n = ctx.model.dim
         seen = [False] * n
         self.orbits, basis = [], []
+        # {y_O: (P, M)}: b_O = e_P - e_M, P and M the z of O where b_O[z]
+        # is 1 and where it is -1 (in characteristic 2, every z is in P)
+        self._split = {}
         for y in range(n):
             if seen[y]:
                 continue
@@ -233,42 +241,37 @@ class ThetaLift:
                 seen[perm[y]] = True
                 vec[perm[y]] = c
             if all(c == one for perm, c in signed if perm[y] == y):
-                self.orbits.append(sorted({perm[y] for perm, _ in signed}))
+                orbit = sorted({perm[y] for perm, _ in signed})
+                self.orbits.append(orbit)
                 basis.append(tuple(vec))
+                self._split[y] = ([z for z in orbit if vec[z] == one],
+                                  [z for z in orbit if vec[z] != one])
         self.basis = tuple(basis)
         self.dim = len(basis)
-        # keyed by elements of pair.h2_images: at most |H2| entries
+        # keyed by elements of pair.h2_list: at most |H2| entries
         self._act_cache = {}
 
     def act(self, h2):
-        """Matrix of omega(h2) on self.basis, from the images of the b_O
-        under sigma of pair.h2_images[h2] (metaplectic.sigma_images).  The
-        supports (self.orbits) are disjoint: an image's coordinates are its
-        entries at the y_O, and it lies in the span exactly when it is
-        coords[k] b_k[z] at each z of orbit k and zero outside the kept
-        orbits."""
+        """Matrix of omega(h2) on self.basis, for h2 in pair.h2_list (or
+        the same matrix over the field's elements), from sigma's count
+        form on the span of the kept orbits (metaplectic.sigma_images,
+        which checks that the span is H2-stable before any coefficient
+        is formed).  The columns are the coordinates of the images of the
+        b_O: their entries at the y_O."""
         a = self._act_cache.get(h2)
         if a is not None:
             return a
         if self.dim == 0:
             return ()
-        # b_O = e_P - e_M: P and M the z of O where b_O[z] is 1 and where
-        # it is -1 (in characteristic 2, every z is in P)
-        one = self.ctx.one()
-        signed = [([z for z in o if v[z] == one],
-                   [z for z in o if v[z] != one])
-                  for v, o in zip(self.basis, self.orbits)]
-        outside = set(range(self.ctx.model.dim)).difference(*self.orbits)
-        cols = []
-        for img in sigma_images(self.ctx, self.pair.h2_images[h2], signed):
-            coords = tuple(img[o[0]] for o in self.orbits)
-            if any(img[z] for z in outside) or any(
-                    img[z] != c * b[z]
-                    for c, b, o in zip(coords, self.basis, self.orbits)
-                    for z in o):
-                raise RuntimeError("theta subspace is not H2-stable under "
-                                   "h2 = %s" % (h2,))
-            cols.append(coords)
+        g = self.pair.h2_images.get(h2)
+        if g is None:
+            h2 = self.pair.field.indices.lower(h2)
+            g = self.pair.h2_images[h2]
+        cols = sigma_images(self.ctx, g,
+                            [self._split[o[0]] for o in self.orbits])
+        if cols is None:
+            raise RuntimeError("theta subspace is not H2-stable under "
+                               "h2 = %s" % (h2,))
         a = linalg.transpose(cols)
         self._act_cache[h2] = a
         return a
@@ -289,7 +292,8 @@ def char_inner(group, chi_a, chi_b, inv):
 
 
 def group_inverses(group, field):
-    """{g: g^{-1}} for a list of invertible matrices over `field`."""
+    """{g: g^{-1}} for a list of invertible matrices over `field` (a
+    field's index view for the groups of a DualPair)."""
     return {g: linalg.mat_inv(g, field) for g in group}
 
 
@@ -337,13 +341,13 @@ class CentralIdempotent:
 
 def product_group(pair):
     """(H1 x H2 element list, multiplication, inverses)."""
+    ix = pair.field.indices
     group = [(h1, h2) for h1 in pair.h1_list for h2 in pair.h2_list]
-    inv1 = group_inverses(pair.h1_list, pair.field)
+    inv1 = group_inverses(pair.h1_list, ix)
     inv = {(a, b): (inv1[a], pair.h2_inverses[b]) for (a, b) in group}
 
     def mul(a, b):
-        return (linalg.mat_mul(a[0], b[0], pair.field),
-                linalg.mat_mul(a[1], b[1], pair.field))
+        return (linalg.mat_mul(a[0], b[0], ix), linalg.mat_mul(a[1], b[1], ix))
     return group, mul, inv
 
 
@@ -380,7 +384,7 @@ def congruence_check(v_form, mprime, ell):
     ffl = FiniteField(ell, d)
     red = ReductionMap(ring0, ffl)
     ctxl = WeilContext(pair.space, AdditiveCharacter(field, ffl))
-    gens2 = _generators(h2, partial(linalg.mat_mul, fld=field))[1]
+    gens2 = _generators(h2, partial(linalg.mat_mul, fld=field.indices))[1]
     report = {"lifts": []}
     trivial = None
     for label, chi in pair.characters:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -360,7 +361,8 @@ def test_acceptance_9_theta_desk_scale():
     v = QuadraticForm(f3, [[1]])
     pair = DualPair(v, 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3))
-    chars = linear_pm_characters(pair.h1_list, linalg.mat_mul)
+    chars = linear_pm_characters(
+        pair.h1_list, partial(linalg.mat_mul, fld=pair.field.indices))
     dims = {}
     for chi in chars:
         name = "trivial" if all(s == 1 for s in chi.values()) else "sign"

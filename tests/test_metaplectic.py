@@ -470,11 +470,25 @@ def test_sigma_counts_match_dense_twisted(p, f, twist, sample):
         assert sigma(ctx, g) == dense_sigma_reference(ctx, g)
 
 
+def parity_families(model):
+    """Signed lists whose span every sigma(g) keeps: each Y-point alone,
+    the even vectors e_y + e_{-y} and the odd ones e_y - e_{-y}."""
+    n = model.dim
+    neg = [model._index[tuple(-x for x in model._points[z])]
+           for z in range(n)]
+    return ([([z], []) for z in range(n)],
+            [(sorted({z, neg[z]}), []) for z in range(n) if z <= neg[z]],
+            [([z], [neg[z]]) for z in range(n) if z < neg[z]])
+
+
 @pytest.mark.parametrize("coeff", [None, (7, 1), (2, 2)],
                          ids=["cyclo", "F7", "F4"])
 def test_sigma_images_match_dense_sigma(coeff):
-    # sigma(g) (e_P - e_M) from the packed counts against the dense sigma
-    # applied to the +-1 vector; over F_4 (characteristic 2) -1 is 1
+    # sigma(g) on the span of the e_P - e_M, from the packed counts,
+    # against the dense sigma applied to each vector and read at the P[0];
+    # over F_4 (characteristic 2) -1 is 1.  Over Z[zeta_3] a span that
+    # sigma(g) leaves gives None: e_0 alone is kept exactly when sigma(g)
+    # e_0 is a multiple of e_0
     f3 = FqField(3)
     rng = random.Random(22)
     ring = FiniteField(*coeff) if coeff else None
@@ -482,19 +496,23 @@ def test_sigma_images_match_dense_sigma(coeff):
         sp = SympSpace(f3, m)
         ctx = WeilContext(sp, AdditiveCharacter(f3, ring))
         one, zero, n = ctx.one(), ctx.zero(), ctx.model.dim
+        families = parity_families(ctx.model)
         group = enumerate_sp2(sp) if m == 1 else \
             [random_symplectic(sp, rng, length=8) for _ in range(12)]
         for g in group:
-            signs = [[rng.choice((-1, 0, 1)) for _ in range(n)]
-                     for _ in range(3)]
-            signed = [([z for z in range(n) if s[z] == 1],
-                       [z for z in range(n) if s[z] == -1]) for s in signs]
             dense = dense_sigma_reference(ctx, g)
-            want = [list(linalg.mat_vec(dense, [one * c if c else zero
-                                                for c in s],
-                                        ctx.psi.coeff_ring))
-                    for s in signs]
-            assert sigma_images(ctx, g, signed) == want
+            for signed in families:
+                want = []
+                for plus, minus in signed:
+                    vec = [one if z in plus else -one if z in minus else zero
+                           for z in range(n)]
+                    img = linalg.mat_vec(dense, vec, ctx.psi.coeff_ring)
+                    want.append(tuple(img[p[0]] for p, _ in signed))
+                assert sigma_images(ctx, lower(g), signed) == want
+            if coeff is None:
+                kept = not any(row[0] for row in dense[1:])
+                assert (sigma_images(ctx, lower(g), [([0], [])]) is None) \
+                    == (not kept)
 
 
 def test_sigma_and_cocycle_match_dense_sp4():

@@ -57,6 +57,9 @@ def test_enumerate_sp2_follows_the_nested_loops(desc):
            for a in elts for b in elts for c in elts for d in elts
            if a * d - b * c == field.one()]
     assert enumerate_sp2(SympSpace(field, 1)) == ref
+    # the index view lists the same matrices in the same order
+    ix = field.indices
+    assert enumerate_sp2(SympSpace(ix, 1)) == [ix.lower(g) for g in ref]
 
 
 @pytest.mark.parametrize("desc", FIELDS)
@@ -74,7 +77,9 @@ def test_enumerate_orthogonal_follows_the_reversed_product(desc):
             if linalg.mat_mul(linalg.mat_mul(linalg.transpose(h),
                                              form.gram), h) == form.gram:
                 ref.append(h)
-        assert enumerate_orthogonal(form) == ref
+        # enumerate_orthogonal lists them on raw field indices
+        assert enumerate_orthogonal(form) == [field.indices.lower(h)
+                                              for h in ref]
 
 
 @pytest.mark.parametrize("desc", FIELDS)

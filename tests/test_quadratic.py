@@ -52,6 +52,24 @@ def test_diagonalize_exhaustive_f9():
                 assert q.evaluate(v) == expect
 
 
+def test_diagonalize_runs_through_the_field(monkeypatch):
+    # the Gram-Schmidt step is QpField's integer-numerator row update,
+    # not one Fraction per scalar product and difference
+    q5 = QpField(5)
+    calls = []
+    real = QpField.eliminate
+
+    def counted(self, row, f, pivot_row):
+        calls.append(tuple(pivot_row))
+        return real(self, row, f, pivot_row)
+    monkeypatch.setattr(QpField, "eliminate", counted)
+    q = QuadraticForm(q5, [[1, 0], [0, 5]])
+    vecs, vals = q.diagonalize()
+    assert vals == (1, 5)
+    # one update per remaining vector, each by its pass's pivot
+    assert calls == [vecs[0], vecs[0], vecs[1]]
+
+
 def test_hilbert_finite_trivial():
     f5 = FqField(5)
     for a in f5.units():

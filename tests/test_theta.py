@@ -1,11 +1,13 @@
 import random
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from weilmod import linalg, metaplectic, theta
 from weilmod.basefield import AdditiveCharacter, FqField, InputError
-from weilmod.coeff import CyclotomicRing, FiniteField
+from weilmod.coeff import CyclotomicRing, FieldIndices, FiniteField
 from weilmod.heisenberg import Monomial, SympSpace, hom_space
 from weilmod.metaplectic import WeilContext
 from weilmod.quadratic import QuadraticForm
@@ -24,11 +26,16 @@ def h1_op(pair, ctx, h):
 
 def h2_op(pair, ctx, h):
     """Dense omega(h) for h in H2: sigma of its image in Sp(W)."""
-    return metaplectic.sigma(ctx, pair.embed_h2(h))
+    return metaplectic.sigma(ctx, pair.field.indices.lift(pair.embed_h2(h)))
 
 
 def pair_op(pair, ctx, h1, h2):
     return linalg.mat_mul(h1_op(pair, ctx, h1), h2_op(pair, ctx, h2))
+
+
+def index_mul(pair):
+    """The product of H1 and H2, whose elements are raw-index matrices."""
+    return partial(linalg.mat_mul, fld=pair.field.indices)
 
 
 def test_enumerate_orthogonal_o1():
@@ -48,11 +55,12 @@ def test_enumerate_orthogonal_hyperbolic_plane():
 def test_dual_pair_commutes_and_caps():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
+    mul = index_mul(pair)
     for h1 in pair.h1_list:
         e1 = pair.embed_h1(h1)
         for h2 in pair.h2_list:
             e2 = pair.embed_h2(h2)
-            assert linalg.mat_mul(e1, e2) == linalg.mat_mul(e2, e1)
+            assert mul(e1, e2) == mul(e2, e1)
     with pytest.raises(ValueError):
         DualPair(QuadraticForm(f3, [[1, 0], [0, 0]]), 1)
     with pytest.raises(InputError):
@@ -63,12 +71,13 @@ def test_dual_pair_hyperbolic_in_sp4():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[0, 1], [1, 0]]), 1)
     assert pair.m == 2
+    mul = index_mul(pair)
     for h1 in pair.h1_list:
         e1 = pair.embed_h1(h1)
-        assert pair.space.is_symplectic(e1)
+        assert SympSpace(f3.indices, pair.m).is_symplectic(e1)
         for h2 in pair.h2_list[:8]:
             e2 = pair.embed_h2(h2)
-            assert linalg.mat_mul(e1, e2) == linalg.mat_mul(e2, e1)
+            assert mul(e1, e2) == mul(e2, e1)
 
 
 def test_restricted_weil_is_homomorphism():
@@ -83,20 +92,20 @@ def test_restricted_weil_is_homomorphism():
         h2b = pair.h2_list[rng.randrange(24)]
         lhs = linalg.mat_mul(pair_op(pair, ctx, h1a, h2a),
                              pair_op(pair, ctx, h1b, h2b))
-        rhs = pair_op(pair, ctx, linalg.mat_mul(h1a, h1b),
-                      linalg.mat_mul(h2a, h2b))
+        mul = index_mul(pair)
+        rhs = pair_op(pair, ctx, mul(h1a, h1b), mul(h2a, h2b))
         assert lhs == rhs
-    ident = pair_op(pair, ctx, _ident_of(pair.h1_list),
-                    _ident_of(pair.h2_list))
+    ident = pair_op(pair, ctx, _ident_of(pair.h1_list, f3.indices),
+                    _ident_of(pair.h2_list, f3.indices))
     n = ctx.model.dim
     for i in range(n):
         for j in range(n):
             assert ident[i][j] == (ctx.one() if i == j else ctx.zero())
 
 
-def _ident_of(group):
+def _ident_of(group, fld):
     for g in group:
-        if all(linalg.mat_mul(g, h) == h for h in group[:3]):
+        if all(linalg.mat_mul(g, h, fld) == h for h in group[:3]):
             return g
     raise AssertionError("no identity found")
 
@@ -105,7 +114,8 @@ def test_minus_one_acts_as_parity():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3))
-    minus = [h for h in pair.h1_list if h != _ident_of(pair.h1_list)][0]
+    minus = [h for h in pair.h1_list
+             if h != _ident_of(pair.h1_list, f3.indices)][0]
     op = h1_op(pair, ctx, minus)
     model = ctx.model
     # op f(y) = f(-y): permutation matrix swapping 1 <-> 2 over F_3
@@ -131,7 +141,8 @@ def test_h1_perms_follow_the_schrodinger_point_order():
     pair = DualPair(QuadraticForm(f3, [[1, 0], [0, 1]]), 1)
     model = WeilContext(pair.space, AdditiveCharacter(f3)).model
     for h, perm in pair.h1_perms.items():
-        at = linalg.transpose(pair.space.blocks(pair.embed_h1(h))[0])
+        at = linalg.transpose(pair.space.blocks(
+            f3.indices.lift(pair.embed_h1(h)))[0])
         for i, co in enumerate(model._points):
             assert perm[model._index[linalg.mat_vec(at, co, f3)]] == i
 
@@ -140,9 +151,9 @@ def test_theta_dims_and_irreducibility():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3))
-    chars = linear_pm_characters(pair.h1_list, linalg.mat_mul)
+    chars = linear_pm_characters(pair.h1_list, index_mul(pair))
     assert len(chars) == 2
-    inv2 = group_inverses(pair.h2_list, f3)
+    inv2 = group_inverses(pair.h2_list, pair.field.indices)
     by_name = {}
     for chi in chars:
         lift = ThetaLift(pair, ctx, chi)
@@ -173,7 +184,7 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
     pair = DualPair(QuadraticForm(f3, DIFF_SPACES[space]), 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3, coeff))
     ident = linalg.identity(coeff, ctx.model.dim)
-    for chi in linear_pm_characters(pair.h1_list, linalg.mat_mul):
+    for chi in linear_pm_characters(pair.h1_list, index_mul(pair)):
         stacked = []
         for h in pair.h1_list:
             stacked.extend(linalg.mat_sub(
@@ -223,7 +234,7 @@ def _diff_lifts(space, ring):
     pair = DualPair(QuadraticForm(f3, DIFF_SPACES[space]), 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3, DIFF_RINGS[ring]()))
     return pair, [ThetaLift(pair, ctx, chi) for chi in
-                  linear_pm_characters(pair.h1_list, linalg.mat_mul)]
+                  linear_pm_characters(pair.h1_list, index_mul(pair))]
 
 
 @pytest.mark.parametrize("ring", list(DIFF_RINGS))
@@ -242,7 +253,7 @@ def test_commutant_on_generators(space, ring):
     # T commutes with omega(H2) exactly when it commutes with omega of each
     # generator, so both commutants have the same dimension
     pair, lifts = _diff_lifts(space, ring)
-    gens = _generators(pair.h2_list, linalg.mat_mul)[1]
+    gens = _generators(pair.h2_list, index_mul(pair))[1]
     assert len(gens) == 2
     coeff = lifts[0].ctx.psi.coeff_ring
     for lift in (x for x in lifts if x.dim):
@@ -270,7 +281,7 @@ def test_congruence_check_makes_no_dense_sigma(monkeypatch):
         seen.clear()
         rep = congruence_check(QuadraticForm(f3, diag), 1, 7)
         pair = DualPair(QuadraticForm(f3, diag), 1)
-        gens = _generators(pair.h2_list, linalg.mat_mul)[1]
+        gens = _generators(pair.h2_list, index_mul(pair))[1]
         assert seen == [len(gens)] * sum(1 for r in rep["lifts"] if r["dim"])
 
 
@@ -291,8 +302,7 @@ def test_congruence_check_builds_counts_once_for_both_rings(monkeypatch):
         congruence_check(QuadraticForm(f3, diag), 1, 7)
         pair = DualPair(QuadraticForm(f3, diag), 1)
         assert len(seen) == len(set(seen)) == len(pair.h2_list)
-        assert set(seen) == {f3.indices.lower(g)
-                             for g in pair.h2_images.values()}
+        assert set(seen) == set(pair.h2_images.values())
 
 
 @pytest.mark.parametrize("diag,ell", [([1], 7), ([1], 11), ([1, 2], 5),
@@ -326,18 +336,59 @@ def test_h2_stability_failure_names_h2():
         lift.act(w)
 
 
+def test_h2_stability_is_checked_on_the_counts():
+    # one slot of one cached count row corrupted: N[2][0] gains 1 at slot
+    # 0, so sigma(g) e_0 no longer agrees at the points 1 and 2 of the
+    # trivial lift's orbit {1, 2}.  The contexts over Z[zeta_3] and F_7
+    # share the counts, and each refuses the span before any phi
+    f3 = FqField(3)
+    pair = DualPair(QuadraticForm(f3, [[1]]), 1)
+    h2 = pair.h2_list[5]
+    g = pair.h2_images[h2]
+
+    def refuse(c):
+        raise AssertionError("phi ran before the stability check")
+    lifts = []
+    for ring in (CyclotomicRing(3), FiniteField(7)):
+        ctx = WeilContext(pair.space, AdditiveCharacter(f3, ring))
+        ctx._phi = refuse
+        lifts.append(ThetaLift(pair, ctx, {h: 1 for h in pair.h1_list}))
+    model = lifts[0].ctx.counts
+    assert lifts[1].ctx.counts is model
+    assert lifts[0].orbits == [[0], [1, 2]]
+    key, rows = model.entry(g)
+    model.cache[g] = (key, rows[:2] + (rows[2] + 1,) + rows[3:])
+    for lift in lifts:
+        with pytest.raises(RuntimeError, match=r"not H2-stable under h2 = " +
+                           re.escape(str(h2))):
+            lift.act(h2)
+
+
+def test_congruence_check_lowers_nothing(monkeypatch):
+    # H1, H2 and the images of H2 are raw-index matrices from the start:
+    # no matrix is converted between FFElts and raw indices
+    def refuse(self, a):
+        raise AssertionError("congruence_check converted %s" % (a,))
+    monkeypatch.setattr(FieldIndices, "lower", refuse)
+    monkeypatch.setattr(FieldIndices, "lift", refuse)
+    f3 = FqField(3)
+    for diag in ([[1]], [[1, 0], [0, 1]], [[1, 0], [0, 2]]):
+        rep = congruence_check(QuadraticForm(f3, diag), 1, 7)
+        assert rep["idempotent_reduction"] is True
+
+
 def test_theta_action_is_representation():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3))
-    chi = linear_pm_characters(pair.h1_list, linalg.mat_mul)[0]
+    chi = linear_pm_characters(pair.h1_list, index_mul(pair))[0]
     lift = ThetaLift(pair, ctx, chi)
     rng = random.Random(7)
     for _ in range(25):
         a = pair.h2_list[rng.randrange(24)]
         b = pair.h2_list[rng.randrange(24)]
         assert linalg.mat_mul(lift.act(a), lift.act(b)) == \
-            lift.act(linalg.mat_mul(a, b))
+            lift.act(index_mul(pair)(a, b))
 
 
 def test_dimension_bookkeeping():
@@ -346,7 +397,7 @@ def test_dimension_bookkeeping():
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3))
     total = 0
-    for chi in linear_pm_characters(pair.h1_list, linalg.mat_mul):
+    for chi in linear_pm_characters(pair.h1_list, index_mul(pair)):
         total += 1 * ThetaLift(pair, ctx, chi).dim
     assert total == ctx.model.dim == 3
 
@@ -356,7 +407,7 @@ def test_isotypic_characters_factor():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3))
-    chars = linear_pm_characters(pair.h1_list, linalg.mat_mul)
+    chars = linear_pm_characters(pair.h1_list, index_mul(pair))
     for chi in chars:
         lift = ThetaLift(pair, ctx, chi)
         ch2 = lift.character()
@@ -377,11 +428,11 @@ def test_isotypic_characters_factor():
 def test_central_idempotent_properties():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
-    mul = linalg.mat_mul
+    mul = index_mul(pair)
     group = pair.h1_list
     ring = CyclotomicRing(3)
     chars = linear_pm_characters(group, mul)
-    inv = group_inverses(group, f3)
+    inv = group_inverses(group, pair.field.indices)
     es = [CentralIdempotent(group, mul, inv, chi, 1, ring)
           for chi in chars]
     for e in es:
@@ -391,7 +442,7 @@ def test_central_idempotent_properties():
     zero_sum = es[0].convolve(es[1])
     assert all(v.is_zero() for v in zero_sum.values())
     total = {g: es[0].coeffs[g] + es[1].coeffs[g] for g in group}
-    ident = _ident_of(group)
+    ident = _ident_of(group, pair.field.indices)
     for g, v in total.items():
         assert v == (ring.one() if g == ident else ring.zero())
 
@@ -402,8 +453,8 @@ def test_trivial_idempotent_formula():
     group = pair.h1_list
     ring = CyclotomicRing(3)
     chi = {g: 1 for g in group}
-    inv = group_inverses(group, f3)
-    e = CentralIdempotent(group, linalg.mat_mul, inv, chi, 1, ring)
+    inv = group_inverses(group, pair.field.indices)
+    e = CentralIdempotent(group, index_mul(pair), inv, chi, 1, ring)
     for g in group:
         assert e.coeffs[g] == ring.from_fraction(Fraction(1, len(group)))
 
@@ -414,12 +465,13 @@ def test_group_inverse_tables(diag):
     n = len(diag)
     gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     pair = DualPair(QuadraticForm(f3, gram), 1)
+    ix = pair.field.indices
     for lst in (pair.h1_list, pair.h2_list):
-        inv = group_inverses(lst, f3)
-        ident = linalg.identity(f3, len(lst[0]))
-        assert all(linalg.mat_mul(g, inv[g]) == ident for g in lst)
+        inv = group_inverses(lst, ix)
+        ident = linalg.identity(ix, len(lst[0]))
+        assert all(linalg.mat_mul(g, inv[g], ix) == ident for g in lst)
     group, mul, inv = product_group(pair)
-    ident = (linalg.identity(f3, n), linalg.identity(f3, 2))
+    ident = (linalg.identity(ix, n), linalg.identity(ix, 2))
     assert len(inv) == len(group)
     assert all(mul(g, inv[g]) == ident for g in group)
 
@@ -433,19 +485,22 @@ def test_pair_character_table_follows_the_reference(diag):
     gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     pair = DualPair(QuadraticForm(f3, gram), 1)
     ref = labelled_characters(linear_pm_characters(pair.h1_list,
-                                                   linalg.mat_mul))
+                                                   index_mul(pair)))
     assert pair.characters == ref
     assert [label for label, _ in ref][0] == "trivial"
-    assert pair.h2_inverses == group_inverses(pair.h2_list, f3)
+    assert pair.h2_inverses == group_inverses(pair.h2_list,
+                                              pair.field.indices)
 
 
 def test_non_banal_refused():
     f3 = FqField(3)
-    group = DualPair(QuadraticForm(f3, [[1]]), 1).h1_list
+    pair = DualPair(QuadraticForm(f3, [[1]]), 1)
+    group = pair.h1_list
     ffl2 = FiniteField(2, 2)
     chi = {g: 1 for g in group}
     with pytest.raises(ValueError):
-        CentralIdempotent(group, linalg.mat_mul, group_inverses(group, f3),
+        CentralIdempotent(group, index_mul(pair),
+                          group_inverses(group, pair.field.indices),
                           chi, 1, ffl2)
     with pytest.raises(ValueError, match=r"l = 2 divides \|H1 x H2\| = 48"):
         congruence_check(QuadraticForm(f3, [[1]]), 1, 2)
@@ -489,7 +544,7 @@ def test_charl_theta_matches_reduction_entrywise():
     red = ReductionMap(ring, ffl)
     ctx0 = WeilContext(pair.space, AdditiveCharacter(f3, ring))
     ctxl = WeilContext(pair.space, AdditiveCharacter(f3, ffl))
-    for chi in linear_pm_characters(pair.h1_list, linalg.mat_mul):
+    for chi in linear_pm_characters(pair.h1_list, index_mul(pair)):
         l0 = ThetaLift(pair, ctx0, chi)
         ll = ThetaLift(pair, ctxl, chi)
         ch0, chl = l0.character(), ll.character()
