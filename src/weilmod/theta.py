@@ -68,9 +68,7 @@ class DualPair:
             raise InputError("model dimension exceeds cap")
         ix = field.indices
         vecs, vals = v_form.diagonalize()
-        # a_i = Q(v_i) on the orthogonal basis, and 1/a_i
-        self.diag_vals = tuple(a.i for a in vals)
-        self._inv_vals = tuple(ix.recip(a) for a in self.diag_vals)
+        self.diag_vals = tuple(a.i for a in vals)    # a_i = Q(v_i)
         self.space = SympSpace(field, self.m)
         self._ix_space = SympSpace(ix, self.m)
         self._b = linalg.transpose([[x.i for x in v] for v in vecs])
@@ -114,18 +112,18 @@ class DualPair:
 
     def embed_h2(self, h):
         """Sp(W') acting as Id_V x h, twisted by the a_i weights."""
-        mul = self.field.indices.mul
+        ix = self.field.indices
         m, n0 = self.m, self.n0
         (al, be), (ga, de) = h
         rows = []
         for i in range(n0):
             row = [0] * (2 * m)
             row[i] = al
-            row[m + i] = mul(be, self._inv_vals[i])
+            row[m + i] = ix.mul(be, ix.recip(self.diag_vals[i]))
             rows.append(tuple(row))
         for i in range(n0):
             row = [0] * (2 * m)
-            row[i] = mul(ga, self.diag_vals[i])
+            row[i] = ix.mul(ga, self.diag_vals[i])
             row[m + i] = de
             rows.append(tuple(row))
         g = tuple(rows)
