@@ -30,10 +30,6 @@ class FqField(FiniteField):
         return super().__new__(cls, p, f)
 
     @property
-    def descriptor(self):
-        return "fq:%d:%d" % (self.p, self.f)
-
-    @property
     def flavor(self):
         return "finite"
 
@@ -99,10 +95,6 @@ class QpField(Ops):
         fld._nonres = None
         cls._cache[p] = fld
         return fld
-
-    @property
-    def descriptor(self):
-        return "qp:%d" % self.p
 
     @property
     def flavor(self):
@@ -283,19 +275,6 @@ class AdditiveCharacter:
             if self.twist == 0:
                 raise ValueError("twist must be nonzero")
 
-    @property
-    def descriptor(self):
-        if self.flavor == "finite":
-            return "psi:standard" if self.twist == self.field.one() \
-                else "psi:twist:%d" % self.twist.i
-        return "psi:level0" if self.twist == 1 else "psi:twist:%s" % self.twist
-
-    def level(self):
-        """Conductor exponent: 0 means trivial on Z_p, nontrivial on p^-1 Z_p."""
-        if self.flavor == "finite":
-            return 1
-        return -self.field.val(self.twist)
-
     def __call__(self, x):
         if self.flavor == "finite":
             return self._table[self.field.element(x).i]
@@ -305,14 +284,6 @@ class AdditiveCharacter:
         ring = self.coeff_ring if self.coeff_ring.k >= n else \
             CyclotomicRing(self.field.p, n)
         return ring.root_of_unity(self.field.p ** n) ** a
-
-    def inverse(self):
-        """psi^{-1}(x) = psi(-x): the twist negated."""
-        return AdditiveCharacter(self.field, self.coeff_ring, -self.twist)
-
-    def twisted(self, c):
-        return AdditiveCharacter(self.field, self.coeff_ring,
-                                 self.twist * self.field.element(c))
 
 
 def parse_character(field, desc):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -97,7 +98,7 @@ def parse_form(field, desc):
         return QuadraticForm(field, gram)
     if desc.startswith("gram:"):
         vals = [parse_scalar(field, x) for x in desc[5:].split(",")]
-        n = int(round(len(vals) ** 0.5))
+        n = math.isqrt(len(vals))
         if n * n != len(vals):
             raise InputError("gram entries must form a square matrix")
         return QuadraticForm(field, [vals[i * n:(i + 1) * n]

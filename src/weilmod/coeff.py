@@ -342,10 +342,6 @@ class Cyc:
         # fold zeta^n = 1 first (indices were taken mod n already), then reduce
         return Cyc(ring, ring._reduce(c), self.den)
 
-    def conj(self):
-        """Complex conjugation zeta -> zeta^{-1}."""
-        return self.galois(self.ring.n - 1)
-
     # -- comparisons / misc ---------------------------------------------------
 
     def __eq__(self, other):
@@ -626,9 +622,6 @@ class FiniteField(Ops):
 
     def elements(self):
         return [FFElt(self, i) for i in range(self.q)]
-
-    def units(self):
-        return [FFElt(self, i) for i in range(1, self.q)]
 
     def count_map(self, powers, bits):
         """phi: sum_e c_e x^e -> sum_e c_e powers[e] in this field, for the

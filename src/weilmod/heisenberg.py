@@ -374,25 +374,6 @@ class DualModel:
         return self.base.rho(h.inv()).transpose()
 
 
-class DirectSumModel:
-    def __init__(self, base, copies=2):
-        self.base = base
-        self.copies = copies
-        self.space = base.space
-        self.field = base.field
-        self.psi = base.psi
-        self.dim = base.dim * copies
-
-    def rho(self, h):
-        r = self.base.rho(h)
-        n = r.dim
-        perm, phases = [], []
-        for c in range(self.copies):
-            perm.extend(p + c * n for p in r.perm)
-            phases.extend(r.phases)
-        return Monomial(perm, phases)
-
-
 def model_generators(space):
     """delta(b e_i), delta(b f_i) for b in an F_p-basis of F_q, plus the
     central (0, 1): these generate H(W) also when q is a proper power."""

@@ -103,16 +103,8 @@ def mat_vec(a, v, fld):
     return tuple(dot(row, v) for row in a)
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def mat_scal(c, a):
-    return tuple(tuple(c * x for x in r) for r in a)
 
 
 def transpose(a):
@@ -227,14 +219,6 @@ def mat_inv(a, fld):
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix not invertible")
     return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
-def kron(a, b):
-    out = []
-    for ra in a:
-        for rb in b:
-            out.append(tuple(x * y for x in ra for y in rb))
-    return tuple(out)
 
 
 def trace(a):

@@ -143,10 +143,6 @@ class QuadraticForm:
     def __repr__(self):
         return "QuadraticForm(%r, dim %d)" % (self.field, self.m)
 
-    def evaluate(self, x):
-        x = tuple(self.field.element(v) for v in x)
-        return self.field.dot(x, linalg.mat_vec(self.gram, x, self.field))
-
     def radical(self):
         """Basis of rad(Q) = ker(G)."""
         if self._radical is None:

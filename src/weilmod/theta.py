@@ -250,22 +250,18 @@ class ThetaLift:
         self._act_cache = {}
 
     def act(self, h2):
-        """Matrix of omega(h2) on self.basis, for h2 in pair.h2_list (or
-        the same matrix over the field's elements), from sigma's count
-        form on the span of the kept orbits (metaplectic.sigma_images,
-        which checks that the span is H2-stable before any coefficient
-        is formed).  The columns are the coordinates of the images of the
-        b_O: their entries at the y_O."""
+        """Matrix of omega(h2) on self.basis, for h2 an element of
+        pair.h2_list (a raw-index matrix), from sigma's count form on the
+        span of the kept orbits (metaplectic.sigma_images, which checks
+        that the span is H2-stable before any coefficient is formed).
+        The columns are the coordinates of the images of the b_O: their
+        entries at the y_O."""
         a = self._act_cache.get(h2)
         if a is not None:
             return a
         if self.dim == 0:
             return ()
-        g = self.pair.h2_images.get(h2)
-        if g is None:
-            h2 = self.pair.field.indices.lower(h2)
-            g = self.pair.h2_images[h2]
-        cols = sigma_images(self.ctx, g,
+        cols = sigma_images(self.ctx, self.pair.h2_images[h2],
                             [self._split[o[0]] for o in self.orbits])
         if cols is None:
             raise RuntimeError("theta subspace is not H2-stable under "
@@ -301,52 +297,26 @@ def group_inverses(group, field):
 
 class CentralIdempotent:
     """e_Pi = (dim Pi / |G|) sum_g chi(g^{-1}) g in R[G], for a group given
-    as an element list with its multiplication `mul` and inverse table
-    `inv`, over the coefficient ring `ring` = R.  Over a finite R of
-    characteristic l the group order must be prime to l (banal)."""
+    as an element list with its inverse table `inv`, over the coefficient
+    ring `ring` = R: `coeffs` maps each g to its coefficient.  Over a
+    finite R of characteristic l the group order must be prime to l
+    (banal)."""
 
-    def __init__(self, group, mul, inv, char, dim, ring):
-        self.group = list(group)
-        self.mul = mul
-        n = len(self.group)
+    def __init__(self, group, inv, char, dim, ring):
+        n = len(group)
         if isinstance(ring, FiniteField) and n % ring.p == 0:
             raise ValueError(
                 "non-banal characteristic: l divides the group order")
-        self.inv = inv
         scale = ring.one() * Fraction(dim, n)
-        self.coeffs = {g: scale * char[self.inv[g]] for g in self.group}
-
-    def convolve(self, other):
-        out = {g: None for g in self.group}
-        for g1, c1 in self.coeffs.items():
-            for g2, c2 in other.coeffs.items():
-                g = self.mul(g1, g2)
-                t = c1 * c2
-                out[g] = t if out[g] is None else out[g] + t
-        return out
-
-    def is_idempotent(self):
-        return self.convolve(self) == self.coeffs
-
-    def is_central(self):
-        for g in self.group:
-            for h in self.group:
-                if self.coeffs[self.mul(self.mul(h, g), self.inv[h])] \
-                        != self.coeffs[g]:
-                    return False
-        return True
+        self.coeffs = {g: scale * char[inv[g]] for g in group}
 
 
 def product_group(pair):
-    """(H1 x H2 element list, multiplication, inverses)."""
-    ix = pair.field.indices
+    """(H1 x H2 element list, inverses)."""
     group = [(h1, h2) for h1 in pair.h1_list for h2 in pair.h2_list]
-    inv1 = group_inverses(pair.h1_list, ix)
+    inv1 = group_inverses(pair.h1_list, pair.field.indices)
     inv = {(a, b): (inv1[a], pair.h2_inverses[b]) for (a, b) in group}
-
-    def mul(a, b):
-        return (linalg.mat_mul(a[0], b[0], ix), linalg.mat_mul(a[1], b[1], ix))
-    return group, mul, inv
+    return group, inv
 
 
 def congruence_check(v_form, mprime, ell):
@@ -418,11 +388,11 @@ def congruence_check(v_form, mprime, ell):
     # idempotent reduction e_Pi -> e_pi for Pi = chi x Theta(chi) on H1 x H2
     # (l does not divide |H1 x H2|: the non-banal case was refused above)
     chi, dim0, ch0, chl = trivial
-    group, mul, inv = product_group(pair)
+    group, inv = product_group(pair)
     char_prod0 = {(a, b): ch0[b] * chi[a] for (a, b) in group}
-    e0 = CentralIdempotent(group, mul, inv, char_prod0, dim0, ring0)
+    e0 = CentralIdempotent(group, inv, char_prod0, dim0, ring0)
     char_prodl = {(a, b): chl[b] * chi[a] for (a, b) in group}
-    el = CentralIdempotent(group, mul, inv, char_prodl, dim0, ffl)
+    el = CentralIdempotent(group, inv, char_prodl, dim0, ffl)
     for g in group:
         if red(e0.coeffs[g]) != el.coeffs[g]:
             raise RuntimeError("idempotent reduction mismatch")

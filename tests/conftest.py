@@ -31,6 +31,19 @@ def random_form(field, rng, dim, nondegenerate=False):
             return q
 
 
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+
+
+def mat_scal(c, a):
+    return tuple(tuple(c * x for x in r) for r in a)
+
+
+def kron(a, b):
+    """The Kronecker product: block (i, j) is a[i][j] * b."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
 def random_unit(field, rng):
     if field.flavor == "finite":
         return field.element(rng.randrange(1, field.q))

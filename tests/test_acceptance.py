@@ -28,7 +28,7 @@ from weilmod.weilfactor import (epsilon, fourier_matrix, gauss_sum,
                                 hilbert_via_omega, omega, omega_diag_product,
                                 omega_ratio)
 
-from conftest import random_form, random_unit
+from conftest import mat_add, mat_scal, random_form, random_unit
 
 
 def _report(n, text):
@@ -75,8 +75,8 @@ def test_acceptance_2_weil_factor_identities():
     for fq in (FqField(3), FqField(5), FqField(7), FqField(3, 2)):
         psi = AdditiveCharacter(fq)
         one = fq.element(1)
-        for a in fq.units():
-            for b in fq.units():
+        for a in fq.elements()[1:]:
+            for b in fq.elements()[1:]:
                 assert hilbert_via_omega(fq, psi, a, b) == 1
         # scaling, transport, orthogonal sums (sampled)
         q = random_form(fq, rng, 2, nondegenerate=True)
@@ -327,14 +327,14 @@ def test_acceptance_8_weil_rep_structure():
         group = enumerate_sp2(sp)
         inv = {g: linalg.mat_inv(g, fq) for g in group}
         # parity projectors from the split section at -Id
-        minus = linalg.mat_scal(fq.element(-1), sp.identity())
+        minus = mat_scal(fq.element(-1), sp.identity())
         pmat = sigma(ctx, minus)
         n = ctx.model.dim
         one = ctx.one()
         half = one * Fraction(1, 2)
         ident = linalg.identity(ctx.psi.coeff_ring, n)
-        eplus = linalg.mat_scal(half, linalg.mat_add(ident, pmat))
-        eminus = linalg.mat_scal(half, linalg.mat_sub(ident, pmat))
+        eplus = mat_scal(half, mat_add(ident, pmat))
+        eminus = mat_scal(half, linalg.mat_sub(ident, pmat))
         chi = {g: linalg.trace(sigma(ctx, g)) for g in group}
         chi_p = {g: linalg.trace(linalg.mat_mul(sigma(ctx, g), eplus))
                  for g in group}

@@ -63,13 +63,14 @@ def test_psi_twists_and_inverse():
     f5 = FqField(5)
     for field, twist in ((f5, 1), (f5, 2), (FqField(3, 2), 2)):
         psi = AdditiveCharacter(field, twist=twist)
-        psi_inv = psi.inverse()
+        psi_inv = AdditiveCharacter(field, psi.coeff_ring, -psi.twist)
         for x in field.elements():
             assert psi(x) * psi_inv(x) == psi(field.zero())
     q3 = QpField(3)
     psi3 = AdditiveCharacter(q3)
-    tw = psi3.twisted(Fraction(1, 3))
-    assert tw.level() == 1
+    tw = AdditiveCharacter(q3, psi3.coeff_ring, Fraction(1, 3))
+    # level 1: trivial on 3 Z_3, nontrivial on Z_3
+    assert tw(Fraction(3)) == tw(Fraction(0)) != tw(Fraction(1))
     assert tw(Fraction(1)) == psi3(Fraction(1, 3))
 
 
@@ -92,13 +93,13 @@ def test_modulus():
 
 def test_field_descriptors():
     f = parse_field("fq:3:2")
-    assert f.p == 3 and f.f == 2 and f.descriptor == "fq:3:2"
+    assert isinstance(f, FqField) and f.p == 3 and f.f == 2
     q = parse_field("qp:5")
-    assert q.p == 5 and q.descriptor == "qp:5"
+    assert isinstance(q, QpField) and q.p == 5
     psi = parse_character(q, "psi:level0")
-    assert psi.descriptor == "psi:level0"
+    assert psi.twist == 1
     tw = parse_character(q, "psi:twist:1/5")
-    assert tw.descriptor == "psi:twist:1/5"
+    assert tw.twist == Fraction(1, 5)
 
 
 def test_char2_base_field_excluded():

@@ -2,13 +2,15 @@
 workload and end-to-end metric that BENCHMARK.json declares, the medians of
 the parent and of the change, with the host and both commits.  Also the
 guards the benchmark relies on: every name its tracer wraps still exists,
-and the package has no `assert` that `python -O` would strip."""
+every public name of the package has a reader, the package has no `assert`
+that `python -O` would strip, and no float outside `Cyc.approx`."""
 
 import ast
 import glob
 import importlib
 import json
 import os
+import re
 
 import pytest
 
@@ -78,6 +80,82 @@ def test_traced_names_resolve():
         assert callable(vars(owner).get(attr)), (span, modname, path)
 
 
+def _trees(pattern):
+    """{module name: AST} for the files matching `pattern`."""
+    out = {}
+    for path in sorted(glob.glob(pattern)):
+        with open(path) as fh:
+            out[os.path.splitext(os.path.basename(path))[0]] = \
+                ast.parse(fh.read())
+    return out
+
+
+def _public_defs(trees):
+    """(module, qualified name, node) for every public module-level def or
+    class and every public method or property of those classes."""
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    node.name.startswith("_"):
+                continue
+            yield mod, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and \
+                            not sub.name.startswith("_"):
+                        yield mod, node.name + "." + sub.name, sub
+
+
+def _unread_public_names():
+    """The package's public names that nothing reads.  A name is read by
+    another place in the package (a module-level def or class through its
+    own name or module.name, a method or property through any attribute
+    of its name, a cli.cmd_* through cli.main's lookup), by perfbench as
+    an attribute or a part of a TIMED/COUNTED path, or by README.md in
+    backticks."""
+    package = _trees(os.path.join(PACKAGE, "*.py"))
+    refs = []   # (node id, name, the Name an attribute is taken of or None)
+    for tree in package.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((id(node), node.id, None))
+            elif isinstance(node, ast.Attribute):
+                refs.append((id(node), node.attr,
+                             getattr(node.value, "id", "")))
+    bench = set()
+    for tree in _trees(os.path.join(ROOT, "perfbench", "*.py")).values():
+        bench |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)}
+    for modname, path in _tracer_targets().values():
+        parts = path.split(".")
+        bench |= {(modname, ".".join(parts[:i + 1]))
+                  for i in range(len(parts))}
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = {word for span in re.findall(r"`([^`]*)`", fh.read())
+                  for word in re.findall(r"[A-Za-z_]\w*", span)}
+    unread = []
+    for mod, qual, node in _public_defs(package):
+        name = qual.rsplit(".", 1)[-1]
+        own = {id(n) for n in ast.walk(node)}
+        if "." in qual:
+            read = any(ref == name and owner is not None and nid not in own
+                       for nid, ref, owner in refs)
+        else:
+            read = (mod == "cli" and name.startswith("cmd_")) or any(
+                ref == name and owner in (None, mod) and nid not in own
+                for nid, ref, owner in refs)
+        if not (read or name in bench or (mod, qual) in bench
+                or name in readme):
+            unread.append(mod + "." + qual)
+    return unread
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that no module, CLI path, selfcheck suite, perfbench
+    # file or README line reads moves into the tests or goes
+    assert _unread_public_names() == []
+
+
 def test_package_has_no_assert():
     found = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
@@ -85,6 +163,23 @@ def test_package_has_no_assert():
             tree = ast.parse(fh.read())
         found += ["%s:%d" % (os.path.basename(path), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_has_no_float_outside_approx():
+    # exact arithmetic only: Cyc.approx, the labelled complex embedding
+    # that --approx prints, is the one place a float or complex may arise
+    found = []
+    for mod, tree in _trees(os.path.join(PACKAGE, "*.py")).items():
+        inside = {id(n) for n in ast.walk(_function(tree, "Cyc.approx"))} \
+            if mod == "coeff" else set()
+        found += ["%s:%d" % (mod, node.lineno)
+                  for node in ast.walk(tree) if id(node) not in inside and (
+                      (isinstance(node, ast.Constant)
+                       and isinstance(node.value, (float, complex)))
+                      or (isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None)
+                          in ("float", "round")))]
     assert found == []
 
 

@@ -6,7 +6,7 @@ import pytest
 from weilmod import linalg
 from weilmod.basefield import AdditiveCharacter, FqField, QpField
 from weilmod.coeff import CyclotomicRing, FiniteField, ReductionMap
-from weilmod.heisenberg import (DirectSumModel, DualModel, HeisenbergElement,
+from weilmod.heisenberg import (DualModel, HeisenbergElement,
                                 LagrangianModel, Monomial, SchrodingerModel,
                                 SympSpace, TensorModel, central,
                                 commutant_dim_model, delta, hom_space,
@@ -94,6 +94,20 @@ def rho_reference(model, h):
     return Monomial(perm, phases)
 
 
+class TwoCopies:
+    """The direct sum of two copies of a model: a reducible model whose
+    commutant is 2 x 2 matrices over the base model's commutant."""
+
+    def __init__(self, base):
+        self.base, self.space, self.psi = base, base.space, base.psi
+        self.dim = 2 * base.dim
+
+    def rho(self, h):
+        r = self.base.rho(h)
+        return Monomial(r.perm + tuple(p + r.dim for p in r.perm),
+                        r.phases * 2)
+
+
 def _lagrangian_cases():
     # X, Y and mixed Lagrangians (e_1 + 2 f_1 at m = 1, e_1 + f_2 and
     # e_2 + f_1 at m = 2) over F_3, F_5, F_7 and F_9
@@ -179,7 +193,7 @@ def test_commutant_dims():
     sp = SympSpace(f3, 1)
     model = SchrodingerModel(sp, AdditiveCharacter(f3))
     assert commutant_dim_model(model) == 1
-    assert commutant_dim_model(DirectSumModel(model, 2)) == 4
+    assert commutant_dim_model(TwoCopies(model)) == 4
     # modular instance: F_5 model over F_{7^4} coefficients
     f5 = FqField(5)
     ffl = FiniteField(7, 4)
@@ -300,7 +314,8 @@ def test_contragredient_is_psi_inverse_model():
     psi = AdditiveCharacter(f3)
     model = SchrodingerModel(sp, psi)
     dual = DualModel(model)
-    inv_model = SchrodingerModel(sp, psi.inverse())
+    inv_model = SchrodingerModel(sp, AdditiveCharacter(f3, psi.coeff_ring,
+                                                       -psi.twist))
     hs = all_h(sp)
     gens = model_generators(sp)
     ops_dual = [dual.rho(h) for h in gens]

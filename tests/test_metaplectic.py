@@ -23,6 +23,8 @@ from weilmod.quadratic import QuadraticForm, hilbert, square_class
 from weilmod.schwartz import cocycle_operator_padic
 from weilmod.weilfactor import fourier_matrix, omega
 
+from conftest import kron
+
 
 def F(x, y=1):
     return Fraction(x, y)
@@ -334,7 +336,7 @@ def test_contragredient_twist_by_traces():
     f3 = FqField(3)
     sp = SympSpace(f3, 1)
     ctx = WeilContext(sp, AdditiveCharacter(f3))
-    ctx_inv = WeilContext(sp, AdditiveCharacter(f3).inverse())
+    ctx_inv = WeilContext(sp, AdditiveCharacter(f3, twist=-1))
     for g in enumerate_sp2(sp):
         ginv = linalg.mat_inv(g, f3)
         lhs = linalg.trace(sigma(ctx, ginv))
@@ -363,7 +365,7 @@ def test_tensor_compatibility_on_generators():
     for g1 in gens:
         for g2 in gens:
             big = sigma(ctx2, embed(g1, g2))
-            small = linalg.kron(sigma(ctx1, g1), sigma(ctx1, g2))
+            small = kron(sigma(ctx1, g1), sigma(ctx1, g2))
             r = scalar_ratio(big, small, ctx2.zero())
             assert r is not None
 

@@ -17,6 +17,8 @@ from weilmod.theta import (CentralIdempotent, DualPair, ThetaLift,
                            labelled_characters, linear_pm_characters,
                            product_group)
 
+from conftest import mat_add, mat_scal
+
 
 def h1_op(pair, ctx, h):
     """Dense omega(h) for h in H1: the permutation of the Y-points."""
@@ -36,6 +38,17 @@ def pair_op(pair, ctx, h1, h2):
 def index_mul(pair):
     """The product of H1 and H2, whose elements are raw-index matrices."""
     return partial(linalg.mat_mul, fld=pair.field.indices)
+
+
+def convolve(a, b, mul):
+    """The product in R[G] of two elements given as {g: coefficient}."""
+    out = {}
+    for g1, c1 in a.items():
+        for g2, c2 in b.items():
+            g = mul(g1, g2)
+            t = c1 * c2
+            out[g] = t if g not in out else out[g] + t
+    return out
 
 
 def test_enumerate_orthogonal_o1():
@@ -188,8 +201,7 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
         stacked = []
         for h in pair.h1_list:
             stacked.extend(linalg.mat_sub(
-                h1_op(pair, ctx, h), linalg.mat_scal(ctx.one() * chi[h],
-                                                     ident)))
+                h1_op(pair, ctx, h), mat_scal(ctx.one() * chi[h], ident)))
         ns = linalg.nullspace(linalg.mat(stacked), coeff)
         lift = ThetaLift(pair, ctx, chi)
         assert lift.dim == len(ns)
@@ -328,9 +340,11 @@ def test_h2_stability_failure_names_h2():
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3))
     lift = ThetaLift(pair, ctx, {h: 1 for h in pair.h1_list})
-    # keep only the orbit {0}: sigma(w) spreads e_0 over every point
+    # keep only the orbit {0}: sigma(w) spreads e_0 over every point; H2's
+    # elements are raw-index matrices, so w = [[0, 1], [-1, 0]] is
+    # ((0, 1), (2, 0))
     lift.basis, lift.orbits, lift.dim = lift.basis[:1], lift.orbits[:1], 1
-    w = ((f3.element(0), f3.element(1)), (f3.element(-1), f3.element(0)))
+    w = ((0, 1), (2, 0))
     with pytest.raises(RuntimeError, match=r"not H2-stable under "
                        r"h2 = \(\(0, 1\), \(2, 0\)\)"):
         lift.act(w)
@@ -417,10 +431,10 @@ def test_isotypic_characters_factor():
                 m = pair_op(pair, ctx, h1, h2)
                 acc = None
                 for h in pair.h1_list:
-                    t = linalg.mat_scal(
+                    t = mat_scal(
                         ctx.one() * Fraction(chi[h], len(pair.h1_list)),
                         linalg.mat_mul(h1_op(pair, ctx, h), m))
-                    acc = t if acc is None else linalg.mat_add(acc, t)
+                    acc = t if acc is None else mat_add(acc, t)
                 got = linalg.trace(acc)
                 assert got == ch2[h2] * chi[h1]
 
@@ -433,13 +447,14 @@ def test_central_idempotent_properties():
     ring = CyclotomicRing(3)
     chars = linear_pm_characters(group, mul)
     inv = group_inverses(group, pair.field.indices)
-    es = [CentralIdempotent(group, mul, inv, chi, 1, ring)
-          for chi in chars]
+    es = [CentralIdempotent(group, inv, chi, 1, ring) for chi in chars]
     for e in es:
-        assert e.is_idempotent()
-        assert e.is_central()
+        # idempotent and central
+        assert convolve(e.coeffs, e.coeffs, mul) == e.coeffs
+        assert all(e.coeffs[mul(mul(h, g), inv[h])] == e.coeffs[g]
+                   for g in group for h in group)
     # orthogonality and completeness
-    zero_sum = es[0].convolve(es[1])
+    zero_sum = convolve(es[0].coeffs, es[1].coeffs, mul)
     assert all(v.is_zero() for v in zero_sum.values())
     total = {g: es[0].coeffs[g] + es[1].coeffs[g] for g in group}
     ident = _ident_of(group, pair.field.indices)
@@ -454,7 +469,7 @@ def test_trivial_idempotent_formula():
     ring = CyclotomicRing(3)
     chi = {g: 1 for g in group}
     inv = group_inverses(group, pair.field.indices)
-    e = CentralIdempotent(group, index_mul(pair), inv, chi, 1, ring)
+    e = CentralIdempotent(group, inv, chi, 1, ring)
     for g in group:
         assert e.coeffs[g] == ring.from_fraction(Fraction(1, len(group)))
 
@@ -470,10 +485,12 @@ def test_group_inverse_tables(diag):
         inv = group_inverses(lst, ix)
         ident = linalg.identity(ix, len(lst[0]))
         assert all(linalg.mat_mul(g, inv[g], ix) == ident for g in lst)
-    group, mul, inv = product_group(pair)
+    group, inv = product_group(pair)
     ident = (linalg.identity(ix, n), linalg.identity(ix, 2))
     assert len(inv) == len(group)
-    assert all(mul(g, inv[g]) == ident for g in group)
+    mul = index_mul(pair)
+    assert all((mul(a, inv[(a, b)][0]), mul(b, inv[(a, b)][1])) == ident
+               for a, b in group)
 
 
 @pytest.mark.parametrize("diag", [[1], [1, 1], [1, 2]])
@@ -499,8 +516,7 @@ def test_non_banal_refused():
     ffl2 = FiniteField(2, 2)
     chi = {g: 1 for g in group}
     with pytest.raises(ValueError):
-        CentralIdempotent(group, index_mul(pair),
-                          group_inverses(group, pair.field.indices),
+        CentralIdempotent(group, group_inverses(group, pair.field.indices),
                           chi, 1, ffl2)
     with pytest.raises(ValueError, match=r"l = 2 divides \|H1 x H2\| = 48"):
         congruence_check(QuadraticForm(f3, [[1]]), 1, 2)

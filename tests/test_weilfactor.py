@@ -165,8 +165,8 @@ def test_omega_degenerate_through_radical():
 def test_hilbert_identity_exhaustive_finite():
     for field in (FqField(3), FqField(5), FqField(7), FqField(3, 2)):
         psi = _psi(field)
-        for a in field.units():
-            for b in field.units():
+        for a in field.elements()[1:]:
+            for b in field.elements()[1:]:
                 assert hilbert_via_omega(field, psi, a, b) == 1
 
 
@@ -377,11 +377,11 @@ def test_omega_is_the_character_sum():
         field = q.field
         acc = psi.coeff_ring.zero()
         for x in itertools.product(field.elements(), repeat=q.m):
-            acc = acc + psi(q.evaluate(x))
+            acc = acc + psi(field.dot(x, linalg.mat_vec(q.gram, x, field)))
         rad = len(q.radical())
         degenerate += rad > 0
         w = omega(q, psi)
-        assert acc == w * field.q ** rad, (q.gram, psi.descriptor)
+        assert acc == w * field.q ** rad, (q.gram, psi.twist)
     assert degenerate
 
 
