@@ -181,12 +181,6 @@ class QpField(Ops):
             return 0
         return 1 if pow(r, (self.p - 1) // 2, self.p) == 1 else -1
 
-    def is_square(self, x):
-        x = Fraction(x)
-        if x == 0:
-            return True
-        return self.val(x) % 2 == 0 and self.legendre(self.unit_residue(x)) == 1
-
     def nonresidue(self):
         """Smallest positive integer nonresidue mod p."""
         if self._nonres is None:

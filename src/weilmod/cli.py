@@ -270,7 +270,7 @@ def cmd_heisenberg(args):
     model = SchrodingerModel(space, psi)
     out = []
     for *w, t in points(field, 2 * args.m + 1):
-        h = delta(space, w) * central(space, t.i)
+        h = delta(space, w) * central(space, t)
         out.append({"w": [str(x) for x in w], "t": str(t),
                     "matrix": matrix_json(
                         model.rho(h).to_dense(psi.coeff_ring.zero()),

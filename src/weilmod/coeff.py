@@ -601,6 +601,9 @@ class FiniteField(Ops):
         return "F_%d" % self.q if self.f > 1 else "F_%d" % self.p
 
     def element(self, i):
+        """i itself for an element of this field; an int is read as a raw
+        index mod q, so over F_9 element(-1) is index 8 (2 + 2x), not -1.
+        from_int gives the image of Z."""
         if isinstance(i, FFElt):
             if i.field is not self:
                 raise RingMismatchError("element of %r used in %r"
@@ -724,9 +727,6 @@ class FFElt:
         if e < 0:
             return self.inv() ** (-e)
         return FFElt(self.field, self.field.pow_i(self.i, e))
-
-    def is_zero(self):
-        return self.i == 0
 
     def __bool__(self):
         return self.i != 0
@@ -877,7 +877,6 @@ class ReductionMap:
         one = field.one()
         if root ** ring.n != one or root ** (ring.n // ring.p) == one:
             raise ValueError("designated root has wrong order")
-        self.root = root
         self._powers = [one]
         for _ in range(ring.phi - 1):
             self._powers.append(self._powers[-1] * root)

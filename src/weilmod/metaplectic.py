@@ -6,7 +6,6 @@ finite F, closed-form path via Leray data over any F), and M[g].
 from __future__ import annotations
 
 import itertools
-import weakref
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
@@ -183,18 +182,19 @@ def mu_g_scalar(space, psi, g, bruhat=None):
 # the most sigma(g) count forms one CountModel keeps; the oldest go first
 SIGMA_CACHE_SIZE = 4096
 
-# {space: {psi's exponent table: CountModel}}: a model lives exactly as
-# long as its space, and the contexts on one space and twist share it
-_COUNT_MODELS = weakref.WeakKeyDictionary()
+# one model per (field, m, psi's exponent table), kept for the process:
+# every context with those three inputs shares it, whatever its ring
+_COUNT_MODELS = {}
 
 
 class CountModel:
-    """The ring-free half of sigma over F_q, for one space and one
+    """The ring-free half of sigma over F_q, for one field, one m and one
     exponent table exp (psi(x) = zeta_p^{exp[x]} on raw field indices).
 
     sigma(g) = mu phi(N): the count matrix N depends only on g, exp and
     the Y-points, while mu and the ring map phi belong to the coefficient
-    ring, so every WeilContext on the space and twist shares this model.
+    ring, so every WeilContext with this field, m and twist shares this
+    model (_COUNT_MODELS).
     An entry sum_e c_e zeta_p^e of N is kept as its counts c_0 .. c_{p-1}
     packed into one int, slot e at bit W e (Kronecker substitution), and a
     row of N as one int of such entries, entry j at bit C j with stride
@@ -212,28 +212,27 @@ class CountModel:
     offset by 2^{W-1} in each slot, borrows from none.
 
     g is a matrix of raw field indices (FiniteField.indices.lower), and
-    the model works over `space`, the symplectic space over the field's
-    index view.  The cache maps g to ((j, x(g) class), N) with N the tuple
-    of its packed rows (mu depends on g only through that key; over F_q
-    the class is whether det_X(p1) det_X(p2) is a square, the test
-    square_class makes), at most SIGMA_CACHE_SIZE entries, read at each
-    insertion.  `check` keeps its last successful pair (_last)."""
+    the model works over `space`, the symplectic space of dimension 2m
+    over the field's index view.  The cache maps g to ((j, x(g) class), N)
+    with N the tuple of its packed rows (mu depends on g only through that
+    key; over F_q the class is whether det_X(p1) det_X(p2) is a square,
+    the test square_class makes), at most SIGMA_CACHE_SIZE entries, read
+    at each insertion.  `check` keeps its last successful pair (_last)."""
 
-    def __init__(self, space, exp):
-        field = space.field
-        self.space = SympSpace(field.indices, space.m)
-        self.p, self.m = field.p, space.m
+    def __init__(self, field, m, exp):
+        self.space = SympSpace(field.indices, m)
+        self.p, self.m = field.p, m
         self.exp = exp
         # the Y-points as raw indices, in the Schrödinger basis order, and
         # their addition table: Y-point ysum[i][k] is Y-point i + Y-point k
         ix = field.indices
-        self.ypoints = tuple(points(ix, space.m))
+        self.ypoints = tuple(points(ix, m))
         self.yindex = {pt: i for i, pt in enumerate(self.ypoints)}
         self.ysum = tuple(tuple(self.yindex[ix.add(u, v)]
                                 for v in self.ypoints)
                           for u in self.ypoints)
         n = len(self.ypoints)
-        w = self.slot_bits = (n * field.q ** (3 * space.m)).bit_length() + 1
+        w = self.slot_bits = (n * field.q ** (3 * m)).bit_length() + 1
         c = self.stride = (2 * self.p - 1) * w
         self._shifts = tuple(c * j for j in range(n))
         self._entry_mask = (1 << c) - 1
@@ -440,9 +439,10 @@ class CountModel:
 
 class WeilContext:
     """Finite base field, coefficient ring via psi, Schrödinger model, the
-    shared CountModel of the space and psi's exponent table (it holds the
-    Y-points, the slot width W and the sigma(g) count forms), the ring map
-    phi on W-bit slots, and mu by (j, x(g) class): at most 2(m + 1)
+    CountModel of the space's field and m and psi's exponent table, which
+    every context with those three inputs shares for the process (it
+    holds the Y-points, the slot width W and the sigma(g) count forms),
+    the ring map phi on W-bit slots, and mu by (j, x(g) class): at most 2(m + 1)
     scalars, since over F_q mu_g Omega_{1/2}^{-j} depends on g only through
     j and the square class of det_X(p1) det_X(p2); and the cocycle's
     mu1 mu2 mu12^-1 by its three mu (see cocycle_operator)."""
@@ -451,10 +451,10 @@ class WeilContext:
         self.space = space
         self.psi = psi
         self.model = SchrodingerModel(space, psi)
-        models = _COUNT_MODELS.setdefault(space, {})
-        counts = models.get(psi._exp)
+        key = (space.field, space.m, psi._exp)
+        counts = _COUNT_MODELS.get(key)
         if counts is None:
-            counts = models[psi._exp] = CountModel(space, psi._exp)
+            counts = _COUNT_MODELS[key] = CountModel(*key)
         self.counts = counts
         # the shared dict itself: perfbench/layers.py reads `g in
         # ctx._sigma_cache` to tell a sigma build from a hit, but the keys

@@ -41,7 +41,7 @@ def square_class(field, a):
     """Canonical representative of a mod squares."""
     if field.flavor == "finite":
         a = field.element(a)
-        if a.i == 0:
+        if not a:
             raise ZeroDivisionError("square class of zero")
         if field.is_square(a):
             return SquareClass(field, "1", field.one())

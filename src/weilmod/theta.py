@@ -27,7 +27,7 @@ def enumerate_orthogonal(q_form):
     if n > 2:
         raise InputError("orthogonal enumeration capped at dim 2")
     mul = partial(linalg.mat_mul, fld=ix)
-    gram = tuple(tuple(x.i for x in row) for row in q_form.gram)
+    gram = ix.lower(q_form.gram)
     out = []
     # candidate columns with the first coordinate running fastest: this
     # order fixes the order of h1_list and so the char<k> labels
@@ -68,10 +68,10 @@ class DualPair:
             raise InputError("model dimension exceeds cap")
         ix = field.indices
         vecs, vals = v_form.diagonalize()
-        self.diag_vals = tuple(a.i for a in vals)    # a_i = Q(v_i)
+        self.diag_vals = ix.lower([vals])[0]    # a_i = Q(v_i)
         self.space = SympSpace(field, self.m)
         self._ix_space = SympSpace(ix, self.m)
-        self._b = linalg.transpose([[x.i for x in v] for v in vecs])
+        self._b = linalg.transpose(ix.lower(vecs))
         self._binv = linalg.mat_inv(self._b, ix)
         self.h1_list = enumerate_orthogonal(v_form)
         if mprime != 1:
@@ -222,7 +222,6 @@ class ThetaLift:
             raise ValueError("ctx must be a WeilContext on pair.space")
         self.pair = pair
         self.ctx = ctx
-        self.chi1 = chi1
         zero, one = ctx.zero(), ctx.one()
         signed = [(perm, one * chi1[h]) for h, perm in pair.h1_perms.items()]
         n = ctx.model.dim
@@ -327,8 +326,9 @@ def congruence_check(v_form, mprime, ell):
     The integral lift is checked entry by entry: for every lift and every
     h in H2, red(act_0(h)) = act_l(h), which implies that the reduced
     traces agree.  Both WeilContexts live on pair.space with the same psi
-    exponent table, so they share one CountModel: each H2 image's
-    counts are built once for both rings, and the sides differ only in mu
+    exponent table, so they share one CountModel, kept for the process:
+    each H2 image's counts are built once for both rings and for every
+    later check that meets the same image, and the sides differ only in mu
     and the ring map phi; the counts themselves are checked against dense
     sigma in the tests.  Irreducibility in
     characteristic l is the commutant of the action of a generating set of

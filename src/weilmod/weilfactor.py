@@ -31,7 +31,7 @@ _GAUSS_CACHE = {}
 def gauss_sum(field, a, psi):
     """sum over x in F_q of psi(a x^2)."""
     a = field.element(a)
-    key = (field, a.i, psi.twist.i, psi.coeff_ring)
+    key = (field, a, psi.twist, psi.coeff_ring)
     v = _GAUSS_CACHE.get(key)
     if v is None:
         acc = None

@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from weilmod import linalg
+from weilmod import linalg, metaplectic
 from weilmod.basefield import AdditiveCharacter, FqField, QpField
 from weilmod.quadratic import QuadraticForm
+
+
+@pytest.fixture(autouse=True)
+def fresh_count_models(monkeypatch):
+    """Each test starts with no sigma counts: some corrupt cached counts,
+    others count the builds a fresh model makes."""
+    monkeypatch.setattr(metaplectic, "_COUNT_MODELS", {})
 
 
 @pytest.fixture

@@ -107,6 +107,26 @@ def test_weilrep_dump():
     assert payload["count"] == 24
 
 
+def test_weilrep_reuses_counts_in_process(monkeypatch, capsys):
+    # a second in-process query over the same field and m reads sigma's
+    # counts from the first one's model: the same bytes, no count build
+    from weilmod import metaplectic
+    seen = []
+    real = metaplectic._bruhat
+
+    def counted(space, g):
+        seen.append(g)
+        return real(space, g)
+    monkeypatch.setattr(metaplectic, "_bruhat", counted)
+    args = ["weilrep", "--field=fq:3:1", "--m=1"]
+    assert cli.main(args) == 0
+    first, built = capsys.readouterr().out, len(seen)
+    seen.clear()
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == first
+    assert built == 24 and seen == []
+
+
 def test_selfcheck_deterministic():
     a = run_cli("selfcheck", "--seed", "42")
     b = run_cli("selfcheck", "--seed", "42")

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import itertools
 import random
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -893,21 +892,39 @@ def test_contexts_share_one_count_model_per_twist():
     for g in random.Random(11).sample(enumerate_sp2(sp), 30):
         for ctx in (ctx2, ctx1, ctx16):
             assert sigma(ctx, g) == dense_sigma_reference(ctx, g)
-    # a second space, equal in field and m, gets its own model
+    # a second space, equal in field and m, gets the same model
     other = WeilContext(SympSpace(f5, 1), AdditiveCharacter(f5))
-    assert other.counts is not ctx1.counts
+    assert other.counts is ctx1.counts
 
 
-def test_count_model_is_freed_with_its_space():
+def test_count_model_outlives_its_space(monkeypatch):
+    # the model is keyed by (field, m, twist), not by the space: a context
+    # on a new space finds the counts built before, with no Bruhat call
     f3 = FqField(3)
     sp = SympSpace(f3, 1)
     ctx = WeilContext(sp, AdditiveCharacter(f3))
-    for g in enumerate_sp2(sp)[:5]:
-        sigma(ctx, g)
-    gone = weakref.ref(ctx.counts)
+    group = enumerate_sp2(sp)[:5]
+    want = [sigma(ctx, g) for g in group]
+    model = ctx.counts
     del ctx, sp
     gc.collect()
-    assert gone() is None
+    seen = []
+    real = metaplectic._bruhat
+
+    def counted(space, g):
+        seen.append(g)
+        return real(space, g)
+    monkeypatch.setattr(metaplectic, "_bruhat", counted)
+    sp = SympSpace(f3, 1)
+    ctx = WeilContext(sp, AdditiveCharacter(f3))
+    assert ctx.counts is model
+    assert [sigma(ctx, g) for g in group] == want
+    assert seen == []
+    # another m or another twist gets its own model
+    assert WeilContext(SympSpace(f3, 2), AdditiveCharacter(f3)).counts \
+        is not model
+    assert WeilContext(sp, AdditiveCharacter(f3, twist=2)).counts \
+        is not model
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 it is compared with the expression it replaced, kept here as the
 reference.  A guard over the package source keeps the order, the
 internals of a WeilContext, the construction of coefficient scalars,
-the refused-input exception and the products by the Siegel parabolic's
+the reading of raw field indices, the refused-input exception and the products by the Siegel parabolic's
 generators behind one owner each, and every linalg call in the package
 names the field its scalars live in."""
 
@@ -214,6 +214,25 @@ def test_only_coeff_constructs_coefficient_scalars():
              for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("Cyc", "FFElt")]
+    assert found == []
+
+
+def test_only_the_field_modules_read_raw_indices():
+    # an FFElt's raw index crosses into ints in coeff and basefield (the
+    # index view's lower, the characters' tables) and in cli.scalar_json,
+    # whose output is the index; elsewhere it goes through those owners
+    found = []
+    for name, tree in _modules():
+        if name in ("coeff", "basefield"):
+            continue
+        allowed = {id(node) for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef)
+                   and (name, f.name) == ("cli", "scalar_json")
+                   for node in ast.walk(f)}
+        found += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "i"
+                  and isinstance(node.ctx, ast.Load)
+                  and id(node) not in allowed]
     assert found == []
 
 

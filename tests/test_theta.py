@@ -317,6 +317,25 @@ def test_congruence_check_builds_counts_once_for_both_rings(monkeypatch):
         assert set(seen) == set(pair.h2_images.values())
 
 
+def test_congruence_check_reuses_counts_across_calls(monkeypatch):
+    # the count model is keyed by (field, m, twist), so a second check of
+    # the same form with another l builds no sigma counts
+    f3 = FqField(3)
+    form = QuadraticForm(f3, [[1, 0], [0, 2]])
+    first = congruence_check(form, 1, 5)
+    seen = []
+    real = metaplectic._bruhat
+
+    def counted(space, g):
+        seen.append(g)
+        return real(space, g)
+    monkeypatch.setattr(metaplectic, "_bruhat", counted)
+    again = congruence_check(QuadraticForm(f3, [[1, 0], [0, 2]]), 1, 13)
+    assert seen == []
+    assert [lift["dim"] for lift in again["lifts"]] == \
+        [lift["dim"] for lift in first["lifts"]]
+
+
 @pytest.mark.parametrize("diag,ell", [([1], 7), ([1], 11), ([1, 2], 5),
                                       ([1, 2], 13), ([1, 1], 7),
                                       ([1, 1], 13)])
@@ -380,15 +399,27 @@ def test_h2_stability_is_checked_on_the_counts():
 
 def test_congruence_check_lowers_nothing(monkeypatch):
     # H1, H2 and the images of H2 are raw-index matrices from the start:
-    # no matrix is converted between FFElts and raw indices
+    # no matrix is converted between FFElts and raw indices but the form's
+    # own data (its diagonal values, basis and Gram matrix), once per pair
+    lowered = []
+    real = FieldIndices.lower
+
+    def recorded(self, a):
+        lowered.append(a)
+        return real(self, a)
+
     def refuse(self, a):
         raise AssertionError("congruence_check converted %s" % (a,))
-    monkeypatch.setattr(FieldIndices, "lower", refuse)
+    monkeypatch.setattr(FieldIndices, "lower", recorded)
     monkeypatch.setattr(FieldIndices, "lift", refuse)
     f3 = FqField(3)
     for diag in ([[1]], [[1, 0], [0, 1]], [[1, 0], [0, 2]]):
-        rep = congruence_check(QuadraticForm(f3, diag), 1, 7)
+        form = QuadraticForm(f3, diag)
+        lowered.clear()
+        rep = congruence_check(form, 1, 7)
         assert rep["idempotent_reduction"] is True
+        vecs, vals = form.diagonalize()
+        assert lowered == [[vals], vecs, form.gram]
 
 
 def test_theta_action_is_representation():
