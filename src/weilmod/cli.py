@@ -285,12 +285,12 @@ def cmd_heisenberg(args):
 
 
 def cmd_theta(args):
-    from .theta import DualPair, ThetaLift, char_inner
+    from .theta import ThetaLift, char_inner, dual_pair
     field = parse_field(args.field)
     if field.flavor != "finite":
         raise InputError("theta lifts are finite-field only")
     v_form = parse_form(field, args.V)
-    pair = DualPair(v_form, args.mprime)
+    pair = dual_pair(v_form, args.mprime)
     if args.coeff == "cyclo" or args.coeff is None:
         psi = AdditiveCharacter(field, CyclotomicRing(field.p))
     else:

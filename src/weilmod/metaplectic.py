@@ -217,7 +217,8 @@ class CountModel:
     with N the tuple of its packed rows (mu depends on g only through that
     key; over F_q the class is whether det_X(p1) det_X(p2) is a square,
     the test square_class makes), at most SIGMA_CACHE_SIZE entries, read
-    at each insertion.  `check` keeps its last successful pair (_last)."""
+    at each insertion.  `check` keeps its last successful pair (_last);
+    `restrict` its work by g (_restricted), matched by identity on N."""
 
     def __init__(self, field, m, exp):
         self.space = SympSpace(field.indices, m)
@@ -248,6 +249,7 @@ class CountModel:
         self._offset = each_entry(self._entry_offset)
         self.cache = {}
         self._last = None
+        self._restricted = {}
 
     def pack(self, entries):
         """One packed row of n packed entries."""
@@ -317,6 +319,7 @@ class CountModel:
             rows.append(self.pack(row))
         entry = (key, tuple(rows))
         if len(cache) >= SIGMA_CACHE_SIZE:
+            self._restricted.pop(next(iter(cache)), None)
             del cache[next(iter(cache))]
         cache[g] = entry
         return entry
@@ -373,10 +376,10 @@ class CountModel:
         self._last = (n1, n2, n12, prods, i0, j0)
         return self._entries_from(prods, n12, i0, j0)
 
-    def restrict(self, rows, signed):
-        """The matrix of N on the span of the vectors b_k = e_{P_k} -
+    def restrict(self, g, signed):
+        """(key, the matrix of N on the span of the vectors b_k = e_{P_k} -
         e_{M_k} over Z[zeta_p], as its columns, or None when N does not
-        keep that span.  N is given by its packed rows, the (P_k, M_k) in
+        keep that span) for (key, N) = entry(g).  The (P_k, M_k) in
         `signed` are disjoint lists of Y-point indices, and y_k = P_k[0].
         Column k holds the entries A_k[y_k'] over k' of A_k = N b_k, each
         with 2^{W-1} added to every slot.
@@ -388,13 +391,23 @@ class CountModel:
         of its entries has equal slots: the test `check` makes.  A slot of
         A_k is at most q^m in size and a slot of the difference at most
         2 q^m, below 2^{W-1} (see the class), so no slot borrows."""
+        key, rows = self.entry(g)
+        held = self._restricted.get(g)
+        if held is None or held[0] is not rows:
+            c, cols = self.stride, [0] * len(rows)
+            for z, row in enumerate(rows):
+                for x, e in enumerate(self.unpack(row)):
+                    if e:
+                        cols[x] |= e << (c * z)
+            held = self._restricted[g] = (rows, cols, {})
+        split = tuple((tuple(plus), tuple(minus)) for plus, minus in signed)
+        if split not in held[2]:
+            held[2][split] = self._restrict(held[1], split)
+        return key, held[2][split]
+
+    def _restrict(self, cols, signed):
+        """restrict's output from N's packed columns."""
         c, mask = self.stride, self._entry_mask
-        cols = [0] * len(rows)
-        for z, row in enumerate(rows):
-            s = c * z
-            for x, e in enumerate(self.unpack(row)):
-                if e:
-                    cols[x] |= e << s
         heads = [plus[0] for plus, _ in signed]
         # b_k packed as a column: 1 at each z of P_k, -1 at each z of M_k
         vecs = [sum(1 << (c * z) for z in plus) -
@@ -405,12 +418,12 @@ class CountModel:
         for plus, minus in signed:
             a = offset + sum(cols[x] for x in plus) - \
                 sum(cols[x] for x in minus)
-            col = [(a >> (c * y)) & mask for y in heads]
+            col = tuple((a >> (c * y)) & mask for y in heads)
             t = a - sum((e - entry_offset) * v for e, v in zip(col, vecs))
             if t != (t & slot0) * ones:
                 return None
             out.append(col)
-        return out
+        return tuple(out)
 
     def _products(self, n1, n2):
         """The packed rows of N1 N2, folded mod x^p - 1."""
@@ -441,11 +454,10 @@ class WeilContext:
     """Finite base field, coefficient ring via psi, Schrödinger model, the
     CountModel of the space's field and m and psi's exponent table, which
     every context with those three inputs shares for the process (it
-    holds the Y-points, the slot width W and the sigma(g) count forms),
-    the ring map phi on W-bit slots, and mu by (j, x(g) class): at most 2(m + 1)
-    scalars, since over F_q mu_g Omega_{1/2}^{-j} depends on g only through
-    j and the square class of det_X(p1) det_X(p2); and the cocycle's
-    mu1 mu2 mu12^-1 by its three mu (see cocycle_operator)."""
+    holds the Y-points, the slot width W and the sigma(g) count forms and
+    their restrictions), and the ring's tables: phi's values by packed
+    entry, mu by (j, x(g) class), at most 2(m + 1) scalars, and the
+    cocycle's mu1 mu2 mu12^-1 by its three mu."""
 
     def __init__(self, space, psi):
         self.space = space
@@ -469,6 +481,8 @@ class WeilContext:
         self._mu_ratio = {}     # {(mu1, mu2, mu12): mu1 mu2 mu12^-1}
         # phi: packed counts -> R, zeta_p to psi's image psi._powers[1]
         self._phi = psi.coeff_ring.count_map(psi._powers, counts.slot_bits)
+        # {c: phi(c)} over N's at most C(q^m + p, p) entries and their sums
+        self._phis = {}
 
     def one(self):
         return self.psi.coeff_ring.one()
@@ -476,23 +490,30 @@ class WeilContext:
     def zero(self):
         return self.psi.coeff_ring.zero()
 
+    def mu(self, key):
+        """mu_g Omega_{1/2}^{-j} for g of key (j, x(g) class), mu_g_scalar."""
+        if key not in self._mu:
+            field = self.space.field
+            rep = field.one() if key[1] else field.nonresidue()
+            self._mu[key] = omega_ratio(field, self.psi, field.one(), rep) \
+                * self._gauss_half_inv ** key[0]
+        return self._mu[key]
+
+    def restrict(self, g, signed):
+        """(key, A) with sigma_images(self, g, signed) = mu(key) phi(A)."""
+        return self.counts.restrict(g, signed)
+
+    def phi(self, c):
+        if c not in self._phis:
+            self._phis[c] = self._phi(c)
+        return self._phis[c]
+
 
 def sigma_counts(ctx, g):
-    """(mu, N) with sigma(g) = mu phi(N) for g given on raw field indices
-    (FiniteField.indices.lower): the scalar mu = mu_g normalized by
-    Omega_{1/2}^{-j}, from ctx's table by (j, x(g) class), and N the
-    packed count matrix on the Y-point basis (CountModel.entry).  Over F_q
-    mu_g is Omega_{1,d}, d = det_X(p1) det_X(p2) (mu_g_scalar), which
-    depends on d only through its square class: 1 or a nonresidue."""
+    """(mu, N) with sigma(g) = mu phi(N) for g on raw field indices: mu by
+    g's key (WeilContext.mu), N the packed counts (CountModel.entry)."""
     key, counts = ctx.counts.entry(g)
-    mu = ctx._mu.get(key)
-    if mu is None:
-        j, square = key
-        field = ctx.space.field
-        rep = field.one() if square else field.nonresidue()
-        mu = ctx._mu[key] = omega_ratio(field, ctx.psi, field.one(), rep) * \
-            ctx._gauss_half_inv ** j
-    return mu, counts
+    return ctx.mu(key), counts
 
 
 def sigma(ctx, g):
@@ -500,7 +521,7 @@ def sigma(ctx, g):
     basis; the measure normalization makes it multiplicative over finite F.
     Only the count form is cached."""
     mu, counts = sigma_counts(ctx, ctx.space.field.indices.lower(g))
-    phi, zero = ctx._phi, ctx.zero()
+    phi, zero = ctx.phi, ctx.zero()
     return tuple(tuple(mu * phi(c) if c else zero
                        for c in ctx.counts.unpack(row)) for row in counts)
 
@@ -519,11 +540,10 @@ def sigma_images(ctx, g, signed):
     A_k = N b_k: phi runs on those entries alone, after every check, and
     maps the 2^{W-1} that restrict adds to each slot to 2^{W-1} (1 + zeta
     + ... + zeta^{p-1}) = 0."""
-    mu, counts = sigma_counts(ctx, g)
-    cols = ctx.counts.restrict(counts, signed)
+    key, cols = ctx.restrict(g, signed)
     if cols is None:
         return None
-    phi = ctx._phi
+    mu, phi = ctx.mu(key), ctx.phi
     return [tuple(mu * phi(x) for x in col) for col in cols]
 
 
@@ -559,23 +579,23 @@ def cocycle_operator(ctx, g1, g2):
 
     mu1 mu2 mu12^-1 comes from ctx's table by the triple (mu1, mu2, mu12):
     each mu is one of ctx's at most 2(m + 1) values by (j, x(g) class), so
-    the table holds at most (2(m + 1))^3 products, and a pair costs one
-    ring-map pair and one inverse.  g1, g2 and g1 g2 go to sigma_counts on
-    raw field indices; the errors name g1 and g2 as given."""
+    the table holds at most (2(m + 1))^3 products; phi(N12[e]) and so its
+    inverse (Cyc keeps it) come from ctx's table.  g1, g2 and g1 g2 go to
+    sigma_counts on raw field indices; the errors name g1 and g2 as given."""
     ix = ctx.space.field.indices
     a, b = ix.lower(g1), ix.lower(g2)
     mu1, n1 = sigma_counts(ctx, a)
     mu2, n2 = sigma_counts(ctx, b)
     mu12, n12 = sigma_counts(ctx, linalg.mat_mul(a, b, ix))
-    phi, zero = ctx._phi, ctx.zero()
+    zero = ctx.zero()
     for pe, ce in ctx.counts.check(n1, n2, n12, g1, g2):
-        y = phi(ce)
+        y = ctx.phi(ce)
         if y != zero:
             mus = (mu1, mu2, mu12)
             scale = ctx._mu_ratio.get(mus)
             if scale is None:
                 scale = ctx._mu_ratio[mus] = mu1 * mu2 * mu12.inv()
-            return scale * (phi(pe) * y.inv())
+            return scale * (ctx._phi(pe) * y.inv())
     raise RuntimeError("cocycle operator is not scalar: g1 = %s, g2 = %s, "
                        "sigma(g1 g2) is zero in R" % (g1, g2))
 

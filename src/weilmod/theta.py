@@ -17,6 +17,7 @@ from .metaplectic import WeilContext, enumerate_sp2, sigma_images
 
 GROUP_ORDER_CAP = 10 ** 4
 MODEL_DIM_CAP = 81
+_DUAL_PAIRS = {}    # {(field, Gram matrix, m'): DualPair}, for the process
 
 
 def enumerate_orthogonal(q_form):
@@ -132,6 +133,14 @@ class DualPair:
         return g
 
 
+def dual_pair(v_form, mprime):
+    """DualPair(v_form, mprime), built once per (field, Gram matrix, m')."""
+    key = (v_form.field, v_form.gram, mprime)
+    if key not in _DUAL_PAIRS:
+        _DUAL_PAIRS[key] = DualPair(v_form, mprime)
+    return _DUAL_PAIRS[key]
+
+
 def _generators(group, mul):
     """(identity, generators) of a small group: each element, in list order,
     that the closure of the generators so far misses."""
@@ -241,12 +250,10 @@ class ThetaLift:
                 orbit = sorted({perm[y] for perm, _ in signed})
                 self.orbits.append(orbit)
                 basis.append(tuple(vec))
-                self._split[y] = ([z for z in orbit if vec[z] == one],
-                                  [z for z in orbit if vec[z] != one])
+                self._split[y] = (tuple(z for z in orbit if vec[z] == one),
+                                  tuple(z for z in orbit if vec[z] != one))
         self.basis = tuple(basis)
         self.dim = len(basis)
-        # keyed by elements of pair.h2_list: at most |H2| entries
-        self._act_cache = {}
 
     def act(self, h2):
         """Matrix of omega(h2) on self.basis, for h2 an element of
@@ -255,9 +262,6 @@ class ThetaLift:
         that the span is H2-stable before any coefficient is formed).
         The columns are the coordinates of the images of the b_O: their
         entries at the y_O."""
-        a = self._act_cache.get(h2)
-        if a is not None:
-            return a
         if self.dim == 0:
             return ()
         cols = sigma_images(self.ctx, self.pair.h2_images[h2],
@@ -265,9 +269,12 @@ class ThetaLift:
         if cols is None:
             raise RuntimeError("theta subspace is not H2-stable under "
                                "h2 = %s" % (h2,))
-        a = linalg.transpose(cols)
-        self._act_cache[h2] = a
-        return a
+        return linalg.transpose(cols)
+
+    def act_counts(self, h2):
+        """(key, A) with act(h2) = mu(key) phi(A) (WeilContext.restrict)."""
+        return self.ctx.restrict(
+            self.pair.h2_images[h2], [self._split[o[0]] for o in self.orbits])
 
     def character(self):
         zero = self.ctx.zero()
@@ -323,20 +330,19 @@ def congruence_check(v_form, mprime, ell):
     dict.  A non-banal l (one dividing |H1 x H2|) is refused with
     ValueError.
 
-    The integral lift is checked entry by entry: for every lift and every
-    h in H2, red(act_0(h)) = act_l(h), which implies that the reduced
-    traces agree.  Both WeilContexts live on pair.space with the same psi
-    exponent table, so they share one CountModel, kept for the process:
-    each H2 image's counts are built once for both rings and for every
-    later check that meets the same image, and the sides differ only in mu
-    and the ring map phi; the counts themselves are checked against dense
-    sigma in the tests.  Irreducibility in
-    characteristic l is the commutant of the action of a generating set of
-    H2, and the idempotent of the trivial lift must reduce to its
-    characteristic-l counterpart."""
+    For every lift and h in H2, red(act_0(h)) = act_l(h), which implies
+    that the reduced traces agree.  act_R(h) = mu_R(key) phi_R(A)
+    (ThetaLift.act_counts) and red is a ring map, so this holds when both
+    sides' (key, A) agree, red(mu_0(key)) = mu_l(key) for each key met and
+    red(phi_0(c)) = phi_l(c) for each distinct entry c of the A.  The two
+    contexts share one CountModel, kept for the process like the pair
+    (dual_pair), so each (key, A) is built once for both rings and every
+    l.  Irreducibility in characteristic l is the commutant of the action
+    of a generating set of H2, and the idempotent of the trivial lift must
+    reduce to its characteristic-l counterpart."""
     field = v_form.field
     p = field.p
-    pair = DualPair(v_form, mprime)
+    pair = dual_pair(v_form, mprime)
     h1, h2 = pair.h1_list, pair.h2_list
     order = len(h1) * len(h2)
     if order % ell == 0:
@@ -345,27 +351,30 @@ def congruence_check(v_form, mprime, ell):
     # characteristic zero side
     ring0 = CyclotomicRing(p)
     ctx0 = WeilContext(pair.space, AdditiveCharacter(field, ring0))
-    # characteristic l side: F_{l^d} containing zeta_p
-    d = 1
-    while (ell ** d - 1) % p != 0:
-        d += 1
+    # characteristic l side: F_{l^d} containing zeta_p, d the order of l
+    d = next(d for d in itertools.count(1) if pow(ell, d, p) == 1)
     ffl = FiniteField(ell, d)
     red = ReductionMap(ring0, ffl)
     ctxl = WeilContext(pair.space, AdditiveCharacter(field, ffl))
     gens2 = _generators(h2, partial(linalg.mat_mul, fld=field.indices))[1]
     report = {"lifts": []}
     trivial = None
+    checked = set()     # the mu keys and packed entries checked so far
     for label, chi in pair.characters:
         lift0 = ThetaLift(pair, ctx0, chi)
         liftl = ThetaLift(pair, ctxl, chi)
         if lift0.dim != liftl.dim:
             raise RuntimeError("theta dimensions differ across reduction")
-        for g in h2:
-            if any(red(x) != y for r0, rl in zip(lift0.act(g), liftl.act(g))
-                   for x, y in zip(r0, rl)):
-                raise RuntimeError("integral lift does not reduce entrywise")
-        ch0 = lift0.character()
+        ch0 = lift0.character()     # each side decides H2-stability
         chl = liftl.character()
+        for g in h2:
+            key, cols = form = lift0.act_counts(g)
+            new = {x for col in cols for x in col} - checked
+            if form != liftl.act_counts(g) or (
+                    key not in checked and red(ctx0.mu(key)) != ctxl.mu(key)) \
+                    or any(red(ctx0.phi(x)) != ctxl.phi(x) for x in new):
+                raise RuntimeError("integral lift does not reduce entrywise")
+            checked |= new | {key}
         # idempotent congruence on H1 x H2 (via the H1 character x theta)
         irr0 = char_inner(h2, ch0, ch0, pair.h2_inverses)
         irr_one = (irr0 == ring0.one())

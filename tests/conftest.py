@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from weilmod import linalg, metaplectic
+from weilmod import linalg, metaplectic, theta
 from weilmod.basefield import AdditiveCharacter, FqField, QpField
 from weilmod.quadratic import QuadraticForm
 
 
 @pytest.fixture(autouse=True)
 def fresh_count_models(monkeypatch):
-    """Each test starts with no sigma counts: some corrupt cached counts,
-    others count the builds a fresh model makes."""
+    """Each test starts with no sigma counts and no dual pairs: some
+    corrupt cached counts, others count the builds a fresh model or pair
+    makes."""
     monkeypatch.setattr(metaplectic, "_COUNT_MODELS", {})
+    monkeypatch.setattr(theta, "_DUAL_PAIRS", {})
 
 
 @pytest.fixture

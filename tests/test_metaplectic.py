@@ -8,7 +8,7 @@ import pytest
 
 from weilmod import linalg, metaplectic
 from weilmod.basefield import AdditiveCharacter, FqField, QpField
-from weilmod.coeff import (CyclotomicRing, FFElt, FieldIndices,
+from weilmod.coeff import (CyclotomicRing, Cyc, FFElt, FieldIndices,
                            FiniteField, RingMismatchError)
 from weilmod.heisenberg import (SympSpace, central, coset_reps, delta,
                                 SchrodingerModel)
@@ -582,6 +582,31 @@ def test_sigma_cache_is_bounded(monkeypatch):
     assert lower(group[0]) not in ctx._sigma_cache
     assert sigma(ctx, group[0]) == first
     assert list(ctx._sigma_cache)[-1] == lower(group[0])
+
+
+def test_phi_table_holds_each_entry_once(monkeypatch):
+    # the cocycle on all of Sp2(F_3) x Sp2(F_3) maps each distinct entry of
+    # N12 that it reads once (an entry has p = 3 slots totalling at most
+    # q^m = 3, so there are at most C(6, 3) = 20), and Z[zeta_3] inverts
+    # each such phi(N12[e]) once and each mu at most twice (its own inverse
+    # and one in omega_ratio): not once per pair
+    f3 = FqField(3)
+    sp = SympSpace(f3, 1)
+    ctx = WeilContext(sp, AdditiveCharacter(f3))
+    inverted = []
+    real = Cyc.inv
+
+    def counted(x):
+        if x._inv is None:
+            inverted.append(x)
+        return real(x)
+    monkeypatch.setattr(Cyc, "inv", counted)
+    group = enumerate_sp2(sp)
+    for g1 in group:
+        for g2 in group:
+            cocycle_operator(ctx, g1, g2)
+    assert 0 < len(ctx._phis) <= 20
+    assert len(inverted) <= len(ctx._phis) + 2 * len(ctx._mu)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -5,9 +6,10 @@ from functools import partial
 
 import pytest
 
-from weilmod import linalg, metaplectic, theta
+from weilmod import cli, linalg, metaplectic, theta
 from weilmod.basefield import AdditiveCharacter, FqField, InputError
-from weilmod.coeff import CyclotomicRing, FieldIndices, FiniteField
+from weilmod.coeff import (CyclotomicRing, FieldIndices, FiniteField,
+                           ReductionMap)
 from weilmod.heisenberg import Monomial, SympSpace, hom_space
 from weilmod.metaplectic import WeilContext
 from weilmod.quadratic import QuadraticForm
@@ -354,6 +356,197 @@ def test_congruence_check_catches_wrong_root(monkeypatch, diag, ell):
         congruence_check(QuadraticForm(FqField(3), gram), 1, ell)
 
 
+# the twelve reports of the theta-congruence benchmark: three forms over
+# F_3, each with four banal l
+REPORTS = [(diag, ell) for diag in ([1], [1, 2], [1, 1])
+           for ell in (5, 7, 11, 13)]
+
+
+def diag_form(diag):
+    n = len(diag)
+    return QuadraticForm(FqField(3), [[diag[i] if i == j else 0
+                                       for j in range(n)] for i in range(n)])
+
+
+def reduces_entrywise(v_form, ell, twist=1):
+    """The check congruence_check made before it read sigma's counts:
+    red(act_0(h)) = act_l(h) entry by entry, for every lift and h in H2,
+    with the characteristic-l psi twisted by `twist`."""
+    f3 = v_form.field
+    pair = DualPair(v_form, 1)
+    ring0 = CyclotomicRing(3)
+    d = 1
+    while (ell ** d - 1) % 3:
+        d += 1
+    ffl = FiniteField(ell, d)
+    red = ReductionMap(ring0, ffl)
+    ctx0 = WeilContext(pair.space, AdditiveCharacter(f3, ring0))
+    ctxl = WeilContext(pair.space, AdditiveCharacter(f3, ffl, twist))
+    for _, chi in pair.characters:
+        lift0, liftl = ThetaLift(pair, ctx0, chi), ThetaLift(pair, ctxl, chi)
+        for g in pair.h2_list:
+            if any(red(x) != y for r0, rl in zip(lift0.act(g), liftl.act(g))
+                   for x, y in zip(r0, rl)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("diag,ell", REPORTS)
+def test_count_check_agrees_with_entrywise_reference(monkeypatch, diag, ell):
+    # the check on keys and distinct entries passes exactly where the
+    # entry-by-entry reference does: on the report itself, and not on the
+    # wrong-root mutant, whose l-side psi is twisted by 2
+    assert reduces_entrywise(diag_form(diag), ell)
+    assert congruence_check(diag_form(diag), 1, ell)["idempotent_reduction"]
+    assert not reduces_entrywise(diag_form(diag), ell, twist=2)
+    real = theta.AdditiveCharacter
+
+    def mutant(field, ring):
+        return real(field, ring, 2 if isinstance(ring, FiniteField) else 1)
+    monkeypatch.setattr(theta, "AdditiveCharacter", mutant)
+    with pytest.raises(RuntimeError, match="does not reduce entrywise"):
+        congruence_check(diag_form(diag), 1, ell)
+
+
+def _corrupt_l_side(monkeypatch, name, bad):
+    """WeilContext.<name> on characteristic-l contexts made to answer
+    bad(arg, value) for the argument it is given."""
+    real = getattr(WeilContext, name)
+
+    def corrupted(ctx, arg):
+        y = real(ctx, arg)
+        if isinstance(ctx.psi.coeff_ring, FiniteField):
+            return bad(arg, y)
+        return y
+    monkeypatch.setattr(WeilContext, name, corrupted)
+
+
+@pytest.mark.parametrize("diag,ell", [([1], 7), ([1, 2], 5), ([1, 1], 13)])
+def test_count_check_catches_one_wrong_mu(monkeypatch, diag, ell):
+    # one mu_l value off by one: every act_l(h) of that key is wrong, and
+    # only red(mu_0(key)) = mu_l(key) sees it
+    pair = theta.dual_pair(diag_form(diag), 1)
+    ctx = WeilContext(pair.space, AdditiveCharacter(FqField(3)))
+    key = ctx.counts.entry(pair.h2_images[pair.h2_list[1]])[0]
+    assert reduces_entrywise(diag_form(diag), ell)
+    _corrupt_l_side(monkeypatch, "mu",
+                    lambda k, y: y + y.field.one() if k == key else y)
+    assert not reduces_entrywise(diag_form(diag), ell)
+    with pytest.raises(RuntimeError, match="does not reduce entrywise"):
+        congruence_check(diag_form(diag), 1, ell)
+
+
+@pytest.mark.parametrize("diag,ell", [([1], 7), ([1, 2], 5), ([1, 1], 13)])
+def test_count_check_catches_one_wrong_phi(monkeypatch, diag, ell):
+    # one packed entry of the trivial lift's counts with its phi_l image
+    # off by one: only red(phi_0(c)) = phi_l(c) sees it
+    pair = theta.dual_pair(diag_form(diag), 1)
+    ctx = WeilContext(pair.space, AdditiveCharacter(FqField(3)))
+    lift = ThetaLift(pair, ctx, pair.characters[0][1])
+    target = lift.act_counts(pair.h2_list[3])[1][0][0]
+    assert reduces_entrywise(diag_form(diag), ell)
+    _corrupt_l_side(monkeypatch, "phi",
+                    lambda c, y: y + y.field.one() if c == target else y)
+    assert not reduces_entrywise(diag_form(diag), ell)
+    with pytest.raises(RuntimeError, match="does not reduce entrywise"):
+        congruence_check(diag_form(diag), 1, ell)
+
+
+def test_count_check_reduces_each_key_and_entry_once(monkeypatch):
+    # red runs once per (j, x class) key and once per distinct packed
+    # entry of the lifts' counts, besides once per element of H1 x H2 for
+    # the idempotent: never once per matrix entry
+    calls = []
+    real = ReductionMap.__call__
+
+    def counted(red, x):
+        calls.append(x)
+        return real(red, x)
+    monkeypatch.setattr(ReductionMap, "__call__", counted)
+    for diag, ell in REPORTS:
+        calls.clear()
+        congruence_check(diag_form(diag), 1, ell)
+        pair = theta.dual_pair(diag_form(diag), 1)
+        ctx = WeilContext(pair.space, AdditiveCharacter(FqField(3)))
+        forms = [ThetaLift(pair, ctx, chi).act_counts(g)
+                 for _, chi in pair.characters for g in pair.h2_list]
+        keys = {key for key, _ in forms}
+        entries = {x for _, cols in forms for col in cols for x in col}
+        group = len(pair.h1_list) * len(pair.h2_list)
+        assert len(calls) == len(keys) + len(entries) + group
+        matrix_entries = sum(len(cols) ** 2 for _, cols in forms)
+        assert len(keys) + len(entries) < matrix_entries
+
+
+def test_restrict_transposes_each_image_once(monkeypatch):
+    # restrict unpacks N's rows into columns once per cached entry: once
+    # per H2 image in the first round of the twelve reports, for both
+    # rings and every l, and never in the second
+    unpacked = []
+    real = metaplectic.CountModel.unpack
+
+    def counted(model, row, start=0):
+        unpacked.append(row)
+        return real(model, row, start)
+    monkeypatch.setattr(metaplectic.CountModel, "unpack", counted)
+    images = set()
+    for diag, ell in REPORTS:
+        congruence_check(diag_form(diag), 1, ell)
+        pair = theta.dual_pair(diag_form(diag), 1)
+        images |= {(pair.m, g) for g in pair.h2_images.values()}
+    rows = sum(3 ** m for m, _ in images)
+    assert len(unpacked) == rows
+    unpacked.clear()
+    for diag, ell in REPORTS:
+        congruence_check(diag_form(diag), 1, ell)
+    assert unpacked == []
+
+
+def test_restricted_counts_stay_within_the_cache(monkeypatch):
+    # with room for 5 count entries per model, the columns and outputs
+    # that restrict keeps go with the entries, each entry holds at most
+    # one output per orbit split of the pairs met, and the twelve reports
+    # are the same as with the default room
+    want = [json.dumps(congruence_check(diag_form(diag), 1, ell),
+                       sort_keys=True) for diag, ell in REPORTS]
+    monkeypatch.setattr(metaplectic, "_COUNT_MODELS", {})
+    monkeypatch.setattr(theta, "_DUAL_PAIRS", {})
+    monkeypatch.setattr(metaplectic, "SIGMA_CACHE_SIZE", 5)
+    got = []
+    for diag, ell in REPORTS:
+        got.append(json.dumps(congruence_check(diag_form(diag), 1, ell),
+                              sort_keys=True))
+        splits = sum(len(pair.characters)
+                     for pair in theta._DUAL_PAIRS.values())
+        for model in metaplectic._COUNT_MODELS.values():
+            assert len(model.cache) <= 5
+            assert set(model._restricted) <= set(model.cache)
+            for g, (rows, cols, outs) in model._restricted.items():
+                assert rows is model.cache[g][1]
+                assert len(cols) == len(rows)
+                assert len(outs) <= splits
+    assert got == want
+
+
+def test_one_dual_pair_per_form(monkeypatch):
+    # two checks of one form enumerate O(V) once, and a check and a CLI
+    # query on a second form once more
+    built = []
+    real = theta.enumerate_orthogonal
+
+    def counted(q_form):
+        built.append(q_form.gram)
+        return real(q_form)
+    monkeypatch.setattr(theta, "enumerate_orthogonal", counted)
+    congruence_check(diag_form([1, 2]), 1, 5)
+    congruence_check(diag_form([1, 2]), 1, 7)
+    assert len(built) == 1
+    congruence_check(diag_form([1]), 1, 7)
+    assert cli.main(["theta", "--field", "fq:3:1", "--V", "diag:1",
+                     "--mprime", "1", "--coeff", "fl:7:1"]) == 0
+    assert len(built) == 2
+
+
 def test_h2_stability_failure_names_h2():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
@@ -395,6 +588,25 @@ def test_h2_stability_is_checked_on_the_counts():
         with pytest.raises(RuntimeError, match=r"not H2-stable under h2 = " +
                            re.escape(str(h2))):
             lift.act(h2)
+
+
+def test_restrict_rereads_a_replaced_entry():
+    # restrict's kept columns belong to the cached rows they came from: the
+    # same corruption as above, made after the lift has acted once, is
+    # still refused
+    f3 = FqField(3)
+    pair = DualPair(QuadraticForm(f3, [[1]]), 1)
+    h2 = pair.h2_list[5]
+    g = pair.h2_images[h2]
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3))
+    lift = ThetaLift(pair, ctx, {h: 1 for h in pair.h1_list})
+    assert lift.act_counts(h2)[1] is not None
+    lift.act(h2)
+    key, rows = ctx.counts.entry(g)
+    ctx.counts.cache[g] = (key, rows[:2] + (rows[2] + 1,) + rows[3:])
+    assert lift.act_counts(h2) == (key, None)
+    with pytest.raises(RuntimeError, match="not H2-stable"):
+        lift.act(h2)
 
 
 def test_congruence_check_lowers_nothing(monkeypatch):
