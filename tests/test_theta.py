@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -545,6 +547,23 @@ def test_one_dual_pair_per_form(monkeypatch):
     assert cli.main(["theta", "--field", "fq:3:1", "--V", "diag:1",
                      "--mprime", "1", "--coeff", "fl:7:1"]) == 0
     assert len(built) == 2
+
+
+def test_only_dual_pair_builds_a_pair():
+    # congruence_check, the theta command and selfcheck all take their
+    # pair from theta.dual_pair: no other place in the package builds one
+    found = []
+    for path in sorted(pathlib.Path(theta.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(n) for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and f.name == "dual_pair"
+                   for n in ast.walk(f)}
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and getattr(node.func, "id",
+                              getattr(node.func, "attr", None)) == "DualPair"]
+    assert found == []
 
 
 def test_h2_stability_failure_names_h2():
