@@ -482,25 +482,24 @@ def coset_reps(subspace, ambient_basis, field):
 
 def hom_space(ops1, ops2, dim1, dim2, ring):
     """Basis of {T : T r1(g) = r2(g) T} for paired operator lists (dense)
-    with entries in `ring`."""
-    zero = ring.zero()
+    with entries in `ring`, a ring or a finite field's index view."""
+    zero, one = ring.zero(), ring.one()
     nvar = dim2 * dim1
     rows = []
     for r1, r2 in zip(ops1, ops2):
         m1 = r1.to_dense(zero) if isinstance(r1, Monomial) else r1
         m2 = r2.to_dense(zero) if isinstance(r2, Monomial) else r2
-        # T m1 - m2 T = 0: equations indexed by (i, j)
+        # T m1 - m2 T = 0, equation (i, j): m1[k][j] at T[i][k], -m2[i][k]
+        # at T[k][j], and m1[j][j] - m2[i][i] at T[i][j], where both meet
+        m1t = linalg.transpose(m1)
         for i in range(dim2):
+            neg = ring.neg(m2[i])
             for j in range(dim1):
                 row = [zero] * nvar
-                for k in range(dim1):
-                    row[i * dim1 + k] = row[i * dim1 + k] + m1[k][j]
-                for k in range(dim2):
-                    row[k * dim1 + j] = row[k * dim1 + j] - m2[i][k]
-                rows.append(tuple(row))
-    ns = linalg.nullspace(linalg.mat(rows), ring)
-    mats = []
-    for v in ns:
-        mats.append(linalg.mat([[v[i * dim1 + j] for j in range(dim1)]
-                                for i in range(dim2)]))
-    return mats
+                row[i * dim1:(i + 1) * dim1] = m1t[j]
+                row[j::dim1] = neg
+                row[i * dim1 + j] = ring.eliminate(
+                    [m1[j][j]], one, [m2[i][i]])[0]
+                rows.append(row)
+    return [tuple(v[i * dim1:(i + 1) * dim1] for i in range(dim2))
+            for v in linalg.nullspace(linalg.mat(rows), ring)]

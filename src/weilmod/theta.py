@@ -53,7 +53,8 @@ class DualPair:
     Schrödinger basis order (-Id_V is parity).  H2 = Sp(W') acts through
     the split section sigma of its images h2_images.  `characters` holds
     H1's +-1 characters as (label, chi) pairs in table order
-    (labelled_characters), and `h2_inverses` H2's inverse table."""
+    (labelled_characters), `h2_inverses` H2's inverse table and
+    `h2_generators` a generating set of H2 (_generators)."""
 
     def __init__(self, v_form, mprime):
         field = v_form.field
@@ -82,12 +83,14 @@ class DualPair:
             raise InputError("group order cap exceeded")
         self.h2_images = {h: self.embed_h2(h) for h in self.h2_list}
         mul = partial(linalg.mat_mul, fld=ix)
+        self.h2_generators = _generators(self.h2_list, mul)[1]
         pts = points(ix, self.m)
         index = {pt: i for i, pt in enumerate(pts)}
         self.h1_perms = {}
         for h1 in self.h1_list:
             e1 = self.embed_h1(h1)
-            for h2 in self.h2_list[:6]:
+            # commuting with a generating set of H2 is commuting with H2
+            for h2 in self.h2_generators:
                 e2 = self.h2_images[h2]
                 if mul(e1, e2) != mul(e2, e1):
                     raise RuntimeError("dual pair images fail to commute")
@@ -264,22 +267,34 @@ class ThetaLift:
         entries at the y_O."""
         if self.dim == 0:
             return ()
-        cols = sigma_images(self.ctx, self.pair.h2_images[h2],
-                            [self._split[o[0]] for o in self.orbits])
-        if cols is None:
-            raise RuntimeError("theta subspace is not H2-stable under "
-                               "h2 = %s" % (h2,))
-        return linalg.transpose(cols)
+        return linalg.transpose(self._stable(h2, sigma_images(
+            self.ctx, self.pair.h2_images[h2],
+            [self._split[o[0]] for o in self.orbits])))
 
     def act_counts(self, h2):
         """(key, A) with act(h2) = mu(key) phi(A) (WeilContext.restrict)."""
         return self.ctx.restrict(
             self.pair.h2_images[h2], [self._split[o[0]] for o in self.orbits])
 
+    @staticmethod
+    def _stable(h2, cols):
+        if cols is None:
+            raise RuntimeError("theta subspace is not H2-stable under "
+                               "h2 = %s" % (h2,))
+        return cols
+
     def character(self):
-        zero = self.ctx.zero()
-        return {h: linalg.trace(self.act(h)) if self.dim else zero
-                for h in self.pair.h2_list}
+        """{h: trace act(h)} over H2, read off the diagonal of the counts:
+        mu(key) sum_k phi(A_k[y_k]) for (key, A) = act_counts(h), and act's
+        H2-stability error where A is None."""
+        ctx, out = self.ctx, {}
+        for h in self.pair.h2_list:
+            key, cols = self.act_counts(h)
+            acc = ctx.zero()
+            for k, col in enumerate(self._stable(h, cols)):
+                acc = acc + ctx.phi(col[k])
+            out[h] = ctx.mu(key) * acc
+        return out
 
 
 def char_inner(group, chi_a, chi_b, inv):
@@ -306,7 +321,7 @@ class CentralIdempotent:
     as an element list with its inverse table `inv`, over the coefficient
     ring `ring` = R: `coeffs` maps each g to its coefficient.  Over a
     finite R of characteristic l the group order must be prime to l
-    (banal)."""
+    (banal); `dim` may be a Fraction, as for an H2 factor."""
 
     def __init__(self, group, inv, char, dim, ring):
         n = len(group)
@@ -315,14 +330,6 @@ class CentralIdempotent:
                 "non-banal characteristic: l divides the group order")
         scale = ring.one() * Fraction(dim, n)
         self.coeffs = {g: scale * char[inv[g]] for g in group}
-
-
-def product_group(pair):
-    """(H1 x H2 element list, inverses)."""
-    group = [(h1, h2) for h1 in pair.h1_list for h2 in pair.h2_list]
-    inv1 = group_inverses(pair.h1_list, pair.field.indices)
-    inv = {(a, b): (inv1[a], pair.h2_inverses[b]) for (a, b) in group}
-    return group, inv
 
 
 def congruence_check(v_form, mprime, ell):
@@ -337,9 +344,11 @@ def congruence_check(v_form, mprime, ell):
     red(phi_0(c)) = phi_l(c) for each distinct entry c of the A.  The two
     contexts share one CountModel, kept for the process like the pair
     (dual_pair), so each (key, A) is built once for both rings and every
-    l.  Irreducibility in characteristic l is the commutant of the action
-    of a generating set of H2, and the idempotent of the trivial lift must
-    reduce to its characteristic-l counterpart."""
+    l, and each side's characters are traces read off them.
+    Irreducibility in characteristic l is the commutant of the action of
+    H2's generators, on F_{l^d}'s index view.  The idempotent e_Pi of Pi =
+    1 x Theta(1) on H1 x H2 must reduce to its characteristic-l
+    counterpart: e_Pi = e_{1,H1} x e_{Theta,H2}, so on the H2 factor."""
     field = v_form.field
     p = field.p
     pair = dual_pair(v_form, mprime)
@@ -356,9 +365,8 @@ def congruence_check(v_form, mprime, ell):
     ffl = FiniteField(ell, d)
     red = ReductionMap(ring0, ffl)
     ctxl = WeilContext(pair.space, AdditiveCharacter(field, ffl))
-    gens2 = _generators(h2, partial(linalg.mat_mul, fld=field.indices))[1]
+    ix = ffl.indices
     report = {"lifts": []}
-    trivial = None
     checked = set()     # the mu keys and packed entries checked so far
     for label, chi in pair.characters:
         lift0 = ThetaLift(pair, ctx0, chi)
@@ -375,15 +383,15 @@ def congruence_check(v_form, mprime, ell):
                     or any(red(ctx0.phi(x)) != ctxl.phi(x) for x in new):
                 raise RuntimeError("integral lift does not reduce entrywise")
             checked |= new | {key}
-        # idempotent congruence on H1 x H2 (via the H1 character x theta)
+        # char-0 irreducibility: <ch0, ch0> = 1
         irr0 = char_inner(h2, ch0, ch0, pair.h2_inverses)
         irr_one = (irr0 == ring0.one())
         # char-l irreducibility: T commutes with every act(g) exactly when
         # it commutes with act(s) for each generator s
-        ops = [liftl.act(g) for g in gens2]
-        endo = hom_space(ops, ops, liftl.dim, liftl.dim, ffl) \
-            if liftl.dim else []
-        irr_l = (len(endo) == 1)
+        irr_l = False
+        if liftl.dim:
+            ops = [ix.lower(liftl.act(g)) for g in pair.h2_generators]
+            irr_l = len(hom_space(ops, ops, liftl.dim, liftl.dim, ix)) == 1
         if irr_one and not irr_l:
             raise RuntimeError("irreducibility not preserved by reduction")
         report["lifts"].append({
@@ -393,17 +401,12 @@ def congruence_check(v_form, mprime, ell):
             "irreducible_charl": bool(irr_l),
         })
         if label == "trivial":
-            trivial = (chi, lift0.dim, ch0, chl)
-    # idempotent reduction e_Pi -> e_pi for Pi = chi x Theta(chi) on H1 x H2
-    # (l does not divide |H1 x H2|: the non-banal case was refused above)
-    chi, dim0, ch0, chl = trivial
-    group, inv = product_group(pair)
-    char_prod0 = {(a, b): ch0[b] * chi[a] for (a, b) in group}
-    e0 = CentralIdempotent(group, inv, char_prod0, dim0, ring0)
-    char_prodl = {(a, b): chl[b] * chi[a] for (a, b) in group}
-    el = CentralIdempotent(group, inv, char_prodl, dim0, ffl)
-    for g in group:
-        if red(e0.coeffs[g]) != el.coeffs[g]:
-            raise RuntimeError("idempotent reduction mismatch")
+            # e_Pi's H2 factor, (dim / |H1 x H2|) Theta(b^-1) at b (l does
+            # not divide |H1 x H2|: the non-banal case was refused above)
+            scale = Fraction(lift0.dim, len(h1))
+            e0 = CentralIdempotent(h2, pair.h2_inverses, ch0, scale, ring0)
+            el = CentralIdempotent(h2, pair.h2_inverses, chl, scale, ffl)
+            if any(red(e0.coeffs[b]) != el.coeffs[b] for b in h2):
+                raise RuntimeError("idempotent reduction mismatch")
     report["idempotent_reduction"] = True
     return report

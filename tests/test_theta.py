@@ -18,8 +18,7 @@ from weilmod.quadratic import QuadraticForm
 from weilmod.theta import (CentralIdempotent, DualPair, ThetaLift,
                            _generators, char_inner, congruence_check,
                            enumerate_orthogonal, group_inverses,
-                           labelled_characters, linear_pm_characters,
-                           product_group)
+                           labelled_characters, linear_pm_characters)
 
 from conftest import mat_add, mat_scal
 
@@ -42,6 +41,16 @@ def pair_op(pair, ctx, h1, h2):
 def index_mul(pair):
     """The product of H1 and H2, whose elements are raw-index matrices."""
     return partial(linalg.mat_mul, fld=pair.field.indices)
+
+
+def product_group(pair):
+    """(H1 x H2 element list, inverses): the group whose idempotent
+    congruence_check reduced element by element before it checked the H2
+    factor alone."""
+    group = [(h1, h2) for h1 in pair.h1_list for h2 in pair.h2_list]
+    inv1 = group_inverses(pair.h1_list, pair.field.indices)
+    inv = {(a, b): (inv1[a], pair.h2_inverses[b]) for (a, b) in group}
+    return group, inv
 
 
 def convolve(a, b, mul):
@@ -279,6 +288,93 @@ def test_commutant_on_generators(space, ring):
             == len(hom_space(full, full, lift.dim, lift.dim, coeff))
 
 
+@pytest.mark.parametrize("ring", list(DIFF_RINGS))
+@pytest.mark.parametrize("space", list(DIFF_SPACES))
+def test_character_is_the_trace_of_act(space, ring):
+    # the character read off the diagonal of the counts is the trace of
+    # the dense action, for every lift, those of dimension 0 included
+    # (diag:1,1 has one over each ring but F_4)
+    pair, lifts = _diff_lifts(space, ring)
+    zero = lifts[0].ctx.zero()
+    for lift in lifts:
+        assert lift.character() == {
+            h: linalg.trace(lift.act(h)) if lift.dim else zero
+            for h in pair.h2_list}
+
+
+@pytest.mark.parametrize("ring", [CyclotomicRing(3), FiniteField(7)])
+def test_character_refuses_an_unstable_span(ring):
+    # the orbit {0} alone is not H2-stable: character() raises the error
+    # act() raises, naming the first h2 in list order that moves it
+    f3 = FqField(3)
+    pair = DualPair(QuadraticForm(f3, [[1]]), 1)
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3, ring))
+    lift = ThetaLift(pair, ctx, {h: 1 for h in pair.h1_list})
+    lift.basis, lift.orbits, lift.dim = lift.basis[:1], lift.orbits[:1], 1
+    first = next(h for h in pair.h2_list if lift.act_counts(h)[1] is None)
+    with pytest.raises(RuntimeError, match=r"not H2-stable under h2 = " +
+                       re.escape(str(first))):
+        lift.character()
+
+
+@pytest.mark.parametrize("ell,d", [(5, 2), (11, 2), (7, 1), (13, 1)])
+@pytest.mark.parametrize("space", list(DIFF_SPACES))
+def test_commutant_on_the_index_view(space, ell, d):
+    # hom_space on F_{l^d}'s index view, with the generators' operators
+    # lowered, gives the basis it gives on FFElts, lowered
+    f3, ffl = FqField(3), FiniteField(ell, d)
+    pair = DualPair(QuadraticForm(f3, DIFF_SPACES[space]), 1)
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3, ffl))
+    ix = ffl.indices
+    for _, chi in pair.characters:
+        lift = ThetaLift(pair, ctx, chi)
+        ops = [lift.act(g) for g in pair.h2_generators]
+        low = [ix.lower(a) for a in ops]
+        on_ix = hom_space(low, low, lift.dim, lift.dim, ix)
+        on_ff = hom_space(ops, ops, lift.dim, lift.dim, ffl)
+        assert len(on_ix) == len(on_ff) >= (1 if lift.dim else 0)
+        assert [ix.lift(t) for t in on_ix] == list(on_ff)
+
+
+def test_dual_pair_generators_generate_h2():
+    # the generators DualPair keeps are _generators' and close up to H2
+    for gram in DIFF_SPACES.values():
+        pair = DualPair(QuadraticForm(FqField(3), gram), 1)
+        mul = index_mul(pair)
+        gens = pair.h2_generators
+        assert gens == _generators(pair.h2_list, mul)[1]
+        closure = {_ident_of(pair.h2_list, pair.field.indices)}
+        while True:
+            new = closure | {mul(a, s) for a in closure for s in gens}
+            if new == closure:
+                break
+            closure = new
+        assert closure == set(pair.h2_list)
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_dual_pair_refuses_a_generator_that_fails_to_commute(monkeypatch,
+                                                            which):
+    # one generator's image composed with the symplectic Levi element
+    # diag(A, A^-T), A = [[1, 1], [0, 1]], which no longer commutes with
+    # the image of the swap in O(x^2 + y^2): the check over the generators
+    # refuses the pair
+    f3 = FqField(3)
+    form = QuadraticForm(f3, [[1, 0], [0, 1]])
+    ix = f3.indices
+    gens = DualPair(form, 1).h2_generators
+    target = gens[which]
+    levi = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 2, 1))
+    real = DualPair.embed_h2
+
+    def broken(pair, h):
+        g = real(pair, h)
+        return linalg.mat_mul(g, levi, ix) if h == target else g
+    monkeypatch.setattr(DualPair, "embed_h2", broken)
+    with pytest.raises(RuntimeError, match="fail to commute"):
+        DualPair(form, 1)
+
+
 def test_congruence_check_makes_no_dense_sigma(monkeypatch):
     # the lifts act through sigma's count form, and the char-l commutant
     # sees one operator per generator of H2
@@ -456,9 +552,11 @@ def test_count_check_catches_one_wrong_phi(monkeypatch, diag, ell):
 
 def test_count_check_reduces_each_key_and_entry_once(monkeypatch):
     # red runs once per (j, x class) key and once per distinct packed
-    # entry of the lifts' counts, besides once per element of H1 x H2 for
-    # the idempotent: never once per matrix entry
+    # entry of the lifts' counts, besides once per element of H2 for the
+    # idempotent's H2 factor: never once per matrix entry, nor once per
+    # element of H1 x H2.  One round of the twelve reports makes 584 calls
     calls = []
+    total = 0
     real = ReductionMap.__call__
 
     def counted(red, x):
@@ -468,16 +566,64 @@ def test_count_check_reduces_each_key_and_entry_once(monkeypatch):
     for diag, ell in REPORTS:
         calls.clear()
         congruence_check(diag_form(diag), 1, ell)
+        total += len(calls)
         pair = theta.dual_pair(diag_form(diag), 1)
         ctx = WeilContext(pair.space, AdditiveCharacter(FqField(3)))
         forms = [ThetaLift(pair, ctx, chi).act_counts(g)
                  for _, chi in pair.characters for g in pair.h2_list]
         keys = {key for key, _ in forms}
         entries = {x for _, cols in forms for col in cols for x in col}
-        group = len(pair.h1_list) * len(pair.h2_list)
-        assert len(calls) == len(keys) + len(entries) + group
+        assert len(calls) == len(keys) + len(entries) + len(pair.h2_list)
         matrix_entries = sum(len(cols) ** 2 for _, cols in forms)
         assert len(keys) + len(entries) < matrix_entries
+    assert total == 584
+
+
+def idempotent_reduces_fully(v_form, ell):
+    """The idempotent check congruence_check made before it checked the H2
+    factor alone: red(e_Pi) = e_pi coefficient by coefficient over every
+    element of H1 x H2 (product_group), Pi = chi x Theta(chi) for the
+    trivial chi, with both sides' characters from ThetaLift.character."""
+    pair = DualPair(v_form, 1)
+    ring0 = CyclotomicRing(3)
+    d = 1
+    while (ell ** d - 1) % 3:
+        d += 1
+    ffl = FiniteField(ell, d)
+    red = ReductionMap(ring0, ffl)
+    (label, chi), = [c for c in pair.characters if c[0] == "trivial"]
+    group, inv = product_group(pair)
+    es = []
+    for ring in (ring0, ffl):
+        ctx = WeilContext(pair.space, AdditiveCharacter(v_form.field, ring))
+        lift = ThetaLift(pair, ctx, chi)
+        ch = lift.character()
+        es.append(CentralIdempotent(
+            group, inv, {(a, b): ch[b] * chi[a] for a, b in group},
+            lift.dim, ring).coeffs)
+    return all(red(es[0][g]) == es[1][g] for g in group)
+
+
+@pytest.mark.parametrize("diag,ell", REPORTS)
+def test_factored_idempotent_agrees_with_the_product_group(monkeypatch, diag,
+                                                          ell):
+    # the check on e_Pi's H2 factor passes exactly where the reduction over
+    # all of H1 x H2 does: on the report, and not once the
+    # characteristic-l character of one element b of H2 is off by one
+    assert idempotent_reduces_fully(diag_form(diag), ell)
+    assert congruence_check(diag_form(diag), 1, ell)["idempotent_reduction"]
+    real = ThetaLift.character
+    b = theta.dual_pair(diag_form(diag), 1).h2_list[5]
+
+    def corrupted(lift):
+        ch = real(lift)
+        if isinstance(lift.ctx.psi.coeff_ring, FiniteField):
+            ch[b] = ch[b] + lift.ctx.one()
+        return ch
+    monkeypatch.setattr(ThetaLift, "character", corrupted)
+    assert not idempotent_reduces_fully(diag_form(diag), ell)
+    with pytest.raises(RuntimeError, match="idempotent reduction mismatch"):
+        congruence_check(diag_form(diag), 1, ell)
 
 
 def test_restrict_transposes_each_image_once(monkeypatch):
@@ -630,13 +776,15 @@ def test_restrict_rereads_a_replaced_entry():
 
 def test_congruence_check_lowers_nothing(monkeypatch):
     # H1, H2 and the images of H2 are raw-index matrices from the start:
-    # no matrix is converted between FFElts and raw indices but the form's
-    # own data (its diagonal values, basis and Gram matrix), once per pair
-    lowered = []
+    # no base-field matrix is converted between FFElts and raw indices but
+    # the form's own data (its diagonal values, basis and Gram matrix), once
+    # per pair.  Over F_{l^d}, only the operators of H2's generators are
+    # lowered, once per lift of positive dimension, for the commutant
+    lowered, lowered_l = [], []
     real = FieldIndices.lower
 
     def recorded(self, a):
-        lowered.append(a)
+        (lowered if self.field is f3 else lowered_l).append(a)
         return real(self, a)
 
     def refuse(self, a):
@@ -647,10 +795,14 @@ def test_congruence_check_lowers_nothing(monkeypatch):
     for diag in ([[1]], [[1, 0], [0, 1]], [[1, 0], [0, 2]]):
         form = QuadraticForm(f3, diag)
         lowered.clear()
+        lowered_l.clear()
         rep = congruence_check(form, 1, 7)
         assert rep["idempotent_reduction"] is True
         vecs, vals = form.diagonalize()
         assert lowered == [[vals], vecs, form.gram]
+        gens = theta.dual_pair(form, 1).h2_generators
+        assert len(lowered_l) == len(gens) * sum(
+            1 for r in rep["lifts"] if r["dim"])
 
 
 def test_theta_action_is_representation():
