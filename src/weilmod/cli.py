@@ -15,7 +15,7 @@ from functools import partial
 from . import linalg
 from .basefield import (AdditiveCharacter, InputError, parse_character,
                         parse_field, points)
-from .coeff import Cyc, CyclotomicRing, FFElt, FiniteField
+from .coeff import Cyc, FFElt, FiniteField
 from .heisenberg import SympSpace, SchrodingerModel, delta, central
 from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
                           cocycle_operator, enumerate_sp2,
@@ -285,38 +285,33 @@ def cmd_heisenberg(args):
 
 
 def cmd_theta(args):
-    from .theta import ThetaLift, char_inner, dual_pair
+    from .theta import ThetaLift, dual_pair, zero_side
     field = parse_field(args.field)
     if field.flavor != "finite":
         raise InputError("theta lifts are finite-field only")
     v_form = parse_form(field, args.V)
     pair = dual_pair(v_form, args.mprime)
-    if args.coeff == "cyclo" or args.coeff is None:
-        psi = AdditiveCharacter(field, CyclotomicRing(field.p))
-    else:
-        parts = args.coeff.split(":")
-        if len(parts) != 3 or parts[0] != "fl" or \
-                not all(x.isdigit() for x in parts[1:]):
-            raise InputError("bad coefficient descriptor %r (cyclo or "
-                             "fl:l:d)" % args.coeff)
-        ell, d = int(parts[1]), int(parts[2])
-        if d < 1 or pow(ell, d, field.p) != 1:
-            raise InputError("%s: F_{l^d} holds no p-th root of unity "
-                             "(p = %d does not divide l^d - 1)"
-                             % (args.coeff, field.p))
-        psi = AdditiveCharacter(field, FiniteField(ell, d))
-    ctx = WeilContext(pair.space, psi)
-    rows = []
-    for label, chi in pair.characters:
-        lift = ThetaLift(pair, ctx, chi)
-        row = {"pi1": label, "dim_theta": lift.dim}
-        if isinstance(psi.coeff_ring, CyclotomicRing) and lift.dim:
-            ch = lift.character()
-            row["irreducible"] = bool(
-                char_inner(pair.h2_list, ch, ch, pair.h2_inverses)
-                == psi.coeff_ring.one())
-        rows.append(row)
-    return rows
+    if args.coeff == "cyclo":
+        rows = []
+        for (label, _), (lift, _, irr) in zip(
+                pair.characters, zero_side(v_form, args.mprime)[1]):
+            rows.append({"pi1": label, "dim_theta": lift.dim})
+            if lift.dim:
+                rows[-1]["irreducible"] = bool(irr)
+        return rows
+    parts = args.coeff.split(":")
+    if len(parts) != 3 or parts[0] != "fl" or \
+            not all(x.isdigit() for x in parts[1:]):
+        raise InputError("bad coefficient descriptor %r (cyclo or fl:l:d)"
+                         % args.coeff)
+    ell, d = int(parts[1]), int(parts[2])
+    ffl = FiniteField(ell, d)   # refuses d < 1, q > MAX_Q, then composite l
+    if pow(ell, d, field.p) != 1:
+        raise InputError("%s: F_{l^d} holds no p-th root of unity (p = %d "
+                         "does not divide l^d - 1)" % (args.coeff, field.p))
+    ctx = WeilContext(pair.space, AdditiveCharacter(field, ffl))
+    return [{"pi1": label, "dim_theta": ThetaLift(pair, ctx, chi).dim}
+            for label, chi in pair.characters]
 
 
 def cmd_selfcheck(args):

@@ -500,7 +500,12 @@ class WeilContext:
         return self._mu[key]
 
     def restrict(self, g, signed):
-        """(key, A) with sigma_images(self, g, signed) = mu(key) phi(A)."""
+        """(key, A) = CountModel.restrict(g, signed): sigma(g) on the span
+        of the b_k = e_{P_k} - e_{M_k} has the columns mu(key) phi(A_k[y_k'])
+        over k', or A is None when sigma(g) does not keep that span.  phi, a
+        ring map, carries the decision made in Z[zeta_p] to R, and maps the
+        2^{W-1} that restrict adds to each slot to 2^{W-1} (1 + zeta + ...
+        + zeta^{p-1}) = 0."""
         return self.counts.restrict(g, signed)
 
     def phi(self, c):
@@ -524,27 +529,6 @@ def sigma(ctx, g):
     phi, zero = ctx.phi, ctx.zero()
     return tuple(tuple(mu * phi(c) if c else zero
                        for c in ctx.counts.unpack(row)) for row in counts)
-
-
-def sigma_images(ctx, g, signed):
-    """The matrix of sigma(g) on the span of the vectors b_k = e_{P_k} -
-    e_{M_k} for (P_k, M_k) in `signed`, as its columns, or None when
-    sigma(g) does not keep that span.  g is given on raw field indices
-    (FiniteField.indices.lower); P_k and M_k are disjoint lists of Y-point
-    indices, the supports of different k are disjoint, and y_k = P_k[0]
-    is where b_k is 1.
-
-    sigma(g) = mu phi(N), and CountModel.restrict decides on the packed
-    counts whether N keeps the span in Z[zeta_p]; phi, a ring map,
-    carries that to R.  Column k is then mu phi(A_k[y_k']) over k', for
-    A_k = N b_k: phi runs on those entries alone, after every check, and
-    maps the 2^{W-1} that restrict adds to each slot to 2^{W-1} (1 + zeta
-    + ... + zeta^{p-1}) = 0."""
-    key, cols = ctx.restrict(g, signed)
-    if cols is None:
-        return None
-    mu, phi = ctx.mu(key), ctx.phi
-    return [tuple(mu * phi(x) for x in col) for col in cols]
 
 
 def scalar_ratio(a, b, zero):

@@ -135,12 +135,10 @@ def _stone_von_neumann(rng):
 
 
 def _theta_instance(rng):
-    from .theta import ThetaLift, dual_pair
+    from .theta import zero_side
     f3 = FqField(3)
     v = QuadraticForm(f3, [[f3.one()]])
-    pair = dual_pair(v, 1)
-    ctx = WeilContext(pair.space, AdditiveCharacter(f3))
-    dims = sorted(ThetaLift(pair, ctx, chi).dim for _, chi in pair.characters)
+    dims = sorted(lift.dim for lift, _, _ in zero_side(v, 1)[1])
     _expect("theta dimensions for diag:1 over F_3", dims, [1, 2])
 
 

@@ -13,11 +13,12 @@ from . import linalg
 from .basefield import AdditiveCharacter, InputError, points
 from .coeff import CyclotomicRing, FiniteField, ReductionMap
 from .heisenberg import SympSpace, hom_space
-from .metaplectic import WeilContext, enumerate_sp2, sigma_images
+from .metaplectic import WeilContext, enumerate_sp2
 
 GROUP_ORDER_CAP = 10 ** 4
 MODEL_DIM_CAP = 81
 _DUAL_PAIRS = {}    # {(field, Gram matrix, m'): DualPair}, for the process
+_ZERO_SIDES = {}    # {the same key: zero_side's table}, for the process
 
 
 def enumerate_orthogonal(q_form):
@@ -144,6 +145,23 @@ def dual_pair(v_form, mprime):
     return _DUAL_PAIRS[key]
 
 
+def zero_side(v_form, mprime):
+    """(ctx0, rows), dual_pair(v_form, mprime)'s side over Z[zeta_p] with
+    the standard psi, kept per pair: per entry of pair.characters, the row
+    (its ThetaLift, which keeps its count forms, ch0, <ch0, ch0> = 1)."""
+    key = (v_form.field, v_form.gram, mprime)
+    if key not in _ZERO_SIDES:
+        pair = dual_pair(v_form, mprime)
+        ctx0 = WeilContext(pair.space, AdditiveCharacter(
+            pair.field, CyclotomicRing(pair.field.p)))
+        lifts = [ThetaLift(pair, ctx0, chi) for _, chi in pair.characters]
+        chars = [lift.character() for lift in lifts]
+        _ZERO_SIDES[key] = ctx0, [(lift, ch, char_inner(
+            pair.h2_list, ch, ch, pair.h2_inverses) == ctx0.one())
+            for lift, ch in zip(lifts, chars)]
+    return _ZERO_SIDES[key]
+
+
 def _generators(group, mul):
     """(identity, generators) of a small group: each element, in list order,
     that the closure of the generators so far misses."""
@@ -238,10 +256,9 @@ class ThetaLift:
         signed = [(perm, one * chi1[h]) for h, perm in pair.h1_perms.items()]
         n = ctx.model.dim
         seen = [False] * n
-        self.orbits, basis = [], []
-        # {y_O: (P, M)}: b_O = e_P - e_M, P and M the z of O where b_O[z]
-        # is 1 and where it is -1 (in characteristic 2, every z is in P)
-        self._split = {}
+        self.orbits, basis, split = [], [], []
+        # restrict's split: b_O = e_P - e_M per kept orbit O, P and M the z
+        # of O where b_O[z] is 1 and -1 (in characteristic 2, P is all O)
         for y in range(n):
             if seen[y]:
                 continue
@@ -253,28 +270,31 @@ class ThetaLift:
                 orbit = sorted({perm[y] for perm, _ in signed})
                 self.orbits.append(orbit)
                 basis.append(tuple(vec))
-                self._split[y] = (tuple(z for z in orbit if vec[z] == one),
-                                  tuple(z for z in orbit if vec[z] != one))
+                split.append((tuple(z for z in orbit if vec[z] == one),
+                              tuple(z for z in orbit if vec[z] != one)))
         self.basis = tuple(basis)
         self.dim = len(basis)
+        self._split = tuple(split)
+        self._forms = {}    # {h2: act_counts(h2)}
 
     def act(self, h2):
-        """Matrix of omega(h2) on self.basis, for h2 an element of
-        pair.h2_list (a raw-index matrix), from sigma's count form on the
-        span of the kept orbits (metaplectic.sigma_images, which checks
-        that the span is H2-stable before any coefficient is formed).
-        The columns are the coordinates of the images of the b_O: their
-        entries at the y_O."""
+        """Matrix of omega(h2) on self.basis, for h2 in pair.h2_list (a
+        raw-index matrix): mu(key) phi(A) for (key, A) = act_counts(h2), on
+        which restrict decided H2-stability.  The columns are the
+        coordinates of the images of the b_O: their entries at the y_O."""
         if self.dim == 0:
             return ()
-        return linalg.transpose(self._stable(h2, sigma_images(
-            self.ctx, self.pair.h2_images[h2],
-            [self._split[o[0]] for o in self.orbits])))
+        key, cols = self.act_counts(h2)
+        mu, phi = self.ctx.mu(key), self.ctx.phi
+        return linalg.transpose([tuple(mu * phi(x) for x in col)
+                                 for col in self._stable(h2, cols)])
 
     def act_counts(self, h2):
-        """(key, A) with act(h2) = mu(key) phi(A) (WeilContext.restrict)."""
-        return self.ctx.restrict(
-            self.pair.h2_images[h2], [self._split[o[0]] for o in self.orbits])
+        """WeilContext.restrict's (key, A) on self's span, kept per h2."""
+        if h2 not in self._forms:
+            self._forms[h2] = self.ctx.restrict(self.pair.h2_images[h2],
+                                                self._split)
+        return self._forms[h2]
 
     @staticmethod
     def _stable(h2, cols):
@@ -344,7 +364,8 @@ def congruence_check(v_form, mprime, ell):
     red(phi_0(c)) = phi_l(c) for each distinct entry c of the A.  The two
     contexts share one CountModel, kept for the process like the pair
     (dual_pair), so each (key, A) is built once for both rings and every
-    l, and each side's characters are traces read off them.
+    l, and each side's characters are traces read off them.  The side over
+    Z[zeta_p] does not depend on l and is kept per pair (zero_side).
     Irreducibility in characteristic l is the commutant of the action of
     H2's generators, on F_{l^d}'s index view.  The idempotent e_Pi of Pi =
     1 x Theta(1) on H1 x H2 must reduce to its characteristic-l
@@ -357,9 +378,8 @@ def congruence_check(v_form, mprime, ell):
     if order % ell == 0:
         raise ValueError("non-banal l = %d divides |H1 x H2| = %d: refused"
                          % (ell, order))
-    # characteristic zero side
-    ring0 = CyclotomicRing(p)
-    ctx0 = WeilContext(pair.space, AdditiveCharacter(field, ring0))
+    ctx0, zero_rows = zero_side(v_form, mprime)
+    ring0 = ctx0.psi.coeff_ring
     # characteristic l side: F_{l^d} containing zeta_p, d the order of l
     d = next(d for d in itertools.count(1) if pow(ell, d, p) == 1)
     ffl = FiniteField(ell, d)
@@ -368,13 +388,12 @@ def congruence_check(v_form, mprime, ell):
     ix = ffl.indices
     report = {"lifts": []}
     checked = set()     # the mu keys and packed entries checked so far
-    for label, chi in pair.characters:
-        lift0 = ThetaLift(pair, ctx0, chi)
+    for (label, chi), (lift0, ch0, irr_one) in zip(pair.characters,
+                                                   zero_rows):
         liftl = ThetaLift(pair, ctxl, chi)
         if lift0.dim != liftl.dim:
             raise RuntimeError("theta dimensions differ across reduction")
-        ch0 = lift0.character()     # each side decides H2-stability
-        chl = liftl.character()
+        chl = liftl.character()     # each side decides H2-stability
         for g in h2:
             key, cols = form = lift0.act_counts(g)
             new = {x for col in cols for x in col} - checked
@@ -383,9 +402,6 @@ def congruence_check(v_form, mprime, ell):
                     or any(red(ctx0.phi(x)) != ctxl.phi(x) for x in new):
                 raise RuntimeError("integral lift does not reduce entrywise")
             checked |= new | {key}
-        # char-0 irreducibility: <ch0, ch0> = 1
-        irr0 = char_inner(h2, ch0, ch0, pair.h2_inverses)
-        irr_one = (irr0 == ring0.one())
         # char-l irreducibility: T commutes with every act(g) exactly when
         # it commutes with act(s) for each generator s
         irr_l = False

@@ -10,11 +10,12 @@ from weilmod.quadratic import QuadraticForm
 
 @pytest.fixture(autouse=True)
 def fresh_count_models(monkeypatch):
-    """Each test starts with no sigma counts and no dual pairs: some
-    corrupt cached counts, others count the builds a fresh model or pair
-    makes."""
+    """Each test starts with no sigma counts, no dual pairs and no
+    characteristic-zero theta sides: some corrupt cached counts, others
+    count the builds a fresh model, pair or side makes."""
     monkeypatch.setattr(metaplectic, "_COUNT_MODELS", {})
     monkeypatch.setattr(theta, "_DUAL_PAIRS", {})
+    monkeypatch.setattr(theta, "_ZERO_SIDES", {})
 
 
 @pytest.fixture

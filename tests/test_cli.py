@@ -272,6 +272,42 @@ def test_non_integer_coeff_descriptor_message():
         "error: bad coefficient descriptor 'fl:x:1' (cyclo or fl:l:d)\n"
 
 
+@pytest.mark.parametrize("coeff,message", [
+    ("fl:7:0", "degree must be >= 1, got 0"),
+    ("fl:0:0", "degree must be >= 1, got 0"),
+    ("fl:0:1", "characteristic must be prime, got 0"),
+    ("fl:4:1", "characteristic must be prime, got 4"),
+    ("fl:3:1", "fl:3:1: F_{l^d} holds no p-th root of unity (p = 3 does "
+               "not divide l^d - 1)"),
+])
+def test_coeff_descriptor_checks_degree_then_prime_then_root(coeff, message,
+                                                             capsys):
+    # d >= 1 comes first, then a prime l, and only then the root of unity:
+    # 3 divides 7^0 - 1 = 0, so fl:7:0 is refused for its degree
+    argv = ["theta", "--field", "fq:3:1", "--V", "diag:1", "--coeff", coeff]
+    assert _query(argv, capsys) == (2, "", "error: %s\n" % message)
+
+
+def test_cyclo_theta_queries_share_one_zero_side(monkeypatch, capsys):
+    # two in-process cyclo queries of one form build its characteristic-zero
+    # side once, one lift per character on one context, and print what a
+    # fresh process prints
+    from weilmod import theta
+    built = []
+    real = theta.ThetaLift.__init__
+
+    def counted(lift, pair, ctx, chi1):
+        built.append(ctx)
+        real(lift, pair, ctx, chi1)
+    monkeypatch.setattr(theta.ThetaLift, "__init__", counted)
+    argv = ["theta", "--field", "fq:3:1", "--V", "diag:1,2", "--coeff",
+            "cyclo"]
+    first, second = _query(argv, capsys), _query(argv, capsys)
+    assert first == second == (0, run_cli(*argv).stdout, "")
+    (ctx0, rows), = theta._ZERO_SIDES.values()
+    assert built == [ctx0] * len(rows) == [ctx0] * len(json.loads(first[1]))
+
+
 def test_padic_cocycle_twist_refused():
     # both Q_p paths use the level-0 character; a twist equal to 1 is it
     for path in ("formula", "operator"):

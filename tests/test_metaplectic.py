@@ -17,7 +17,7 @@ from weilmod.metaplectic import (WeilContext, bruhat_decompose,
                                  cocycle_w_u_rho, enumerate_sp2,
                                  leray_decompose, leray_x_classes, m_bracket,
                                  mu_g_scalar, random_symplectic, scalar_ratio, sigma,
-                                 sigma_images, split_checks, x_invariant)
+                                 split_checks, x_invariant)
 from weilmod.quadratic import QuadraticForm, hilbert, square_class
 from weilmod.schwartz import cocycle_operator_padic
 from weilmod.weilfactor import fourier_matrix, omega
@@ -480,6 +480,18 @@ def parity_families(model):
     return ([([z], []) for z in range(n)],
             [(sorted({z, neg[z]}), []) for z in range(n) if z <= neg[z]],
             [([z], [neg[z]]) for z in range(n) if z < neg[z]])
+
+
+def sigma_images(ctx, g, signed):
+    """The matrix of sigma(g) on the span of the e_{P_k} - e_{M_k}, as its
+    columns, or None when sigma(g) does not keep that span: restrict's
+    counts mapped through mu and phi, as ThetaLift.act maps the ones each
+    lift keeps."""
+    key, cols = ctx.restrict(g, signed)
+    if cols is None:
+        return None
+    mu, phi = ctx.mu(key), ctx.phi
+    return [tuple(mu * phi(x) for x in col) for col in cols]
 
 
 @pytest.mark.parametrize("coeff", [None, (7, 1), (2, 2)],

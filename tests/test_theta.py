@@ -421,6 +421,71 @@ def test_congruence_check_reuses_counts_across_calls(monkeypatch):
         [lift["dim"] for lift in first["lifts"]]
 
 
+def test_zero_side_is_built_once_per_form(monkeypatch):
+    # over the four l of one form, the WeilContext over Z[zeta_3] and its
+    # lifts are built once, while each l builds its own context and lifts
+    contexts, lifts = [], []
+    real_ctx, real_lift = WeilContext.__init__, ThetaLift.__init__
+
+    def ctx_init(ctx, space, psi):
+        contexts.append(isinstance(psi.coeff_ring, CyclotomicRing))
+        real_ctx(ctx, space, psi)
+
+    def lift_init(lift, pair, ctx, chi1):
+        lifts.append(isinstance(ctx.psi.coeff_ring, CyclotomicRing))
+        real_lift(lift, pair, ctx, chi1)
+    monkeypatch.setattr(WeilContext, "__init__", ctx_init)
+    monkeypatch.setattr(ThetaLift, "__init__", lift_init)
+    form = QuadraticForm(FqField(3), [[1, 0], [0, 2]])
+    for ell in (5, 7, 11, 13):
+        congruence_check(form, 1, ell)
+    chars = len(theta.dual_pair(form, 1).characters)
+    assert sorted(contexts) == [False] * 4 + [True]
+    assert sorted(lifts) == [False] * (4 * chars) + [True] * chars
+
+
+def test_congruence_check_restricts_once_per_lift_and_h2(monkeypatch):
+    # each check asks restrict once per (lift, h) over F_{l^d}, and the
+    # first check of a form once more per (lift, h) over Z[zeta_3]: the
+    # characters, the reduction loop and the l-commutant's operators all
+    # read what each lift kept
+    calls = []
+    real = WeilContext.restrict
+
+    def counted(ctx, g, signed):
+        calls.append(isinstance(ctx.psi.coeff_ring, CyclotomicRing))
+        return real(ctx, g, signed)
+    monkeypatch.setattr(WeilContext, "restrict", counted)
+    f3 = FqField(3)
+    for diag in ([[1]], [[1, 0], [0, 2]], [[1, 0], [0, 1]]):
+        for k, ell in enumerate((5, 7, 11, 13)):
+            calls.clear()
+            congruence_check(QuadraticForm(f3, diag), 1, ell)
+            pair = theta.dual_pair(QuadraticForm(f3, diag), 1)
+            per_side = len(pair.characters) * len(pair.h2_list)
+            assert calls.count(False) == per_side
+            assert calls.count(True) == (0 if k else per_side)
+
+
+@pytest.mark.parametrize("name", ["mu", "phi"])
+@pytest.mark.parametrize("diag,ell,again", [([1], 5, 7), ([1, 2], 13, 5),
+                                            ([1, 1], 7, 13)])
+def test_kept_zero_side_hides_no_l_side_corruption(monkeypatch, name, diag,
+                                                   ell, again):
+    # a clean check keeps the form's characteristic-zero side; at another
+    # l, one mu_l value or one phi_l image off by one is still caught,
+    # since each check compares its own l-side values with the reductions
+    assert congruence_check(diag_form(diag), 1, ell)["idempotent_reduction"]
+    h2 = theta.dual_pair(diag_form(diag), 1).h2_list[3]
+    trivial_lift = theta.zero_side(diag_form(diag), 1)[1][0][0]
+    key, cols = trivial_lift.act_counts(h2)
+    target = key if name == "mu" else cols[0][0]
+    _corrupt_l_side(monkeypatch, name,
+                    lambda a, y: y + y.field.one() if a == target else y)
+    with pytest.raises(RuntimeError, match="does not reduce entrywise"):
+        congruence_check(diag_form(diag), 1, again)
+
+
 @pytest.mark.parametrize("diag,ell", [([1], 7), ([1], 11), ([1, 2], 5),
                                       ([1, 2], 13), ([1, 1], 7),
                                       ([1, 1], 13)])
@@ -644,6 +709,7 @@ def test_restricted_counts_stay_within_the_cache(monkeypatch):
                        sort_keys=True) for diag, ell in REPORTS]
     monkeypatch.setattr(metaplectic, "_COUNT_MODELS", {})
     monkeypatch.setattr(theta, "_DUAL_PAIRS", {})
+    monkeypatch.setattr(theta, "_ZERO_SIDES", {})
     monkeypatch.setattr(metaplectic, "SIGMA_CACHE_SIZE", 5)
     got = []
     for diag, ell in REPORTS:
@@ -706,6 +772,7 @@ def test_h2_stability_failure_names_h2():
     # elements are raw-index matrices, so w = [[0, 1], [-1, 0]] is
     # ((0, 1), (2, 0))
     lift.basis, lift.orbits, lift.dim = lift.basis[:1], lift.orbits[:1], 1
+    lift._split = lift._split[:1]
     w = ((0, 1), (2, 0))
     with pytest.raises(RuntimeError, match=r"not H2-stable under "
                        r"h2 = \(\(0, 1\), \(2, 0\)\)"):
@@ -748,21 +815,26 @@ def test_h2_stability_is_checked_on_the_counts():
 
 def test_restrict_rereads_a_replaced_entry():
     # restrict's kept columns belong to the cached rows they came from: the
-    # same corruption as above, made after the lift has acted once, is
-    # still refused
+    # same corruption as above, made after a lift has acted once, is still
+    # refused to the next lift that asks restrict for that split (a lift
+    # keeps the answer it was given, one per h2)
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1]]), 1)
     h2 = pair.h2_list[5]
     g = pair.h2_images[h2]
     ctx = WeilContext(pair.space, AdditiveCharacter(f3))
-    lift = ThetaLift(pair, ctx, {h: 1 for h in pair.h1_list})
-    assert lift.act_counts(h2)[1] is not None
+    trivial = {h: 1 for h in pair.h1_list}
+    lift = ThetaLift(pair, ctx, trivial)
+    kept = lift.act_counts(h2)
+    assert kept[1] is not None
     lift.act(h2)
     key, rows = ctx.counts.entry(g)
     ctx.counts.cache[g] = (key, rows[:2] + (rows[2] + 1,) + rows[3:])
-    assert lift.act_counts(h2) == (key, None)
+    assert lift.act_counts(h2) is kept
+    again = ThetaLift(pair, ctx, trivial)
+    assert again.act_counts(h2) == (key, None)
     with pytest.raises(RuntimeError, match="not H2-stable"):
-        lift.act(h2)
+        again.act(h2)
 
 
 def test_congruence_check_lowers_nothing(monkeypatch):
