@@ -289,6 +289,12 @@ def parse_character(field, desc):
             c = int(raw) if field.flavor == "finite" else Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise InputError("bad twist %r in %r" % (raw, desc)) from None
+        # over F_{p^f}, f > 1, c is an element index (README); over F_p an
+        # int mod p and an index mod p are the same element
+        if field.flavor == "finite" and field.f > 1 and not 0 <= c < field.q:
+            raise InputError("twist %d in %r is not an element index of "
+                             "F_%d: it must lie in [0, %d)"
+                             % (c, desc, field.q, field.q))
         return AdditiveCharacter(field, twist=c)
     raise InputError("bad character descriptor %r" % (desc,))
 

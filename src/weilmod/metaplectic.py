@@ -213,12 +213,17 @@ class CountModel:
 
     g is a matrix of raw field indices (FiniteField.indices.lower), and
     the model works over `space`, the symplectic space of dimension 2m
-    over the field's index view.  The cache maps g to ((j, x(g) class), N)
-    with N the tuple of its packed rows (mu depends on g only through that
-    key; over F_q the class is whether det_X(p1) det_X(p2) is a square,
-    the test square_class makes), at most SIGMA_CACHE_SIZE entries, read
-    at each insertion.  `check` keeps its last successful pair (_last);
-    `restrict` its work by g (_restricted), matched by identity on N."""
+    over the field's index view.  Beside the Y-points' addition table
+    ysum (n x n), the first count build makes two more tables on Y-point
+    indices (_point_tables): E[u][v] = exp[u . v] (_dot_exps, n x n) and
+    the multiples c u of each u, c in F_q (_mults, n x q).  `entry` reads
+    every phase and every image of a point from these tables.  The cache
+    maps g to ((j, x(g) class), N) with N the tuple of its packed rows (mu
+    depends on g only through that key; over F_q the class is whether
+    det_X(p1) det_X(p2) is a square, the test square_class makes), at most
+    SIGMA_CACHE_SIZE entries, read at each insertion.  `check` keeps its
+    last successful pair (_last); `restrict` its work by g (_restricted),
+    matched by identity on N."""
 
     def __init__(self, field, m, exp):
         self.space = SympSpace(field.indices, m)
@@ -247,6 +252,7 @@ class CountModel:
         # 2^{W-1} in each slot of one entry, and of every entry of a row
         self._entry_offset = self._ones << (w - 1)
         self._offset = each_entry(self._entry_offset)
+        self._dot_exps = self._mults = None
         self.cache = {}
         self._last = None
         self._restricted = {}
@@ -277,12 +283,18 @@ class CountModel:
 
         sigma(g) f (y0) = mu sum_a psi(<a, y0>/2 - <w_X, w_Y>/2) f(w_Y) with
         w = g^-1 (a + y0), a over a complement of gX cap X in X: the F_q-span
-        of the first j columns of Bruhat's p1.  With va = g^-1 a and vy =
-        g^-1 y0, w = va + vy, and w_X . w_Y = Q(va) + Q(vy) + va . s(vy)
-        for Q(v) = v_X . v_Y and s(v) = (v_Y, v_X).  psi's exponent table
-        is additive, so the phase exponent exp[<a, y0>] - exp[w_X . w_Y] is
-        exp[(a, va) . (y0, -s(vy))] - exp[Q(va)] - exp[Q(vy)] mod p: one
-        dot product per term, and w_Y from the Y-points' addition table."""
+        of the first j columns of Bruhat's p1 (`lead`).  psi's exponent
+        table is additive, so the phase exponent is exp[a . y0] - exp[w_X .
+        w_Y] = E[a][y0] - E[w_X][w_Y] mod p on Y-point indices (an X-vector
+        indexed as the Y-point with its coordinates).  With va = g^-1 a and
+        vy = g^-1 y0, w = va + vy, so w_X = ysum[va_X][vy_X] and w_Y =
+        ysum[va_Y][vy_Y].  The five linear maps the sum needs are each
+        tabulated once per build on point indices (_image): co in F_q^j to
+        a, to va_X and to va_Y (through lead and the X and Y parts of g^-1
+        lead), and y0 to vy_X and to vy_Y (through g^-1's Y -> X and Y -> Y
+        blocks).  A term of N is then table reads only; the field arithmetic
+        left in a build is Bruhat's, with its checks, and the j mat_vecs
+        that form g^-1 lead."""
         cache = self.cache
         entry = cache.get(g)
         if entry is not None:
@@ -292,30 +304,31 @@ class CountModel:
         m, p = self.m, self.p
         bd = _bruhat(space, g)
         key = (bd.j, ix.is_square(_det_x_product(space, bd)))
-        dot, exp, yindex = ix.dot, self.exp, self.yindex
+        if self._dot_exps is None:
+            self._dot_exps, self._mults = self._point_tables()
+        dots = self._dot_exps
         ginv = space.inv(g)
-        gx = [row[:m] for row in ginv]      # g^-1 (a, 0) = gx a
-        gy = [row[m:] for row in ginv]      # g^-1 (0, y) = gy y
-        lead = [row[:bd.j] for row in bd.p1[:m]]
-        reps = []
-        for co in points(ix, bd.j):
-            a = linalg.mat_vec(lead, co, ix)
-            va = linalg.mat_vec(gx, a, ix)
-            reps.append((a + va, exp[dot(va[:m], va[m:])],
-                         self.ysum[yindex[va[m:]]]))
-        shift = [1 << (self.slot_bits * e) for e in range(p)]
+        cols = linalg.transpose(ginv)
+        lead = [col[:m] for col in linalg.transpose(bd.p1)[:bd.j]]
+        pad = (0,) * m
+        lifted = [linalg.mat_vec(ginv, a + pad, ix) for a in lead]
+        reps = tuple(zip(self._image(lead),
+                         self._image([v[:m] for v in lifted]),
+                         self._image([v[m:] for v in lifted])))
         half = (p + 1) // 2     # 1/2 in F_p; Tr(c x/2) = Tr(c x)/2
-        n = len(self.ypoints)
+        # shift[d], -p < d < p (a negative d read from the end): the slot
+        # of exponent d / 2 mod p
+        shift = [1 << (self.slot_bits * (d * half % p))
+                 for d in itertools.chain(range(p), range(1 - p, 0))]
+        ysum, n = self.ysum, len(self.ypoints)
         rows = []
-        for y in self.ypoints:
-            vy = linalg.mat_vec(gy, y, ix)
-            cy = y + ix.neg(vy[m:] + vy[:m])
-            ey = exp[dot(vy[:m], vy[m:])]
-            col = yindex[vy[m:]]
+        for ey, yx, yy in zip(dots, self._image([c[:m] for c in cols[m:]]),
+                              self._image([c[m:] for c in cols[m:]])):
+            sx, sy = ysum[yx], ysum[yy]
             row = [0] * n
-            for ca, ea, cols in reps:
-                row[cols[col]] += shift[(exp[dot(ca, cy)] - ea - ey) *
-                                        half % p]
+            for a, ax, ay in reps:
+                wy = sy[ay]
+                row[wy] += shift[ey[a] - dots[sx[ax]][wy]]
             rows.append(self.pack(row))
         entry = (key, tuple(rows))
         if len(cache) >= SIGMA_CACHE_SIZE:
@@ -323,6 +336,27 @@ class CountModel:
             del cache[next(iter(cache))]
         cache[g] = entry
         return entry
+
+    def _point_tables(self):
+        """E[u][v] = exp[u . v] over pairs of Y-point indices, and for each
+        Y-point u the indices of its multiples c u, c in F_q in index
+        order."""
+        ix, exp, pts, yindex = self.space.field, self.exp, self.ypoints, \
+            self.yindex
+        dots = tuple(tuple(exp[ix.dot(u, v)] for v in pts) for u in pts)
+        mults = tuple(tuple(yindex[tuple(ix.scale(u, c))]
+                            for c in ix.elements()) for u in pts)
+        return dots, mults
+
+    def _image(self, cols):
+        """The Y-point index of sum_i co_i cols[i] for each co in F_q^k, k =
+        len(cols), in points' order (the last coordinate fastest): the
+        multiples of each column folded through ysum, q^k table reads."""
+        ysum, mults, yindex = self.ysum, self._mults, self.yindex
+        table = [0]             # Y-point 0 is the zero vector
+        for col in cols:
+            table = [ysum[t][u] for t in table for u in mults[yindex[col]]]
+        return table
 
     def check(self, n1, n2, n12, g1, g2):
         """Checks P = c N in Z[zeta_p] on every entry, for P = N1 N2, N =

@@ -731,3 +731,20 @@ def test_cli_fuzz_table(tmp_path, capsys):
     random.Random(19).shuffle(order)
     for argv in order:
         assert _query(list(argv), capsys) == first[argv], argv
+
+
+def test_extension_field_twist_is_an_index_below_q(capsys):
+    # over F_{p^f}, f > 1, psi:twist:<c> names the element of index c, so
+    # a c outside [0, q) is refused rather than read mod q: over F_9, -1
+    # was index 8 (2 + 2x, not -1) and 10 was index 1
+    base = ["weilrep", "--field", "fq:3:2", "--m", "1", "--psi"]
+    for c in ("-1", "9", "10"):
+        assert _query(base + ["psi:twist:" + c], capsys) == (
+            2, "", "error: twist %s in 'psi:twist:%s' is not an element "
+            "index of F_9: it must lie in [0, 9)\n" % (c, c))
+    code, out, err = _query(base + ["psi:twist:8"], capsys)
+    assert code == 0 and err == "" and out != _query(base, capsys)[1]
+    # over F_p both readings of an int agree: -1 is 2
+    f3 = ["weilrep", "--field", "fq:3:1", "--m", "1", "--psi"]
+    assert _query(f3 + ["psi:twist:-1"], capsys) == \
+        _query(f3 + ["psi:twist:2"], capsys)

@@ -625,6 +625,119 @@ def test_phi_table_holds_each_entry_once(monkeypatch):
 # the shared count model and the cocycle check on packed Z[zeta_p] counts
 # ---------------------------------------------------------------------------
 
+def entry_reference(model, g):
+    """CountModel.entry's (key, packed rows) for g on raw indices, built as
+    the body the tables replaced: g^-1 applied to each representative a
+    and each Y-point y0 by mat_vec, and the phase exponent exp[(a, va) .
+    (y0, -s(vy))] - exp[Q(va)] - exp[Q(vy)] from one dot product per
+    term, for Q(v) = v_X . v_Y and s(v) = (v_Y, v_X)."""
+    space = model.space
+    ix = space.field
+    m, p = model.m, model.p
+    bd = metaplectic._bruhat(space, g)
+    key = (bd.j, ix.is_square(metaplectic._det_x_product(space, bd)))
+    dot, exp, yindex = ix.dot, model.exp, model.yindex
+    ginv = space.inv(g)
+    gx = [row[:m] for row in ginv]      # g^-1 (a, 0) = gx a
+    gy = [row[m:] for row in ginv]      # g^-1 (0, y) = gy y
+    lead = [row[:bd.j] for row in bd.p1[:m]]
+    reps = []
+    for co in itertools.product(range(ix.q), repeat=bd.j):
+        a = linalg.mat_vec(lead, co, ix)
+        va = linalg.mat_vec(gx, a, ix)
+        reps.append((a + va, exp[dot(va[:m], va[m:])],
+                     model.ysum[yindex[va[m:]]]))
+    shift = [1 << (model.slot_bits * e) for e in range(p)]
+    half = (p + 1) // 2
+    n = len(model.ypoints)
+    rows = []
+    for y in model.ypoints:
+        vy = linalg.mat_vec(gy, y, ix)
+        cy = y + ix.neg(vy[m:] + vy[:m])
+        ey = exp[dot(vy[:m], vy[m:])]
+        col = yindex[vy[m:]]
+        row = [0] * n
+        for ca, ea, cols in reps:
+            row[cols[col]] += shift[(exp[dot(ca, cy)] - ea - ey) *
+                                    half % p]
+        rows.append(model.pack(row))
+    return key, tuple(rows)
+
+
+def _entry_cases():
+    """(field, m, elements): every Sp2 element over F_3, F_7 and F_9, every
+    w_S and seeded random words over F_25 at m = 1 and over F_3 and F_5 at
+    m = 2.  (All 15,600 of Sp2(F_25) take the reference about 35 s a
+    twist; they were compared once when the tables landed.)"""
+    rng = random.Random(3434)
+    cases = []
+    for q, f in ((3, 1), (7, 1), (3, 2)):
+        field = FqField(q, f)
+        cases.append((field, 1, enumerate_sp2(SympSpace(field, 1))))
+    for field, m, count in ((FqField(5, 2), 1, 600), (FqField(3), 2, 150),
+                            (FqField(5), 2, 60)):
+        sp = SympSpace(field, m)
+        cases.append((field, m, [sp.w_subset(set(s)) for k in range(m + 1)
+                                 for s in itertools.combinations(range(m), k)]
+                      + [random_symplectic(sp, rng, length=8)
+                         for _ in range(count)]))
+    return cases
+
+
+def test_count_entry_matches_reference():
+    # the table-driven build against the per-point body it replaced, on
+    # the (j, x-class) key and every packed row, at twist 1 and twist 2
+    for field, m, elements in _entry_cases():
+        js = set()
+        for twist in (1, 2):
+            model = WeilContext(SympSpace(field, m),
+                                AdditiveCharacter(field, twist=twist)).counts
+            for g in map(lower, elements):
+                got = model.entry(g)
+                assert got == entry_reference(model, g), (field, twist, g)
+                js.add(got[0][0])
+        assert js == set(range(m + 1)), (field, m)
+
+
+def test_count_entry_reads_tables_per_point(monkeypatch):
+    # a build makes one Bruhat call (answered here, so the counters see
+    # only the rest of the build) and besides it exactly j mat_vecs, g^-1
+    # lead at 2m dots each, whatever the number of Y-points and
+    # representatives: 25 and up to 25 over Sp2(F_25), 9 and 9 at m = 2
+    cases = [(FqField(5, 2), 1), (FqField(3), 2)]
+    for field, m in cases:
+        sp = SympSpace(field, m)
+        model = WeilContext(sp, AdditiveCharacter(field)).counts
+        model.entry(lower(sp.identity()))   # builds the point tables
+        rng = random.Random(5)
+        elements = [sp.w_subset(set(range(m)))] + \
+            [random_symplectic(sp, rng, length=6) for _ in range(10)]
+        for g in map(lower, elements):
+            bd = metaplectic._bruhat(model.space, g)
+            calls = {"bruhat": 0, "mat_vec": 0, "dot": 0}
+            real_mat_vec, real_dot = linalg.mat_vec, type(field.indices).dot
+
+            def bruhat(space, h):
+                calls["bruhat"] += 1
+                return bd
+
+            def mat_vec(a, v, fld):
+                calls["mat_vec"] += 1
+                return real_mat_vec(a, v, fld)
+
+            def dot(self, u, v):
+                calls["dot"] += 1
+                return real_dot(self, u, v)
+            with monkeypatch.context() as mp:
+                mp.setattr(metaplectic, "_bruhat", bruhat)
+                mp.setattr(linalg, "mat_vec", mat_vec)
+                mp.setattr(type(field.indices), "dot", dot)
+                key, _ = model.entry(g)
+            assert calls["bruhat"] == 1
+            assert calls["mat_vec"] == key[0] == bd.j
+            assert calls["dot"] == 2 * m * bd.j
+
+
 def _check_cases():
     """(space, contexts, pairs) on the spaces the packed check is sized
     for: Sp4(F_3) over Z[zeta_3] and F_4, Sp2(F_7) over Z[zeta_7] and F_8,
@@ -932,6 +1045,37 @@ def test_contexts_share_one_count_model_per_twist():
     # a second space, equal in field and m, gets the same model
     other = WeilContext(SympSpace(f5, 1), AdditiveCharacter(f5))
     assert other.counts is ctx1.counts
+
+
+def test_point_tables_are_built_once_per_model(monkeypatch):
+    # E[u][v] = exp[u . v] sits in the model beside ysum, n x n like it,
+    # with the n x q table of multiples: the contexts over Z[zeta_3] and
+    # F_4 on F_3 at m = 2 share one model, so their builds make the tables
+    # once between them, on the first build
+    built = []
+    real = metaplectic.CountModel._point_tables
+
+    def counted(model):
+        built.append(model)
+        return real(model)
+    monkeypatch.setattr(metaplectic.CountModel, "_point_tables", counted)
+    f3 = FqField(3)
+    sp = SympSpace(f3, 2)
+    ctx = WeilContext(sp, AdditiveCharacter(f3))
+    ctx4 = WeilContext(sp, AdditiveCharacter(f3, FiniteField(2, 2)))
+    model = ctx.counts
+    assert ctx4.counts is model and built == []
+    rng = random.Random(6)
+    for g in [random_symplectic(sp, rng, length=6) for _ in range(8)]:
+        for c in (ctx, ctx4):
+            sigma(c, g)
+    assert built == [model]
+    ix, pts = f3.indices, model.ypoints
+    assert model._dot_exps == tuple(tuple(model.exp[ix.dot(u, v)]
+                                          for v in pts) for u in pts)
+    assert len(model._dot_exps) == len(model.ysum) == 9
+    assert model._mults == tuple(tuple(model.yindex[tuple(
+        (c * x) % 3 for x in u)] for c in range(3)) for u in pts)
 
 
 def test_count_model_outlives_its_space(monkeypatch):

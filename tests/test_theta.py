@@ -421,6 +421,30 @@ def test_congruence_check_reuses_counts_across_calls(monkeypatch):
         [lift["dim"] for lift in first["lifts"]]
 
 
+def test_twelve_reports_build_counts_once(monkeypatch):
+    # the 12 reports of diag:1, diag:1,2 and diag:1,1 over F_3 at l = 5,
+    # 7, 11 and 13 make 70 count builds (one Bruhat call each) in their
+    # first round and none in the second
+    seen = []
+    real = metaplectic._bruhat
+
+    def counted(space, g):
+        seen.append(g)
+        return real(space, g)
+    monkeypatch.setattr(metaplectic, "_bruhat", counted)
+    f3 = FqField(3)
+    builds = []
+    for _ in range(2):
+        seen.clear()
+        for diag in ((1,), (1, 2), (1, 1)):
+            gram = [[diag[i] if i == j else 0 for j in range(len(diag))]
+                    for i in range(len(diag))]
+            for ell in (5, 7, 11, 13):
+                congruence_check(QuadraticForm(f3, gram), 1, ell)
+        builds.append(len(seen))
+    assert builds == [70, 0]
+
+
 def test_zero_side_is_built_once_per_form(monkeypatch):
     # over the four l of one form, the WeilContext over Z[zeta_3] and its
     # lifts are built once, while each l builds its own context and lifts
