@@ -293,8 +293,8 @@ class CountModel:
         a, to va_X and to va_Y (through lead and the X and Y parts of g^-1
         lead), and y0 to vy_X and to vy_Y (through g^-1's Y -> X and Y -> Y
         blocks).  A term of N is then table reads only; the field arithmetic
-        left in a build is Bruhat's, with its checks, and the j mat_vecs
-        that form g^-1 lead."""
+        left in a build is Bruhat's with its checks, the key's x(g), g^-1
+        and the j mat_vecs that form g^-1 lead."""
         cache = self.cache
         entry = cache.get(g)
         if entry is not None:
@@ -308,7 +308,7 @@ class CountModel:
             self._dot_exps, self._mults = self._point_tables()
         dots = self._dot_exps
         ginv = space.inv(g)
-        cols = linalg.transpose(ginv)
+        ycols = linalg.transpose(ginv)[m:]     # the columns g^-1 f_i
         lead = [col[:m] for col in linalg.transpose(bd.p1)[:bd.j]]
         pad = (0,) * m
         lifted = [linalg.mat_vec(ginv, a + pad, ix) for a in lead]
@@ -322,8 +322,8 @@ class CountModel:
                  for d in itertools.chain(range(p), range(1 - p, 0))]
         ysum, n = self.ysum, len(self.ypoints)
         rows = []
-        for ey, yx, yy in zip(dots, self._image([c[:m] for c in cols[m:]]),
-                              self._image([c[m:] for c in cols[m:]])):
+        for ey, yx, yy in zip(dots, self._image([c[:m] for c in ycols]),
+                              self._image([c[m:] for c in ycols])):
             sx, sy = ysum[yx], ysum[yy]
             row = [0] * n
             for a, ax, ay in reps:
