@@ -125,6 +125,13 @@ def parse_matrix(field, desc, size):
 
 # the most ring entries a weilrep or heisenberg dump may hold
 DUMP_CAP = 200_000
+# the largest model dimension q^m of the finite operator cocycle, whose
+# count model holds q^m x q^m tables: it admits F_3 at m = 6 (729) and
+# refuses F_7 at m = 4 (2,401)
+OPERATOR_DIM_CAP = 729
+# the most pairs, |SL2(F_q)|^2, that --exhaustive checks: it admits F_9
+# (518,400 pairs) and refuses F_11 (1,742,400)
+EXHAUSTIVE_PAIR_CAP = 10 ** 6
 
 
 def cmd_omega(args):
@@ -182,12 +189,23 @@ def cmd_cocycle(args):
         if args.path == "formula":
             raise InputError("--psi applies to --path operator only, got "
                              "--psi %s" % args.psi)
+    # q >= 3, so every m >= 7 is too large: min keeps the power small
+    if args.path == "operator" and field.flavor == "finite" and \
+            field.q ** min(args.m, 7) > OPERATOR_DIM_CAP:
+        raise InputError("--path operator over F_q takes q^m <= %d, got "
+                         "q = %d, m = %d" % (OPERATOR_DIM_CAP, field.q,
+                                             args.m))
     if args.exhaustive:
         if field.flavor != "finite" or args.m != 1:
             raise InputError("--exhaustive needs a finite field and m = 1")
         if args.g1 is not None or args.g2 is not None:
             raise InputError("--exhaustive runs over all pairs: drop "
                              "--g1 and --g2")
+        total = (field.q * (field.q ** 2 - 1)) ** 2
+        if total > EXHAUSTIVE_PAIR_CAP:
+            raise InputError("--exhaustive over F_%d has %d pairs, above the "
+                             "cap of %d; reduce q"
+                             % (field.q, total, EXHAUSTIVE_PAIR_CAP))
         if args.path == "operator":
             ctx = WeilContext(space, psi)
             cocycle, one = partial(cocycle_operator, ctx), ctx.one()

@@ -481,14 +481,12 @@ def coset_reps(subspace, ambient_basis, field):
 
 
 def hom_space(ops1, ops2, dim1, dim2, ring):
-    """Basis of {T : T r1(g) = r2(g) T} for paired operator lists (dense)
+    """Basis of {T : T r1(g) = r2(g) T} for paired lists of dense matrices
     with entries in `ring`, a ring or a finite field's index view."""
     zero, one = ring.zero(), ring.one()
     nvar = dim2 * dim1
     rows = []
-    for r1, r2 in zip(ops1, ops2):
-        m1 = r1.to_dense(zero) if isinstance(r1, Monomial) else r1
-        m2 = r2.to_dense(zero) if isinstance(r2, Monomial) else r2
+    for m1, m2 in zip(ops1, ops2):
         # T m1 - m2 T = 0, equation (i, j): m1[k][j] at T[i][k], -m2[i][k]
         # at T[k][j], and m1[j][j] - m2[i][i] at T[i][j], where both meet
         m1t = linalg.transpose(m1)

@@ -221,13 +221,6 @@ def mat_inv(a, fld):
     return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
-def trace(a):
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
 def column_space_basis(vectors, fld):
     """The greedy subset of the given vectors that is a basis of their span:
     the pivot columns of the matrix whose columns they are.  Listing an

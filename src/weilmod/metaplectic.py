@@ -485,18 +485,19 @@ class CountModel:
 
 
 class WeilContext:
-    """Finite base field, coefficient ring via psi, Schrödinger model, the
-    CountModel of the space's field and m and psi's exponent table, which
-    every context with those three inputs shares for the process (it
-    holds the Y-points, the slot width W and the sigma(g) count forms and
-    their restrictions), and the ring's tables: phi's values by packed
-    entry, mu by (j, x(g) class), at most 2(m + 1) scalars, and the
-    cocycle's mu1 mu2 mu12^-1 by its three mu."""
+    """Finite base field, coefficient ring via psi, the CountModel of the
+    space's field and m and psi's exponent table, which every context with
+    those three inputs shares for the process (it holds the Y-points, the
+    slot width W and the sigma(g) count forms and their restrictions), and
+    the ring's tables: phi's values by packed entry, mu by (j, x(g) class),
+    at most 2(m + 1) scalars, and the cocycle's mu1 mu2 mu12^-1 by its
+    three mu."""
 
     def __init__(self, space, psi):
+        if space.field.flavor != "finite":
+            raise ValueError("matrix models exist for finite F only")
         self.space = space
         self.psi = psi
-        self.model = SchrodingerModel(space, psi)
         key = (space.field, space.m, psi._exp)
         counts = _COUNT_MODELS.get(key)
         if counts is None:
@@ -532,15 +533,6 @@ class WeilContext:
             self._mu[key] = omega_ratio(field, self.psi, field.one(), rep) \
                 * self._gauss_half_inv ** key[0]
         return self._mu[key]
-
-    def restrict(self, g, signed):
-        """(key, A) = CountModel.restrict(g, signed): sigma(g) on the span
-        of the b_k = e_{P_k} - e_{M_k} has the columns mu(key) phi(A_k[y_k'])
-        over k', or A is None when sigma(g) does not keep that span.  phi, a
-        ring map, carries the decision made in Z[zeta_p] to R, and maps the
-        2^{W-1} that restrict adds to each slot to 2^{W-1} (1 + zeta + ...
-        + zeta^{p-1}) = 0."""
-        return self.counts.restrict(g, signed)
 
     def phi(self, c):
         if c not in self._phis:
@@ -630,7 +622,7 @@ def m_bracket(ctx, g):
     field = space.field
     one_minus = linalg.mat_sub(space.identity(), g)
     ker = linalg.nullspace(one_minus, field)
-    model = ctx.model
+    model = SchrodingerModel(space, ctx.psi)
     half = space.half()
     n = model.dim
     zero = ctx.zero()

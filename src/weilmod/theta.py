@@ -242,46 +242,42 @@ class ThetaLift:
     H1 permutes the Y-points, so the basis is the signed orbit sums
     b_O = sum_h chi(h) e_{h y_O} (each point of O once), one per H1-orbit O
     whose stabiliser has chi(s) 1_R = 1_R in the coefficient ring R: over
-    characteristic 2 every orbit.  b_O is 1 at y_O, the first point of O.
-    R is the coefficient ring of ctx, a WeilContext on pair.space; it may
-    be any ring holding zeta_p, a non-banal F_{l^d} included (only
-    congruence_check refuses those)."""
+    characteristic 2 every orbit.  b_O is 1 at y_O, the first point of O,
+    and is kept as restrict's split (P, M), the points of O where it is 1
+    and -1 (P is all O in characteristic 2).  R is the coefficient ring of
+    ctx, a WeilContext on pair.space; it may be any ring holding zeta_p, a
+    non-banal F_{l^d} included (only congruence_check refuses those)."""
 
     def __init__(self, pair, ctx, chi1):
         if ctx.space is not pair.space:
             raise ValueError("ctx must be a WeilContext on pair.space")
         self.pair = pair
         self.ctx = ctx
-        zero, one = ctx.zero(), ctx.one()
-        signed = [(perm, one * chi1[h]) for h, perm in pair.h1_perms.items()]
-        n = ctx.model.dim
-        seen = [False] * n
-        self.orbits, basis, split = [], [], []
-        # restrict's split: b_O = e_P - e_M per kept orbit O, P and M the z
-        # of O where b_O[z] is 1 and -1 (in characteristic 2, P is all O)
-        for y in range(n):
-            if seen[y]:
+        one = ctx.one()
+        signed = [(perm, one * chi1[h] == one)
+                  for h, perm in pair.h1_perms.items()]
+        seen, split = set(), []
+        for y in range(len(signed[0][0])):     # over the Y-points
+            if y in seen:
                 continue
-            vec = [zero] * n
-            for perm, c in signed:
-                seen[perm[y]] = True
-                vec[perm[y]] = c
-            if all(c == one for perm, c in signed if perm[y] == y):
-                orbit = sorted({perm[y] for perm, _ in signed})
-                self.orbits.append(orbit)
-                basis.append(tuple(vec))
-                split.append((tuple(z for z in orbit if vec[z] == one),
-                              tuple(z for z in orbit if vec[z] != one)))
-        self.basis = tuple(basis)
-        self.dim = len(basis)
+            plus = {perm[y] for perm, pos in signed if pos}
+            minus = {perm[y] for perm, pos in signed if not pos}
+            seen |= plus | minus
+            # y in minus: chi(s) 1_R != 1_R for some s fixing y
+            if y not in minus:
+                split.append((tuple(sorted(plus)), tuple(sorted(minus))))
         self._split = tuple(split)
+        self.dim = len(split)
         self._forms = {}    # {h2: act_counts(h2)}
 
     def act(self, h2):
-        """Matrix of omega(h2) on self.basis, for h2 in pair.h2_list (a
+        """Matrix of omega(h2) on the b_O, for h2 in pair.h2_list (a
         raw-index matrix): mu(key) phi(A) for (key, A) = act_counts(h2), on
         which restrict decided H2-stability.  The columns are the
-        coordinates of the images of the b_O: their entries at the y_O."""
+        coordinates of the images of the b_O: their entries at the y_O.
+        phi, a ring map, carries the decision made in Z[zeta_p] to R, and
+        maps the 2^{W-1} that restrict adds to each slot to 2^{W-1} (1 +
+        zeta + ... + zeta^{p-1}) = 0."""
         if self.dim == 0:
             return ()
         key, cols = self.act_counts(h2)
@@ -290,10 +286,10 @@ class ThetaLift:
                                  for col in self._stable(h2, cols)])
 
     def act_counts(self, h2):
-        """WeilContext.restrict's (key, A) on self's span, kept per h2."""
+        """CountModel.restrict's (key, A) on self's span, kept per h2."""
         if h2 not in self._forms:
-            self._forms[h2] = self.ctx.restrict(self.pair.h2_images[h2],
-                                                self._split)
+            self._forms[h2] = self.ctx.counts.restrict(
+                self.pair.h2_images[h2], self._split)
         return self._forms[h2]
 
     @staticmethod

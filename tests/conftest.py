@@ -54,6 +54,13 @@ def kron(a, b):
     return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
 
 
+def trace(a):
+    acc = a[0][0]
+    for i in range(1, len(a)):
+        acc = acc + a[i][i]
+    return acc
+
+
 def random_unit(field, rng):
     if field.flavor == "finite":
         return field.element(rng.randrange(1, field.q))

@@ -28,7 +28,7 @@ from weilmod.weilfactor import (epsilon, fourier_matrix, gauss_sum,
                                 hilbert_via_omega, omega, omega_diag_product,
                                 omega_ratio)
 
-from conftest import mat_add, mat_scal, random_form, random_unit
+from conftest import mat_add, mat_scal, random_form, random_unit, trace
 
 
 def _report(n, text):
@@ -292,7 +292,7 @@ def test_acceptance_7_m_bracket():
         sp = SympSpace(fq, 1)
         ctx = WeilContext(sp, AdditiveCharacter(fq))
         group = enumerate_sp2(sp)
-        model = ctx.model
+        model = SchrodingerModel(sp, ctx.psi)
         for _ in range(25):
             g = group[rng.randrange(len(group))]
             m = m_bracket(ctx, g)
@@ -329,16 +329,16 @@ def test_acceptance_8_weil_rep_structure():
         # parity projectors from the split section at -Id
         minus = mat_scal(fq.element(-1), sp.identity())
         pmat = sigma(ctx, minus)
-        n = ctx.model.dim
+        n = len(ctx.counts.ypoints)
         one = ctx.one()
         half = one * Fraction(1, 2)
         ident = linalg.identity(ctx.psi.coeff_ring, n)
         eplus = mat_scal(half, mat_add(ident, pmat))
         eminus = mat_scal(half, linalg.mat_sub(ident, pmat))
-        chi = {g: linalg.trace(sigma(ctx, g)) for g in group}
-        chi_p = {g: linalg.trace(linalg.mat_mul(sigma(ctx, g), eplus))
+        chi = {g: trace(sigma(ctx, g)) for g in group}
+        chi_p = {g: trace(linalg.mat_mul(sigma(ctx, g), eplus))
                  for g in group}
-        chi_m = {g: linalg.trace(linalg.mat_mul(sigma(ctx, g), eminus))
+        chi_m = {g: trace(linalg.mat_mul(sigma(ctx, g), eminus))
                  for g in group}
         inv_map = {g: inv[g] for g in group}
         norm_full = char_inner(group, chi, chi, inv_map)

@@ -111,8 +111,8 @@ def _unread_public_names():
     another place in the package (a module-level def or class through its
     own name or module.name, a method or property through any attribute
     of its name, a cli.cmd_* through cli.main's lookup), by perfbench as
-    an attribute or a part of a TIMED/COUNTED path, or by README.md in
-    backticks."""
+    an attribute of anything but its argparse namespace `args` or a part
+    of a TIMED/COUNTED path, or by README.md in backticks."""
     package = _trees(os.path.join(PACKAGE, "*.py"))
     refs = []   # (node id, name, the Name an attribute is taken of or None)
     for tree in package.values():
@@ -124,8 +124,10 @@ def _unread_public_names():
                              getattr(node.value, "id", "")))
     bench = set()
     for tree in _trees(os.path.join(ROOT, "perfbench", "*.py")).values():
+        # args.<option> reads perfbench's own argparse namespace
         bench |= {n.attr for n in ast.walk(tree)
-                  if isinstance(n, ast.Attribute)}
+                  if isinstance(n, ast.Attribute)
+                  and getattr(n.value, "id", None) != "args"}
     for modname, path in _tracer_targets().values():
         parts = path.split(".")
         bench |= {(modname, ".".join(parts[:i + 1]))

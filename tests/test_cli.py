@@ -355,6 +355,72 @@ def test_weilrep_refuses_dump_too_large(monkeypatch, capsys):
     assert err == "error: group too large to dump; reduce q\n"
 
 
+def w_s(m):
+    """w_S = [[0, I], [-I, 0]] on all of {1..m}, as row-major entries."""
+    n = 2 * m
+    return ",".join("1" if j == i + m else "-1" if i == j + m else "0"
+                    for i in range(n) for j in range(n))
+
+
+def test_operator_cocycle_refuses_a_large_model():
+    # n = 101^2 = 10,201: the n x n tables of its count model ran past 60 s
+    # and 1.5 GB; the q^m cap refuses it at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "weilmod.cli", "cocycle", "--field",
+         "fq:101:1", "--m", "2", "--path", "operator",
+         "--g1", w_s(2), "--g2", w_s(2)],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: --path operator over F_q takes q^m <= "
+                           "729, got q = 101, m = 2\n")
+
+
+@pytest.mark.parametrize("field,m,admitted", [
+    ("fq:3:1", 6, True), ("fq:7:1", 4, False), ("fq:3:1", 7, False),
+    ("fq:3:1", 10 ** 9, False), ("fq:7:1", 1, True)])
+def test_operator_dim_cap_is_checked_before_any_context(field, m, admitted,
+                                                        monkeypatch, capsys):
+    # q^m = 729 is admitted and 2,401 refused, before a WeilContext is built
+    def reached(*_):
+        raise ValueError("context built")
+    monkeypatch.setattr(cli, "WeilContext", reached)
+    n = 2 * min(m, 7)   # no matrix is read past the cap
+    ident = ",".join("1" if i == j else "0"
+                     for i in range(n) for j in range(n))
+    assert cli.main(["cocycle", "--field", field, "--m", str(m), "--path",
+                     "operator", "--g1", ident, "--g2", ident]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (err == "error: context built\n") == admitted
+    if not admitted:
+        assert err.startswith("error: --path operator over F_q takes q^m")
+
+
+@pytest.mark.parametrize("path", ["formula", "operator"])
+@pytest.mark.parametrize("field,admitted", [
+    ("fq:3:2", True), ("fq:11:1", False), ("fq:101:1", False)])
+def test_exhaustive_pair_cap_is_checked_before_listing(path, field, admitted,
+                                                       monkeypatch, capsys):
+    # |SL2(F_9)|^2 = 518,400 pairs are admitted and |SL2(F_11)|^2 =
+    # 1,742,400 refused, before enumerate_sp2 lists the q^4 candidates
+    from weilmod import metaplectic
+
+    def reached(*_):
+        raise ValueError("pairs listed")
+    monkeypatch.setattr(metaplectic, "enumerate_sp2", reached)
+    assert cli.main(["cocycle", "--field", field, "--m", "1", "--path", path,
+                     "--exhaustive"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    if admitted:
+        assert err == "error: pairs listed\n"
+    else:
+        q = int(field.split(":")[1])
+        assert err == ("error: --exhaustive over F_%d has %d pairs, above "
+                       "the cap of 1000000; reduce q\n"
+                       % (q, (q * (q * q - 1)) ** 2))
+
+
 def test_selfcheck_fails_loudly_under_O():
     # a broken Hilbert symbol must fail its suite even with asserts stripped
     code = ("import json, weilmod.selfcheck as s\n"

@@ -318,9 +318,9 @@ def test_contragredient_is_psi_inverse_model():
                                                        -psi.twist))
     hs = all_h(sp)
     gens = model_generators(sp)
-    ops_dual = [dual.rho(h) for h in gens]
-    ops_inv = [inv_model.rho(h) for h in gens]
     zero = model.psi.coeff_ring.zero()
+    ops_dual = [dual.rho(h).to_dense(zero) for h in gens]
+    ops_inv = [inv_model.rho(h).to_dense(zero) for h in gens]
     homs = hom_space(ops_dual, ops_inv, model.dim, model.dim,
                      psi.coeff_ring)
     assert len(homs) == 1

@@ -22,7 +22,7 @@ from weilmod.quadratic import QuadraticForm, hilbert, square_class
 from weilmod.schwartz import cocycle_operator_padic
 from weilmod.weilfactor import fourier_matrix, omega
 
-from conftest import kron
+from conftest import kron, trace
 
 
 def F(x, y=1):
@@ -240,12 +240,12 @@ def test_sigma_identity_and_intertwining():
     ctx = WeilContext(sp, AdditiveCharacter(f3))
     ident = sp.identity()
     s = sigma(ctx, ident)
-    n = ctx.model.dim
+    n = len(ctx.counts.ypoints)
     for i in range(n):
         for j in range(n):
             assert s[i][j] == (ctx.one() if i == j else ctx.zero())
     # twist law: sigma(g) rho(h) = rho(g . h) sigma(g)
-    model = ctx.model
+    model = SchrodingerModel(sp, ctx.psi)
     for g in enumerate_sp2(sp)[:8]:
         sg = sigma(ctx, g)
         for hv in ((1, 0), (0, 1), (2, 1)):
@@ -254,6 +254,25 @@ def test_sigma_identity_and_intertwining():
             hg = delta(sp, linalg.mat_vec(g, h.w, f3))
             rhs = linalg.mat_mul(model.rho(hg).to_dense(ctx.zero()), sg)
             assert lhs == rhs
+
+
+def test_weil_context_refuses_a_padic_space():
+    # sigma's contexts exist over finite F only; Q_p gets the message the
+    # Schrödinger model gives, before any count model is looked up
+    qp = QpField(3)
+    with pytest.raises(ValueError) as err:
+        WeilContext(SympSpace(qp, 1), AdditiveCharacter(qp))
+    assert str(err.value) == "matrix models exist for finite F only"
+    assert metaplectic._COUNT_MODELS == {}
+
+
+def test_weil_context_holds_no_model_and_no_restrict():
+    # a context holds sigma's ring side only: the Y-points are its count
+    # model's, and ThetaLift asks that model to restrict
+    f3 = FqField(3)
+    ctx = WeilContext(SympSpace(f3, 2), AdditiveCharacter(f3))
+    assert not hasattr(ctx, "model") and not hasattr(ctx, "restrict")
+    assert len(ctx.counts.ypoints) == 9
 
 
 def test_sigma_w_equals_normalized_fourier():
@@ -338,8 +357,8 @@ def test_contragredient_twist_by_traces():
     ctx_inv = WeilContext(sp, AdditiveCharacter(f3, twist=-1))
     for g in enumerate_sp2(sp):
         ginv = linalg.mat_inv(g, f3)
-        lhs = linalg.trace(sigma(ctx, ginv))
-        rhs = linalg.trace(sigma(ctx_inv, g))
+        lhs = trace(sigma(ctx, ginv))
+        rhs = trace(sigma(ctx_inv, g))
         assert lhs == rhs
 
 
@@ -385,7 +404,8 @@ def dense_sigma_reference(ctx, g):
     xb = [space.basis_e(i) for i in range(space.m)]
     gx = list(linalg.transpose(g)[:space.m])
     reps = coset_reps(linalg.intersection(gx, xb, field), xb, field)
-    model, half, zero = ctx.model, space.half(), ctx.zero()
+    model = SchrodingerModel(space, psi)
+    half, zero = space.half(), ctx.zero()
     n = model.dim
     rows = [[zero] * n for _ in range(n)]
     for i0 in range(n):
@@ -487,7 +507,7 @@ def sigma_images(ctx, g, signed):
     columns, or None when sigma(g) does not keep that span: restrict's
     counts mapped through mu and phi, as ThetaLift.act maps the ones each
     lift keeps."""
-    key, cols = ctx.restrict(g, signed)
+    key, cols = ctx.counts.restrict(g, signed)
     if cols is None:
         return None
     mu, phi = ctx.mu(key), ctx.phi
@@ -508,8 +528,9 @@ def test_sigma_images_match_dense_sigma(coeff):
     for m in (1, 2):
         sp = SympSpace(f3, m)
         ctx = WeilContext(sp, AdditiveCharacter(f3, ring))
-        one, zero, n = ctx.one(), ctx.zero(), ctx.model.dim
-        families = parity_families(ctx.model)
+        model = SchrodingerModel(sp, ctx.psi)
+        one, zero, n = ctx.one(), ctx.zero(), model.dim
+        families = parity_families(model)
         group = enumerate_sp2(sp) if m == 1 else \
             [random_symplectic(sp, rng, length=8) for _ in range(12)]
         for g in group:
@@ -1117,7 +1138,7 @@ def test_m_bracket_identity_scalar():
     sp = SympSpace(f3, 1)
     ctx = WeilContext(sp, AdditiveCharacter(f3))
     m = m_bracket(ctx, sp.identity())
-    n = ctx.model.dim
+    n = len(ctx.counts.ypoints)
     diag = m[0][0]
     assert not diag.is_zero()
     for i in range(n):
@@ -1131,7 +1152,7 @@ def test_m_bracket_intertwining_and_schur(rng):
         sp = SympSpace(fq, 1)
         ctx = WeilContext(sp, AdditiveCharacter(fq))
         group = enumerate_sp2(sp)
-        model = ctx.model
+        model = SchrodingerModel(sp, ctx.psi)
         for _ in range(25):
             g = group[rng.randrange(len(group))]
             m = m_bracket(ctx, g)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import pathlib
 import random
@@ -12,7 +13,8 @@ from weilmod import cli, linalg, metaplectic, theta
 from weilmod.basefield import AdditiveCharacter, FqField, InputError
 from weilmod.coeff import (CyclotomicRing, FieldIndices, FiniteField,
                            ReductionMap)
-from weilmod.heisenberg import Monomial, SympSpace, hom_space
+from weilmod.heisenberg import (LagrangianModel, Monomial, SchrodingerModel,
+                                SympSpace, hom_space)
 from weilmod.metaplectic import WeilContext
 from weilmod.quadratic import QuadraticForm
 from weilmod.theta import (CentralIdempotent, DualPair, ThetaLift,
@@ -20,13 +22,13 @@ from weilmod.theta import (CentralIdempotent, DualPair, ThetaLift,
                            enumerate_orthogonal, group_inverses,
                            labelled_characters, linear_pm_characters)
 
-from conftest import mat_add, mat_scal
+from conftest import mat_add, mat_scal, trace
 
 
 def h1_op(pair, ctx, h):
     """Dense omega(h) for h in H1: the permutation of the Y-points."""
-    return Monomial(pair.h1_perms[h], (ctx.one(),) * ctx.model.dim) \
-        .to_dense(ctx.zero())
+    n = len(ctx.counts.ypoints)
+    return Monomial(pair.h1_perms[h], (ctx.one(),) * n).to_dense(ctx.zero())
 
 
 def h2_op(pair, ctx, h):
@@ -123,7 +125,7 @@ def test_restricted_weil_is_homomorphism():
         assert lhs == rhs
     ident = pair_op(pair, ctx, _ident_of(pair.h1_list, f3.indices),
                     _ident_of(pair.h2_list, f3.indices))
-    n = ctx.model.dim
+    n = len(ctx.counts.ypoints)
     for i in range(n):
         for j in range(n):
             assert ident[i][j] == (ctx.one() if i == j else ctx.zero())
@@ -143,7 +145,7 @@ def test_minus_one_acts_as_parity():
     minus = [h for h in pair.h1_list
              if h != _ident_of(pair.h1_list, f3.indices)][0]
     op = h1_op(pair, ctx, minus)
-    model = ctx.model
+    model = SchrodingerModel(ctx.space, ctx.psi)
     # op f(y) = f(-y): permutation matrix swapping 1 <-> 2 over F_3
     for i, co in enumerate(model._points):
         for j, co2 in enumerate(model._points):
@@ -165,7 +167,7 @@ def test_theta_lift_refuses_context_on_another_space():
 def test_h1_perms_follow_the_schrodinger_point_order():
     f3 = FqField(3)
     pair = DualPair(QuadraticForm(f3, [[1, 0], [0, 1]]), 1)
-    model = WeilContext(pair.space, AdditiveCharacter(f3)).model
+    model = SchrodingerModel(pair.space, AdditiveCharacter(f3))
     for h, perm in pair.h1_perms.items():
         at = linalg.transpose(pair.space.blocks(
             f3.indices.lift(pair.embed_h1(h)))[0])
@@ -209,7 +211,7 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
     coeff = DIFF_RINGS[ring]()
     pair = DualPair(QuadraticForm(f3, DIFF_SPACES[space]), 1)
     ctx = WeilContext(pair.space, AdditiveCharacter(f3, coeff))
-    ident = linalg.identity(coeff, ctx.model.dim)
+    ident = linalg.identity(coeff, len(ctx.counts.ypoints))
     for chi in linear_pm_characters(pair.h1_list, index_mul(pair)):
         stacked = []
         for h in pair.h1_list:
@@ -218,7 +220,7 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
         ns = linalg.nullspace(linalg.mat(stacked), coeff)
         lift = ThetaLift(pair, ctx, chi)
         assert lift.dim == len(ns)
-        for v in lift.basis:
+        for v in lift_basis(lift)[0]:
             assert all(x == ctx.zero()
                        for x in linalg.mat_vec(stacked, v, coeff))
         got = lift.character()
@@ -233,22 +235,40 @@ def test_orbit_basis_matches_stacked_nullspace(space, ring):
             assert got[h2] == trace
 
 
+def lift_basis(lift):
+    """(basis, orbits) of a lift, from its split: per kept H1-orbit O, the
+    dense signed orbit sum b_O over R, 1 on P and -1 on M, and the points
+    of O in order."""
+    one, zero = lift.ctx.one(), lift.ctx.zero()
+    basis, orbits = [], []
+    for plus, minus in lift._split:
+        vec = [zero] * len(lift.ctx.counts.ypoints)
+        for z in plus:
+            vec[z] = one
+        for z in minus:
+            vec[z] = -one
+        basis.append(tuple(vec))
+        orbits.append(sorted(plus + minus))
+    return tuple(basis), orbits
+
+
 def act_reference(lift, h2):
-    """Matrix of omega(h2) on lift.basis as ThetaLift.act built it before
-    it read sigma's count form: the dense sigma(h2), each basis vector's
-    image as a combination of its columns, and the span check on the
-    recombined image."""
+    """Matrix of omega(h2) on the lift's basis (lift_basis) as ThetaLift.act
+    built it before it read sigma's count form: the dense sigma(h2), each
+    basis vector's image as a combination of its columns, and the span
+    check on the recombined image."""
     ctx = lift.ctx
     if lift.dim == 0:
         return ()
     ring = ctx.psi.coeff_ring
     cols_of_m = linalg.transpose(h2_op(lift.pair, ctx, h2))
-    basis_cols = linalg.transpose(lift.basis)
+    basis, orbits = lift_basis(lift)
+    basis_cols = linalg.transpose(basis)
     cols = []
-    for v, orbit in zip(lift.basis, lift.orbits):
+    for v, orbit in zip(basis, orbits):
         img = linalg.mat_vec(linalg.transpose([cols_of_m[z] for z in orbit]),
                              [v[z] for z in orbit], ring)
-        coords = tuple(img[o[0]] for o in lift.orbits)
+        coords = tuple(img[o[0]] for o in orbits)
         assert linalg.mat_vec(basis_cols, coords, ring) == img
         cols.append(coords)
     return linalg.transpose(cols)
@@ -260,6 +280,43 @@ def _diff_lifts(space, ring):
     ctx = WeilContext(pair.space, AdditiveCharacter(f3, DIFF_RINGS[ring]()))
     return pair, [ThetaLift(pair, ctx, chi) for chi in
                   linear_pm_characters(pair.h1_list, index_mul(pair))]
+
+
+# sha256 prefixes of repr([(label, orbits, [[str(x) for x in b] for b in
+# basis]) per pair.characters entry]), as ThetaLift kept its dense basis
+# and orbits before it kept only the split
+LIFT_BASIS_DIGESTS = {
+    ("diag:1", "Z[zeta_3]"): "684a56d2c41aac89",
+    ("diag:1", "F_7"): "2b101395db886042",
+    ("diag:1", "F_4"): "0f1440e34dd39233",
+    ("diag:1,2", "Z[zeta_3]"): "c1f3468e21861734",
+    ("diag:1,2", "F_7"): "b99e402a6668e9da",
+    ("diag:1,2", "F_4"): "e286f0508abe8199",
+    ("diag:1,1", "Z[zeta_3]"): "afe18119dbd2c53a",
+    ("diag:1,1", "F_7"): "b232304cb94922d1",
+    ("diag:1,1", "F_4"): "6c4263843dec633e",
+}
+
+
+@pytest.mark.parametrize("space,ring", list(LIFT_BASIS_DIGESTS))
+def test_lift_basis_from_the_split_is_the_dense_one(space, ring):
+    # the basis and orbits rebuilt from the split are those ThetaLift
+    # built densely; over F_4 (l = 2) every lift keeps every orbit
+    f3 = FqField(3)
+    pair = DualPair(QuadraticForm(f3, DIFF_SPACES[space]), 1)
+    ctx = WeilContext(pair.space, AdditiveCharacter(f3, DIFF_RINGS[ring]()))
+    out = []
+    for label, chi in pair.characters:
+        lift = ThetaLift(pair, ctx, chi)
+        assert not hasattr(lift, "basis") and not hasattr(lift, "orbits")
+        basis, orbits = lift_basis(lift)
+        assert len(basis) == lift.dim
+        if ring == "F_4":
+            assert sorted(z for o in orbits for z in o) == \
+                list(range(len(ctx.counts.ypoints)))
+        out.append((label, orbits, [[str(x) for x in b] for b in basis]))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+    assert digest == LIFT_BASIS_DIGESTS[space, ring]
 
 
 @pytest.mark.parametrize("ring", list(DIFF_RINGS))
@@ -298,7 +355,7 @@ def test_character_is_the_trace_of_act(space, ring):
     zero = lifts[0].ctx.zero()
     for lift in lifts:
         assert lift.character() == {
-            h: linalg.trace(lift.act(h)) if lift.dim else zero
+            h: trace(lift.act(h)) if lift.dim else zero
             for h in pair.h2_list}
 
 
@@ -468,29 +525,6 @@ def test_zero_side_is_built_once_per_form(monkeypatch):
     assert sorted(lifts) == [False] * (4 * chars) + [True] * chars
 
 
-def test_congruence_check_restricts_once_per_lift_and_h2(monkeypatch):
-    # each check asks restrict once per (lift, h) over F_{l^d}, and the
-    # first check of a form once more per (lift, h) over Z[zeta_3]: the
-    # characters, the reduction loop and the l-commutant's operators all
-    # read what each lift kept
-    calls = []
-    real = WeilContext.restrict
-
-    def counted(ctx, g, signed):
-        calls.append(isinstance(ctx.psi.coeff_ring, CyclotomicRing))
-        return real(ctx, g, signed)
-    monkeypatch.setattr(WeilContext, "restrict", counted)
-    f3 = FqField(3)
-    for diag in ([[1]], [[1, 0], [0, 2]], [[1, 0], [0, 1]]):
-        for k, ell in enumerate((5, 7, 11, 13)):
-            calls.clear()
-            congruence_check(QuadraticForm(f3, diag), 1, ell)
-            pair = theta.dual_pair(QuadraticForm(f3, diag), 1)
-            per_side = len(pair.characters) * len(pair.h2_list)
-            assert calls.count(False) == per_side
-            assert calls.count(True) == (0 if k else per_side)
-
-
 @pytest.mark.parametrize("name", ["mu", "phi"])
 @pytest.mark.parametrize("diag,ell,again", [([1], 5, 7), ([1, 2], 13, 5),
                                             ([1, 1], 7, 13)])
@@ -538,6 +572,50 @@ def diag_form(diag):
     n = len(diag)
     return QuadraticForm(FqField(3), [[diag[i] if i == j else 0
                                        for j in range(n)] for i in range(n)])
+
+
+def test_congruence_check_restricts_once_per_lift_and_h2(monkeypatch):
+    # each check asks restrict once per (lift, h) over F_{l^d}, and the
+    # first check of a form once more per (lift, h) over Z[zeta_3]: the
+    # characters, the reduction loop and the l-commutant's operators all
+    # read what each lift kept.  The twelve reports make 1,200 calls in
+    # their first round and 960 in each round after
+    calls = []
+    real = metaplectic.CountModel.restrict
+
+    def counted(model, g, signed):
+        calls.append(g)
+        return real(model, g, signed)
+    monkeypatch.setattr(metaplectic.CountModel, "restrict", counted)
+    rounds = []
+    for rnd in range(2):
+        total = 0
+        for diag, ell in REPORTS:
+            calls.clear()
+            congruence_check(diag_form(diag), 1, ell)
+            pair = theta.dual_pair(diag_form(diag), 1)
+            per_side = len(pair.characters) * len(pair.h2_list)
+            first = rnd == 0 and ell == 5
+            assert len(calls) == per_side * (2 if first else 1)
+            total += len(calls)
+        rounds.append(total)
+    assert rounds == [1200, 960]
+
+
+def test_twelve_reports_build_no_schrodinger_model(monkeypatch):
+    # sigma's contexts take the Y-points from the count model and the
+    # theta lifts from the pair's permutations: a cold round of the twelve
+    # reports builds no LagrangianModel (15 when each context built one)
+    built = []
+    real = LagrangianModel.__init__
+
+    def counted(model, *args):
+        built.append(type(model).__name__)
+        real(model, *args)
+    monkeypatch.setattr(LagrangianModel, "__init__", counted)
+    for diag, ell in REPORTS:
+        congruence_check(diag_form(diag), 1, ell)
+    assert built == []
 
 
 def reduces_entrywise(v_form, ell, twist=1):
@@ -795,8 +873,7 @@ def test_h2_stability_failure_names_h2():
     # keep only the orbit {0}: sigma(w) spreads e_0 over every point; H2's
     # elements are raw-index matrices, so w = [[0, 1], [-1, 0]] is
     # ((0, 1), (2, 0))
-    lift.basis, lift.orbits, lift.dim = lift.basis[:1], lift.orbits[:1], 1
-    lift._split = lift._split[:1]
+    lift._split, lift.dim = lift._split[:1], 1
     w = ((0, 1), (2, 0))
     with pytest.raises(RuntimeError, match=r"not H2-stable under "
                        r"h2 = \(\(0, 1\), \(2, 0\)\)"):
@@ -828,7 +905,7 @@ def test_h2_stability_is_checked_on_the_counts():
         lifts.append(ThetaLift(pair, ctx, {h: 1 for h in pair.h1_list}))
     model = lifts[0].ctx.counts
     assert lifts[1].ctx.counts is model
-    assert lifts[0].orbits == [[0], [1, 2]]
+    assert lift_basis(lifts[0])[1] == [[0], [1, 2]]
     key, rows = model.entry(g)
     model.cache[g] = (key, rows[:2] + (rows[2] + 1,) + rows[3:])
     for lift in lifts:
@@ -914,7 +991,7 @@ def test_dimension_bookkeeping():
     total = 0
     for chi in linear_pm_characters(pair.h1_list, index_mul(pair)):
         total += 1 * ThetaLift(pair, ctx, chi).dim
-    assert total == ctx.model.dim == 3
+    assert total == len(ctx.counts.ypoints) == 3
 
 
 def test_isotypic_characters_factor():
@@ -936,7 +1013,7 @@ def test_isotypic_characters_factor():
                         ctx.one() * Fraction(chi[h], len(pair.h1_list)),
                         linalg.mat_mul(h1_op(pair, ctx, h), m))
                     acc = t if acc is None else mat_add(acc, t)
-                got = linalg.trace(acc)
+                got = trace(acc)
                 assert got == ch2[h2] * chi[h1]
 
 
