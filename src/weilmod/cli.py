@@ -171,7 +171,7 @@ def cmd_bruhat(args):
     return {"j": bd.j,
             "p1": matrix_str(bd.p1),
             "p2": matrix_str(bd.p2),
-            "x_class": x_invariant(space, g, bd).tag}
+            "x_class": x_invariant(space, g).tag}
 
 
 def cmd_cocycle(args):

@@ -130,18 +130,44 @@ def _bruhat(space, g):
     return BruhatData(j, p1, p2)
 
 
-def _det_x_product(space, bd):
-    """det_X(p1) det_X(p2) for Bruhat data bd, in the scalars of
-    space.field (FFElts, Fractions or raw indices): x(g) is its square
-    class."""
-    return space.field.mul(space.det_x(bd.p1), space.det_x(bd.p2))
+def x_data(space, g):
+    """(N, d) for g = [[A, B], [C, D]] in Sp(space), in the scalars of
+    space.field: N lists the j = rank C indices that are not pivots of
+    A ker C, as _bruhat picks them (p1's first j columns are e_i for i in
+    N), and d = det M, where row i of M is row i of C for i in N and row
+    i of A otherwise.  x(g) is the square class of d.
+
+    Write g = p1 w_S p2 as _bruhat does, with S = {0, .., j-1}, p1 =
+    [[U, U S], [0, U^-T]] and p2 = [[V, V T], [0, V^-T]].  With E the
+    projection onto the coordinates in S and E' = I - E, A = U (E' + S E) V
+    and C = U^-T E V.  U is e_i for i in N, then -b_f for each pivot f of
+    A ker C, with b_f 1 at f and 0 at the other pivots.  Order the rows N
+    first: U becomes [[I_j, -B], [0, -I]], an involution, so the rows N of
+    U^-T E are [I_j | 0] and the rows off N of U (E' + S E) are
+    [-S[j:, :j] | -I].  Hence M = [[I_j, 0], [-S[j:, :j], -I]] V in that
+    row order, and det M = det U det V = det_X(p1) det_X(p2) exactly; its
+    square class does not depend on the decomposition (Rao).  M x = 0
+    says that g (x, 0) lies in span(e_i for i in N, f_i for i not in N),
+    so d != 0 exactly when gX meets that Lagrangian in 0, as it does for
+    every symplectic g.  The input check is is_symplectic(g); a zero d
+    after it is a bug, refused as a failed check (RuntimeError naming
+    g)."""
+    field = space.field
+    if not space.is_symplectic(g):
+        raise RuntimeError("x(g): g = %s is not symplectic" % (g,))
+    a, _, c, _ = space.blocks(g)
+    pivots = _echelon_kernel_image(a, linalg.nullspace(c, field), field)
+    n_idx = [i for i in range(space.m) if i not in pivots]
+    d = linalg.det([c[i] if i not in pivots else a[i]
+                    for i in range(space.m)], field)
+    if not d:
+        raise RuntimeError("x(g): det M = 0 for g = %s" % (g,))
+    return n_idx, d
 
 
-def x_invariant(space, g, bruhat=None):
-    """x(g) = det_X(p1) det_X(p2) mod squares; a given `bruhat` must be
-    bruhat_decompose(space, g)."""
-    bd = bruhat or bruhat_decompose(space, g)
-    return square_class(space.field, _det_x_product(space, bd))
+def x_invariant(space, g):
+    """x(g), the square class of x_data's d."""
+    return square_class(space.field, x_data(space, g)[1])
 
 
 def mu_g_scalar(space, psi, g, bruhat=None):
@@ -150,8 +176,8 @@ def mu_g_scalar(space, psi, g, bruhat=None):
     transported reference lattice, p^(-min val) over the j x j minors of
     its projection (1 over F_q, whose valuation is trivial)."""
     bd = bruhat or bruhat_decompose(space, g)
-    d = _det_x_product(space, bd)
     field = space.field
+    d = field.mul(space.det_x(bd.p1), space.det_x(bd.p2))
     one = field.one()
     base = omega_ratio(field, psi, one, d)
     if bd.j == 0:
@@ -219,8 +245,8 @@ class CountModel:
     the multiples c u of each u, c in F_q (_mults, n x q).  `entry` reads
     every phase and every image of a point from these tables.  The cache
     maps g to ((j, x(g) class), N) with N the tuple of its packed rows (mu
-    depends on g only through that key; over F_q the class is whether
-    det_X(p1) det_X(p2) is a square, the test square_class makes), at most
+    depends on g only through that key, read from x_data: j = len(N) and,
+    over F_q, whether d is a square, the test square_class makes), at most
     SIGMA_CACHE_SIZE entries, read at each insertion.  `check` keeps its
     last successful pair (_last); `restrict` its work by g (_restricted),
     matched by identity on N."""
@@ -283,18 +309,20 @@ class CountModel:
 
         sigma(g) f (y0) = mu sum_a psi(<a, y0>/2 - <w_X, w_Y>/2) f(w_Y) with
         w = g^-1 (a + y0), a over a complement of gX cap X in X: the F_q-span
-        of the first j columns of Bruhat's p1 (`lead`).  psi's exponent
-        table is additive, so the phase exponent is exp[a . y0] - exp[w_X .
-        w_Y] = E[a][y0] - E[w_X][w_Y] mod p on Y-point indices (an X-vector
-        indexed as the Y-point with its coordinates).  With va = g^-1 a and
-        vy = g^-1 y0, w = va + vy, so w_X = ysum[va_X][vy_X] and w_Y =
-        ysum[va_Y][vy_Y].  The five linear maps the sum needs are each
-        tabulated once per build on point indices (_image): co in F_q^j to
-        a, to va_X and to va_Y (through lead and the X and Y parts of g^-1
-        lead), and y0 to vy_X and to vy_Y (through g^-1's Y -> X and Y -> Y
-        blocks).  A term of N is then table reads only; the field arithmetic
-        left in a build is Bruhat's with its checks, the key's x(g), g^-1
-        and the j mat_vecs that form g^-1 lead."""
+        of e_i for i in x_data's N (`lead`, Bruhat's p1's first j columns).
+        psi's exponent table is additive, so the phase exponent is exp[a .
+        y0] - exp[w_X . w_Y] = E[a][y0] - E[w_X][w_Y] mod p on Y-point
+        indices (an X-vector indexed as the Y-point with its coordinates).
+        With va = g^-1 a and vy = g^-1 y0, w = va + vy, so w_X =
+        ysum[va_X][vy_X] and w_Y = ysum[va_Y][vy_Y].  The five linear maps
+        the sum needs are each tabulated once per build on point indices
+        (_image): co in F_q^j to a, to va_X and to va_Y (through lead and
+        the X and Y parts of g^-1 lead), and y0 to vy_X and to vy_Y (through
+        g^-1's Y -> X and Y -> Y blocks).  A term of N is then table reads
+        only; the field arithmetic left in a build is x_data's (is_symplectic
+        on g, the nullspace of C, the echelon form of A ker C and one m x m
+        det), g^-1 and the j mat_vecs that form g^-1 lead.  No Bruhat
+        decomposition is made."""
         cache = self.cache
         entry = cache.get(g)
         if entry is not None:
@@ -302,14 +330,14 @@ class CountModel:
         space = self.space
         ix = space.field
         m, p = self.m, self.p
-        bd = _bruhat(space, g)
-        key = (bd.j, ix.is_square(_det_x_product(space, bd)))
+        n_idx, d = x_data(space, g)
+        key = (len(n_idx), ix.is_square(d))
         if self._dot_exps is None:
             self._dot_exps, self._mults = self._point_tables()
         dots = self._dot_exps
         ginv = space.inv(g)
         ycols = linalg.transpose(ginv)[m:]     # the columns g^-1 f_i
-        lead = [col[:m] for col in linalg.transpose(bd.p1)[:bd.j]]
+        lead = [space.basis_e(i)[:m] for i in n_idx]
         pad = (0,) * m
         lifted = [linalg.mat_vec(ginv, a + pad, ix) for a in lead]
         reps = tuple(zip(self._image(lead),

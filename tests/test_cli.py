@@ -112,12 +112,12 @@ def test_weilrep_reuses_counts_in_process(monkeypatch, capsys):
     # counts from the first one's model: the same bytes, no count build
     from weilmod import metaplectic
     seen = []
-    real = metaplectic._bruhat
+    real = metaplectic.x_data
 
     def counted(space, g):
         seen.append(g)
         return real(space, g)
-    monkeypatch.setattr(metaplectic, "_bruhat", counted)
+    monkeypatch.setattr(metaplectic, "x_data", counted)
     args = ["weilrep", "--field=fq:3:1", "--m=1"]
     assert cli.main(args) == 0
     first, built = capsys.readouterr().out, len(seen)

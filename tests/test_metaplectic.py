@@ -230,6 +230,94 @@ def test_bruhat_makes_no_solve_or_intersection(monkeypatch):
             bruhat_decompose(sp, random_symplectic(sp, rng, length=6))
 
 
+def _x_data_cases():
+    """(space, elements): all of Sp2(F_3), Sp2(F_5), Sp2(F_7) and Sp2(F_9),
+    and every w_S with seeded words in Sp4 and Sp6 over F_3, F_9, Q_3, Q_5
+    and Q_7."""
+    rng = random.Random(3636)
+    cases = []
+    for q, f in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        sp = SympSpace(FqField(q, f), 1)
+        cases.append((sp, enumerate_sp2(sp)))
+    for field in (FqField(3), FqField(3, 2), QpField(3), QpField(5),
+                  QpField(7)):
+        for m, count in ((2, 60), (3, 12)):
+            sp = SympSpace(field, m)
+            cases.append((sp, [sp.w_subset(set(s)) for k in range(m + 1)
+                               for s in itertools.combinations(range(m), k)]
+                          + [random_symplectic(sp, rng, length=8, scale=3)
+                             for _ in range(count)]))
+    return cases
+
+
+def test_x_data_matches_bruhat_factors():
+    # N and d against Bruhat's factors: j = len(N), p1's first j columns
+    # are e_i for i in N, and d = det_X(p1) det_X(p2) exactly (so x(g) is
+    # its class); over F_q also on raw indices, as a count build reads it
+    js = set()
+    for sp, elements in _x_data_cases():
+        field = sp.field
+        for g in elements:
+            bd = bruhat_decompose(sp, g)
+            n_idx, d = metaplectic.x_data(sp, g)
+            assert len(n_idx) == bd.j, (field, g)
+            assert [sp.basis_e(i) for i in n_idx] == \
+                list(linalg.transpose(bd.p1)[:bd.j]), (field, g)
+            assert d == field.mul(sp.det_x(bd.p1), sp.det_x(bd.p2)), \
+                (field, g)
+            assert x_invariant(sp, g) == square_class(field, d)
+            if field.flavor == "finite":
+                ix = field.indices
+                assert metaplectic.x_data(SympSpace(ix, sp.m), lower(g)) \
+                    == (n_idx, d.i), (field, g)
+            js.add((sp.m, bd.j))
+    assert js == {(m, j) for m in (1, 2, 3) for j in range(m + 1)}
+
+
+def test_x_data_refuses_as_a_check(monkeypatch):
+    # a non-symplectic g fails the input check, and a zero det M (which
+    # no symplectic g gives) is refused too: RuntimeErrors naming g
+    for field in (FqField(3), FqField(3, 2), QpField(5)):
+        sp = SympSpace(field, 1)
+        bad = fmat(field, [[1, 1], [1, 1]])
+        with pytest.raises(RuntimeError, match="is not symplectic"):
+            metaplectic.x_data(sp, bad)
+        with pytest.raises(RuntimeError, match="is not symplectic"):
+            x_invariant(sp, bad)
+        zero = fmat(field, [[0, 0], [0, 0]])
+        with monkeypatch.context() as mp:
+            mp.setattr(sp, "is_symplectic", lambda g: True)
+            with pytest.raises(RuntimeError, match=r"det M = 0 for g = "):
+                metaplectic.x_data(sp, zero)
+
+
+def test_count_build_makes_no_bruhat_call(monkeypatch):
+    # a count build reads its key and lead from x_data alone: no Bruhat
+    # decomposition, whatever j, over Sp2(F_9) and seeded Sp4(F_3) words
+    def refuse(*_args):
+        raise AssertionError("a count build called Bruhat")
+    built = []
+    real = metaplectic.x_data
+
+    def counted(space, g):
+        built.append(g)
+        return real(space, g)
+    monkeypatch.setattr(metaplectic, "_bruhat", refuse)
+    monkeypatch.setattr(metaplectic, "bruhat_decompose", refuse)
+    monkeypatch.setattr(metaplectic, "x_data", counted)
+    rng = random.Random(36)
+    sp9, sp4 = SympSpace(FqField(3, 2), 1), SympSpace(FqField(3), 2)
+    cases = [(sp9, enumerate_sp2(sp9)),
+             (sp4, [random_symplectic(sp4, rng, length=8)
+                    for _ in range(40)])]
+    for sp, elements in cases:
+        model = WeilContext(sp, AdditiveCharacter(sp.field)).counts
+        built.clear()
+        js = {model.entry(g)[0][0] for g in map(lower, elements)}
+        assert js == set(range(sp.m + 1))
+        assert len(built) == len(set(map(lower, elements))) > 0
+
+
 # ---------------------------------------------------------------------------
 # sigma over finite F
 # ---------------------------------------------------------------------------
@@ -656,7 +744,8 @@ def entry_reference(model, g):
     ix = space.field
     m, p = model.m, model.p
     bd = metaplectic._bruhat(space, g)
-    key = (bd.j, ix.is_square(metaplectic._det_x_product(space, bd)))
+    key = (bd.j, ix.is_square(ix.mul(space.det_x(bd.p1),
+                                     space.det_x(bd.p2))))
     dot, exp, yindex = ix.dot, model.exp, model.yindex
     ginv = space.inv(g)
     gx = [row[:m] for row in ginv]      # g^-1 (a, 0) = gx a
@@ -721,7 +810,7 @@ def test_count_entry_matches_reference():
 
 
 def test_count_entry_reads_tables_per_point(monkeypatch):
-    # a build makes one Bruhat call (answered here, so the counters see
+    # a build makes one x_data call (answered here, so the counters see
     # only the rest of the build) and besides it exactly j mat_vecs, g^-1
     # lead at 2m dots each, whatever the number of Y-points and
     # representatives: 25 and up to 25 over Sp2(F_25), 9 and 9 at m = 2
@@ -734,13 +823,13 @@ def test_count_entry_reads_tables_per_point(monkeypatch):
         elements = [sp.w_subset(set(range(m)))] + \
             [random_symplectic(sp, rng, length=6) for _ in range(10)]
         for g in map(lower, elements):
-            bd = metaplectic._bruhat(model.space, g)
-            calls = {"bruhat": 0, "mat_vec": 0, "dot": 0}
+            xd = metaplectic.x_data(model.space, g)
+            calls = {"x_data": 0, "mat_vec": 0, "dot": 0}
             real_mat_vec, real_dot = linalg.mat_vec, type(field.indices).dot
 
-            def bruhat(space, h):
-                calls["bruhat"] += 1
-                return bd
+            def x_data(space, h):
+                calls["x_data"] += 1
+                return xd
 
             def mat_vec(a, v, fld):
                 calls["mat_vec"] += 1
@@ -750,13 +839,14 @@ def test_count_entry_reads_tables_per_point(monkeypatch):
                 calls["dot"] += 1
                 return real_dot(self, u, v)
             with monkeypatch.context() as mp:
-                mp.setattr(metaplectic, "_bruhat", bruhat)
+                mp.setattr(metaplectic, "x_data", x_data)
                 mp.setattr(linalg, "mat_vec", mat_vec)
                 mp.setattr(type(field.indices), "dot", dot)
                 key, _ = model.entry(g)
-            assert calls["bruhat"] == 1
-            assert calls["mat_vec"] == key[0] == bd.j
-            assert calls["dot"] == 2 * m * bd.j
+            j = len(xd[0])
+            assert calls["x_data"] == 1
+            assert calls["mat_vec"] == key[0] == j
+            assert calls["dot"] == 2 * m * j
 
 
 def _check_cases():
@@ -1101,22 +1191,25 @@ def test_point_tables_are_built_once_per_model(monkeypatch):
 
 def test_count_model_outlives_its_space(monkeypatch):
     # the model is keyed by (field, m, twist), not by the space: a context
-    # on a new space finds the counts built before, with no Bruhat call
+    # on a new space finds the counts built before, with no count build
+    # (no x_data call; the first context's five builds make five)
+    seen = []
+    real = metaplectic.x_data
+
+    def counted(space, g):
+        seen.append(g)
+        return real(space, g)
+    monkeypatch.setattr(metaplectic, "x_data", counted)
     f3 = FqField(3)
     sp = SympSpace(f3, 1)
     ctx = WeilContext(sp, AdditiveCharacter(f3))
     group = enumerate_sp2(sp)[:5]
     want = [sigma(ctx, g) for g in group]
+    assert len(seen) == 5
+    seen.clear()
     model = ctx.counts
     del ctx, sp
     gc.collect()
-    seen = []
-    real = metaplectic._bruhat
-
-    def counted(space, g):
-        seen.append(g)
-        return real(space, g)
-    monkeypatch.setattr(metaplectic, "_bruhat", counted)
     sp = SympSpace(f3, 1)
     ctx = WeilContext(sp, AdditiveCharacter(f3))
     assert ctx.counts is model

@@ -441,15 +441,15 @@ def test_congruence_check_makes_no_dense_sigma(monkeypatch):
 
 def test_congruence_check_builds_counts_once_for_both_rings(monkeypatch):
     # both WeilContexts sit on pair.space with psi's standard exponent
-    # table, so they share one count model: one Bruhat decomposition (one
-    # count build) per H2 image, not one per image and ring
+    # table, so they share one count model: one x_data call (one count
+    # build) per H2 image, not one per image and ring
     seen = []
-    real = metaplectic._bruhat
+    real = metaplectic.x_data
 
-    def counted(space, g):  # the count build's Bruhat, on raw indices
+    def counted(space, g):  # the count build's key, on raw indices
         seen.append(g)
         return real(space, g)
-    monkeypatch.setattr(metaplectic, "_bruhat", counted)
+    monkeypatch.setattr(metaplectic, "x_data", counted)
     f3 = FqField(3)
     for diag in ([[1]], [[1, 0], [0, 1]]):
         seen.clear()
@@ -461,17 +461,20 @@ def test_congruence_check_builds_counts_once_for_both_rings(monkeypatch):
 
 def test_congruence_check_reuses_counts_across_calls(monkeypatch):
     # the count model is keyed by (field, m, twist), so a second check of
-    # the same form with another l builds no sigma counts
-    f3 = FqField(3)
-    form = QuadraticForm(f3, [[1, 0], [0, 2]])
-    first = congruence_check(form, 1, 5)
+    # the same form with another l builds no sigma counts; the first one
+    # builds through the counted x_data
     seen = []
-    real = metaplectic._bruhat
+    real = metaplectic.x_data
 
     def counted(space, g):
         seen.append(g)
         return real(space, g)
-    monkeypatch.setattr(metaplectic, "_bruhat", counted)
+    monkeypatch.setattr(metaplectic, "x_data", counted)
+    f3 = FqField(3)
+    form = QuadraticForm(f3, [[1, 0], [0, 2]])
+    first = congruence_check(form, 1, 5)
+    assert len(seen) == len(DualPair(form, 1).h2_list) > 0
+    seen.clear()
     again = congruence_check(QuadraticForm(f3, [[1, 0], [0, 2]]), 1, 13)
     assert seen == []
     assert [lift["dim"] for lift in again["lifts"]] == \
@@ -480,15 +483,15 @@ def test_congruence_check_reuses_counts_across_calls(monkeypatch):
 
 def test_twelve_reports_build_counts_once(monkeypatch):
     # the 12 reports of diag:1, diag:1,2 and diag:1,1 over F_3 at l = 5,
-    # 7, 11 and 13 make 70 count builds (one Bruhat call each) in their
+    # 7, 11 and 13 make 70 count builds (one x_data call each) in their
     # first round and none in the second
     seen = []
-    real = metaplectic._bruhat
+    real = metaplectic.x_data
 
     def counted(space, g):
         seen.append(g)
         return real(space, g)
-    monkeypatch.setattr(metaplectic, "_bruhat", counted)
+    monkeypatch.setattr(metaplectic, "x_data", counted)
     f3 = FqField(3)
     builds = []
     for _ in range(2):
