@@ -207,12 +207,14 @@ def test_bruhat_matches_reference():
 
 def test_bruhat_refuses_non_symplectic_as_a_check():
     # the guard now meets only products the library formed, such as
-    # g1 g2: a failed check (RuntimeError naming g), not a bad input
+    # g1 g2: a failed check (RuntimeError naming g), not a bad input;
+    # x_data and x_invariant make the same check
     for field in (FqField(3), FqField(3, 2), QpField(5)):
         sp = SympSpace(field, 1)
         bad = fmat(field, [[1, 1], [1, 1]])
-        with pytest.raises(RuntimeError, match="is not symplectic"):
-            bruhat_decompose(sp, bad)
+        for fn in (bruhat_decompose, metaplectic.x_data, x_invariant):
+            with pytest.raises(RuntimeError, match="is not symplectic"):
+                fn(sp, bad)
 
 
 def test_bruhat_makes_no_solve_or_intersection(monkeypatch):
@@ -274,16 +276,11 @@ def test_x_data_matches_bruhat_factors():
     assert js == {(m, j) for m in (1, 2, 3) for j in range(m + 1)}
 
 
-def test_x_data_refuses_as_a_check(monkeypatch):
-    # a non-symplectic g fails the input check, and a zero det M (which
-    # no symplectic g gives) is refused too: RuntimeErrors naming g
+def test_x_data_refuses_zero_det_as_a_check(monkeypatch):
+    # a zero det M, which no symplectic g gives, is refused as a failed
+    # check naming g even when it passes the input check
     for field in (FqField(3), FqField(3, 2), QpField(5)):
         sp = SympSpace(field, 1)
-        bad = fmat(field, [[1, 1], [1, 1]])
-        with pytest.raises(RuntimeError, match="is not symplectic"):
-            metaplectic.x_data(sp, bad)
-        with pytest.raises(RuntimeError, match="is not symplectic"):
-            x_invariant(sp, bad)
         zero = fmat(field, [[0, 0], [0, 0]])
         with monkeypatch.context() as mp:
             mp.setattr(sp, "is_symplectic", lambda g: True)
