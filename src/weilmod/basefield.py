@@ -13,12 +13,29 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .coeff import CyclotomicRing, FiniteField, RingMismatchError
+from .coeff import CyclotomicRing, FiniteField, RingMismatchError, common_ring
 from .linalg import Ops
 
 
 class InputError(ValueError):
     """A malformed descriptor or argument; the CLI exits 2 on it."""
+
+
+# the largest order p^k of the roots of unity zeta_{p^k} a Q_p value may
+# hold: a product in Z[zeta_{p^k}] costs up to phi(p^k)^2 steps.  It admits
+# Q_727 at level 1 (operator cocycles of g with entries 1/727 took up to
+# 3.3 s, against 11.5 s at p = 997), Q_5 at level 4 and Q_3 at level 6
+MAX_PADIC_ORDER = 729
+
+
+def padic_ring(p, k=1):
+    """Z[zeta_{p^k}], where Q_p values of level k live; p^k above
+    MAX_PADIC_ORDER is refused (InputError)."""
+    if p ** k > MAX_PADIC_ORDER:
+        raise InputError("Q_p values here need roots of unity of order "
+                         "%d^%d, above the cap MAX_PADIC_ORDER = %d"
+                         % (p, k, MAX_PADIC_ORDER))
+    return CyclotomicRing(p, k)
 
 
 class FqField(FiniteField):
@@ -275,8 +292,7 @@ class AdditiveCharacter:
         a, n = frac_part(self.twist * Fraction(x), self.field.p)
         if n == 0:
             return self.coeff_ring.one()
-        ring = self.coeff_ring if self.coeff_ring.k >= n else \
-            CyclotomicRing(self.field.p, n)
+        ring = common_ring(self.coeff_ring, padic_ring(self.field.p, n))
         return ring.root_of_unity(self.field.p ** n) ** a
 
 

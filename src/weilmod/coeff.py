@@ -126,6 +126,15 @@ class CyclotomicRing(Ops):
         c[0] = q.numerator
         return Cyc(self, c, q.denominator)
 
+    @cached_property
+    def generator(self):
+        """The least r of order phi mod p^k: zeta -> zeta^r generates the
+        Galois group."""
+        n, phi = self.n, self.phi
+        return next(r for r in range(2, n)
+                    if all(pow(r, phi // f, n) != 1
+                           for f in _prime_factors(phi)))
+
     def zeta(self):
         return self.zeta_pow(1)
 
@@ -291,8 +300,12 @@ class Cyc:
     __rmul__ = __mul__
 
     def inv(self):
-        """Exact inverse in the fraction field: the product of the other
-        Galois conjugates over the rational norm."""
+        """Exact inverse in the fraction field: the product P of the other
+        Galois conjugates over the rational norm x P.  The Galois group is
+        cyclic, generated by s: zeta -> zeta^r, so P = s(Q) for Q the
+        product of s^i(x) over 0 <= i < phi - 1, built by doubling
+        (Q_2a = Q_a s^a(Q_a), Q_a+1 = x s(Q_a)): 2 log2(phi) products, not
+        phi - 2."""
         if self._inv is not None:
             return self._inv
         if self.is_zero():
@@ -301,10 +314,13 @@ class Cyc:
             r = self.ring.from_fraction(1 / self.as_fraction())
         else:
             ring = self.ring
-            num = ring.one()
-            for t in range(2, ring.n):
-                if t % ring.p:
-                    num = num * self.galois(t)
+            g, n = ring.generator, ring.n
+            q, a = self, 1
+            for bit in bin(ring.phi - 1)[3:]:
+                q, a = q * q.galois(pow(g, a, n)), 2 * a
+                if bit == "1":
+                    q, a = self * q.galois(g), a + 1
+            num = q.galois(g)
             r = num * (1 / (num * self).as_fraction())
         self._inv = r
         return r

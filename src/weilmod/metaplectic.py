@@ -321,7 +321,7 @@ class CountModel:
         g^-1's Y -> X and Y -> Y blocks).  A term of N is then table reads
         only; the field arithmetic left in a build is x_data's (is_symplectic
         on g, the nullspace of C, the echelon form of A ker C and one m x m
-        det), g^-1 and the j mat_vecs that form g^-1 lead.  No Bruhat
+        det) and g^-1, whose columns are g^-1 lead and g^-1 f_i.  No Bruhat
         decomposition is made."""
         cache = self.cache
         entry = cache.get(g)
@@ -335,11 +335,10 @@ class CountModel:
         if self._dot_exps is None:
             self._dot_exps, self._mults = self._point_tables()
         dots = self._dot_exps
-        ginv = space.inv(g)
-        ycols = linalg.transpose(ginv)[m:]     # the columns g^-1 f_i
+        cols = linalg.transpose(space.inv(g))   # the columns of g^-1
+        ycols = cols[m:]                        # g^-1 f_i
         lead = [space.basis_e(i)[:m] for i in n_idx]
-        pad = (0,) * m
-        lifted = [linalg.mat_vec(ginv, a + pad, ix) for a in lead]
+        lifted = [cols[i] for i in n_idx]       # g^-1 e_i
         reps = tuple(zip(self._image(lead),
                          self._image([v[:m] for v in lifted]),
                          self._image([v[m:] for v in lifted])))

@@ -1,20 +1,20 @@
 """The non-normalised Weil factor Omega_mu(psi o Q), over F_q and Q_p alike
 the product of the one-dimensional factors of a diagonalization (Gauss sums
-over F_q, stabilized lattice sums over Q_p) times the modulus of the change
-of coordinates.  Also the ratio factors Omega_{a,b}, the Hilbert-symbol
-identity, the Hasse product formula, the psi-normalized Fourier transform
-and its epsilon constants.
+over F_q; over Q_p a power of p, times the Gauss sum of F_p at an odd
+valuation) times the modulus of the change of coordinates.  Also the ratio
+factors Omega_{a,b}, the Hilbert-symbol identity, the Hasse product
+formula, the psi-normalized Fourier transform and its epsilon constants.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import linalg
-from .basefield import QpField, modulus, points
+from .basefield import (AdditiveCharacter, FqField, QpField, modulus,
+                        padic_ring, points)
 from .coeff import CyclotomicRing
-from .quadratic import QuadraticForm, hilbert, square_class
+from .quadratic import QuadraticForm, hilbert
 
 
 # ---------------------------------------------------------------------------
@@ -48,30 +48,27 @@ def gauss_sum(field, a, psi):
 # coefficient since psi_c(a x^2) = psi(c a x^2))
 # ---------------------------------------------------------------------------
 
-# one value per (p, square class tag): at most 4 per prime p
-_PADIC_CACHE = {}
-
-
 def omega1_padic(p, a):
-    """Omega_mu(psi o Q_a) over Q_p, level-0 psi, mu(Z_p) = 1.
+    """Omega_mu(psi o Q_a) over Q_p, level-0 psi, mu(Z_p) = 1: p^k for
+    val(a) = 2k and p^k g(u) for val(a) = 2k + 1, with u the residue of
+    a's unit part and g(u) the Gauss sum of F_p (Weil's index of
+    x -> psi(a x^2)).
 
-    a = s^2 u rep with rep the representative of a's square class, u a
-    unit square and val(s) = val(a) // 2, so Omega(Q_a) = |s|^-1 Omega(Q_rep)
-    (the s^2-identity); Omega(Q_rep) is a stabilized lattice sum, checked at
-    two consecutive depths."""
+    x = p^-k y scales mu by p^k and takes Q_a to Q_b, b = p^e u, e in
+    {0, 1}.  On the shell val(y) = -j with j > e, shifting y by t in Z_p
+    adds the phase 2 b y t, of valuation e - j < 0, and b t^2 in Z_p, so
+    the shell integrates to 0.  What is left is Z_p, where psi(b y^2) = 1,
+    for e = 0; for e = 1 it is p^-1 Z_p, where y = z/p gives
+    p * p^-1 sum over z mod p of zeta_p^(u z^2) = g(u)."""
     fld = QpField(p)
-    cls = square_class(fld, a)
-    key = (p, cls.tag)
-    w = _PADIC_CACHE.get(key)
-    if w is None:
-        r = fld.val(cls.rep)
-        n0 = (0 - r + 1) // 2 + 1  # ceil((cond - v)/2) + 1 at cond = 0
-        q_rep = QuadraticForm(fld, [[cls.rep]])
-        w = omega_brute_padic(q_rep, n0)
-        if w != omega_brute_padic(q_rep, n0 + 1):
-            raise RuntimeError("p-adic Weil factor failed to stabilize")
-        _PADIC_CACHE[key] = w
-    return w * Fraction(p) ** (fld.val(a) // 2)
+    k, e = divmod(fld.val(a), 2)
+    if e:
+        fp = FqField(p)
+        w = gauss_sum(fp, fld.unit_residue(a),
+                      AdditiveCharacter(fp, padic_ring(p)))
+    else:
+        w = CyclotomicRing(p).one()
+    return w * Fraction(p) ** k
 
 
 def omega1(field, psi, a):
@@ -107,48 +104,6 @@ def omega(q_form, psi, mass=1):
     for a in vals:
         acc = acc * omega1(field, psi, a)
     return acc * (mass * modulus(field, linalg.det(pt, field)))
-
-
-def omega_brute_padic(q_form, depth):
-    """Truncated lattice sum  int_{(p^-depth Z_p)^r} psi(Q(x)) dx  for the
-    level-0 psi and mu(Z_p^r) = 1, exact over (p^-depth Z_p / p^n' Z_p)^r
-    at a refinement n' making psi(Q(x)) constant.  In dimension 1 it is the
-    kernel of omega1_padic; in higher dimension an independent oracle."""
-    field = q_form.field
-    p = field.p
-    comp, gc = q_form.nondegenerate_part()
-    r = len(gc)
-    if r == 0:
-        return CyclotomicRing(p).one()
-    vmin = min(field.val(gc[i][j]) for i in range(r) for j in range(r)
-               if gc[i][j] != 0)
-    nprime = max(depth - vmin, (-vmin + 1) // 2, 0)
-    count = p ** (depth + nprime)
-    level = max(1, 2 * depth - vmin)
-    ring = CyclotomicRing(p, level)
-    pl = p ** level
-    counts = [0] * pl
-    # integer Gram scaled so Q(k/p^depth) = k^T C k mod p^level exactly
-    cmat = []
-    for row in gc:
-        crow = []
-        for x in row:
-            s = Fraction(x) * p ** (level - 2 * depth) if \
-                level >= 2 * depth else Fraction(x) / p ** (2 * depth - level)
-            if s.denominator % p == 0:
-                raise RuntimeError("level estimate too small")
-            crow.append((s.numerator * pow(s.denominator, -1, pl)) % pl)
-        cmat.append(crow)
-    for ks in itertools.product(range(count), repeat=r):
-        acc = 0
-        for i in range(r):
-            ki = ks[i]
-            row = cmat[i]
-            for j in range(r):
-                acc += ki * row[j] * ks[j]
-        counts[acc % pl] += 1
-    val = ring.element(counts)
-    return (val * Fraction(1, p ** (r * nprime))).compress()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import resource
 import subprocess
 import sys
 
@@ -419,6 +420,67 @@ def test_exhaustive_pair_cap_is_checked_before_listing(path, field, admitted,
         assert err == ("error: --exhaustive over F_%d has %d pairs, above "
                        "the cap of 1000000; reduce q\n"
                        % (q, (q * (q * q - 1)) ** 2))
+
+
+def run_cli_limited(*args):
+    """One query in a child process limited to 1 GiB of address space (the
+    limit is set in the child only) and 60 s."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    return subprocess.run([sys.executable, "-m", "weilmod.cli", *args],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit)
+
+
+def test_padic_queries_at_p101_answer():
+    # Omega over Q_101 from the Gauss sum of F_101: the lattice sum it
+    # replaced ended both queries in a MemoryError with exit 1
+    from weilmod.basefield import QpField
+    from weilmod.heisenberg import SympSpace
+    from weilmod.metaplectic import cocycle_formula
+    from weilmod.weilfactor import omega1_padic
+    proc = run_cli_limited("omega", "--field", "qp:101", "--form", "diag:1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == \
+        cli.scalar_json(omega1_padic(101, 1))
+    proc = run_cli_limited("cocycle", "--field", "qp:101", "--m", "1",
+                           "--g1", "1,0,0,1", "--g2", "0,-1,1,0",
+                           "--path", "operator")
+    assert proc.returncode == 0, proc.stderr
+    ident, w = ((1, 0), (0, 1)), ((0, -1), (1, 0))
+    assert json.loads(proc.stdout) == {
+        "path": "operator",
+        "value": cocycle_formula(SympSpace(QpField(101), 1), ident, w)}
+
+
+def _operator(field, g1):
+    return ["cocycle", "--field", field, "--m", "1", "--g1", g1,
+            "--g2", "0,-1,1,0", "--path", "operator"]
+
+
+@pytest.mark.parametrize("argv,admitted", [
+    # an odd valuation needs the Gauss sum of F_p in Z[zeta_p]: p = 727 is
+    # admitted and p = 1009 refused
+    (["omega", "--field", "qp:727", "--form", "diag:727"], True),
+    (["omega", "--field", "qp:1009", "--form", "diag:1009"], False),
+    (_operator("qp:727", "1,0,1/727,1"), True),
+    (_operator("qp:1009", "1,0,1/1009,1"), False),
+    # deeper entries need psi at level k: 3^6 is admitted, 3^7 and 101^2
+    # refused
+    (_operator("qp:3", "1,0,1/729,1"), True),
+    (_operator("qp:3", "1,0,1/2187,1"), False),
+    (_operator("qp:101", "1,0,1/10201,1"), False)])
+def test_padic_order_cap(argv, admitted, capsys):
+    from weilmod.basefield import MAX_PADIC_ORDER
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if admitted:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and \
+            err.endswith("above the cap MAX_PADIC_ORDER = %d\n"
+                         % MAX_PADIC_ORDER)
 
 
 def test_selfcheck_fails_loudly_under_O():

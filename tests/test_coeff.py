@@ -206,17 +206,33 @@ def test_equal_scalars_hash_equal():
     assert len({x, 1, FqField(3).element(4)}) == 2
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
-def test_cyc_inverse_norm_path(p, k):
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3),
+                                 (31, 1), (5, 3)])
+def test_cyc_inverse_norm_path(p, k, monkeypatch):
     # the Galois-norm inverse against the defining identity x x^-1 = 1, on
-    # seeded elements with denominators and on every root of unity
+    # seeded elements with denominators and on every root of unity;
+    # zeta -> zeta^generator generates the Galois group, and an inverse
+    # takes at most 2 log2(phi) + 1 products (phi - 1 before doubling)
     ring = CyclotomicRing(p, k)
+    assert len({pow(ring.generator, i, ring.n)
+                for i in range(ring.phi)}) == ring.phi
+    products = []
+    real_mul = Cyc.__mul__
+
+    def mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
     rng = random.Random(100 * p + k)
     for _ in range(80):
         x = ring.element([rng.randrange(-9, 10) for _ in range(ring.phi)],
                          den=rng.randrange(1, 9))
         if not x.is_zero():
-            assert x * x.inv() == 1
+            products.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(Cyc, "__mul__", mul)
+                y = x.inv()
+            assert len(products) <= 2 * ring.phi.bit_length() + 1
+            assert x * y == 1
     for e in range(ring.n):
         z = ring.zeta_pow(e)
         assert z * z.inv() == 1 and z.inv() == ring.zeta_pow(-e)

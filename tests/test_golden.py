@@ -34,6 +34,9 @@ GOLDEN = [
      0, "501eced6e66ad8e0ef3edc42f77b75cbbc8014097ab61f199c825ab3ddb8b3f6"),
     (["cocycle", "--field", "qp:5", "--m", "1", *QP_G, "--path", "operator"],
      0, "5b4a8deef39e6cf62ed8532da5ba878dad410094405a298b2b1c37e3538a049d"),
+    (["cocycle", "--field", "qp:101", "--m", "1", "--g1", "1,0,0,1",
+      "--g2", "0,-1,1,0", "--path", "operator"], 0,
+     "e4e8c355226d6edbb16c4d0179b0af835433bbb4e0bb604cd5562707c4867ec4"),
     (["weilrep", "--field", "fq:3:1", "--m", "1"], 0,
      "6c5f5608d89e02be29cdce0fb4895f24a544a0f21db6172d76013fb2b5d1b8fb"),
     (["theta", "--field", "fq:3:1", "--V", "diag:1", "--mprime", "1",

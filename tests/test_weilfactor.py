@@ -9,12 +9,54 @@ from conftest import random_form, random_unit
 from weilmod import linalg
 from weilmod.basefield import AdditiveCharacter, FqField, QpField
 from weilmod.coeff import Cyc, CyclotomicRing, FiniteField
-from weilmod.quadratic import QuadraticForm, hilbert
+from weilmod.quadratic import QuadraticForm, hilbert, square_class
 from weilmod.weilfactor import (classical_weil_factor, convolution, epsilon,
                                 fourier_matrix, fourier_normalizer,
                                 gauss_sum, hilbert_via_omega, omega,
-                                omega1, omega1_padic, omega_brute_padic,
+                                omega1, omega1_padic,
                                 omega_diag_product, omega_ratio)
+
+
+def omega_brute_padic(q_form, depth):
+    """Truncated lattice sum  int_{(p^-depth Z_p)^r} psi(Q(x)) dx  for the
+    level-0 psi and mu(Z_p^r) = 1, exact over (p^-depth Z_p / p^n' Z_p)^r
+    at a refinement n' making psi(Q(x)) constant: the reference of
+    omega1_padic's closed form, and in higher dimension of omega."""
+    field = q_form.field
+    p = field.p
+    comp, gc = q_form.nondegenerate_part()
+    r = len(gc)
+    if r == 0:
+        return CyclotomicRing(p).one()
+    vmin = min(field.val(gc[i][j]) for i in range(r) for j in range(r)
+               if gc[i][j] != 0)
+    nprime = max(depth - vmin, (-vmin + 1) // 2, 0)
+    count = p ** (depth + nprime)
+    level = max(1, 2 * depth - vmin)
+    ring = CyclotomicRing(p, level)
+    pl = p ** level
+    counts = [0] * pl
+    # integer Gram scaled so Q(k/p^depth) = k^T C k mod p^level exactly
+    cmat = []
+    for row in gc:
+        crow = []
+        for x in row:
+            s = Fraction(x) * p ** (level - 2 * depth) if \
+                level >= 2 * depth else Fraction(x) / p ** (2 * depth - level)
+            if s.denominator % p == 0:
+                raise RuntimeError("level estimate too small")
+            crow.append((s.numerator * pow(s.denominator, -1, pl)) % pl)
+        cmat.append(crow)
+    for ks in itertools.product(range(count), repeat=r):
+        acc = 0
+        for i in range(r):
+            ki = ks[i]
+            row = cmat[i]
+            for j in range(r):
+                acc += ki * row[j] * ks[j]
+        counts[acc % pl] += 1
+    val = ring.element(counts)
+    return (val * Fraction(1, p ** (r * nprime))).compress()
 
 
 def _psi(field, ring=None):
@@ -178,6 +220,37 @@ def test_hilbert_identity_padic(rng):
             a = random_unit(fld, rng)
             b = random_unit(fld, rng)
             assert hilbert_via_omega(fld, psi, a, b) == hilbert(fld, a, b)
+
+
+def test_hilbert_identity_padic_large_prime():
+    # all 16 pairs of Q_101's square-class representatives: the lattice sum
+    # the closed form replaced needed a counts list of 101^4 entries
+    fld = QpField(101)
+    psi = _psi(fld)
+    u0 = fld.nonresidue()
+    reps = [Fraction(1), Fraction(u0), Fraction(101), Fraction(101 * u0)]
+    for a, b in itertools.product(reps, repeat=2):
+        assert hilbert_via_omega(fld, psi, a, b) == hilbert(fld, a, b)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_omega1_padic_closed_form_matches_lattice_sum(p):
+    # every square class at every valuation v in -3..3: the closed form
+    # against the lattice sum on the class representative, stable at two
+    # depths, times p^(v // 2) (the s^2-identity)
+    fld = QpField(p)
+    for v in range(-3, 4):
+        for u in (1, fld.nonresidue()):
+            a = u * Fraction(p) ** v
+            rep = square_class(fld, a).rep
+            q = QuadraticForm(fld, [[rep]])
+            depth = (-fld.val(rep) + 1) // 2 + 1
+            ref = omega_brute_padic(q, depth)
+            assert ref == omega_brute_padic(q, depth + 1)
+            ref = ref * Fraction(p) ** (v // 2)
+            got = omega1_padic(p, a)
+            assert (got.ring, got.coeffs, got.den) == \
+                (ref.ring, ref.coeffs, ref.den)
 
 
 def test_omega_brute_oracle_2dim():
