@@ -21,19 +21,20 @@ class InputError(ValueError):
     """A malformed descriptor or argument; the CLI exits 2 on it."""
 
 
-# the largest order p^k of the roots of unity zeta_{p^k} a Q_p value may
-# hold: a product in Z[zeta_{p^k}] costs up to phi(p^k)^2 steps.  It admits
-# Q_727 at level 1 (operator cocycles of g with entries 1/727 took up to
-# 3.3 s, against 11.5 s at p = 997), Q_5 at level 4 and Q_3 at level 6
+# the largest order p^k of the roots of unity zeta_{p^k} a Q_p value (or,
+# at k = 1, an F_q character) may hold: a product costs up to phi(p^k)^2
+# steps.  It admits Q_727 at level 1 (operator cocycles of g with entries
+# 1/727 took up to 3.3 s, against 11.5 s at p = 997), Q_5 at level 4, Q_3
+# at level 6 and omega over fq:251:2 (1.4 s; fq:10007 ran past 15 s)
 MAX_PADIC_ORDER = 729
 
 
 def padic_ring(p, k=1):
-    """Z[zeta_{p^k}], where Q_p values of level k live; p^k above
-    MAX_PADIC_ORDER is refused (InputError)."""
+    """Z[zeta_{p^k}], where Q_p values of level k (and F_q's characters at
+    k = 1) live; p^k above MAX_PADIC_ORDER is refused (InputError)."""
     if p ** k > MAX_PADIC_ORDER:
-        raise InputError("Q_p values here need roots of unity of order "
-                         "%d^%d, above the cap MAX_PADIC_ORDER = %d"
+        raise InputError("values here need roots of unity of order %d^%d, "
+                         "above the cap MAX_PADIC_ORDER = %d"
                          % (p, k, MAX_PADIC_ORDER))
     return CyclotomicRing(p, k)
 
@@ -263,7 +264,7 @@ class AdditiveCharacter:
         self.field = field
         self.flavor = field.flavor
         if self.flavor == "finite":
-            self.coeff_ring = coeff_ring or CyclotomicRing(field.p)
+            self.coeff_ring = coeff_ring or padic_ring(field.p)
             self.twist = field.element(twist)
             if self.twist.i == 0:
                 raise ValueError("twist must be nonzero")

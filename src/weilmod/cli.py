@@ -18,9 +18,8 @@ from .basefield import (AdditiveCharacter, InputError, parse_character,
 from .coeff import Cyc, FFElt, FiniteField
 from .heisenberg import SympSpace, SchrodingerModel, delta, central
 from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
-                          cocycle_operator, enumerate_sp2,
-                          first_nontrivial_pair, leray_decompose,
-                          leray_x_classes, sigma, x_invariant)
+                          cocycle_operator, enumerate_sp2, formula_report,
+                          first_nontrivial_pair, sigma, x_invariant)
 from .quadratic import QuadraticForm, hilbert
 from .schwartz import cocycle_operator_padic
 from .weilfactor import omega
@@ -241,15 +240,10 @@ def cmd_cocycle(args):
             value = 1 if c == one else (-1 if c == -one
                                         else scalar_json(c, args.approx))
         return {"value": value, "path": "operator"}
-    ld = leray_decompose(space, g1, g2)
-    val = cocycle_formula(space, g1, g2, rao=args.rao, leray=ld)
-    x1, x2, _ = leray_x_classes(space, ld)
-    return {"value": val,
-            "path": "formula",
+    ld, val, x1, x2 = formula_report(space, g1, g2, rao=args.rao)
+    return {"value": val, "path": "formula", "x_g1": x1.tag, "x_g2": x2.tag,
             "leray": {"S": list(ld.s), "S1": list(ld.s1), "S2": list(ld.s2),
-                      "rho": matrix_str(ld.rho)},
-            "x_g1": x1.tag,
-            "x_g2": x2.tag}
+                      "rho": matrix_str(ld.rho)}}
 
 
 def cmd_weilrep(args):

@@ -1,6 +1,6 @@
 """Bruhat decomposition and x(g), the normalized measures mu_g, the section
 sigma on the Schrödinger model, the metaplectic 2-cocycle (operator path over
-finite F, closed-form path via Leray data over any F), and M[g].
+finite F, closed form from invariants over any F), Leray data, and M[g].
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .basefield import points
+from .coeff import FiniteField
 from .heisenberg import SchrodingerModel, SympSpace, coset_reps, delta
 from .quadratic import QuadraticForm, hilbert, square_class
 from .weilfactor import gauss_sum, omega_ratio
@@ -71,11 +72,9 @@ def bruhat_decompose(space, g):
     field's index view) and p1, p2 come back as FFElt matrices.  A g that
     is not symplectic fails a check (RuntimeError naming g): a caller
     with outside input tests it first, as the CLI does."""
-    if space.field.flavor != "finite":
-        return _bruhat(space, g)
-    ix = space.field.indices
-    bd = _bruhat(SympSpace(ix, space.m), ix.lower(g))
-    return BruhatData(bd.j, ix.lift(bd.p1), ix.lift(bd.p2))
+    sp, (h,) = _lowered(space, g)
+    bd = _bruhat(sp, h)
+    return bd if sp is space else BruhatData(bd.j, *map(sp.field.lift, bd[1:]))
 
 
 def _bruhat(space, g):
@@ -131,30 +130,22 @@ def _bruhat(space, g):
 
 
 def x_data(space, g):
-    """(N, d) for g = [[A, B], [C, D]] in Sp(space), in the scalars of
-    space.field: N lists the j = rank C indices that are not pivots of
-    A ker C, as _bruhat picks them (p1's first j columns are e_i for i in
-    N), and d = det M, where row i of M is row i of C for i in N and row
-    i of A otherwise.  x(g) is the square class of d.
-
-    Write g = p1 w_S p2 as _bruhat does, with S = {0, .., j-1}, p1 =
-    [[U, U S], [0, U^-T]] and p2 = [[V, V T], [0, V^-T]].  With E the
-    projection onto the coordinates in S and E' = I - E, A = U (E' + S E) V
-    and C = U^-T E V.  U is e_i for i in N, then -b_f for each pivot f of
-    A ker C, with b_f 1 at f and 0 at the other pivots.  Order the rows N
-    first: U becomes [[I_j, -B], [0, -I]], an involution, so the rows N of
-    U^-T E are [I_j | 0] and the rows off N of U (E' + S E) are
-    [-S[j:, :j] | -I].  Hence M = [[I_j, 0], [-S[j:, :j], -I]] V in that
-    row order, and det M = det U det V = det_X(p1) det_X(p2) exactly; its
-    square class does not depend on the decomposition (Rao).  M x = 0
-    says that g (x, 0) lies in span(e_i for i in N, f_i for i not in N),
-    so d != 0 exactly when gX meets that Lagrangian in 0, as it does for
-    every symplectic g.  The input check is is_symplectic(g); a zero d
-    after it is a bug, refused as a failed check (RuntimeError naming
-    g)."""
-    field = space.field
-    if not space.is_symplectic(g):
+    """(N, d) for g = [[A, B], [C, D]] in Sp(space): N lists the j = rank C
+    indices that are not pivots of A ker C, as _bruhat picks them, and d =
+    det M, row i of M being row i of C for i in N and of A otherwise: x(g)
+    is the class of d = det_X(p1) det_X(p2) for _bruhat's g = p1 w_j p2
+    (README).  g is checked (is_symplectic) and a zero d refused, each a
+    failed check naming g; over F_q on raw indices, d lifted at return."""
+    sp, (h,) = _lowered(space, g)
+    if not sp.is_symplectic(h):
         raise RuntimeError("x(g): g = %s is not symplectic" % (g,))
+    n_idx, d = _x_parts(sp, h)
+    return n_idx, (d if sp is space else space.field.element(d))
+
+
+def _x_parts(space, g):
+    """x_data's (N, d) in space.field's scalars, g checked by the caller."""
+    field = space.field
     a, _, c, _ = space.blocks(g)
     pivots = _echelon_kernel_image(a, linalg.nullspace(c, field), field)
     n_idx = [i for i in range(space.m) if i not in pivots]
@@ -163,6 +154,14 @@ def x_data(space, g):
     if not d:
         raise RuntimeError("x(g): det M = 0 for g = %s" % (g,))
     return n_idx, d
+
+
+def _lowered(space, *gs):
+    """(space, gs) over F_q's index view on F_q, else as given."""
+    if not isinstance(space.field, FiniteField):
+        return space, gs
+    ix = space.field.indices
+    return SympSpace(ix, space.m), tuple(ix.lower(g) for g in gs)
 
 
 def x_invariant(space, g):
@@ -669,18 +668,14 @@ def m_bracket(ctx, g):
 
 def leray_decompose(space, g1, g2):
     """Leray data: g1 = p1 w_{S u S1} u_rho p^{-1}, g2 = p w_{S u S2} p2,
-    built deterministically from the triple (X, g1^{-1}X, g2 X).  Over F_q
-    the decomposition runs on raw field indices (_leray on the space over
-    the field's index view) and rho, p, p1, p2 come back as FFElt
-    matrices.  A g1 or g2 that is not symplectic fails a check
-    (RuntimeError naming both): a caller with outside input tests them
-    first, as the CLI does."""
-    if space.field.flavor != "finite":
-        return _leray(space, g1, g2)
-    ix = space.field.indices
-    ld = _leray(SympSpace(ix, space.m), ix.lower(g1), ix.lower(g2))
-    return ld._replace(rho=ix.lift(ld.rho), p=ix.lift(ld.p),
-                       p1=ix.lift(ld.p1), p2=ix.lift(ld.p2))
+    built deterministically from the triple (X, g1^{-1}X, g2 X), on raw
+    indices over F_q (rho, p, p1, p2 come back as FFElt matrices).  A g1 or
+    g2 that is not symplectic fails a check (RuntimeError naming both): a
+    caller with outside input tests them first, as the CLI does."""
+    sp, gs = _lowered(space, g1, g2)
+    ld = _leray(sp, *gs)
+    return ld if sp is space else LerayData(*ld[:3],
+                                            *map(sp.field.lift, ld[3:]))
 
 
 def _leray(space, g1, g2):
@@ -821,54 +816,61 @@ def _leray(space, g1, g2):
 # closed-form cocycle
 # ---------------------------------------------------------------------------
 
-def cocycle_w_u_rho(space, rho):
-    """c^(w_S u_rho, w_S) = (-2, det Q)_F h_F(Q) for Q(x) = x^T rho x."""
-    field = space.field
-    if not rho:
-        return 1
-    q = QuadraticForm(field, rho)
-    d = linalg.det(linalg.mat(rho), field)
-    two = field.element(2)
-    return hilbert(field, -two, d) * q.hasse()
+def cocycle_formula(space, g1, g2, rao=False):
+    """Rao's closed form of the cocycle (Pacific J. Math. 157 (1993);
+    Perrin, LNM 880 (1981)) from invariants of g1, g2 and g1 g2, with no
+    decomposition (README).  g1 and g2 are checked once each (RuntimeError
+    naming both).  Over F_q, on raw indices, every Hilbert symbol is 1:
+    the value is 1 once the three x_data d are nonzero."""
+    sp, (a, b) = _lowered(space, g1, g2)
+    if not (sp.is_symplectic(a) and sp.is_symplectic(b)):
+        raise RuntimeError("cocycle: g1 = %s or g2 = %s is not symplectic"
+                           % (g1, g2))
+    return _cocycle(space.field, sp, a, b, rao)[0]
 
 
-def leray_x_classes(space, ld):
-    """(x(g1), x(g2), x(g1 g2)) read off the Leray factors: g2 = p w_2 p2
-    and g1 = p1 w_1 (u_rho p^-1) are Bruhat factorizations (u_rho is in
-    P(X)), and g1 g2 = p1 (w_1 u_rho w_2) p2 with x(w_1 u_rho w_2) =
-    (-1)^|S1 cap S2| det rho (det rho = 1 for S empty)."""
-    field = space.field
-    dp, dp1, dp2 = (space.det_x(h) for h in (ld.p, ld.p1, ld.p2))
-    mid = -field.one() if len(set(ld.s1) & set(ld.s2)) % 2 else field.one()
-    if ld.s:
-        mid = mid * linalg.det(linalg.mat(ld.rho), field)
-    return (square_class(field, dp1 * dp), square_class(field, dp * dp2),
-            square_class(field, dp1 * dp2 * mid))
+def _cocycle(field, space, g1, g2, rao):
+    """(cocycle_formula's value, d1, d2), in the scalars of `space`: (x1,
+    x2) (x1 x2, -x12) (-1, -1)^(l(l+1)/2) (-1, det rho)^l (-2, det rho)
+    h(rho), times (2, x1 x2 x12) when rao."""
+    g12 = linalg.mat_mul(g1, g2, space.field)
+    (_, d1), (_, d2), (n12, d12) = map(partial(_x_parts, space),
+                                       (g1, g2, g12))
+    if field.flavor == "finite":
+        return 1, d1, d2
+    l, form = _leray_invariants(space, g1, g2, g12, len(n12))
+    det, one, two = form.det_square_class().rep, field.one(), field.element(2)
+    val = hilbert(field, d1, d2) * hilbert(field, d1 * d2, -d12) * \
+        hilbert(field, -one, -one) ** ((l * (l + 1)) // 2) * \
+        hilbert(field, -one, det) ** l * hilbert(field, -two, det) * \
+        form.hasse() * (hilbert(field, two, d1 * d2 * d12) if rao else 1)
+    return val, d1, d2
 
 
-def cocycle_formula(space, g1, g2, rao=False, leray=None):
-    """The general closed form via Leray data; +-1 valued, trivial over
-    finite F.  x(g1), x(g2) and x(g1 g2) come from the Leray factors
-    (leray_x_classes), so no Bruhat decomposition is made; a given `leray`
-    must be leray_decompose(space, g1, g2)."""
-    field = space.field
-    ld = leray or leray_decompose(space, g1, g2)
-    x1, x2, x12 = (x.rep for x in leray_x_classes(space, ld))
-    l = len(set(ld.s1) & set(ld.s2))
-    val = hilbert(field, x1, x2)
-    val *= hilbert(field, x1 * x2, -x12)
-    mone = -field.one()
-    val *= hilbert(field, mone, mone) ** ((l * (l + 1)) // 2)
-    if ld.s:
-        detc = linalg.det(linalg.mat(ld.rho), field)
-        if l % 2:
-            val *= hilbert(field, mone, detc)
-        val *= cocycle_w_u_rho(space, ld.rho)
-    if rao:
-        two = field.element(2)
-        val *= hilbert(field, two, x1) * hilbert(field, two, x2) * \
-            hilbert(field, two, x12)
-    return val
+def _leray_invariants(space, g1, g2, g12, j12):
+    """(l, q) for g12 = g1 g2, j12 = rank C12: l = |S1 cap S2| = rank
+    [C12; C2] - j12, and q(k; y) = -(A2 k - D1^T y) . (C1^T y) on C2 k +
+    C1^T y = 0, whose nondegenerate part is isometric to rho (README)."""
+    fld, m = space.field, space.m
+    _, _, c1, d1 = space.blocks(g1)
+    a2, _, c2, _ = space.blocks(g2)
+    l = len(linalg.rref(space.blocks(g12)[2] + c2, fld)[1]) - j12
+    c1t = linalg.transpose(c1)
+    kernel = linalg.nullspace([r + s for r, s in zip(c2, c1t)], fld)
+    left = [r + fld.neg(s) for r, s in zip(a2, linalg.transpose(d1))]
+    ab = [(linalg.mat_vec(left, z, fld), linalg.mat_vec(c1t, z[m:], fld))
+          for z in kernel]     # q(sum t_i z_i) = -sum t_i t_j a_i . b_j
+    return l, QuadraticForm(fld, [[-(fld.dot(a, bj) + fld.dot(aj, b)) / 2
+                                   for aj, bj in ab] for a, b in ab])
+
+
+def formula_report(space, g1, g2, rao=False):
+    """(leray_decompose's data, cocycle_formula's value, x(g1), x(g2)) for
+    the CLI: leray_decompose's is the one check of g1 and g2."""
+    ld = leray_decompose(space, g1, g2)
+    sp, (a, b) = _lowered(space, g1, g2)
+    val, d1, d2 = _cocycle(space.field, sp, a, b, rao)
+    return (ld, val) + tuple(square_class(space.field, d) for d in (d1, d2))
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,11 @@ def omega1_padic(p, a):
     k, e = divmod(fld.val(a), 2)
     if e:
         fp = FqField(p)
-        w = gauss_sum(fp, fld.unit_residue(a),
-                      AdditiveCharacter(fp, padic_ring(p)))
+        u = fp.element(fld.unit_residue(a))
+        # gauss_sum's key: psi (p - 1 products) is built for a new sum only
+        w = _GAUSS_CACHE.get((fp, u, fp.one(), padic_ring(p)))
+        if w is None:
+            w = gauss_sum(fp, u, AdditiveCharacter(fp))
     else:
         w = CyclotomicRing(p).one()
     return w * Fraction(p) ** k

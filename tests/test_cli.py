@@ -422,14 +422,32 @@ def test_exhaustive_pair_cap_is_checked_before_listing(path, field, admitted,
                        % (q, (q * (q * q - 1)) ** 2))
 
 
-def run_cli_limited(*args):
+def run_cli_limited(*args, timeout=60):
     """One query in a child process limited to 1 GiB of address space (the
-    limit is set in the child only) and 60 s."""
+    limit is set in the child only) and `timeout` seconds."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
     return subprocess.run([sys.executable, "-m", "weilmod.cli", *args],
-                          capture_output=True, text=True, timeout=60,
+                          capture_output=True, text=True, timeout=timeout,
                           preexec_fn=limit)
+
+
+@pytest.mark.parametrize("field, admitted", [
+    ("fq:727:1", True), ("fq:3001:1", False), ("fq:10007:1", False)])
+def test_finite_gauss_sum_cap(field, admitted):
+    # psi over F_q takes its values in Z[zeta_p], whose p is capped as the
+    # Q_p rings are: omega over fq:3001 took 1.6 s, and over fq:10007 it
+    # ran past 15 s, mostly on psi's table of p powers of zeta_p
+    from weilmod.basefield import MAX_PADIC_ORDER
+    proc = run_cli_limited("omega", "--field", field, "--form", "diag:1",
+                           timeout=10)
+    if admitted:
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.endswith(
+            "above the cap MAX_PADIC_ORDER = %d\n" % MAX_PADIC_ORDER)
 
 
 def test_padic_queries_at_p101_answer():
@@ -495,6 +513,31 @@ def test_selfcheck_fails_loudly_under_O():
     assert ok is False
     line = [r for r in report if "hilbert-three-paths" in r][0]
     assert line.startswith("FAIL") and "got 0, want" in line
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["cocycle", "--field", "qp:5", "--m", "1", "--g1", "1,0,5,1",
+      "--g2", "0,-1,1,0"], 5),
+    (["cocycle", "--field", "fq:3:2", "--m", "1", "--g1", "1,0,1,1",
+      "--g2", "0,2,1,0", "--rao"], 5),
+    (["bruhat", "--field", "fq:3:1", "--m", "1", "--g", "1,0,1,1"], 4),
+    (["bruhat", "--field", "qp:5", "--m", "1", "--g", "1,0,5,1"], 4)])
+def test_queries_check_each_g_as_often_as_before(argv, checks, monkeypatch,
+                                                 capsys):
+    # the formula query: the CLI's input check and Leray's of g1 and g2,
+    # and Leray's of its factor p; its value and x classes add none.
+    # bruhat: the CLI's, Bruhat's of g and of p1, and x_data's
+    from weilmod.heisenberg import SympSpace
+    seen = []
+    real = SympSpace.is_symplectic
+
+    def counted(self, g):
+        seen.append(g)
+        return real(self, g)
+    monkeypatch.setattr(SympSpace, "is_symplectic", counted)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) == checks
 
 
 def test_bruhat_decomposes_once(monkeypatch, capsys):
@@ -711,7 +754,7 @@ def test_rao_changes_the_padic_formula_answer(capsys):
 def test_exhaustive_formula_passes_rao(monkeypatch, capsys):
     seen = []
 
-    def recorded(space, g1, g2, rao=False, leray=None):
+    def recorded(space, g1, g2, rao=False):
         seen.append(rao)
         return 1
     monkeypatch.setattr(cli, "cocycle_formula", recorded)

@@ -14,8 +14,7 @@ from weilmod.heisenberg import (SympSpace, central, coset_reps, delta,
                                 SchrodingerModel)
 from weilmod.metaplectic import (WeilContext, bruhat_decompose,
                                  cocycle_formula, cocycle_operator,
-                                 cocycle_w_u_rho, enumerate_sp2,
-                                 leray_decompose, leray_x_classes, m_bracket,
+                                 enumerate_sp2, leray_decompose, m_bracket,
                                  mu_g_scalar, random_symplectic, scalar_ratio, sigma,
                                  split_checks, x_invariant)
 from weilmod.quadratic import QuadraticForm, hilbert, square_class
@@ -283,7 +282,8 @@ def test_x_data_refuses_zero_det_as_a_check(monkeypatch):
         sp = SympSpace(field, 1)
         zero = fmat(field, [[0, 0], [0, 0]])
         with monkeypatch.context() as mp:
-            mp.setattr(sp, "is_symplectic", lambda g: True)
+            # on the class: over F_q x_data checks on the index view
+            mp.setattr(SympSpace, "is_symplectic", lambda self, g: True)
             with pytest.raises(RuntimeError, match=r"det M = 0 for g = "):
                 metaplectic.x_data(sp, zero)
 
@@ -1754,10 +1754,11 @@ def test_leray_refuses_non_symplectic_as_a_check():
         sp = SympSpace(field, 1)
         bad = fmat(field, [[2, 0], [0, 1]])
         for g1, g2 in ((bad, sp.identity()), (sp.identity(), bad)):
-            for run in (leray_decompose, cocycle_formula):
+            for run, name in ((leray_decompose, "Leray"),
+                              (cocycle_formula, "cocycle")):
                 with pytest.raises(RuntimeError,
-                                   match=r"Leray: g1 = .* or g2 = .* is "
-                                         "not symplectic"):
+                                   match=r"%s: g1 = .* or g2 = .* is "
+                                         "not symplectic" % name):
                     run(sp, g1, g2)
 
 
@@ -1775,6 +1776,194 @@ def test_symp_inv_matches_mat_inv():
               for _ in range(200)]
     for sp, g in cases:
         assert sp.inv(g) == linalg.mat_inv(g, sp.field)
+
+
+# the closed form read off a Leray factorization, as cocycle_formula
+# computed it before it read the invariants off the blocks of g1, g2 and
+# g1 g2: the reference value
+
+def cocycle_w_u_rho(space, rho):
+    """c^(w_S u_rho, w_S) = (-2, det Q)_F h_F(Q) for Q(x) = x^T rho x."""
+    field = space.field
+    if not rho:
+        return 1
+    q = QuadraticForm(field, rho)
+    d = linalg.det(linalg.mat(rho), field)
+    two = field.element(2)
+    return hilbert(field, -two, d) * q.hasse()
+
+
+def leray_x_classes(space, ld):
+    """(x(g1), x(g2), x(g1 g2)) read off the Leray factors: g2 = p w_2 p2
+    and g1 = p1 w_1 (u_rho p^-1) are Bruhat factorizations (u_rho is in
+    P(X)), and g1 g2 = p1 (w_1 u_rho w_2) p2 with x(w_1 u_rho w_2) =
+    (-1)^|S1 cap S2| det rho (det rho = 1 for S empty)."""
+    field = space.field
+    dp, dp1, dp2 = (space.det_x(h) for h in (ld.p, ld.p1, ld.p2))
+    mid = -field.one() if len(set(ld.s1) & set(ld.s2)) % 2 else field.one()
+    if ld.s:
+        mid = mid * linalg.det(linalg.mat(ld.rho), field)
+    return (square_class(field, dp1 * dp), square_class(field, dp * dp2),
+            square_class(field, dp1 * dp2 * mid))
+
+
+def cocycle_formula_reference(space, g1, g2):
+    """(c, c_rao, l): the closed form without and with Rao's normalization,
+    from x(g1), x(g2), x(g1 g2), l = |S1 cap S2| and rho of
+    leray_decompose(space, g1, g2)."""
+    field = space.field
+    ld = leray_decompose(space, g1, g2)
+    x1, x2, x12 = (x.rep for x in leray_x_classes(space, ld))
+    l = len(set(ld.s1) & set(ld.s2))
+    val = hilbert(field, x1, x2)
+    val *= hilbert(field, x1 * x2, -x12)
+    mone = -field.one()
+    val *= hilbert(field, mone, mone) ** ((l * (l + 1)) // 2)
+    if ld.s:
+        detc = linalg.det(linalg.mat(ld.rho), field)
+        if l % 2:
+            val *= hilbert(field, mone, detc)
+        val *= cocycle_w_u_rho(space, ld.rho)
+    two = field.element(2)
+    return val, val * hilbert(field, two, x1) * hilbert(field, two, x2) * \
+        hilbert(field, two, x12), l
+
+
+def _acceptance_6_pairs():
+    """The four cocycle_formula pairs of each of acceptance 6's 1,221
+    triples, drawn as that test draws them."""
+    rng = random.Random(106)
+    for p in (3, 5, 7):
+        for m, count in ((1, 340), (2, 67)):
+            sp = SympSpace(QpField(p), m)
+            for _ in range(count):
+                g1, g2, g3 = (random_symplectic(sp, rng, length=5, scale=2)
+                              for _ in range(3))
+                yield sp, g1, g2
+                yield sp, linalg.mat_mul(g1, g2, sp.field), g3
+                yield sp, g1, linalg.mat_mul(g2, g3, sp.field)
+                yield sp, g2, g3
+
+
+def _differential_pairs():
+    # acceptance 6's triples, seeded pairs over Q_3, Q_5 and Q_7 at m = 1..3
+    # with w_all and the identity among them, and all of Sp2(F_3) x Sp2(F_5)
+    yield from _acceptance_6_pairs()
+    rng = random.Random(38)
+    for p in (3, 5, 7):
+        for m, count in ((1, 60), (2, 40), (3, 20)):
+            sp = SympSpace(QpField(p), m)
+            w = sp.w_subset(set(range(m)))
+            yield sp, w, w
+            yield sp, sp.identity(), w
+            for _ in range(count):
+                yield sp, random_symplectic(sp, rng, length=6, scale=2), \
+                    random_symplectic(sp, rng, length=6, scale=2)
+    for q in (3, 5):
+        sp = SympSpace(FqField(q), 1)
+        group = enumerate_sp2(sp)
+        for g1 in group:
+            for g2 in group:
+                yield sp, g1, g2
+
+
+def test_cocycle_formula_matches_leray_reference():
+    # the value from the invariants equals the one read off the Leray
+    # factors, with and without Rao's normalization; over Q_p both signs
+    # and an odd |S1 cap S2| must occur, or a factor goes untested
+    seen, odd_l, counts = set(), 0, {"padic": 0, "finite": 0}
+    for sp, g1, g2 in _differential_pairs():
+        want, want_rao, l = cocycle_formula_reference(sp, g1, g2)
+        got = cocycle_formula(sp, g1, g2)
+        assert got == want, (sp.field, g1, g2)
+        flavor = sp.field.flavor
+        if flavor == "padic":   # over F_q every symbol is 1
+            assert cocycle_formula(sp, g1, g2, rao=True) == want_rao, \
+                (sp.field, g1, g2)
+        seen.add((flavor, got))
+        counts[flavor] += 1
+        odd_l += flavor == "padic" and l % 2
+    assert counts == {"padic": 4 * 1221 + 3 * (62 + 42 + 22),
+                      "finite": 24 ** 2 + 120 ** 2}
+    assert seen == {("padic", 1), ("padic", -1), ("finite", 1)}
+    assert odd_l >= 50
+
+
+def test_leray_invariants_match_leray_data():
+    # l is |S1 cap S2|, and the nondegenerate part of q has |S| entries,
+    # det rho's square class and rho's Hasse invariant, on pairs whose S
+    # and S1 cap S2 are both nonempty and on seeded pairs over Q_3, Q_5,
+    # Q_7, F_3 and F_5
+    pairs = [(sp, g1, g2) for sp, g1, g2, _, _ in
+             _leray_pairs_s_and_p12(random.Random(18))]
+    pairs += [(sp, g1, g2) for sp, g1, g2 in
+              _leray_pairs(random.Random(38), ((1, 20), (2, 20), (3, 10)))]
+    with_s = 0
+    for sp, g1, g2 in pairs:
+        fld = sp.field
+        ld = leray_decompose(sp, g1, g2)
+        g12 = linalg.mat_mul(g1, g2, fld)
+        j12 = len(metaplectic.x_data(sp, g12)[0])
+        l, q = metaplectic._leray_invariants(sp, g1, g2, g12, j12)
+        assert l == len(set(ld.s1) & set(ld.s2)), (fld, g1, g2)
+        vals = q.diagonalize()[1]
+        assert len(vals) == len(ld.s), (fld, g1, g2)
+        if ld.s:
+            rho = QuadraticForm(fld, ld.rho)
+            assert q.det_square_class() == square_class(
+                fld, linalg.det(linalg.mat(ld.rho), fld)), (fld, g1, g2)
+            assert q.hasse() == rho.hasse(), (fld, g1, g2)
+            with_s += 1
+    assert with_s >= 300
+
+
+def test_cocycle_formula_reads_invariants_only(monkeypatch):
+    # no Leray or Bruhat decomposition, and one is_symplectic per input:
+    # g1 g2 is symplectic once g1 and g2 are
+    def refuse(*_args):
+        raise AssertionError("cocycle_formula made a decomposition")
+    for name in ("_leray", "leray_decompose", "_bruhat",
+                 "bruhat_decompose"):
+        monkeypatch.setattr(metaplectic, name, refuse)
+    checked = []
+    real = SympSpace.is_symplectic
+
+    def counted(self, g):
+        checked.append(g)
+        return real(self, g)
+    monkeypatch.setattr(SympSpace, "is_symplectic", counted)
+    rng = random.Random(38)
+    cases = []
+    for field in (QpField(3), QpField(5), FqField(3), FqField(3, 2)):
+        for m in (1, 2, 3):
+            sp = SympSpace(field, m)
+            cases += [(sp, random_symplectic(sp, rng, length=6, scale=2),
+                       random_symplectic(sp, rng, length=6, scale=2))
+                      for _ in range(5)]
+    for sp, g1, g2 in cases:
+        checked.clear()
+        assert cocycle_formula(sp, g1, g2) in (1, -1)
+        assert len(checked) == 2
+
+
+def test_finite_cocycle_formula_makes_no_ffelt(monkeypatch):
+    # over F_q g1 and g2 are lowered once, and all the work after that is
+    # on raw field indices
+    made = []
+    real = FFElt.__init__
+
+    def counted(self, field, i):
+        made.append(i)
+        real(self, field, i)
+    rng = random.Random(38)
+    for field in (FqField(3), FqField(3, 2)):
+        for m in (1, 2):
+            sp = SympSpace(field, m)
+            g1, g2 = (random_symplectic(sp, rng, length=6) for _ in range(2))
+            with monkeypatch.context() as patch:
+                patch.setattr(FFElt, "__init__", counted)
+                assert cocycle_formula(sp, g1, g2) == 1
+            assert made == []
 
 
 def test_leray_x_classes_match_x_invariant():

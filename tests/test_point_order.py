@@ -285,7 +285,7 @@ def test_one_function_per_parabolic_generator():
                    if any(w in f.name
                           for w in ("parabolic", "unipotent", "u_rho")))
     assert found == ["heisenberg.in_parabolic", "heisenberg.mul_unipotent",
-                     "metaplectic.cocycle_w_u_rho", "schwartz.act_parabolic"]
+                     "schwartz.act_parabolic"]
 
 
 # each linalg routine that takes a field, by the number of its arguments

@@ -483,3 +483,24 @@ def test_gauss_sum_cache_tells_coefficient_fields_apart():
         assert g.field is ring
         assert g == sum((AdditiveCharacter(f3, ring)(x * x)
                          for x in f3.elements()), ring.zero())
+
+
+def test_omega1_padic_reads_a_cached_gauss_sum(monkeypatch):
+    # an odd valuation needs g(u) over F_p; once _GAUSS_CACHE holds it, a
+    # second call builds no character of F_p (p - 1 products in Z[zeta_p]
+    # for its table of powers), so it makes no product of two ring
+    # elements at all
+    products = []
+    real = Cyc.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Cyc):
+            products.append(self.ring)
+        return real(self, other)
+    for p, a in ((7, Fraction(3, 7)), (101, Fraction(101)),
+                 (101, Fraction(5, 101 ** 3))):
+        first = omega1_padic(p, a)
+        with monkeypatch.context() as patch:
+            patch.setattr(Cyc, "__mul__", counted)
+            assert omega1_padic(p, a) == first
+        assert products == [], (p, a)
