@@ -1847,7 +1847,8 @@ def _acceptance_6_pairs():
 
 def _differential_pairs():
     # acceptance 6's triples, seeded pairs over Q_3, Q_5 and Q_7 at m = 1..3
-    # with w_all and the identity among them, and all of Sp2(F_3) x Sp2(F_5)
+    # with w_all and the identity among them, and every pair of Sp2(F_3)
+    # and of Sp2(F_5)
     yield from _acceptance_6_pairs()
     rng = random.Random(38)
     for p in (3, 5, 7):
