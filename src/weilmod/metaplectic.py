@@ -135,12 +135,11 @@ def x_data(space, g):
     det M, row i of M being row i of C for i in N and of A otherwise: x(g)
     is the class of d = det_X(p1) det_X(p2) for _bruhat's g = p1 w_j p2
     (README).  g is checked (is_symplectic) and a zero d refused, each a
-    failed check naming g; over F_q on raw indices, d lifted at return."""
-    sp, (h,) = _lowered(space, g)
-    if not sp.is_symplectic(h):
+    failed check naming g, all in space's arithmetic (a field or an index
+    view)."""
+    if not space.is_symplectic(g):
         raise RuntimeError("x(g): g = %s is not symplectic" % (g,))
-    n_idx, d = _x_parts(sp, h)
-    return n_idx, (d if sp is space else space.field.element(d))
+    return _x_parts(space, g)
 
 
 def _x_parts(space, g):

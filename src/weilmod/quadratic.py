@@ -3,10 +3,15 @@ classes, Hilbert symbols and Hasse invariants.
 
 A form is Q(x) = x^T G x for a symmetric Gram matrix G; the associated
 bilinear form is B(x, y) = Q(x+y) - Q(x) - Q(y) = 2 x^T G y.
+
+A form costs one elimination, its radical's: the radical's free columns
+fix a complement of standard vectors, and each Gram-Schmidt step knows
+the vector it drops, so no row reduction selects an independent subset.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from . import linalg
@@ -153,64 +158,53 @@ class QuadraticForm:
         return len(self.radical()) == 0
 
     def nondegenerate_part(self):
-        """(complement basis C, induced Gram C^T G C) on X/rad(Q)."""
-        rad = self.radical()
+        """(complement basis C, induced Gram C^T G C) on X/rad(Q).  C is the
+        e_k for the k that are no free column f of the radical's nullspace:
+        each of its vectors ends (last nonzero entry) at its own f, so mod
+        rad(Q) e_f is a combination of earlier e_k while the other e_k stay
+        independent, and C^T G C is G on their rows and columns."""
+        free = {max(k for k, x in enumerate(v) if x) for v in self.radical()}
+        idx = [k for k in range(self.m) if k not in free]
         std = linalg.identity(self.field, self.m)
-        fld = self.field
-        comp = linalg.column_space_basis(list(rad) + list(std), fld)[len(rad):]
-        c = linalg.transpose(linalg.mat(comp))  # columns are the basis
-        cg = linalg.mat_mul(linalg.transpose(c), self.gram, fld)
-        gc = linalg.mat_mul(cg, c, fld)
-        return linalg.mat(comp), gc
+        g = self.gram
+        return (tuple(std[k] for k in idx),
+                tuple(tuple(g[i][j] for j in idx) for i in idx))
 
     def diagonalize(self):
         """(basis vectors b_1..b_r, entries a_i = Q(b_i)) of the
-        nondegenerate part."""
+        nondegenerate part, by Gram-Schmidt in the complement's
+        coordinates."""
         if self._diag is not None:
             return self._diag
         fld = self.field
         comp, gc = self.nondegenerate_part()
-        r = len(gc)
-        basis = list(linalg.identity(fld, r))
+        remaining = list(linalg.identity(fld, len(gc)))
         out_vecs, out_vals = [], []
-        remaining = basis
 
         def bval(u, v):
             return fld.dot(u, linalg.mat_vec(gc, v, fld))
 
-        def qval(v):
-            return bval(v, v)
-
         while remaining:
-            n = len(remaining)
-            piv = None
-            for i in range(n):
-                if qval(remaining[i]):
-                    piv = remaining[i]
-                    break
+            # the pivot: some v with Q(v) != 0, which the projection sends
+            # to 0; else (all Q(v) = 0, char != 2) v_i + v_j for a nonzero
+            # cross term, which sends v_j to minus v_i's image.  Dropping
+            # that v leaves the other images independent.
+            pivots = itertools.chain(
+                ((k, v) for k, v in enumerate(remaining) if bval(v, v)),
+                ((j, tuple(x + y for x, y in zip(u, v)))
+                 for (_, u), (j, v) in itertools.combinations(
+                     enumerate(remaining), 2) if bval(u, v)))
+            drop, piv = next(pivots, (None, None))
             if piv is None:
-                # all Q(v_i) = 0: some cross term is nonzero (char != 2)
-                found = False
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        if bval(remaining[i], remaining[j]):
-                            piv = tuple(x + y for x, y in
-                                        zip(remaining[i], remaining[j]))
-                            found = True
-                            break
-                    if found:
-                        break
-                if piv is None:
-                    raise RuntimeError("degenerate block in diagonalization")
-            a = qval(piv)
+                raise RuntimeError("degenerate block in diagonalization")
+            a = bval(piv, piv)
             out_vecs.append(piv)
             out_vals.append(a)
             inv_a = fld.recip(a)
-            # v - (piv^T G v / piv^T G piv) piv, then an independent subset
-            new_rem = [tuple(fld.eliminate(v, fld.mul(bval(piv, v), inv_a),
-                                           piv)) for v in remaining]
-            new_rem = [w for w in new_rem if any(w)]
-            remaining = linalg.column_space_basis(new_rem, fld)
+            # v - (piv^T G v / piv^T G piv) piv
+            remaining = [tuple(fld.eliminate(v, fld.mul(bval(piv, v), inv_a),
+                                             piv))
+                         for k, v in enumerate(remaining) if k != drop]
         # pull the quotient vectors back to the ambient space
         cols = linalg.transpose(comp)
         amb = tuple(linalg.mat_vec(cols, v, fld) for v in out_vecs)

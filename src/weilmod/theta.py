@@ -16,7 +16,6 @@ from .heisenberg import SympSpace, hom_space
 from .metaplectic import WeilContext, enumerate_sp2
 
 GROUP_ORDER_CAP = 10 ** 4
-MODEL_DIM_CAP = 81
 _DUAL_PAIRS = {}    # {(field, Gram matrix, m'): DualPair}, for the process
 _ZERO_SIDES = {}    # {the same key: zero_side's table}, for the process
 
@@ -64,11 +63,17 @@ class DualPair:
         n0 = v_form.m
         if n0 * 2 * mprime > 4:
             raise InputError("full-operator scale capped at dim V * 2m' <= 4")
+        if mprime != 1:
+            raise InputError("only m' = 1 symplectic partners at this scale")
+        # a lower bound, checked before either group is listed: |Sp2(F_q)| =
+        # q(q^2 - 1), |O(V)| = 2 at dim V = 1 and 2(q -+ 1) >= 2(q - 1) at
+        # dim V = 2.  It admits q^dim V <= 49 only, so the model needs no cap.
+        q = field.q
+        if (2 if n0 == 1 else 2 * (q - 1)) * q * (q * q - 1) > GROUP_ORDER_CAP:
+            raise InputError("group order cap exceeded")
         self.field = field
         self.n0 = n0
         self.m = n0 * mprime
-        if field.q ** self.m > MODEL_DIM_CAP:
-            raise InputError("model dimension exceeds cap")
         ix = field.indices
         vecs, vals = v_form.diagonalize()
         self.diag_vals = ix.lower([vals])[0]    # a_i = Q(v_i)
@@ -77,8 +82,6 @@ class DualPair:
         self._b = linalg.transpose(ix.lower(vecs))
         self._binv = linalg.mat_inv(self._b, ix)
         self.h1_list = enumerate_orthogonal(v_form)
-        if mprime != 1:
-            raise InputError("only m' = 1 symplectic partners at this scale")
         self.h2_list = enumerate_sp2(SympSpace(ix, 1))
         if len(self.h1_list) * len(self.h2_list) > GROUP_ORDER_CAP:
             raise InputError("group order cap exceeded")

@@ -101,9 +101,10 @@ def omega(q_form, psi, mass=1):
     acc = psi.coeff_ring.one()
     if not vals:
         return acc * mass
-    # the rows of P^T: each b_i in the complement's coordinates
+    # the rows of P^T: each b_i in the complement's coordinates, its
+    # entries where the complement's standard vectors are 1
     comp, _ = q_form.nondegenerate_part()
-    pt = linalg.solve_columns(linalg.transpose(comp), vecs, field)
+    pt = [[v[e.index(field.one())] for e in comp] for v in vecs]
     for a in vals:
         acc = acc * omega1(field, psi, a)
     return acc * (mass * modulus(field, linalg.det(pt, field)))

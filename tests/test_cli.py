@@ -450,6 +450,16 @@ def test_finite_gauss_sum_cap(field, admitted):
             "above the cap MAX_PADIC_ORDER = %d\n" % MAX_PADIC_ORDER)
 
 
+@pytest.mark.parametrize("field", ["fq:3:4", "fq:79:1"])
+def test_theta_refuses_an_oversized_pair_before_listing(field):
+    # a lower bound on |O(V)| |Sp2(F_q)| is checked before either group is
+    # listed: listing the q^4 Sp2 candidates ended both in a MemoryError
+    proc = run_cli_limited("theta", "--field", field, "--V", "diag:1",
+                           timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: group order cap exceeded\n"
+
+
 def test_padic_queries_at_p101_answer():
     # Omega over Q_101 from the Gauss sum of F_101: the lattice sum it
     # replaced ended both queries in a MemoryError with exit 1

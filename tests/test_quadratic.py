@@ -4,9 +4,10 @@ import pytest
 
 from conftest import random_form, random_unit
 from weilmod import linalg
-from weilmod.basefield import FqField, QpField
+from weilmod.basefield import AdditiveCharacter, FqField, QpField
 from weilmod.quadratic import (QuadraticForm, hilbert, hilbert_oracle,
                                square_class)
+from weilmod.weilfactor import omega
 
 
 def test_radical_examples():
@@ -66,8 +67,119 @@ def test_diagonalize_runs_through_the_field(monkeypatch):
     q = QuadraticForm(q5, [[1, 0], [0, 5]])
     vecs, vals = q.diagonalize()
     assert vals == (1, 5)
-    # one update per remaining vector, each by its pass's pivot
-    assert calls == [vecs[0], vecs[0], vecs[1]]
+    # one update per vector left after its pass's pivot
+    assert calls == [vecs[0]]
+
+
+def nondegenerate_part_reference(q):
+    """The complement as the greedy extension of rad(Q)'s basis by the
+    standard vectors, and C^T G C as two matrix products."""
+    fld = q.field
+    rad = q.radical()
+    std = linalg.identity(fld, q.m)
+    comp = linalg.column_space_basis(list(rad) + list(std), fld)[len(rad):]
+    c = linalg.transpose(linalg.mat(comp))  # columns are the basis
+    cg = linalg.mat_mul(linalg.transpose(c), q.gram, fld)
+    return linalg.mat(comp), linalg.mat_mul(cg, c, fld)
+
+
+def diagonalize_reference(q):
+    """Gram-Schmidt that re-selects an independent subset of the projected
+    vectors by a row reduction after each pivot."""
+    fld = q.field
+    comp, gc = nondegenerate_part_reference(q)
+    remaining = list(linalg.identity(fld, len(gc)))
+    out_vecs, out_vals = [], []
+
+    def bval(u, v):
+        return fld.dot(u, linalg.mat_vec(gc, v, fld))
+
+    while remaining:
+        n = len(remaining)
+        piv = next((v for v in remaining if bval(v, v)), None)
+        if piv is None:
+            # all Q(v_i) = 0: some cross term is nonzero (char != 2)
+            piv = next(tuple(x + y for x, y in zip(remaining[i],
+                                                   remaining[j]))
+                       for i in range(n) for j in range(i + 1, n)
+                       if bval(remaining[i], remaining[j]))
+        a = bval(piv, piv)
+        out_vecs.append(piv)
+        out_vals.append(a)
+        inv_a = fld.recip(a)
+        new_rem = [tuple(fld.eliminate(v, fld.mul(bval(piv, v), inv_a),
+                                       piv)) for v in remaining]
+        remaining = linalg.column_space_basis(
+            [w for w in new_rem if any(w)], fld)
+    cols = linalg.transpose(comp)
+    return (tuple(linalg.mat_vec(cols, v, fld) for v in out_vecs),
+            tuple(out_vals))
+
+
+def _seeded_forms(rng, count):
+    """Seeded forms over F_3, F_5, F_9, F_25, Q_3, Q_5 and Q_7 at dim 1-5;
+    some with a repeated row (degenerate), some with a zero diagonal (the
+    cross step), some with both."""
+    fields = [FqField(3), FqField(5), FqField(3, 2), FqField(5, 2),
+              QpField(3), QpField(5), QpField(7)]
+    for t in range(count):
+        field = fields[t % len(fields)]
+        dim = rng.randrange(1, 6)
+        g = [list(row) for row in random_form(field, rng, dim).gram]
+        kind = rng.randrange(4)
+        if kind & 1 and dim > 1:
+            i, j = rng.sample(range(dim), 2)
+            for k in range(dim):
+                g[j][k] = g[k][j] = g[i][k]
+            g[j][j] = g[i][j] = g[j][i] = g[i][i]
+        if kind & 2:
+            for k in range(dim):
+                g[k][k] = field.zero()
+        yield kind, QuadraticForm(field, g)
+
+
+def test_one_elimination_matches_reference():
+    # the complement read off the radical's free columns and the
+    # Gram-Schmidt that drops its known dependent vector give the
+    # reference's bases, Gram matrices and entries, repr for repr
+    rng = random.Random(39)
+    degenerate = cross = 0
+    for kind, q in _seeded_forms(rng, 2100):
+        assert repr(q.nondegenerate_part()) == \
+            repr(nondegenerate_part_reference(q))
+        want = diagonalize_reference(q)
+        assert repr(q.diagonalize()) == repr(want)
+        degenerate += not q.is_nondegenerate()
+        cross += kind & 2 and bool(want[1])
+    assert degenerate > 500 and cross > 500
+
+
+def test_a_form_costs_one_elimination(monkeypatch):
+    # a fresh form's diagonalize makes its radical's rref and nothing else
+    # that reduces rows; omega reads P off the complement's indices
+    calls = {"rref": 0, "column_space_basis": 0, "solve_columns": 0}
+
+    def counted(name):
+        real = getattr(linalg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(linalg, name, wrapper)
+    for name in calls:
+        counted(name)
+    rng = random.Random(7)
+    for _, q in _seeded_forms(rng, 140):
+        fresh = QuadraticForm(q.field, q.gram)
+        calls.update(rref=0)
+        fresh.diagonalize()
+        assert calls == {"rref": 1, "column_space_basis": 0,
+                         "solve_columns": 0}
+        fresh = QuadraticForm(q.field, q.gram)
+        calls.update(rref=0)
+        omega(fresh, AdditiveCharacter(q.field))
+        assert calls == {"rref": 1, "column_space_basis": 0,
+                         "solve_columns": 0}
 
 
 def test_hilbert_finite_trivial():
