@@ -79,14 +79,6 @@ class SympSpace:
             cols[k], cols[m + k] = cols[m + k], neg(cols[k])
         return tuple(zip(*cols))
 
-    def mul_w_inv(self, g, subset):
-        """g w_S^-1: columns i and m+i become -g f_i and g e_i for i in S."""
-        m, neg = self.m, self.field.neg
-        cols = list(zip(*g))
-        for k in subset:
-            cols[k], cols[m + k] = neg(cols[m + k]), cols[k]
-        return tuple(zip(*cols))
-
     def w_inv_mul(self, subset, g):
         """w_S^-1 g: rows i and m+i become row m+i and minus row i of g
         for i in S."""

@@ -29,9 +29,6 @@ class LerayData(NamedTuple):
     s1: tuple       # S1 subset of complement of S
     s2: tuple       # S2 subset of complement of S
     rho: tuple      # symmetric |S| x |S| matrix of u_rho (may be empty)
-    p: tuple
-    p1: tuple
-    p2: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -666,21 +663,20 @@ def m_bracket(ctx, g):
 # ---------------------------------------------------------------------------
 
 def leray_decompose(space, g1, g2):
-    """Leray data: g1 = p1 w_{S u S1} u_rho p^{-1}, g2 = p w_{S u S2} p2,
-    built deterministically from the triple (X, g1^{-1}X, g2 X), on raw
-    indices over F_q (rho, p, p1, p2 come back as FFElt matrices).  A g1 or
-    g2 that is not symplectic fails a check (RuntimeError naming both): a
-    caller with outside input tests them first, as the CLI does."""
+    """Leray's S, S1, S2 and rho for g1 = p1 w_{S u S1} u_rho p^{-1}, g2 =
+    p w_{S u S2} p2, read deterministically off the triple (X, g1^{-1}X,
+    g2 X), on raw indices over F_q (rho comes back as an FFElt matrix).  A
+    g1 or g2 that is not symplectic fails a check (RuntimeError naming
+    both): a caller with outside input tests them first, as the CLI does."""
     sp, gs = _lowered(space, g1, g2)
     ld = _leray(sp, *gs)
-    return ld if sp is space else LerayData(*ld[:3],
-                                            *map(sp.field.lift, ld[3:]))
+    return ld if sp is space else ld._replace(rho=sp.field.lift(ld.rho))
 
 
 def _leray(space, g1, g2):
-    """Leray data in the scalars of space.field, every product, sum and
-    negation taken from the field; the factorization is verified by exact
-    re-multiplication."""
+    """LerayData in the scalars of space.field, every product, sum and
+    negation taken from the field, read off the e' basis of p and the one
+    dual-basis solve that gives rho (README)."""
     field = space.field
     m = space.m
     if not (space.is_symplectic(g1) and space.is_symplectic(g2)):
@@ -690,8 +686,6 @@ def _leray(space, g1, g2):
     # L1 = g1^-1 X is spanned by the columns (D1^T; -C1^T), L2 = g2 X by
     # (A2; C2), and <g1^-1 e_i, g2 e_j> is entry ij of C12, the C block of
     # g1 g2; every subspace below is read off these blocks
-    full = space.identity()     # e_1 .. e_m, f_1 .. f_m
-    xb = full[:m]
     l1 = [r[m:] + field.neg(r[:m]) for r in g1[m:]]
     g2x = tuple(row[:m] for row in g2)
     l2 = list(linalg.transpose(g2x))
@@ -722,18 +716,16 @@ def _leray(space, g1, g2):
     n1, n2 = j1 - ns, j2 - ns
     if ns < 0 or l_ov < 0 or n1 < l_ov or n2 < l_ov:
         raise RuntimeError("Leray: inconsistent invariants")
-    # index layout
+    # index layout: S, S1 cap S2, S1 only, S2 only, then the rest
     s_idx = list(range(ns))
     p12_idx = list(range(ns, ns + l_ov))
-    p1_idx = list(range(ns + l_ov, ns + n1))                 # S1 only
-    p2_idx = list(range(ns + n1, ns + n1 + (n2 - l_ov)))     # S2 only
+    p1_idx = list(range(ns + l_ov, ns + n1))
+    p2_idx = list(range(ns + n1, ns + n1 + (n2 - l_ov)))
     c_idx = list(range(ns + n1 + n2 - l_ov, m))
-    s1 = tuple(sorted(p12_idx + p1_idx))
-    s2 = tuple(sorted(p12_idx + p2_idx))
     # e' vectors: one greedy pass over the groups in this order, each
     # vector kept when it is not in the span of those before it
     groups = ((c_idx, a_basis), (p2_idx, x_l1), (p1_idx, x_l2),
-              (s_idx, z_basis), (p12_idx, xb))
+              (s_idx, z_basis), (p12_idx, space.identity()[:m]))
     vecs = [v for _, vs in groups for v in vs]
     piv = linalg.rref(linalg.transpose([v[:m] for v in vecs]), field)[1]
     e = [None] * m
@@ -745,24 +737,6 @@ def _leray(space, g1, g2):
         for i, v in zip(idx, kept):
             e[i] = v
         start += len(vs)
-    # f' vectors, one rref per block (but the C block, whose `extra` grows)
-    f = [None] * m
-
-    def solve_block(idx, span, extra, failure):
-        # f_i in span with <e_k, f_i> = delta_ki and <w, f_i> = 0 for w in
-        # extra, the solution zero off the pivots; returns its coordinates
-        if not idx:
-            return []
-        rows = [tuple(space.pairing(u, b) for b in span) for u in e + extra]
-        rhs = [[one if k == i else zero for k in range(m)] +
-               [zero] * len(extra) for i in idx]
-        sols = linalg.solve_columns(linalg.mat(rows), rhs, field)
-        if sols is None:
-            raise RuntimeError(failure)
-        span_t = linalg.transpose(span)
-        for i, sol in zip(idx, sols):
-            f[i] = linalg.mat_vec(span_t, sol, field)
-        return sols
     bs = []
     if s_idx:
         # e_i = a_i + b_i with a_i in L1 and b_i in L2, for i in S
@@ -771,44 +745,25 @@ def _leray(space, g1, g2):
         if sols is None:
             raise RuntimeError("Leray: Z-decomposition failed")
         bs = [linalg.mat_vec(g2x, sol[len(l1):], field) for sol in sols]
-    # S u P12 in span(b) + L1 cap L2: L1 cap L2 pairs to zero with every e'
-    # outside P12, so rho is read off the b-coordinates of the S solutions
-    coords = solve_block(s_idx + p12_idx, bs + list(inter12), [],
-                         "Leray: S and P12 solve failed")
+    # f_i for i in S u P12 lies in span(b) + L1 cap L2 with <e_k, f_i> =
+    # delta_ki, the solution zero off the pivots: L1 cap L2 pairs to zero
+    # with every e' outside P12, so rho is read off the b-coordinates of
+    # the S solutions
+    coords = []
+    if s_idx or p12_idx:
+        span = bs + inter12
+        coords = linalg.solve_columns(
+            linalg.mat([space.pairing(u, b) for b in span] for u in e),
+            [[one if k == i else zero for k in range(m)]
+             for i in s_idx + p12_idx], field)
+        if coords is None:
+            raise RuntimeError("Leray: S and P12 solve failed")
     c_rho = linalg.transpose([c[:ns] for c in coords[:ns]])
     # symmetry of rho is forced; verify
     if c_rho != linalg.transpose(c_rho):
         raise RuntimeError("Leray: rho not symmetric")
-    # on L1, <f_s, v> = sum_k rho[k][s] <e_k, v> for s in S (a_k and the
-    # L1 cap L2 part pair to zero with L1), so the e' rows already make
-    # the S-block f' vectors orthogonal to the P1 solutions
-    solve_block(p1_idx, list(l1), [], "Leray: P1 solve failed")
-    solve_block(p2_idx, list(l2), [f[k] for k in p1_idx],
-                "Leray: P2 solve failed")
-    for i in c_idx:
-        solve_block([i], full, [v for v in f if v is not None],
-                    "Leray: C solve failed")
-    p = linalg.transpose(linalg.mat(e + f))
-    if not space.is_symplectic(p) or not space.in_parabolic(p):
-        raise RuntimeError("Leray: p is not in P(X)")
-    t1 = set(s_idx) | set(s1)
-    t2 = set(s_idx) | set(s2)
-    pinv = space.inv(p)
-    # u_rho = [[I, r], [0, I]] with rho on S x S of r, and u_rho^-1 = u_{-rho}
-    pad = (zero,) * (m - ns)
-    r = [row + pad for row in c_rho] + [(zero,) * m] * (m - ns)
-    p2 = space.w_inv_mul(t2, linalg.mat_mul(pinv, g2, field))
-    p1 = space.mul_w_inv(space.mul_unipotent(
-        linalg.mat_mul(g1, p, field), [field.neg(row) for row in r]), t1)
-    if not (space.in_parabolic(p1) and space.in_parabolic(p2)):
-        raise RuntimeError("Leray: parabolic factors failed")
-    # exact re-multiplication checks
-    lhs1 = linalg.mat_mul(space.mul_unipotent(space.mul_w(p1, t1), r),
-                          pinv, field)
-    lhs2 = linalg.mat_mul(space.mul_w(p, t2), p2, field)
-    if lhs1 != g1 or lhs2 != g2:
-        raise RuntimeError("Leray: factorization check failed")
-    return LerayData(tuple(s_idx), s1, s2, c_rho, p, p1, p2)
+    return LerayData(tuple(s_idx), tuple(p12_idx + p1_idx),
+                     tuple(p12_idx + p2_idx), c_rho)
 
 
 # ---------------------------------------------------------------------------
@@ -829,21 +784,23 @@ def cocycle_formula(space, g1, g2, rao=False):
 
 
 def _cocycle(field, space, g1, g2, rao):
-    """(cocycle_formula's value, d1, d2), in the scalars of `space`: (x1,
-    x2) (x1 x2, -x12) (-1, -1)^(l(l+1)/2) (-1, det rho)^l (-2, det rho)
-    h(rho), times (2, x1 x2 x12) when rao."""
+    """(cocycle_formula's value, d1, d2, (l, q)), in the scalars of
+    `space`: (x1, x2) (x1 x2, -x12) (-1, -1)^(l(l+1)/2) (-1, det rho)^l
+    (-2, det rho) h(rho), times (2, x1 x2 x12) when rao, with rho's
+    invariants read off q.  Over F_q the value is 1 once the three d are
+    nonzero, and (l, q) is None."""
     g12 = linalg.mat_mul(g1, g2, space.field)
     (_, d1), (_, d2), (n12, d12) = map(partial(_x_parts, space),
                                        (g1, g2, g12))
     if field.flavor == "finite":
-        return 1, d1, d2
+        return 1, d1, d2, None
     l, form = _leray_invariants(space, g1, g2, g12, len(n12))
     det, one, two = form.det_square_class().rep, field.one(), field.element(2)
     val = hilbert(field, d1, d2) * hilbert(field, d1 * d2, -d12) * \
         hilbert(field, -one, -one) ** ((l * (l + 1)) // 2) * \
         hilbert(field, -one, det) ** l * hilbert(field, -two, det) * \
         form.hasse() * (hilbert(field, two, d1 * d2 * d12) if rao else 1)
-    return val, d1, d2
+    return val, d1, d2, (l, form)
 
 
 def _leray_invariants(space, g1, g2, g12, j12):
@@ -864,12 +821,29 @@ def _leray_invariants(space, g1, g2, g12, j12):
 
 
 def formula_report(space, g1, g2, rao=False):
-    """(leray_decompose's data, cocycle_formula's value, x(g1), x(g2)) for
-    the CLI: leray_decompose's is the one check of g1 and g2."""
-    ld = leray_decompose(space, g1, g2)
+    """(Leray's S, S1, S2 and rho, cocycle_formula's value, x(g1), x(g2))
+    for the CLI, from one lowering of g1 and g2, which _leray checks.  The
+    block is checked against the l and q the value is read off: |S1 cap
+    S2| = l, |S| = rank q, and rho has q's det class and Hasse invariant
+    (RuntimeError naming g1 and g2).  Over F_q the value needs neither, so
+    they are computed here, once, on FFElts."""
+    field = space.field
     sp, (a, b) = _lowered(space, g1, g2)
-    val, d1, d2 = _cocycle(space.field, sp, a, b, rao)
-    return (ld, val) + tuple(square_class(space.field, d) for d in (d1, d2))
+    ld = _leray(sp, a, b)
+    val, d1, d2, inv = _cocycle(field, sp, a, b, rao)
+    if sp is not space:
+        ld = ld._replace(rho=sp.field.lift(ld.rho))
+        g12 = linalg.mat_mul(g1, g2, field)
+        inv = _leray_invariants(space, g1, g2, g12,
+                                len(_x_parts(space, g12)[0]))
+    l, q = inv
+    rho = QuadraticForm(field, ld.rho)
+    if (len(set(ld.s1) & set(ld.s2)), len(ld.s), rho.det_square_class(),
+            rho.hasse()) != (l, len(q.diagonalize()[1]),
+                             q.det_square_class(), q.hasse()):
+        raise RuntimeError("formula: the Leray block of g1 = %s, g2 = %s "
+                           "disagrees with l and q" % (g1, g2))
+    return (ld, val) + tuple(square_class(field, d) for d in (d1, d2))
 
 
 # ---------------------------------------------------------------------------

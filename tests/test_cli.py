@@ -527,15 +527,15 @@ def test_selfcheck_fails_loudly_under_O():
 
 @pytest.mark.parametrize("argv, checks", [
     (["cocycle", "--field", "qp:5", "--m", "1", "--g1", "1,0,5,1",
-      "--g2", "0,-1,1,0"], 5),
+      "--g2", "0,-1,1,0"], 4),
     (["cocycle", "--field", "fq:3:2", "--m", "1", "--g1", "1,0,1,1",
-      "--g2", "0,2,1,0", "--rao"], 5),
+      "--g2", "0,2,1,0", "--rao"], 4),
     (["bruhat", "--field", "fq:3:1", "--m", "1", "--g", "1,0,1,1"], 4),
     (["bruhat", "--field", "qp:5", "--m", "1", "--g", "1,0,5,1"], 4)])
 def test_queries_check_each_g_as_often_as_before(argv, checks, monkeypatch,
                                                  capsys):
-    # the formula query: the CLI's input check and Leray's of g1 and g2,
-    # and Leray's of its factor p; its value and x classes add none.
+    # the formula query: the CLI's input check and Leray's of g1 and g2;
+    # its value, x classes and the check of Leray's block add none.
     # bruhat: the CLI's, Bruhat's of g and of p1, and x_data's
     from weilmod.heisenberg import SympSpace
     seen = []
@@ -548,6 +548,47 @@ def test_queries_check_each_g_as_often_as_before(argv, checks, monkeypatch,
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(seen) == checks
+
+
+def _scaled_rho(c):
+    return lambda ld: ld._replace(rho=tuple(tuple(r * c for r in row)
+                                            for row in ld.rho))
+
+
+# g = [[I, 0], [C, I]] with C = diag(1, .., 1) has S = {1..m} and rho = I/2;
+# with C = diag(1, 0), S = {1} and rho = (1/2); w has S1 = S2 = {1}, l = 1
+@pytest.mark.parametrize("p, m, g, fault", [
+    # rho times the non-square 2: another det class than q's
+    (5, 1, "1,0,1,1", _scaled_rho(2)),
+    # rho = I/2 times 3 keeps the det class and flips the Hasse invariant,
+    # by (3, -1)_3 = -1
+    (3, 2, "1,0,0,0,0,1,0,0,1,0,1,0,0,1,0,1", _scaled_rho(3)),
+    # one index more in S, with rho padded by zeros: only |S| moves
+    (5, 2, "1,0,0,0,0,1,0,0,1,0,1,0,0,0,0,1",
+     lambda ld: ld._replace(s=(0, 1), rho=((ld.rho[0][0], 0), (0, 0)))),
+    # S2 emptied: only |S1 cap S2| moves
+    (5, 1, "0,-1,1,0", lambda ld: ld._replace(s2=()))],
+    ids=["det-class", "hasse", "rank", "l"])
+def test_formula_refuses_a_leray_block_off_its_invariants(p, m, g, fault,
+                                                         monkeypatch,
+                                                         capsys):
+    # each clause of formula_report's check refuses a Leray block faulted
+    # in it alone, and the query exits 1
+    from weilmod import metaplectic
+    from weilmod.basefield import QpField
+    from weilmod.heisenberg import SympSpace
+    real = metaplectic._leray
+    space = SympSpace(QpField(p), m)
+    mat = cli.parse_matrix(space.field, g, 2 * m)
+    metaplectic.formula_report(space, mat, mat)
+    monkeypatch.setattr(metaplectic, "_leray",
+                        lambda *args: fault(real(*args)))
+    with pytest.raises(RuntimeError, match=r"g1 = .*, g2 = .* disagrees"):
+        metaplectic.formula_report(space, mat, mat)
+    assert cli.main(["cocycle", "--field", "qp:%d" % p, "--m", str(m),
+                     "--g1", g, "--g2", g, "--path", "formula"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("check failure: formula: ")
 
 
 def test_bruhat_decomposes_once(monkeypatch, capsys):
