@@ -16,7 +16,7 @@ from . import linalg
 from .basefield import (AdditiveCharacter, InputError, parse_character,
                         parse_field, points)
 from .coeff import Cyc, FFElt, FiniteField
-from .heisenberg import SympSpace, SchrodingerModel, delta, central
+from .heisenberg import SympSpace, SchrodingerModel, delta
 from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
                           cocycle_operator, enumerate_sp2, formula_report,
                           first_nontrivial_pair, sigma, x_invariant)
@@ -46,8 +46,23 @@ def scalar_json(v, approx=False):
     return str(v)
 
 
-def matrix_json(m, approx=False):
-    return [[scalar_json(x, approx) for x in row] for row in m]
+def matrix_json(m, approx, memo):
+    """m's entries as scalar_json writes them, each distinct scalar once:
+    memo maps (type, ring, value) to its JSON.  A command makes the memo,
+    so it lives for one query.  The ring is part of the key because equal
+    values of two rings (Z[zeta_3] and Z[zeta_9]) hash equal but print
+    different rings."""
+    out = []
+    for row in m:
+        line = []
+        for x in row:
+            key = (type(x), getattr(x, "ring", None), x)
+            js = memo.get(key)
+            if js is None:
+                js = memo[key] = scalar_json(x, approx)
+            line.append(js)
+        out.append(line)
+    return out
 
 
 def matrix_str(m):
@@ -260,10 +275,10 @@ def cmd_weilrep(args):
     psi = parse_character(field, args.psi)
     ctx = WeilContext(space, psi)
     group = enumerate_sp2(space)
-    out = []
+    memo, out = {}, []
     for g in group:
         out.append({"g": matrix_str(g),
-                    "matrix": matrix_json(sigma(ctx, g), args.approx)})
+                    "matrix": matrix_json(sigma(ctx, g), args.approx, memo)})
     return {"field": args.field, "count": len(out), "operators": out}
 
 
@@ -280,13 +295,17 @@ def cmd_heisenberg(args):
         raise InputError("group too large to dump; reduce q or m")
     psi = parse_character(field, args.psi)
     model = SchrodingerModel(space, psi)
-    out = []
-    for *w, t in points(field, 2 * args.m + 1):
-        h = delta(space, w) * central(space, t)
-        out.append({"w": [str(x) for x in w], "t": str(t),
-                    "matrix": matrix_json(
-                        model.rho(h).to_dense(psi.coeff_ring.zero()),
-                        args.approx)})
+    zero, memo, out = psi.coeff_ring.zero(), {}, []
+    # (w, t) = (w, 0)(0, t) and the center acts by its character: rho((w,
+    # t)) = psi(t) rho((w, 0)), so one rho per w serves its q operators,
+    # which follow it in points' order (t, the last coordinate, fastest)
+    for w in points(field, 2 * args.m):
+        op = model.rho(delta(space, w))
+        for t in field.elements():
+            out.append({"w": [str(x) for x in w], "t": str(t),
+                        "matrix": matrix_json(
+                            op.scaled(psi(t)).to_dense(zero), args.approx,
+                            memo)})
     payload = {"field": args.field, "m": args.m, "count": len(out),
                "operators": out}
     if args.emit:

@@ -512,8 +512,10 @@ class WeilContext:
     those three inputs shares for the process (it holds the Y-points, the
     slot width W and the sigma(g) count forms and their restrictions), and
     the ring's tables: phi's values by packed entry, mu by (j, x(g) class),
-    at most 2(m + 1) scalars, and the cocycle's mu1 mu2 mu12^-1 by its
-    three mu."""
+    at most 2(m + 1) scalars, the cocycle's mu1 mu2 mu12^-1 by its three
+    mu, and sigma's dense entries mu phi(c) by (j, x(g) class) and packed
+    entry c (_dense, a dict of entries per key): at most 2(m + 1) keys
+    times phi's entries, one product per distinct pair."""
 
     def __init__(self, space, psi):
         if space.field.flavor != "finite":
@@ -540,6 +542,8 @@ class WeilContext:
         self._phi = psi.coeff_ring.count_map(psi._powers, counts.slot_bits)
         # {c: phi(c)} over N's at most C(q^m + p, p) entries and their sums
         self._phis = {}
+        # {(j, x(g) class): {c: mu phi(c)}}, sigma's dense entries
+        self._dense = {}
 
     def one(self):
         return self.psi.coeff_ring.one()
@@ -572,11 +576,17 @@ def sigma_counts(ctx, g):
 def sigma(ctx, g):
     """sigma(g) = I_{gX,X,mu_g,0} o I_g as a dense matrix on the Y-point
     basis; the measure normalization makes it multiplicative over finite F.
-    Only the count form is cached."""
-    mu, counts = sigma_counts(ctx, ctx.space.field.indices.lower(g))
-    phi, zero = ctx.phi, ctx.zero()
-    return tuple(tuple(mu * phi(c) if c else zero
-                       for c in ctx.counts.unpack(row)) for row in counts)
+    Each entry mu phi(c) comes from ctx's table by g's key and c, so it is
+    built once per context."""
+    key, counts = ctx.counts.entry(ctx.space.field.indices.lower(g))
+    table = ctx._dense.get(key)
+    if table is None:       # a zero count is the ring's zero
+        table = ctx._dense[key] = {0: ctx.zero()}
+    rows = [ctx.counts.unpack(row) for row in counts]
+    mu, phi = ctx.mu(key), ctx.phi
+    for c in {c for row in rows for c in row}.difference(table):
+        table[c] = mu * phi(c)
+    return tuple(tuple(map(table.__getitem__, row)) for row in rows)
 
 
 def scalar_ratio(a, b, zero):

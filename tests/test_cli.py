@@ -128,6 +128,125 @@ def test_weilrep_reuses_counts_in_process(monkeypatch, capsys):
     assert built == 24 and seen == []
 
 
+# the dumps before each distinct scalar was built and serialized once: one
+# rho per Heisenberg element, one mu phi(c) and one scalar_json per entry
+def _weilrep_reference(desc, psi_desc, approx):
+    from weilmod import metaplectic
+    from weilmod.basefield import parse_character, parse_field
+    from weilmod.heisenberg import SympSpace
+    field = parse_field(desc)
+    space = SympSpace(field, 1)
+    ctx = metaplectic.WeilContext(space, parse_character(field, psi_desc))
+    zero, out = ctx.zero(), []
+    for g in metaplectic.enumerate_sp2(space):
+        mu, counts = metaplectic.sigma_counts(ctx, field.indices.lower(g))
+        out.append({"g": cli.matrix_str(g), "matrix": [
+            [cli.scalar_json(mu * ctx.phi(c) if c else zero, approx)
+             for c in ctx.counts.unpack(row)] for row in counts]})
+    return {"field": desc, "count": len(out), "operators": out}
+
+
+def _heisenberg_reference(desc, psi_desc, m, approx):
+    from weilmod.basefield import parse_character, parse_field, points
+    from weilmod.heisenberg import (SchrodingerModel, SympSpace, central,
+                                    delta)
+    field = parse_field(desc)
+    space = SympSpace(field, m)
+    psi = parse_character(field, psi_desc)
+    model = SchrodingerModel(space, psi)
+    out = []
+    for *w, t in points(field, 2 * m + 1):
+        h = delta(space, w) * central(space, t)
+        dense = model.rho(h).to_dense(psi.coeff_ring.zero())
+        out.append({"w": [str(x) for x in w], "t": str(t), "matrix": [
+            [cli.scalar_json(x, approx) for x in row] for row in dense]})
+    return {"field": desc, "m": m, "count": len(out), "operators": out}
+
+
+def _emitted(payload, fmt, capsys):
+    cli.emit(payload, fmt, None)
+    return capsys.readouterr().out
+
+
+DUMP_FIELDS = [("fq:3:1", "psi:standard"), ("fq:5:1", "psi:twist:2"),
+               ("fq:7:1", "psi:twist:3"), ("fq:3:2", "psi:twist:2")]
+DUMP_CASES = [(command, desc, psi, 1) for command in ("weilrep", "heisenberg")
+              for desc, psi in DUMP_FIELDS] + \
+    [("heisenberg", "fq:3:1", "psi:standard", 2)]
+
+
+@pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
+@pytest.mark.parametrize("command, desc, psi, m", DUMP_CASES,
+                         ids=["%s-%s-%s-m%d" % c for c in DUMP_CASES])
+def test_dumps_match_per_entry_reference(command, desc, psi, m, approx,
+                                         tmp_path, capsys):
+    # the bytes of stdout, of --out csv and (heisenberg) of the --emit file,
+    # which holds the stdout payload without its newline
+    argv = [command, "--field", desc, "--m", str(m), "--psi", psi] + \
+        ["--approx"] * approx
+    if command == "weilrep":
+        ref = _weilrep_reference(desc, psi, approx)
+    else:
+        ref = _heisenberg_reference(desc, psi, m, approx)
+    want = _emitted(ref, "json", capsys)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    if m == 1 and desc in ("fq:3:1", "fq:5:1"):
+        assert cli.main(argv + ["--out", "csv"]) == 0
+        assert capsys.readouterr().out == _emitted(ref, "csv", capsys)
+    if command == "heisenberg":
+        path = tmp_path / "ops.json"
+        assert cli.main(argv + ["--emit", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "written": str(path), "count": ref["count"]}
+        assert path.read_text() + "\n" == want
+
+
+def test_dumps_build_and_serialize_each_scalar_once(monkeypatch, capsys):
+    # heisenberg makes one rho per w (q^2m, not q^(2m+1)); each dump calls
+    # scalar_json once per distinct (ring, scalar) of its query, and a
+    # repeated query in the same process calls it as often again, since
+    # the memo lives for one query
+    from weilmod.heisenberg import LagrangianModel
+    calls = {"rho": 0, "scalar_json": 0}
+    real_rho, real_json = LagrangianModel.rho, cli.scalar_json
+
+    def rho(self, h):
+        calls["rho"] += 1
+        return real_rho(self, h)
+
+    def scalar_json(v, approx=False):
+        calls["scalar_json"] += 1
+        return real_json(v, approx)
+    monkeypatch.setattr(LagrangianModel, "rho", rho)
+    monkeypatch.setattr(cli, "scalar_json", scalar_json)
+    for argv, want in (
+            (["weilrep", "--field", "fq:3:1", "--m", "1"],
+             {"rho": 0, "scalar_json": 13}),
+            (["heisenberg", "--field", "fq:3:1", "--m", "1"],
+             {"rho": 9, "scalar_json": 4})):
+        for _ in range(2):
+            calls.update(rho=0, scalar_json=0)
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+            assert calls == want, argv
+
+
+def test_matrix_json_memo_tells_rings_and_types_apart():
+    # zeta_3 in Z[zeta_3] and in Z[zeta_9], and 1 as an int, a Fraction and
+    # a Cyc of each ring, are equal and hash equal but print differently
+    from fractions import Fraction
+    from weilmod.coeff import CyclotomicRing
+    r3, r9 = CyclotomicRing(3), CyclotomicRing(3, 2)
+    row = [r3.zeta(), r9.coerce(r3.zeta()), 1, Fraction(1), r3.one(),
+           r9.one()]
+    assert row[0] == row[1] and hash(row[0]) == hash(row[1])
+    memo = {}
+    got = cli.matrix_json([row, row[::-1]], False, memo)
+    assert got == [[cli.scalar_json(x) for x in r] for r in (row, row[::-1])]
+    assert len(memo) == 6 and len({json.dumps(x) for x in got[0]}) == 6
+
+
 def test_selfcheck_deterministic():
     a = run_cli("selfcheck", "--seed", "42")
     b = run_cli("selfcheck", "--seed", "42")

@@ -1,7 +1,9 @@
 """Golden stdout: sha256 of stdout and the exit code of fixed CLI queries.
 
 The hashes pin the bytes the CLI prints for the README's commands (all but
-``--emit``, which writes a file), the four-row theta table of diag:1,1
+``--emit``, which writes a file), the weilrep and heisenberg dumps over F_3
+and, twisted, over F_5 (not with ``--approx``, whose floats depend on the
+platform's libm), the four-row theta table of diag:1,1
 (its ``char1``/``char2``/``char3`` labels follow the order in which the
 characters of O(V) are enumerated) and ``selfcheck --seed 42``.  A change
 that claims to keep the outputs must leave every hash as it is.
@@ -39,6 +41,13 @@ GOLDEN = [
      "e4e8c355226d6edbb16c4d0179b0af835433bbb4e0bb604cd5562707c4867ec4"),
     (["weilrep", "--field", "fq:3:1", "--m", "1"], 0,
      "6c5f5608d89e02be29cdce0fb4895f24a544a0f21db6172d76013fb2b5d1b8fb"),
+    (["weilrep", "--field", "fq:5:1", "--m", "1", "--psi", "psi:twist:2"],
+     0, "3700e3dc993c20f0ec817e873150b1c61d0960aaee49ece2b76cc9dc1fafab54"),
+    (["heisenberg", "--field", "fq:3:1", "--m", "1"], 0,
+     "e33ed3388dbe85c2d13e01cb912fe6df35b201e0cd7cdaf14a03fe2df352cae9"),
+    (["heisenberg", "--field", "fq:5:1", "--m", "1", "--psi",
+      "psi:twist:3"], 0,
+     "eb510648af8e0009d781d49454958af4f5defa1b00a7263c402117275ab3eacb"),
     (["theta", "--field", "fq:3:1", "--V", "diag:1", "--mprime", "1",
       "--coeff", "cyclo", "--out", "csv"], 0,
      "a53fbcce9c7489190f1a780bf75d4ff2e8528fceead82cc11a5b2d124f62e777"),

@@ -173,6 +173,30 @@ def test_central_character():
         assert all(ph == psi(t) for ph in mono.phases)
 
 
+def test_rho_is_psi_t_times_rho_at_t_zero():
+    # (w, t) = (w, 0)(0, t) and the center acts by psi: rho((w, t)) =
+    # psi(t) rho((w, 0)) on all of H(W), which lets the heisenberg dump
+    # make one rho per w.  Schrödinger models over F_3, F_5 and F_9 at
+    # m = 1 and over F_3 at m = 2, and a twisted model on the Lagrangian
+    # spanned by e_1 + 2 f_1 over F_5
+    models = []
+    for p, f, m in ((3, 1, 1), (5, 1, 1), (3, 2, 1), (3, 1, 2)):
+        fq = FqField(p, f)
+        models.append(SchrodingerModel(SympSpace(fq, m),
+                                       AdditiveCharacter(fq)))
+    f5 = FqField(5)
+    models.append(LagrangianModel(SympSpace(f5, 1),
+                                  AdditiveCharacter(f5, twist=2),
+                                  [(f5.element(1), f5.element(2))]))
+    for model in models:
+        sp, psi = model.space, model.psi
+        at_zero = {}
+        for h in all_h(sp):
+            if h.w not in at_zero:
+                at_zero[h.w] = model.rho(delta(sp, h.w))
+            assert model.rho(h) == at_zero[h.w].scaled(psi(h.t)), h
+
+
 def test_monomial_example_translation_and_phase():
     f3 = FqField(3)
     sp = SympSpace(f3, 1)
