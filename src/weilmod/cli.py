@@ -16,7 +16,7 @@ from . import linalg
 from .basefield import (AdditiveCharacter, InputError, parse_character,
                         parse_field, points)
 from .coeff import Cyc, FFElt, FiniteField
-from .heisenberg import SympSpace, SchrodingerModel, delta
+from .heisenberg import Monomial, SympSpace, SchrodingerModel, delta
 from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
                           cocycle_operator, enumerate_sp2, formula_report,
                           first_nontrivial_pair, sigma, x_invariant)
@@ -298,14 +298,20 @@ def cmd_heisenberg(args):
     zero, memo, out = psi.coeff_ring.zero(), {}, []
     # (w, t) = (w, 0)(0, t) and the center acts by its character: rho((w,
     # t)) = psi(t) rho((w, 0)), so one rho per w serves its q operators,
-    # which follow it in points' order (t, the last coordinate, fastest)
+    # which follow it in points' order (t, the last coordinate, fastest).
+    # Each phase of rho((w, 0)) is psi(s) for an s found once in `at`, and
+    # psi(t) psi(s) = psi(t + s) is a read of psi's table, not a product
+    at = {}
+    for s in field.elements():
+        at.setdefault(psi(s), s)
     for w in points(field, 2 * args.m):
         op = model.rho(delta(space, w))
+        logs = [at[x] for x in op.phases]
         for t in field.elements():
+            scaled = Monomial(op.perm, [psi(t + s) for s in logs])
             out.append({"w": [str(x) for x in w], "t": str(t),
-                        "matrix": matrix_json(
-                            op.scaled(psi(t)).to_dense(zero), args.approx,
-                            memo)})
+                        "matrix": matrix_json(scaled.to_dense(zero),
+                                              args.approx, memo)})
     payload = {"field": args.field, "m": args.m, "count": len(out),
                "operators": out}
     if args.emit:

@@ -232,6 +232,28 @@ def test_dumps_build_and_serialize_each_scalar_once(monkeypatch, capsys):
             assert calls == want, argv
 
 
+def test_heisenberg_scales_by_table_reads(monkeypatch, capsys):
+    # psi(t) times a phase psi(s) of rho((w, 0)) is read as psi(t + s):
+    # past psi's power table, built when --psi is parsed, the dump makes
+    # no product in Z[zeta_3]
+    from weilmod.coeff import Cyc
+    products = []
+    real_mul, real_parse = Cyc.__mul__, cli.parse_character
+
+    def mul(self, other):
+        products.append((self, other))
+        return real_mul(self, other)
+
+    def parse_character(field, desc):
+        psi = real_parse(field, desc)
+        monkeypatch.setattr(Cyc, "__mul__", mul)
+        return psi
+    monkeypatch.setattr(cli, "parse_character", parse_character)
+    assert cli.main(["heisenberg", "--field", "fq:3:1", "--m", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 27
+    assert products == []
+
+
 def test_matrix_json_memo_tells_rings_and_types_apart():
     # zeta_3 in Z[zeta_3] and in Z[zeta_9], and 1 as an int, a Fraction and
     # a Cyc of each ring, are equal and hash equal but print differently

@@ -983,10 +983,13 @@ def _unpacked(model, packed):
 def test_packed_check_matches_reference():
     # the row-packed check against the entrywise one it replaced: the same
     # (P[e], N[e]) from e0 on, and the same scalar, built as before from
-    # mu1 mu2 mu12^-1 and the first entry that phi maps to a nonzero
+    # mu1 mu2 mu12^-1 and the first entry that phi maps to a nonzero.  A
+    # second sweep over the same context answers every pair from its
+    # table: the stored scalar, equal and repr-equal to the expression
     for space, ctxs, pairs in _check_cases():
         for ctx in ctxs:
             model = ctx.counts
+            scalars = []
             for g1, g2 in pairs:
                 sig = [metaplectic.sigma_counts(ctx, lower(g))
                        for g in (g1, g2, linalg.mat_mul(g1, g2))]
@@ -1001,8 +1004,143 @@ def test_packed_check_matches_reference():
                 scalar = mu1 * mu2 * mu12.inv() * (phi(pe) * phi(ce).inv())
                 got = cocycle_operator(ctx, g1, g2)
                 assert got == scalar and repr(got) == repr(scalar)
-            # mu1 mu2 mu12^-1 by its three mu: at most (2(m + 1))^3
-            assert 0 < len(ctx._mu_ratio) <= (2 * (space.m + 1)) ** 3
+                scalars.append(scalar)
+            # the scalars by their three mu: at most (2(m + 1))^3 triples
+            assert 0 < len({k[:3] for k in ctx._scalars}) <= \
+                (2 * (space.m + 1)) ** 3
+            held = dict(ctx._scalars)
+            for (g1, g2), scalar in zip(pairs, scalars):
+                got = cocycle_operator(ctx, g1, g2)
+                assert got == scalar and repr(got) == repr(scalar)
+                assert any(got is v for v in held.values())
+            assert ctx._scalars == held
+
+
+def test_warm_cocycle_makes_no_ring_arithmetic(monkeypatch):
+    # on a second sweep every scalar is a read of the context's table: no
+    # product or inverse in Z[zeta_7] or F_8.  Each element of Sp2(F_7)
+    # is g1 against 12 seeded g2, which meets every entry of both tables
+    f7 = FqField(7)
+    sp = SympSpace(f7, 1)
+    ctxs = [WeilContext(sp, AdditiveCharacter(f7)),
+            WeilContext(sp, AdditiveCharacter(f7, FiniteField(2, 3)))]
+    group = enumerate_sp2(sp)
+    rng = random.Random(4343)
+    pairs = [(g1, g2) for g1 in group for g2 in rng.sample(group, 12)]
+    first = [cocycle_operator(ctx, g1, g2) for g1, g2 in pairs
+             for ctx in ctxs]
+    calls = []
+    for cls, name in ((Cyc, "__mul__"), (Cyc, "inv"), (FFElt, "__mul__")):
+        real = getattr(cls, name)
+
+        def counted(self, *args, real=real, name=name):
+            calls.append(name)
+            return real(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    again = [cocycle_operator(ctx, g1, g2) for g1, g2 in pairs
+             for ctx in ctxs]
+    assert calls == []
+    assert again == first and all(c == ctx.one() for c, ctx in
+                                  zip(again, itertools.cycle(ctxs)))
+    assert [len(ctx._scalars) for ctx in ctxs] == [24, 4]
+
+
+def test_scalar_table_is_capped(monkeypatch):
+    # the table keeps at most SIGMA_CACHE_SIZE scalars, the oldest going
+    # first; a cap of 2 gives the same values, repr for repr, over an
+    # Sp2(F_5) sweep that meets 24 (Z[zeta_5]) and 4 (F_16) of them.  The
+    # first sweep builds every count form of Sp2(F_5), so the count cache,
+    # capped by the same constant, meets no new element under the cap
+    f5 = FqField(5)
+    sp = SympSpace(f5, 1)
+    psis = [AdditiveCharacter(f5), AdditiveCharacter(f5, FiniteField(2, 4))]
+    group = enumerate_sp2(sp)
+    rng = random.Random(5151)
+    pairs = [(g1, g2) for g1 in group for g2 in rng.sample(group, 10)]
+    for psi, size in zip(psis, (24, 4)):
+        ctx = WeilContext(sp, psi)
+        want = [repr(cocycle_operator(ctx, g1, g2)) for g1, g2 in pairs]
+        assert len(ctx._scalars) == size
+        monkeypatch.setattr(metaplectic, "SIGMA_CACHE_SIZE", 2)
+        capped = WeilContext(sp, psi)
+        got = []
+        for g1, g2 in pairs:
+            got.append(repr(cocycle_operator(capped, g1, g2)))
+            assert 0 < len(capped._scalars) <= 2
+        assert got == want
+        monkeypatch.undo()
+
+
+def _warm_sp2_f3():
+    """A context over Z[zeta_3] that has checked all 576 pairs of Sp2(F_3),
+    with the group and the pairs in split_checks' order."""
+    f3 = FqField(3)
+    space = SympSpace(f3, 1)
+    group = enumerate_sp2(space)
+    pairs = [(g1, g2) for g1 in group for g2 in group]
+    ctx = WeilContext(space, AdditiveCharacter(f3))
+    assert split_checks(ctx, pairs) == {"multiplicative": True,
+                                        "pairs": len(pairs)}
+    return ctx, group, pairs
+
+
+def test_warm_table_keeps_the_negated_mu_fault(monkeypatch):
+    # sigma(t) with its mu negated, on a context whose table holds every
+    # scalar of Sp2(F_3): the first pair with t an odd number of times
+    # among g1, g2 and g1 g2 fails, as on a cold context, since the table
+    # is keyed by the mu that sigma_counts returns
+    warm, group, pairs = _warm_sp2_f3()
+    held = dict(warm._scalars)
+    for t in (group[5], group[17]):
+        real = metaplectic.sigma_counts
+
+        def negated(ctx, g, t=lower(t)):
+            mu, counts = real(ctx, g)
+            return (-mu, counts) if g == t else (mu, counts)
+        monkeypatch.setattr(metaplectic, "sigma_counts", negated)
+        first = next(k for k, (g1, g2) in enumerate(pairs)
+                     if [g1, g2, linalg.mat_mul(g1, g2)].count(t) % 2)
+        want = {"multiplicative": False, "pairs": first}
+        cold = WeilContext(warm.space, warm.psi)
+        assert split_checks(warm, pairs) == want
+        assert split_checks(cold, pairs) == want
+        monkeypatch.undo()
+        assert split_checks(warm, pairs)["multiplicative"] is True
+    assert all(warm._scalars[k] is v for k, v in held.items())
+
+
+def test_warm_table_keeps_the_corrupted_count_fault():
+    # one slot more at a nonzero entry of a cached N1, N2 or N12, after
+    # every pair of Sp2(F_3) has filled the table: check still refuses
+    # the pair, naming it, before the table is read
+    warm, _, pairs = _warm_sp2_f3()
+    model = warm.counts
+    w, rng, done = model.slot_bits, random.Random(6161), 0
+    for g1, g2 in pairs:
+        g12 = linalg.mat_mul(g1, g2)
+        if len({g1, g2, g12}) < 3:
+            continue
+        for g in (g1, g2, g12):
+            key, packed = model.entry(lower(g))
+            counts = [model.unpack(row) for row in packed]
+            n = len(counts)
+            for e in range(n * n):
+                if not counts[e // n][e % n]:
+                    continue
+                bad = [list(row) for row in counts]
+                bad[e // n][e % n] += 1 << (w * rng.randrange(3))
+                model.cache[lower(g)] = (key, tuple(map(model.pack, bad)))
+                with pytest.raises(RuntimeError) as err:
+                    cocycle_operator(warm, g1, g2)
+                assert str(err.value).startswith(
+                    "cocycle operator is not scalar: g1 = %s, g2 = %s, "
+                    % (g1, g2))
+            model.cache[lower(g)] = (key, packed)
+        assert cocycle_operator(warm, g1, g2) == warm.one()
+        done += 1
+        if done == 6:
+            break
+    assert done == 6
 
 
 def test_cocycle_check_refuses_each_corrupted_entry_of_n2():

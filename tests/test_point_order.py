@@ -140,7 +140,7 @@ def test_heisenberg_dump_follows_the_nested_loops(desc, capsys):
 PACKAGE = pathlib.Path(weilmod.__file__).parent
 
 # a WeilContext's count model, ring map and mu tables: metaplectic's alone
-CONTEXT_INTERNALS = {"_phi", "counts", "_mu", "_mu_ratio", "_gauss_half_inv"}
+CONTEXT_INTERNALS = {"_phi", "counts", "_mu", "_scalars", "_gauss_half_inv"}
 
 
 def _modules():
