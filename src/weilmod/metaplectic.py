@@ -140,9 +140,13 @@ def x_data(space, g):
 
 
 def _x_parts(space, g):
-    """x_data's (N, d) in space.field's scalars, g checked by the caller."""
+    """x_data's (N, d) in space.field's scalars, g checked by the caller:
+    every index and det C when C is invertible (ker C = 0), one det."""
     field = space.field
     a, _, c, _ = space.blocks(g)
+    d = linalg.det(c, field)
+    if d:
+        return list(range(space.m)), d
     pivots = _echelon_kernel_image(a, linalg.nullspace(c, field), field)
     n_idx = [i for i in range(space.m) if i not in pivots]
     d = linalg.det([c[i] if i not in pivots else a[i]
@@ -229,9 +233,9 @@ class CountModel:
 
     An entry of N totals at most q^m, an entry of N1 N2 at most n q^{2m}
     and a product of one such entry with one of N at most n q^{3m} <
-    2^{W-1}, before the fold and after it.  So no slot of the check's
-    products carries into the next slot or entry, and their difference,
-    offset by 2^{W-1} in each slot, borrows from none.
+    2^{W-1}, before the fold and after it.  So no slot of a build's rows
+    (_terms) or of the check's products carries into the next, and the
+    check's difference, offset by 2^{W-1} in each slot, borrows from none.
 
     g is a matrix of raw field indices (FiniteField.indices.lower), and
     the model works over `space`, the symplectic space of dimension 2m
@@ -263,6 +267,12 @@ class CountModel:
         w = self.slot_bits = (n * field.q ** (3 * m)).bit_length() + 1
         c = self.stride = (2 * self.p - 1) * w
         self._shifts = tuple(c * j for j in range(n))
+        # _terms[y][d], -p < d < p (read at d + 2p when d < 0): the term
+        # zeta_p^{d/2} at entry y of a packed row; Tr(c x/2) = Tr(c x)/2
+        half = (self.p + 1) // 2        # 1/2 in F_p
+        self._terms = tuple(tuple(1 << (s + w * (d * half % self.p))
+                                  for d in range(2 * self.p))
+                            for s in self._shifts)
         self._entry_mask = (1 << c) - 1
         self._ones = sum(1 << (w * e) for e in range(self.p))
 
@@ -280,17 +290,17 @@ class CountModel:
         self._restricted = {}
 
     def pack(self, entries):
-        """One packed row of n packed entries."""
+        """One packed row of n packed entries (or column: restrict)."""
         row = 0
         for x, s in zip(entries, self._shifts):
             if x:
                 row |= x << s
         return row
 
-    def unpack(self, row, start=0):
-        """The packed entries of a packed row, from column `start` on."""
+    def unpack(self, row):
+        """The packed entries of a packed row."""
         mask = self._entry_mask
-        return [(row >> s) & mask for s in self._shifts[start:]]
+        return [(row >> s) & mask for s in self._shifts]
 
     def _unequal(self, row):
         """The column of the first entry whose slots are not all equal, in
@@ -299,9 +309,9 @@ class CountModel:
         d = row ^ (row & self._slot0) * self._ones
         return ((d & -d).bit_length() - 1) // self.stride
 
-    def entry(self, g):
+    def entry(self, g, checked=False):
         """((j, x(g) class), N) for g in Sp(space), from the cache when it
-        holds g.
+        holds g; a build checks g (x_data) unless it is `checked` already.
 
         sigma(g) f (y0) = mu sum_a psi(<a, y0>/2 - <w_X, w_Y>/2) f(w_Y) with
         w = g^-1 (a + y0), a over a complement of gX cap X in X: the F_q-span
@@ -314,45 +324,37 @@ class CountModel:
         the sum needs are each tabulated once per build on point indices
         (_image): co in F_q^j to a, to va_X and to va_Y (through lead and
         the X and Y parts of g^-1 lead), and y0 to vy_X and to vy_Y (through
-        g^-1's Y -> X and Y -> Y blocks).  A term of N is then table reads
-        only; the field arithmetic left in a build is x_data's (is_symplectic
-        on g, the nullspace of C, the echelon form of A ker C and one m x m
-        det) and g^-1, whose columns are g^-1 lead and g^-1 f_i.  No Bruhat
-        decomposition is made."""
+        g^-1's Y -> X and Y -> Y blocks).  g^-1 = [[D^T, -B^T], [-C^T, A^T]]
+        for g = [[A, B], [C, D]]: its columns e_i and f_i are (D_i, -C_i)
+        and (-B_i, A_i), X_i row i of X.  A term of N is then table reads
+        only, added into its packed row (_terms).  The field arithmetic
+        left in a build is x_data's and the negations -C_i and -B_i.  No
+        Bruhat decomposition is made."""
         cache = self.cache
         entry = cache.get(g)
         if entry is not None:
             return entry
         space = self.space
         ix = space.field
-        m, p = self.m, self.p
-        n_idx, d = x_data(space, g)
+        m, neg = self.m, ix.neg
+        n_idx, d = (_x_parts if checked else x_data)(space, g)
         key = (len(n_idx), ix.is_square(d))
         if self._dot_exps is None:
             self._dot_exps, self._mults = self._point_tables()
-        dots = self._dot_exps
-        cols = linalg.transpose(space.inv(g))   # the columns of g^-1
-        ycols = cols[m:]                        # g^-1 f_i
-        lead = [space.basis_e(i)[:m] for i in n_idx]
-        lifted = [cols[i] for i in n_idx]       # g^-1 e_i
-        reps = tuple(zip(self._image(lead),
-                         self._image([v[:m] for v in lifted]),
-                         self._image([v[m:] for v in lifted])))
-        half = (p + 1) // 2     # 1/2 in F_p; Tr(c x/2) = Tr(c x)/2
-        # shift[d], -p < d < p (a negative d read from the end): the slot
-        # of exponent d / 2 mod p
-        shift = [1 << (self.slot_bits * (d * half % p))
-                 for d in itertools.chain(range(p), range(1 - p, 0))]
-        ysum, n = self.ysum, len(self.ypoints)
+        dots, terms, ysum = self._dot_exps, self._terms, self.ysum
+        reps = tuple(zip(
+            self._image([space.basis_e(i)[:m] for i in n_idx]),
+            self._image([g[m + i][m:] for i in n_idx]),
+            self._image([neg(g[m + i][:m]) for i in n_idx])))
         rows = []
-        for ey, yx, yy in zip(dots, self._image([c[:m] for c in ycols]),
-                              self._image([c[m:] for c in ycols])):
+        for ey, yx, yy in zip(dots, self._image([neg(r[m:]) for r in g[:m]]),
+                              self._image([r[:m] for r in g[:m]])):
             sx, sy = ysum[yx], ysum[yy]
-            row = [0] * n
+            row = 0
             for a, ax, ay in reps:
                 wy = sy[ay]
-                row[wy] += shift[ey[a] - dots[sx[ax]][wy]]
-            rows.append(self.pack(row))
+                row += terms[wy][ey[a] - dots[sx[ax]][wy]]
+            rows.append(row)
         entry = (key, tuple(rows))
         if len(cache) >= SIGMA_CACHE_SIZE:
             self._restricted.pop(next(iter(cache)), None)
@@ -384,8 +386,8 @@ class CountModel:
     def check(self, n1, n2, n12, g1, g2):
         """Checks P = c N in Z[zeta_p] on every entry, for P = N1 N2, N =
         N12 (packed rows) and some scalar c, and returns the pairs (P[e],
-        N[e]) from e0 on, in row-major order, a row unpacked only when the
-        caller reaches it.
+        N[e]) from e0 on, in row-major order, each read off the packed rows
+        only when the caller reaches it.
 
         e0 is the first entry whose slots are not all equal, that is with
         N[e0] nonzero in Z[zeta_p].  For prime p the kernel of Z[x]/(x^p -
@@ -408,9 +410,8 @@ class CountModel:
                 last[2] is n12:
             _, _, _, prods, i0, j0 = last
             return self._entries_from(prods, n12, i0, j0)
-        c, pw = self.stride, self.slot_bits * self.p
+        pw = self.slot_bits * self.p
         lo, hi, slot0, ones = self._lo, self._hi, self._slot0, self._ones
-        mask = self._entry_mask
         prods = self._products(n1, n2)
         i0 = next((i for i, r in enumerate(n12) if r != (r & slot0) * ones),
                   None)
@@ -418,8 +419,7 @@ class CountModel:
             raise RuntimeError("cocycle operator is not scalar: g1 = %s, "
                                "g2 = %s, sigma(g1 g2) is zero" % (g1, g2))
         j0 = self._unequal(n12[i0])
-        p0 = (prods[i0] >> (c * j0)) & mask
-        c0 = (n12[i0] >> (c * j0)) & mask
+        p0, c0 = next(self._entries_from(prods, n12, i0, j0))
         offset = self._offset
         for i, (pr, r12) in enumerate(zip(prods, n12)):
             a = pr * c0
@@ -451,11 +451,7 @@ class CountModel:
         key, rows = self.entry(g)
         held = self._restricted.get(g)
         if held is None or held[0] is not rows:
-            c, cols = self.stride, [0] * len(rows)
-            for z, row in enumerate(rows):
-                for x, e in enumerate(self.unpack(row)):
-                    if e:
-                        cols[x] |= e << (c * z)
+            cols = [self.pack(col) for col in zip(*map(self.unpack, rows))]
             held = self._restricted[g] = (rows, cols, {})
         split = tuple((tuple(plus), tuple(minus)) for plus, minus in signed)
         if split not in held[2]:
@@ -500,11 +496,11 @@ class CountModel:
         return prods
 
     def _entries_from(self, prods, n12, i0, j0):
-        """(P[e], N[e]) from e0 = (i0, j0) on, a row unpacked at a time."""
+        """(P[e], N[e]) from e0 = (i0, j0) on, one entry at a time."""
+        mask = self._entry_mask
         for i in range(i0, len(n12)):
-            start = j0 if i == i0 else 0
-            yield from zip(self.unpack(prods[i], start),
-                           self.unpack(n12[i], start))
+            for s in self._shifts[j0 if i == i0 else 0:]:
+                yield (prods[i] >> s) & mask, (n12[i] >> s) & mask
 
 
 class WeilContext:
@@ -631,12 +627,16 @@ def cocycle_operator(ctx, g1, g2):
     and 80 over 10^4 random Sp4(F_3) pairs over Z[zeta_3].  It holds at
     most SIGMA_CACHE_SIZE entries, read at each insertion, the oldest
     going first.  g1, g2 and g1 g2 go to sigma_counts on raw field
-    indices; the errors name g1 and g2 as given."""
+    indices; the errors name g1 and g2 as given.  Builds of g1 and g2 check
+    them (x_data).  g1 g2 is built first with no second check, as it is
+    symplectic exactly: (a b)^T J (a b) = b^T (a^T J a) b = b^T J b = J."""
     ix = ctx.space.field.indices
     a, b = ix.lower(g1), ix.lower(g2)
     mu1, n1 = sigma_counts(ctx, a)
     mu2, n2 = sigma_counts(ctx, b)
-    mu12, n12 = sigma_counts(ctx, linalg.mat_mul(a, b, ix))
+    ab = linalg.mat_mul(a, b, ix)
+    ctx.counts.entry(ab, checked=True)
+    mu12, n12 = sigma_counts(ctx, ab)
     for pe, ce in ctx.counts.check(n1, n2, n12, g1, g2):
         y = ctx.phi(ce)
         if y:

@@ -255,11 +255,15 @@ def _x_data_cases():
 def test_x_data_matches_bruhat_factors():
     # N and d against Bruhat's factors: j = len(N), p1's first j columns
     # are e_i for i in N, and d = det_X(p1) det_X(p2) exactly (so x(g) is
-    # its class); over F_q also on raw indices, as a count build reads it
-    js = set()
+    # its class); over F_q also on raw indices, as a count build reads it.
+    # The cases meet both of x_data's branches over F_q and over Q_p: C
+    # invertible (d = det C) and C singular (the nullspace path)
+    js, branches = set(), set()
     for sp, elements in _x_data_cases():
         field = sp.field
         for g in elements:
+            branches.add((field.flavor,
+                          bool(linalg.det(sp.blocks(g)[2], field))))
             bd = bruhat_decompose(sp, g)
             n_idx, d = metaplectic.x_data(sp, g)
             assert len(n_idx) == bd.j, (field, g)
@@ -274,6 +278,8 @@ def test_x_data_matches_bruhat_factors():
                     == (n_idx, d.i), (field, g)
             js.add((sp.m, bd.j))
     assert js == {(m, j) for m in (1, 2, 3) for j in range(m + 1)}
+    assert branches == {(flavor, invertible) for flavor in ("finite", "padic")
+                        for invertible in (True, False)}
 
 
 def test_x_data_refuses_zero_det_as_a_check(monkeypatch):
@@ -314,6 +320,128 @@ def test_count_build_makes_no_bruhat_call(monkeypatch):
         js = {model.entry(g)[0][0] for g in map(lower, elements)}
         assert js == set(range(sp.m + 1))
         assert len(built) == len(set(map(lower, elements))) > 0
+
+
+def _build_cost_cases():
+    """(space, elements): all of Sp2(F_9) and seeded Sp4(F_3) words."""
+    rng = random.Random(4444)
+    sp9, sp4 = SympSpace(FqField(3, 2), 1), SympSpace(FqField(3), 2)
+    return [(sp9, enumerate_sp2(sp9)),
+            (sp4, [random_symplectic(sp4, rng, length=8)
+                   for _ in range(40)])]
+
+
+def test_count_build_forms_no_inverse(monkeypatch):
+    # a build reads the columns of g^-1 off the rows of g's blocks: no
+    # SympSpace.inv call, on a cold model, whatever j
+    def refuse(*_args):
+        raise AssertionError("a count build formed g^-1")
+    monkeypatch.setattr(SympSpace, "inv", refuse)
+    for sp, elements in _build_cost_cases():
+        model = metaplectic.CountModel(sp.field, sp.m,
+                                       AdditiveCharacter(sp.field)._exp)
+        js = {model.entry(g)[0][0] for g in map(lower, elements)}
+        assert js == set(range(sp.m + 1))
+        assert len(model.cache) == len(set(map(lower, elements)))
+
+
+def test_x_data_with_invertible_c_makes_one_det(monkeypatch):
+    # C invertible: N is every index and d = det C, from one linalg.det
+    # and no nullspace or rref, on raw indices (as a count build calls it)
+    # and on FFElts; a singular C still takes the nullspace path
+    calls = []
+    for name in ("det", "nullspace", "rref"):
+        def counted(*args, real=getattr(linalg, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    seen = set()
+    for sp, elements in _build_cost_cases():
+        ix = SympSpace(sp.field.indices, sp.m)
+        for g in elements:
+            invertible = bool(linalg.det(sp.blocks(g)[2], sp.field))
+            for space, h in ((ix, lower(g)), (sp, g)):
+                calls.clear()
+                n_idx, d = metaplectic.x_data(space, h)
+                if invertible:
+                    assert calls == ["det"], (space.field, h)
+                    assert n_idx == list(range(sp.m))
+                    assert d == linalg.det(space.blocks(h)[2], space.field)
+                else:
+                    assert "nullspace" in calls, (space.field, h)
+            seen.add(invertible)
+    assert seen == {True, False}
+
+
+def _distinct_pairs(elements, rng, count):
+    """`count` seeded pairs (g1, g2) with g1, g2 and g1 g2 distinct."""
+    pairs = []
+    while len(pairs) < count:
+        g1, g2 = rng.choice(elements), rng.choice(elements)
+        if len({g1, g2, linalg.mat_mul(g1, g2)}) == 3:
+            pairs.append((g1, g2))
+    return pairs
+
+
+def test_cocycle_operator_checks_only_g1_and_g2(monkeypatch):
+    # on a cold model, the builds of g1 and g2 make one is_symplectic call
+    # each and the build of g1 g2 none; with g1 and g2 cached, the pair
+    # builds g1 g2 with no call at all
+    seen = []
+    real = SympSpace.is_symplectic
+
+    def counted(self, g):
+        seen.append(g)
+        return real(self, g)
+    monkeypatch.setattr(SympSpace, "is_symplectic", counted)
+    rng = random.Random(4545)
+    for sp, elements in _build_cost_cases():
+        psi = AdditiveCharacter(sp.field)
+        for g1, g2 in _distinct_pairs(elements, rng, 12):
+            a, b = lower(g1), lower(g2)
+            ab = lower(linalg.mat_mul(g1, g2))
+            monkeypatch.setattr(metaplectic, "_COUNT_MODELS", {})
+            ctx = WeilContext(sp, psi)
+            seen.clear()
+            assert cocycle_operator(ctx, g1, g2) == ctx.one()
+            assert seen == [a, b]
+            assert set(ctx.counts.cache) == {a, b, ab}
+            monkeypatch.setattr(metaplectic, "_COUNT_MODELS", {})
+            ctx = WeilContext(sp, psi)
+            metaplectic.sigma_counts(ctx, a)
+            metaplectic.sigma_counts(ctx, b)
+            seen.clear()
+            assert cocycle_operator(ctx, g1, g2) == ctx.one()
+            assert seen == [] and ab in ctx.counts.cache
+
+
+def test_cocycle_operator_refuses_a_non_symplectic_input(monkeypatch):
+    # a g1 or g2 that is not symplectic (a symplectic word times diag(2,
+    # 1, .., 1)) is refused as a failed check naming it, on a cold model
+    # and on one where the other element and the product are cached
+    rng = random.Random(4646)
+    for field, m in ((FqField(3), 1), (FqField(3, 2), 1), (FqField(3), 2)):
+        sp = SympSpace(field, m)
+        psi = AdditiveCharacter(field)
+        good = random_symplectic(sp, rng, length=6)
+        scale = fmat(field, [[2 if i == j == 0 else int(i == j)
+                              for j in range(2 * m)] for i in range(2 * m)])
+        bad = linalg.mat_mul(good, scale)
+        assert not sp.is_symplectic(bad)
+        for g1, g2 in ((bad, good), (good, bad)):
+            for warm in (False, True):
+                monkeypatch.setattr(metaplectic, "_COUNT_MODELS", {})
+                ctx = WeilContext(sp, psi)
+                if warm:
+                    model = ctx.counts
+                    model.entry(lower(good))
+                    model.cache[lower(linalg.mat_mul(g1, g2))] = \
+                        model.entry(lower(good))
+                with pytest.raises(RuntimeError) as err:
+                    cocycle_operator(ctx, g1, g2)
+                assert str(err.value) == \
+                    "x(g): g = %s is not symplectic" % (lower(bad),)
+                assert lower(bad) not in ctx.counts.cache
 
 
 # ---------------------------------------------------------------------------

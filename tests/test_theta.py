@@ -788,9 +788,9 @@ def test_restrict_transposes_each_image_once(monkeypatch):
     unpacked = []
     real = metaplectic.CountModel.unpack
 
-    def counted(model, row, start=0):
+    def counted(model, row):
         unpacked.append(row)
-        return real(model, row, start)
+        return real(model, row)
     monkeypatch.setattr(metaplectic.CountModel, "unpack", counted)
     images = set()
     for diag, ell in REPORTS:
