@@ -234,7 +234,7 @@ class CountModel:
     An entry of N totals at most q^m, an entry of N1 N2 at most n q^{2m}
     and a product of one such entry with one of N at most n q^{3m} <
     2^{W-1}, before the fold and after it.  So no slot of a build's rows
-    (_terms) or of the check's products carries into the next, and the
+    (_slot) or of the check's products carries into the next, and the
     check's difference, offset by 2^{W-1} in each slot, borrows from none.
 
     g is a matrix of raw field indices (FiniteField.indices.lower), and
@@ -267,12 +267,11 @@ class CountModel:
         w = self.slot_bits = (n * field.q ** (3 * m)).bit_length() + 1
         c = self.stride = (2 * self.p - 1) * w
         self._shifts = tuple(c * j for j in range(n))
-        # _terms[y][d], -p < d < p (read at d + 2p when d < 0): the term
-        # zeta_p^{d/2} at entry y of a packed row; Tr(c x/2) = Tr(c x)/2
+        # _slot[d], -p < d < p (read at d + 2p when d < 0): zeta_p^{d/2}
+        # as a packed entry; Tr(c x/2) = Tr(c x)/2
         half = (self.p + 1) // 2        # 1/2 in F_p
-        self._terms = tuple(tuple(1 << (s + w * (d * half % self.p))
-                                  for d in range(2 * self.p))
-                            for s in self._shifts)
+        self._slot = tuple(1 << (w * (d * half % self.p))
+                           for d in range(2 * self.p))
         self._entry_mask = (1 << c) - 1
         self._ones = sum(1 << (w * e) for e in range(self.p))
 
@@ -284,9 +283,8 @@ class CountModel:
         # 2^{W-1} in each slot of one entry, and of every entry of a row
         self._entry_offset = self._ones << (w - 1)
         self._offset = each_entry(self._entry_offset)
-        self._dot_exps = self._mults = None
+        self._dot_exps = self._mults = self._last = None
         self.cache = {}
-        self._last = None
         self._restricted = {}
 
     def pack(self, entries):
@@ -327,21 +325,20 @@ class CountModel:
         g^-1's Y -> X and Y -> Y blocks).  g^-1 = [[D^T, -B^T], [-C^T, A^T]]
         for g = [[A, B], [C, D]]: its columns e_i and f_i are (D_i, -C_i)
         and (-B_i, A_i), X_i row i of X.  A term of N is then table reads
-        only, added into its packed row (_terms).  The field arithmetic
+        only, added into its packed row (_slot).  The field arithmetic
         left in a build is x_data's and the negations -C_i and -B_i.  No
         Bruhat decomposition is made."""
         cache = self.cache
         entry = cache.get(g)
         if entry is not None:
             return entry
-        space = self.space
-        ix = space.field
-        m, neg = self.m, ix.neg
+        space, m, ysum = self.space, self.m, self.ysum
+        ix, neg = space.field, space.field.neg
         n_idx, d = (_x_parts if checked else x_data)(space, g)
         key = (len(n_idx), ix.is_square(d))
         if self._dot_exps is None:
             self._dot_exps, self._mults = self._point_tables()
-        dots, terms, ysum = self._dot_exps, self._terms, self.ysum
+        dots, slot, shifts = self._dot_exps, self._slot, self._shifts
         reps = tuple(zip(
             self._image([space.basis_e(i)[:m] for i in n_idx]),
             self._image([g[m + i][m:] for i in n_idx]),
@@ -353,7 +350,7 @@ class CountModel:
             row = 0
             for a, ax, ay in reps:
                 wy = sy[ay]
-                row += terms[wy][ey[a] - dots[sx[ax]][wy]]
+                row += slot[ey[a] - dots[sx[ax]][wy]] << shifts[wy]
             rows.append(row)
         entry = (key, tuple(rows))
         if len(cache) >= SIGMA_CACHE_SIZE:
@@ -628,12 +625,15 @@ def cocycle_operator(ctx, g1, g2):
     most SIGMA_CACHE_SIZE entries, read at each insertion, the oldest
     going first.  g1, g2 and g1 g2 go to sigma_counts on raw field
     indices; the errors name g1 and g2 as given.  Builds of g1 and g2 check
-    them (x_data).  g1 g2 is built first with no second check, as it is
+    them (x_data); g1 g2 is then built with no second check, as it is
     symplectic exactly: (a b)^T J (a b) = b^T (a^T J a) b = b^T J b = J."""
     ix = ctx.space.field.indices
     a, b = ix.lower(g1), ix.lower(g2)
-    mu1, n1 = sigma_counts(ctx, a)
-    mu2, n2 = sigma_counts(ctx, b)
+    try:
+        (mu1, n1), (mu2, n2) = [sigma_counts(ctx, x) for x in (a, b)]
+    except RuntimeError as err:     # g1 failed unless it is cached
+        bad = ("g2", g2) if a in ctx.counts.cache else ("g1", g1)
+        raise RuntimeError("%s = %s: %s" % (bad + (err,))) from None
     ab = linalg.mat_mul(a, b, ix)
     ctx.counts.entry(ab, checked=True)
     mu12, n12 = sigma_counts(ctx, ab)

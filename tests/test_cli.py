@@ -622,6 +622,19 @@ def test_padic_queries_at_p101_answer():
         "value": cocycle_formula(SympSpace(QpField(101), 1), ident, w)}
 
 
+def test_finite_operator_cocycle_at_p101_answers():
+    # sigma over F_101 in Z[zeta_101] within 1 GiB: the count model keeps
+    # no table per entry of N, which would take some 750 MB here; g1 =
+    # diag(2, 1/2) keeps N1 N2 cheap.  The finite cocycle is trivial
+    proc = run_cli_limited("cocycle", "--field", "fq:101:1", "--m", "1",
+                           "--g1", "2,0,0,51", "--g2", "0,-1,1,0",
+                           "--path", "operator", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    value = json.loads(proc.stdout)["value"]
+    assert value["ring"] == "Z[zeta_101]"
+    assert value["coeffs"] == ["1"] + ["0"] * (len(value["coeffs"]) - 1)
+
+
 def _operator(field, g1):
     return ["cocycle", "--field", field, "--m", "1", "--g1", g1,
             "--g2", "0,-1,1,0", "--path", "operator"]

@@ -417,8 +417,9 @@ def test_cocycle_operator_checks_only_g1_and_g2(monkeypatch):
 
 def test_cocycle_operator_refuses_a_non_symplectic_input(monkeypatch):
     # a g1 or g2 that is not symplectic (a symplectic word times diag(2,
-    # 1, .., 1)) is refused as a failed check naming it, on a cold model
-    # and on one where the other element and the product are cached
+    # 1, .., 1)) is refused as a failed check naming it as given, on a
+    # cold model and on one where the other element and the product are
+    # cached
     rng = random.Random(4646)
     for field, m in ((FqField(3), 1), (FqField(3, 2), 1), (FqField(3), 2)):
         sp = SympSpace(field, m)
@@ -428,7 +429,7 @@ def test_cocycle_operator_refuses_a_non_symplectic_input(monkeypatch):
                               for j in range(2 * m)] for i in range(2 * m)])
         bad = linalg.mat_mul(good, scale)
         assert not sp.is_symplectic(bad)
-        for g1, g2 in ((bad, good), (good, bad)):
+        for name, g1, g2 in (("g1", bad, good), ("g2", good, bad)):
             for warm in (False, True):
                 monkeypatch.setattr(metaplectic, "_COUNT_MODELS", {})
                 ctx = WeilContext(sp, psi)
@@ -439,9 +440,27 @@ def test_cocycle_operator_refuses_a_non_symplectic_input(monkeypatch):
                         model.entry(lower(good))
                 with pytest.raises(RuntimeError) as err:
                     cocycle_operator(ctx, g1, g2)
-                assert str(err.value) == \
-                    "x(g): g = %s is not symplectic" % (lower(bad),)
+                assert str(err.value).startswith("%s = %s: " % (name, bad))
+                assert str(err.value).endswith("is not symplectic")
                 assert lower(bad) not in ctx.counts.cache
+
+
+def test_count_model_keeps_no_table_per_entry():
+    # a model and its first build allocate less than three count matrices
+    # N (n^2 entries of C bits): a table of each entry's 2p terms shifted
+    # into place took about p times one N, some 750 MB over F_101
+    import tracemalloc
+    field = FqField(53)
+    exp = AdditiveCharacter(field)._exp
+    tracemalloc.start()
+    try:
+        model = metaplectic.CountModel(field, 1, exp)
+        model.entry(lower(fmat(field, [[0, -1], [1, 0]])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(model.ypoints)
+    assert peak < 3 * n * n * model.stride // 8
 
 
 # ---------------------------------------------------------------------------
