@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .coeff import CyclotomicRing, FiniteField, RingMismatchError, common_ring
 from .linalg import Ops
@@ -51,14 +53,19 @@ class FqField(FiniteField):
     def flavor(self):
         return "finite"
 
+    def index(self, x):
+        """The raw index of x: an element's own, or an int read as element
+        reads it (mod q), with no FFElt made."""
+        return x % self.q if isinstance(x, int) else self.element(x).i
+
     def val(self, x):
         """The trivial valuation: 0 on every unit, so |x|_F = 1."""
-        if not self.element(x):
+        if not self.index(x):
             raise ZeroDivisionError("valuation of zero")
         return 0
 
     def is_square(self, a):
-        return self.indices.is_square(self.element(a).i)
+        return self.indices.is_square(self.index(a))
 
     def nonresidue(self):
         return self.element(next(i for i in range(1, self.q)
@@ -91,6 +98,50 @@ def _sum_products(num, den, pairs, sign):
                 num = num * d + n * den
                 den *= d
     return num, den
+
+
+class Integers(Ops):
+    """Z as linalg's arithmetic, where a Q_p matrix g is read once it is
+    lowered to G = D g (QpField.lower): ranks, kernels and the classes of
+    determinants survive the scaling up to a factor the caller tracks
+    (metaplectic._cocycle).  Rows are eliminated fraction-free (pivot)."""
+
+    @staticmethod
+    def zero():
+        return 0
+
+    @staticmethod
+    def one():
+        return 1
+
+    @staticmethod
+    def dot(u, v):
+        return sum(map(mul, u, v))
+
+    @staticmethod
+    def add(u, v):
+        return tuple(x + y for x, y in zip(u, v))
+
+    @staticmethod
+    def pairing(u, v, m):
+        return sum(map(mul, u[:m], v[m:])) - sum(map(mul, u[m:], v[:m]))
+
+    @staticmethod
+    def pivot(rows, r, c, lead, lo=0):
+        """Bareiss's step: with x = rows[r][c], row i becomes (x row_i -
+        rows[i][c] row_r) / lead for each i >= lo but r, lead being the
+        last pivot (1 at the first).  Every entry is a minor of the input,
+        so each division is exact, every pivot row of rref holds x at its
+        pivot, and det's last x is the determinant.  Returns x."""
+        x, piv, d = rows[r][c], rows[r], lead or 1
+        for i in range(lo, len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(x * u - f * v) // d for u, v in zip(rows[i], piv)]
+        return x
+
+
+INTEGERS = Integers()
 
 
 class QpField(Ops):
@@ -168,21 +219,31 @@ class QpField(Ops):
         cn, cd = c.numerator, c.denominator
         return [Fraction(x.numerator * cn, x.denominator * cd) for x in row]
 
-    def val(self, x):
-        """Exact p-adic valuation of a nonzero rational."""
-        x = Fraction(x)
-        if x == 0:
+    def lower(self, a):
+        """(G, D) with a = G / D, for D the lcm of the denominators of a's
+        rationals (Fractions or ints), read with no Fraction made."""
+        d = lcm(*[x.denominator for row in a for x in row])
+        return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                     for row in a), d
+
+    def _split(self, x):
+        """(v, n, d) with x = p^v n / d, p dividing neither n nor d, read
+        off the numerator and denominator of an int or a Fraction."""
+        n, d, p = x.numerator, x.denominator, self.p
+        if not n:
             raise ZeroDivisionError("valuation of zero")
         v = 0
-        n = x.numerator
-        while n % self.p == 0:
-            n //= self.p
+        while n % p == 0:
+            n //= p
             v += 1
-        d = x.denominator
-        while d % self.p == 0:
-            d //= self.p
+        while d % p == 0:
+            d //= p
             v -= 1
-        return v
+        return v, n, d
+
+    def val(self, x):
+        """Exact p-adic valuation of a nonzero rational."""
+        return self._split(x)[0]
 
     def unit_part(self, x):
         """x / p^val(x) as a rational that is a p-adic unit."""
@@ -190,8 +251,8 @@ class QpField(Ops):
 
     def unit_residue(self, x):
         """The residue mod p of the unit part of x."""
-        u = self.unit_part(x)
-        return (u.numerator * pow(u.denominator, -1, self.p)) % self.p
+        _, n, d = self._split(x)
+        return n * pow(d, -1, self.p) % self.p
 
     def legendre(self, r):
         r %= self.p

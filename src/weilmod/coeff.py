@@ -763,7 +763,7 @@ class FFElt:
         return "ff(%d;%s)" % (self.i, self.field)
 
 
-class FieldIndices:
+class FieldIndices(Ops):
     """A FiniteField on raw indices (its encoding, an int 0 <= i < q): zero
     0 and one 1, the points as range(q), and the arithmetic linalg takes
     from `fld`, a whole row or one dot product per call.  A product is one

@@ -13,14 +13,17 @@ from .coeff import RingMismatchError
 class SympSpace:
     """W = X + Y with bases e_1..e_m of X, f_1..f_m of Y, <e_i, f_j> = d_ij.
     Vectors are coordinate tuples (x-part then y-part).  The arithmetic
-    comes from `field`: a base field with FFElt or Fraction scalars, or an
+    comes from `field`: a base field with FFElt or Fraction scalars, an
     F_q field's index view (coeff.FieldIndices), whose scalars are raw
-    field indices."""
+    field indices, or the integers (basefield.Integers), where a Q_p
+    matrix g is read as G = D g.  `unit` is the multiplier is_symplectic
+    asks of g, field.one() by default: G is checked with unit D^2."""
 
-    def __init__(self, field, m):
+    def __init__(self, field, m, unit=None):
         self.field = field
         self.m = m
         self.dim = 2 * m
+        self.unit = unit
 
     def zero_vec(self):
         z = self.field.zero()
@@ -41,8 +44,10 @@ class SympSpace:
         return self.field.pairing(u, v, self.m)
 
     def is_symplectic(self, g):
+        """g^T J g = unit J."""
         m = self.m
-        zero, one = self.field.zero(), self.field.one()
+        zero = self.field.zero()
+        one = self.field.one() if self.unit is None else self.unit
         cols = linalg.transpose(g)
         for i in range(self.dim):
             for j in range(i + 1, self.dim):

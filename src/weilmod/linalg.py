@@ -16,6 +16,13 @@ product per call.  The other routines use the scalars' operators.  Every
 call in the package names its field, so Q_p has one path, QpField's;
 mat_mul's default, OPS, exists only for callers outside the package.
 
+rref and det make each elimination step through `fld.pivot`.  Over a
+field it scales the pivot row to 1 and clears the column with it.  The
+integers (basefield.Integers, the view a Q_p matrix is lowered to)
+eliminate fraction-free instead (E. Bareiss, Math. Comp. 22 (1968)), so
+rref (and with it ranks), nullspace, det and column_space_basis run on
+integer matrices too; solve_columns and mat_inv need a field.
+
 Zero contract: every scalar is falsy exactly when it is zero (int, Fraction,
 FFElt, Cyc, a raw field index), so `not x` is the zero test.  Dot products
 skip zero terms after the first, and a row operation leaves an entry alone
@@ -59,6 +66,24 @@ class Ops:
     @staticmethod
     def neg(row):
         return tuple(-x for x in row)
+
+    def pivot(self, rows, r, c, lead, lo=0):
+        """One elimination step of rref (lo = 0) and of det (lo = r + 1):
+        the pivot x = rows[r][c] != 0 clears column c of every row of
+        rows[lo:] but row r, in place.  Returns the determinant of the
+        pivot block, lead x, or x at the first pivot (lead None), there
+        as 1/(1/x), a scalar the field made.  Row r is scaled to 1 at c,
+        and row i loses rows[i][c] times it."""
+        x = rows[r][c]
+        inv = self.recip(x)
+        if lo < len(rows):      # det's last step clears nothing
+            piv = rows[r] = self.scale(rows[r], inv)
+            eliminate = self.eliminate
+            for i in range(lo, len(rows)):
+                row = rows[i]
+                if i != r and row[c]:
+                    rows[i] = eliminate(row, row[c], piv)
+        return self.recip(inv) if lead is None else self.mul(lead, x)
 
     def pairing(self, u, v, m):
         """The symplectic pairing sum_i u_i v_{m+i} - u_{m+i} v_i of two
@@ -112,13 +137,17 @@ def transpose(a):
 
 
 def rref(a, fld):
-    """Reduced row echelon form; returns (rref rows as lists, pivot cols)."""
+    """Reduced row echelon form; returns (rref rows as lists, pivot cols).
+    Every pivot ends at one value: 1 over a field, and over the integers
+    (basefield.Integers) the last pivot block's determinant d, the rows
+    being d times the rational rref."""
     rows = [list(r) for r in a]
     if not rows:
         return rows, []
-    eliminate = fld.eliminate
+    pivot = fld.pivot
     ncols = len(rows[0])
     pivots = []
+    lead = None
     r = 0
     for c in range(ncols):
         piv = None
@@ -129,10 +158,7 @@ def rref(a, fld):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = fld.scale(rows[r], fld.recip(rows[r][c]))
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = eliminate(rows[i], rows[i][c], rows[r])
+        lead = pivot(rows, r, c, lead)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -141,13 +167,16 @@ def rref(a, fld):
 
 
 def nullspace(a, fld):
-    """Basis (tuple of vectors) of the right kernel of a."""
+    """Basis (tuple of vectors) of the right kernel of a: for each free
+    column f, the vector with rref's common pivot value at f and minus
+    column f of each pivot row at its pivot column."""
     if not a:
         return ()
     rows, pivots = rref(a, fld)
     ncols = len(a[0])
     free = [c for c in range(ncols) if c not in pivots]
-    z, o = fld.zero(), fld.one()
+    z = fld.zero()
+    o = rows[0][pivots[0]] if pivots else fld.one()
     basis = []
     for fc in free:
         v = [z] * ncols
@@ -184,9 +213,9 @@ def solve_columns(a, rhs_columns, fld):
 
 
 def det(a, fld):
-    """The determinant: the product of the pivots of an elimination, each
-    row swap flipping its sign.  Every factor is a scalar the field made:
-    the first pivot as 1/(1/pivot), a singular a as a zero entry squared."""
+    """The determinant: the pivot block's determinant after the last step
+    of a forward elimination (Ops.pivot), each row swap flipping its
+    sign; a singular a gives a zero entry squared."""
     n = len(a)
     rows = [list(r) for r in a]
     flip = False
@@ -202,13 +231,7 @@ def det(a, fld):
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
             flip = not flip
-        pv = rows[c][c]
-        inv = fld.recip(pv)
-        acc = fld.mul(acc, pv) if c else fld.recip(inv)
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                rows[i] = fld.eliminate(rows[i], fld.mul(rows[i][c], inv),
-                                        rows[c])
+        acc = fld.pivot(rows, c, c, acc, c + 1)
     return fld.neg((acc,))[0] if flip else acc
 
 

@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import NamedTuple
 
 from . import linalg
-from .basefield import points
+from .basefield import INTEGERS, QpField, points
 from .coeff import FiniteField
 from .heisenberg import SchrodingerModel, SympSpace, coset_reps, delta
-from .quadratic import QuadraticForm, hilbert, square_class
+from .quadratic import diagonal, hasse_invariant, hilbert, square_class
 from .weilfactor import gauss_sum, omega_ratio
 
 
@@ -794,51 +794,95 @@ def _leray(space, g1, g2):
 def cocycle_formula(space, g1, g2, rao=False):
     """Rao's closed form of the cocycle (Pacific J. Math. 157 (1993);
     Perrin, LNM 880 (1981)) from invariants of g1, g2 and g1 g2, with no
-    decomposition (README).  g1 and g2 are checked once each (RuntimeError
-    naming both).  Over F_q, on raw indices, every Hilbert symbol is 1:
-    the value is 1 once the three x_data d are nonzero."""
-    sp, (a, b) = _lowered(space, g1, g2)
-    if not (sp.is_symplectic(a) and sp.is_symplectic(b)):
+    decomposition (README).  g1 and g2 are lowered once (_scaled): over
+    Q_p to integer matrices G = s g, over F_q to raw indices.  Each is
+    checked once, as G^T J G = s^2 J (RuntimeError naming both), and no
+    Fraction or FFElt is made after that.  Over F_q every Hilbert symbol
+    is 1: the value is 1 once the three x_data d are nonzero."""
+    sp, hs = _scaled(*_lowered(space, g1, g2))
+    if not all(SympSpace(sp.field, sp.m, s * s).is_symplectic(g)
+               for g, s in hs):
         raise RuntimeError("cocycle: g1 = %s or g2 = %s is not symplectic"
                            % (g1, g2))
-    return _cocycle(space.field, sp, a, b, rao)[0]
+    return _cocycle(space.field, sp, *hs, rao)[0]
 
 
-def _cocycle(field, space, g1, g2, rao):
-    """(cocycle_formula's value, d1, d2, (l, q)), in the scalars of
-    `space`: (x1, x2) (x1 x2, -x12) (-1, -1)^(l(l+1)/2) (-1, det rho)^l
-    (-2, det rho) h(rho), times (2, x1 x2 x12) when rao, with rho's
-    invariants read off q.  Over F_q the value is 1 once the three d are
-    nonzero, and (l, q) is None."""
-    g12 = linalg.mat_mul(g1, g2, space.field)
-    (_, d1), (_, d2), (n12, d12) = map(partial(_x_parts, space),
-                                       (g1, g2, g12))
-    if field.flavor == "finite":
-        return 1, d1, d2, None
-    l, form = _leray_invariants(space, g1, g2, g12, len(n12))
-    det, one, two = form.det_square_class().rep, field.one(), field.element(2)
-    val = hilbert(field, d1, d2) * hilbert(field, d1 * d2, -d12) * \
-        hilbert(field, -one, -one) ** ((l * (l + 1)) // 2) * \
-        hilbert(field, -one, det) ** l * hilbert(field, -two, det) * \
-        form.hasse() * (hilbert(field, two, d1 * d2 * d12) if rao else 1)
-    return val, d1, d2, (l, form)
+def _scaled(space, gs):
+    """(the space the closed form reads, ((G, s) for g in gs)) with g =
+    G / s, for space and gs as _lowered gives them: a Q_p g becomes the
+    integer matrix G = s g (QpField.lower) on the integers
+    (basefield.Integers), and raw indices over F_q stand as they are,
+    with s = 1."""
+    if not isinstance(space.field, QpField):
+        return space, tuple((g, 1) for g in gs)
+    return SympSpace(INTEGERS, space.m), tuple(map(space.field.lower, gs))
 
 
-def _leray_invariants(space, g1, g2, g12, j12):
-    """(l, q) for g12 = g1 g2, j12 = rank C12: l = |S1 cap S2| = rank
-    [C12; C2] - j12, and q(k; y) = -(A2 k - D1^T y) . (C1^T y) on C2 k +
-    C1^T y = 0, whose nondegenerate part is isometric to rho (README)."""
+def _x_scaled(space, h):
+    """_x_parts' (N, d) for g = G / s from h = (G, s), with d of det M's
+    class: N and the rank read the same off G, and det M = det M_G / s^m,
+    so d = det M_G s^(m mod 2)."""
+    n_idx, d = _x_parts(space, h[0])
+    return n_idx, space.field.mul(d, h[1] ** (space.m % 2))
+
+
+def _cocycle(field, space, h1, h2, rao, invariants=False):
+    """(cocycle_formula's value, d1, d2, (l, q's diagonal)) for g1 and g2
+    given as h = (G, s) on `space` (_scaled): (x1, x2) (x1 x2, -x12)
+    (-1, -1)^(l(l+1)/2) (-1, det rho)^l (-2, det rho) h(rho), times
+    (2, x1 x2 x12) when rao, each x the class of its d and rho's det class
+    and Hasse invariant read off q's diagonal (_leray_invariants,
+    quadratic.diagonal).  g1 g2 is (G1 G2, s1 s2).  Over F_q the value is
+    1 once the three d are nonzero, and (l, q's diagonal) is None unless
+    `invariants` asks for it."""
+    fld = space.field
+    h12 = (linalg.mat_mul(h1[0], h2[0], fld), h1[1] * h2[1])
+    (_, d1), (_, d2), (n12, d12) = (_x_scaled(space, h)
+                                    for h in (h1, h2, h12))
+    inv = None
+    if invariants or field.flavor != "finite":
+        l, gram, scale = _leray_invariants(space, h1, h2, h12[0], len(n12))
+        inv = l, diagonal(fld, gram, scale)
+    if field.flavor == "finite":        # every Hilbert symbol is 1
+        return 1, d1, d2, inv
+    l, vals = inv
+    det = reduce(fld.mul, vals, fld.one())
+    h = partial(hilbert, field)
+    val = h(d1, d2) * h(d1 * d2, -d12) * h(-1, -1) ** ((l * (l + 1)) // 2) * \
+        h(-1, det) ** l * h(-2, det) * hasse_invariant(field, vals) * \
+        (h(2, d1 * d2 * d12) if rao else 1)
+    return val, d1, d2, inv
+
+
+def _leray_invariants(space, h1, h2, g12, j12):
+    """(l, G, lam) for g1 and g2 given as h = (G, s) on `space` (_scaled),
+    g12 = G1 G2 and j12 = rank C12: l = |S1 cap S2| = rank [C12; C2] -
+    j12, and q = lam x^T G x, whose nondegenerate part is isometric to
+    rho (README).  No step divides.
+
+    q(k; y) = -(A2 k - D1^T y) . (C1^T y) on C2 k + C1^T y = 0, in the
+    blocks of g1 and g2.  In those of G1 and G2 (A2 = A2_G / s2, and so
+    on) the equation reads s1 C2_G k + s2 C1_G^T y = 0, and q = -a . b /
+    (s1^2 s2) with a = s1 A2_G k - s2 D1_G^T y and b = C1_G^T y.  So
+    G = -(a_i . b_j + a_j . b_i) over the kernel's basis is 2 s1^2 s2
+    times q's Gram matrix, and lam = 2 s2 has the class of 1 / (2 s1^2
+    s2).  Ranks and kernels do not see the scalings, and another kernel
+    basis changes q by a congruence only."""
     fld, m = space.field, space.m
+    (g1, s1), (g2, s2) = h1, h2
     _, _, c1, d1 = space.blocks(g1)
     a2, _, c2, _ = space.blocks(g2)
     l = len(linalg.rref(space.blocks(g12)[2] + c2, fld)[1]) - j12
     c1t = linalg.transpose(c1)
-    kernel = linalg.nullspace([r + s for r, s in zip(c2, c1t)], fld)
-    left = [r + fld.neg(s) for r, s in zip(a2, linalg.transpose(d1))]
-    ab = [(linalg.mat_vec(left, z, fld), linalg.mat_vec(c1t, z[m:], fld))
-          for z in kernel]     # q(sum t_i z_i) = -sum t_i t_j a_i . b_j
-    return l, QuadraticForm(fld, [[-(fld.dot(a, bj) + fld.dot(aj, b)) / 2
-                                   for aj, bj in ab] for a, b in ab])
+    kernel = linalg.nullspace([fld.scale(r, s1) + fld.scale(t, s2)
+                               for r, t in zip(c2, c1t)], fld)
+    left = [tuple(fld.scale(r, s1)) + fld.neg(fld.scale(t, s2))
+            for r, t in zip(a2, linalg.transpose(d1))]
+    ab = [(linalg.mat_vec(left, z, fld),
+           fld.neg(linalg.mat_vec(c1t, z[m:], fld))) for z in kernel]
+    # G_ij = a_i . (-b_j) + a_j . (-b_i)
+    return l, [[fld.dot(a + aj, nbj + nb) for aj, nbj in ab]
+               for a, nb in ab], fld.mul(2, s2)
 
 
 def formula_report(space, g1, g2, rao=False):
@@ -846,24 +890,27 @@ def formula_report(space, g1, g2, rao=False):
     for the CLI, from one lowering of g1 and g2, which _leray checks.  The
     block is checked against the l and q the value is read off: |S1 cap
     S2| = l, |S| = rank q, and rho has q's det class and Hasse invariant
-    (RuntimeError naming g1 and g2).  Over F_q the value needs neither, so
-    they are computed here, once, on FFElts."""
+    (RuntimeError naming g1 and g2).  The check compares classes only:
+    one branch for both fields, where q's diagonal and rho's come from
+    quadratic.diagonal on the integers (Q_p) or the raw indices (F_q),
+    so over F_q no FFElt is made but the printed rho's."""
     field = space.field
-    sp, (a, b) = _lowered(space, g1, g2)
-    ld = _leray(sp, a, b)
-    val, d1, d2, inv = _cocycle(field, sp, a, b, rao)
-    if sp is not space:
-        ld = ld._replace(rho=sp.field.lift(ld.rho))
-        g12 = linalg.mat_mul(g1, g2, field)
-        inv = _leray_invariants(space, g1, g2, g12,
-                                len(_x_parts(space, g12)[0]))
-    l, q = inv
-    rho = QuadraticForm(field, ld.rho)
-    if (len(set(ld.s1) & set(ld.s2)), len(ld.s), rho.det_square_class(),
-            rho.hasse()) != (l, len(q.diagonalize()[1]),
-                             q.det_square_class(), q.hasse()):
+    sp, gs = _lowered(space, g1, g2)
+    ld = _leray(sp, *gs)
+    view, (h1, h2) = _scaled(sp, gs)
+    val, d1, d2, (l, vals) = _cocycle(field, view, h1, h2, rao, True)
+    fld = view.field
+    (rho, s), = _scaled(sp, (ld.rho,))[1]
+
+    def classes(vals):
+        return (square_class(field, reduce(fld.mul, vals, fld.one())),
+                hasse_invariant(field, vals))
+    if (len(set(ld.s1) & set(ld.s2)), len(ld.s)) + \
+            classes(diagonal(fld, rho, s)) != (l, len(vals)) + classes(vals):
         raise RuntimeError("formula: the Leray block of g1 = %s, g2 = %s "
                            "disagrees with l and q" % (g1, g2))
+    if sp is not space:
+        ld = ld._replace(rho=sp.field.lift(ld.rho))
     return (ld, val) + tuple(square_class(field, d) for d in (d1, d2))
 
 

@@ -19,14 +19,14 @@ from .basefield import QpField
 
 
 class SquareClass:
-    """Canonical square class: finite {1, nu}; Q_p {1, u0, p, u0*p}."""
+    """Canonical square class: finite {1, nu}; Q_p {1, u0, p, u0*p}, its
+    rep made when read."""
 
-    __slots__ = ("field", "tag", "rep")
+    __slots__ = ("field", "tag")
 
-    def __init__(self, field, tag, rep):
+    def __init__(self, field, tag):
         self.field = field
         self.tag = tag
-        self.rep = rep
 
     def __eq__(self, other):
         return (isinstance(other, SquareClass) and self.field is other.field
@@ -41,29 +41,29 @@ class SquareClass:
     def __mul__(self, other):
         return square_class(self.field, self.rep * other.rep)
 
+    @property
+    def rep(self):
+        field, tag = self.field, self.tag
+        if tag == "1":
+            return field.one()
+        if tag == "nu":
+            return field.nonresidue()
+        u0 = field.nonresidue() if tag.startswith("u0") else 1
+        return Fraction(u0 * (field.p if tag.endswith("p") else 1))
+
 
 def square_class(field, a):
-    """Canonical representative of a mod squares."""
+    """Canonical representative of a mod squares.  An int is read as a raw
+    index over F_q, and as itself over Q_p, with no field element made."""
     if field.flavor == "finite":
-        a = field.element(a)
-        if not a:
+        i = field.index(a)
+        if not i:
             raise ZeroDivisionError("square class of zero")
-        if field.is_square(a):
-            return SquareClass(field, "1", field.one())
-        return SquareClass(field, "nu", field.nonresidue())
-    a = Fraction(a)
-    if a == 0:
-        raise ZeroDivisionError("square class of zero")
+        return SquareClass(field, "1" if field.is_square(i) else "nu")
     v = field.val(a) % 2
     res = field.legendre(field.unit_residue(a))
-    u0 = field.nonresidue()
-    if v == 0 and res == 1:
-        return SquareClass(field, "1", Fraction(1))
-    if v == 0:
-        return SquareClass(field, "u0", Fraction(u0))
-    if res == 1:
-        return SquareClass(field, "p", Fraction(field.p))
-    return SquareClass(field, "u0p", Fraction(u0 * field.p))
+    return SquareClass(field, {(0, 1): "1", (0, -1): "u0", (1, 1): "p",
+                               (1, -1): "u0p"}[v, res])
 
 
 def hilbert(field, a, b):
@@ -78,6 +78,47 @@ def hilbert(field, a, b):
     if al and be:
         s *= field.legendre(-1)
     return s
+
+
+def hasse_invariant(field, vals):
+    """h(<a_1, .., a_r>) = prod over i < j of (a_i, a_j)_F."""
+    s = 1
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            s *= hilbert(field, vals[i], vals[j])
+    return s
+
+
+def diagonal(fld, gram, scale):
+    """scale a_i for the nonzero a_1 .. a_r of a diagonal form congruent
+    to the symmetric `gram`, in fld's arithmetic: the integers
+    (basefield.Integers) or an F_q field's index view.  Division-free
+    Gram-Schmidt from the standard basis: the pivot v has a = B(v, v) !=
+    0, or is u + w for B(u, w) != 0 (char != 2), and every other w becomes
+    a w - B(v, w) v, orthogonal to v.  That only scales vectors, so the
+    isometry class is kept.  The image that is a multiple of another (the
+    pivot's own, or w's beside u + w) is dropped, and the loop stops when
+    what remains is radical."""
+    remaining = list(linalg.identity(fld, len(gram)))
+    vals = []
+
+    def bval(u, v):
+        return fld.dot(u, linalg.mat_vec(gram, v, fld))
+
+    while remaining:
+        pivots = itertools.chain(
+            ((k, v) for k, v in enumerate(remaining) if bval(v, v)),
+            ((j, fld.add(u, v))
+             for (_, u), (j, v) in itertools.combinations(
+                 enumerate(remaining), 2) if bval(u, v)))
+        drop, piv = next(pivots, (None, None))
+        if piv is None:
+            break
+        a = bval(piv, piv)
+        vals.append(fld.mul(scale, a))
+        remaining = [tuple(fld.eliminate(fld.scale(v, a), bval(piv, v), piv))
+                     for k, v in enumerate(remaining) if k != drop]
+    return vals
 
 
 def hilbert_oracle(field, a, b):
@@ -219,10 +260,5 @@ class QuadraticForm:
         return square_class(self.field, prod)
 
     def hasse(self):
-        _, vals = self.diagonalize()
-        s = 1
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                s *= hilbert(self.field, vals[i], vals[j])
-        return s
+        return hasse_invariant(self.field, self.diagonalize()[1])
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -18,7 +19,8 @@ from weilmod.metaplectic import (WeilContext, bruhat_decompose,
                                  enumerate_sp2, leray_decompose, m_bracket,
                                  mu_g_scalar, random_symplectic, scalar_ratio, sigma,
                                  split_checks, x_invariant)
-from weilmod.quadratic import QuadraticForm, hilbert, square_class
+from weilmod.quadratic import (QuadraticForm, diagonal, hasse_invariant,
+                               hilbert, square_class)
 from weilmod.schwartz import cocycle_operator_padic
 from weilmod.weilfactor import fourier_matrix, omega
 
@@ -2381,11 +2383,20 @@ def test_cocycle_formula_matches_leray_reference():
     assert odd_l >= 50
 
 
+def _closed_form_view(sp, g1, g2):
+    """The library's closed-form input for g1, g2: (space, h1, h2, g12, j12)
+    with h = (G, s) on the integers or F_q's index view, g12 = G1 G2 and
+    j12 = rank C12."""
+    view, (h1, h2) = metaplectic._scaled(*metaplectic._lowered(sp, g1, g2))
+    g12 = linalg.mat_mul(h1[0], h2[0], view.field)
+    return view, h1, h2, g12, len(metaplectic._x_parts(view, g12)[0])
+
+
 def test_leray_invariants_match_leray_data():
-    # l is |S1 cap S2|, and the nondegenerate part of q has |S| entries,
-    # det rho's square class and rho's Hasse invariant, on pairs whose S
-    # and S1 cap S2 are both nonempty and on seeded pairs over Q_3, Q_5,
-    # Q_7, F_3 and F_5
+    # l is |S1 cap S2|, and the nondegenerate part of q = lam G has |S|
+    # entries, det rho's square class and rho's Hasse invariant, on pairs
+    # whose S and S1 cap S2 are both nonempty and on seeded pairs over Q_3,
+    # Q_5, Q_7, F_3 and F_5
     pairs = [(sp, g1, g2) for sp, g1, g2, _, _ in
              _leray_pairs_s_and_p12(random.Random(18))]
     pairs += [(sp, g1, g2) for sp, g1, g2 in
@@ -2394,19 +2405,210 @@ def test_leray_invariants_match_leray_data():
     for sp, g1, g2 in pairs:
         fld = sp.field
         ld = leray_decompose(sp, g1, g2)
-        g12 = linalg.mat_mul(g1, g2, fld)
-        j12 = len(metaplectic.x_data(sp, g12)[0])
-        l, q = metaplectic._leray_invariants(sp, g1, g2, g12, j12)
+        view, h1, h2, g12, j12 = _closed_form_view(sp, g1, g2)
+        l, gram, lam = metaplectic._leray_invariants(view, h1, h2, g12, j12)
         assert l == len(set(ld.s1) & set(ld.s2)), (fld, g1, g2)
-        vals = q.diagonalize()[1]
+        vals = diagonal(view.field, gram, lam)
         assert len(vals) == len(ld.s), (fld, g1, g2)
         if ld.s:
             rho = QuadraticForm(fld, ld.rho)
-            assert q.det_square_class() == square_class(
+            det = functools.reduce(view.field.mul, vals, view.field.one())
+            assert square_class(fld, det) == square_class(
                 fld, linalg.det(linalg.mat(ld.rho), fld)), (fld, g1, g2)
-            assert q.hasse() == rho.hasse(), (fld, g1, g2)
+            assert hasse_invariant(fld, vals) == rho.hasse(), (fld, g1, g2)
             with_s += 1
     assert with_s >= 300
+
+
+# the closed form on Fractions (FFElts over F_q), as metaplectic computed
+# it before it lowered each pair to integers: the reference for the
+# integer invariants
+
+def leray_invariants_reference(space, g1, g2, g12, j12):
+    """(l, q) for g12 = g1 g2, j12 = rank C12: l = |S1 cap S2| = rank
+    [C12; C2] - j12, and q(k; y) = -(A2 k - D1^T y) . (C1^T y) on C2 k +
+    C1^T y = 0, whose nondegenerate part is isometric to rho."""
+    fld, m = space.field, space.m
+    _, _, c1, d1 = space.blocks(g1)
+    a2, _, c2, _ = space.blocks(g2)
+    l = len(linalg.rref(space.blocks(g12)[2] + c2, fld)[1]) - j12
+    c1t = linalg.transpose(c1)
+    kernel = linalg.nullspace([r + s for r, s in zip(c2, c1t)], fld)
+    left = [r + fld.neg(s) for r, s in zip(a2, linalg.transpose(d1))]
+    ab = [(linalg.mat_vec(left, z, fld), linalg.mat_vec(c1t, z[m:], fld))
+          for z in kernel]     # q(sum t_i z_i) = -sum t_i t_j a_i . b_j
+    return l, QuadraticForm(fld, [[-(fld.dot(a, bj) + fld.dot(aj, b)) / 2
+                                   for aj, bj in ab] for a, b in ab])
+
+
+def closed_form_reference(space, g1, g2):
+    """(x1, x2, l, rank q, det class of q, h(q), c, c_rao) on the scalars
+    of space.field: x1 and x2 the classes of x_data's d, and the value
+    without and with Rao's normalization from the Fraction invariants."""
+    field = space.field
+    g12 = linalg.mat_mul(g1, g2, field)
+    (_, d1), (_, d2), (n12, d12) = (metaplectic.x_data(space, g)
+                                    for g in (g1, g2, g12))
+    l, form = leray_invariants_reference(space, g1, g2, g12, len(n12))
+    det = form.det_square_class()
+    out = (square_class(field, d1), square_class(field, d2), l,
+           len(form.diagonalize()[1]), det, form.hasse())
+    if field.flavor == "finite":
+        return out + (1, 1)
+    one, two = field.one(), field.element(2)
+    val = hilbert(field, d1, d2) * hilbert(field, d1 * d2, -d12) * \
+        hilbert(field, -one, -one) ** ((l * (l + 1)) // 2) * \
+        hilbert(field, -one, det.rep) ** l * \
+        hilbert(field, -two, det.rep) * form.hasse()
+    return out + (val, val * hilbert(field, two, d1 * d2 * d12))
+
+
+def closed_form_invariants(space, g1, g2):
+    """closed_form_reference's tuple from the library's integer (or
+    raw-index) path."""
+    field = space.field
+    view, h1, h2, _, _ = _closed_form_view(space, g1, g2)
+    fld = view.field
+    val, d1, d2, (l, vals) = metaplectic._cocycle(field, view, h1, h2,
+                                                  False, True)
+    det = functools.reduce(fld.mul, vals, fld.one())
+    return (square_class(field, d1), square_class(field, d2), l, len(vals),
+            square_class(field, det), hasse_invariant(field, vals), val,
+            metaplectic._cocycle(field, view, h1, h2, True)[0])
+
+
+def _scale_pairs():
+    """Q_p pairs whose lowering scales matter: m = 1, 2 and 3, entries
+    whose denominators have odd valuation (p), are non-square units (u0)
+    or both, so that the denominators D1 and D2 and D^m take every class."""
+    rng = random.Random(46)
+    for p in (3, 5, 7):
+        fld = QpField(p)
+        u0 = fld.nonresidue()
+        dens = (1, p, u0, p * u0, p * p * u0)
+        for m in (1, 2, 3):
+            sp = SympSpace(fld, m)
+
+            def element():
+                g = random_symplectic(sp, rng, length=4, scale=2)
+                t, u = rng.choice(dens), rng.choice(dens)
+                a = [[Fraction(int(i == j)) for j in range(m)]
+                     for i in range(m)]
+                a[0][0] = Fraction(1, t)
+                s = [[Fraction(0)] * m for _ in range(m)]
+                s[m - 1][m - 1] = Fraction(rng.choice((1, -1)), u)
+                return sp.mul_unipotent(sp.mul_torus(g, a), s)
+            for _ in range(12):
+                yield sp, element(), element()
+
+
+def _closed_form_mismatches(pairs):
+    return [(sp.field, sp.m, g1, g2) for sp, g1, g2 in pairs
+            if closed_form_invariants(sp, g1, g2) !=
+            closed_form_reference(sp, g1, g2)]
+
+
+def test_integer_invariants_match_fraction_reference():
+    # x(g1), x(g2), l, rank q, q's det class and Hasse invariant and the
+    # value with and without Rao's normalization, read off integer matrices
+    # (raw indices over F_q), equal the Fraction path's on the
+    # differential pairs and on pairs where each scale factor matters;
+    # over F_q the Sp2(F_5) pairs are sampled, one in 25
+    pairs = [pair for k, pair in enumerate(_differential_pairs())
+             if pair[0].field != FqField(5) or k % 25 == 0]
+    scaled = list(_scale_pairs())
+    assert _closed_form_mismatches(pairs + scaled) == []
+    # odd m with a D^m of class other than 1, and D2 of class other than 1
+    # with rho nonempty, each occur
+    classes = [(sp, metaplectic._scaled(sp, (g1, g2))[1])
+               for sp, g1, g2 in scaled]
+    assert sum(sp.m % 2 and square_class(sp.field, s1).tag != "1"
+               for sp, ((_, s1), _) in classes) >= 20
+    assert sum(square_class(sp.field, s2).tag not in ("1",)
+               for sp, (_, (_, s2)) in classes) >= 40
+
+
+@pytest.mark.parametrize("fault", ["no D^m", "no 2 D2", "no D2"])
+def test_integer_invariants_see_each_scale(fault, monkeypatch):
+    # the differential test fails once the lowering drops a scale factor:
+    # D^m of det M, or the 2 D2 (or only the D2) of q's Gram matrix
+    if fault == "no D^m":
+        monkeypatch.setattr(metaplectic, "_x_scaled",
+                            lambda space, h: metaplectic._x_parts(space,
+                                                                  h[0]))
+    else:
+        real = metaplectic._leray_invariants
+        lam = 1 if fault == "no 2 D2" else 2
+
+        def faulted(*args):
+            l, gram, _ = real(*args)
+            return l, gram, lam
+        monkeypatch.setattr(metaplectic, "_leray_invariants", faulted)
+    assert _closed_form_mismatches(_scale_pairs()) != []
+
+
+def test_closed_form_makes_no_fraction(monkeypatch):
+    # once g1 and g2 are lowered to integer matrices, cocycle_formula over
+    # Q_p builds no Fraction: the lowering reads numerators and
+    # denominators, and every invariant and Hilbert symbol reads ints
+    rng = random.Random(46)
+    cases = []
+    for p in (3, 5):
+        for m in (1, 2, 3):
+            sp = SympSpace(QpField(p), m)
+            cases += [(sp, random_symplectic(sp, rng, length=6, scale=2),
+                       random_symplectic(sp, rng, length=6, scale=2))
+                      for _ in range(8)]
+    made = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+    values = []
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        Fraction(1, 3)
+        assert len(made) == 1       # the wrapper counts
+        made.clear()
+        for sp, g1, g2 in cases:
+            values.append(cocycle_formula(sp, g1, g2))
+            values.append(cocycle_formula(sp, g1, g2, rao=True))
+    assert made == []
+    assert set(values) == {1, -1}
+
+
+def test_finite_formula_report_makes_no_ffelt_but_rho(monkeypatch):
+    # over F_q formula_report checks the Leray block on raw indices: the
+    # only FFElts it makes are the printed rho's entries
+    made = []
+    real = FFElt.__init__
+
+    def counted(self, field, i):
+        made.append(i)
+        real(self, field, i)
+    rng = random.Random(46)
+    seen_rho = 0
+    for field in (FqField(3), FqField(3, 2)):
+        for m in (1, 2):
+            sp = SympSpace(field, m)
+            # [[I, 0], [I, I]] squared has S = {1..m}
+            low = fmat(field, [[int(j in (i - m, i)) if i >= m else
+                                int(i == j) for j in range(2 * m)]
+                               for i in range(2 * m)])
+            pairs = [(low, low)] + [
+                tuple(random_symplectic(sp, rng, length=6) for _ in range(2))
+                for _ in range(8)]
+            for g1, g2 in pairs:
+                made.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(FFElt, "__init__", counted)
+                    ld, val, x1, x2 = metaplectic.formula_report(sp, g1, g2)
+                assert val == 1
+                assert len(made) == len(ld.s) ** 2, (field, m, g1, g2)
+                seen_rho += bool(ld.s)
+                assert (x1, x2) == (x_invariant(sp, g1), x_invariant(sp, g2))
+    assert seen_rho >= 6
 
 
 def test_cocycle_formula_reads_invariants_only(monkeypatch):
