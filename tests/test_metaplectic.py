@@ -2478,9 +2478,9 @@ def closed_form_invariants(space, g1, g2):
 
 
 def _scale_pairs():
-    """Q_p pairs whose lowering scales matter: m = 1, 2 and 3, entries
+    """Q_p pairs whose lowering scales matter: m = 1, 2 and 3, and entries
     whose denominators have odd valuation (p), are non-square units (u0)
-    or both, so that the denominators D1 and D2 and D^m take every class."""
+    or both, so that D1, D2 and D^m often have a class other than 1."""
     rng = random.Random(46)
     for p in (3, 5, 7):
         fld = QpField(p)
@@ -2524,7 +2524,7 @@ def test_integer_invariants_match_fraction_reference():
                for sp, g1, g2 in scaled]
     assert sum(sp.m % 2 and square_class(sp.field, s1).tag != "1"
                for sp, ((_, s1), _) in classes) >= 20
-    assert sum(square_class(sp.field, s2).tag not in ("1",)
+    assert sum(square_class(sp.field, s2).tag != "1"
                for sp, (_, (_, s2)) in classes) >= 40
 
 
