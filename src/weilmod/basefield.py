@@ -79,25 +79,9 @@ def points(field, k):
     return list(itertools.product(field.elements(), repeat=k))
 
 
-# a Fraction is immutable, so every zero() and one() can be the same one
+# QpField's zero() and one(): identity() and a sum from zero() (Ops.pairing)
+# hold Fractions.  A Fraction is immutable, so each call returns the same one
 _ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def _sum_products(num, den, pairs, sign):
-    """num/den + sign * (sum of x y over the pairs (x, y) with no zero
-    factor) as an unreduced (numerator, denominator) of ints."""
-    for x, y in pairs:
-        if x and y:
-            n = sign * x.numerator * y.numerator
-            d = x.denominator * y.denominator
-            if d == den:
-                num += n
-            elif den % d == 0:
-                num += n * (den // d)
-            else:
-                num = num * d + n * den
-                den *= d
-    return num, den
 
 
 class Integers(Ops):
@@ -145,7 +129,9 @@ INTEGERS = Integers()
 
 
 class QpField(Ops):
-    """Q_p for odd p; elements are exact rationals."""
+    """Q_p for odd p; elements are exact rationals (ints or Fractions).
+    linalg's arithmetic is the Fraction operators (Ops), and recip takes
+    an int too, so an int-entry matrix never turns to floats."""
 
     # one field per prime p asked for, each two attributes
     _cache = {}
@@ -181,43 +167,8 @@ class QpField(Ops):
     def one(self):
         return _ONE
 
-    # linalg's arithmetic on integer numerators and denominators: each
-    # result is one normalized Fraction, where the operators make one per
-    # product and one per sum.  The public numerator/denominator are read,
-    # so plain ints work too; the result is always a Fraction.
-
-    def mul(self, x, y):
-        return Fraction(x.numerator * y.numerator,
-                        x.denominator * y.denominator)
-
     def recip(self, x):
         return Fraction(x.denominator, x.numerator)
-
-    def dot(self, u, v):
-        return Fraction(*_sum_products(0, 1, zip(u, v), 1))
-
-    def pairing(self, u, v, m):
-        """sum_i u_i v_{m+i} - u_{m+i} v_i of two 2m-vectors."""
-        num, den = _sum_products(0, 1, zip(u[:m], v[m:]), 1)
-        return Fraction(*_sum_products(num, den, zip(u[m:], v[:m]), -1))
-
-    def eliminate(self, row, f, pivot_row):
-        """row - f pivot_row, an entry left alone where pivot_row is zero."""
-        fn, fd = f.numerator, f.denominator
-        out = []
-        for x, y in zip(row, pivot_row):
-            if y:
-                xd, d = x.denominator, fd * y.denominator
-                n = fn * y.numerator
-                out.append(Fraction(x.numerator - n, d) if xd == d else
-                           Fraction(x.numerator * d - n * xd, xd * d))
-            else:
-                out.append(x if x.__class__ is Fraction else Fraction(x))
-        return out
-
-    def scale(self, row, c):
-        cn, cd = c.numerator, c.denominator
-        return [Fraction(x.numerator * cn, x.denominator * cd) for x in row]
 
     def lower(self, a):
         """(G, D) with a = G / D, for D the lcm of the denominators of a's

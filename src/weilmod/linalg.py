@@ -5,16 +5,15 @@ mat_mul, mat_vec, rref, nullspace, solve, det, mat_inv, column_space_basis
 and intersection take their arithmetic from `fld`, the field or ring the
 scalars live in: zero() and one() where they create zeros or ones, and the
 dot product, whole-row operations and reciprocal of `Ops` (which also
-holds the symplectic pairing that SympSpace reads).  `Ops` reads these off
-the scalars' own operators (FFElt, Cyc); FiniteField (FqField among them)
-and CyclotomicRing extend it with zero() and one().  Two fields supply
-their own arithmetic instead: QpField works on the integer numerators and
-denominators of its Fractions, one normalized Fraction per dot product,
-pairing or row entry, and a finite field's index view
-(coeff.FiniteField.indices) works on raw field indices, one row or one dot
-product per call.  The other routines use the scalars' operators.  Every
-call in the package names its field, so Q_p has one path, QpField's;
-mat_mul's default, OPS, exists only for callers outside the package.
+holds the symplectic pairing that SympSpace reads).  There are two kinds
+of arithmetic.  `Ops` reads it off the scalars' own operators: FFElt and
+Cyc (FiniteField, FqField among them, and CyclotomicRing extend it with
+zero() and one()) and Fraction (QpField, whose recip also takes an int).
+The raw-int views that the hot paths lower to supply their own: a finite
+field's index view (coeff.FiniteField.indices) on raw field indices, and
+the integers (basefield.Integers) that a Q_p matrix is scaled to.  Every
+call in the package names its field; mat_mul's default, OPS, exists only
+for callers outside the package.
 
 rref and det make each elimination step through `fld.pivot`.  Over a
 field it scales the pivot row to 1 and clears the column with it.  The
@@ -68,22 +67,21 @@ class Ops:
         return tuple(-x for x in row)
 
     def pivot(self, rows, r, c, lead, lo=0):
-        """One elimination step of rref (lo = 0) and of det (lo = r + 1):
-        the pivot x = rows[r][c] != 0 clears column c of every row of
-        rows[lo:] but row r, in place.  Returns the determinant of the
-        pivot block, lead x, or x at the first pivot (lead None), there
-        as 1/(1/x), a scalar the field made.  Row r is scaled to 1 at c,
-        and row i loses rows[i][c] times it."""
+        """One elimination step of rref (lo = 0) and of det (lo = r + 1)
+        over a field, on its scalars' operators or its raw indices: the
+        pivot x = rows[r][c] != 0 clears column c of every row of rows[lo:]
+        but row r, in place.  Row r is scaled to 1 at c by one reciprocal,
+        and row i loses rows[i][c] times it.  Returns the pivot block's
+        determinant: lead x, or x itself at the first pivot (lead None)."""
         x = rows[r][c]
-        inv = self.recip(x)
         if lo < len(rows):      # det's last step clears nothing
-            piv = rows[r] = self.scale(rows[r], inv)
+            piv = rows[r] = self.scale(rows[r], self.recip(x))
             eliminate = self.eliminate
             for i in range(lo, len(rows)):
                 row = rows[i]
                 if i != r and row[c]:
                     rows[i] = eliminate(row, row[c], piv)
-        return self.recip(inv) if lead is None else self.mul(lead, x)
+        return x if lead is None else self.mul(lead, x)
 
     def pairing(self, u, v, m):
         """The symplectic pairing sum_i u_i v_{m+i} - u_{m+i} v_i of two

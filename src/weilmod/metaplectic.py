@@ -141,16 +141,17 @@ def x_data(space, g):
 
 def _x_parts(space, g):
     """x_data's (N, d) in space.field's scalars, g checked by the caller:
-    every index and det C when C is invertible (ker C = 0), one det."""
-    field = space.field
-    a, _, c, _ = space.blocks(g)
+    every index and det C when C is invertible (ker C = 0), one det.  Only
+    the A and C blocks are read, sliced off g's rows."""
+    field, m = space.field, space.m
+    a, c = [r[:m] for r in g[:m]], [r[:m] for r in g[m:]]
     d = linalg.det(c, field)
     if d:
-        return list(range(space.m)), d
+        return list(range(m)), d
     pivots = _echelon_kernel_image(a, linalg.nullspace(c, field), field)
-    n_idx = [i for i in range(space.m) if i not in pivots]
-    d = linalg.det([c[i] if i not in pivots else a[i]
-                    for i in range(space.m)], field)
+    n_idx = [i for i in range(m) if i not in pivots]
+    d = linalg.det([c[i] if i not in pivots else a[i] for i in range(m)],
+                   field)
     if not d:
         raise RuntimeError("x(g): det M = 0 for g = %s" % (g,))
     return n_idx, d
@@ -169,12 +170,12 @@ def x_invariant(space, g):
     return square_class(space.field, x_data(space, g)[1])
 
 
-def mu_g_scalar(space, psi, g, bruhat=None):
+def mu_g_scalar(space, psi, g):
     """The decomposition-invariant mass of mu_g relative to mu_{w_j}: the
     normalization Omega_{1, det_X(p1 p2)} times the volume of the
     transported reference lattice, p^(-min val) over the j x j minors of
     its projection (1 over F_q, whose valuation is trivial)."""
-    bd = bruhat or bruhat_decompose(space, g)
+    bd = bruhat_decompose(space, g)
     field = space.field
     d = field.mul(space.det_x(bd.p1), space.det_x(bd.p2))
     one = field.one()

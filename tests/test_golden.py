@@ -1,7 +1,9 @@
 """Golden stdout: sha256 of stdout and the exit code of fixed CLI queries.
 
 The hashes pin the bytes the CLI prints for the README's commands (all but
-``--emit``, which writes a file), the weilrep and heisenberg dumps over F_3
+``--emit``, which writes a file), a Q_p Bruhat decomposition at m = 2 whose
+p1 and p2 have non-integral entries and a Q_p closed-form cocycle at m = 2
+with a non-empty Leray rho, the weilrep and heisenberg dumps over F_3
 and, twisted, over F_5 (not with ``--approx``, whose floats depend on the
 platform's libm), the four-row theta table of diag:1,1
 (its ``char1``/``char2``/``char3`` labels follow the order in which the
@@ -39,6 +41,14 @@ GOLDEN = [
     (["cocycle", "--field", "qp:101", "--m", "1", "--g1", "1,0,0,1",
       "--g2", "0,-1,1,0", "--path", "operator"], 0,
      "e4e8c355226d6edbb16c4d0179b0af835433bbb4e0bb604cd5562707c4867ec4"),
+    (["bruhat", "--field", "qp:5", "--m", "2", "--g",
+      "-1,-5,-1/2,1/2,-2,6,1,-1,0,-1,-1/2,0,0,1/2,-1/4,0"], 0,
+     "c4ab59fa761d5a3cd1ca17f85ab1d94389e5776214fdf2656c6e73d86f83de73"),
+    (["cocycle", "--field", "qp:5", "--m", "2",
+      "--g1", "0,0,1,0,0,1,-2,-2,-1,2,-5,-2,0,0,2,1",
+      "--g2", "-2/5,2,1,4/5,2/5,1,-2,1/5,-1/5,0,0,2/5,2/5,0,0,1/5",
+      "--path", "formula"], 0,
+     "744183f12d3845e61beff7c22a29139848b96155030cf4eeef6daf5175fe9f3d"),
     (["weilrep", "--field", "fq:3:1", "--m", "1"], 0,
      "6c5f5608d89e02be29cdce0fb4895f24a544a0f21db6172d76013fb2b5d1b8fb"),
     (["weilrep", "--field", "fq:5:1", "--m", "1", "--psi", "psi:twist:2"],

@@ -97,8 +97,10 @@ def test_x_invariant_examples():
         assert x_invariant(sp4, sp4.w_subset(s)).tag == "1"
 
 
-def test_x_invariant_redecomposition_stability(rng):
-    # x(g) and the mu_g normalizer are invariant under changing (p1, p2)
+def test_x_invariant_redecomposition_stability(rng, monkeypatch):
+    # x(g) and the mu_g normalizer are invariant under changing (p1, p2):
+    # mu_g_scalar reads the alternative decomposition from a patched
+    # bruhat_decompose
     sp = SympSpace(QpField(3), 2)
     psi = AdditiveCharacter(QpField(3))
     fld = sp.field
@@ -106,7 +108,7 @@ def test_x_invariant_redecomposition_stability(rng):
         g = random_symplectic(sp, rng, length=5, scale=2)
         bd = bruhat_decompose(sp, g)
         x0 = x_invariant(sp, g)
-        mu0 = mu_g_scalar(sp, psi, g, bd)
+        mu0 = mu_g_scalar(sp, psi, g)
         # alternative decomposition: slide r in P(X) cap w_j P(X) w_j^{-1}
         j = bd.j
         for _ in range(4):
@@ -120,7 +122,10 @@ def test_x_invariant_redecomposition_stability(rng):
             d = sp.det_x(p1) * sp.det_x(p2)
             assert square_class(sp.field, d) == x0
             from weilmod.metaplectic import BruhatData
-            assert mu_g_scalar(sp, psi, g, BruhatData(j, p1, p2)) == mu0
+            with monkeypatch.context() as patch:
+                patch.setattr(metaplectic, "bruhat_decompose",
+                              lambda space, h: BruhatData(j, p1, p2))
+                assert mu_g_scalar(sp, psi, g) == mu0
 
 
 def _random_wj_stable_parabolic(sp, j, rng):
@@ -634,7 +639,7 @@ def dense_sigma_reference(ctx, g):
     space, psi = ctx.space, ctx.psi
     field = space.field
     bd = bruhat_decompose(space, g)
-    mu_pt = mu_g_scalar(space, psi, g, bd) * ctx._gauss_half_inv ** bd.j
+    mu_pt = mu_g_scalar(space, psi, g) * ctx._gauss_half_inv ** bd.j
     ginv = space.inv(g)
     xb = [space.basis_e(i) for i in range(space.m)]
     gx = list(linalg.transpose(g)[:space.m])
@@ -2640,6 +2645,30 @@ def test_cocycle_formula_reads_invariants_only(monkeypatch):
         assert len(checked) == 2
 
 
+def test_cocycle_formula_splits_each_element_once(monkeypatch):
+    # the closed form splits g1, g2 and g1 g2 into blocks at most once
+    # each: x_data's d slices the two blocks it reads off the rows, and
+    # the Leray invariants split each element once
+    split = []
+    real = SympSpace.blocks
+
+    def counted(self, g):
+        split.append(g)       # held, so no two ids coincide
+        return real(self, g)
+    monkeypatch.setattr(SympSpace, "blocks", counted)
+    rng = random.Random(47)
+    for field in (QpField(3), QpField(5), FqField(3)):
+        for m in (1, 2, 3):
+            sp = SympSpace(field, m)
+            for _ in range(5):
+                g1, g2 = (random_symplectic(sp, rng, length=6, scale=2)
+                          for _ in range(2))
+                split.clear()
+                cocycle_formula(sp, g1, g2)
+                assert len(split) <= 3
+                assert len({id(g) for g in split}) == len(split)
+
+
 def test_finite_cocycle_formula_makes_no_ffelt(monkeypatch):
     # over F_q g1 and g2 are lowered once, and all the work after that is
     # on raw field indices
@@ -2857,8 +2886,9 @@ def test_mu_g_scalar_examples():
 
 
 def test_qp_cocycle_takes_no_operator_dot(monkeypatch):
-    # every product and row operation of the Q_p paths comes from QpField:
-    # with the default operators' dot, eliminate and scale refused,
+    # no Q_p path falls back to linalg.OPS, mat_mul's default for callers
+    # outside the package: every linalg call names its field (QpField or
+    # the integers).  With OPS's dot, eliminate and scale refused,
     # cocycle_formula at m = 1 and m = 2, cocycle_operator_padic, a form's
     # Hasse invariant and diagonalization, and omega over Q_5 still run
     # and give the same values

@@ -312,8 +312,8 @@ def _names_field(call, arity):
 
 
 def test_every_linalg_call_names_its_field():
-    # Q_p has one arithmetic path, QpField's: no call falls back to
-    # mat_mul's default operators
+    # no call falls back to mat_mul's default operators, so Q_p data
+    # always meets QpField's zero, one and int-taking recip
     found = [(name, fn, node.lineno)
              for name, tree in _modules()
              for node in ast.walk(tree) if isinstance(node, ast.Call)

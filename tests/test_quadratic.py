@@ -54,15 +54,16 @@ def test_diagonalize_exhaustive_f9():
 
 
 def test_diagonalize_runs_through_the_field(monkeypatch):
-    # the Gram-Schmidt step is QpField's integer-numerator row update,
-    # not one Fraction per scalar product and difference
+    # the Gram-Schmidt step is the field's whole-row update, QpField's
+    # inherited linalg.Ops.eliminate, not one scalar product and
+    # difference at a time
     q5 = QpField(5)
     calls = []
     real = QpField.eliminate
 
     def counted(self, row, f, pivot_row):
         calls.append(tuple(pivot_row))
-        return real(self, row, f, pivot_row)
+        return real(row, f, pivot_row)
     monkeypatch.setattr(QpField, "eliminate", counted)
     q = QuadraticForm(q5, [[1, 0], [0, 5]])
     vecs, vals = q.diagonalize()
