@@ -109,6 +109,90 @@ def test_index_view_matches_ffelt_operators(p, f):
             assert spi.det_x(ix.lower(g)) == sp.det_x(g).i
 
 
+class _FractionOps(linalg.Ops):
+    """The Fraction operators, with the zero and one nullspace and mat_inv
+    need and a reciprocal that also takes plain ints: the reference QpField
+    must agree with."""
+
+    @staticmethod
+    def recip(x):
+        return Fraction(1) / x
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_qp_arithmetic_matches_fraction_operators(p):
+    # QpField's arithmetic against the Fraction operators on seeded
+    # rationals (zeros, plain ints, negatives and p-power denominators):
+    # every result equal, and exact (an int or a Fraction, never a float)
+    field, ref = QpField(p), _FractionOps()
+    rng = random.Random(p)
+
+    def scalar():
+        r = rng.random()
+        if r < 0.2:
+            return rng.choice((0, Fraction(0)))
+        if r < 0.4:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-40, 40),
+                        p ** rng.randrange(4) * rng.choice((1, 1, 2, 11)))
+
+    def vec(n):
+        return tuple(scalar() for _ in range(n))
+
+    def exact(x):
+        return type(x) in (int, Fraction)
+
+    def all_exact(xs):
+        return all(exact(x) for x in xs)
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        u, v, c = vec(n), vec(n), scalar()
+        for got, want in ((field.dot(u, v), ref.dot(u, v)),
+                          (field.mul(u[0], c), ref.mul(u[0], c))):
+            assert got == want and exact(got)
+        for got, want in ((field.eliminate(u, c, v), ref.eliminate(u, c, v)),
+                          (field.scale(u, c), ref.scale(u, c))):
+            assert got == want and all_exact(got)
+        if c:
+            assert field.recip(c) == ref.recip(c)
+            assert type(field.recip(c)) is Fraction
+        m = rng.randrange(1, 4)
+        u, v = vec(2 * m), vec(2 * m)
+        got = field.pairing(u, v, m)
+        assert got == sum(u[i] * v[m + i] - u[m + i] * v[i] for i in range(m))
+        assert exact(got)
+    for _ in range(100):
+        r, k = rng.randrange(1, 5), rng.randrange(1, 5)
+        a = tuple(vec(k) for _ in range(r))
+        b = tuple(vec(rng.randrange(1, 5)) for _ in range(k))
+        rows, piv = linalg.rref(a, field)
+        want_rows, want_piv = linalg.rref(a, ref)
+        assert (rows, piv) == (want_rows, want_piv)
+        # the reduced rows (the rows below the rank are zero)
+        assert all(all_exact(row) for row in rows[:len(piv)])
+        ns = linalg.nullspace(a, field)
+        assert ns == linalg.nullspace(a, ref)
+        prod = linalg.mat_mul(a, b, field)
+        assert prod == linalg.mat_mul(a, b, ref)
+        x = vec(k)
+        img = linalg.mat_vec(a, x, field)
+        assert img == linalg.mat_vec(a, x, ref)
+        assert all(all_exact(row) for row in ns + prod + (img,))
+        sq = tuple(vec(r) for _ in range(r))
+        d = linalg.det(sq, field)
+        assert d == linalg.det(sq, ref) and exact(d)
+        if d:
+            inv = linalg.mat_inv(sq, field)
+            assert inv == linalg.mat_inv(sq, ref)
+            assert all(all_exact(row) for row in inv)
+
+
 def test_qp_field_takes_the_fraction_operators():
     # Q_p linear algebra is the Fraction operators of linalg.Ops: QpField
     # keeps no second arithmetic of its own beside them, only the recip
