@@ -234,29 +234,41 @@ def parse_field(desc):
     return FqField(*nums) if kind == "fq" else QpField(*nums)
 
 
-def residue_rep(p, a, n):
-    """The canonical representative of a + p^n Z_p: c / p^k with
-    k = max(0, -val(a)) and 0 <= c < p^(n+k) (0 when n + k <= 0)."""
-    a = Fraction(a)
-    # a = u / p^k with u's denominator prime to p
-    den, k = a.denominator, 0
+def residue_rep(p, a, n, den=1):
+    """The canonical representative of a / den + p^n Z_p, for a an int or a
+    Fraction and den a nonzero int: c / p^k with k = max(0, -val(a / den))
+    and 0 <= c < p^(n+k) (0 when n + k <= 0).  It is read off the numerator
+    and denominator, so no Fraction is made but the result; a pair that is
+    not in lowest terms gives the same representative."""
+    num, den = a.numerator, a.denominator * den
+    # a / den = num / (den' p^k) with den' prime to p
+    k = 0
     while den % p == 0:
         den //= p
         k += 1
     if n + k <= 0:
-        return Fraction(0)
+        return _ZERO
     mod = p ** (n + k)
-    return Fraction((a.numerator * pow(den, -1, mod)) % mod, p ** k)
+    return Fraction(num * pow(den, -1, mod) % mod, p ** k)
 
 
-def frac_part(x, p):
-    """(a, n) with x = a/p^n mod Z_p, 0 <= a < p^n and n minimal."""
-    r = residue_rep(p, x, 0)
-    den, n = r.denominator, 0
-    while den > 1:
+def frac_part(x, p, den=1):
+    """(a, n) with x / den = a/p^n mod Z_p, 0 <= a < p^n and n minimal, for
+    x an int or a Fraction and den a nonzero int, with no Fraction made."""
+    num, den = x.numerator, x.denominator * den
+    n = 0
+    while den % p == 0:
         den //= p
         n += 1
-    return r.numerator, n
+    if not n:
+        return 0, 0
+    mod = p ** n
+    a = num * pow(den, -1, mod) % mod
+    # p divides num when the pair is not in lowest terms
+    while n and a % p == 0:
+        a //= p
+        n -= 1
+    return a, n
 
 
 def modulus(field, x):
@@ -302,11 +314,18 @@ class AdditiveCharacter:
     def __call__(self, x):
         if self.flavor == "finite":
             return self._table[self.field.element(x).i]
-        a, n = frac_part(self.twist * Fraction(x), self.field.p)
+        return self.at_ratio(x.numerator, x.denominator)
+
+    def at_ratio(self, num, den):
+        """psi(num / den) for the p-adic flavor, num and den ints: the
+        twist and the residue are read off integers, with no Fraction
+        made."""
+        p, tw = self.field.p, self.twist
+        a, n = frac_part(tw.numerator * num, p, tw.denominator * den)
         if n == 0:
             return self.coeff_ring.one()
-        ring = common_ring(self.coeff_ring, padic_ring(self.field.p, n))
-        return ring.root_of_unity(self.field.p ** n) ** a
+        ring = common_ring(self.coeff_ring, padic_ring(p, n))
+        return ring.zeta_pow(a * (ring.n // p ** n))
 
 
 def parse_character(field, desc):

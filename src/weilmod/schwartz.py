@@ -6,6 +6,44 @@ operator-level section of SL_2(Q) on the Schrödinger model.
 A term (c, a, n, q, l) is the function  y -> c psi(q (y-a)^2 + l (y-a))  on
 a + p^n Z_p and 0 elsewhere; psi is the level-0 character.  All centers and
 phases are exact rationals, all coefficients exact cyclotomics.
+
+A function is canonical from the moment it is built: each center is
+residue_rep's representative of its ball, quad is reduced mod p^-2n Z_p and
+lin mod p^-n Z_p (the phases only matter there), the phase that recentring
+moves is folded into the coefficient, and terms of one ball and one phase
+are merged.  A term is reduced once, from int numerators and denominators
+(residue_rep, psi.at_ratio), and no action reduces it again.
+
+sigma(g) on a term, g = [[alpha, beta], [gamma, delta]], det g = 1.  For
+gamma = 0 it is the parabolic action y -> psi(alpha beta y^2 / 2)
+f(alpha y), times 1/omega1(alpha).  For gamma != 0 the integral over the
+term's ball, with na = n - val(gamma), gives 1/omega1(gamma) p^-na times
+psi(p2 y^2 + p1 y + p0) on y0 + p^-na Z_p, y0 = -b0, where
+
+    b0 = -l gamma - delta c,   acoef = gamma delta / 2 + q gamma^2,
+    p2 = alpha / 2 gamma,      p1 = -c / gamma,    p0 = delta c^2 / 2 gamma;
+
+p2 and p1 are (gamma delta / 2) c(y)^2 - beta gamma c(y) y + alpha beta y^2/2
+and its y-part, c(y) = (alpha y - c) / gamma, simplified by
+alpha delta - beta gamma = 1.  When at = acoef p^2na has val(at) < 0 the
+integral is a Gaussian: a factor omega1(at), depth val(at) - na and the
+extra phase k (y + b0)^2, k = -1/(4 acoef).
+
+Read around y0 = gamma l + delta c, again with det g = 1:
+
+    slope  p1 + 2 p2 y0 = (alpha y0 - c) / gamma = alpha l + beta c = l',
+    value  (alpha y0^2 - 2 c y0 + delta c^2) / 2 gamma
+           = (alpha gamma l^2 + 2 beta gamma l c + beta delta c^2) / 2
+           = (l' y0 - l c) / 2,
+
+so (l', y0) = g (l, c), and the Gaussian's phase, zero to second order at
+y0, only adds k to the quad: alpha / 2 gamma + k = (beta + 2 q alpha) /
+2 (delta + 2 q gamma).  The parabolic action has the same slope and value
+at its center delta c = c / alpha and the quad q alpha^2 + alpha beta / 2,
+which is that formula at gamma = 0.  With g lowered to G = D g
+(QpField.lower) and l, c, q read as int pairs, each center, quad, slope and
+value is an int numerator over an int denominator, and the term is reduced
+from those once.
 """
 
 from __future__ import annotations
@@ -13,7 +51,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .basefield import AdditiveCharacter, InputError, QpField, residue_rep
+from . import linalg
+from .basefield import (INTEGERS, AdditiveCharacter, InputError, QpField,
+                        residue_rep)
 from .coeff import CyclotomicRing
 from .weilfactor import omega1_padic, omega_ratio
 
@@ -25,75 +65,107 @@ class PhaseTerm(NamedTuple):
     quad: Fraction
     lin: Fraction
 
+    def pairs(self):
+        """center, quad and lin as (numerator, denominator) int pairs."""
+        c, q, l = self.center, self.quad, self.lin
+        return ((c.numerator, c.denominator), (q.numerator, q.denominator),
+                (l.numerator, l.denominator))
+
 
 class PhaseStepFunction:
-    """Finite sum of phase-decorated coset indicators on Q_p."""
+    """Finite sum of phase-decorated coset indicators on Q_p, canonical as
+    built (module docstring)."""
+
+    # the level-0 character of each prime asked for
+    _characters = {}
 
     def __init__(self, p, terms):
         self.p = p
-        self.psi = AdditiveCharacter(QpField(p))
-        self.terms = tuple(self._canon_term(t) for t in terms if t.coeff)
+        self.psi = self._character(p)
+        self.terms = self._merged([
+            self._canon_term(t.coeff, t.depth, *t.pairs(), (0, 1))
+            for t in terms if t.coeff])
+
+    @classmethod
+    def _character(cls, p):
+        psi = cls._characters.get(p)
+        if psi is None:
+            psi = cls._characters[p] = AdditiveCharacter(QpField(p))
+        return psi
+
+    @classmethod
+    def _of(cls, p, terms):
+        """The function of canonical terms: merged, none reduced again."""
+        f = object.__new__(cls)
+        f.p = p
+        f.psi = cls._character(p)
+        f.terms = cls._merged(terms)
+        return f
+
+    @staticmethod
+    def _merged(terms):
+        if len(terms) == 1:
+            return tuple(terms) if terms[0].coeff else ()
+        merged = {}
+        for t in terms:
+            key = t[1:]
+            c = merged.get(key)
+            merged[key] = t.coeff if c is None else c + t.coeff
+        return tuple(sorted(
+            (PhaseTerm(c, *k) for k, c in merged.items() if c),
+            key=lambda t: (t.depth, str(t.center), str(t.quad), str(t.lin))))
 
     @classmethod
     def indicator(cls, p, center=0, depth=0):
-        return cls(p, [PhaseTerm(CyclotomicRing(p).one(), Fraction(center),
-                                 depth, Fraction(0), Fraction(0))])
+        return cls(p, [PhaseTerm(CyclotomicRing(p).one(), center, depth,
+                                 0, 0)])
 
-    def _canon_term(self, t):
+    def _canon_term(self, coeff, depth, center, quad, lin, const):
+        """The canonical term of  coeff psi(const + lin t + quad t^2),
+        t = y - y0, on y0 + p^depth Z_p; center = y0 and the phases are
+        (numerator, denominator) int pairs."""
         p = self.p
-        a = residue_rep(p, t.center, t.depth)
-        coeff = t.coeff
-        if a != t.center:
-            d = a - t.center
-            # rewrite phases around the canonical center
-            const = t.quad * d * d + t.lin * d
-            lin = t.lin + 2 * t.quad * d
-            coeff = coeff * self.psi(const)
-        else:
-            lin = t.lin
-        # phases only matter modulo p^-2depth Z_p and p^-depth Z_p
-        quad = residue_rep(p, t.quad, -2 * t.depth)
-        lin = residue_rep(p, lin, -t.depth)
-        return PhaseTerm(coeff, a, t.depth, quad, lin)
-
-    def canonical(self):
-        merged = {}
-        for t in self.terms:
-            key = (t.center, t.depth, t.quad, t.lin)
-            if key in merged:
-                merged[key] = merged[key] + t.coeff
-            else:
-                merged[key] = t.coeff
-        terms = [PhaseTerm(c, k[0], k[1], k[2], k[3])
-                 for k, c in sorted(merged.items(),
-                                    key=lambda kv: (kv[0][1], str(kv[0][0]),
-                                                    str(kv[0][2]),
-                                                    str(kv[0][3])))
-                 if c]
-        return PhaseStepFunction(self.p, terms)
+        (yn, yd), (qn, qd), (ln, ld), (kn, kd) = center, quad, lin, const
+        a = residue_rep(p, yn, depth, yd)
+        # t = a - y0 moves the constant and the slope to the center a
+        tn, td = a.numerator * yd - yn * a.denominator, a.denominator * yd
+        if tn:
+            kn, kd = (kn * ld * qd * td * td + kd * tn * qd * td * ln
+                      + kd * ld * tn * tn * qn, kd * ld * qd * td * td)
+            ln, ld = ln * qd * td + 2 * ld * qn * tn, ld * qd * td
+        if kn:
+            coeff = coeff * self.psi.at_ratio(kn, kd)
+        return PhaseTerm(coeff, a, depth, residue_rep(p, qn, -2 * depth, qd),
+                         residue_rep(p, ln, -depth, ld))
 
     def eval(self, y):
-        y = Fraction(y)
         acc = None
         p = self.p
+        fld = QpField(p)
+        yn, yd = y.numerator, y.denominator
         for t in self.terms:
-            d = y - t.center
-            if d != 0 and QpField(p).val(d) < t.depth:
+            (cn, cd), (qn, qd), (ln, ld) = t.pairs()
+            dn, dd = yn * cd - cn * yd, yd * cd
+            if not dn:
+                v = t.coeff
+            elif fld.val(dn) - fld.val(dd) < t.depth:
                 continue
-            v = t.coeff * self.psi(t.quad * d * d + t.lin * d)
+            else:
+                v = t.coeff * self.psi.at_ratio(
+                    dn * (qn * dn * ld + ln * qd * dd), qd * ld * dd * dd)
             acc = v if acc is None else acc + v
         if acc is None:
             return CyclotomicRing(p).zero()
         return acc
 
     def scaled(self, c):
-        return PhaseStepFunction(
-            self.p, [t._replace(coeff=c * t.coeff) for t in self.terms])
+        return PhaseStepFunction._of(
+            self.p, [PhaseTerm(c * t.coeff, *t[1:]) for t in self.terms])
 
     def __add__(self, other):
         if self.p != other.p:
             raise InputError("mismatched function spaces")
-        return PhaseStepFunction(self.p, self.terms + other.terms)
+        return PhaseStepFunction._of(self.p, self.terms + other.terms)
 
     def __repr__(self):
         return "PhaseStep(p=%d, %d terms)" % (self.p, len(self.terms))
@@ -112,27 +184,25 @@ class PhaseStepFunction:
         return PhaseStepFunction(p, out)
 
     def act_parabolic(self, a, b):
-        """I_p for p = [[a, b],[0, 1/a]]: y -> psi((a b/2) y^2) f(a y)."""
-        p = self.p
-        a, b = Fraction(a), Fraction(b)
+        """I_p for p = [[a, b],[0, 1/a]]: y -> psi((a b/2) y^2) f(a y), a
+        and b ints or Fractions.  A term on c + p^n Z_p moves to c/a +
+        p^(n - val a) Z_p, with quad q a^2 + a b/2, slope a l + b c and
+        value b c^2 / 2a there (module docstring)."""
         if a == 0:
             raise InputError("parabolic block must be invertible")
-        va = QpField(p).val(a)
+        an, ad = a.numerator, a.denominator
+        bn, bd = b.numerator, b.denominator
+        va = QpField(self.p).val(a)
         out = []
-        for tm in self.terms:
-            c1 = tm.center / a
-            d1 = tm.depth - va
-            # phases: quad (ay - c)^2 = quad a^2 (y - c1)^2; lin a (y - c1)
-            quad = tm.quad * a * a
-            lin = tm.lin * a
-            # extra (ab/2) y^2 recentred at c1
-            e2 = a * b / 2
-            quad2 = quad + e2
-            lin2 = lin + 2 * e2 * c1
-            const = e2 * c1 * c1
-            out.append(PhaseTerm(tm.coeff * self.psi(const), c1, d1,
-                                 quad2, lin2))
-        return PhaseStepFunction(p, out)
+        for t in self.terms:
+            (cn, cd), (qn, qd), (ln, ld) = t.pairs()
+            out.append(self._canon_term(
+                t.coeff, t.depth - va, (cn * ad, cd * an),
+                (an * (2 * qn * an * bd + bn * ad * qd),
+                 2 * qd * ad * ad * bd),
+                (an * ln * bd * cd + bn * cn * ad * ld, ad * ld * bd * cd),
+                (bn * cn * cn * ad, 2 * bd * cd * cd * an)))
+        return PhaseStepFunction._of(self.p, out)
 
     # -- exact equality by refinement -----------------------------------------
 
@@ -171,12 +241,10 @@ class PhaseStepFunction:
         return {c: v for c, v in table.items() if v}
 
     def equals(self, other):
-        a = self.canonical()
-        b = other.canonical()
-        if a.terms == b.terms:
+        if self.terms == other.terms:
             return True
-        d = max(a._needed_depth(), b._needed_depth())
-        return a.value_table(d) == b.value_table(d)
+        d = max(self._needed_depth(), other._needed_depth())
+        return self.value_table(d) == other.value_table(d)
 
     def nonzero_point(self):
         """Some y with f(y) != 0, or None."""
@@ -196,81 +264,79 @@ class PhaseStepFunction:
 # the section sigma on SL_2(Q) subset Sp_2(Q_p), operator level
 # ---------------------------------------------------------------------------
 
-def sigma_padic_matrix(p, g):
-    """sigma(g) as an operator on PhaseStepFunctions over Q_p, for
-    g = [[alpha, beta],[gamma, delta]] in SL_2(Q)."""
-    (al, be), (ga, de) = (Fraction(g[0][0]), Fraction(g[0][1])), \
-        (Fraction(g[1][0]), Fraction(g[1][1]))
-    if al * de - be * ga != 1:
-        raise ValueError("matrix must have determinant 1")
+def sigma_padic_matrix(p, g, den=1):
+    """sigma(g / den) as an operator on PhaseStepFunctions over Q_p, for
+    g / den = [[alpha, beta],[gamma, delta]] in SL_2(Q); g holds ints or
+    Fractions, den is an int."""
     fld = QpField(p)
-    psi = AdditiveCharacter(fld)
-    if ga == 0:
-        scal = omega_ratio(fld, psi, Fraction(1), al)
+    ((a, b), (c, e)), d = fld.lower(g)
+    d *= den
+    if a * e - b * c != d * d:
+        raise ValueError("matrix must have determinant 1")
+    psi = PhaseStepFunction._character(p)
+    if c == 0:
+        al, be = Fraction(a, d), Fraction(b, d)
+        scal = omega_ratio(fld, psi, 1, al)
 
         def act_p(f):
             return f.act_parabolic(al, be).scaled(scal)
         return act_p
 
-    scal = omega_ratio(fld, psi, Fraction(1), ga)
-    vga = fld.val(ga)
+    scal = omega_ratio(fld, psi, 1, Fraction(c, d))
+    vga = fld.val(c) - fld.val(d)
+    vd2 = 2 * fld.val(d)
 
     def act(f):
         out = []
-        for tm in f.terms:
-            na = tm.depth - vga
-            # a-integral data (see module docstring derivation)
-            acoef = ga * de / 2 + tm.quad * ga * ga
-            czero = -tm.center / ga          # c(y) = (al/ga) y + czero
-            cone = al / ga
-            b0 = -tm.lin * ga + ga * de * czero
-            # B(y) = b0 + y  (since al*de - be*ga = 1)
-            # C(y) = (ga de/2) c(y)^2 - be ga c(y) y, plus (al be/2) y^2
-            p2 = (ga * de / 2) * cone * cone - be * ga * cone + al * be / 2
-            p1 = ga * de * cone * czero - be * ga * czero
-            p0 = (ga * de / 2) * czero * czero
-            at = acoef * Fraction(p) ** (2 * na)
-            scale = tm.coeff * scal * Fraction(p) ** (-na)
-            if at == 0 or fld.val(at) >= 0:
-                theta = 0
-                gaussian = None
+        for t in f.terms:
+            (cn, cd), (qn, qd), (ln, ld) = t.pairs()
+            na = t.depth - vga
+            coeff = t.coeff * scal
+            coeff = coeff * p ** -na if na <= 0 else \
+                coeff * Fraction(1, p ** na)
+            # center y0 = gamma l + delta c and slope alpha l + beta c, both
+            # over m; the value there is (slope y0 - l c) / 2
+            m = d * ld * cd
+            yn = c * ln * cd + e * cn * ld
+            sn = a * ln * cd + b * cn * ld
+            const = (sn * yn - ln * cn * d * d * ld * cd, 2 * m * m)
+            # delta + 2 q gamma = s / (d qd), so at = c s p^2na / (2 d^2 qd);
+            # theta = val(at), and 0 when s = 0 (at = 0)
+            s = e * qd + 2 * qn * c
+            theta = s and fld.val(c * s) - vd2 - fld.val(qd) + 2 * na
+            if theta < 0:
+                quad = (b * qd + 2 * qn * a, 2 * s)
+                depth = theta - na
+                num, den2 = c * s, 2 * d * d * qd
+                if na >= 0:
+                    num *= p ** (2 * na)
+                else:
+                    den2 *= p ** (-2 * na)
+                coeff = coeff * omega1_padic(p, Fraction(num, den2))
             else:
-                theta = fld.val(at)
-                # int_{Z_p} psi(at v^2) dv, the 1-d Weil factor of at
-                gaussian = omega1_padic(p, at)
-                # extra phase -beta~(y)^2 / (4 at), beta~ = (b0 + y) p^na
-                k = -(Fraction(p) ** (2 * na)) / (4 * at)
-                p2 = p2 + k
-                p1 = p1 + 2 * k * b0
-                p0 = p0 + k * b0 * b0
-            d_out = theta - na
-            y_c = -b0
-            # recentre the quadratic P at y_c
-            quad = p2
-            lin = p1 + 2 * p2 * y_c
-            const = p2 * y_c * y_c + p1 * y_c + p0
-            coeff = scale * psi(const)
-            if gaussian is not None:
-                coeff = coeff * gaussian
-            out.append(PhaseTerm(coeff, y_c, d_out, quad, lin))
-        return PhaseStepFunction(p, out).canonical()
+                quad = (a, 2 * c)
+                depth = -na
+            out.append(f._canon_term(coeff, depth, (yn, m), quad, (sn, m),
+                                     const))
+        return PhaseStepFunction._of(p, out)
     return act
 
 
 def cocycle_operator_padic(p, g1, g2):
     """Operator-path cocycle over Q_p at m = 1: the scalar c with
     sigma(g1) sigma(g2) = c sigma(g1 g2), verified on two probe functions,
-    the indicators of Z_p and of 1 + pZ_p."""
-    from . import linalg
-    s1 = sigma_padic_matrix(p, g1)
-    s2 = sigma_padic_matrix(p, g2)
-    g12 = linalg.mat_mul(g1, g2, QpField(p))
-    s12 = sigma_padic_matrix(p, g12)
+    the indicators of Z_p and of 1 + pZ_p.  g1 and g2 are lowered once,
+    and g1 g2 is their integer product over D1 D2."""
+    fld = QpField(p)
+    (h1, d1), (h2, d2) = fld.lower(g1), fld.lower(g2)
+    s1 = sigma_padic_matrix(p, h1, d1)
+    s2 = sigma_padic_matrix(p, h2, d2)
+    s12 = sigma_padic_matrix(p, linalg.mat_mul(h1, h2, INTEGERS), d1 * d2)
     c = None
     for f in (PhaseStepFunction.indicator(p),
               PhaseStepFunction.indicator(p, center=1, depth=1)):
-        lhs = s1(s2(f)).canonical()
-        rhs = s12(f).canonical()
+        lhs = s1(s2(f))
+        rhs = s12(f)
         y = rhs.nonzero_point()
         if y is None:
             if lhs.nonzero_point() is not None:

@@ -60,18 +60,27 @@ def omega1_padic(p, a):
     the shell integrates to 0.  What is left is Z_p, where psi(b y^2) = 1,
     for e = 0; for e = 1 it is p^-1 Z_p, where y = z/p gives
     p * p^-1 sum over z mod p of zeta_p^(u z^2) = g(u)."""
-    fld = QpField(p)
-    k, e = divmod(fld.val(a), 2)
-    if e:
-        fp = FqField(p)
-        u = fp.element(fld.unit_residue(a))
-        # gauss_sum's key: psi (p - 1 products) is built for a new sum only
-        w = _GAUSS_CACHE.get((fp, u, fp.one(), padic_ring(p)))
-        if w is None:
-            w = gauss_sum(fp, u, AdditiveCharacter(fp))
-    else:
+    w, k = _omega1_padic_parts(p, a)
+    if w is None:
         w = CyclotomicRing(p).one()
     return w * Fraction(p) ** k
+
+
+def _omega1_padic_parts(p, a):
+    """(w, k) with omega1_padic(p, a) = w p^k: w is the Gauss sum g(u) at
+    an odd valuation and None (for 1) at an even one.  g(u) is the object
+    gauss_sum caches, so Cyc.inv computes its inverse once and keeps it."""
+    fld = QpField(p)
+    k, e = divmod(fld.val(a), 2)
+    if not e:
+        return None, k
+    fp = FqField(p)
+    u = fp.element(fld.unit_residue(a))
+    # gauss_sum's key: psi (p - 1 products) is built for a new sum only
+    w = _GAUSS_CACHE.get((fp, u, fp.one(), padic_ring(p)))
+    if w is None:
+        w = gauss_sum(fp, u, AdditiveCharacter(fp))
+    return w, k
 
 
 def omega1(field, psi, a):
@@ -115,10 +124,19 @@ def omega(q_form, psi, mass=1):
 # ---------------------------------------------------------------------------
 
 def omega_ratio(field, psi, a, b):
-    """Omega_{a,b} = Omega(psi o Q_a)/Omega(psi o Q_b); measure-free."""
-    wa = omega1(field, psi, a)
-    wb = omega1(field, psi, b)
-    return wa * wb.inv()
+    """Omega_{a,b} = Omega(psi o Q_a)/Omega(psi o Q_b); measure-free.  Both
+    factors are Gauss sums from gauss_sum's cache over F_q, and over Q_p
+    Omega(psi o Q_b) = w p^k is inverted as w^-1 p^-k with w such a sum
+    or 1, so a ratio takes no Cyc.inv once its sums were inverted."""
+    if field.flavor == "finite":
+        return gauss_sum(field, a, psi) * gauss_sum(field, b, psi).inv()
+    p, tw = field.p, psi.twist
+    wa, ka = _omega1_padic_parts(p, tw * a)
+    wb, kb = _omega1_padic_parts(p, tw * b)
+    r = CyclotomicRing(p).one() if wa is None else wa
+    if wb is not None:
+        r = r * wb.inv()
+    return r * Fraction(p) ** (ka - kb)
 
 
 def hilbert_via_omega(field, psi, a, b):

@@ -2,13 +2,15 @@
 
 The hashes pin the bytes the CLI prints for the README's commands (all but
 ``--emit``, which writes a file), a Q_p Bruhat decomposition at m = 2 whose
-p1 and p2 have non-integral entries and a Q_p closed-form cocycle at m = 2
-with a non-empty Leray rho, the weilrep and heisenberg dumps over F_3
-and, twisted, over F_5 (not with ``--approx``, whose floats depend on the
-platform's libm), the four-row theta table of diag:1,1
-(its ``char1``/``char2``/``char3`` labels follow the order in which the
-characters of O(V) are enumerated) and ``selfcheck --seed 42``.  A change
-that claims to keep the outputs must leave every hash as it is.
+p1 and p2 have non-integral entries, a Q_p closed-form cocycle at m = 2
+with a non-empty Leray rho, operator-path cocycles over Q_3 and Q_7 whose
+g1 and g2 both have gamma != 0 and whose sigmas reach the Gaussian branch,
+the weilrep and heisenberg dumps over F_3 and, twisted, over F_5 (not with
+``--approx``, whose floats depend on the platform's libm), the four-row
+theta table of diag:1,1 (its ``char1``/``char2``/``char3`` labels follow
+the order in which the characters of O(V) are enumerated) and
+``selfcheck --seed 42``.  A change that claims to keep the outputs must
+leave every hash as it is.
 """
 
 import hashlib
@@ -41,6 +43,12 @@ GOLDEN = [
     (["cocycle", "--field", "qp:101", "--m", "1", "--g1", "1,0,0,1",
       "--g2", "0,-1,1,0", "--path", "operator"], 0,
      "e4e8c355226d6edbb16c4d0179b0af835433bbb4e0bb604cd5562707c4867ec4"),
+    (["cocycle", "--field", "qp:3", "--m", "1", "--g1", "2,1,3,2",
+      "--g2", "1,1/3,3,2", "--path", "operator"], 0,
+     "5b4a8deef39e6cf62ed8532da5ba878dad410094405a298b2b1c37e3538a049d"),
+    (["cocycle", "--field", "qp:7", "--m", "1", "--g1", "1,1/7,1,8/7",
+      "--g2", "2,1,7,4", "--path", "operator"], 0,
+     "5b4a8deef39e6cf62ed8532da5ba878dad410094405a298b2b1c37e3538a049d"),
     (["bruhat", "--field", "qp:5", "--m", "2", "--g",
       "-1,-5,-1/2,1/2,-2,6,1,-1,0,-1,-1/2,0,0,1/2,-1/4,0"], 0,
      "c4ab59fa761d5a3cd1ca17f85ab1d94389e5776214fdf2656c6e73d86f83de73"),

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from weilmod import linalg
-from weilmod.basefield import AdditiveCharacter, QpField, residue_rep
+from weilmod.basefield import (AdditiveCharacter, InputError, QpField,
+                               residue_rep)
 from weilmod.coeff import CyclotomicRing
 from weilmod.schwartz import (PhaseStepFunction, PhaseTerm,
                               cocycle_operator_padic, sigma_padic_matrix)
+from weilmod.weilfactor import omega1_padic
 
 
 def F(x, y=1):
@@ -211,13 +215,12 @@ def test_canonical_idempotent_and_linearity():
     r = CyclotomicRing(3)
     t1 = PhaseTerm(r.one(), F(10, 3), 1, F(9), F(1, 3))
     f = PhaseStepFunction(p, [t1, t1])
-    c1 = f.canonical()
-    c2 = c1.canonical()
-    assert c1.terms == c2.terms
-    assert len(c1.terms) == 1  # merged equal-support equal-phase terms
-    assert c1.eval(F(1, 3)) == f.eval(F(1, 3))
+    # canonical as built: rebuilding from its own terms changes nothing
+    assert PhaseStepFunction(p, f.terms).terms == f.terms
+    assert len(f.terms) == 1  # merged equal-support equal-phase terms
+    assert f.eval(F(1, 3)) == PhaseStepFunction(p, [t1]).eval(F(1, 3)) * 2
     g = f + f.scaled(r.from_int(-2))
-    assert g.canonical().eval(F(1, 3)) == f.eval(F(1, 3)) * (-1)
+    assert g.eval(F(1, 3)) == f.eval(F(1, 3)) * (-1)
 
 
 def _z3_minus_3z3():
@@ -239,7 +242,7 @@ def test_equals_refines_past_canonical_terms():
     f = _z3_minus_3z3()
     g = PhaseStepFunction.indicator(3, 1, 1) + \
         PhaseStepFunction.indicator(3, 2, 1)
-    assert f.canonical().terms != g.canonical().terms
+    assert f.terms != g.terms
     assert f.equals(g) and g.equals(f)
     assert not f.equals(PhaseStepFunction.indicator(3))
 
@@ -276,3 +279,267 @@ def test_cocycle_operator_sign_case():
     c2 = cocycle_operator_padic(p, ((F(0), F(-1)), (F(1), F(0))),
                                 ((F(0), F(-1)), (F(1), F(0))))
     assert c2 == CyclotomicRing(5).one()
+
+
+# ---------------------------------------------------------------------------
+# the Fraction sigma(g) that the integer one replaced, kept as the reference
+# ---------------------------------------------------------------------------
+
+def _canon_term_reference(p, t):
+    psi = AdditiveCharacter(QpField(p))
+    a = residue_rep(p, t.center, t.depth)
+    coeff = t.coeff
+    if a != t.center:
+        d = a - t.center
+        # rewrite phases around the canonical center
+        const = t.quad * d * d + t.lin * d
+        lin = t.lin + 2 * t.quad * d
+        coeff = coeff * psi(const)
+    else:
+        lin = t.lin
+    # phases only matter modulo p^-2depth Z_p and p^-depth Z_p
+    quad = residue_rep(p, t.quad, -2 * t.depth)
+    lin = residue_rep(p, lin, -t.depth)
+    return PhaseTerm(coeff, a, t.depth, quad, lin)
+
+
+def _canonical_reference(p, terms):
+    merged = {}
+    for t in terms:
+        if not t.coeff:
+            continue
+        t = _canon_term_reference(p, t)
+        key = (t.center, t.depth, t.quad, t.lin)
+        merged[key] = merged[key] + t.coeff if key in merged else t.coeff
+    return tuple(PhaseTerm(c, *k) for k, c in sorted(
+        merged.items(), key=lambda kv: (kv[0][1], str(kv[0][0]),
+                                        str(kv[0][2]), str(kv[0][3])))
+        if c)
+
+
+def sigma_padic_reference(p, g, branches):
+    """sigma(g) on Fractions, as f -> the canonical terms of sigma(g) f; the
+    branch each term takes is added to `branches`."""
+    (al, be), (ga, de) = [[F(x) for x in row] for row in g]
+    assert al * de - be * ga == 1
+    fld = QpField(p)
+    psi = AdditiveCharacter(fld)
+    if ga == 0:
+        scal = omega1_padic(p, F(1)) * omega1_padic(p, al).inv()
+        va = fld.val(al)
+
+        def act_p(f):
+            out = []
+            for tm in f.terms:
+                c1 = tm.center / al
+                e2 = al * be / 2
+                out.append(PhaseTerm(
+                    tm.coeff * scal * psi(e2 * c1 * c1), c1, tm.depth - va,
+                    tm.quad * al * al + e2, tm.lin * al + 2 * e2 * c1))
+                branches.add("gamma = 0")
+            return _canonical_reference(p, out)
+        return act_p
+    scal = omega1_padic(p, F(1)) * omega1_padic(p, ga).inv()
+    vga = fld.val(ga)
+
+    def act(f):
+        out = []
+        for tm in f.terms:
+            na = tm.depth - vga
+            acoef = ga * de / 2 + tm.quad * ga * ga
+            czero = -tm.center / ga
+            cone = al / ga
+            b0 = -tm.lin * ga + ga * de * czero
+            p2 = (ga * de / 2) * cone * cone - be * ga * cone + al * be / 2
+            p1 = ga * de * cone * czero - be * ga * czero
+            p0 = (ga * de / 2) * czero * czero
+            at = acoef * F(p) ** (2 * na)
+            scale = tm.coeff * scal * F(p) ** (-na)
+            if at == 0 or fld.val(at) >= 0:
+                branches.add("at = 0" if at == 0 else "val(at) >= 0")
+                theta = 0
+                gaussian = None
+            else:
+                branches.add("val(at) < 0")
+                theta = fld.val(at)
+                gaussian = omega1_padic(p, at)
+                k = -(F(p) ** (2 * na)) / (4 * at)
+                p2 = p2 + k
+                p1 = p1 + 2 * k * b0
+                p0 = p0 + k * b0 * b0
+            y_c = -b0
+            lin = p1 + 2 * p2 * y_c
+            const = p2 * y_c * y_c + p1 * y_c + p0
+            coeff = scale * psi(const)
+            if gaussian is not None:
+                coeff = coeff * gaussian
+            out.append(PhaseTerm(coeff, y_c, theta - na, p2, lin))
+        return _canonical_reference(p, out)
+    return act
+
+
+def _seeded_sl2(rng, p):
+    """A word of length 1 to 4 in diag(a, 1/a), [[1, b], [0, 1]],
+    [[1, 0], [c, 1]] and w, with p in some denominators."""
+    g = ((F(1), F(0)), (F(0), F(1)))
+    for _ in range(rng.randrange(1, 5)):
+        k = rng.randrange(4)
+        r = F(rng.randrange(-4, 5), p ** rng.randrange(2))
+        if k == 0:
+            a = F(rng.choice([1, 2, -1, p]), rng.choice([1, 2, p]))
+            step = ((a, F(0)), (F(0), 1 / a))
+        elif k == 1:
+            step = ((F(1), r), (F(0), F(1)))
+        elif k == 2:
+            step = ((F(1), F(0)), (r * p ** rng.randrange(3), F(1)))
+        else:
+            step = ((F(0), F(-1)), (F(1), F(0)))
+        g = linalg.mat_mul(g, step, QpField(p))
+    return g
+
+
+def _seeded_functions(rng, p):
+    r = CyclotomicRing(p)
+    f0 = PhaseStepFunction.indicator(p)
+    f1 = PhaseStepFunction.indicator(p, center=1, depth=1)
+    fs = [f0, f1, PhaseStepFunction.indicator(p, center=F(1, p), depth=-1),
+          f0 + f1.act_heisenberg(F(1, p), F(2), F(1, 2)),
+          f0.act_heisenberg(F(2), F(1, p), 0) + f1.scaled(r.zeta())]
+    for _ in range(3):
+        fs.append(PhaseStepFunction(p, [PhaseTerm(
+            r.zeta() ** rng.randrange(p),
+            F(rng.randrange(-9, 10), p ** rng.randrange(2)),
+            rng.randrange(-1, 3),
+            F(rng.randrange(-9, 10), p ** rng.randrange(3)),
+            F(rng.randrange(-9, 10), p ** rng.randrange(2)))
+            for _ in range(rng.randrange(1, 3))]))
+    return fs
+
+
+def test_sigma_matches_the_fraction_reference():
+    # term for term, on every branch: gamma = 0, and for gamma != 0 at = 0,
+    # val(at) >= 0 and the Gaussian val(at) < 0
+    rng = random.Random(48)
+    branches = set()
+    compared = 0
+    for p in (3, 5, 7):
+        w = ((F(0), F(-1)), (F(1), F(0)))
+        elements = [w, ((F(1), F(0)), (F(p), F(1))),
+                    ((F(2), F(1)), (F(1), F(1)))]
+        elements += [_seeded_sl2(rng, p) for _ in range(25)]
+        fs = _seeded_functions(rng, p)
+        for g in elements:
+            ref = sigma_padic_reference(p, g, branches)
+            new = sigma_padic_matrix(p, g)
+            for f in fs:
+                assert new(f).terms == ref(f), (p, g, f.terms)
+                compared += 1
+        # the constructor's one reduction is the reference's
+        for f in fs:
+            assert PhaseStepFunction(p, f.terms).terms == \
+                _canonical_reference(p, f.terms)
+    assert branches == {"gamma = 0", "at = 0", "val(at) >= 0",
+                        "val(at) < 0"}
+    assert compared == 3 * 28 * 8
+
+
+def test_sigma_equals_through_value_tables():
+    # one function in two term lists: equals refines on both sides
+    for p in (3, 5):
+        f = PhaseStepFunction.indicator(p)
+        split = PhaseStepFunction(p, [
+            PhaseTerm(CyclotomicRing(p).one(), F(i), 1, F(0), F(0))
+            for i in range(p)])
+        for g in (((F(1), F(1, p)), (F(0), F(1))),
+                  ((F(0), F(-1)), (F(1), F(0))),
+                  ((F(1), F(0)), (F(1, p), F(1)))):
+            s = sigma_padic_matrix(p, g)
+            branches = set()
+            ref = sigma_padic_reference(p, g, branches)
+            a, b = s(f), s(split)
+            assert a.terms == ref(f) and b.terms == ref(split)
+            assert a.terms != b.terms
+            assert a.equals(b) and b.equals(a)
+            assert not a.equals(b.scaled(CyclotomicRing(p).zeta()))
+
+
+def _cocycle_reference(p, g1, g2):
+    """cocycle_operator_padic's scalar with the reference sigmas."""
+    branches = set()
+    s1 = sigma_padic_reference(p, g1, branches)
+    s2 = sigma_padic_reference(p, g2, branches)
+    s12 = sigma_padic_reference(
+        p, linalg.mat_mul(g1, g2, QpField(p)), branches)
+    c = None
+    for f in (PhaseStepFunction.indicator(p),
+              PhaseStepFunction.indicator(p, center=1, depth=1)):
+        lhs = PhaseStepFunction(p, s1(PhaseStepFunction(p, s2(f))))
+        rhs = PhaseStepFunction(p, s12(f))
+        y = rhs.nonzero_point()
+        cand = lhs.eval(y) * rhs.eval(y).inv()
+        assert c is None or c == cand
+        assert lhs.equals(rhs.scaled(cand))
+        c = cand
+    return c
+
+
+def test_cocycle_operator_matches_the_fraction_reference():
+    # the reference makes its phases before reducing them, so on deep
+    # denominators it can need roots of unity past MAX_PADIC_ORDER where
+    # the reduced terms do not; such pairs are checked against the closed
+    # form only, and a pair the new path refuses the reference refuses too
+    from weilmod.heisenberg import SympSpace
+    from weilmod.metaplectic import cocycle_formula, random_symplectic
+    rng = random.Random(480)
+    pairs = 0
+    for p in (3, 5, 7):
+        sp = SympSpace(QpField(p), 1)
+        for k in range(80):
+            if k % 2:
+                g1, g2 = _seeded_sl2(rng, p), _seeded_sl2(rng, p)
+            else:
+                g1, g2 = (random_symplectic(sp, rng, length=4, scale=2)
+                          for _ in range(2))
+            try:
+                c = cocycle_operator_padic(p, g1, g2)
+            except InputError:
+                with pytest.raises(InputError):
+                    _cocycle_reference(p, g1, g2)
+                continue
+            assert c == c.ring.one() * cocycle_formula(sp, g1, g2)
+            try:
+                ref = _cocycle_reference(p, g1, g2)
+            except InputError:
+                continue
+            assert c == ref
+            pairs += 1
+    assert pairs >= 200
+
+
+def test_cocycle_operator_traffic(monkeypatch):
+    # one warm cocycle_operator_padic call on a pair whose sigmas take the
+    # Gaussian branch reduces each of its 8 terms once (2 probes, 6 sigma
+    # images), builds no character and makes few Fractions; the Fraction
+    # path it replaced made 24 reductions, 27 characters and 726 Fractions
+    g1 = ((F(1), F(1, 7)), (F(1), F(8, 7)))
+    g2 = ((F(2), F(1)), (F(7), F(4)))
+    want = cocycle_operator_padic(7, g1, g2)
+    counts = {"reductions": 0, "characters": 0, "fractions": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(PhaseStepFunction, "_canon_term", counting(
+        "reductions", PhaseStepFunction._canon_term))
+    monkeypatch.setattr(AdditiveCharacter, "__init__", counting(
+        "characters", AdditiveCharacter.__init__))
+    monkeypatch.setattr(Fraction, "__new__", counting(
+        "fractions", Fraction.__new__))
+    got = cocycle_operator_padic(7, g1, g2)
+    monkeypatch.undo()
+    assert got == want == -CyclotomicRing(7).one()
+    assert counts["reductions"] <= 8
+    assert counts["characters"] == 0
+    assert counts["fractions"] <= 60
