@@ -30,6 +30,9 @@ class InputError(ValueError):
 # at level 6 and omega over fq:251:2 (1.4 s; fq:10007 ran past 15 s)
 MAX_PADIC_ORDER = 729
 
+# Q_p's p, checked before coeff._is_prime's trial division (93 s at 2^61 - 1)
+MAX_PADIC_PRIME = 2 ** 31
+
 
 def padic_ring(p, k=1):
     """Z[zeta_{p^k}], where Q_p values of level k (and F_q's characters at
@@ -111,6 +114,10 @@ class Integers(Ops):
         return sum(map(mul, u[:m], v[m:])) - sum(map(mul, u[m:], v[:m]))
 
     @staticmethod
+    def divide(row, d):
+        return [x // d for x in row]
+
+    @staticmethod
     def pivot(rows, r, c, lead, lo=0):
         """Bareiss's step: with x = rows[r][c], row i becomes (x row_i -
         rows[i][c] row_r) / lead for each i >= lo but r, lead being the
@@ -142,6 +149,8 @@ class QpField(Ops):
             return fld
         if p == 2:
             raise ValueError("residual characteristic 2 is excluded")
+        if p >= MAX_PADIC_PRIME:
+            raise InputError("Q_%d: p >= MAX_PADIC_PRIME = 2^31" % p)
         from .coeff import _is_prime
         if not _is_prime(p):
             raise ValueError("p must be prime")

@@ -20,7 +20,7 @@ from .heisenberg import Monomial, SympSpace, SchrodingerModel, delta
 from .metaplectic import (WeilContext, bruhat_decompose, cocycle_formula,
                           cocycle_operator, enumerate_sp2, formula_report,
                           first_nontrivial_pair, sigma, x_invariant)
-from .quadratic import QuadraticForm, hilbert
+from .quadratic import QuadraticForm, det_hasse, hilbert
 from .schwartz import cocycle_operator_padic
 from .weilfactor import omega
 
@@ -172,7 +172,8 @@ def cmd_hasse(args):
     if not q.is_nondegenerate():
         raise InputError("hasse takes a nondegenerate form; %r is "
                          "degenerate over %r" % (args.form, field))
-    return {"value": q.hasse(), "det_class": q.det_square_class().tag}
+    det, h = det_hasse(field, field, q.diagonalize()[1])
+    return {"value": h, "det_class": det.tag}
 
 
 def cmd_bruhat(args):

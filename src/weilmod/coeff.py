@@ -845,6 +845,9 @@ class FieldIndices(Ops):
         log, exp, t = self._log, self._exp, self._lneg
         return tuple(exp[t + log[x]] if x else 0 for x in row)
 
+    def divide(self, row, d):
+        return self.scale(row, self.recip(d))
+
 
 class PrimeIndices(FieldIndices):
     """F_p on its residues 0 .. p - 1: every operation one `% p`."""

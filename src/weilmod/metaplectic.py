@@ -14,7 +14,8 @@ from . import linalg
 from .basefield import INTEGERS, QpField, points
 from .coeff import FiniteField
 from .heisenberg import SchrodingerModel, SympSpace, coset_reps, delta
-from .quadratic import diagonal, hasse_invariant, hilbert, square_class
+from .quadratic import (det_hasse, diagonal, hasse_invariant, hilbert,
+                        square_class)
 from .weilfactor import gauss_sum, omega_ratio
 
 
@@ -843,7 +844,7 @@ def _cocycle(field, space, h1, h2, rao, invariants=False):
     inv = None
     if invariants or field.flavor != "finite":
         l, gram, scale = _leray_invariants(space, h1, h2, h12[0], len(n12))
-        inv = l, diagonal(fld, gram, scale)
+        inv = l, diagonal(fld, gram, scale)[1]
     if field.flavor == "finite":        # every Hilbert symbol is 1
         return 1, d1, d2, inv
     l, vals = inv
@@ -902,12 +903,9 @@ def formula_report(space, g1, g2, rao=False):
     val, d1, d2, (l, vals) = _cocycle(field, view, h1, h2, rao, True)
     fld = view.field
     (rho, s), = _scaled(sp, (ld.rho,))[1]
-
-    def classes(vals):
-        return (square_class(field, reduce(fld.mul, vals, fld.one())),
-                hasse_invariant(field, vals))
     if (len(set(ld.s1) & set(ld.s2)), len(ld.s)) + \
-            classes(diagonal(fld, rho, s)) != (l, len(vals)) + classes(vals):
+            det_hasse(field, fld, diagonal(fld, rho, s)[1]) != \
+            (l, len(vals)) + det_hasse(field, fld, vals):
         raise RuntimeError("formula: the Leray block of g1 = %s, g2 = %s "
                            "disagrees with l and q" % (g1, g2))
     if sp is not space:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg
-from .basefield import QpField
+from .basefield import INTEGERS, QpField
 
 
 class SquareClass:
@@ -90,17 +91,22 @@ def hasse_invariant(field, vals):
 
 
 def diagonal(fld, gram, scale):
-    """scale a_i for the nonzero a_1 .. a_r of a diagonal form congruent
+    """(vecs, vals): b_1 .. b_r in gram's coordinates, pairwise orthogonal,
+    and scale a_i for the nonzero a_i = Q(b_i), a diagonal form congruent
     to the symmetric `gram`, in fld's arithmetic: the integers
-    (basefield.Integers) or an F_q field's index view.  Division-free
-    Gram-Schmidt from the standard basis: the pivot v has a = B(v, v) !=
-    0, or is u + w for B(u, w) != 0 (char != 2), and every other w becomes
-    a w - B(v, w) v, orthogonal to v.  That only scales vectors, so the
-    isometry class is kept.  The image that is a multiple of another (the
-    pivot's own, or w's beside u + w) is dropped, and the loop stops when
-    what remains is radical."""
+    (basefield.Integers) or an F_q field's index view.  The package's one
+    Gram-Schmidt, fraction-free from the standard basis: the pivot v has
+    a = B(v, v) != 0, or is u + w for B(u, w) != 0 (char != 2); the image
+    that is a multiple of another (v's own, or w's beside u + w) is
+    dropped, and every other w becomes (a w - B(v, w) v) / d^2, orthogonal
+    to v, d the Gram determinant of the earlier pivots' sources (e_k, or
+    e_i + e_j).  That is a / d times w's projection, integral by Cramer's
+    rule: each division is exact and entries grow as minors (Bareiss).
+    b_i is d times the dividing Gram-Schmidt's, so a_i keeps its square
+    class.  The loop stops when what remains is radical."""
     remaining = list(linalg.identity(fld, len(gram)))
-    vals = []
+    vecs, vals = [], []
+    d = fld.one()
 
     def bval(u, v):
         return fld.dot(u, linalg.mat_vec(gram, v, fld))
@@ -115,10 +121,22 @@ def diagonal(fld, gram, scale):
         if piv is None:
             break
         a = bval(piv, piv)
+        vecs.append(piv)
         vals.append(fld.mul(scale, a))
-        remaining = [tuple(fld.eliminate(fld.scale(v, a), bval(piv, v), piv))
+        dd = fld.mul(d, d)
+        remaining = [tuple(fld.divide(fld.eliminate(fld.scale(v, a),
+                                                    bval(piv, v), piv), dd))
                      for k, v in enumerate(remaining) if k != drop]
-    return vals
+        d, = fld.divide((a,), d)
+    return vecs, vals
+
+
+def det_hasse(field, fld, vals):
+    """(det class, Hasse invariant) of <a_1, .., a_r>, the a_i in fld's
+    arithmetic: the field's own, or the integers or raw indices of
+    `diagonal`, which square_class and hilbert read as they are."""
+    return (square_class(field, reduce(fld.mul, vals, fld.one())),
+            hasse_invariant(field, vals))
 
 
 def hilbert_oracle(field, a, b):
@@ -213,52 +231,27 @@ class QuadraticForm:
 
     def diagonalize(self):
         """(basis vectors b_1..b_r, entries a_i = Q(b_i)) of the
-        nondegenerate part, by Gram-Schmidt in the complement's
-        coordinates."""
+        nondegenerate part: `diagonal` on its Gram matrix, lowered once to
+        G = D C^T G C over Q_p (a_i = a / D) or to raw indices over F_q,
+        with the b_i pulled back to the ambient space."""
         if self._diag is not None:
             return self._diag
         fld = self.field
         comp, gc = self.nondegenerate_part()
-        remaining = list(linalg.identity(fld, len(gc)))
-        out_vecs, out_vals = [], []
-
-        def bval(u, v):
-            return fld.dot(u, linalg.mat_vec(gc, v, fld))
-
-        while remaining:
-            # the pivot: some v with Q(v) != 0, which the projection sends
-            # to 0; else (all Q(v) = 0, char != 2) v_i + v_j for a nonzero
-            # cross term, which sends v_j to minus v_i's image.  Dropping
-            # that v leaves the other images independent.
-            pivots = itertools.chain(
-                ((k, v) for k, v in enumerate(remaining) if bval(v, v)),
-                ((j, tuple(x + y for x, y in zip(u, v)))
-                 for (_, u), (j, v) in itertools.combinations(
-                     enumerate(remaining), 2) if bval(u, v)))
-            drop, piv = next(pivots, (None, None))
-            if piv is None:
-                raise RuntimeError("degenerate block in diagonalization")
-            a = bval(piv, piv)
-            out_vecs.append(piv)
-            out_vals.append(a)
-            inv_a = fld.recip(a)
-            # v - (piv^T G v / piv^T G piv) piv
-            remaining = [tuple(fld.eliminate(v, fld.mul(bval(piv, v), inv_a),
-                                             piv))
-                         for k, v in enumerate(remaining) if k != drop]
-        # pull the quotient vectors back to the ambient space
+        if fld.flavor == "finite":
+            ix = fld.indices
+            vecs, vals = diagonal(ix, ix.lower(gc), 1)
+            vecs, (vals,) = ix.lift(vecs), ix.lift([vals])
+        else:
+            g, d = fld.lower(gc)
+            vecs, vals = diagonal(INTEGERS, g, 1)
+            vals = tuple(Fraction(a, d) for a in vals)
+        if len(vals) != len(gc):
+            raise RuntimeError("degenerate block in diagonalization")
         cols = linalg.transpose(comp)
-        amb = tuple(linalg.mat_vec(cols, v, fld) for v in out_vecs)
-        self._diag = (amb, tuple(out_vals))
+        amb = tuple(linalg.mat_vec(cols, v, fld) for v in vecs)
+        self._diag = (amb, vals)
         return self._diag
-
-    def det_square_class(self):
-        _, vals = self.diagonalize()
-        prod = self.field.one()
-        for a in vals:
-            prod = prod * a
-        return square_class(self.field, prod)
 
     def hasse(self):
         return hasse_invariant(self.field, self.diagonalize()[1])
-

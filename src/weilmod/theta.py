@@ -14,21 +14,20 @@ from .basefield import AdditiveCharacter, InputError, points
 from .coeff import CyclotomicRing, FiniteField, ReductionMap
 from .heisenberg import SympSpace, hom_space
 from .metaplectic import WeilContext, enumerate_sp2
+from .quadratic import diagonal
 
 GROUP_ORDER_CAP = 10 ** 4
 _DUAL_PAIRS = {}    # {(field, Gram matrix, m'): DualPair}, for the process
 _ZERO_SIDES = {}    # {the same key: zero_side's table}, for the process
 
 
-def enumerate_orthogonal(q_form):
-    """All h in GL(V) with h^T G h = G, as matrices of raw field indices
-    (FiniteField.indices); brute force, dim V <= 2."""
-    ix = q_form.field.indices
-    n = q_form.m
+def enumerate_orthogonal(ix, gram):
+    """All h in GL(V) with h^T G h = G, for G = `gram` and h matrices of
+    raw field indices (ix = FiniteField.indices); brute force, dim V <= 2."""
+    n = len(gram)
     if n > 2:
         raise InputError("orthogonal enumeration capped at dim 2")
     mul = partial(linalg.mat_mul, fld=ix)
-    gram = ix.lower(q_form.gram)
     out = []
     # candidate columns with the first coordinate running fastest: this
     # order fixes the order of h1_list and so the char<k> labels
@@ -75,13 +74,13 @@ class DualPair:
         self.n0 = n0
         self.m = n0 * mprime
         ix = field.indices
-        vecs, vals = v_form.diagonalize()
-        self.diag_vals = ix.lower([vals])[0]    # a_i = Q(v_i)
+        gram = ix.lower(v_form.gram)
+        vecs, self.diag_vals = diagonal(ix, gram, 1)    # a_i = Q(v_i)
         self.space = SympSpace(field, self.m)
         self._ix_space = SympSpace(ix, self.m)
-        self._b = linalg.transpose(ix.lower(vecs))
+        self._b = linalg.transpose(vecs)
         self._binv = linalg.mat_inv(self._b, ix)
-        self.h1_list = enumerate_orthogonal(v_form)
+        self.h1_list = enumerate_orthogonal(ix, gram)
         self.h2_list = enumerate_sp2(SympSpace(ix, 1))
         if len(self.h1_list) * len(self.h2_list) > GROUP_ORDER_CAP:
             raise InputError("group order cap exceeded")

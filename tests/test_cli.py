@@ -3,6 +3,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -599,6 +600,24 @@ def test_theta_refuses_an_oversized_pair_before_listing(field):
                            timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: group order cap exceeded\n"
+
+
+def test_padic_prime_cap_comes_before_trial_division(capsys):
+    # p is bounded before coeff._is_prime's trial division, which took 93 s
+    # at p = 2^61 - 1; the largest prime below the cap is admitted
+    from weilmod.basefield import MAX_PADIC_PRIME
+    start = time.perf_counter()
+    code = cli.main(["hilbert", "--field", "qp:2305843009213693951",
+                     "--a", "1", "--b", "2"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and elapsed < 0.5
+    assert err == ("error: Q_2305843009213693951: p >= MAX_PADIC_PRIME = "
+                   "2^31\n")
+    assert MAX_PADIC_PRIME == 2 ** 31
+    assert cli.main(["hilbert", "--field", "qp:2147483647", "--a", "1",
+                     "--b", "2"]) == 0
+    assert json.loads(capsys.readouterr()[0]) == {"value": 1}
 
 
 def test_padic_queries_at_p101_answer():

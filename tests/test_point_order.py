@@ -78,8 +78,9 @@ def test_enumerate_orthogonal_follows_the_reversed_product(desc):
                                              form.gram), h) == form.gram:
                 ref.append(h)
         # enumerate_orthogonal lists them on raw field indices
-        assert enumerate_orthogonal(form) == [field.indices.lower(h)
-                                              for h in ref]
+        ix = field.indices
+        assert enumerate_orthogonal(ix, ix.lower(form.gram)) == [
+            ix.lower(h) for h in ref]
 
 
 @pytest.mark.parametrize("desc", FIELDS)
@@ -286,6 +287,17 @@ def test_one_function_per_parabolic_generator():
                           for w in ("parabolic", "unipotent", "u_rho")))
     assert found == ["heisenberg.in_parabolic", "heisenberg.mul_unipotent",
                      "schwartz.act_parabolic"]
+
+
+def test_one_gram_schmidt_in_quadratic():
+    # quadratic.diagonal is the package's one Gram-Schmidt: no other
+    # function of quadratic.py updates a row or divides
+    found = sorted({f.name for _, f in _functions("quadratic")
+                    for n in ast.walk(f) if isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("eliminate", "scale", "recip",
+                                        "divide")})
+    assert found == ["diagonal"]
 
 
 # each linalg routine that takes a field, by the number of its arguments

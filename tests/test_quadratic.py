@@ -3,10 +3,10 @@ import random
 import pytest
 
 from conftest import random_form, random_unit
-from weilmod import linalg
-from weilmod.basefield import AdditiveCharacter, FqField, QpField
-from weilmod.quadratic import (QuadraticForm, hilbert, hilbert_oracle,
-                               square_class)
+from weilmod import linalg, quadratic
+from weilmod.basefield import AdditiveCharacter, FqField, INTEGERS, QpField
+from weilmod.quadratic import (QuadraticForm, det_hasse, hilbert,
+                               hilbert_oracle, square_class)
 from weilmod.weilfactor import omega
 
 
@@ -54,22 +54,36 @@ def test_diagonalize_exhaustive_f9():
 
 
 def test_diagonalize_runs_through_the_field(monkeypatch):
-    # the Gram-Schmidt step is the field's whole-row update, QpField's
-    # inherited linalg.Ops.eliminate, not one scalar product and
-    # difference at a time
-    q5 = QpField(5)
+    # the Gram-Schmidt is quadratic.diagonal's, one call per fresh form on
+    # its lowered Gram matrix (the integers over Q_p, raw indices over
+    # F_q), and it takes no reciprocal of a Fraction or an FFElt (its exact
+    # division is // over the integers and a table inverse over F_q)
     calls = []
-    real = QpField.eliminate
+    real = quadratic.diagonal
 
-    def counted(self, row, f, pivot_row):
-        calls.append(tuple(pivot_row))
-        return real(row, f, pivot_row)
-    monkeypatch.setattr(QpField, "eliminate", counted)
-    q = QuadraticForm(q5, [[1, 0], [0, 5]])
-    vecs, vals = q.diagonalize()
-    assert vals == (1, 5)
-    # one update per vector left after its pass's pivot
-    assert calls == [vecs[0]]
+    def counted(fld, gram, scale):
+        calls.append(fld)
+        return real(fld, gram, scale)
+
+    def refuse(*args):
+        raise AssertionError("diagonalize took a reciprocal")
+    monkeypatch.setattr(quadratic, "diagonal", counted)
+    for field, gram, view in (
+            (QpField(5), [[1, 0], [0, 5]], INTEGERS),
+            (QpField(3), [[0, 1, 0], [1, 0, 0], [0, 0, 0]], INTEGERS),
+            (FqField(5), [[0, 1], [1, 0]], FqField(5).indices),
+            (FqField(3, 2), [[1, 1], [1, 1]], FqField(3, 2).indices)):
+        q = QuadraticForm(field, gram)
+        q.radical()     # the radical's elimination divides, diagonal not
+        calls.clear()
+        with monkeypatch.context() as m:
+            for owner in (linalg.Ops, QpField):
+                m.setattr(owner, "recip", refuse)
+            vecs, vals = q.diagonalize()
+        assert calls == [view]
+        assert len(vecs) == len(vals) == q.m - len(q.radical())
+    assert QuadraticForm(QpField(5), [[1, 0], [0, 5]]).diagonalize()[1] \
+        == (1, 5)
 
 
 def nondegenerate_part_reference(q):
@@ -140,19 +154,51 @@ def _seeded_forms(rng, count):
 
 
 def test_one_elimination_matches_reference():
-    # the complement read off the radical's free columns and the
-    # Gram-Schmidt that drops its known dependent vector give the
-    # reference's bases, Gram matrices and entries, repr for repr
+    # the complement read off the radical's free columns is the
+    # reference's, repr for repr; quadratic.diagonal's fraction-free
+    # Gram-Schmidt gives an orthogonal basis b_i with Q(b_i) = a_i exactly
+    # and the reference's a_i up to squares, entry by entry
     rng = random.Random(39)
     degenerate = cross = 0
     for kind, q in _seeded_forms(rng, 2100):
+        fld = q.field
         assert repr(q.nondegenerate_part()) == \
             repr(nondegenerate_part_reference(q))
         want = diagonalize_reference(q)
-        assert repr(q.diagonalize()) == repr(want)
+        vecs, vals = q.diagonalize()
+        assert len(vecs) == len(vals) == len(want[1])
+        assert [square_class(fld, a) for a in vals] == \
+            [square_class(fld, a) for a in want[1]]
+        for i, u in enumerate(vecs):
+            gu = linalg.mat_vec(q.gram, u, fld)
+            assert [fld.dot(v, gu) for v in vecs] == [
+                vals[i] if j == i else fld.zero() for j in range(len(vecs))]
         degenerate += not q.is_nondegenerate()
         cross += kind & 2 and bool(want[1])
     assert degenerate > 500 and cross > 500
+
+
+def test_diagonal_divides_exactly_and_stays_small():
+    # each step divides by the square of the earlier pivots' Gram
+    # determinant, so the entries are minors of the Gram matrix: without
+    # the division they tripled in length per step (about 40,000 bits at
+    # dim 9, over 6 s at dim 10)
+    rng = random.Random(49)
+    for n, zero_diagonal in ((8, False), (12, False), (12, True)):
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randrange(-20, 21)
+            if zero_diagonal:
+                g[i][i] = 0
+        vecs, vals = quadratic.diagonal(INTEGERS, g, 1)
+        assert len(vecs) == len(vals) == n    # nondegenerate at this seed
+        for i, u in enumerate(vecs):
+            gu = linalg.mat_vec(g, u, INTEGERS)
+            assert [INTEGERS.dot(v, gu) for v in vecs] == [
+                vals[i] if j == i else 0 for j in range(n)]
+        # Hadamard's bound keeps minors of these small entries under 8 n bits
+        assert max(abs(x).bit_length() for v in vecs for x in v) < 8 * n
 
 
 def test_a_form_costs_one_elimination(monkeypatch):
@@ -254,8 +300,9 @@ def test_hasse_equivalence_invariance():
         g2 = linalg.mat_mul(linalg.mat_mul(linalg.transpose(cm), q.gram), cm)
         q2 = QuadraticForm(field, g2)
         assert q.hasse() == q2.hasse()
-        assert q.det_square_class() * square_class(
-            field, linalg.det(cm, field) ** 2) == q2.det_square_class()
+        det, det2 = (det_hasse(field, field, f.diagonalize()[1])[0]
+                     for f in (q, q2))
+        assert det * square_class(field, linalg.det(cm, field) ** 2) == det2
 
 
 def test_square_class_examples():

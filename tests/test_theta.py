@@ -68,15 +68,13 @@ def convolve(a, b, mul):
 
 def test_enumerate_orthogonal_o1():
     f3 = FqField(3)
-    v = QuadraticForm(f3, [[1]])
-    o1 = enumerate_orthogonal(v)
+    o1 = enumerate_orthogonal(f3.indices, ((1,),))
     assert len(o1) == 2
 
 
 def test_enumerate_orthogonal_hyperbolic_plane():
     f3 = FqField(3)
-    v = QuadraticForm(f3, [[0, 1], [1, 0]])
-    o2 = enumerate_orthogonal(v)
+    o2 = enumerate_orthogonal(f3.indices, ((0, 1), (1, 0)))
     assert len(o2) == 4  # split O_2(F_3) is dihedral of order 2(q-1) = 4
 
 
@@ -838,9 +836,9 @@ def test_one_dual_pair_per_form(monkeypatch):
     built = []
     real = theta.enumerate_orthogonal
 
-    def counted(q_form):
-        built.append(q_form.gram)
-        return real(q_form)
+    def counted(ix, gram):
+        built.append(gram)
+        return real(ix, gram)
     monkeypatch.setattr(theta, "enumerate_orthogonal", counted)
     congruence_check(diag_form([1, 2]), 1, 5)
     congruence_check(diag_form([1, 2]), 1, 7)
@@ -944,9 +942,10 @@ def test_restrict_rereads_a_replaced_entry():
 def test_congruence_check_lowers_nothing(monkeypatch):
     # H1, H2 and the images of H2 are raw-index matrices from the start:
     # no base-field matrix is converted between FFElts and raw indices but
-    # the form's own data (its diagonal values, basis and Gram matrix), once
-    # per pair.  Over F_{l^d}, only the operators of H2's generators are
-    # lowered, once per lift of positive dimension, for the commutant
+    # the form's Gram matrix, once per pair: its diagonal values and basis
+    # come from quadratic.diagonal on the raw indices.  Over F_{l^d}, only
+    # the operators of H2's generators are lowered, once per lift of
+    # positive dimension, for the commutant
     lowered, lowered_l = [], []
     real = FieldIndices.lower
 
@@ -965,8 +964,7 @@ def test_congruence_check_lowers_nothing(monkeypatch):
         lowered_l.clear()
         rep = congruence_check(form, 1, 7)
         assert rep["idempotent_reduction"] is True
-        vecs, vals = form.diagonalize()
-        assert lowered == [[vals], vecs, form.gram]
+        assert lowered == [form.gram]
         gens = theta.dual_pair(form, 1).h2_generators
         assert len(lowered_l) == len(gens) * sum(
             1 for r in rep["lifts"] if r["dim"])
